@@ -1,8 +1,10 @@
 // Correctness analysis: the opt-in runtime invariant auditor.
 //
-// Attach a chk::Auditor through the same obs::Hooks bundle the tracer
-// and profiler use (DriverConfig::hooks.auditor) and the instrumented
-// layers machine-check their invariants as the run executes:
+// A chk::Auditor is a sink on the lifecycle event stream
+// (<dmr/observe.hpp>): attach it through the same obs::Hooks bundle the
+// tracer and profiler use (DriverConfig::hooks.auditor), or with any
+// layer's attach(), and it machine-checks these invariants as the run
+// executes:
 //  - the per-job lifecycle DFA (submitted -> queued -> running ->
 //    {reconfiguring <-> running} -> done),
 //  - node conservation in rms::Manager / rms::Cluster,
@@ -11,8 +13,8 @@
 //  - byte conservation per dmr::redist report.
 // Violations collect into a structured chk::Report (JSON with the
 // BENCH_*.json provenance fields); Options::fail_fast throws
-// chk::AuditError at the first one instead.  Detached, every hook site
-// is one null pointer test.
+// chk::AuditError at the first one instead.  Detached, every emit site
+// it would read is one interest-mask test.
 //
 // The static half of the chk:: layer is tools/dmr_lint (build target
 // `dmr_lint`, ctest `lint`): the project-rule checker that keeps

@@ -1,27 +1,29 @@
-// Observability: tracing, self-profiling and the unified counter
-// registry.
+// Observability: one lifecycle event stream and the observers on it.
 //
-// Attach an obs::TraceRecorder and/or obs::Profiler to a run through
-// obs::Hooks (DriverConfig::hooks, ServiceConfig reaches it via its
-// driver config) and the instrumented layers emit:
-//  - a Perfetto-loadable Chrome trace-event timeline (job lifecycle
-//    spans, schedule/reconfig/redistribution phases, placement
-//    decisions, counter tracks), and
-//  - a wall-clock self-profile (events/sec, time in schedule vs
-//    placement vs redistribution, peak RSS) whose JSON rows build the
-//    BENCH_engine.json trajectory, and
-//  - with an obs::WaitAttributor attached, a per-job wait decomposition
-//    (typed BlockReason segments whose seconds sum exactly to the wait)
-//    written as the sidecar tools/dmr_explain ingests.
-// obs::Registry is the one named counter surface every subsystem's
-// ad-hoc tallies are mirrored into (WorkloadDriver::fill_counters,
-// svc::Service::counters()).
+// Every layer of a run reports what happens as typed obs::Event values
+// (see obs::EventKind).  Observers are obs::Sink implementations that
+// declare the kinds they want; sim::Engine, rms::Manager,
+// fed::Federation and drv::WorkloadDriver each have one attach() point,
+// and an unsubscribed kind costs one mask test.
+//
+// The built-in observers attach through obs::Hooks (DriverConfig::hooks;
+// ServiceConfig reaches it via its driver config):
+//  - obs::TraceRecorder, rendered by the obs::TraceSink adapter into a
+//    Perfetto-loadable Chrome trace-event timeline;
+//  - obs::Profiler, a wall-clock self-profile (events/sec, time in
+//    schedule passes vs placement, peak RSS) for BENCH_engine.json rows;
+//  - obs::WaitAttributor, a per-job wait decomposition (typed
+//    BlockReason segments whose seconds sum exactly to the wait) written
+//    as the sidecar tools/dmr_explain ingests.
+// Counters have one store: rms::Manager::Counters, summed into
+// drv::WorkloadMetrics.
 #pragma once
 
 #include "dmr/build_info.hpp"  // IWYU pragma: export
 #include "obs/attr.hpp"        // IWYU pragma: export
+#include "obs/event.hpp"       // IWYU pragma: export
 #include "obs/hooks.hpp"       // IWYU pragma: export
 #include "obs/profiler.hpp"    // IWYU pragma: export
-#include "obs/registry.hpp"    // IWYU pragma: export
 #include "obs/trace.hpp"       // IWYU pragma: export
+#include "obs/trace_sink.hpp"  // IWYU pragma: export
 #include "obs/validate.hpp"    // IWYU pragma: export

@@ -145,6 +145,62 @@ void Auditor::lifecycle_edge(::dmr::JobId id, double now, Phase from, Phase to,
   it->second = to;
 }
 
+obs::Interest Auditor::interest() const {
+  using K = obs::EventKind;
+  return obs::kinds(K::kSubmitted, K::kPlaced, K::kStarted, K::kExpanded,
+                    K::kShrinkBegun, K::kShrinkEnded, K::kShrinkAborted,
+                    K::kFinished, K::kPass, K::kDispatch, K::kRedistributed,
+                    K::kSample);
+}
+
+void Auditor::on_event(const obs::Event& event) {
+  using K = obs::EventKind;
+  const ::dmr::JobId id = event.job;
+  const double now = event.now;
+  switch (event.kind) {
+    case K::kSubmitted:
+      return on_job_submitted(id, now);
+    case K::kPlaced:
+      return on_placement(id, event.member, fed::kClusterIdStride, now);
+    case K::kStarted:
+      return on_job_started(id, now);
+    case K::kExpanded:
+      on_job_resized(id, now);
+      break;
+    case K::kShrinkBegun:
+      on_shrink_begun(id, now);
+      break;
+    case K::kShrinkEnded:
+      on_shrink_ended(id, now);
+      break;
+    case K::kShrinkAborted:
+      return on_shrink_ended(id, now);
+    case K::kFinished:
+      return on_job_finished(id, now);
+    case K::kPass:
+      break;
+    case K::kDispatch:
+      return on_event_dispatch(now, event.dispatch.lane, event.dispatch.seq,
+                               event.dispatch.clock, event.dispatch.watermark);
+    case K::kRedistributed:
+      // A modeled report has no buffer registry; it must account for
+      // exactly the job's declared state bytes.
+      return on_redist_report(*event.report, event.bytes, now);
+    case K::kSample:
+      // The service's steady heartbeat: audit the settled state.
+      check_federation(*event.federation, now);
+      for (int c = 0; c < event.federation->cluster_count(); ++c) {
+        check_manager(event.federation->manager(c), now);
+      }
+      return;
+    default:
+      return;
+  }
+  // Every resize step and every schedule call ends with a conservation
+  // sweep of the member it touched.
+  check_manager(*event.manager, now);
+}
+
 void Auditor::on_job_submitted(::dmr::JobId id, double now) {
   const std::lock_guard<std::mutex> lock(mutex_);
   ++report_.lifecycle_edges;

@@ -3,9 +3,9 @@
 // The stack's headline guarantees (deterministic replay, digest-identical
 // runs with observability attached, snapshot/fork equality) are pinned by
 // end-to-end property tests that say *that* a run diverged, never
-// *where*.  The auditor is the "where": attached through the nullable
-// obs::Hooks bundle, the instrumented layers report their transitions
-// and the auditor machine-checks the invariants the tests rely on:
+// *where*.  The auditor is the "where": a sink on the lifecycle event
+// stream (obs/event.hpp), it machine-checks the invariants the tests rely
+// on as the instrumented layers report their transitions:
 //
 //  - per-job lifecycle DFA: submitted -> queued -> running
 //    {-> reconfiguring -> running}* -> done; every other edge is a
@@ -27,8 +27,7 @@
 // Violations are collected into a structured chk::Report (JSON with the
 // same provenance fields as the BENCH_*.json rows); Options::fail_fast
 // instead aborts the run at the first violation by throwing AuditError.
-// Detached (the default), every hook site is one null pointer test —
-// the same zero-overhead contract obs::TraceRecorder established.
+// Detached (the default), every emit site it reads is one mask test.
 #pragma once
 
 #include <cstdint>
@@ -39,6 +38,7 @@
 #include <vector>
 
 #include "dmr/types.hpp"
+#include "obs/event.hpp"
 
 namespace dmr::rms {
 class Manager;
@@ -93,10 +93,9 @@ class AuditError : public std::logic_error {
   const Violation violation;
 };
 
-/// All entry points are serialized on an internal mutex: the simulation
-/// side is single-threaded, but redist strategies record() reports from
-/// concurrent rank threads, and one auditor may see both in one run.
-class Auditor {
+/// All entry points are serialized on an internal mutex: one auditor may
+/// serve every worker thread of a sweep.
+class Auditor final : public obs::Sink {
  public:
   struct Options {
     /// Throw AuditError at the first violation instead of collecting.
@@ -108,6 +107,12 @@ class Auditor {
 
   Auditor() = default;
   explicit Auditor(Options options) : options_(options) {}
+
+  // --- the event stream ------------------------------------------------------
+
+  obs::Interest interest() const override;
+  /// Drives the checks below (callable directly too).
+  void on_event(const obs::Event& event) override;
 
   // --- per-job lifecycle DFA -------------------------------------------------
 

@@ -5,7 +5,6 @@
 
 #include "chk/auditor.hpp"
 #include "obs/attr.hpp"
-#include "util/log.hpp"
 
 namespace dmr::drv {
 
@@ -29,50 +28,79 @@ WorkloadDriver::WorkloadDriver(sim::Engine& engine, DriverConfig config)
       federation_(make_federation(config)),
       connection_(std::make_shared<::dmr::Connection>(
           federation_, [this] { return engine_.now(); })),
-      trace_(engine) {
-  engine_.set_profiler(config_.hooks.profiler);
-  engine_.set_auditor(config_.hooks.auditor);
-  federation_.set_hooks(config_.hooks);
-  federation_.on_start([this](const rms::Job& job) { on_started(job); });
-  util::StepSeries* completed_series = trace_.series_handle("completed");
-  util::StepSeries* allocated_series = trace_.series_handle("allocated");
-  util::StepSeries* running_series = trace_.series_handle("running");
-  federation_.on_end([this, completed_series](const rms::Job& job) {
-    (void)job;
-    ++completed_;
-    trace_.record_into(completed_series, completed_);
-    if (config_.hooks.trace != nullptr) {
-      config_.hooks.trace->counter(0, engine_.now(), "completed jobs",
-                                   completed_);
-    }
-  });
+      trace_(engine),
+      completed_series_(trace_.series_handle("completed")),
+      allocated_series_(trace_.series_handle("allocated")),
+      running_series_(trace_.series_handle("running")) {
+  federation_.attach(*this);
+  const obs::Hooks& hooks = config_.hooks;
+  if (hooks.trace != nullptr) {
+    trace_sink_ = std::make_unique<obs::TraceSink>(*hooks.trace, federation_);
+    attach(*trace_sink_);
+  }
+  if (hooks.profiler != nullptr) attach(*hooks.profiler);
+  if (hooks.auditor != nullptr) attach(*hooks.auditor);
+  if (hooks.attr != nullptr) attach(*hooks.attr);
+}
+
+WorkloadDriver::~WorkloadDriver() {
+  for (obs::Sink* sink : dispatch_sinks_) engine_.detach(*sink);
+}
+
+void WorkloadDriver::attach(obs::Sink& sink) {
+  if ((sink.interest() & obs::bit(obs::EventKind::kDispatch)) != 0) {
+    engine_.attach(sink);
+    dispatch_sinks_.push_back(&sink);
+  }
+  federation_.attach(sink);
+  sinks_.attach(sink);
+}
+
+obs::Interest WorkloadDriver::interest() const {
+  return obs::kinds(obs::EventKind::kStarted, obs::EventKind::kFinished,
+                    obs::EventKind::kAllocChanged);
+}
+
+void WorkloadDriver::on_event(const obs::Event& event) {
+  if (event.kind == obs::EventKind::kAllocChanged) {
+    record_allocation(event.member);
+    return;
+  }
+  const rms::Job& job = event.manager->job(event.job);
+  if (job.spec.internal_resizer) return;
+  if (event.kind == obs::EventKind::kStarted) {
+    on_started(job);
+    return;
+  }
+  ++completed_;
+  trace_.record_into(completed_series_, completed_);
+}
+
+void WorkloadDriver::record_allocation(int member) {
+  int allocated = 0;
+  int running = 0;
+  for (int c = 0; c < federation_.cluster_count(); ++c) {
+    allocated += federation_.manager(c).allocated_nodes();
+    running += federation_.manager(c).running_jobs();
+  }
+  trace_.record_into(allocated_series_, allocated);
+  trace_.record_into(running_series_, running);
   const bool multi = federation_.cluster_count() > 1;
-  federation_.on_alloc_change([this, multi, allocated_series, running_series](
-                                  int member, int member_allocated,
-                                  int total_allocated, int total_running) {
-    trace_.record_into(allocated_series, total_allocated);
-    trace_.record_into(running_series, total_running);
-    if (config_.hooks.trace != nullptr) {
-      config_.hooks.trace->counter(0, engine_.now(), "allocated nodes",
-                                   total_allocated);
-      config_.hooks.trace->counter(0, engine_.now(), "running jobs",
-                                   total_running);
+  const std::string& name = federation_.cluster_name(member);
+  const rms::Manager& manager = federation_.manager(member);
+  if (multi) trace_.record("allocated@" + name, manager.allocated_nodes());
+  // Per-partition occupancy of the member that changed, for the
+  // heterogeneous utilization report (qualified by member on federated
+  // runs).
+  const rms::Cluster& cluster = manager.cluster();
+  if (cluster.partition_count() > 1) {
+    for (int p = 0; p < cluster.partition_count(); ++p) {
+      const std::string series =
+          multi ? "allocated:" + name + "/" + cluster.partition(p).name
+                : "allocated:" + cluster.partition(p).name;
+      trace_.record(series, cluster.allocated_in(p));
     }
-    const std::string& name = federation_.cluster_name(member);
-    if (multi) trace_.record("allocated@" + name, member_allocated);
-    // Per-partition occupancy of the member that changed, for the
-    // heterogeneous utilization report (qualified by member on
-    // federated runs).
-    const rms::Cluster& cluster = federation_.manager(member).cluster();
-    if (cluster.partition_count() > 1) {
-      for (int p = 0; p < cluster.partition_count(); ++p) {
-        const std::string series =
-            multi ? "allocated:" + name + "/" + cluster.partition(p).name
-                  : "allocated:" + cluster.partition(p).name;
-        trace_.record(series, cluster.allocated_in(p));
-      }
-    }
-  });
+  }
 }
 
 WorkloadDriver::Exec& WorkloadDriver::enqueue(JobPlan plan) {
@@ -141,7 +169,7 @@ void WorkloadDriver::on_started(const rms::Job& job) {
   if (it == by_id_.end()) return;  // not one of ours (shouldn't happen)
   Exec& exec = *it->second;
   exec.steps_left = exec.plan.model.iterations;
-  // Defer to a fresh event: this callback fires inside a Manager
+  // Defer to a fresh event: the start is reported inside a Manager
   // scheduling pass, and the first reconfiguring point itself mutates the
   // manager (reentrancy hazard otherwise).
   engine_.schedule_after(0.0, [this, &exec] { begin_execution(exec); });
@@ -224,29 +252,14 @@ double WorkloadDriver::apply_outcome(Exec& exec, rms::DmrOutcome& outcome) {
   // The stamped outcome is the carrier: workload totals read it back.
   bytes_redistributed_ += outcome.bytes_redistributed;
   redistribution_seconds_ += outcome.redistribution_seconds;
-  if (config_.hooks.auditor != nullptr) {
-    // A modeled report has no registry; it must account for exactly the
-    // plan's declared state bytes.
-    config_.hooks.auditor->on_redist_report(
-        moved, exec.plan.model.state_bytes, engine_.now());
-  }
-  if (config_.hooks.trace != nullptr && moved.seconds > 0.0) {
-    // The redistribution occupies [now, now + seconds] of simulated time;
-    // both ends are known here, so the span is recorded in one go (the
-    // job's next reconfiguring point cannot precede the end).
-    const double start = engine_.now();
-    const auto pid =
-        static_cast<std::uint32_t>(federation_.cluster_of(exec.id) + 1);
-    const auto job_id = static_cast<std::uint64_t>(exec.id);
-    config_.hooks.trace->async_begin(
-        pid, start, "redist", job_id,
-        outcome.action == rms::Action::Expand ? "redistribute (expand)"
-                                              : "redistribute (shrink)",
-        "\"bytes\":" + std::to_string(moved.bytes_moved) +
-            ",\"from\":" + std::to_string(previous) +
-            ",\"to\":" + std::to_string(outcome.new_size));
-    config_.hooks.trace->async_end(pid, start + moved.seconds, "redist",
-                                   job_id);
+  if (sinks_.wants(obs::EventKind::kRedistributed)) {
+    const int member = federation_.cluster_of(exec.id);
+    sinks_.emit({.kind = obs::EventKind::kRedistributed, .job = exec.id,
+                 .member = member, .now = engine_.now(), .old_size = previous,
+                 .new_size = outcome.new_size,
+                 .manager = &federation_.manager(member),
+                 .action = outcome.action,
+                 .bytes = exec.plan.model.state_bytes, .report = &moved});
   }
   return config_.cost.protocol_seconds(outcome.new_size) +
          outcome.redistribution_seconds;
@@ -324,41 +337,6 @@ WorkloadMetrics WorkloadDriver::run() {
     throw std::logic_error("WorkloadDriver: engine drained with live jobs");
   }
   return collect_metrics();
-}
-
-void WorkloadDriver::fill_counters(obs::Registry& registry) const {
-  const rms::Manager::Counters counters = federation_.counters();
-  registry.set("rms.expands", static_cast<double>(counters.expands));
-  registry.set("rms.shrinks", static_cast<double>(counters.shrinks));
-  registry.set("rms.no_actions", static_cast<double>(counters.no_actions));
-  registry.set("rms.aborted_expands",
-               static_cast<double>(counters.aborted_expands));
-  registry.set("rms.checks", static_cast<double>(counters.checks));
-  registry.set("rms.schedule.requests",
-               static_cast<double>(counters.schedule_requests));
-  registry.set("rms.schedule.passes",
-               static_cast<double>(counters.schedule_passes));
-  registry.set("rms.schedule.passes_saved",
-               static_cast<double>(counters.schedule_passes_saved));
-  registry.set("drv.completed", static_cast<double>(completed_));
-  registry.set("drv.redist.bytes",
-               static_cast<double>(bytes_redistributed_));
-  registry.set("drv.redist.seconds", redistribution_seconds_);
-  if (config_.hooks.attr != nullptr) {
-    const std::vector<double> totals = config_.hooks.attr->cause_totals();
-    for (int r = 0; r < obs::kBlockReasonCount; ++r) {
-      registry.set(
-          std::string("attr.wait.") +
-              obs::block_reason_key(static_cast<obs::BlockReason>(r)),
-          totals[static_cast<std::size_t>(r)]);
-    }
-  }
-  for (int c = 0; c < federation_.cluster_count(); ++c) {
-    registry.set(
-        "fed.placements." + federation_.cluster_name(c),
-        static_cast<double>(
-            federation_.placements()[static_cast<std::size_t>(c)]));
-  }
 }
 
 WorkloadMetrics WorkloadDriver::collect_metrics() const {

@@ -14,6 +14,10 @@
 // sim::Engine clock; submissions route through the federation's
 // placement policy and every other protocol step lands on the owning
 // member, so federated and single-cluster runs exercise the same code.
+//
+// The driver turns DriverConfig::hooks into event-stream sinks once and
+// attaches them to every layer, next to its own bookkeeping sink (job
+// starts, completions and the allocation series).
 #pragma once
 
 #include <deque>
@@ -30,7 +34,7 @@
 #include "drv/metrics.hpp"
 #include "fed/federation.hpp"
 #include "obs/hooks.hpp"
-#include "obs/registry.hpp"
+#include "obs/trace_sink.hpp"
 #include "rms/manager.hpp"
 #include "sim/engine.hpp"
 #include "sim/trace.hpp"
@@ -73,15 +77,22 @@ struct DriverConfig {
   /// check (the overhead the checking inhibitor exists to curb; only
   /// noticeable for micro-step applications, Section VIII-E).
   double check_overhead_seconds = 0.05;
-  /// Tracing/profiling sinks (both null by default = no overhead).  The
-  /// driver wires them through the engine, the federation and every
-  /// member manager; the pointed-to objects must outlive the driver.
+  /// Observers to attach as sinks (all null by default = no overhead);
+  /// the pointed-to objects must outlive the driver.
   obs::Hooks hooks;
 };
 
-class WorkloadDriver {
+class WorkloadDriver : private obs::Sink {
  public:
   WorkloadDriver(sim::Engine& engine, DriverConfig config);
+  /// Detaches its sinks from the engine, which may outlive the driver.
+  ~WorkloadDriver() override;
+
+  /// Subscribe `sink` to every layer of the run (engine, federation,
+  /// members, and the driver's own list, which also carries the service
+  /// samples); it must outlive the driver.
+  void attach(obs::Sink& sink);
+  const obs::SinkList& sinks() const { return sinks_; }
 
   /// Queue a plan for run() to schedule.  Throws std::invalid_argument
   /// when the arrival lies before the current simulated clock — the
@@ -110,12 +121,6 @@ class WorkloadDriver {
 
   /// Jobs whose sessions completed so far.
   int completed() const { return completed_; }
-
-  /// Mirror every legacy counter into the unified registry: manager
-  /// counters under "rms.", redistribution totals under "drv.redist.",
-  /// per-member routing under "fed.placements.<cluster>".  Overwrites,
-  /// so a snapshot always equals the live legacy values.
-  void fill_counters(obs::Registry& registry) const;
 
   const sim::TraceRecorder& trace() const { return trace_; }
   /// The federation the driver runs against (a single member unless
@@ -150,6 +155,12 @@ class WorkloadDriver {
     std::unique_ptr<::dmr::ReconfigEngine> engine;
   };
 
+  // The bookkeeping sink: starts, completions, allocation series.
+  obs::Interest interest() const override;
+  void on_event(const obs::Event& event) override;
+  /// Record the federation-wide and `member`'s allocation series.
+  void record_allocation(int member);
+
   Exec& enqueue(JobPlan plan);
   void schedule_arrival(Exec& exec);
   void submit(Exec& exec);
@@ -179,6 +190,14 @@ class WorkloadDriver {
   /// Shared virtual-clock connection all job sessions go through.
   std::shared_ptr<::dmr::Connection> connection_;
   sim::TraceRecorder trace_;
+  util::StepSeries* completed_series_;
+  util::StepSeries* allocated_series_;
+  util::StepSeries* running_series_;
+  obs::SinkList sinks_;
+  /// Sinks attached to engine_, detached again by the destructor.
+  std::vector<obs::Sink*> dispatch_sinks_;
+  /// The adapter rendering the stream into DriverConfig::hooks.trace.
+  std::unique_ptr<obs::TraceSink> trace_sink_;
   /// A deque so Exec addresses stay stable for the event callbacks while
   /// jobs keep arriving — without a heap allocation per job.
   std::deque<Exec> execs_;

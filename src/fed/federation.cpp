@@ -1,12 +1,8 @@
 #include "fed/federation.hpp"
 
 #include <algorithm>
-#include <numeric>
 #include <stdexcept>
 
-#include "chk/auditor.hpp"
-#include "obs/attr.hpp"
-#include "util/clock.hpp"
 #include "util/log.hpp"
 
 namespace dmr::fed {
@@ -32,15 +28,14 @@ Federation::Federation(FederationConfig config) : config_(std::move(config)) {
     }
     spec.rms.first_job_id =
         static_cast<JobId>(c) * kClusterIdStride + 1;
-    managers_.push_back(std::make_unique<rms::Manager>(spec.rms));
+    managers_.push_back(
+        std::make_unique<rms::Manager>(spec.rms, static_cast<int>(c)));
     total_nodes_ += managers_.back()->cluster().size();
   }
   policy_ = config_.policy ? config_.policy
                            : std::shared_ptr<PlacementPolicy>(
                                  make_placement(config_.placement));
   placements_.assign(managers_.size(), 0);
-  cluster_allocated_.assign(managers_.size(), 0);
-  cluster_running_.assign(managers_.size(), 0);
 }
 
 int Federation::cluster_of(JobId id) const {
@@ -114,10 +109,8 @@ JobId Federation::submit(JobSpec spec, double now) {
   // Single-member fast path: routing has exactly one answer, so skip the
   // status snapshot and the policy call (an allocation and a queue walk
   // per submission — archive replays submit hundreds of thousands of
-  // times).  Placement tracing/attribution wants the snapshot, so those
-  // hooks keep the full protocol.
-  if (managers_.size() == 1 && hooks_.trace == nullptr &&
-      hooks_.attr == nullptr) {
+  // times).  A placement observer gets the full protocol.
+  if (managers_.size() == 1 && !sinks_.wants(obs::EventKind::kPlaced)) {
     const rms::Cluster& cluster = managers_.front()->cluster();
     int capacity = cluster.size();
     if (!spec.partition.empty()) {
@@ -135,15 +128,10 @@ JobId Federation::submit(JobSpec spec, double now) {
           ")");
     }
     ++placements_[0];
-    if (hooks_.profiler != nullptr) hooks_.profiler->add_placement(0.0);
     DMR_DEBUG("fed") << "route '" << spec.name << "' ("
                      << spec.requested_nodes << " nodes) -> "
                      << cluster_name(0) << " via " << policy_->name();
-    const JobId id = managers_.front()->submit(std::move(spec), now);
-    if (hooks_.auditor != nullptr) {
-      hooks_.auditor->on_placement(id, 0, kClusterIdStride, now);
-    }
-    return id;
+    return managers_.front()->submit(std::move(spec), now);
   }
   const std::vector<ClusterStatus> all = statuses(spec, now);
   std::vector<int> eligible;
@@ -162,7 +150,9 @@ JobId Federation::submit(JobSpec spec, double now) {
                                      : ", partition '" + spec.partition + "'") +
                                 ")");
   }
-  const double wall_start = hooks_.any() ? util::wall_seconds() : 0.0;
+  if (sinks_.wants(obs::EventKind::kPlaceBegin)) {
+    sinks_.emit({.kind = obs::EventKind::kPlaceBegin, .now = now});
+  }
   const int picked = policy_->place(spec, all, eligible);
   if (std::find(eligible.begin(), eligible.end(), picked) == eligible.end()) {
     throw std::logic_error("Federation: policy '" + policy_->name() +
@@ -170,50 +160,16 @@ JobId Federation::submit(JobSpec spec, double now) {
                            std::to_string(picked));
   }
   ++placements_[static_cast<std::size_t>(picked)];
-  if (hooks_.any()) {
-    const double wall = util::wall_seconds() - wall_start;
-    if (hooks_.profiler != nullptr) hooks_.profiler->add_placement(wall);
-    if (hooks_.trace != nullptr) {
-      hooks_.trace->instant(
-          0, 0, now, "place " + spec.name,
-          "\"cluster\":\"" + obs::TraceRecorder::escape(cluster_name(picked)) +
-              "\",\"policy\":\"" + obs::TraceRecorder::escape(policy_->name()) +
-              "\",\"nodes\":" + std::to_string(spec.requested_nodes));
-      hooks_.trace->counter(
-          0, now, "placements",
-          static_cast<double>(std::accumulate(placements_.begin(),
-                                              placements_.end(), 0LL)));
-    }
-  }
   DMR_DEBUG("fed") << "route '" << spec.name << "' (" << spec.requested_nodes
                    << " nodes) -> " << cluster_name(picked) << " via "
                    << policy_->name();
-  std::string placement_note;
-  if (hooks_.attr != nullptr) {
-    // Placement provenance: which policy routed where, the queue depth it
-    // saw there, and the members that could not hold the job at all.
-    placement_note = "policy=" + policy_->name() + " -> " +
-                     cluster_name(picked) + " queue_depth=" +
-                     std::to_string(
-                         all[static_cast<std::size_t>(picked)].pending_jobs);
-    std::string rejected;
-    for (const ClusterStatus& status : all) {
-      if (std::find(eligible.begin(), eligible.end(), status.index) !=
-          eligible.end()) {
-        continue;
-      }
-      if (!rejected.empty()) rejected += ",";
-      rejected += status.name;
-    }
-    if (!rejected.empty()) placement_note += " rejected=" + rejected;
-  }
-  const JobId id =
-      managers_[static_cast<std::size_t>(picked)]->submit(std::move(spec), now);
-  if (hooks_.auditor != nullptr) {
-    hooks_.auditor->on_placement(id, picked, kClusterIdStride, now);
-  }
-  if (hooks_.attr != nullptr) {
-    hooks_.attr->on_placement(id, picked, placement_note);
+  const int nodes = spec.requested_nodes;
+  rms::Manager& member = *managers_[static_cast<std::size_t>(picked)];
+  const JobId id = member.submit(std::move(spec), now);
+  if (sinks_.wants(obs::EventKind::kPlaced)) {
+    sinks_.emit({.kind = obs::EventKind::kPlaced, .job = id, .member = picked,
+                 .now = now, .new_size = nodes, .manager = &member,
+                 .federation = this, .statuses = &all});
   }
   return id;
 }
@@ -324,65 +280,14 @@ void Federation::set_placement_policy(std::shared_ptr<PlacementPolicy> policy) {
 }
 
 void Federation::add_nodes(int member, int count,
-                           const std::string& partition) {
-  manager(member).add_nodes(count, partition);
+                           const std::string& partition, double now) {
+  manager(member).add_nodes(count, partition, now);
   total_nodes_ += count;
 }
 
-void Federation::set_hooks(const obs::Hooks& hooks) {
-  hooks_ = hooks;
-  if (hooks_.trace != nullptr) {
-    hooks_.trace->set_process_name(0, "federation");
-    hooks_.trace->set_thread_name(0, 0, "placement");
-  }
-  for (std::size_t c = 0; c < managers_.size(); ++c) {
-    const auto pid = static_cast<std::uint32_t>(c + 1);
-    if (hooks_.trace != nullptr) {
-      hooks_.trace->set_process_name(
-          pid, "cluster " + cluster_name(static_cast<int>(c)));
-    }
-    managers_[c]->set_hooks(hooks_, pid);
-  }
-}
-
-void Federation::on_start(rms::Manager::JobCallback cb) {
-  // One shared callback registered with every member: the job record
-  // carries a globally unique id, so receivers need no member context.
-  auto shared = std::make_shared<rms::Manager::JobCallback>(std::move(cb));
-  for (auto& manager : managers_) {
-    manager->on_start([shared](const rms::Job& job) { (*shared)(job); });
-  }
-}
-
-void Federation::on_end(rms::Manager::JobCallback cb) {
-  auto shared = std::make_shared<rms::Manager::JobCallback>(std::move(cb));
-  for (auto& manager : managers_) {
-    manager->on_end([shared](const rms::Job& job) { (*shared)(job); });
-  }
-}
-
-void Federation::on_alloc_change(AllocCallback cb) {
-  if (alloc_callbacks_.empty()) {
-    // First subscriber: hook every member once, then fan out with
-    // federation-wide totals accumulated from the last-seen figures.
-    for (int c = 0; c < cluster_count(); ++c) {
-      managers_[static_cast<std::size_t>(c)]->on_alloc_change(
-          [this, c](int allocated, int running) {
-            cluster_allocated_[static_cast<std::size_t>(c)] = allocated;
-            cluster_running_[static_cast<std::size_t>(c)] = running;
-            int total_allocated = 0;
-            int total_running = 0;
-            for (std::size_t m = 0; m < cluster_allocated_.size(); ++m) {
-              total_allocated += cluster_allocated_[m];
-              total_running += cluster_running_[m];
-            }
-            for (const auto& callback : alloc_callbacks_) {
-              callback(c, allocated, total_allocated, total_running);
-            }
-          });
-    }
-  }
-  alloc_callbacks_.push_back(std::move(cb));
+void Federation::attach(obs::Sink& sink) {
+  sinks_.attach(sink);
+  for (auto& manager : managers_) manager->attach(sink);
 }
 
 }  // namespace dmr::fed

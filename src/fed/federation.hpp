@@ -21,14 +21,13 @@
 // real mode.
 #pragma once
 
-#include <functional>
 #include <memory>
 #include <string>
 #include <vector>
 
 #include "dmr/rms.hpp"
 #include "fed/placement.hpp"
-#include "obs/hooks.hpp"
+#include "obs/event.hpp"
 #include "rms/manager.hpp"
 
 namespace dmr::fed {
@@ -57,7 +56,7 @@ constexpr ::dmr::JobId kClusterIdStride = 1'000'000'000;
 class Federation : public ::dmr::Rms {
  public:
   explicit Federation(FederationConfig config);
-  /// Pinned: member callbacks registered by on_* capture `this`.
+  /// Pinned: events carry a pointer to the federation.
   Federation(const Federation&) = delete;
   Federation& operator=(const Federation&) = delete;
 
@@ -117,8 +116,9 @@ class Federation : public ::dmr::Rms {
   void set_placement(Placement placement);
   void set_placement_policy(std::shared_ptr<PlacementPolicy> policy);
   /// Grow `member`'s cluster by `count` idle nodes (in `partition`, the
-  /// member's first partition when empty).
-  void add_nodes(int member, int count, const std::string& partition = "");
+  /// member's first partition when empty) at simulated time `now`.
+  void add_nodes(int member, int count, const std::string& partition,
+                 double now);
 
   /// Slowest speed a job constrained to `partition` (empty = any) could
   /// be gated by on any member able to host it: the pinned partition's
@@ -127,20 +127,9 @@ class Federation : public ::dmr::Rms {
   /// landing cluster is not yet known.
   double conservative_speed(const std::string& partition) const;
 
-  // --- instrumentation (forwarded to every member) ---------------------------
-
-  /// Attach tracing/profiling: the federation takes trace process 0
-  /// (placement decisions, global counters) and hands member c the
-  /// process track c+1, named after the cluster.
-  void set_hooks(const obs::Hooks& hooks);
-
-  void on_start(rms::Manager::JobCallback cb);
-  void on_end(rms::Manager::JobCallback cb);
-  /// Fired after any member's allocation change with (member index, that
-  /// member's allocated nodes, federation-wide allocated nodes,
-  /// federation-wide running jobs).
-  using AllocCallback = std::function<void(int, int, int, int)>;
-  void on_alloc_change(AllocCallback cb);
+  /// Subscribe `sink` to placement events and to every member's
+  /// lifecycle events; it must outlive the federation's use.
+  void attach(obs::Sink& sink);
 
  private:
   rms::Manager& owner(JobId id);
@@ -153,12 +142,7 @@ class Federation : public ::dmr::Rms {
   std::shared_ptr<PlacementPolicy> policy_;
   std::vector<long long> placements_;
   int total_nodes_ = 0;
-  obs::Hooks hooks_;
-
-  // Last-seen per-member figures for federation-wide alloc callbacks.
-  std::vector<int> cluster_allocated_;
-  std::vector<int> cluster_running_;
-  std::vector<AllocCallback> alloc_callbacks_;
+  obs::SinkList sinks_;
 };
 
 }  // namespace dmr::fed

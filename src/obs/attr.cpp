@@ -8,6 +8,7 @@
 #include <sstream>
 #include <stdexcept>
 
+#include "fed/federation.hpp"
 #include "obs/json.hpp"
 #include "obs/trace.hpp"
 
@@ -97,6 +98,55 @@ std::vector<CauseSlice> ranked_causes(const JobAttribution& job) {
 
 // --- WaitAttributor ---------------------------------------------------------
 
+Interest WaitAttributor::interest() const {
+  return kinds(EventKind::kSubmitted, EventKind::kPlaced, EventKind::kBlocked,
+               EventKind::kStarted, EventKind::kFinished);
+}
+
+void WaitAttributor::on_event(const Event& event) {
+  // A resizer never enters jobs_/open_, so only its submission needs the
+  // test: every later report about it finds nothing to update.
+  switch (event.kind) {
+    case EventKind::kSubmitted: {
+      const rms::Job& job = event.manager->job(event.job);
+      if (!job.spec.internal_resizer) {
+        on_job_submitted(event.job, job.spec.name, event.now);
+      }
+      return;
+    }
+    case EventKind::kPlaced: {
+      // Placement provenance: which policy routed where, the queue depth
+      // it saw there, and the members that could not hold the job at all.
+      const fed::ClusterStatus& picked =
+          (*event.statuses)[static_cast<std::size_t>(event.member)];
+      std::string note = "policy=" +
+                         event.federation->placement_policy().name() +
+                         " -> " + picked.name +
+                         " queue_depth=" + std::to_string(picked.pending_jobs);
+      std::string rejected;
+      for (const fed::ClusterStatus& status : *event.statuses) {
+        if (event.new_size <= status.capacity) continue;
+        if (!rejected.empty()) rejected += ",";
+        rejected += status.name;
+      }
+      if (!rejected.empty()) note += " rejected=" + rejected;
+      const auto record = jobs_.find(event.job);
+      if (record == jobs_.end()) return;
+      record->second.member = event.member;
+      record->second.placement = std::move(note);
+      return;
+    }
+    case EventKind::kBlocked:
+      return on_job_blocked(event.job, event.now, event.cause, event.blocker);
+    case EventKind::kStarted:
+      return on_job_started(event.job, event.now);
+    case EventKind::kFinished:
+      return on_job_finished(event.job, event.now);
+    default:
+      return;
+  }
+}
+
 void WaitAttributor::on_job_submitted(JobId id, const std::string& name,
                                       double now) {
   JobAttribution& job = jobs_[id];
@@ -171,14 +221,6 @@ void WaitAttributor::on_job_finished(JobId id, double now) {
     open_.erase(it);
   }
   record->second.end = now;
-}
-
-void WaitAttributor::on_placement(JobId id, int member,
-                                  const std::string& note) {
-  const auto record = jobs_.find(id);
-  if (record == jobs_.end()) return;
-  record->second.member = member;
-  record->second.placement = note;
 }
 
 std::vector<double> WaitAttributor::cause_totals(double now) const {

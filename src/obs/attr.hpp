@@ -5,16 +5,16 @@
 // summary.  This layer answers *why* a job waited: every scheduler
 // decision point in rms::Manager (insufficient idle nodes, blocked
 // behind the EASY reservation, partition-pin mismatch, draining-wait,
-// shrink-pending, dependency gating) reports a typed BlockReason
-// through the fourth obs::Hooks pointer, and the attributor folds the
-// reports into per-job wait decompositions.
+// shrink-pending, dependency gating) emits a typed BlockReason, and the
+// attributor, a sink on that event stream, folds the reports into
+// per-job wait decompositions (resizer pseudo-jobs excluded).
 //
 // Conservation is the contract: a job's wait [submit, start] is tiled
 // by contiguous cause segments — one segment is open at any moment, a
 // re-diagnosis with a different cause closes it and opens the next, and
 // start closes the last — so the per-cause seconds of a started job sum
 // *exactly* to start - submit.  Attribution is observation only; like
-// the PR 7/8 hooks, outcome digests are byte-identical attached vs.
+// every other observer, outcome digests are byte-identical attached vs.
 // detached.
 //
 // The sidecar (to_json / write_file) is a compact sorted-key JSON
@@ -28,33 +28,9 @@
 #include <vector>
 
 #include "dmr/types.hpp"
+#include "obs/event.hpp"
 
 namespace dmr::obs {
-
-/// Why a pending job did not start at a decision point.
-enum class BlockReason : int {
-  /// Open segment not yet diagnosed (back-dated by the first diagnosis;
-  /// a non-zero total here means a decision point is not reporting).
-  kUnattributed = 0,
-  /// Not enough idle nodes in the job's eligible pool.
-  kInsufficientIdle,
-  /// Fits right now, but starting it would delay the blocked queue head
-  /// the EASY reservation protects (with backfill disabled: held behind
-  /// the FCFS head, the degenerate whole-pool reservation).
-  kEasyReservation,
-  /// The cluster has enough idle nodes overall, but the job's pinned
-  /// partition does not.
-  kPartitionPinned,
-  /// Would fit once in-progress drains release their nodes.
-  kDrainingWait,
-  /// A priority-boosted job waiting on the shrink that was started on
-  /// its behalf (Algorithm 1 line 18).
-  kShrinkPending,
-  /// Ineligible: its depends_on job is not running yet (resizer gating).
-  kDependency,
-};
-
-constexpr int kBlockReasonCount = 7;
 
 /// Human-facing name ("easy-reservation").
 const char* to_string(BlockReason reason);
@@ -95,12 +71,16 @@ struct JobAttribution {
 /// Aggregate a job's slices by (cause, blocker), largest first.
 std::vector<CauseSlice> ranked_causes(const JobAttribution& job);
 
-/// The attribution accumulator behind obs::Hooks::attr.  Simulation-
-/// thread only (unlike chk::Auditor it has no rank-thread entry points);
-/// parallel harnesses attach one attributor per scenario.
-class WaitAttributor {
+/// The attribution accumulator.  Not serialized: parallel harnesses
+/// attach one attributor per scenario.
+class WaitAttributor final : public Sink {
  public:
-  // --- decision-point feed (rms::Manager / fed::Federation) -----------------
+  // --- the event stream ------------------------------------------------------
+
+  Interest interest() const override;
+  void on_event(const Event& event) override;
+
+  // --- decision-point feed (what the event stream drives) -------------------
 
   void on_job_submitted(JobId id, const std::string& name, double now);
   /// Re-diagnosis of a still-pending job.  Same cause and blocker as the
@@ -110,9 +90,6 @@ class WaitAttributor {
   void on_job_blocked(JobId id, double now, BlockReason cause, JobId blocker);
   void on_job_started(JobId id, double now);
   void on_job_finished(JobId id, double now);
-  /// Placement provenance (zero-duration decision record; conservation
-  /// is unaffected).
-  void on_placement(JobId id, int member, const std::string& note);
 
   // --- aggregates ------------------------------------------------------------
 

@@ -1,22 +1,16 @@
-// obs::Hooks — the nullable instrumentation bundle threaded through the
-// stack.
+// obs::Hooks — the attach bundle for a driven run's observers.
 //
-// Every instrumented layer (sim::Engine, rms::Manager, fed::Federation,
-// drv::WorkloadDriver, dmr::redist strategies, svc::Service) holds a
-// copy of this four-pointer struct.  All pointers default to null, so
-// an un-instrumented run pays exactly one pointer test per hook site —
-// the ≤2% overhead budget bench/engine_bench smoke mode asserts.  The
-// pointed-to recorder/profiler/auditor are owned by the caller (a bench,
-// a test, the sweep harness) and must outlive the run.
-//
-// The auditor and the wait attributor are only forward-declared: layers
-// that never call them (and this header's other includers) stay
-// decoupled, while the layers that do report include chk/auditor.hpp or
-// obs/attr.hpp themselves.
+// DriverConfig::hooks (and ServiceConfig through its driver config)
+// names up to four observers; drv::WorkloadDriver reads the bundle once
+// and attaches each as a sink on the lifecycle event stream
+// (obs/event.hpp) — the trace recorder through an obs::TraceSink
+// adapter.  Null pointers attach nothing.  The observers are owned by
+// the caller and must outlive the run.  Code that owns a layer directly
+// (a bare rms::Manager, fed::Federation or sim::Engine) uses that
+// layer's attach() instead.
 #pragma once
 
 #include "obs/profiler.hpp"
-#include "obs/registry.hpp"
 #include "obs/trace.hpp"
 
 namespace dmr::chk {
@@ -37,11 +31,6 @@ struct Hooks {
   /// typed BlockReason at every scheduler decision point and decompose
   /// each job's wait into per-cause seconds that sum to the total.
   WaitAttributor* attr = nullptr;
-
-  bool any() const {
-    return trace != nullptr || profiler != nullptr || auditor != nullptr ||
-           attr != nullptr;
-  }
 };
 
 }  // namespace dmr::obs

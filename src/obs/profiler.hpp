@@ -2,13 +2,10 @@
 //
 // The archive-scale roadmap item starts with "pull a real log through,
 // profile, and rebuild the hot path"; this is the measurement half.
-// Instrumented layers feed the profiler while a run executes:
-//
-//  - sim::Engine counts every dispatched event (on_event);
-//  - rms::Manager accumulates the wall seconds of real schedule passes;
-//  - fed::Federation accumulates placement-decision wall seconds;
-//  - dmr::redist strategies accumulate measured transfer wall seconds
-//    (modeled runs report none — movement there is simulated time).
+// As a sink on the lifecycle event stream it counts every dispatched
+// engine event, and times every schedule call that ran real passes
+// (kPassBegin .. kPass) and every federation routing decision, member
+// hand-off included (kPlaceBegin .. kPlaced).
 //
 // report() folds the accumulators plus the process's peak RSS into a
 // ProfileReport whose JSON row is what bench/engine_bench and
@@ -17,12 +14,16 @@
 //
 // All mutation is relaxed-atomic: sweep attaches one profiler to every
 // worker thread's scenario, and per-event cost must stay at one
-// increment.
+// increment.  Durations accumulate as integer nanoseconds, so sub-µs
+// passes add up instead of truncating to zero.
 #pragma once
 
 #include <atomic>
+#include <cmath>
 #include <cstdint>
 #include <string>
+
+#include "obs/event.hpp"
 
 namespace dmr::obs {
 
@@ -39,10 +40,8 @@ struct ProfileReport {
   double seconds_per_pass = 0.0;
   long long placements = 0;
   double placement_seconds = 0.0;
-  long long redists = 0;
-  double redist_seconds = 0.0;
-  /// Wall time not attributed to schedule/placement/redist: event
-  /// dispatch, application-model arithmetic, metrics.
+  /// Wall time not attributed to schedule/placement: event dispatch,
+  /// application-model arithmetic, metrics.
   double engine_seconds = 0.0;
   long peak_rss_kb = 0;
 
@@ -51,25 +50,25 @@ struct ProfileReport {
   std::string json_fields() const;
 };
 
-class Profiler {
+class Profiler final : public Sink {
  public:
-  // --- accumulation hooks (relaxed atomics; callable cross-thread) ----------
+  // --- the event stream ------------------------------------------------------
 
-  void on_event() { events_.fetch_add(1, std::memory_order_relaxed); }
+  Interest interest() const override;
+  void on_event(const Event& event) override;
+
+  // --- accumulation (relaxed atomics; callable cross-thread) ----------------
+
   void add_events(std::uint64_t count) {
     events_.fetch_add(count, std::memory_order_relaxed);
   }
   void add_schedule(double wall_seconds) {
     schedule_passes_.fetch_add(1, std::memory_order_relaxed);
-    add(schedule_us_, wall_seconds);
+    add(schedule_ns_, wall_seconds);
   }
   void add_placement(double wall_seconds) {
     placements_.fetch_add(1, std::memory_order_relaxed);
-    add(placement_us_, wall_seconds);
-  }
-  void add_redist(double wall_seconds) {
-    redists_.fetch_add(1, std::memory_order_relaxed);
-    add(redist_us_, wall_seconds);
+    add(placement_ns_, wall_seconds);
   }
 
   std::uint64_t events() const {
@@ -85,22 +84,20 @@ class Profiler {
   static long peak_rss_kb();
 
  private:
-  /// Wall seconds are accumulated as integer microseconds: atomic
+  /// Wall seconds are accumulated as integer nanoseconds: atomic
   /// doubles need a CAS loop, integer fetch_add does not.
   static void add(std::atomic<std::uint64_t>& cell, double seconds) {
     if (seconds > 0.0) {
-      cell.fetch_add(static_cast<std::uint64_t>(seconds * 1.0e6),
+      cell.fetch_add(static_cast<std::uint64_t>(std::llround(seconds * 1.0e9)),
                      std::memory_order_relaxed);
     }
   }
 
   std::atomic<std::uint64_t> events_{0};
   std::atomic<std::uint64_t> schedule_passes_{0};
-  std::atomic<std::uint64_t> schedule_us_{0};
+  std::atomic<std::uint64_t> schedule_ns_{0};
   std::atomic<std::uint64_t> placements_{0};
-  std::atomic<std::uint64_t> placement_us_{0};
-  std::atomic<std::uint64_t> redists_{0};
-  std::atomic<std::uint64_t> redist_us_{0};
+  std::atomic<std::uint64_t> placement_ns_{0};
 };
 
 }  // namespace dmr::obs

@@ -74,106 +74,48 @@ void TraceRecorder::set_thread_name(std::uint32_t pid, std::uint32_t tid,
   thread_names_[{pid, tid}] = std::move(name);
 }
 
-void TraceRecorder::begin(std::uint32_t pid, std::uint32_t tid,
-                          double ts_seconds, std::string name,
-                          std::string args) {
-  TraceEvent event;
-  event.ph = 'B';
-  event.pid = pid;
-  event.tid = tid;
-  event.ts_us = ts_seconds * kUsPerSecond;
-  event.name = std::move(name);
-  event.args = std::move(args);
-  push(std::move(event));
-}
-
-void TraceRecorder::end(std::uint32_t pid, std::uint32_t tid,
-                        double ts_seconds) {
-  TraceEvent event;
-  event.ph = 'E';
-  event.pid = pid;
-  event.tid = tid;
-  event.ts_us = ts_seconds * kUsPerSecond;
-  push(std::move(event));
-}
-
 void TraceRecorder::complete(std::uint32_t pid, std::uint32_t tid,
                              double ts_seconds, double wall_dur_us,
                              std::string name, std::string args) {
-  TraceEvent event;
-  event.ph = 'X';
-  event.pid = pid;
-  event.tid = tid;
-  event.ts_us = ts_seconds * kUsPerSecond;
-  event.dur_us = wall_dur_us < 0.0 ? 0.0 : wall_dur_us;
-  event.name = std::move(name);
-  event.args = std::move(args);
-  push(std::move(event));
+  push({.ts_us = ts_seconds * kUsPerSecond,
+        .dur_us = wall_dur_us < 0.0 ? 0.0 : wall_dur_us,
+        .pid = pid,
+        .tid = tid,
+        .ph = 'X',
+        .name = std::move(name),
+        .args = std::move(args)});
 }
 
 void TraceRecorder::instant(std::uint32_t pid, std::uint32_t tid,
                             double ts_seconds, std::string name,
                             std::string args) {
-  TraceEvent event;
-  event.ph = 'i';
-  event.pid = pid;
-  event.tid = tid;
-  event.ts_us = ts_seconds * kUsPerSecond;
-  event.name = std::move(name);
-  event.args = std::move(args);
-  push(std::move(event));
+  push({.ts_us = ts_seconds * kUsPerSecond,
+        .pid = pid,
+        .tid = tid,
+        .ph = 'i',
+        .name = std::move(name),
+        .args = std::move(args)});
 }
 
-void TraceRecorder::async_begin(std::uint32_t pid, double ts_seconds,
-                                std::string cat, std::uint64_t id,
-                                std::string name, std::string args) {
-  TraceEvent event;
-  event.ph = 'b';
-  event.pid = pid;
-  event.id = id;
-  event.ts_us = ts_seconds * kUsPerSecond;
-  event.cat = std::move(cat);
-  event.name = std::move(name);
-  event.args = std::move(args);
-  push(std::move(event));
-}
-
-void TraceRecorder::async_instant(std::uint32_t pid, double ts_seconds,
-                                  std::string cat, std::uint64_t id,
-                                  std::string name, std::string args) {
-  TraceEvent event;
-  event.ph = 'n';
-  event.pid = pid;
-  event.id = id;
-  event.ts_us = ts_seconds * kUsPerSecond;
-  event.cat = std::move(cat);
-  event.name = std::move(name);
-  event.args = std::move(args);
-  push(std::move(event));
-}
-
-void TraceRecorder::async_end(std::uint32_t pid, double ts_seconds,
-                              std::string cat, std::uint64_t id,
-                              std::string name) {
-  TraceEvent event;
-  event.ph = 'e';
-  event.pid = pid;
-  event.id = id;
-  event.ts_us = ts_seconds * kUsPerSecond;
-  event.cat = std::move(cat);
-  event.name = std::move(name);
-  push(std::move(event));
+void TraceRecorder::async(char ph, std::uint32_t pid, double ts_seconds,
+                          std::string cat, std::uint64_t id,
+                          std::string name, std::string args) {
+  push({.ts_us = ts_seconds * kUsPerSecond,
+        .id = id,
+        .pid = pid,
+        .ph = ph,
+        .name = std::move(name),
+        .cat = std::move(cat),
+        .args = std::move(args)});
 }
 
 void TraceRecorder::counter(std::uint32_t pid, double ts_seconds,
                             std::string name, double value) {
-  TraceEvent event;
-  event.ph = 'C';
-  event.pid = pid;
-  event.ts_us = ts_seconds * kUsPerSecond;
-  event.name = std::move(name);
-  event.value = value;
-  push(std::move(event));
+  push({.ts_us = ts_seconds * kUsPerSecond,
+        .value = value,
+        .pid = pid,
+        .ph = 'C',
+        .name = std::move(name)});
 }
 
 std::size_t TraceRecorder::recorded() const {
@@ -211,10 +153,8 @@ void TraceRecorder::write_json(std::ostream& out) const {
     separator();
     out << "{\"ph\":\"" << event.ph << "\",\"ts\":";
     write_number(out, event.ts_us);
-    out << ",\"pid\":" << event.pid << ",\"tid\":" << event.tid;
-    if (event.ph != 'E') {
-      out << ",\"name\":\"" << escape(event.name) << "\"";
-    }
+    out << ",\"pid\":" << event.pid << ",\"tid\":" << event.tid
+        << ",\"name\":\"" << escape(event.name) << "\"";
     if (event.ph == 'X') {
       out << ",\"dur\":";
       write_number(out, event.dur_us);

@@ -1,35 +1,22 @@
 // obs::TraceRecorder — structured tracing in Chrome trace-event JSON.
 //
 // The paper's core artifacts are *timelines*: jobs expanding and
-// shrinking across a cluster over simulated time.  The recorder captures
-// them as a Perfetto / chrome://tracing loadable file:
-//
-//  - per-job lifecycle spans (submit -> wait -> run, with expand/shrink
-//    instant events) as nestable async events keyed by job id, grouped
-//    under the owning member cluster's process track;
-//  - spans for schedule passes and reconfiguration negotiate/apply
-//    phases ("X" complete events whose duration is the *wall* time the
-//    pass burned, placed at the simulated instant it ran);
-//  - drain phases and redistribution executions as async spans covering
-//    their simulated duration;
-//  - federation placement decisions as instant events;
-//  - counter tracks ("C" events: allocated nodes, running jobs, queue
-//    depth, ring depth, ...).
+// shrinking across a cluster over simulated time.  The recorder writes
+// them as a Perfetto / chrome://tracing loadable file of "X" complete
+// spans, thread instants, nestable async spans ("b"/"n"/"e", keyed by
+// job id) and counter tracks ("C").  What goes on the timeline is
+// decided by obs::TraceSink, the adapter that renders the lifecycle
+// event stream into these calls.
 //
 // Timestamps are simulated seconds converted to trace microseconds, so
 // the Perfetto timeline *is* the paper's virtual-time axis.  Every
 // record call takes the timestamp explicitly — the recorder has no
-// clock of its own, which keeps it usable from the clock-agnostic
-// layers (rms::Manager, fed::Federation) and makes tampering trivial in
-// validator tests.
+// clock of its own, which makes tampering trivial in validator tests.
 //
-// Cost discipline: instrumented code holds an `obs::TraceRecorder*`
-// that is null by default, so a disabled run pays one pointer test per
-// hook site.  An attached recorder appends into a bounded in-memory
-// ring: when the ring fills, *new* events are dropped and counted —
-// dropped() and the written JSON surface the loss, never silent
-// truncation.  All entry points are mutex-guarded (redistribution
-// strategies record from rank threads).
+// The recorder appends into a bounded in-memory ring: when the ring
+// fills, *new* events are dropped and counted — dropped() and the
+// written JSON surface the loss, never silent truncation.  All entry
+// points are mutex-guarded.
 #pragma once
 
 #include <cstdint>
@@ -49,10 +36,10 @@ struct TraceEvent {
   std::uint64_t id = 0;    ///< async events: scoping id (the job id)
   std::uint32_t pid = 0;   ///< process track (0 = federation, c+1 = member c)
   std::uint32_t tid = 0;   ///< thread track within the process
-  char ph = 'i';           ///< trace-event phase: B E X i C b n e
-  std::string name;
-  std::string cat;         ///< async events: category scoping the id
-  std::string args;        ///< pre-rendered JSON object body ("\"k\":v,...")
+  char ph = 'i';           ///< trace-event phase: X i C b n e
+  std::string name = {};
+  std::string cat = {};    ///< async events: category scoping the id
+  std::string args = {};   ///< pre-rendered JSON object body ("\"k\":v,...")
 };
 
 class TraceRecorder {
@@ -66,13 +53,7 @@ class TraceRecorder {
   void set_process_name(std::uint32_t pid, std::string name);
   void set_thread_name(std::uint32_t pid, std::uint32_t tid, std::string name);
 
-  // --- synchronous spans on a (pid, tid) track ------------------------------
-
-  /// Begin/end span pair; per-track begin/end must balance (the strict
-  /// validator checks the stack).
-  void begin(std::uint32_t pid, std::uint32_t tid, double ts_seconds,
-             std::string name, std::string args = {});
-  void end(std::uint32_t pid, std::uint32_t tid, double ts_seconds);
+  // --- spans and instants on a (pid, tid) track -----------------------------
 
   /// Complete span at a simulated instant whose duration is measured in
   /// *wall* microseconds (schedule passes and negotiate/apply phases run
@@ -87,12 +68,20 @@ class TraceRecorder {
   // --- nestable async spans, keyed by (pid, cat, id) ------------------------
 
   void async_begin(std::uint32_t pid, double ts_seconds, std::string cat,
-                   std::uint64_t id, std::string name, std::string args = {});
+                   std::uint64_t id, std::string name, std::string args = {}) {
+    async('b', pid, ts_seconds, std::move(cat), id, std::move(name),
+          std::move(args));
+  }
   void async_instant(std::uint32_t pid, double ts_seconds, std::string cat,
                      std::uint64_t id, std::string name,
-                     std::string args = {});
+                     std::string args = {}) {
+    async('n', pid, ts_seconds, std::move(cat), id, std::move(name),
+          std::move(args));
+  }
   void async_end(std::uint32_t pid, double ts_seconds, std::string cat,
-                 std::uint64_t id, std::string name = {});
+                 std::uint64_t id, std::string name = {}) {
+    async('e', pid, ts_seconds, std::move(cat), id, std::move(name), {});
+  }
 
   // --- counter tracks, keyed by (pid, name) ---------------------------------
 
@@ -119,6 +108,8 @@ class TraceRecorder {
   static std::string escape(const std::string& text);
 
  private:
+  void async(char ph, std::uint32_t pid, double ts_seconds, std::string cat,
+             std::uint64_t id, std::string name, std::string args);
   void push(TraceEvent event);
 
   const std::size_t capacity_;

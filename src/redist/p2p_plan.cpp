@@ -38,7 +38,6 @@ Report P2pPlan::send(const Endpoint& endpoint, const Registry& registry) {
     }
   }
   report.seconds = wall_seconds() - start;
-  record(report, registry);
   return report;
 }
 
@@ -69,7 +68,6 @@ Report P2pPlan::recv(const Endpoint& endpoint, Registry& registry) {
     }
   }
   report.seconds = wall_seconds() - start;
-  record(report, registry);
   return report;
 }
 

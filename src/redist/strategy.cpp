@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <stdexcept>
 
-#include "chk/auditor.hpp"
 #include "redist/checkpoint_route.hpp"
 #include "redist/p2p_plan.hpp"
 #include "redist/pipelined.hpp"
@@ -27,15 +26,6 @@ void Report::merge_concurrent(const Report& other) {
   seconds = std::max(seconds, other.seconds);
   lanes = std::max(lanes, other.lanes);
   via_checkpoint = via_checkpoint || other.via_checkpoint;
-}
-
-void Strategy::record(const Report& report, const Registry& registry) {
-  if (hooks_.profiler != nullptr) hooks_.profiler->add_redist(report.seconds);
-  if (hooks_.auditor != nullptr) {
-    // Real strategies run in wall time; there is no simulated clock to
-    // stamp, so violations carry t=0.
-    hooks_.auditor->on_redist_report(report, registry.total_bytes(), 0.0);
-  }
 }
 
 std::shared_ptr<Strategy> make_strategy(std::string_view name) {

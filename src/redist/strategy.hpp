@@ -16,7 +16,6 @@
 #include <string>
 #include <string_view>
 
-#include "obs/hooks.hpp"
 #include "redist/buffer.hpp"
 
 namespace dmr::smpi {
@@ -71,22 +70,6 @@ class Strategy {
   /// New-side half: populate every registered buffer from the link,
   /// resizing local storage to the new layout.
   virtual Report recv(const Endpoint& endpoint, Registry& registry) = 0;
-
-  /// Attach profiling/auditing: every measured send/recv Report feeds
-  /// the profiler's redistribution bucket and the auditor's
-  /// byte-conservation check.  Safe to call concurrently with nothing
-  /// (set before the strategy runs); the pointed-to sinks must outlive
-  /// the strategy.
-  void set_hooks(const obs::Hooks& hooks) { hooks_ = hooks; }
-
- protected:
-  /// Implementations call this on every measured Report with the
-  /// registry it moved (rank threads included — the profiler is
-  /// relaxed-atomic and the auditor serializes internally).
-  void record(const Report& report, const Registry& registry);
-
- private:
-  obs::Hooks hooks_;
 };
 
 /// Factory by name: "p2p", "pipelined" or "checkpoint" (the checkpoint

@@ -7,34 +7,40 @@
 
 namespace dmr::rms {
 
-Accounting::Accounting(Manager& manager) {
-  manager.on_start([this](const Job& job) {
-    ensure(job);
-    JobRecord& record = records_[job.id];
+Accounting::Accounting(Manager& manager) { manager.attach(*this); }
+
+obs::Interest Accounting::interest() const {
+  using K = obs::EventKind;
+  return obs::kinds(K::kStarted, K::kExpanded, K::kShrinkEnded, K::kFinished);
+}
+
+void Accounting::on_event(const obs::Event& event) {
+  const Job& job = event.manager->job(event.job);
+  if (job.spec.internal_resizer) return;
+  ensure(job);
+  JobRecord& record = records_[job.id];
+  if (event.kind == obs::EventKind::kStarted) {
     record.start_time = job.start_time;
     record.started_nodes = job.allocated();
     record.final_nodes = job.allocated();
     live_[job.id] = {job.start_time, job.allocated()};
-  });
-  manager.on_resize([this](const Job& job, Action action, int old_size,
-                           int new_size, double time) {
-    ensure(job);
-    JobRecord& record = records_[job.id];
-    record.resizes.push_back(ResizeEntry{time, action, old_size, new_size});
-    record.final_nodes = new_size;
-    account_segment(record, time);
-    live_[job.id] = {time, new_size};
-  });
-  manager.on_end([this](const Job& job) {
-    ensure(job);
-    JobRecord& record = records_[job.id];
+  } else if (event.kind == obs::EventKind::kFinished) {
     record.end_time = job.end_time;
     record.final_state = job.state;
     if (live_.count(job.id) != 0) {
       account_segment(record, job.end_time);
       live_.erase(job.id);
     }
-  });
+  } else {
+    // Expansion is recorded on grant, a shrink on completion.
+    const bool expand = event.kind == obs::EventKind::kExpanded;
+    record.resizes.push_back(
+        ResizeEntry{event.now, expand ? Action::Expand : Action::Shrink,
+                    event.old_size, event.new_size});
+    record.final_nodes = event.new_size;
+    account_segment(record, event.now);
+    live_[job.id] = {event.now, event.new_size};
+  }
 }
 
 void Accounting::ensure(const Job& job) {

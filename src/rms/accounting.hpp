@@ -2,8 +2,9 @@
 // workload — submissions, starts, resizes, completions — with node-hour
 // integration per job.
 //
-// Attach an Accounting to a Manager before submitting; afterwards render
-// the ledger as a table or CSV, or query per-job records.
+// Attach an Accounting to a Manager before submitting (it is a sink on
+// the manager's lifecycle events); afterwards render the ledger as a
+// table or CSV, or query per-job records.
 #pragma once
 
 #include <map>
@@ -39,11 +40,13 @@ struct JobRecord {
   double node_seconds = 0.0;
 };
 
-class Accounting {
+class Accounting final : public obs::Sink {
  public:
-  /// Subscribes to the manager's callbacks.  The Accounting must outlive
-  /// the manager's use (callbacks hold a pointer to it).
+  /// Attaches itself to `manager`, so it must outlive the manager's use.
   explicit Accounting(Manager& manager);
+
+  obs::Interest interest() const override;
+  void on_event(const obs::Event& event) override;
 
   bool has(JobId id) const { return records_.count(id) != 0; }
   const JobRecord& record(JobId id) const;

@@ -3,9 +3,6 @@
 #include <algorithm>
 #include <stdexcept>
 
-#include "chk/auditor.hpp"
-#include "obs/attr.hpp"
-#include "util/clock.hpp"
 #include "util/log.hpp"
 
 namespace dmr::rms {
@@ -17,44 +14,15 @@ Cluster make_cluster(const RmsConfig& config) {
   return Cluster(config.nodes);
 }
 
-const char* action_name(Action action) {
-  switch (action) {
-    case Action::Expand:
-      return "expand";
-    case Action::Shrink:
-      return "shrink";
-    case Action::None:
-      break;
-  }
-  return "none";
-}
-
 }  // namespace
 
-Manager::Manager(RmsConfig config)
+Manager::Manager(RmsConfig config, int member)
     : config_(std::move(config)),
       cluster_(make_cluster(config_)),
-      next_id_(config_.first_job_id) {
+      next_id_(config_.first_job_id),
+      member_(member) {
   config_.scheduler.weights.cluster_size = cluster_.size();
   cluster_.set_alloc_policy(config_.scheduler.alloc);
-}
-
-void Manager::set_hooks(const obs::Hooks& hooks, std::uint32_t trace_pid) {
-  hooks_ = hooks;
-  trace_pid_ = trace_pid;
-  if (hooks_.trace != nullptr) {
-    hooks_.trace->set_thread_name(trace_pid_, 0, "schedule");
-    hooks_.trace->set_thread_name(trace_pid_, 1, "reconfig");
-  }
-}
-
-void Manager::trace_queue_depth(double now) {
-  if (hooks_.trace == nullptr) return;
-  int depth = 0;
-  for (const Job* pending : pending_jobs_) {
-    if (!pending->spec.internal_resizer) ++depth;
-  }
-  hooks_.trace->counter(trace_pid_, now, "queue depth", depth);
 }
 
 void Manager::rescale_time_limit(Job& job, double now, double ratio) {
@@ -147,19 +115,7 @@ JobId Manager::submit(JobSpec spec, double now) {
     ++unfinished_user_jobs_;
   }
   mark_queue_changed();
-  if (hooks_.auditor != nullptr) hooks_.auditor->on_job_submitted(id, now);
-  if (hooks_.attr != nullptr && !stored.spec.internal_resizer) {
-    // Resizer pseudo-jobs are excluded from attribution throughout: their
-    // wait is part of the parent's reconfiguration, not queueing.
-    hooks_.attr->on_job_submitted(id, stored.spec.name, now);
-  }
-  if (hooks_.trace != nullptr && !stored.spec.internal_resizer) {
-    hooks_.trace->async_begin(
-        trace_pid_, now, "job", static_cast<std::uint64_t>(id),
-        stored.spec.name,
-        "\"requested_nodes\":" + std::to_string(stored.requested_nodes));
-    trace_queue_depth(now);
-  }
+  emit(obs::EventKind::kSubmitted, id, now, 0, stored.requested_nodes);
   return id;
 }
 
@@ -177,20 +133,11 @@ void Manager::start_job(Job& job, double now) {
   ++queue_version_;
   DMR_DEBUG("rms") << "start job " << job.id << " on " << job.allocated()
                    << " nodes at t=" << now;
-  if (hooks_.auditor != nullptr) hooks_.auditor->on_job_started(job.id, now);
-  if (!job.spec.internal_resizer) {
-    if (hooks_.attr != nullptr) hooks_.attr->on_job_started(job.id, now);
-    for (const auto& cb : start_callbacks_) cb(job);
-    if (hooks_.trace != nullptr) {
-      hooks_.trace->async_instant(
-          trace_pid_, now, "job", static_cast<std::uint64_t>(job.id), "start",
-          "\"nodes\":" + std::to_string(job.allocated()));
-    }
-  }
-  notify_alloc();
+  emit(obs::EventKind::kStarted, job.id, now, 0, job.allocated());
+  emit(obs::EventKind::kAllocChanged, kInvalidJob, now);
 }
 
-void Manager::add_nodes(int count, const std::string& partition) {
+void Manager::add_nodes(int count, const std::string& partition, double now) {
   int index = 0;
   if (!partition.empty()) {
     index = cluster_.partition_index(partition);
@@ -204,7 +151,7 @@ void Manager::add_nodes(int count, const std::string& partition) {
   // in step so priorities stay comparable after the growth.
   config_.scheduler.weights.cluster_size = cluster_.size();
   mark_queue_changed();
-  notify_alloc();
+  emit(obs::EventKind::kAllocChanged, kInvalidJob, now);
 }
 
 std::vector<JobId> Manager::schedule(double now) {
@@ -214,9 +161,7 @@ std::vector<JobId> Manager::schedule(double now) {
     ++counters_.schedule_passes_saved;
     return started;
   }
-  const bool instrumented = hooks_.any();
-  const double wall_start = instrumented ? util::wall_seconds() : 0.0;
-  const long long passes_before = counters_.schedule_passes;
+  emit(obs::EventKind::kPassBegin, kInvalidJob, now);
   placements_dirty_ = false;
   const bool heterogeneous = cluster_.partition_count() > 1;
   // Iterate only while a start can enable further starts: a started job
@@ -227,6 +172,7 @@ std::vector<JobId> Manager::schedule(double now) {
   // calls: schedule() runs twice per job on a replay, and a fresh
   // allocation per pending/running snapshot showed up at archive scale.
   ScheduleView& view = view_scratch_;
+  const bool diagnose = sinks_.wants(obs::EventKind::kBlocked);
   for (;;) {
     ++counters_.schedule_passes;
     view.now = now;
@@ -256,16 +202,12 @@ std::vector<JobId> Manager::schedule(double now) {
     }
     std::vector<BlockDiag> blocked;
     std::vector<Job*> to_start = schedule_pass(
-        view, config_.scheduler, hooks_.attr != nullptr ? &blocked : nullptr);
-    if (hooks_.attr != nullptr) {
-      // Report before the starts: a job diagnosed here and started by a
-      // later round of this same fixpoint only accrues a zero-length
-      // segment at `now`, which the attributor drops.
-      for (const BlockDiag& diag : blocked) {
-        if (diag.job->spec.internal_resizer) continue;
-        hooks_.attr->on_job_blocked(diag.job->id, now, diag.cause,
-                                    diag.blocker);
-      }
+        view, config_.scheduler, diagnose ? &blocked : nullptr);
+    // Report before the starts: a job diagnosed here and started by a
+    // later round of this same fixpoint only accrues a zero-length
+    // segment at `now`.
+    for (const BlockDiag& diag : blocked) {
+      report_blocked(*diag.job, now, diag.cause, diag.blocker);
     }
     Job* molded = nullptr;
     if (to_start.empty()) {
@@ -325,30 +267,16 @@ std::vector<JobId> Manager::schedule(double now) {
       break;
     }
   }
-  if (hooks_.attr != nullptr) {
+  if (diagnose) {
     // Jobs the pass never saw: pending but ineligible because their
-    // dependency is not running yet (user-level depends_on chains; the
-    // resizer pseudo-jobs that also gate this way are excluded).
+    // dependency is not running yet.
     for (const Job* job : pending_jobs_) {
-      if (job->spec.internal_resizer || eligible(*job)) continue;
-      hooks_.attr->on_job_blocked(
-          job->id, now, obs::BlockReason::kDependency,
-          job->spec.depends_on ? *job->spec.depends_on : 0);
+      if (eligible(*job)) continue;
+      report_blocked(*job, now, obs::BlockReason::kDependency,
+                     job->spec.depends_on ? *job->spec.depends_on : 0);
     }
   }
-  if (instrumented) {
-    const double wall = util::wall_seconds() - wall_start;
-    if (hooks_.auditor != nullptr) hooks_.auditor->check_manager(*this, now);
-    if (hooks_.profiler != nullptr) hooks_.profiler->add_schedule(wall);
-    if (hooks_.trace != nullptr) {
-      hooks_.trace->complete(
-          trace_pid_, 0, now, wall * 1.0e6, "schedule",
-          "\"passes\":" +
-              std::to_string(counters_.schedule_passes - passes_before) +
-              ",\"started\":" + std::to_string(started.size()));
-      trace_queue_depth(now);
-    }
-  }
+  emit(obs::EventKind::kPass, kInvalidJob, now);
   return started;
 }
 
@@ -371,31 +299,15 @@ void Manager::finish_job(Job& job, double now, JobState final_state) {
   if (was_pending) remove_from(pending_jobs_, &job);
   job.state = final_state;
   job.end_time = now;
-  if (hooks_.auditor != nullptr) hooks_.auditor->on_job_finished(job.id, now);
-  if (hooks_.attr != nullptr && !job.spec.internal_resizer) {
-    hooks_.attr->on_job_finished(job.id, now);
-  }
-  if (hooks_.trace != nullptr && open_drain_spans_.erase(job.id) != 0) {
-    // A job can end while still draining; close its drain span so the
-    // trace stays balanced.
-    hooks_.trace->async_end(trace_pid_, now, "reconfig",
-                            static_cast<std::uint64_t>(job.id), "drain");
-  }
-  if (!job.spec.internal_resizer) {
-    --unfinished_user_jobs_;
-    for (const auto& cb : end_callbacks_) cb(job);
-    if (hooks_.trace != nullptr) {
-      hooks_.trace->async_end(trace_pid_, now, "job",
-                              static_cast<std::uint64_t>(job.id));
-    }
-  }
+  if (!job.spec.internal_resizer) --unfinished_user_jobs_;
+  emit(obs::EventKind::kFinished, job.id, now);
   ++queue_version_;
   // Released nodes or a removed queue entry (a new head) can both change
   // the next placement decision; a node-less exit (resizer harvest)
   // cannot.
   if (released_nodes || was_pending) placements_dirty_ = true;
   cancel_dependents(job.id, now);
-  notify_alloc();
+  emit(obs::EventKind::kAllocChanged, kInvalidJob, now);
 }
 
 void Manager::cancel_dependents(JobId parent, double now) {
@@ -513,14 +425,10 @@ PolicyDecision Manager::dmr_decide(JobId id, const DmrRequest& request,
       }
     }
   }
-  if (hooks_.trace == nullptr) return reconfiguration_policy(view, request);
-  const double wall_start = util::wall_seconds();
-  PolicyDecision decision = reconfiguration_policy(view, request);
-  hooks_.trace->complete(
-      trace_pid_, 1, now, (util::wall_seconds() - wall_start) * 1.0e6,
-      "negotiate",
-      "\"job\":" + std::to_string(id) + ",\"action\":\"" +
-          action_name(decision.action) + "\"");
+  emit(obs::EventKind::kNegotiateBegin, id, now);
+  const PolicyDecision decision = reconfiguration_policy(view, request);
+  emit(obs::EventKind::kNegotiated, id, now, job.allocated(),
+       decision.new_size, decision.action);
   return decision;
 }
 
@@ -531,20 +439,10 @@ DmrOutcome Manager::dmr_check(JobId id, const DmrRequest& request,
 
 DmrOutcome Manager::dmr_apply(JobId id, const PolicyDecision& decision,
                               double now) {
-  if (!hooks_.any()) return dmr_apply_impl(id, decision, now);
-  const double wall_start = util::wall_seconds();
+  emit(obs::EventKind::kApplyBegin, id, now);
   DmrOutcome outcome = dmr_apply_impl(id, decision, now);
-  if (hooks_.trace != nullptr) {
-    hooks_.trace->complete(
-        trace_pid_, 1, now, (util::wall_seconds() - wall_start) * 1.0e6,
-        "apply",
-        "\"job\":" + std::to_string(id) + ",\"action\":\"" +
-            action_name(outcome.action) +
-            "\",\"aborted\":" + (outcome.aborted ? "true" : "false"));
-    hooks_.trace->counter(
-        trace_pid_, now, "reconfigs",
-        static_cast<double>(counters_.expands + counters_.shrinks));
-  }
+  emit(obs::EventKind::kApplied, id, now, 0, outcome.new_size, outcome.action,
+       outcome.aborted);
   return outcome;
 }
 
@@ -587,24 +485,12 @@ DmrOutcome Manager::dmr_apply_impl(JobId id, const PolicyDecision& decision,
       outcome.added_nodes = harvest_resizer(rj, now);
       ++job.expansions;
       ++counters_.expands;
-      if (hooks_.auditor != nullptr) {
-        hooks_.auditor->on_job_resized(id, now);
-        hooks_.auditor->check_manager(*this, now);
-      }
       rescale_time_limit(job, now,
                          static_cast<double>(decision.new_size - extra) /
                              static_cast<double>(decision.new_size));
-      for (const auto& cb : resize_callbacks_) {
-        cb(job, Action::Expand, decision.new_size - extra, decision.new_size,
-           now);
-      }
-      if (hooks_.trace != nullptr) {
-        hooks_.trace->async_instant(
-            trace_pid_, now, "job", static_cast<std::uint64_t>(id), "expand",
-            "\"from\":" + std::to_string(decision.new_size - extra) +
-                ",\"to\":" + std::to_string(decision.new_size));
-      }
-      notify_alloc();
+      emit(obs::EventKind::kExpanded, id, now, decision.new_size - extra,
+           decision.new_size);
+      emit(obs::EventKind::kAllocChanged, kInvalidJob, now);
       DMR_DEBUG("rms") << "job " << id << " expanded to " << job.allocated()
                        << " nodes at t=" << now;
       return outcome;
@@ -639,17 +525,8 @@ DmrOutcome Manager::dmr_apply_impl(JobId id, const PolicyDecision& decision,
         }
       }
       ++counters_.shrinks;
-      if (hooks_.auditor != nullptr) {
-        hooks_.auditor->on_shrink_begun(id, now);
-        hooks_.auditor->check_manager(*this, now);
-      }
-      if (hooks_.trace != nullptr) {
-        hooks_.trace->async_begin(
-            trace_pid_, now, "reconfig", static_cast<std::uint64_t>(id),
-            "drain",
-            "\"nodes\":" + std::to_string(outcome.draining_nodes.size()));
-        open_drain_spans_.insert(id);
-      }
+      emit(obs::EventKind::kShrinkBegun, id, now, job.allocated(),
+           decision.new_size);
       DMR_DEBUG("rms") << "job " << id << " shrinking to "
                        << decision.new_size << " nodes at t=" << now;
       return outcome;
@@ -681,24 +558,8 @@ void Manager::complete_shrink(JobId id, double now) {
   user_allocated_nodes_ -= static_cast<int>(draining.size());
   ++job.shrinks;
   mark_queue_changed();
-  if (hooks_.auditor != nullptr) {
-    hooks_.auditor->on_shrink_ended(id, now);
-    hooks_.auditor->check_manager(*this, now);
-  }
-  for (const auto& cb : resize_callbacks_) {
-    cb(job, Action::Shrink, old_size, job.allocated(), now);
-  }
-  if (hooks_.trace != nullptr) {
-    if (open_drain_spans_.erase(id) != 0) {
-      hooks_.trace->async_end(trace_pid_, now, "reconfig",
-                              static_cast<std::uint64_t>(id), "drain");
-    }
-    hooks_.trace->async_instant(
-        trace_pid_, now, "job", static_cast<std::uint64_t>(id), "shrink",
-        "\"from\":" + std::to_string(old_size) +
-            ",\"to\":" + std::to_string(job.allocated()));
-  }
-  notify_alloc();
+  emit(obs::EventKind::kShrinkEnded, id, now, old_size, job.allocated());
+  emit(obs::EventKind::kAllocChanged, kInvalidJob, now);
   DMR_DEBUG("rms") << "job " << id << " shrunk to " << job.allocated()
                    << " nodes at t=" << now;
   schedule(now);
@@ -713,17 +574,8 @@ void Manager::abort_shrink(JobId id, double now) {
   cluster_.set_draining(draining, false);
   // The releases the drain-aware shadow promised are off again.
   placements_dirty_ = true;
-  if (hooks_.auditor != nullptr && !draining.empty()) {
-    // An abort with no draining nodes never had a begun shrink to end.
-    hooks_.auditor->on_shrink_ended(id, now);
-  }
-  if (hooks_.trace != nullptr && open_drain_spans_.erase(id) != 0) {
-    hooks_.trace->async_instant(trace_pid_, now, "reconfig",
-                                static_cast<std::uint64_t>(id),
-                                "drain aborted");
-    hooks_.trace->async_end(trace_pid_, now, "reconfig",
-                            static_cast<std::uint64_t>(id), "drain");
-  }
+  // An abort with no draining nodes never had a begun shrink to roll back.
+  if (!draining.empty()) emit(obs::EventKind::kShrinkAborted, id, now);
   DMR_DEBUG("rms") << "job " << id << " shrink aborted at t=" << now;
 }
 
@@ -789,13 +641,6 @@ const std::vector<const Job*>& Manager::running_snapshot() const {
     running_cache_version_ = queue_version_;
   }
   return running_cache_;
-}
-
-void Manager::notify_alloc() {
-  if (alloc_callbacks_.empty()) return;
-  for (const auto& cb : alloc_callbacks_) {
-    cb(user_allocated_nodes_, user_running_jobs_);
-  }
 }
 
 }  // namespace dmr::rms

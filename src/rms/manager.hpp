@@ -27,13 +27,11 @@
 
 #include <cstdint>
 #include <deque>
-#include <functional>
 #include <limits>
-#include <set>
 #include <vector>
 
 #include "dmr/rms.hpp"
-#include "obs/hooks.hpp"
+#include "obs/event.hpp"
 #include "rms/cluster.hpp"
 #include "rms/job.hpp"
 #include "rms/policy.hpp"
@@ -66,7 +64,9 @@ using DmrOutcome = ::dmr::Outcome;
 /// The reference implementation of the public `dmr::Rms` interface.
 class Manager : public ::dmr::Rms {
  public:
-  explicit Manager(RmsConfig config);
+  /// `member` is this manager's index in its federation (0 standalone);
+  /// it is stamped on every event the manager emits.
+  explicit Manager(RmsConfig config, int member = 0);
 
   // --- job lifecycle -------------------------------------------------------
 
@@ -115,7 +115,7 @@ class Manager : public ::dmr::Rms {
   /// Grow the cluster by `count` idle nodes in `partition` (the first
   /// partition when empty; unknown names throw).  Marks placements dirty
   /// so the next schedule() sees the new capacity.
-  void add_nodes(int count, const std::string& partition = "");
+  void add_nodes(int count, const std::string& partition, double now);
   /// Flip Algorithm 1's shrink priority boost at runtime.
   void set_shrink_priority_boost(bool enabled) {
     config_.shrink_priority_boost = enabled;
@@ -141,29 +141,16 @@ class Manager : public ::dmr::Rms {
   const std::vector<const Job*>& jobs() const { return user_jobs_; }
   /// True when no user job is pending or running.
   bool all_done() const { return unfinished_user_jobs_ == 0; }
+  /// Nodes held by running user jobs, and how many of those run
+  /// (resizer pseudo-jobs excluded).
+  int allocated_nodes() const { return user_allocated_nodes_; }
+  int running_jobs() const { return user_running_jobs_; }
 
-  // --- instrumentation -------------------------------------------------------
+  // --- observation -----------------------------------------------------------
 
-  using JobCallback = std::function<void(const Job&)>;
-  void on_start(JobCallback cb) { start_callbacks_.push_back(std::move(cb)); }
-  void on_end(JobCallback cb) { end_callbacks_.push_back(std::move(cb)); }
-  /// Fired after any allocation change: (allocated nodes, running jobs).
-  using AllocCallback = std::function<void(int, int)>;
-  void on_alloc_change(AllocCallback cb) {
-    alloc_callbacks_.push_back(std::move(cb));
-  }
-  /// Fired when a resize is applied: (job, action, old size, new size,
-  /// time).  Expansion fires on grant; shrink fires on completion.
-  using ResizeCallback =
-      std::function<void(const Job&, Action, int, int, double)>;
-  void on_resize(ResizeCallback cb) {
-    resize_callbacks_.push_back(std::move(cb));
-  }
-
-  /// Attach tracing/profiling.  `trace_pid` is the process track this
-  /// manager's events land on (a fed::Federation assigns member c the
-  /// track c+1; standalone drivers use 1, leaving 0 for global tracks).
-  void set_hooks(const obs::Hooks& hooks, std::uint32_t trace_pid);
+  /// Subscribe `sink` to this manager's lifecycle events (see
+  /// obs::EventKind); it must outlive the manager's use.
+  void attach(obs::Sink& sink) { sinks_.attach(sink); }
 
   /// Counters for the evaluation section.
   struct Counters {
@@ -209,8 +196,21 @@ class Manager : public ::dmr::Rms {
   void finish_job(Job& job, double now, JobState final_state);
   void cancel_dependents(JobId parent, double now);
   bool eligible(const Job& job) const;
-  void notify_alloc();
-  void trace_queue_depth(double now);
+  /// Emit a `kind` event about `job` when some sink wants it.
+  void emit(obs::EventKind kind, JobId job, double now, int old_size = 0,
+            int new_size = 0, Action action = Action::None,
+            bool aborted = false) const {
+    if (!sinks_.wants(kind)) return;
+    sinks_.emit({.kind = kind, .job = job, .member = member_, .now = now,
+                 .old_size = old_size, .new_size = new_size, .manager = this,
+                 .action = action, .aborted = aborted});
+  }
+  void report_blocked(const Job& job, double now, obs::BlockReason cause,
+                      JobId blocker) const {
+    sinks_.emit({.kind = obs::EventKind::kBlocked, .job = job.id,
+                 .member = member_, .now = now, .manager = this,
+                 .cause = cause, .blocker = blocker});
+  }
   /// A queue/allocation event happened: placements may change and the
   /// snapshot caches are stale.
   void mark_queue_changed();
@@ -224,12 +224,8 @@ class Manager : public ::dmr::Rms {
   std::deque<Job> jobs_;
   JobId next_id_;
   Counters counters_;
-
-  obs::Hooks hooks_;
-  std::uint32_t trace_pid_ = 1;
-  /// Jobs with an open drain span in the trace, so complete/abort only
-  /// closes spans this recorder opened (hooks can attach mid-run).
-  std::set<JobId> open_drain_spans_;
+  int member_;
+  obs::SinkList sinks_;
 
   // --- live-set indices (the incremental-scheduling state) -----------------
   std::vector<Job*> pending_jobs_;  // every pending job, resizers included
@@ -239,8 +235,8 @@ class Manager : public ::dmr::Rms {
   std::deque<std::vector<JobId>> dependents_;
   long long unfinished_user_jobs_ = 0;
   /// Exact (allocated nodes, running jobs) over non-internal running
-  /// jobs, maintained at every allocation mutation so notify_alloc() is
-  /// O(callbacks) instead of a running-set scan per start/finish.
+  /// jobs, maintained at every allocation mutation so an alloc-changed
+  /// event needs no running-set scan.
   int user_allocated_nodes_ = 0;
   int user_running_jobs_ = 0;
   bool placements_dirty_ = true;
@@ -255,11 +251,6 @@ class Manager : public ::dmr::Rms {
   mutable std::vector<const Job*> pending_cache_;
   mutable std::uint64_t running_cache_version_ = 0;
   mutable std::vector<const Job*> running_cache_;
-
-  std::vector<JobCallback> start_callbacks_;
-  std::vector<JobCallback> end_callbacks_;
-  std::vector<AllocCallback> alloc_callbacks_;
-  std::vector<ResizeCallback> resize_callbacks_;
 };
 
 }  // namespace dmr::rms

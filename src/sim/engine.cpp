@@ -3,8 +3,6 @@
 #include <bit>
 #include <cmath>
 
-#include "chk/auditor.hpp"
-#include "obs/profiler.hpp"
 #include "util/log.hpp"
 
 namespace dmr::sim {
@@ -337,13 +335,14 @@ bool Engine::step() {
   const Entry entry = active_.back();
   active_.pop_back();
   --size_;
-  if (auditor_ != nullptr) {
+  if (sinks_.wants(obs::EventKind::kDispatch)) {
     // Report against the pre-advance clock; next_seq_ is the watermark
     // separating events that coexisted in the queue from ones the
     // upcoming callback will schedule.
-    auditor_->on_event_dispatch(entry.time,
-                                static_cast<int>(entry.lane_seq >> kSeqBits),
-                                entry.lane_seq & kSeqMask, now_, next_seq_);
+    dispatch_.now = entry.time;
+    dispatch_.dispatch = {static_cast<int>(entry.lane_seq >> kSeqBits),
+                          entry.lane_seq & kSeqMask, now_, next_seq_};
+    sinks_.emit(dispatch_);
   }
   now_ = entry.time;
   detail::ArenaCallback& callback = slot_callback(entry.slot);
@@ -353,7 +352,6 @@ bool Engine::step() {
   if (++gens_[entry.slot] == 0) gens_[entry.slot] = 1;
   --live_count_;
   ++executed_;
-  if (profiler_ != nullptr) profiler_->on_event();
   if (!callback.empty()) callback.invoke();
   callback.destroy(arena_);
   free_slots_.push_back(entry.slot);

@@ -46,13 +46,11 @@
 #include <utility>
 #include <vector>
 
+#include "obs/event.hpp"
+
 namespace dmr::chk {
-class Auditor;
 struct TestBackdoor;
 }  // namespace dmr::chk
-namespace dmr::obs {
-class Profiler;
-}
 
 namespace dmr::sim {
 
@@ -248,14 +246,10 @@ class Engine {
   /// Events executed so far (monotone counter, for tests/telemetry).
   std::uint64_t executed() const { return executed_; }
 
-  /// Count every dispatched event into `profiler` (null detaches; the
-  /// disabled path is one pointer test per event).
-  void set_profiler(obs::Profiler* profiler) { profiler_ = profiler; }
-
-  /// Report every dispatch to the invariant auditor: clock monotonicity
-  /// plus (time, lane, seq) order between events that coexisted in the
-  /// queue (null detaches; one pointer test per event).
-  void set_auditor(chk::Auditor* auditor) { auditor_ = auditor; }
+  /// Subscribe `sink` to obs::EventKind::kDispatch, reported as each
+  /// event leaves the queue (unsubscribed, one mask test per event).
+  void attach(obs::Sink& sink) { sinks_.attach(sink); }
+  void detach(obs::Sink& sink) { sinks_.detach(sink); }
 
  private:
   /// Test-only state corruption for auditor failure-path tests.
@@ -324,8 +318,9 @@ class Engine {
   std::size_t size_ = 0;   // calendar entries, stale included
   std::size_t stale_ = 0;  // cancelled entries not yet collected
   bool stop_requested_ = false;
-  obs::Profiler* profiler_ = nullptr;
-  chk::Auditor* auditor_ = nullptr;
+  obs::SinkList sinks_;
+  /// Reused for every dispatch report (only its time and order change).
+  obs::Event dispatch_{.kind = obs::EventKind::kDispatch};
 
   // --- calendar ------------------------------------------------------------
   double width_ = 1.0;                     // day length (seconds)

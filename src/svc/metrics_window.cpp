@@ -6,6 +6,8 @@
 #include <sstream>
 #include <stdexcept>
 
+#include "rms/manager.hpp"
+
 namespace dmr::svc {
 
 // --- WindowedHistogram ------------------------------------------------------
@@ -105,7 +107,7 @@ std::string MetricsSample::to_json() const {
       << ",\"response_p99\":" << response_p99
       << ",\"submitted_total\":" << submitted_total
       << ",\"rejected_full_total\":" << rejected_full_total
-      << ",\"rejected_full_cum\":" << rejected_full_cum
+      << ",\"rejected_full_cum\":" << rejected_full_total
       << ",\"rejected_stale_total\":" << rejected_stale_total;
   for (std::size_t c = 0; c < cause_seconds.size() && c < cause_keys.size();
        ++c) {
@@ -119,7 +121,6 @@ std::string MetricsSample::to_json() const {
 
 MetricsWindow::MetricsWindow(double window, double sample_period)
     : window_(window),
-      period_(sample_period),
       intervals_(std::max(
           1, static_cast<int>(std::llround(window / sample_period)))),
       wait_(intervals_),
@@ -134,15 +135,23 @@ MetricsWindow::MetricsWindow(double window, double sample_period)
   completions_.assign(static_cast<std::size_t>(intervals_), 0);
 }
 
-void MetricsWindow::observe_completion(double wait, double response) {
-  wait_.add(wait);
-  response_.add(response);
-  ++completions_[static_cast<std::size_t>(newest_)];
-  ++completed_total_;
+obs::Interest MetricsWindow::interest() const {
+  return obs::kinds(obs::EventKind::kFinished, obs::EventKind::kExpanded,
+                    obs::EventKind::kShrinkEnded);
 }
 
-void MetricsWindow::observe_reconfig() {
-  ++reconfigs_[static_cast<std::size_t>(newest_)];
+void MetricsWindow::on_event(const obs::Event& event) {
+  const auto newest = static_cast<std::size_t>(newest_);
+  if (event.kind != obs::EventKind::kFinished) {
+    ++reconfigs_[newest];
+    return;
+  }
+  const rms::Job& job = event.manager->job(event.job);
+  if (job.spec.internal_resizer) return;
+  wait_.add(job.wait_time());
+  response_.add(job.completion_time());
+  ++completions_[newest];
+  ++completed_total_;
 }
 
 void MetricsWindow::fill(MetricsSample& sample) const {

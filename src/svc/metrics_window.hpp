@@ -18,6 +18,8 @@
 #include <string>
 #include <vector>
 
+#include "obs/event.hpp"
+
 namespace dmr::svc {
 
 /// Sliding-window histogram: a ring of per-interval fixed-bucket
@@ -83,11 +85,9 @@ struct MetricsSample {
   double response_p95 = 0.0;
   double response_p99 = 0.0;
   long long submitted_total = 0;
+  /// Cumulative ring rejections (also emitted under the older
+  /// "rejected_full_cum" key, so existing feed readers keep working).
   long long rejected_full_total = 0;
-  /// Monotonic cumulative ring rejections as mirrored in the unified
-  /// obs::Registry ("svc.ring.rejected_full") — alertable without
-  /// diffing windows.
-  long long rejected_full_cum = 0;
   long long rejected_stale_total = 0;
   /// Cumulative wait seconds per obs::BlockReason (enum-index order,
   /// open segments counted up to sample time).  Empty when the service
@@ -100,14 +100,16 @@ struct MetricsSample {
 };
 
 /// The service's windowed collectors: wait/response histograms plus the
-/// reconfiguration and completion counts, one rotation per sample.
-class MetricsWindow {
+/// reconfiguration and completion counts, one rotation per sample.  A
+/// sink on the event stream: user-job completions and applied resizes
+/// (expansions on grant, shrinks on completion).
+class MetricsWindow final : public obs::Sink {
  public:
   /// `window` seconds of history at `sample_period` granularity.
   MetricsWindow(double window, double sample_period);
 
-  void observe_completion(double wait, double response);
-  void observe_reconfig();
+  obs::Interest interest() const override;
+  void on_event(const obs::Event& event) override;
 
   /// Fill the windowed fields of `sample` (time/queue/ring/utilization
   /// and the *_total counters are the caller's).
@@ -116,13 +118,9 @@ class MetricsWindow {
   void rotate();
 
   double window_seconds() const { return window_; }
-  double sample_period() const { return period_; }
-  int intervals() const { return intervals_; }
-  long long completed_total() const { return completed_total_; }
 
  private:
   double window_;
-  double period_;
   int intervals_;
   WindowedHistogram wait_;
   WindowedHistogram response_;

@@ -4,7 +4,6 @@
 #include <stdexcept>
 
 #include "apps/models.hpp"
-#include "chk/auditor.hpp"
 
 namespace dmr::svc {
 
@@ -33,17 +32,8 @@ Service::Service(ServiceConfig config)
       driver_(engine_, attributed_driver(config, &attr_)),
       queue_(config.queue_capacity),
       window_(config.window, config.sample_period) {
-  // Windowed collectors feed off the same RMS callbacks the trace uses.
-  fed::Federation& federation = driver_.federation_mutable();
-  federation.on_end([this](const rms::Job& job) {
-    window_.observe_completion(job.wait_time(), job.completion_time());
-  });
-  for (int c = 0; c < federation.cluster_count(); ++c) {
-    federation.manager(c).on_resize(
-        [this](const rms::Job&, rms::Action, int, int, double) {
-          window_.observe_reconfig();
-        });
-  }
+  // The windowed collectors read the same event stream the trace does.
+  driver_.attach(window_);
   // The sampler chain: one Lane::Sample event per period, rescheduling
   // itself forever.  Sample events fire after every state-changing event
   // at the same instant, so a sample at t reports the settled state.
@@ -137,9 +127,6 @@ void Service::take_sample() {
   sample.submitted_total = accepted_;
   sample.rejected_full_total =
       static_cast<long long>(queue_.rejected_full());
-  fill_counters(registry_);
-  sample.rejected_full_cum =
-      static_cast<long long>(registry_.value("svc.ring.rejected_full"));
   sample.rejected_stale_total = rejected_stale_;
   if (attr_ptr_ != nullptr) {
     // Open segments count up to the sample instant so a live view shows
@@ -152,18 +139,12 @@ void Service::take_sample() {
           obs::block_reason_key(static_cast<obs::BlockReason>(r)));
     }
   }
-  if (obs::TraceRecorder* recorder = config_.driver.hooks.trace) {
-    recorder->counter(0, t1, "ring depth", sample.ring_depth);
-    recorder->counter(0, t1, "utilization", sample.utilization);
-  }
-  if (chk::Auditor* auditor = config_.driver.hooks.auditor) {
-    // The sampler is the service's steady heartbeat: audit the settled
-    // post-event state it is defined to observe (Lane::Sample fires
-    // after every state change at the same instant).
-    auditor->check_federation(federation, t1);
-    for (int c = 0; c < federation.cluster_count(); ++c) {
-      auditor->check_manager(federation.manager(c), t1);
-    }
+  // Lane::Sample fires after every state change at the same instant, so
+  // sinks see the settled post-event state.
+  const obs::SinkList& sinks = driver_.sinks();
+  if (sinks.wants(obs::EventKind::kSample)) {
+    sinks.emit({.kind = obs::EventKind::kSample, .now = t1,
+                .federation = &federation, .sample = &sample});
   }
   window_.rotate();
   samples_.push_back(sample);
@@ -171,23 +152,9 @@ void Service::take_sample() {
   if (sink_) sink_(lines_.back());
 }
 
-const obs::Registry& Service::counters() {
-  fill_counters(registry_);
-  return registry_;
-}
-
-void Service::fill_counters(obs::Registry& registry) const {
-  driver_.fill_counters(registry);
-  registry.set("svc.accepted", static_cast<double>(accepted_));
-  registry.set("svc.rejected_stale", static_cast<double>(rejected_stale_));
-  registry.set("svc.ring.rejected_full",
-               static_cast<double>(queue_.rejected_full()));
-  registry.set("svc.ring.depth", static_cast<double>(queue_.size()));
-  registry.set("svc.samples", static_cast<double>(samples_.size()));
-}
-
 void Service::add_nodes(int count, int member, const std::string& partition) {
-  driver_.federation_mutable().add_nodes(member, count, partition);
+  driver_.federation_mutable().add_nodes(member, count, partition,
+                                         engine_.now());
   driver_.federation_mutable().schedule(engine_.now());
 }
 

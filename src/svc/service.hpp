@@ -33,7 +33,6 @@
 
 #include "drv/workload_driver.hpp"
 #include "obs/attr.hpp"
-#include "obs/registry.hpp"
 #include "svc/metrics_window.hpp"
 #include "svc/submit_queue.hpp"
 
@@ -59,7 +58,7 @@ struct ServiceConfig {
 class Service {
  public:
   explicit Service(ServiceConfig config);
-  /// Pinned: engine events and RMS callbacks capture `this`.
+  /// Pinned: engine events capture `this` and the window is attached.
   Service(const Service&) = delete;
   Service& operator=(const Service&) = delete;
 
@@ -104,14 +103,6 @@ class Service {
   /// Batch metrics over the jobs completed so far (callable any time).
   drv::WorkloadMetrics metrics() const { return driver_.collect_metrics(); }
 
-  /// The unified counter registry, refreshed from the live legacy
-  /// counters on every call (and on every metrics sample): driver and
-  /// manager counters plus "svc.*" ingest tallies.
-  const obs::Registry& counters();
-  /// Mirror the service's counters into `registry` (driver counters
-  /// included) without touching the internal registry.
-  void fill_counters(obs::Registry& registry) const;
-
   long long accepted() const { return accepted_; }
   long long rejected_stale() const { return rejected_stale_; }
   int completed() const { return driver_.completed(); }
@@ -155,7 +146,6 @@ class Service {
   drv::WorkloadDriver driver_;
   SubmitQueue queue_;
   MetricsWindow window_;
-  obs::Registry registry_;
   std::vector<JobRequest> log_;
   std::vector<MetricsSample> samples_;
   std::vector<std::string> lines_;

@@ -24,7 +24,7 @@ namespace {
 
 using namespace dmr;
 
-/// One applied resize, as observed through Manager::on_resize.
+/// One applied resize, as observed by a sink on the manager.
 struct ResizeEvent {
   Action action = Action::None;
   int old_size = 0;
@@ -42,16 +42,22 @@ std::string to_string(const ResizeEvent& event) {
          std::to_string(event.new_size);
 }
 
-/// Attach a recorder to a manager; the mutex makes it safe for the
-/// real-mode runs where rank threads drive the resizes.
-class ResizeLog {
+/// A sink recording applied resizes (expansions on grant, shrinks on
+/// completion); the mutex makes it safe for the real-mode runs where
+/// rank threads drive the resizes.
+class ResizeLog final : public obs::Sink {
  public:
-  explicit ResizeLog(Manager& manager) {
-    manager.on_resize([this](const auto&, Action action, int old_size,
-                             int new_size, double) {
-      std::lock_guard<std::mutex> lock(mu_);
-      events_.push_back({action, old_size, new_size});
-    });
+  explicit ResizeLog(Manager& manager) { manager.attach(*this); }
+
+  obs::Interest interest() const override {
+    return obs::kinds(obs::EventKind::kExpanded, obs::EventKind::kShrinkEnded);
+  }
+  void on_event(const obs::Event& event) override {
+    const Action action = event.kind == obs::EventKind::kExpanded
+                              ? Action::Expand
+                              : Action::Shrink;
+    std::lock_guard<std::mutex> lock(mu_);
+    events_.push_back({action, event.old_size, event.new_size});
   }
   std::vector<ResizeEvent> events() const {
     std::lock_guard<std::mutex> lock(mu_);

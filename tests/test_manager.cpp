@@ -8,6 +8,7 @@
 namespace {
 
 using namespace dmr::rms;
+namespace obs = dmr::obs;
 
 JobSpec spec(const std::string& name, int nodes, int min = 1, int max = 32,
              int preferred = 0, bool flexible = true) {
@@ -271,20 +272,36 @@ TEST(Manager, ExpandAbortWhenResizerLosesRace) {
   EXPECT_TRUE(m.pending_snapshot(2.0).empty());
 }
 
-TEST(Manager, CallbacksFire) {
-  Manager m(config(8));
-  int starts = 0, ends = 0;
+/// Counts starts and ends and keeps the last reported allocation.
+struct LifecycleCounter final : obs::Sink {
+  int starts = 0;
+  int ends = 0;
   int last_alloc = -1;
-  m.on_start([&](const Job&) { ++starts; });
-  m.on_end([&](const Job&) { ++ends; });
-  m.on_alloc_change([&](int allocated, int) { last_alloc = allocated; });
+
+  obs::Interest interest() const override {
+    return obs::kinds(obs::EventKind::kStarted, obs::EventKind::kFinished,
+                      obs::EventKind::kAllocChanged);
+  }
+  void on_event(const obs::Event& event) override {
+    if (event.kind == obs::EventKind::kStarted) ++starts;
+    if (event.kind == obs::EventKind::kFinished) ++ends;
+    if (event.kind == obs::EventKind::kAllocChanged) {
+      last_alloc = event.manager->allocated_nodes();
+    }
+  }
+};
+
+TEST(Manager, SinkSeesLifecycleEvents) {
+  Manager m(config(8));
+  LifecycleCounter counter;
+  m.attach(counter);
   const JobId a = m.submit(spec("a", 4), 0.0);
   m.schedule(0.0);
-  EXPECT_EQ(starts, 1);
-  EXPECT_EQ(last_alloc, 4);
+  EXPECT_EQ(counter.starts, 1);
+  EXPECT_EQ(counter.last_alloc, 4);
   m.job_finished(a, 1.0);
-  EXPECT_EQ(ends, 1);
-  EXPECT_EQ(last_alloc, 0);
+  EXPECT_EQ(counter.ends, 1);
+  EXPECT_EQ(counter.last_alloc, 0);
 }
 
 TEST(Manager, RejectsBadSubmissions) {

@@ -1,8 +1,8 @@
 // Tests for the observability layer: the trace recorder's output
 // survives the strict validator (and tampered documents do not), ring
-// overflow is counted rather than silently truncated, the counter
-// registry stays in parity with the legacy per-subsystem counters, and
-// attaching tracing never perturbs simulated outcomes.
+// overflow is counted rather than silently truncated, the profiler keeps
+// sub-microsecond durations, and attaching tracing never perturbs
+// simulated outcomes.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -223,81 +223,15 @@ TEST(TraceRecorder, AttachedObservabilityNeverPerturbsOutcomes) {
   }
 }
 
-// --- registry ---------------------------------------------------------------
-
-TEST(Registry, SetAddValueSnapshot) {
-  obs::Registry registry;
-  EXPECT_FALSE(registry.has("a"));
-  EXPECT_DOUBLE_EQ(registry.value("a"), 0.0);
-  registry.set("a", 2.0);
-  registry.add("a", 3.0);
-  registry.add("b.c", 1.5);
-  EXPECT_DOUBLE_EQ(registry.value("a"), 5.0);
-  EXPECT_TRUE(registry.has("b.c"));
-  EXPECT_EQ(registry.size(), 2u);
-  const auto snapshot = registry.snapshot();
-  ASSERT_EQ(snapshot.size(), 2u);
-  EXPECT_EQ(snapshot[0].first, "a");  // name-sorted
-  EXPECT_EQ(registry.snapshot_json(), "{\"a\":5,\"b.c\":1.500000}");
-}
-
-TEST(Registry, ParityWithLegacyCountersOnWorkloadRun) {
-  wl::FeitelsonParams params;
-  params.jobs = 30;
-  params.max_size = 16;
-  params.mean_interarrival = 10.0;
-  params.max_runtime = 60.0 * 5;
-  params.seed = 2017;
-  sim::Engine engine;
-  drv::DriverConfig config;
-  config.rms.nodes = 16;
-  drv::WorkloadDriver driver(engine, config);
-  for (const auto& job : wl::generate_feitelson(params)) {
-    drv::JobPlan plan;
-    plan.arrival = job.arrival;
-    plan.model = apps::fs_model(5, job.size, job.runtime / 5, 16,
-                                std::size_t(1) << 20);
-    plan.submit_nodes = job.size;
-    plan.flexible = true;
-    driver.add(std::move(plan));
-  }
-  const drv::WorkloadMetrics metrics = driver.run();
-  ASSERT_GT(metrics.expands + metrics.shrinks, 0);
-
-  obs::Registry registry;
-  driver.fill_counters(registry);
-  // The registry is a mirror, not a second source of truth: every entry
-  // must equal the legacy counter it absorbs.
-  EXPECT_EQ(registry.value("rms.expands"), double(metrics.expands));
-  EXPECT_EQ(registry.value("rms.shrinks"), double(metrics.shrinks));
-  EXPECT_EQ(registry.value("rms.checks"), double(metrics.checks));
-  EXPECT_EQ(registry.value("rms.aborted_expands"),
-            double(metrics.aborted_expands));
-  EXPECT_EQ(registry.value("rms.schedule.requests"),
-            double(metrics.schedule_requests));
-  EXPECT_EQ(registry.value("rms.schedule.passes"),
-            double(metrics.schedule_passes));
-  EXPECT_EQ(registry.value("rms.schedule.passes_saved"),
-            double(metrics.schedule_passes_saved));
-  EXPECT_EQ(registry.value("drv.completed"), double(driver.completed()));
-  EXPECT_EQ(registry.value("drv.redist.bytes"),
-            double(metrics.bytes_redistributed));
-  EXPECT_EQ(registry.value("fed.placements.local"), double(metrics.jobs));
-  // Refilling overwrites in place instead of double counting.
-  driver.fill_counters(registry);
-  EXPECT_EQ(registry.value("rms.expands"), double(metrics.expands));
-}
-
 // --- profiler ---------------------------------------------------------------
 
 TEST(Profiler, ReportFoldsAccumulatorsAndRss) {
   obs::Profiler profiler;
   profiler.add_events(1000);
-  profiler.on_event();
+  profiler.add_events(1);
   profiler.add_schedule(0.25);
   profiler.add_schedule(0.25);
   profiler.add_placement(0.1);
-  profiler.add_redist(0.4);
   const obs::ProfileReport report = profiler.report(2.0, 10);
   EXPECT_EQ(report.events, 1001u);
   EXPECT_DOUBLE_EQ(report.events_per_second, 1001.0 / 2.0);
@@ -306,12 +240,39 @@ TEST(Profiler, ReportFoldsAccumulatorsAndRss) {
   EXPECT_NEAR(report.schedule_seconds, 0.5, 1e-6);
   EXPECT_NEAR(report.seconds_per_pass, 0.25, 1e-6);
   EXPECT_EQ(report.placements, 1);
-  EXPECT_EQ(report.redists, 1);
-  EXPECT_NEAR(report.engine_seconds, 2.0 - 0.5 - 0.1 - 0.4, 1e-6);
+  EXPECT_NEAR(report.engine_seconds, 2.0 - 0.5 - 0.1, 1e-6);
   EXPECT_GT(report.peak_rss_kb, 0) << "VmHWM should parse on Linux";
   const std::string row = report.json_fields();
   EXPECT_NE(row.find("\"events_per_second\":"), std::string::npos);
   EXPECT_NE(row.find("\"peak_rss_kb\":"), std::string::npos);
+}
+
+TEST(Profiler, KeepsSubMicrosecondPasses) {
+  // A replay's passes average ~125 ns: whole-microsecond accumulation
+  // reported them as zero.
+  obs::Profiler profiler;
+  for (int i = 0; i < 1000; ++i) profiler.add_schedule(1.25e-7);
+  const obs::ProfileReport report = profiler.report(1.0, 1);
+  EXPECT_NEAR(report.schedule_seconds, 1.25e-4, 1e-9);
+  EXPECT_NEAR(report.seconds_per_pass, 1.25e-7, 1e-12);
+  // The row prints enough digits to show them.
+  EXPECT_NE(report.json_fields().find("\"seconds_per_pass\":0.000000125"),
+            std::string::npos)
+      << report.json_fields();
+}
+
+TEST(Profiler, TimesPassesAndPlacementsFromTheEventStream) {
+  obs::Profiler profiler;
+  const RunOutcome outcome = run_fs(7, {.profiler = &profiler});
+  const obs::ProfileReport report = profiler.report(1.0, outcome.metrics.jobs);
+  // One timed sample per schedule call that ran passes.
+  EXPECT_GT(report.schedule_passes, 0);
+  EXPECT_LE(report.schedule_passes, outcome.metrics.schedule_passes);
+  EXPECT_LE(report.schedule_passes, outcome.metrics.schedule_requests);
+  // A profiler observes placements, so every submission is routed
+  // through the placement policy and timed.
+  EXPECT_EQ(report.placements, outcome.metrics.jobs);
+  EXPECT_GT(report.schedule_seconds, 0.0);
 }
 
 // --- provenance -------------------------------------------------------------
@@ -333,7 +294,7 @@ TEST(BuildInfo, ProvenanceFieldsAreRenderable) {
 
 // --- service surface --------------------------------------------------------
 
-TEST(ServiceCounters, RegistryAndSamplesExposeIngestTallies) {
+TEST(ServiceCounters, SamplesExposeIngestTallies) {
   svc::ServiceConfig config;
   config.driver.rms.nodes = 16;
   config.sample_period = 30.0;
@@ -353,23 +314,20 @@ TEST(ServiceCounters, RegistryAndSamplesExposeIngestTallies) {
   }
   ASSERT_TRUE(service.drain(1.0e6));
 
-  const obs::Registry& counters = service.counters();
-  EXPECT_EQ(counters.value("svc.accepted"), double(service.accepted()));
-  EXPECT_EQ(counters.value("svc.rejected_stale"),
-            double(service.rejected_stale()));
-  EXPECT_EQ(counters.value("svc.ring.rejected_full"),
-            double(service.queue().rejected_full()));
-  EXPECT_EQ(counters.value("drv.completed"), double(service.completed()));
-  EXPECT_EQ(counters.value("svc.samples"),
-            double(service.sample_records().size()));
+  EXPECT_EQ(service.accepted(), 6);
+  EXPECT_EQ(service.rejected_stale(), 0);
+  EXPECT_EQ(service.queue().rejected_full(), 0u);
+  EXPECT_EQ(service.completed(), 6);
 
-  // Samples mirror the registry's cumulative ring-overflow counter and
-  // surface it in their JSON line.
+  // Samples carry the cumulative ingest tallies and surface them in
+  // their JSON line.
   ASSERT_FALSE(service.sample_records().empty());
   const svc::MetricsSample& last = service.sample_records().back();
-  EXPECT_EQ(last.rejected_full_cum,
+  EXPECT_EQ(last.submitted_total, service.accepted());
+  EXPECT_EQ(last.rejected_stale_total, service.rejected_stale());
+  EXPECT_EQ(last.rejected_full_total,
             static_cast<long long>(service.queue().rejected_full()));
-  EXPECT_NE(service.sample_lines().back().find("\"rejected_full_cum\":"),
+  EXPECT_NE(service.sample_lines().back().find("\"rejected_full_total\":"),
             std::string::npos);
 }
 
