@@ -59,6 +59,9 @@ class ReconfigEngine {
   void reset_inhibitor();
   void set_inhibitor_period(double period);
   double inhibitor_period() const;
+  /// A copy of the inhibitor, read under one lock: callers test upcoming
+  /// checks on it with Inhibitor::would_allow.
+  Inhibitor inhibitor() const;
 
   /// Observer fired (outside the engine lock) for every recorded
   /// redistribution report — the calibration tap: hosts typically bind

@@ -200,21 +200,26 @@ void WorkloadDriver::proceed_after_check(Exec& exec, double delay) {
 }
 
 void WorkloadDriver::schedule_step(Exec& exec) {
-  if (exec.rigid_step_seconds > 0.0) {
-    // Rigid job: allocation and gating speed are fixed for its lifetime,
-    // so the duration computed at start is exact for every step.
-    engine_.schedule_after(exec.rigid_step_seconds,
-                           [this, &exec] { finish_step(exec); });
-    return;
-  }
   const rms::Job& job = federation_.job(exec.id);
   // Synchronous iterations: the slowest node in the allocation gates the
   // step (speed 1.0 everywhere on a homogeneous cluster).
   const double speed = federation_.cluster_for(exec.id).min_speed(job.nodes);
   const double duration =
       exec.plan.model.step_seconds(job.allocated()) / speed;
-  if (!exec.plan.flexible) exec.rigid_step_seconds = duration;
-  engine_.schedule_after(duration, [this, &exec] { finish_step(exec); });
+  // A job's allocation and speed change only at its own checks, and an
+  // inhibited check touches nothing, so the steps up to the next check
+  // the inhibitor lets through (a rigid job never checks) run back to
+  // back: one event ends them all.  Adding `duration` step by step keeps
+  // every step's end exactly where one event per step would put it.
+  const bool rigid = !exec.plan.flexible;
+  const ::dmr::Inhibitor inhibitor =
+      rigid ? ::dmr::Inhibitor() : exec.engine->inhibitor();
+  double at = engine_.now() + duration;
+  while (exec.steps_left > 1 && (rigid || !inhibitor.would_allow(at))) {
+    at += duration;
+    --exec.steps_left;
+  }
+  engine_.schedule_at(at, [this, &exec] { finish_step(exec); });
 }
 
 void WorkloadDriver::finish_step(Exec& exec) {

@@ -1,11 +1,17 @@
 // Virtual-time workload driver: runs a whole workload (fixed, flexible or
 // mixed) through the resource manager on the discrete-event engine.
 //
-// Each job executes its application model step by step; flexible jobs
+// Each job executes its application model in virtual time; flexible jobs
 // call the DMR reconfiguring point between steps (through the same
 // Manager policy/protocol code the real-mode runtime uses), pay the
 // modeled redistribution cost, and continue at the granted size.  This is
 // the machinery behind Figs. 3-12 and Table II.
+//
+// The simulation runs at reconfiguring-point granularity: a job's
+// allocation and speed change only at its own checks, so one engine event
+// ends every run of steps up to the next check the checking inhibitor
+// lets through, or up to the job's last step.  The steps in between, and
+// every step of a rigid job, are advanced arithmetically.
 //
 // The driver talks to a fed::Federation — one member cluster by default
 // (built from DriverConfig::rms, behaviourally identical to driving the
@@ -144,10 +150,6 @@ class WorkloadDriver : private obs::Sink {
     int steps_left = 0;
     /// Arrival event already scheduled (submit_at feeds; run() skips).
     bool scheduled = false;
-    /// Fixed step duration of a non-flexible job, computed once at start
-    /// (a rigid allocation never changes, so neither does the gating
-    /// speed).  0 = not cached (flexible job; recompute every step).
-    double rigid_step_seconds = 0.0;
     /// Constructed in place at submission (no per-job heap allocation).
     std::optional<::dmr::Session> session;
     /// Reconfiguring-point protocol state — only a flexible job ever
@@ -172,6 +174,9 @@ class WorkloadDriver : private obs::Sink {
   /// Continue after a reconfiguring point: pay `delay`, finish a pending
   /// shrink, then run the next step.
   void proceed_after_check(Exec& exec, double delay);
+  /// Schedule the end of the next step that reaches a check the
+  /// inhibitor lets through, or of the last step, skipping the steps
+  /// before it.
   void schedule_step(Exec& exec);
   void finish_step(Exec& exec);
   /// Runs the reconfiguring point; returns the delay before the next

@@ -9,16 +9,22 @@
 // the 3-member federation, synchronous and asynchronous.  A digest covers
 // every job's lifecycle, the metrics tail and the redistribution totals,
 // so any change in when a job checks, resizes or ends changes it.
+//
+// The driver dispatches one engine event per check that reaches the RMS;
+// the event-count gates and the Inhibitor::would_allow tests below pin
+// that, deterministically.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cstdint>
 #include <cstdio>
 #include <iterator>
+#include <random>
 #include <string>
 #include <vector>
 
 #include "chk/auditor.hpp"
+#include "dmr/inhibitor.hpp"
 #include "engine_digests.hpp"
 
 namespace {
@@ -201,6 +207,82 @@ TEST(CoalesceGolden, EveryScenarioAndSeed) {
       EXPECT_EQ(actual, kGoldens[s][k])
           << kScenarios[s].name << " seed " << kSeeds[k] << ": 0x" << std::hex
           << actual;
+    }
+  }
+}
+
+// Deterministic event counts: the driver dispatches one engine event per
+// check that reaches the RMS, not one per application step.
+TEST(CoalesceEvents, RigidJobsDispatchArrivalBeginAndFinishOnly) {
+  for (const Scenario& scenario : kScenarios) {
+    if (!scenario.all_rigid) continue;
+    for (const std::uint64_t seed : kSeeds) {
+      const RunResult result = run_scenario(scenario, seed, false);
+      EXPECT_EQ(result.events, 3ULL * static_cast<std::uint64_t>(result.jobs))
+          << scenario.name << " seed " << seed;
+    }
+  }
+}
+
+TEST(CoalesceEvents, TableOneMixDispatchesFewerThan150EventsPerJob) {
+  for (const Scenario& scenario : kScenarios) {
+    if (scenario.period >= 0.0) continue;
+    for (const std::uint64_t seed : kSeeds) {
+      for (const bool asynchronous : {false, true}) {
+        const RunResult result = run_scenario(scenario, seed, asynchronous);
+        EXPECT_LT(result.events, 150ULL * static_cast<std::uint64_t>(result.jobs))
+            << scenario.name << " seed " << seed << " async " << asynchronous;
+      }
+    }
+  }
+}
+
+TEST(InhibitorPredicate, WouldAllowNeverArms) {
+  dmr::Inhibitor inhibitor(5.0);
+  EXPECT_TRUE(inhibitor.would_allow(0.0));
+  EXPECT_TRUE(inhibitor.would_allow(1.0));  // still unarmed
+  EXPECT_TRUE(inhibitor.allow(1.0));
+  EXPECT_FALSE(inhibitor.would_allow(2.0));
+  EXPECT_TRUE(inhibitor.would_allow(7.0));
+  // Neither probe moved the window: it still runs from 1.0.
+  EXPECT_FALSE(inhibitor.would_allow(5.5));
+  EXPECT_FALSE(inhibitor.allow(5.5));
+}
+
+TEST(InhibitorPredicate, ExactlyOnePeriodLaterIsAllowed) {
+  dmr::Inhibitor inhibitor(5.0);
+  EXPECT_TRUE(inhibitor.allow(1.0));
+  EXPECT_TRUE(inhibitor.would_allow(6.0));
+  EXPECT_TRUE(inhibitor.allow(6.0));
+  EXPECT_FALSE(inhibitor.would_allow(10.5));
+}
+
+TEST(InhibitorPredicate, NonPositivePeriodAlwaysAllows) {
+  for (const double period : {0.0, -1.0}) {
+    dmr::Inhibitor inhibitor(period);
+    for (const double t : {0.0, 0.0, 1e-9, 3.0}) {
+      EXPECT_TRUE(inhibitor.would_allow(t)) << period;
+      EXPECT_TRUE(inhibitor.allow(t)) << period;
+    }
+  }
+}
+
+TEST(InhibitorPredicate, WouldAllowPredictsAllow) {
+  std::mt19937_64 rng(2017);
+  for (int round = 0; round < 50; ++round) {
+    const double period = std::uniform_real_distribution<>(-1.0, 20.0)(rng);
+    dmr::Inhibitor inhibitor(period);
+    const double max_gap = 1.5 * std::max(period, 0.0) + 1.0;
+    double t = std::uniform_real_distribution<>(0.0, 100.0)(rng);
+    for (int i = 0; i < 200; ++i) {
+      // Gaps straddle the period; some repeat the same instant.
+      t += std::uniform_int_distribution<>(0, 9)(rng) == 0
+               ? 0.0
+               : std::uniform_real_distribution<>(0.0, max_gap)(rng);
+      if (std::uniform_int_distribution<>(0, 49)(rng) == 0) inhibitor.reset();
+      const bool predicted = inhibitor.would_allow(t);
+      EXPECT_EQ(predicted, inhibitor.allow(t))
+          << "round " << round << " step " << i << " t " << t;
     }
   }
 }

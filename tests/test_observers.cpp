@@ -230,28 +230,28 @@ constexpr Golden kGoldens[] = {
       0x66fd893d1ce3e9d6ULL},
      {0xd042190049f25340ULL, 0x5dd98ca78e952392ULL, 0xbcae59b2bd32c029ULL,
       0xa33acd877427da2cULL},
-     {0x74e358746a76d241ULL, 0x313aa868c84c1049ULL, 0x51ac70c5d786025dULL,
+     {0x74e358746a76d241ULL, 0x313aa868c84c1049ULL, 0xe0c2d6720706f695ULL,
       0x5df484ae0dec858cULL}},
     {7ULL,
      {0xc884d8ec73975e44ULL, 0x6a843f6ae5bb64c1ULL, 0x550a0928ccf2172eULL,
       0x9b14e091ec072f51ULL},
      {0xfa79568c9770bc63ULL, 0x02312d4c49184676ULL, 0x4ff933731f9a637dULL,
       0xbb11088e7ddc15a9ULL},
-     {0xb4e902f7aa4cc109ULL, 0xa7d72ff49d086f5eULL, 0x1778ab0da2dff8b4ULL,
+     {0xb4e902f7aa4cc109ULL, 0xa7d72ff49d086f5eULL, 0xc7c50f0f8f475b30ULL,
       0xd0dab201fdec1609ULL}},
     {42ULL,
      {0x12a6e145c15898b3ULL, 0x89d162d32565279aULL, 0xe69cdcaad2304351ULL,
       0x0df2c56b3341b589ULL},
      {0x2e97141177542802ULL, 0xd582e4fd42dc9393ULL, 0x7d2c1c7de948b134ULL,
       0x047d30618e541cecULL},
-     {0x0ec2e8bc49d1d02dULL, 0x20a5427b2a328900ULL, 0xa7a6a8f270ba1e53ULL,
+     {0x0ec2e8bc49d1d02dULL, 0x20a5427b2a328900ULL, 0xdaf9fbb133cedf30ULL,
       0x980da0d0f040b464ULL}},
     {2017ULL,
      {0x43658c486f5be8ccULL, 0x9718df8e06c0cae7ULL, 0x6c0f20ab06e97809ULL,
       0xde696912fd3457aaULL},
      {0xf35fabcc0b8e467cULL, 0x7a0d61ff6fb856feULL, 0x6fbdff7a48102576ULL,
       0x99b12403cd3836a7ULL},
-     {0xd2a8d28e2f35408fULL, 0x35bf4b8a89fb8142ULL, 0xe49d745c452afb86ULL,
+     {0xd2a8d28e2f35408fULL, 0x35bf4b8a89fb8142ULL, 0x1d813f95b25c54b6ULL,
       0xe69d008d77875a72ULL}},
 };
 
