@@ -130,12 +130,11 @@ int main(int argc, char** argv) {
       options.smoke = true;
     } else if (std::strcmp(argv[i], "archive") == 0) {
       options.archive = true;
-    } else if (std::sscanf(argv[i], "jobs=%llu", &value) == 1) {
-      options.jobs = static_cast<int>(value);
+    } else if (util::parse_count_arg(argv[i], "jobs", options.jobs) ||
+               util::parse_count_arg(argv[i], "repeat", options.repeat)) {
+      continue;
     } else if (std::sscanf(argv[i], "seed=%llu", &value) == 1) {
       options.seed = value;
-    } else if (std::sscanf(argv[i], "repeat=%llu", &value) == 1) {
-      options.repeat = static_cast<int>(value);
     } else if (std::sscanf(argv[i], "scale=%lf", &fraction) == 1) {
       options.scale = fraction;
     } else if (std::strcmp(argv[i], "--trace") == 0 && i + 1 < argc) {
@@ -159,9 +158,8 @@ int main(int argc, char** argv) {
     options.scale = 0.2;
     options.repeat = 1;
   }
-  if ((options.jobs <= 0 && options.jobs != -1) || options.scale <= 0.0 ||
-      options.repeat <= 0) {
-    std::fprintf(stderr, "engine_bench: jobs/scale/repeat must be positive\n");
+  if (options.scale <= 0.0) {
+    std::fprintf(stderr, "engine_bench: scale must be positive\n");
     return 2;
   }
   if (options.archive && !options.trace_file.empty()) {

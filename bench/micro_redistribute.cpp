@@ -131,14 +131,14 @@ int main(int argc, char** argv) {
   std::size_t elements = std::size_t(1) << 20;
   int reps = 3;
   for (int i = 1; i < argc; ++i) {
-    unsigned long long value = 0;
+    int count = 0;
     if (std::strcmp(argv[i], "smoke") == 0) {
       reps = 1;
       elements = 1 << 14;
-    } else if (std::sscanf(argv[i], "elements=%llu", &value) == 1) {
-      elements = static_cast<std::size_t>(value);
-    } else if (std::sscanf(argv[i], "reps=%llu", &value) == 1) {
-      reps = static_cast<int>(value);
+    } else if (util::parse_count_arg(argv[i], "elements", count)) {
+      elements = static_cast<std::size_t>(count);
+    } else if (util::parse_count_arg(argv[i], "reps", reps)) {
+      continue;
     } else {
       std::fprintf(stderr,
                    "usage: %s [elements=N] [reps=N] [smoke]\n", argv[0]);

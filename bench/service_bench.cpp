@@ -102,11 +102,10 @@ int main(int argc, char** argv) {
   bool smoke = false;
   std::string trace_file;
   for (int i = 1; i < argc; ++i) {
-    unsigned long long value = 0;
     if (std::strcmp(argv[i], "smoke") == 0) {
       smoke = true;
-    } else if (std::sscanf(argv[i], "jobs=%llu", &value) == 1 && value > 0) {
-      jobs = static_cast<int>(value);
+    } else if (util::parse_count_arg(argv[i], "jobs", jobs)) {
+      continue;
     } else if (std::strcmp(argv[i], "--trace") == 0 && i + 1 < argc) {
       trace_file = argv[i + 1];
       ++i;

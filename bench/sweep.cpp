@@ -418,24 +418,18 @@ int main(int argc, char** argv) {
   SweepOptions options;
   bool smoke = false;
   for (int i = 1; i < argc; ++i) {
-    unsigned long long value = 0;
     double fraction = 0.0;
     if (std::strcmp(argv[i], "smoke") == 0) {
       smoke = true;
-    } else if (std::sscanf(argv[i], "jobs=%llu", &value) == 1) {
-      options.jobs = static_cast<int>(value);
-    } else if (std::sscanf(argv[i], "seeds=%llu", &value) == 1) {
-      options.seeds = static_cast<int>(value);
-    } else if (std::sscanf(argv[i], "threads=%llu", &value) == 1) {
-      options.threads = static_cast<int>(value);
-    } else if (std::sscanf(argv[i], "steps=%llu", &value) == 1) {
-      options.steps = static_cast<int>(value);
-    } else if (std::sscanf(argv[i], "clusters=%llu", &value) == 1) {
-      options.clusters = static_cast<int>(value);
-    } else if (std::strcmp(argv[i], "--clusters") == 0 && i + 1 < argc &&
-               std::sscanf(argv[i + 1], "%llu", &value) == 1) {
-      options.clusters = static_cast<int>(value);
-      ++i;
+    } else if (util::parse_count_arg(argv[i], "jobs", options.jobs) ||
+               util::parse_count_arg(argv[i], "seeds", options.seeds) ||
+               util::parse_count_arg(argv[i], "threads", options.threads,
+                                     0) ||
+               util::parse_count_arg(argv[i], "steps", options.steps) ||
+               util::parse_count_arg(argv[i], "clusters", options.clusters)) {
+      continue;
+    } else if (std::strcmp(argv[i], "--clusters") == 0 && i + 1 < argc) {
+      options.clusters = util::parse_count(argv[++i], "--clusters");
     } else if (std::strcmp(argv[i], "--audit") == 0) {
       options.audit = true;
     } else if (std::strcmp(argv[i], "--swf") == 0 && i + 1 < argc) {
@@ -455,10 +449,8 @@ int main(int argc, char** argv) {
     } else if (std::strcmp(argv[i], "--trace") == 0 && i + 1 < argc) {
       options.trace = argv[i + 1];
       ++i;
-    } else if (std::strcmp(argv[i], "--trace-cell") == 0 && i + 1 < argc &&
-               std::sscanf(argv[i + 1], "%llu", &value) == 1) {
-      options.trace_cell = static_cast<int>(value);
-      ++i;
+    } else if (std::strcmp(argv[i], "--trace-cell") == 0 && i + 1 < argc) {
+      options.trace_cell = util::parse_count(argv[++i], "--trace-cell", 0);
     } else if (std::strcmp(argv[i], "--attr") == 0) {
       options.attr = true;
     } else if (std::strcmp(argv[i], "--attr-json") == 0 && i + 1 < argc) {
@@ -481,14 +473,11 @@ int main(int argc, char** argv) {
       return 2;
     }
   }
-  if (options.jobs <= 0 || options.seeds <= 0 || options.steps <= 0 ||
-      options.load <= 0.0 || options.load > 1.0) {
-    std::fprintf(stderr,
-                 "sweep: jobs/seeds/steps must be positive and load in "
-                 "(0, 1]\n");
+  if (options.load <= 0.0 || options.load > 1.0) {
+    std::fprintf(stderr, "sweep: load must be in (0, 1]\n");
     return 2;
   }
-  if (options.clusters < 1 || options.clusters > 64) {
+  if (options.clusters > 64) {
     std::fprintf(stderr, "sweep: clusters must be in [1, 64]\n");
     return 2;
   }

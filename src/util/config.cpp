@@ -1,6 +1,10 @@
 #include "util/config.hpp"
 
+#include <charconv>
+#include <cstdio>
 #include <cstdlib>
+#include <cstring>
+#include <limits>
 #include <stdexcept>
 
 namespace dmr::util {
@@ -61,6 +65,30 @@ std::optional<std::pair<std::string, std::string>> parse_key_value(
   if (eq == std::string_view::npos || eq == 0) return std::nullopt;
   return std::make_pair(std::string(arg.substr(0, eq)),
                         std::string(arg.substr(eq + 1)));
+}
+
+int parse_count(const char* text, const char* name, int min) {
+  const char* end = text + std::strlen(text);
+  unsigned long long value = 0;  // unsigned: from_chars refuses any sign
+  const auto [stop, error] = std::from_chars(text, end, value);
+  if (error != std::errc() || stop != end ||
+      value < static_cast<unsigned long long>(min) ||
+      value > static_cast<unsigned long long>(
+                  std::numeric_limits<int>::max())) {
+    std::fprintf(stderr, "%s: '%s' is not an integer in [%d, %d]\n", name,
+                 text, min, std::numeric_limits<int>::max());
+    std::exit(2);
+  }
+  return static_cast<int>(value);
+}
+
+bool parse_count_arg(const char* arg, const char* name, int& out, int min) {
+  const std::size_t length = std::strlen(name);
+  if (std::strncmp(arg, name, length) != 0 || arg[length] != '=') {
+    return false;
+  }
+  out = parse_count(arg + length + 1, name, min);
+  return true;
 }
 
 }  // namespace dmr::util

@@ -27,4 +27,16 @@ void unset_env(const std::string& name);
 std::optional<std::pair<std::string, std::string>> parse_key_value(
     std::string_view arg);
 
+/// Parse a command-line count: a plain decimal integer in [min, INT_MAX]
+/// (min >= 0).
+/// Anything else (a sign, trailing characters, or a value an int cannot
+/// hold) is rejected, never wrapped: the error names `name` on stderr and
+/// the process exits with status 2.
+int parse_count(const char* text, const char* name, int min = 1);
+
+/// The "NAME=N" form of parse_count: false when `arg` is not "NAME=...",
+/// otherwise the count is stored in `out`.
+bool parse_count_arg(const char* arg, const char* name, int& out,
+                     int min = 1);
+
 }  // namespace dmr::util

@@ -275,6 +275,34 @@ TEST(Config, KeyValueParsing) {
   EXPECT_FALSE(parse_key_value("=value").has_value());
 }
 
+TEST(Config, CountArgParsing) {
+  int value = 7;
+  EXPECT_FALSE(parse_count_arg("seeds=3", "jobs", value));
+  EXPECT_FALSE(parse_count_arg("jobsx=3", "jobs", value));
+  EXPECT_EQ(value, 7);
+  EXPECT_TRUE(parse_count_arg("jobs=2147483647", "jobs", value));
+  EXPECT_EQ(value, 2147483647);
+  EXPECT_TRUE(parse_count_arg("threads=0", "threads", value, 0));
+  EXPECT_EQ(value, 0);
+  EXPECT_EQ(parse_count("12", "--clusters"), 12);
+}
+
+TEST(ConfigDeathTest, CountArgRejectsWrapAndJunk) {
+  int value = 0;
+  const auto exits_2 = testing::ExitedWithCode(2);
+  // 2^32 + 1 used to wrap to 1 through static_cast<int>.
+  EXPECT_EXIT(parse_count_arg("jobs=4294967297", "jobs", value), exits_2,
+              "jobs: '4294967297'");
+  EXPECT_EXIT(parse_count_arg("jobs=2147483648", "jobs", value), exits_2,
+              "jobs");
+  EXPECT_EXIT(parse_count_arg("jobs=0", "jobs", value), exits_2, "jobs");
+  EXPECT_EXIT(parse_count_arg("jobs=-1", "jobs", value), exits_2, "jobs");
+  EXPECT_EXIT(parse_count_arg("jobs=12x", "jobs", value), exits_2, "jobs");
+  EXPECT_EXIT(parse_count_arg("jobs=", "jobs", value), exits_2, "jobs");
+  EXPECT_EXIT(parse_count("+3", "--clusters", 1), exits_2, "--clusters");
+  EXPECT_EXIT(parse_count("-0", "--trace-cell", 0), exits_2, "--trace-cell");
+}
+
 TEST(Log, SinkCapturesAtLevel) {
   auto& logger = Logger::instance();
   const LogLevel saved = logger.level();

@@ -18,14 +18,20 @@
 // BENCH_*.json files is an error (a vacuous pass would hide a renamed
 // trajectory).  Wired as the bench_validate ctest and a CI step.
 //
-// --regress is the throughput-regression guard: it compares the file's
-// freshest row (the last line, i.e. the row the CI run just appended)
-// against the best prior row for the same "workload", and warns when
-// events_per_second dropped by more than 15%.  Warn-only by design —
-// shared-runner noise would make a hard gate flaky — so the exit status
-// stays 0 and CI uploads the report as an artifact next to the
-// provenance gate.
+// --regress is the throughput-regression guard: it compares the
+// jobs_per_second of the file's freshest row (the last line, i.e. the
+// row the CI run just appended) against the median of the last five
+// prior rows of the same "workload" that carry the field.  The verdict
+// is "regressed" when the fresh row falls below that median by more
+// than 15% or three median absolute deviations of those rows, whichever
+// is larger, so a noisy history widens the tolerance instead of being
+// reported as a regression.  Jobs/s, not events/s: the driver dispatches
+// one event per reconfiguring point that reaches the RMS, so events per
+// job depend on the workload.  Warn-only by design — shared-runner noise
+// would make a hard gate flaky — so the exit status stays 0 and CI
+// uploads the report as an artifact next to the provenance gate.
 #include <algorithm>
+#include <cmath>
 #include <cstdio>
 #include <cstring>
 #include <filesystem>
@@ -36,6 +42,11 @@
 #include "obs/json.hpp"
 
 namespace {
+
+/// --regress compares against the median of this many prior rows...
+constexpr std::size_t kWindow = 5;
+/// ...and never flags a drop smaller than this, however quiet they were.
+constexpr double kMinTolerancePct = 15.0;
 
 /// Validate one JSON-lines file; prints per-row diagnostics, returns the
 /// number of bad rows.
@@ -98,9 +109,18 @@ int validate_file(const std::string& path) {
   return bad;
 }
 
+/// Median of a non-empty sample.
+double median(std::vector<double> values) {
+  std::sort(values.begin(), values.end());
+  const std::size_t mid = values.size() / 2;
+  return values.size() % 2 == 1 ? values[mid]
+                                 : (values[mid - 1] + values[mid]) / 2.0;
+}
+
 /// Throughput-regression report for the freshest row of one trajectory.
-/// Returns 1 only on structural failure (unreadable file, no usable
-/// rows); a regression itself is reported but never fails the run.
+/// Returns 1 only on structural failure (unreadable file, a freshest row
+/// without jobs_per_second); a regression itself is reported but never
+/// fails the run.
 int report_regression(const std::string& path) {
   std::ifstream in(path);
   if (!in) {
@@ -109,7 +129,8 @@ int report_regression(const std::string& path) {
   }
   struct Row {
     std::string workload;
-    double events_per_second = 0.0;
+    /// Negative when the row has no jobs_per_second.
+    double jobs_per_second = -1.0;
     std::string git_sha;
     std::string timestamp;
   };
@@ -126,51 +147,57 @@ int report_regression(const std::string& path) {
       return 1;
     }
     const dmr::obs::JsonValue* workload = value.field("workload");
-    const dmr::obs::JsonValue* rate = value.field("events_per_second");
     if (workload == nullptr ||
-        workload->kind != dmr::obs::JsonValue::Kind::String ||
-        rate == nullptr || rate->kind != dmr::obs::JsonValue::Kind::Number) {
+        workload->kind != dmr::obs::JsonValue::Kind::String) {
       continue;  // not a throughput row (other BENCH files ride along)
     }
     Row row;
     row.workload = workload->text;
-    row.events_per_second = rate->number;
+    const dmr::obs::JsonValue* rate = value.field("jobs_per_second");
+    if (rate != nullptr && rate->kind == dmr::obs::JsonValue::Kind::Number) {
+      row.jobs_per_second = rate->number;
+    }
     if (const auto* sha = value.field("git_sha")) row.git_sha = sha->text;
     if (const auto* ts = value.field("timestamp")) row.timestamp = ts->text;
     rows.push_back(std::move(row));
   }
-  if (rows.empty()) {
-    std::printf("%s: error: no throughput rows to compare\n", path.c_str());
+  if (rows.empty() || rows.back().jobs_per_second <= 0.0) {
+    std::printf("%s: error: the freshest row has no jobs_per_second\n",
+                path.c_str());
     return 1;
   }
   const Row& fresh = rows.back();
-  const Row* best = nullptr;
-  for (std::size_t i = 0; i + 1 < rows.size(); ++i) {
-    if (rows[i].workload != fresh.workload) continue;
-    if (best == nullptr || rows[i].events_per_second > best->events_per_second)
-      best = &rows[i];
+  std::vector<double> window;
+  for (std::size_t i = rows.size() - 1; i-- > 0 && window.size() < kWindow;) {
+    if (rows[i].workload == fresh.workload && rows[i].jobs_per_second > 0.0) {
+      window.push_back(rows[i].jobs_per_second);
+    }
   }
-  if (best == nullptr) {
-    std::printf("%s: workload \"%s\": %.0f events/s — no prior row, "
-                "baseline established\n",
-                path.c_str(), fresh.workload.c_str(),
-                fresh.events_per_second);
+  if (window.empty()) {
+    std::printf("%s: workload \"%s\": %.0f jobs/s — no prior row, "
+                "verdict: baseline\n",
+                path.c_str(), fresh.workload.c_str(), fresh.jobs_per_second);
     return 0;
   }
-  const double change =
-      (fresh.events_per_second - best->events_per_second) /
-      best->events_per_second * 100.0;
-  const bool regressed = change < -15.0;
-  std::printf("%s: workload \"%s\": fresh %.0f events/s (%s %s) vs best "
-              "prior %.0f events/s (%s %s): %+.1f%%\n",
-              path.c_str(), fresh.workload.c_str(), fresh.events_per_second,
-              fresh.git_sha.c_str(), fresh.timestamp.c_str(),
-              best->events_per_second, best->git_sha.c_str(),
-              best->timestamp.c_str(), change);
+  const double baseline = median(window);
+  std::vector<double> deviations;
+  for (const double rate : window) {
+    deviations.push_back(std::abs(rate - baseline));
+  }
+  const double tolerance =
+      std::max(kMinTolerancePct, 3.0 * median(deviations) / baseline * 100.0);
+  const double change = (fresh.jobs_per_second - baseline) / baseline * 100.0;
+  const bool regressed = change < -tolerance;
+  std::printf("%s: workload \"%s\": fresh %.0f jobs/s (%s %s) vs median "
+              "%.0f jobs/s of the last %zu prior row(s): %+.1f%%, tolerance "
+              "%.1f%% — verdict: %s\n",
+              path.c_str(), fresh.workload.c_str(), fresh.jobs_per_second,
+              fresh.git_sha.c_str(), fresh.timestamp.c_str(), baseline,
+              window.size(), change, tolerance,
+              regressed ? "regressed" : "ok");
   if (regressed) {
-    std::printf("%s: WARNING: \"%s\" regressed more than 15%% against its "
-                "best recorded run — investigate before trusting new "
-                "rows\n",
+    std::printf("%s: WARNING: \"%s\" is slower than its recent runs by more "
+                "than their noise — investigate before trusting new rows\n",
                 path.c_str(), fresh.workload.c_str());
   }
   return 0;  // warn-only: shared-runner noise must not fail CI

@@ -13,6 +13,7 @@
 //   make_swf --jobs 100000 --nodes 1024 --seed 1 -o archive.swf
 //
 // Exit status: 0 on success, 1 on I/O failure, 2 on usage errors.
+#include <climits>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -46,7 +47,10 @@ void print_usage(const char* argv0) {
 bool parse_int(const char* text, int* out) {
   char* end = nullptr;
   const long value = std::strtol(text, &end, 10);
-  if (end == text || *end != '\0') return false;
+  // Out of int range is an error, never a silent wrap.
+  if (end == text || *end != '\0' || value < INT_MIN || value > INT_MAX) {
+    return false;
+  }
   *out = static_cast<int>(value);
   return true;
 }
