@@ -31,7 +31,8 @@ WorkloadDriver::WorkloadDriver(sim::Engine& engine, DriverConfig config)
       trace_(engine),
       completed_series_(trace_.series_handle("completed")),
       allocated_series_(trace_.series_handle("allocated")),
-      running_series_(trace_.series_handle("running")) {
+      running_series_(trace_.series_handle("running")),
+      by_id_(static_cast<std::size_t>(federation_.cluster_count())) {
   federation_.attach(*this);
   const obs::Hooks& hooks = config_.hooks;
   if (hooks.trace != nullptr) {
@@ -103,6 +104,21 @@ void WorkloadDriver::record_allocation(int member) {
   }
 }
 
+WorkloadDriver::Exec*& WorkloadDriver::exec_slot(rms::JobId id) {
+  std::vector<Exec*>& row =
+      by_id_[static_cast<std::size_t>(federation_.cluster_of(id))];
+  const std::size_t slot = federation_.index_in_member(id);
+  if (slot >= row.size()) row.resize(slot + 1, nullptr);
+  return row[slot];
+}
+
+WorkloadDriver::Exec* WorkloadDriver::find_exec(rms::JobId id) const {
+  const std::vector<Exec*>& row =
+      by_id_[static_cast<std::size_t>(federation_.cluster_of(id))];
+  const std::size_t slot = federation_.index_in_member(id);
+  return slot < row.size() ? row[slot] : nullptr;
+}
+
 WorkloadDriver::Exec& WorkloadDriver::enqueue(JobPlan plan) {
   if (plan.arrival < engine_.now()) {
     throw std::invalid_argument(
@@ -160,14 +176,14 @@ void WorkloadDriver::submit(Exec& exec) {
     exec.engine =
         std::make_unique<::dmr::ReconfigEngine>(*exec.session, period);
   }
-  by_id_[exec.id] = &exec;
+  exec_slot(exec.id) = &exec;
   exec.session->schedule();
 }
 
 void WorkloadDriver::on_started(const rms::Job& job) {
-  const auto it = by_id_.find(job.id);
-  if (it == by_id_.end()) return;  // not one of ours (shouldn't happen)
-  Exec& exec = *it->second;
+  Exec* const found = find_exec(job.id);
+  if (found == nullptr) return;  // not one of ours (shouldn't happen)
+  Exec& exec = *found;
   exec.steps_left = exec.plan.model.iterations;
   // Defer to a fresh event: the start is reported inside a Manager
   // scheduling pass, and the first reconfiguring point itself mutates the
@@ -333,7 +349,6 @@ void WorkloadDriver::collect_cluster_metrics(WorkloadMetrics& metrics,
 
 WorkloadMetrics WorkloadDriver::run() {
   // Schedule arrivals not already fed through submit_at().
-  by_id_.reserve(execs_.size());
   for (auto& exec : execs_) {
     if (!exec.scheduled) schedule_arrival(exec);
   }
@@ -347,14 +362,19 @@ WorkloadMetrics WorkloadDriver::run() {
 WorkloadMetrics WorkloadDriver::collect_metrics() const {
   WorkloadMetrics metrics;
   std::vector<double> waits, execs, completions;
+  waits.reserve(static_cast<std::size_t>(completed_));
+  execs.reserve(static_cast<std::size_t>(completed_));
+  completions.reserve(static_cast<std::size_t>(completed_));
   double makespan = 0.0;
-  for (const rms::Job* job : federation_.jobs()) {
-    if (job->state != rms::JobState::Completed) continue;
-    waits.push_back(job->wait_time());
-    execs.push_back(job->execution_time());
-    completions.push_back(job->completion_time());
-    makespan = std::max(makespan, job->end_time);
-    ++metrics.jobs;
+  for (int c = 0; c < federation_.cluster_count(); ++c) {
+    for (const rms::Job* job : federation_.manager(c).jobs()) {
+      if (job->state != rms::JobState::Completed) continue;
+      waits.push_back(job->wait_time());
+      execs.push_back(job->execution_time());
+      completions.push_back(job->completion_time());
+      makespan = std::max(makespan, job->end_time);
+      ++metrics.jobs;
+    }
   }
   metrics.makespan = makespan;
   metrics.wait = util::summarize(std::move(waits));

@@ -30,7 +30,6 @@
 #include <memory>
 #include <optional>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "apps/models.hpp"
@@ -163,6 +162,11 @@ class WorkloadDriver : private obs::Sink {
   /// Record the federation-wide and `member`'s allocation series.
   void record_allocation(int member);
 
+  /// The by_id_ slot of `id` (grown to hold it) and its lookup (null
+  /// when `id` is not one of the driver's jobs).
+  Exec*& exec_slot(rms::JobId id);
+  Exec* find_exec(rms::JobId id) const;
+
   Exec& enqueue(JobPlan plan);
   void schedule_arrival(Exec& exec);
   void submit(Exec& exec);
@@ -206,9 +210,11 @@ class WorkloadDriver : private obs::Sink {
   /// A deque so Exec addresses stay stable for the event callbacks while
   /// jobs keep arriving — without a heap allocation per job.
   std::deque<Exec> execs_;
-  /// Job id -> execution state; hashed (never iterated) — the id lookup
-  /// runs on every job start/end.
-  std::unordered_map<rms::JobId, Exec*> by_id_;
+  /// Job id -> execution state, one row per member indexed by
+  /// Federation::index_in_member: the lookup on every job start is two
+  /// indexings and the table grows by appending, never rehashing.
+  /// Internal resizer ids stay null.
+  std::vector<std::vector<Exec*>> by_id_;
   int completed_ = 0;
   /// Workload-wide data-movement totals (from the modeled Reports).
   std::size_t bytes_redistributed_ = 0;

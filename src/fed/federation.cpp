@@ -47,6 +47,11 @@ int Federation::cluster_of(JobId id) const {
   return static_cast<int>(cluster);
 }
 
+std::size_t Federation::index_in_member(JobId id) const {
+  const JobId first = static_cast<JobId>(cluster_of(id)) * kClusterIdStride + 1;
+  return static_cast<std::size_t>(id - first);
+}
+
 rms::Manager& Federation::owner(JobId id) {
   return *managers_[static_cast<std::size_t>(cluster_of(id))];
 }

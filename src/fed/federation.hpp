@@ -92,6 +92,9 @@ class Federation : public ::dmr::Rms {
   }
   /// Member index owning `id` (from the id range; the id need not exist).
   int cluster_of(JobId id) const;
+  /// Position of `id` among its member's ids, which the member issues
+  /// consecutively: an index into a dense per-member table.
+  std::size_t index_in_member(JobId id) const;
   /// The owning member's cluster inventory.
   const rms::Cluster& cluster_for(JobId id) const;
   /// The owning member's job record.

@@ -293,7 +293,10 @@ void Manager::finish_job(Job& job, double now, JobState final_state) {
       user_allocated_nodes_ -= job.allocated();
       --user_running_jobs_;
     }
-    job.nodes.clear();
+    // Free the node list rather than keep its capacity: finished jobs
+    // stay in jobs_ for the whole run, and the next start reuses the
+    // block instead of growing the heap.
+    job.nodes = std::vector<int>();
     remove_from(running_jobs_, &job);
   }
   if (was_pending) remove_from(pending_jobs_, &job);
