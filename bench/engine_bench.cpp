@@ -32,7 +32,8 @@
 //   jobs=N     jobs in the workload (default 50, the paper's Section IX;
 //              archive default 100000)
 //   scale=F    iteration_scale: fraction of Table I iteration counts
-//              (default 1.0; smoke forces a small value; fig10 only)
+//              (default 1.0, at most 1000; smoke forces a small value;
+//              fig10 only)
 //   seed=N     workload seed (default 2017; archive default 1)
 //   repeat=N   measured repetitions appended as separate rows (default 2,
 //              so one invocation seeds BENCH_engine.json with a
@@ -124,8 +125,6 @@ RunResult run_best(const EngineBenchOptions& options, int tries) {
 int main(int argc, char** argv) {
   EngineBenchOptions options;
   for (int i = 1; i < argc; ++i) {
-    unsigned long long value = 0;
-    double fraction = 0.0;
     if (std::strcmp(argv[i], "smoke") == 0) {
       options.smoke = true;
     } else if (std::strcmp(argv[i], "archive") == 0) {
@@ -133,10 +132,10 @@ int main(int argc, char** argv) {
     } else if (util::parse_count_arg(argv[i], "jobs", options.jobs) ||
                util::parse_count_arg(argv[i], "repeat", options.repeat)) {
       continue;
-    } else if (std::sscanf(argv[i], "seed=%llu", &value) == 1) {
-      options.seed = value;
-    } else if (std::sscanf(argv[i], "scale=%lf", &fraction) == 1) {
-      options.scale = fraction;
+    } else if (const char* seed = util::arg_value(argv[i], "seed")) {
+      options.seed = util::parse_u64(seed, "seed");
+    } else if (const char* scale = util::arg_value(argv[i], "scale")) {
+      options.scale = util::parse_real(scale, "scale", 0.0, 1000.0);
     } else if (std::strcmp(argv[i], "--trace") == 0 && i + 1 < argc) {
       options.trace_file = argv[i + 1];
       ++i;

@@ -418,7 +418,6 @@ int main(int argc, char** argv) {
   SweepOptions options;
   bool smoke = false;
   for (int i = 1; i < argc; ++i) {
-    double fraction = 0.0;
     if (std::strcmp(argv[i], "smoke") == 0) {
       smoke = true;
     } else if (util::parse_count_arg(argv[i], "jobs", options.jobs) ||
@@ -459,8 +458,8 @@ int main(int argc, char** argv) {
     } else if (std::strcmp(argv[i], "--engine-json") == 0 && i + 1 < argc) {
       options.engine_json = argv[i + 1];
       ++i;
-    } else if (std::sscanf(argv[i], "load=%lf", &fraction) == 1) {
-      options.load = fraction;
+    } else if (const char* load = util::arg_value(argv[i], "load")) {
+      options.load = util::parse_real(load, "load", 0.0, 1.0);
     } else {
       std::fprintf(stderr,
                    "usage: %s [jobs=N] [seeds=N] [threads=N] [steps=N] "

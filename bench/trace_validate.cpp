@@ -13,12 +13,12 @@
 //                            utilization/queue/reconfig tracks exist)
 //   --min-spans N            additionally require at least N spans
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <string>
 #include <vector>
 
 #include "dmr/observe.hpp"
+#include "dmr/util.hpp"
 
 int main(int argc, char** argv) {
   int min_counter_tracks = 0;
@@ -26,9 +26,10 @@ int main(int argc, char** argv) {
   std::vector<std::string> files;
   for (int i = 1; i < argc; ++i) {
     if (std::strcmp(argv[i], "--min-counter-tracks") == 0 && i + 1 < argc) {
-      min_counter_tracks = std::atoi(argv[++i]);
+      min_counter_tracks =
+          dmr::util::parse_count(argv[++i], "--min-counter-tracks", 0);
     } else if (std::strcmp(argv[i], "--min-spans") == 0 && i + 1 < argc) {
-      min_spans = std::atoi(argv[++i]);
+      min_spans = dmr::util::parse_count(argv[++i], "--min-spans", 0);
     } else if (argv[i][0] == '-') {
       std::fprintf(stderr,
                    "usage: %s [--min-counter-tracks N] [--min-spans N] "

@@ -15,12 +15,14 @@
 //     period=SECONDS       inhibitor override         (default per app)
 //     arrival=SECONDS      mean inter-arrival         (default 10 fs / 30 mix)
 //     seed=N               workload seed              (default 2017)
-//     scale=X              iteration-count scale      (default 1.0)
+//     scale=X              iteration-count scale      (default 1.0, <= 1000)
 //     accounting=0|1       print the sacct-style log  (default 0)
 //     csv=PREFIX           dump timeline CSVs to PREFIX_<series>.csv
 #include <cstdio>
 #include <fstream>
+#include <limits>
 #include <map>
+#include <optional>
 #include <string>
 
 #include "dmr/simulation.hpp"
@@ -33,12 +35,12 @@ using namespace dmr;
 struct Options {
   std::string workload = "fs";
   int jobs = 50;
-  int nodes = -1;
+  int nodes = 20;
   bool flexible = true;
   bool moldable = false;
   bool asynchronous = false;
-  double period = -1.0;
-  double arrival = -1.0;
+  double period = -1.0;  // negative: the application's own period
+  double arrival = 10.0;
   std::uint64_t seed = 2017;
   double scale = 1.0;
   bool accounting = false;
@@ -46,7 +48,10 @@ struct Options {
 };
 
 Options parse(int argc, char** argv) {
+  constexpr double kMaxReal = std::numeric_limits<double>::max();
   Options options;
+  std::optional<int> nodes;
+  std::optional<double> arrival;
   for (int i = 1; i < argc; ++i) {
     const auto kv = util::parse_key_value(argv[i]);
     if (!kv) {
@@ -54,25 +59,39 @@ Options parse(int argc, char** argv) {
                    argv[i]);
       continue;
     }
-    const auto& [key, value] = *kv;
-    if (key == "workload") options.workload = value;
-    else if (key == "jobs") options.jobs = std::stoi(value);
-    else if (key == "nodes") options.nodes = std::stoi(value);
-    else if (key == "flexible") options.flexible = value == "1";
-    else if (key == "moldable") options.moldable = value == "1";
-    else if (key == "async") options.asynchronous = value == "1";
-    else if (key == "period") options.period = std::stod(value);
-    else if (key == "arrival") options.arrival = std::stod(value);
-    else if (key == "seed") options.seed = std::stoull(value);
-    else if (key == "scale") options.scale = std::stod(value);
-    else if (key == "accounting") options.accounting = value == "1";
-    else if (key == "csv") options.csv_prefix = value;
-    else std::fprintf(stderr, "unknown option '%s'\n", key.c_str());
+    const auto& [key, text] = *kv;
+    const char* value = text.c_str();
+    if (key == "workload") {
+      options.workload = text;
+    } else if (key == "jobs") {
+      options.jobs = util::parse_count(value, "jobs");
+    } else if (key == "nodes") {
+      nodes = util::parse_count(value, "nodes");
+    } else if (key == "flexible") {
+      options.flexible = text == "1";
+    } else if (key == "moldable") {
+      options.moldable = text == "1";
+    } else if (key == "async") {
+      options.asynchronous = text == "1";
+    } else if (key == "period") {
+      options.period = util::parse_real(value, "period", 0.0, kMaxReal);
+    } else if (key == "arrival") {
+      arrival = util::parse_real(value, "arrival", 0.0, kMaxReal);
+    } else if (key == "seed") {
+      options.seed = util::parse_u64(value, "seed");
+    } else if (key == "scale") {
+      options.scale = util::parse_real(value, "scale", 0.0, 1000.0);
+    } else if (key == "accounting") {
+      options.accounting = text == "1";
+    } else if (key == "csv") {
+      options.csv_prefix = text;
+    } else {
+      std::fprintf(stderr, "unknown option '%s'\n", key.c_str());
+    }
   }
-  if (options.nodes < 0) options.nodes = options.workload == "mix" ? 64 : 20;
-  if (options.arrival < 0) {
-    options.arrival = options.workload == "mix" ? 30.0 : 10.0;
-  }
+  const bool mix = options.workload == "mix";
+  options.nodes = nodes.value_or(mix ? 64 : 20);
+  options.arrival = arrival.value_or(mix ? 30.0 : 10.0);
   return options;
 }
 

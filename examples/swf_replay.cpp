@@ -24,6 +24,7 @@
 #include "dmr/check.hpp"
 #include "dmr/observe.hpp"
 #include "dmr/simulation.hpp"
+#include "dmr/util.hpp"
 
 namespace {
 
@@ -79,12 +80,7 @@ int main(int argc, char** argv) {
       trace_file = argv[i + 1];
       ++i;
     } else if (std::strcmp(argv[i], "--nodes") == 0 && i + 1 < argc) {
-      nodes = std::atoi(argv[i + 1]);
-      ++i;
-      if (nodes <= 0) {
-        std::fprintf(stderr, "swf_replay: --nodes must be positive\n");
-        return 2;
-      }
+      nodes = util::parse_count(argv[++i], "--nodes");
     } else if (std::strcmp(argv[i], "--audit") == 0) {
       audit = true;
     } else {

@@ -283,21 +283,18 @@ std::vector<Job*> schedule_pass(const ScheduleView& view,
     return started;
   }
 
-  Job* head_job = queue[head];
-  if (config.backfill) {
-    // EASY reservation for the blocked head job, computed in the head's
-    // eligible pool (its partition, or the whole cluster when
-    // unconstrained).  The shadow computation must see the post-start
-    // idle count but the same running set: jobs we just chose to start
-    // have unknown end times only through their limits, so
-    // conservatively treat them as running from `now`.
-    const int head_pool = view.heterogeneous() ? head_job->partition : -1;
-
-    ScheduleView shadow_view = view;
-    shadow_view.idle_nodes = pool.idle_total;
-    shadow_view.idle_per_partition = pool.idle_parts;
-    shadow_view.idle_node_ids = pool.idle_ids;
-    std::vector<Job> synthetic;
+  // The view after the starts so far: the pool's remaining idle counts,
+  // and every job started this pass treated as running from `now` (its
+  // end is known only through its limit).  `synthetic` owns the copies
+  // the returned view's running list points into, so each call
+  // invalidates the view the previous one returned.
+  std::vector<Job> synthetic;
+  auto post_pass_view = [&] {
+    ScheduleView after = view;
+    after.idle_nodes = pool.idle_total;
+    after.idle_per_partition = pool.idle_parts;
+    after.idle_node_ids = pool.idle_ids;
+    synthetic.clear();
     synthetic.reserve(started.size());
     for (std::size_t i = 0; i < started.size(); ++i) {
       Job copy = *started[i];
@@ -310,8 +307,19 @@ std::vector<Job*> schedule_pass(const ScheduleView& view,
       }
       synthetic.push_back(std::move(copy));
     }
-    for (const Job& job : synthetic) shadow_view.running.push_back(&job);
+    for (const Job& job : synthetic) after.running.push_back(&job);
+    return after;
+  };
 
+  Job* head_job = queue[head];
+  if (config.backfill) {
+    // EASY reservation for the blocked head job, computed in the head's
+    // eligible pool (its partition, or the whole cluster when
+    // unconstrained), against the post-start view: jobs we just chose to
+    // start have unknown end times only through their limits, so they
+    // count as running from `now`.
+    const int head_pool = view.heterogeneous() ? head_job->partition : -1;
+    const ScheduleView shadow_view = post_pass_view();
     int extra_at_shadow = 0;
     const double shadow = shadow_time(shadow_view, head_job->requested_nodes,
                                       &extra_at_shadow, head_pool);
@@ -345,27 +353,9 @@ std::vector<Job*> schedule_pass(const ScheduleView& view,
   }
 
   if (blocked != nullptr) {
-    // Diagnose every job still pending against the post-pass state: the
-    // remaining idle pool plus everything started this pass treated as
-    // running from `now` (same convention as the shadow computation).
-    ScheduleView diag_view = view;
-    diag_view.idle_nodes = pool.idle_total;
-    diag_view.idle_per_partition = pool.idle_parts;
-    diag_view.idle_node_ids = pool.idle_ids;
-    std::vector<Job> synthetic;
-    synthetic.reserve(started.size());
-    for (std::size_t i = 0; i < started.size(); ++i) {
-      Job copy = *started[i];
-      copy.start_time = view.now;
-      if (granted[i].empty()) {
-        copy.nodes.assign(static_cast<std::size_t>(copy.requested_nodes),
-                          kSyntheticNode);
-      } else {
-        copy.nodes = granted[i];
-      }
-      synthetic.push_back(std::move(copy));
-    }
-    for (const Job& job : synthetic) diag_view.running.push_back(&job);
+    // Diagnose every job still pending against the post-pass state (the
+    // same convention as the shadow computation).
+    const ScheduleView diag_view = post_pass_view();
 
     for (std::size_t i = head; i < queue.size(); ++i) {
       Job* job = queue[i];

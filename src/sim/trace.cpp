@@ -7,12 +7,6 @@ namespace dmr::sim {
 
 void TraceRecorder::record(const std::string& name, double value) {
   series_[name].add_point(engine_->now(), value);
-  current_[name] = value;
-}
-
-void TraceRecorder::record_delta(const std::string& name, double delta) {
-  const double next = current_[name] + delta;
-  record(name, next);
 }
 
 const util::StepSeries& TraceRecorder::series(const std::string& name) const {

@@ -21,15 +21,11 @@ class TraceRecorder {
   /// Record the new value of a series at the engine's current time.
   void record(const std::string& series, double value);
 
-  /// Record value = previous + delta (series starts at 0).
-  void record_delta(const std::string& series, double delta);
-
   /// Stable pointer to the named series' storage (created empty when
   /// new).  Hot-path callers — the driver's per-start/per-end counters,
   /// fired hundreds of thousands of times on an archive replay — cache
   /// the handle once and record through record_into, skipping the
-  /// per-record string construction and map lookup.  Bypasses the
-  /// record_delta baseline, so don't mix the two on one series.
+  /// per-record string construction and map lookup.
   util::StepSeries* series_handle(const std::string& name) {
     return &series_[name];
   }
@@ -52,7 +48,6 @@ class TraceRecorder {
  private:
   const Engine* engine_;
   std::map<std::string, util::StepSeries> series_;
-  std::map<std::string, double> current_;
 };
 
 }  // namespace dmr::sim

@@ -5,6 +5,8 @@
 // prefix, with typed accessors and programmatic overrides for tests.
 #pragma once
 
+#include <cstdint>
+#include <limits>
 #include <optional>
 #include <string>
 #include <string_view>
@@ -27,12 +29,26 @@ void unset_env(const std::string& name);
 std::optional<std::pair<std::string, std::string>> parse_key_value(
     std::string_view arg);
 
-/// Parse a command-line count: a plain decimal integer in [min, INT_MAX]
-/// (min >= 0).
-/// Anything else (a sign, trailing characters, or a value an int cannot
-/// hold) is rejected, never wrapped: the error names `name` on stderr and
-/// the process exits with status 2.
+// Command-line numbers.  Each parser accepts only the whole text as one
+// plain decimal value in range; anything else (a sign where none is
+// allowed, trailing characters, NaN or infinity, a value the type cannot
+// hold) is rejected, never wrapped or truncated: the error names `name`
+// on stderr and the process exits with status 2.
+
+/// A count: an integer in [min, INT_MAX] (min >= 0), no sign.
 int parse_count(const char* text, const char* name, int min = 1);
+
+/// An unsigned 64-bit integer in [0, max] (seeds, job ids), no sign.
+std::uint64_t parse_u64(
+    const char* text, const char* name,
+    std::uint64_t max = std::numeric_limits<std::uint64_t>::max());
+
+/// A finite real number in [lo, hi].
+double parse_real(const char* text, const char* name, double lo, double hi);
+
+/// The value of a "NAME=VALUE" argument, or nullptr when `arg` is not
+/// "NAME=...".
+const char* arg_value(const char* arg, const char* name);
 
 /// The "NAME=N" form of parse_count: false when `arg` is not "NAME=...",
 /// otherwise the count is stored in `out`.

@@ -44,15 +44,24 @@ constexpr const char* kFieldNames[18] = {
     "group_id",       "executable",      "queue",
     "partition",      "preceding_job",   "think_time"};
 
+[[noreturn]] void field_error(const std::string& token, int line, int field,
+                              const char* problem) {
+  throw SwfParseError(line, "field " + std::to_string(field + 1) + " (" +
+                                kFieldNames[field] + ") is " + problem +
+                                ": \"" + token + "\"");
+}
+
 double parse_number(const std::string& token, int line, int field) {
   const char* begin = token.c_str();
   char* end = nullptr;
   const double value = std::strtod(begin, &end);
   if (end == begin || *end != '\0') {
-    throw SwfParseError(line, "field " + std::to_string(field + 1) + " (" +
-                                  kFieldNames[field] + ") is not numeric: \"" +
-                                  token + "\"");
+    field_error(token, line, field, "not numeric");
   }
+  // strtod also accepts "inf", "nan" and overflows like "1e999"; no SWF
+  // field means any of them, and a non-finite submit time would reach
+  // the engine.
+  if (!std::isfinite(value)) field_error(token, line, field, "not finite");
   return value;
 }
 

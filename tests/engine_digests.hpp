@@ -1,8 +1,7 @@
 // Outcome-digest harness shared by the calendar-queue equivalence tests.
 //
-// The engine rewrite (calendar event list + generation-tagged slots) must
-// be *bit-identical* in outcome to the old priority-queue engine, not
-// just "statistically similar".  These helpers reduce a full run to a
+// The calendar-queue engine must be *bit-identical* in outcome to the
+// old priority-queue engine, not just "statistically similar".  These helpers reduce a full run to a
 // text digest — every job's lifecycle timestamps at %.17g (round-trip
 // exact for doubles) plus run-level counters — and hash it with FNV-1a
 // so golden values captured from the pre-change engine can be embedded

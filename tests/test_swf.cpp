@@ -122,6 +122,34 @@ TEST(SwfParse, NonNumericFieldReportsLineAndField) {
   }
 }
 
+// strtod accepts "inf" and "nan"; the parser must not, or a non-finite
+// submit time reaches the engine (which used to hang on +inf).
+TEST(SwfParse, NonFiniteFieldReportsLineAndField) {
+  const std::string good = "1 0 0 10 2 -1 -1 2 60 -1 1 1 1 1 1 1 -1 0\n";
+  const struct {
+    const char* record;
+    const char* field;
+  } cases[] = {
+      {"2 inf 0 10 2 -1 -1 2 60 -1 1 1 1 1 1 1 -1 0\n", "submit"},
+      {"2 5 0 nan 2 -1 -1 2 60 -1 1 1 1 1 1 1 -1 0\n", "run_time"},
+      {"2 5 0 10 2 -1 -1 2 -INF -1 1 1 1 1 1 1 -1 0\n", "requested_time"},
+      {"2 5 0 10 2 -1 -1 2 60 -1 1 1 1 1 1 1 -1 1e999\n", "think_time"},
+  };
+  for (const auto& c : cases) {
+    try {
+      parse_swf_text(good + c.record);
+      ADD_FAILURE() << "expected SwfParseError for " << c.record;
+    } catch (const SwfParseError& error) {
+      EXPECT_EQ(error.line(), 2) << c.record;
+      EXPECT_NE(std::string(error.what()).find(c.field), std::string::npos)
+          << error.what();
+      EXPECT_NE(std::string(error.what()).find("not finite"),
+                std::string::npos)
+          << error.what();
+    }
+  }
+}
+
 TEST(SwfParse, ExtraTrailingFieldsTolerated) {
   const SwfTrace trace = parse_swf_text(
       "1 0 0 10 2 -1 -1 2 60 -1 1 1 1 1 1 1 -1 0 99 98\n");

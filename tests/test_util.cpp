@@ -3,6 +3,8 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
+#include <limits>
 #include <set>
 
 #include "util/chart.hpp"
@@ -301,6 +303,38 @@ TEST(ConfigDeathTest, CountArgRejectsWrapAndJunk) {
   EXPECT_EXIT(parse_count_arg("jobs=", "jobs", value), exits_2, "jobs");
   EXPECT_EXIT(parse_count("+3", "--clusters", 1), exits_2, "--clusters");
   EXPECT_EXIT(parse_count("-0", "--trace-cell", 0), exits_2, "--trace-cell");
+}
+
+TEST(Config, RealAndU64Parsing) {
+  EXPECT_DOUBLE_EQ(parse_real("0.9", "load", 0.0, 1.0), 0.9);
+  EXPECT_DOUBLE_EQ(parse_real("1", "load", 0.0, 1.0), 1.0);
+  EXPECT_DOUBLE_EQ(parse_real("-2.5e1", "x", -100.0, 0.0), -25.0);
+  EXPECT_EQ(parse_u64("18446744073709551615", "seed"),
+            std::numeric_limits<std::uint64_t>::max());
+  EXPECT_EQ(parse_u64("0", "seed"), 0u);
+  EXPECT_STREQ(arg_value("load=0.5", "load"), "0.5");
+  EXPECT_STREQ(arg_value("load=", "load"), "");
+  EXPECT_EQ(arg_value("loads=0.5", "load"), nullptr);
+  EXPECT_EQ(arg_value("load", "load"), nullptr);
+}
+
+TEST(ConfigDeathTest, RealAndU64RejectJunk) {
+  const auto exits_2 = testing::ExitedWithCode(2);
+  // NaN compares false against both bounds of a `< lo || > hi` check.
+  EXPECT_EXIT(parse_real("nan", "load", 0.0, 1.0), exits_2, "load: 'nan'");
+  EXPECT_EXIT(parse_real("inf", "load", 0.0, 1.0), exits_2, "load");
+  EXPECT_EXIT(parse_real("1e999", "load", 0.0, 1.0), exits_2, "load");
+  EXPECT_EXIT(parse_real("0.9abc", "load", 0.0, 1.0), exits_2, "load");
+  EXPECT_EXIT(parse_real("1.5", "load", 0.0, 1.0), exits_2, "load");
+  EXPECT_EXIT(parse_real("-0.1", "load", 0.0, 1.0), exits_2, "load");
+  EXPECT_EXIT(parse_real("", "load", 0.0, 1.0), exits_2, "load");
+  EXPECT_EXIT(parse_real(" 0.5", "load", 0.0, 1.0), exits_2, "load");
+  // %llu read -1 as 18446744073709551615.
+  EXPECT_EXIT(parse_u64("-1", "seed"), exits_2, "seed: '-1'");
+  EXPECT_EXIT(parse_u64("+1", "seed"), exits_2, "seed");
+  EXPECT_EXIT(parse_u64("18446744073709551616", "seed"), exits_2, "seed");
+  EXPECT_EXIT(parse_u64("12abc", "seed"), exits_2, "seed");
+  EXPECT_EXIT(parse_u64("11", "--job", 10), exits_2, "--job");
 }
 
 TEST(Log, SinkCapturesAtLevel) {

@@ -21,12 +21,13 @@
 // obs::critical_path, obs::compare_profiles) so tests cover them without
 // shelling out.
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
+#include <limits>
 #include <string>
 #include <vector>
 
 #include "dmr/observe.hpp"
+#include "dmr/util.hpp"
 
 namespace {
 
@@ -262,14 +263,15 @@ int main(int argc, char** argv) {
   std::string attr_file;
   std::string trace_file;
   std::string compare_a, compare_b;
-  long long job_id = -1;
-  long long top_n = -1;
+  long long job_id = -1;  // -1: no --job
+  int top_n = 0;          // 0: no --top-waits
   bool want_critical_path = false;
   for (int i = 1; i < argc; ++i) {
     if (std::strcmp(argv[i], "--job") == 0 && i + 1 < argc) {
-      job_id = std::atoll(argv[++i]);
+      job_id = static_cast<long long>(dmr::util::parse_u64(
+          argv[++i], "--job", std::numeric_limits<long long>::max()));
     } else if (std::strcmp(argv[i], "--top-waits") == 0 && i + 1 < argc) {
-      top_n = std::atoll(argv[++i]);
+      top_n = dmr::util::parse_count(argv[++i], "--top-waits");
     } else if (std::strcmp(argv[i], "--critical-path") == 0) {
       want_critical_path = true;
     } else if (std::strcmp(argv[i], "--trace") == 0 && i + 1 < argc) {
@@ -297,11 +299,6 @@ int main(int argc, char** argv) {
     print_usage(argv[0]);
     return 2;
   }
-  if (top_n == 0 || (top_n < 0 && top_n != -1)) {
-    std::fprintf(stderr, "dmr_explain: --top-waits wants a positive count\n");
-    return 2;
-  }
-
   std::string error;
   const AttributionProfile profile =
       dmr::obs::load_attribution_file(attr_file, error);

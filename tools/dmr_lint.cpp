@@ -4,7 +4,8 @@
 // literals and raw strings are stripped into their own streams, so rules
 // match code tokens only and suppression/expectation directives match
 // comments only.  The checker walks src/ include/ bench/ examples/
-// tests/ and enforces the project's determinism and discipline rules:
+// tools/ (minus its lint fixtures) and tests/, and enforces the
+// project's determinism and discipline rules:
 //
 //   wall-clock       no std::rand/srand, time(nullptr), system_clock or
 //                    steady_clock in shipped code (src/ except src/obs/,
@@ -21,13 +22,19 @@
 //   float-equal      no float/double literal in EXPECT_EQ/ASSERT_EQ/
 //                    EXPECT_NE/ASSERT_NE in tests/; use
 //                    EXPECT_DOUBLE_EQ or EXPECT_NEAR.
-//   todo-issue       no TODO/FIXME comment without an issue tag,
-//                    written TODO(#123).
+//   todo-issue       every to-do marker carries an issue tag, written
+//                    TODO(#123) or FIXME(#123).
+//   unchecked-number no atoi/atol/atoll/atof, sscanf, strto* or std::sto*
+//                    call in the command-line layer (bench/, examples/,
+//                    tools/): they wrap, truncate or throw instead of
+//                    rejecting.  CLI numbers go through util::parse_count,
+//                    parse_u64 and parse_real.  src/ keeps its documented
+//                    tolerant parsers (SWF fields and header directives).
 //
-// Any rule is suppressible at a site with `// dmr-lint: allow(<rule>)`
-// on the same or the preceding line; a suppression that suppresses
-// nothing is itself an error (unused-suppression), so stale allowances
-// cannot accumulate.
+// Any rule is suppressible at a site with a `dmr-lint:` comment holding
+// `allow(<rule>)`, on the same or the preceding line.  A suppression
+// that suppresses nothing is itself an error (unused-suppression), so
+// stale allowances cannot accumulate.
 //
 // Modes:
 //   dmr_lint --root DIR        lint the repository rooted at DIR
@@ -202,8 +209,8 @@ struct Diagnostic {
 
 const std::set<std::string>& known_rules() {
   static const std::set<std::string> rules = {
-      "wall-clock",  "unordered-json",    "naked-lock",
-      "float-equal", "todo-issue",        "unused-suppression",
+      "wall-clock", "unordered-json",   "naked-lock",         "float-equal",
+      "todo-issue", "unchecked-number", "unused-suppression",
   };
   return rules;
 }
@@ -537,6 +544,31 @@ void rule_float_equal(const std::string& path, const std::vector<Token>& toks,
   }
 }
 
+void rule_unchecked_number(const std::string& path,
+                           const std::vector<Token>& toks,
+                           std::vector<Diagnostic>& out) {
+  const bool in_scope = under(path, "bench/") || under(path, "examples/") ||
+                        under(path, "tools/");
+  if (!in_scope) return;
+  static const std::set<std::string> parsers = {
+      "atoi",   "atol",    "atoll",    "atof",      "sscanf",
+      "strtol", "strtoll", "strtoul",  "strtoull",  "strtod",
+      "strtof", "strtold", "strtoimax", "strtoumax", "stoi",
+      "stol",   "stoll",   "stoul",    "stoull",    "stof",
+      "stod",   "stold"};
+  const std::size_t n = toks.size();
+  for (std::size_t i = 0; i + 1 < n; ++i) {
+    if (toks[i].kind != Token::Kind::Ident || parsers.count(toks[i].text) == 0 ||
+        toks[i + 1].text != "(") {
+      continue;
+    }
+    out.push_back(Diagnostic{"unchecked-number", toks[i].line,
+                             toks[i].text +
+                                 "() on a command-line number; use "
+                                 "util::parse_count, parse_u64 or parse_real"});
+  }
+}
+
 void rule_todo_issue(const std::vector<Comment>& comments,
                      std::vector<Diagnostic>& out) {
   for (const Comment& comment : comments) {
@@ -566,6 +598,7 @@ FileResult lint_file(const std::string& pseudo_path, const Scan& scan) {
   rule_unordered_json(scan.tokens, raw);
   rule_naked_lock(scan.tokens, raw);
   rule_float_equal(pseudo_path, scan.tokens, raw);
+  rule_unchecked_number(pseudo_path, scan.tokens, raw);
   rule_todo_issue(scan.comments, raw);
 
   // Collect suppressions; apply to the same and the following line.
@@ -627,8 +660,8 @@ bool lintable(const fs::path& path) {
 // --- repository mode ---------------------------------------------------------
 
 int run_repo(const fs::path& root) {
-  const std::vector<std::string> dirs = {"src", "include", "bench", "examples",
-                                         "tests"};
+  const std::vector<std::string> dirs = {"src",      "include", "bench",
+                                         "examples", "tools",   "tests"};
   int files = 0;
   int violations = 0;
   for (const std::string& dir : dirs) {
@@ -642,9 +675,11 @@ int run_repo(const fs::path& root) {
     }
     std::sort(paths.begin(), paths.end());
     for (const fs::path& path : paths) {
-      ++files;
       const std::string pseudo =
           fs::relative(path, root).generic_string();
+      // Fixtures break the rules on purpose; --fixtures checks them.
+      if (under(pseudo, "tools/lint_fixtures/")) continue;
+      ++files;
       const Scan scan = scan_source(read_file(path));
       const FileResult result = lint_file(pseudo, scan);
       for (const Diagnostic& diag : result.diagnostics) {

@@ -13,15 +13,15 @@
 //   make_swf --jobs 100000 --nodes 1024 --seed 1 -o archive.swf
 //
 // Exit status: 0 on success, 1 on I/O failure, 2 on usage errors.
-#include <climits>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <fstream>
 #include <iostream>
+#include <limits>
 #include <string>
 #include <vector>
 
+#include "dmr/util.hpp"
 #include "dmr/workload.hpp"
 
 namespace {
@@ -44,25 +44,6 @@ void print_usage(const char* argv0) {
       argv0, static_cast<int>(std::strlen(argv0)), "");
 }
 
-bool parse_int(const char* text, int* out) {
-  char* end = nullptr;
-  const long value = std::strtol(text, &end, 10);
-  // Out of int range is an error, never a silent wrap.
-  if (end == text || *end != '\0' || value < INT_MIN || value > INT_MAX) {
-    return false;
-  }
-  *out = static_cast<int>(value);
-  return true;
-}
-
-bool parse_double(const char* text, double* out) {
-  char* end = nullptr;
-  const double value = std::strtod(text, &end);
-  if (end == text || *end != '\0') return false;
-  *out = value;
-  return true;
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -74,42 +55,35 @@ int main(int argc, char** argv) {
   double load = 0.7;
   std::string output;
 
-  for (int i = 1; i < argc; ++i) {
+  for (int i = 1; i < argc; i += 2) {
     const char* arg = argv[i];
-    const char* value = i + 1 < argc ? argv[i + 1] : nullptr;
-    int seed_int = 0;
-    if (std::strcmp(arg, "--jobs") == 0 && value != nullptr &&
-        parse_int(value, &params.jobs)) {
-      ++i;
-    } else if (std::strcmp(arg, "--nodes") == 0 && value != nullptr &&
-               parse_int(value, &nodes)) {
-      ++i;
-    } else if (std::strcmp(arg, "--max-size") == 0 && value != nullptr &&
-               parse_int(value, &params.max_size)) {
-      ++i;
-    } else if (std::strcmp(arg, "--load") == 0 && value != nullptr &&
-               parse_double(value, &load)) {
-      ++i;
-    } else if (std::strcmp(arg, "--max-runtime") == 0 && value != nullptr &&
-               parse_double(value, &params.max_runtime)) {
-      ++i;
-    } else if (std::strcmp(arg, "--seed") == 0 && value != nullptr &&
-               parse_int(value, &seed_int)) {
-      params.seed = static_cast<std::uint64_t>(seed_int);
-      ++i;
-    } else if (std::strcmp(arg, "-o") == 0 && value != nullptr) {
+    if (i + 1 >= argc) {
+      print_usage(argv[0]);
+      return 2;
+    }
+    const char* value = argv[i + 1];
+    if (std::strcmp(arg, "--jobs") == 0) {
+      params.jobs = dmr::util::parse_count(value, "--jobs");
+    } else if (std::strcmp(arg, "--nodes") == 0) {
+      nodes = dmr::util::parse_count(value, "--nodes");
+    } else if (std::strcmp(arg, "--max-size") == 0) {
+      params.max_size = dmr::util::parse_count(value, "--max-size");
+    } else if (std::strcmp(arg, "--load") == 0) {
+      load = dmr::util::parse_real(value, "--load", 0.0, 1.0);
+    } else if (std::strcmp(arg, "--max-runtime") == 0) {
+      params.max_runtime = dmr::util::parse_real(
+          value, "--max-runtime", 0.0, std::numeric_limits<double>::max());
+    } else if (std::strcmp(arg, "--seed") == 0) {
+      params.seed = dmr::util::parse_u64(value, "--seed");
+    } else if (std::strcmp(arg, "-o") == 0) {
       output = value;
-      ++i;
     } else {
       print_usage(argv[0]);
       return 2;
     }
   }
-  if (params.jobs <= 0 || nodes <= 0 || params.max_size <= 0 || load <= 0.0 ||
-      load > 1.0 || params.max_size > nodes) {
-    std::fprintf(stderr,
-                 "%s: need jobs > 0, nodes > 0, 0 < load <= 1 and "
-                 "max-size in [1, nodes]\n",
+  if (load <= 0.0 || params.max_size > nodes) {
+    std::fprintf(stderr, "%s: need 0 < load <= 1 and max-size in [1, nodes]\n",
                  argv[0]);
     return 2;
   }
