@@ -168,16 +168,6 @@ void apply_variant(rms::RmsConfig& rms, const Variant& variant) {
   rms.scheduler.alloc = variant.alloc;
 }
 
-std::string json_escape(const std::string& text) {
-  std::string out;
-  out.reserve(text.size());
-  for (const char c : text) {
-    if (c == '"' || c == '\\') out.push_back('\\');
-    out.push_back(c);
-  }
-  return out;
-}
-
 /// Member cluster `index` of the federation: the --members mix (default:
 /// the historical alpha/beta/gamma cycle — a large homogeneous member, a
 /// heterogeneous fast/slow member and a small slow member, so placement
@@ -367,7 +357,7 @@ std::string run_scenario(const Scenario& scenario, obs::Hooks hooks,
     // Shaping telemetry: what the replay dropped or altered.  A smaller
     // job count than the archive's is reported, never implied.
     const wl::ShapeReport& report = scenario.shaped->report;
-    out << ",\"swf\":\"" << json_escape(scenario.options.swf)
+    out << ",\"swf\":\"" << obs::json_escape(scenario.options.swf)
         << "\",\"swf_parsed\":" << report.parsed
         << ",\"swf_kept\":" << report.kept
         << ",\"swf_dropped\":" << report.dropped()
@@ -709,7 +699,7 @@ int main(int argc, char** argv) {
       "\"jobs_per_trace\":%d,\"policies\":%d,\"variants\":%d,"
       "\"wall_seconds\":%.3f,\"cells_per_second\":%.2f,%s}",
       scenarios.size(), options.clusters,
-      json_escape(options.members).c_str(), options.jobs,
+      obs::json_escape(options.members).c_str(), options.jobs,
       policy_count, variant_count, wall,
       wall > 0.0 ? static_cast<double>(scenarios.size()) / wall : 0.0,
       bench_provenance_fields(worker_count).c_str());

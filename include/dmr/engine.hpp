@@ -1,37 +1,30 @@
 // dmr::ReconfigEngine — the one reconfiguring-point state machine.
 //
 // Every substrate used to carry its own copy of the negotiate -> (defer)
-// -> apply -> drain-ACK -> complete/abort-shrink sequence: the real-mode
+// -> apply -> drain-ACK -> complete-shrink sequence: the real-mode
 // runtime in rt::DmrRuntime and the discrete-event workload driver in
 // drv::WorkloadDriver.  This class is the single remaining
 // implementation.  It is clock-agnostic (time comes from the session's
-// clock), substrate-agnostic (completion of the data movement is
-// reported back through complete_shrink()/abort_shrink(), whatever
-// "data movement" means for the caller), and mode-agnostic (the same
-// object serves dmr_check_status and dmr_icheck_status semantics).
+// clock), substrate-agnostic (the end of the data movement is reported
+// back through complete_shrink(), whatever "data movement" means for
+// the caller), and mode-agnostic (the same object serves
+// dmr_check_status and dmr_icheck_status semantics).  What a resize
+// moved is the substrate's to account: the driver prices it with
+// drv::CostModel, the real-mode loop records it in rt::ResizeRecord.
 #pragma once
 
-#include <functional>
 #include <mutex>
 #include <optional>
 
 #include "dmr/inhibitor.hpp"
 #include "dmr/session.hpp"
 #include "dmr/types.hpp"
-#include "redist/strategy.hpp"
 
 namespace dmr {
 
 class ReconfigEngine {
  public:
-  /// Observer fired (after the engine lock is released) whenever an
-  /// outcome with action != None is applied — the completion hook
-  /// substrates use to start their redistribution work.  May call back
-  /// into the engine.
-  using ApplyHook = std::function<void(const Outcome&)>;
-
-  explicit ReconfigEngine(Session& session, double inhibitor_period = 0.0,
-                          ApplyHook on_apply = {});
+  explicit ReconfigEngine(Session& session, double inhibitor_period = 0.0);
 
   /// One reconfiguring point.
   ///
@@ -47,52 +40,22 @@ class ReconfigEngine {
   std::optional<Outcome> check(Mode mode, const Request& request);
 
   /// A shrink stays pending until the substrate drains the retiring
-  /// ranks' data and calls complete_shrink() (paper: the management node
-  /// collected every ACK) — or gives up with abort_shrink().
-  bool shrink_pending() const;
-  /// Release the draining nodes; no-op when no shrink is pending.
+  /// ranks' data and calls this (paper: the management node collected
+  /// every ACK); it then releases the draining nodes.  No-op when no
+  /// shrink is pending.
   void complete_shrink();
-  /// Keep the allocation; no-op when no shrink is pending.
-  void abort_shrink();
 
-  /// Forget the inhibition window (fresh process set after a resize).
-  void reset_inhibitor();
-  void set_inhibitor_period(double period);
-  double inhibitor_period() const;
   /// A copy of the inhibitor, read under one lock: callers test upcoming
   /// checks on it with Inhibitor::would_allow.
   Inhibitor inhibitor() const;
 
-  /// Observer fired (outside the engine lock) for every recorded
-  /// redistribution report — the calibration tap: hosts typically bind
-  /// it to drv::CostModel::observe so simulated resize costs track
-  /// measured movement.
-  using RedistObserver = std::function<void(const redist::Report&)>;
-  void set_redist_observer(RedistObserver observer);
-
-  /// Record the measured (or modeled) cost of one completed
-  /// redistribution.  Substrates call this once per resize; the totals
-  /// feed Outcome reporting and cost-model calibration.
-  void record_redistribution(const redist::Report& report);
-  /// Most recent redistribution report (zeroed before the first resize).
-  redist::Report last_redistribution() const;
-  /// Sum over every redistribution recorded on this engine.
-  redist::Report total_redistribution() const;
-
-  Session& session() { return session_; }
-  JobId job() const { return session_.job(); }
-
  private:
   Session& session_;
-  ApplyHook on_apply_;
-  RedistObserver redist_observer_;
   mutable std::mutex mu_;
   Inhibitor inhibitor_;
   /// Decision negotiated at the previous asynchronous point, to be
   /// applied at the next one (possibly outdated by then).
   std::optional<Decision> deferred_;
-  redist::Report last_redistribution_;
-  redist::Report total_redistribution_;
   bool shrink_pending_ = false;
 };
 

@@ -3,7 +3,9 @@
 // Iterative applications with short steps would otherwise negotiate with
 // the RMS every iteration; the inhibitor ignores DMR API calls that occur
 // within `period` of the last answered one.  The paper tunes this knob
-// through NANOX_SCHED_PERIOD; we read DMR_SCHED_PERIOD as the default.
+// through NANOX_SCHED_PERIOD; here the period is a constructor argument
+// (ReconfigEngine/ReconfigPoint take it, the driver reads it from each
+// application model's sched_period).
 #pragma once
 
 namespace dmr {
@@ -12,12 +14,6 @@ class Inhibitor {
  public:
   /// period <= 0 disables inhibition (every check goes through).
   explicit Inhibitor(double period = 0.0) : period_(period) {}
-
-  /// Construct from the DMR_SCHED_PERIOD environment variable.
-  static Inhibitor from_env(double fallback = 0.0);
-
-  double period() const { return period_; }
-  void set_period(double period) { period_ = period; }
 
   /// Whether a check at `now` would be allowed, without arming anything:
   /// callers test upcoming checks with it.
@@ -35,10 +31,6 @@ class Inhibitor {
     }
     return true;
   }
-
-  /// Forget the window (used after a completed resize so the new process
-  /// set starts fresh).
-  void reset() { armed_ = false; }
 
  private:
   double period_;

@@ -15,6 +15,8 @@
 //  - obs::WaitAttributor, a per-job wait decomposition (typed
 //    BlockReason segments whose seconds sum exactly to the wait) written
 //    as the sidecar tools/dmr_explain ingests.
+// Every JSON string those writers emit goes through obs::json_escape,
+// and obs::parse_json reads the results back.
 // Counters have one store: rms::Manager::Counters, summed into
 // drv::WorkloadMetrics.
 #pragma once
@@ -23,6 +25,7 @@
 #include "obs/attr.hpp"        // IWYU pragma: export
 #include "obs/event.hpp"       // IWYU pragma: export
 #include "obs/hooks.hpp"       // IWYU pragma: export
+#include "obs/json.hpp"        // IWYU pragma: export
 #include "obs/profiler.hpp"    // IWYU pragma: export
 #include "obs/trace.hpp"       // IWYU pragma: export
 #include "obs/trace_sink.hpp"  // IWYU pragma: export

@@ -47,9 +47,7 @@ class ReconfigPoint {
   /// The final process set reports completion (idempotent).
   void finish_job(const smpi::Comm& world);
 
-  JobId job() const { return session_.job(); }
   Session& session() { return session_; }
-  ReconfigEngine& engine() { return engine_; }
 
   Request request() const {
     std::lock_guard<std::mutex> lock(request_mu_);

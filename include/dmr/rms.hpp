@@ -42,8 +42,6 @@ class Rms {
                             double now) = 0;
   /// Complete a shrink after the drain ACKs: releases draining nodes.
   virtual void complete_shrink(JobId id, double now) = 0;
-  /// Abort a shrink (failed drain): undrain, keep the allocation.
-  virtual void abort_shrink(JobId id, double now) = 0;
 
   // --- queries ---------------------------------------------------------------
 

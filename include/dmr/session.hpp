@@ -32,8 +32,6 @@ class Connection {
   Connection(Rms& rms, Clock clock);
 
   double now() const { return clock_(); }
-  /// Unlocked backend access — single-threaded callers only.
-  Rms& rms() { return rms_; }
 
   JobId submit(JobSpec spec);
   std::vector<JobId> schedule();
@@ -43,7 +41,6 @@ class Connection {
   Decision dmr_decide(JobId id, const Request& request);
   Outcome dmr_apply(JobId id, const Decision& decision);
   void complete_shrink(JobId id);
-  void abort_shrink(JobId id);
   JobView query(JobId id) const;
 
  private:
@@ -71,10 +68,7 @@ class Session {
   /// Submit a job and bind this session to it.  Throws std::logic_error
   /// when the session is already bound.
   JobId submit(JobSpec spec);
-  /// Bind to an already-submitted job.
-  void bind(JobId id);
   bool bound() const { return job_ != kInvalidJob; }
-  JobId job() const { return job_; }
   /// Run a scheduling pass (convenience passthrough).
   std::vector<JobId> schedule() { return connection_->schedule(); }
 
@@ -84,7 +78,6 @@ class Session {
   Decision decide(const Request& request);
   Outcome apply(const Decision& decision);
   void complete_shrink();
-  void abort_shrink();
   JobView info() const;
 
   // --- data redistribution ---------------------------------------------------

@@ -75,8 +75,7 @@ struct Outcome {
   /// Data movement attributed to this resize, from the redist::Report.
   /// The virtual-time substrate stamps these when it prices the resize
   /// (drv::WorkloadDriver); in real mode the movement happens after the
-  /// outcome is returned, so hosts read it from ResizeRecord or
-  /// ReconfigEngine::last_redistribution() instead.
+  /// outcome is returned, so hosts read it from rt::ResizeRecord instead.
   std::size_t bytes_redistributed = 0;
   double redistribution_seconds = 0.0;
 };

@@ -48,11 +48,6 @@ void Connection::complete_shrink(JobId id) {
   rms_.complete_shrink(id, clock_());
 }
 
-void Connection::abort_shrink(JobId id) {
-  std::lock_guard<std::mutex> lock(mu_);
-  rms_.abort_shrink(id, clock_());
-}
-
 JobView Connection::query(JobId id) const {
   std::lock_guard<std::mutex> lock(mu_);
   return rms_.query(id);
@@ -77,17 +72,6 @@ JobId Session::submit(JobSpec spec) {
   return job_;
 }
 
-void Session::bind(JobId id) {
-  if (bound()) {
-    throw std::logic_error("Session: already bound to job " +
-                           std::to_string(job_));
-  }
-  if (id == kInvalidJob) {
-    throw std::invalid_argument("Session: bind to invalid job");
-  }
-  job_ = id;
-}
-
 JobId Session::require_job() const {
   if (!bound()) throw std::logic_error("Session: no job bound");
   return job_;
@@ -108,8 +92,6 @@ Outcome Session::apply(const Decision& decision) {
 void Session::complete_shrink() {
   connection_->complete_shrink(require_job());
 }
-
-void Session::abort_shrink() { connection_->abort_shrink(require_job()); }
 
 JobView Session::info() const { return connection_->query(require_job()); }
 

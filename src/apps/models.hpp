@@ -25,7 +25,7 @@ struct AppModel {
   /// Total reconfiguring-point iterations (Table I).
   int iterations = 1;
   /// DMR API arguments: min / max / factor / preferred (Table I).
-  rms::DmrRequest request;
+  rms::Request request;
   /// Checking-inhibitor period in seconds (0 = disabled).
   double sched_period = 0.0;
   /// Bytes redistributed on a resize (the OmpSs data dependencies).

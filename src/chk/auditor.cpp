@@ -1,12 +1,12 @@
 #include "chk/auditor.hpp"
 
 #include <algorithm>
-#include <cstdio>
 #include <sstream>
 #include <tuple>
 
 #include "dmr/build_info.hpp"
 #include "fed/federation.hpp"
+#include "obs/json.hpp"
 #include "redist/strategy.hpp"
 #include "rms/cluster.hpp"
 #include "rms/manager.hpp"
@@ -14,37 +14,6 @@
 namespace dmr::chk {
 
 namespace {
-
-std::string json_escape(const std::string& text) {
-  std::string out;
-  out.reserve(text.size() + 2);
-  for (const char c : text) {
-    switch (c) {
-      case '"':
-        out += "\\\"";
-        break;
-      case '\\':
-        out += "\\\\";
-        break;
-      case '\n':
-        out += "\\n";
-        break;
-      case '\t':
-        out += "\\t";
-        break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x",
-                        static_cast<unsigned>(static_cast<unsigned char>(c)));
-          out += buf;
-        } else {
-          out += c;
-        }
-    }
-  }
-  return out;
-}
 
 std::string format_violation(const Violation& violation) {
   std::ostringstream out;
@@ -74,8 +43,8 @@ std::string Report::json() const {
   for (std::size_t i = 0; i < violations.size(); ++i) {
     const Violation& v = violations[i];
     if (i != 0) out << ",";
-    out << "{\"invariant\":\"" << json_escape(v.invariant) << "\",\"job\":"
-        << v.job << ",\"message\":\"" << json_escape(v.message)
+    out << "{\"invariant\":\"" << obs::json_escape(v.invariant) << "\",\"job\":"
+        << v.job << ",\"message\":\"" << obs::json_escape(v.message)
         << "\",\"sim_time\":" << v.sim_time << "}";
   }
   out << "]," << ::dmr::bench_provenance_fields(1) << "}";
@@ -148,9 +117,8 @@ void Auditor::lifecycle_edge(::dmr::JobId id, double now, Phase from, Phase to,
 obs::Interest Auditor::interest() const {
   using K = obs::EventKind;
   return obs::kinds(K::kSubmitted, K::kPlaced, K::kStarted, K::kExpanded,
-                    K::kShrinkBegun, K::kShrinkEnded, K::kShrinkAborted,
-                    K::kFinished, K::kPass, K::kDispatch, K::kRedistributed,
-                    K::kSample);
+                    K::kShrinkBegun, K::kShrinkEnded, K::kFinished, K::kPass,
+                    K::kDispatch, K::kRedistributed, K::kSample);
 }
 
 void Auditor::on_event(const obs::Event& event) {
@@ -173,8 +141,6 @@ void Auditor::on_event(const obs::Event& event) {
     case K::kShrinkEnded:
       on_shrink_ended(id, now);
       break;
-    case K::kShrinkAborted:
-      return on_shrink_ended(id, now);
     case K::kFinished:
       return on_job_finished(id, now);
     case K::kPass:

@@ -8,8 +8,10 @@
 // on as the instrumented layers report their transitions:
 //
 //  - per-job lifecycle DFA: submitted -> queued -> running
-//    {-> reconfiguring -> running}* -> done; every other edge is a
-//    violation carrying the job id and the simulated time;
+//    {-> reconfiguring -> running}* -> done, where a shrink's begin
+//    enters reconfiguring and only its completion (or the job's end)
+//    leaves it; every other edge is a violation carrying the job id and
+//    the simulated time;
 //  - node conservation in rms::Manager / rms::Cluster: per partition
 //    idle + allocated == total, draining nodes are always owned, no node
 //    appears in two allocations, and every job's node list matches the
@@ -122,7 +124,7 @@ class Auditor final : public obs::Sink {
   void on_job_resized(::dmr::JobId id, double now);
   /// A shrink began draining: running -> reconfiguring.
   void on_shrink_begun(::dmr::JobId id, double now);
-  /// The drain completed or aborted: reconfiguring -> running.
+  /// The drain completed: reconfiguring -> running.
   void on_shrink_ended(::dmr::JobId id, double now);
   /// Completion or cancellation: queued/running/reconfiguring -> done.
   void on_job_finished(::dmr::JobId id, double now);

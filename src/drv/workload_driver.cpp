@@ -249,7 +249,7 @@ void WorkloadDriver::finish_step(Exec& exec) {
   proceed_after_check(exec, delay);
 }
 
-double WorkloadDriver::apply_outcome(Exec& exec, rms::DmrOutcome& outcome) {
+double WorkloadDriver::apply_outcome(Exec& exec, rms::Outcome& outcome) {
   if (outcome.action == rms::Action::None) return 0.0;
   const rms::Job& job = federation_.job(exec.id);
   // For an expand the allocation has already grown, so the pre-resize
@@ -260,16 +260,15 @@ double WorkloadDriver::apply_outcome(Exec& exec, rms::DmrOutcome& outcome) {
           ? job.allocated() - static_cast<int>(outcome.added_nodes.size())
           : job.allocated();
   // The modeled movement is the Report this substrate "measures": it
-  // flows into the outcome, the shared engine's totals and the workload
-  // metrics exactly like a real redistribution would.  Transfer
-  // bandwidth scales with the allocation's gating partition speed.
+  // flows into the outcome and the workload metrics exactly like a real
+  // redistribution would.  Transfer bandwidth scales with the
+  // allocation's gating partition speed.
   const double node_speed =
       federation_.cluster_for(exec.id).min_speed(job.nodes);
   const redist::Report moved = config_.cost.movement(
       exec.plan.model.state_bytes, previous, outcome.new_size, node_speed);
   outcome.bytes_redistributed = moved.bytes_moved;
   outcome.redistribution_seconds = moved.seconds;
-  exec.engine->record_redistribution(moved);
   // The stamped outcome is the carrier: workload totals read it back.
   bytes_redistributed_ += outcome.bytes_redistributed;
   redistribution_seconds_ += outcome.redistribution_seconds;

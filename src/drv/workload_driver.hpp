@@ -188,7 +188,7 @@ class WorkloadDriver : private obs::Sink {
   double reconfiguring_point(Exec& exec);
   /// Prices the outcome's data movement and stamps its redistribution
   /// fields from the modeled redist::Report.
-  double apply_outcome(Exec& exec, rms::DmrOutcome& outcome);
+  double apply_outcome(Exec& exec, rms::Outcome& outcome);
   /// Per-member slices + partition utilizations for run()'s metrics.
   void collect_cluster_metrics(WorkloadMetrics& metrics, double first_arrival,
                                double makespan) const;

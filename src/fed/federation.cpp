@@ -210,10 +210,6 @@ void Federation::complete_shrink(JobId id, double now) {
   owner(id).complete_shrink(id, now);
 }
 
-void Federation::abort_shrink(JobId id, double now) {
-  owner(id).abort_shrink(id, now);
-}
-
 JobView Federation::query(JobId id) const { return owner(id).query(id); }
 
 bool Federation::all_done() const {
@@ -235,15 +231,6 @@ rms::Manager::Counters Federation::counters() const {
     total.schedule_passes_saved += c.schedule_passes_saved;
   }
   return total;
-}
-
-std::vector<const rms::Job*> Federation::jobs() const {
-  std::vector<const rms::Job*> all;
-  for (const auto& manager : managers_) {
-    const auto& member = manager->jobs();
-    all.insert(all.end(), member.begin(), member.end());
-  }
-  return all;
 }
 
 double Federation::conservative_speed(const std::string& partition) const {
@@ -274,14 +261,6 @@ void Federation::set_placement(Placement placement) {
   config_.placement = placement;
   config_.policy.reset();
   policy_ = std::shared_ptr<PlacementPolicy>(make_placement(placement));
-}
-
-void Federation::set_placement_policy(std::shared_ptr<PlacementPolicy> policy) {
-  if (!policy) {
-    throw std::invalid_argument("Federation: null placement policy");
-  }
-  config_.policy = policy;
-  policy_ = std::move(policy);
 }
 
 void Federation::add_nodes(int member, int count,

@@ -75,7 +75,6 @@ class Federation : public ::dmr::Rms {
   Decision dmr_decide(JobId id, const Request& request, double now) override;
   Outcome dmr_apply(JobId id, const Decision& decision, double now) override;
   void complete_shrink(JobId id, double now) override;
-  void abort_shrink(JobId id, double now) override;
   JobView query(JobId id) const override;
 
   // --- members ---------------------------------------------------------------
@@ -105,9 +104,6 @@ class Federation : public ::dmr::Rms {
   bool all_done() const;
   /// Member counters summed into one federation-wide view.
   rms::Manager::Counters counters() const;
-  /// Every member's user-visible jobs, member order then submission
-  /// order (built per call; iterate, don't store).
-  std::vector<const rms::Job*> jobs() const;
   /// Jobs routed to each member so far (index = member index).
   const std::vector<long long>& placements() const { return placements_; }
   const PlacementPolicy& placement_policy() const { return *policy_; }
@@ -117,7 +113,6 @@ class Federation : public ::dmr::Rms {
   /// Swap the placement policy at runtime; affects submissions from now
   /// on (jobs already routed stay where they are).
   void set_placement(Placement placement);
-  void set_placement_policy(std::shared_ptr<PlacementPolicy> policy);
   /// Grow `member`'s cluster by `count` idle nodes (in `partition`, the
   /// member's first partition when empty) at simulated time `now`.
   void add_nodes(int member, int count, const std::string& partition,

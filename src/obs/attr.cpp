@@ -269,8 +269,8 @@ std::string WaitAttributor::to_json() const {
     first = false;
     out << "{\"end\":" << fmt(job.end) << ",\"id\":" << id
         << ",\"member\":" << job.member << ",\"name\":\""
-        << TraceRecorder::escape(job.name) << "\",\"placement\":\""
-        << TraceRecorder::escape(job.placement) << "\",\"slices\":[";
+        << json_escape(job.name) << "\",\"placement\":\""
+        << json_escape(job.placement) << "\",\"slices\":[";
     for (std::size_t s = 0; s < job.slices.size(); ++s) {
       const CauseSlice& slice = job.slices[s];
       if (s > 0) out << ",";

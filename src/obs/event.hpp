@@ -76,7 +76,6 @@ enum class EventKind : std::uint8_t {
   kExpanded,        ///< expansion granted: old_size -> new_size
   kShrinkBegun,     ///< draining starts: old_size -> new_size
   kShrinkEnded,     ///< drain completed: old_size -> new_size
-  kShrinkAborted,   ///< a begun shrink rolled back
   kFinished,        ///< completed or cancelled (see the job's state)
   kAllocChanged,    ///< the member's user allocation changed (job unset)
   kPassBegin,       ///< a schedule() call starts real passes (job unset)
@@ -92,7 +91,7 @@ enum class EventKind : std::uint8_t {
   kSample,          ///< the service sampled `federation`: `sample`
 };
 
-constexpr int kEventKindCount = 20;
+constexpr int kEventKindCount = 19;
 
 /// A bit per EventKind: what a sink subscribes to.
 using Interest = std::uint32_t;

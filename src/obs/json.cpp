@@ -1,7 +1,9 @@
 #include "obs/json.hpp"
 
+#include <algorithm>
 #include <cctype>
-#include <exception>
+#include <charconv>
+#include <cstdio>
 
 namespace dmr::obs {
 
@@ -26,6 +28,18 @@ class JsonParser {
  private:
   std::string fail(const std::string& what) const {
     return what + " at offset " + std::to_string(pos_);
+  }
+
+  bool at(char c) const { return pos_ < text_.size() && text_[pos_] == c; }
+
+  /// Skip a run of decimal digits; returns how many.
+  std::size_t skip_digits() {
+    const std::size_t first = pos_;
+    while (pos_ < text_.size() &&
+           std::isdigit(static_cast<unsigned char>(text_[pos_]))) {
+      ++pos_;
+    }
+    return pos_ - first;
   }
 
   void skip_space() {
@@ -148,14 +162,22 @@ class JsonParser {
           case 'b': out.push_back('\b'); break;
           case 'f': out.push_back('\f'); break;
           case 'u': {
-            if (pos_ + 5 >= text_.size()) {
-              error = fail("truncated \\u escape");
+            // Exactly four hex digits naming an ASCII code point: the
+            // writers escape control bytes only.
+            const char* digits = text_.data() + pos_ + 2;
+            const char* end =
+                text_.data() + std::min(text_.size(), pos_ + 6);
+            unsigned code = 0;
+            const auto [stop, bad] = std::from_chars(digits, end, code, 16);
+            if (bad != std::errc() || stop != digits + 4) {
+              error = fail("\\u escape without four hex digits");
               return false;
             }
-            // Recorder output is ASCII; decode the low byte.
-            const std::string hex = text_.substr(pos_ + 2, 4);
-            out.push_back(
-                static_cast<char>(std::stoi(hex, nullptr, 16) & 0xff));
+            if (code > 0x7f) {
+              error = fail("\\u escape beyond ASCII");
+              return false;
+            }
+            out.push_back(static_cast<char>(code));
             pos_ += 4;
             break;
           }
@@ -165,6 +187,10 @@ class JsonParser {
         }
         pos_ += 2;
         continue;
+      }
+      if (static_cast<unsigned char>(c) < 0x20) {
+        error = fail("raw control character in a string");
+        return false;
       }
       out.push_back(c);
       ++pos_;
@@ -199,28 +225,39 @@ class JsonParser {
     return false;
   }
 
+  /// The JSON number grammar in full:
+  /// -?(0|[1-9][0-9]*)(.[0-9]+)?([eE][+-]?[0-9]+)?
   bool parse_number(JsonValue& out, std::string& error) {
     const std::size_t start = pos_;
-    if (pos_ < text_.size() && (text_[pos_] == '-' || text_[pos_] == '+')) {
-      ++pos_;
-    }
-    while (pos_ < text_.size() &&
-           (std::isdigit(static_cast<unsigned char>(text_[pos_])) ||
-            text_[pos_] == '.' || text_[pos_] == 'e' || text_[pos_] == 'E' ||
-            text_[pos_] == '-' || text_[pos_] == '+')) {
-      ++pos_;
-    }
+    if (at('-')) ++pos_;
+    const std::size_t int_start = pos_;
+    const std::size_t int_digits = skip_digits();
     if (pos_ == start) {
       error = fail("expected a value");
       return false;
     }
-    try {
-      out.kind = JsonValue::Kind::Number;
-      out.number = std::stod(text_.substr(start, pos_ - start));
-    } catch (const std::exception&) {
+    bool ok = int_digits > 0 && !(int_digits > 1 && text_[int_start] == '0');
+    if (ok && at('.')) {
+      ++pos_;
+      ok = skip_digits() > 0;
+    }
+    if (ok && (at('e') || at('E'))) {
+      ++pos_;
+      if (at('+') || at('-')) ++pos_;
+      ok = skip_digits() > 0;
+    }
+    if (!ok) {
       error = fail("bad number");
       return false;
     }
+    const char* end = text_.data() + pos_;
+    const auto [stop, bad] =
+        std::from_chars(text_.data() + start, end, out.number);
+    if (bad != std::errc() || stop != end) {
+      error = fail("number out of range");
+      return false;
+    }
+    out.kind = JsonValue::Kind::Number;
     return true;
   }
 
@@ -229,6 +266,29 @@ class JsonParser {
 };
 
 }  // namespace
+
+std::string json_escape(const std::string& text) {
+  std::string out;
+  out.reserve(text.size());
+  for (const char c : text) {
+    switch (c) {
+      case '"': out += "\\\""; break;
+      case '\\': out += "\\\\"; break;
+      case '\n': out += "\\n"; break;
+      case '\t': out += "\\t"; break;
+      default:
+        if (static_cast<unsigned char>(c) < 0x20) {
+          char hex[8];
+          std::snprintf(hex, sizeof(hex), "\\u%04x",
+                        static_cast<unsigned>(static_cast<unsigned char>(c)));
+          out += hex;
+        } else {
+          out.push_back(c);
+        }
+    }
+  }
+  return out;
+}
 
 bool parse_json(const std::string& text, JsonValue& out, std::string& error) {
   return JsonParser(text).parse(out, error);

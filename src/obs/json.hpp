@@ -1,13 +1,17 @@
-// A compact recursive-descent JSON reader shared by the observability
+// JSON text in and out for the observability layer: one string escaper
+// for every writer (traces, attribution sidecars, audit reports, sweep
+// lines), and a compact recursive-descent reader shared by the
 // consumers: trace validation (obs/validate.cpp), attribution sidecar
 // loading (obs/attr.cpp) and the bench-row provenance checker
 // (tools/bench_validate.cpp).
 //
 // The reader's output is only trustworthy if something independent
 // re-reads it, so this is a real parser, not a regex scan.  It accepts
-// exactly the subset the recorders emit (ASCII strings, \u escapes
-// decoded to their low byte) and reports the first failure with its
-// byte offset.
+// strict JSON over the subset the writers emit: strings hold no raw
+// control characters, a \u escape is exactly four hex digits naming an
+// ASCII code point, and numbers follow the JSON grammar in full.  Any
+// other input is rejected with the first failure's byte offset, never
+// read approximately.
 #pragma once
 
 #include <string>
@@ -32,6 +36,12 @@ struct JsonValue {
     return nullptr;
   }
 };
+
+/// `text` escaped for use between the quotes of a JSON string: quote,
+/// backslash, \n and \t get their short escapes, every other byte
+/// below 0x20 a \u00XX one.  parse_json reads the result back to
+/// `text`.
+std::string json_escape(const std::string& text);
 
 /// Parse one JSON document into `out`; returns false and sets `error`
 /// (with a byte offset) on failure.

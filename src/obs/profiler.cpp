@@ -1,6 +1,7 @@
 #include "obs/profiler.hpp"
 
 #include <algorithm>
+#include <charconv>
 #include <cstdio>
 #include <cstring>
 #include <sstream>
@@ -54,7 +55,13 @@ long Profiler::peak_rss_kb() {
   char line[256];
   while (std::fgets(line, sizeof(line), status) != nullptr) {
     if (std::strncmp(line, "VmHWM:", 6) == 0) {
-      std::sscanf(line + 6, "%ld", &kb);
+      // "VmHWM:   12345 kB": the first number after the blanks.
+      const char* digits = line + 6;
+      while (*digits == ' ' || *digits == '\t') ++digits;
+      if (std::from_chars(digits, line + std::strlen(line), kb).ec !=
+          std::errc()) {
+        kb = 0;
+      }
       break;
     }
   }

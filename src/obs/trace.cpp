@@ -1,11 +1,12 @@
 #include "obs/trace.hpp"
 
 #include <algorithm>
-#include <cstdio>
 #include <fstream>
 #include <ostream>
 #include <sstream>
 #include <stdexcept>
+
+#include "obs/json.hpp"
 
 namespace dmr::obs {
 
@@ -30,28 +31,6 @@ void write_number(std::ostream& out, double value) {
 TraceRecorder::TraceRecorder(std::size_t capacity)
     : capacity_(capacity == 0 ? 1 : capacity) {
   ring_.reserve(std::min<std::size_t>(capacity_, 4096));
-}
-
-std::string TraceRecorder::escape(const std::string& text) {
-  std::string out;
-  out.reserve(text.size());
-  for (const char c : text) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\t': out += "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char hex[8];
-          std::snprintf(hex, sizeof(hex), "\\u%04x", c);
-          out += hex;
-        } else {
-          out.push_back(c);
-        }
-    }
-  }
-  return out;
 }
 
 void TraceRecorder::push(TraceEvent event) {
@@ -140,13 +119,13 @@ void TraceRecorder::write_json(std::ostream& out) const {
   for (const auto& [pid, name] : process_names_) {
     separator();
     out << "{\"ph\":\"M\",\"name\":\"process_name\",\"pid\":" << pid
-        << ",\"tid\":0,\"args\":{\"name\":\"" << escape(name) << "\"}}";
+        << ",\"tid\":0,\"args\":{\"name\":\"" << json_escape(name) << "\"}}";
   }
   for (const auto& [track, name] : thread_names_) {
     separator();
     out << "{\"ph\":\"M\",\"name\":\"thread_name\",\"pid\":" << track.first
         << ",\"tid\":" << track.second << ",\"args\":{\"name\":\""
-        << escape(name) << "\"}}";
+        << json_escape(name) << "\"}}";
   }
   double last_ts = 0.0;
   for (const TraceEvent& event : ring_) {
@@ -154,14 +133,14 @@ void TraceRecorder::write_json(std::ostream& out) const {
     out << "{\"ph\":\"" << event.ph << "\",\"ts\":";
     write_number(out, event.ts_us);
     out << ",\"pid\":" << event.pid << ",\"tid\":" << event.tid
-        << ",\"name\":\"" << escape(event.name) << "\"";
+        << ",\"name\":\"" << json_escape(event.name) << "\"";
     if (event.ph == 'X') {
       out << ",\"dur\":";
       write_number(out, event.dur_us);
     }
     if (event.ph == 'b' || event.ph == 'n' || event.ph == 'e') {
-      out << ",\"cat\":\"" << escape(event.cat) << "\",\"id\":\"0x" << std::hex
-          << event.id << std::dec << "\"";
+      out << ",\"cat\":\"" << json_escape(event.cat) << "\",\"id\":\"0x"
+          << std::hex << event.id << std::dec << "\"";
     }
     if (event.ph == 'i') out << ",\"s\":\"t\"";
     if (event.ph == 'C') {

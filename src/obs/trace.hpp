@@ -104,9 +104,6 @@ class TraceRecorder {
   /// write_json to `path`; throws std::runtime_error when unwritable.
   void write_file(const std::string& path) const;
 
-  /// JSON-escape a string for use inside args/name values.
-  static std::string escape(const std::string& text);
-
  private:
   void async(char ph, std::uint32_t pid, double ts_seconds, std::string cat,
              std::uint64_t id, std::string name, std::string args);

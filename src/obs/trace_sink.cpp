@@ -4,6 +4,7 @@
 #include <string>
 
 #include "fed/federation.hpp"
+#include "obs/json.hpp"
 #include "redist/strategy.hpp"
 #include "svc/metrics_window.hpp"
 #include "util/clock.hpp"
@@ -54,9 +55,9 @@ void TraceSink::on_event(const Event& event) {
       trace_.instant(
           0, 0, now, "place " + job->spec.name,
           "\"cluster\":\"" +
-              TraceRecorder::escape(federation_.cluster_name(event.member)) +
+              json_escape(federation_.cluster_name(event.member)) +
               "\",\"policy\":\"" +
-              TraceRecorder::escape(federation_.placement_policy().name()) +
+              json_escape(federation_.placement_policy().name()) +
               "\",\"nodes\":" + std::to_string(event.new_size));
       trace_.counter(0, now, "placements",
                      static_cast<double>(std::accumulate(
@@ -84,12 +85,6 @@ void TraceSink::on_event(const Event& event) {
         trace_.async_end(pid, now, "reconfig", id, "drain");
       }
       trace_.async_instant(pid, now, "job", id, "shrink", resize());
-      return;
-    case EventKind::kShrinkAborted:
-      if (open_drain_spans_.erase(event.job) != 0) {
-        trace_.async_instant(pid, now, "reconfig", id, "drain aborted");
-        trace_.async_end(pid, now, "reconfig", id, "drain");
-      }
       return;
     case EventKind::kFinished:
       if (open_drain_spans_.erase(event.job) != 0) {

@@ -219,8 +219,6 @@ void Cluster::release(JobId job, const std::vector<int>& node_ids) {
   }
 }
 
-void Cluster::release_all(JobId job) { release(job, nodes_of(job)); }
-
 void Cluster::transfer(JobId from, JobId to,
                        const std::vector<int>& node_ids) {
   for (int id : node_ids) {
@@ -248,14 +246,6 @@ std::vector<std::uint8_t> Cluster::draining_flags() const {
     if (node.draining) flags[static_cast<std::size_t>(node.id)] = 1;
   }
   return flags;
-}
-
-std::vector<int> Cluster::nodes_of(JobId job) const {
-  std::vector<int> owned;
-  for (const auto& node : nodes_) {
-    if (node.owner == job) owned.push_back(node.id);
-  }
-  return owned;
 }
 
 std::vector<int> Cluster::idle_node_ids() const {

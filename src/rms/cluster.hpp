@@ -135,9 +135,6 @@ class Cluster {
   /// Release specific nodes owned by `job`.
   void release(JobId job, const std::vector<int>& node_ids);
 
-  /// Release every node owned by `job`.
-  void release_all(JobId job);
-
   /// Transfer nodes between jobs without an idle round-trip (the resize
   /// protocol detaches the resizer job's allocation and attaches it to
   /// the original job).
@@ -152,7 +149,6 @@ class Cluster {
   /// Draining flag per node id, for the scheduler snapshot.
   std::vector<std::uint8_t> draining_flags() const;
 
-  std::vector<int> nodes_of(JobId job) const;
   std::string node_name(int id) const { return node(id).name; }
   /// Sorted ids of all idle nodes (the scheduler's allocation preview).
   std::vector<int> idle_node_ids() const;

@@ -182,7 +182,6 @@ std::vector<JobId> Manager::schedule(double now) {
       if (eligible(*job)) view.pending.push_back(job);
     }
     sort_pending(view.pending, now, config_.scheduler.weights);
-    view.pending_sorted = true;
     view.running.clear();
     view.running.reserve(running_jobs_.size());
     for (const Job* job : running_jobs_) view.running.push_back(job);
@@ -345,21 +344,6 @@ void Manager::job_finished(JobId id, double now) {
   schedule(now);
 }
 
-void Manager::update_requested_nodes(JobId id, int nodes, double now) {
-  Job& job = job_mutable(id);
-  const int capacity = job.partition == kAnyPartition
-                           ? cluster_.size()
-                           : cluster_.partition(job.partition).nodes;
-  if (nodes < 0 || nodes > capacity) {
-    throw std::invalid_argument("Manager: bad node update");
-  }
-  job.requested_nodes = nodes;
-  if (job.pending()) {
-    mark_queue_changed();
-    schedule(now);
-  }
-}
-
 JobId Manager::submit_resizer(JobId parent, int extra_nodes, double now) {
   const Job& parent_job = job(parent);
   JobSpec spec;
@@ -402,8 +386,8 @@ std::vector<int> Manager::harvest_resizer(JobId resizer, double now) {
   return nodes;
 }
 
-PolicyDecision Manager::dmr_decide(JobId id, const DmrRequest& request,
-                                   double now) {
+Decision Manager::dmr_decide(JobId id, const Request& request,
+                             double now) {
   Job& job = job_mutable(id);
   if (!job.running()) {
     throw std::logic_error("Manager: dmr_decide on non-running job");
@@ -429,34 +413,32 @@ PolicyDecision Manager::dmr_decide(JobId id, const DmrRequest& request,
     }
   }
   emit(obs::EventKind::kNegotiateBegin, id, now);
-  const PolicyDecision decision = reconfiguration_policy(view, request);
+  const Decision decision = reconfiguration_policy(view, request);
   emit(obs::EventKind::kNegotiated, id, now, job.allocated(),
        decision.new_size, decision.action);
   return decision;
 }
 
-DmrOutcome Manager::dmr_check(JobId id, const DmrRequest& request,
-                              double now) {
+Outcome Manager::dmr_check(JobId id, const Request& request, double now) {
   return dmr_apply(id, dmr_decide(id, request, now), now);
 }
 
-DmrOutcome Manager::dmr_apply(JobId id, const PolicyDecision& decision,
-                              double now) {
+Outcome Manager::dmr_apply(JobId id, const Decision& decision, double now) {
   emit(obs::EventKind::kApplyBegin, id, now);
-  DmrOutcome outcome = dmr_apply_impl(id, decision, now);
+  Outcome outcome = dmr_apply_impl(id, decision, now);
   emit(obs::EventKind::kApplied, id, now, 0, outcome.new_size, outcome.action,
        outcome.aborted);
   return outcome;
 }
 
-DmrOutcome Manager::dmr_apply_impl(JobId id, const PolicyDecision& decision,
-                                   double now) {
+Outcome Manager::dmr_apply_impl(JobId id, const Decision& decision,
+                                double now) {
   Job& job = job_mutable(id);
   if (!job.running()) {
     throw std::logic_error("Manager: dmr_apply on non-running job");
   }
 
-  DmrOutcome outcome;
+  Outcome outcome;
   outcome.action = decision.action;
   outcome.new_size = decision.new_size;
 
@@ -568,20 +550,6 @@ void Manager::complete_shrink(JobId id, double now) {
   schedule(now);
 }
 
-void Manager::abort_shrink(JobId id, double now) {
-  Job& job = job_mutable(id);
-  std::vector<int> draining;
-  for (int node_id : job.nodes) {
-    if (cluster_.node(node_id).draining) draining.push_back(node_id);
-  }
-  cluster_.set_draining(draining, false);
-  // The releases the drain-aware shadow promised are off again.
-  placements_dirty_ = true;
-  // An abort with no draining nodes never had a begun shrink to roll back.
-  if (!draining.empty()) emit(obs::EventKind::kShrinkAborted, id, now);
-  DMR_DEBUG("rms") << "job " << id << " shrink aborted at t=" << now;
-}
-
 ::dmr::JobView Manager::query(JobId id) const {
   const Job& record = job(id);
   ::dmr::JobView view;
@@ -629,21 +597,6 @@ const std::vector<const Job*>& Manager::pending_snapshot(double now) const {
     pending_cache_sorted_ = true;
   }
   return pending_cache_;
-}
-
-const std::vector<const Job*>& Manager::running_snapshot() const {
-  if (running_cache_version_ != queue_version_) {
-    running_cache_.clear();
-    for (const Job* job : running_jobs_) {
-      if (!job->spec.internal_resizer) running_cache_.push_back(job);
-    }
-    // Submission order, matching the pre-cache behaviour (the index list
-    // is unordered because removal swaps with the back).
-    std::sort(running_cache_.begin(), running_cache_.end(),
-              [](const Job* a, const Job* b) { return a->id < b->id; });
-    running_cache_version_ = queue_version_;
-  }
-  return running_cache_;
 }
 
 }  // namespace dmr::rms

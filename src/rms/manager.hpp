@@ -2,7 +2,7 @@
 //
 // Owns the cluster, the job table and the pending queue; exposes exactly
 // the operations the paper's methodology needs:
-//  - job lifecycle: submit / cancel / update / finish, with a backfill
+//  - job lifecycle: submit / cancel / finish, with a backfill
 //    scheduling pass after every state change that can affect placements;
 //  - the DMR entry point dmr_check(): runs the Algorithm-1 policy and, on
 //    "expand", the full Slurm resize protocol (resizer job B with a
@@ -59,7 +59,7 @@ struct RmsConfig {
 };
 
 /// Result of a DMR reconfiguring-point negotiation (public API type).
-using DmrOutcome = ::dmr::Outcome;
+using ::dmr::Outcome;
 
 /// The reference implementation of the public `dmr::Rms` interface.
 class Manager : public ::dmr::Rms {
@@ -72,8 +72,6 @@ class Manager : public ::dmr::Rms {
 
   JobId submit(JobSpec spec, double now) override;
   void cancel(JobId id, double now) override;
-  /// Slurm-style "update job": change the pending/running node request.
-  void update_requested_nodes(JobId id, int nodes, double now);
   /// The job's processes exited; release resources and reschedule.
   void job_finished(JobId id, double now) override;
   /// Run a scheduling pass if a placement-relevant event occurred since
@@ -85,30 +83,20 @@ class Manager : public ::dmr::Rms {
 
   /// Synchronous reconfiguring point: policy decision + immediate
   /// application (dmr_check_status).
-  DmrOutcome dmr_check(JobId id, const DmrRequest& request,
-                       double now) override;
+  Outcome dmr_check(JobId id, const Request& request, double now) override;
   /// Policy decision only, no side effects (first half of the
   /// asynchronous dmr_icheck_status: the action is applied at the *next*
   /// reconfiguring point, possibly against a changed system state).
-  PolicyDecision dmr_decide(JobId id, const DmrRequest& request,
-                            double now) override;
+  Decision dmr_decide(JobId id, const Request& request,
+                      double now) override;
   /// Apply a previously negotiated action.  Expansion re-runs the resizer
   /// protocol and may abort; shrinking always succeeds.  Reproduces the
   /// paper's "outdated decision" behaviour of Section VIII-C.
-  DmrOutcome dmr_apply(JobId id, const PolicyDecision& decision,
-                       double now) override;
+  Outcome dmr_apply(JobId id, const Decision& decision,
+                    double now) override;
   /// Complete a shrink after the drain ACKs: releases draining nodes,
   /// reschedules (the boosted job should start here).
   void complete_shrink(JobId id, double now) override;
-  /// Abort a shrink (failed drain): undrain, keep the allocation.
-  void abort_shrink(JobId id, double now) override;
-
-  // --- protocol pieces (exposed for tests; dmr_check composes them) ---------
-
-  JobId submit_resizer(JobId parent, int extra_nodes, double now);
-  /// Zero-size update + cancel: detach the resizer's nodes and hand them
-  /// to the parent job.  Returns the transferred node ids.
-  std::vector<int> harvest_resizer(JobId resizer, double now);
 
   // --- live reconfiguration (service-mode what-if hooks) ---------------------
 
@@ -136,7 +124,6 @@ class Manager : public ::dmr::Rms {
   /// (federation routing sums, service queue depth) skip the
   /// priority-sort the age-moving `now` would force on every call.
   const std::vector<const Job*>& pending_unsorted() const;
-  const std::vector<const Job*>& running_snapshot() const;
   /// All user-visible jobs (submission order).
   const std::vector<const Job*>& jobs() const { return user_jobs_; }
   /// True when no user job is pending or running.
@@ -189,8 +176,12 @@ class Manager : public ::dmr::Rms {
     return index == kNoJob ? nullptr : &jobs_[index];
   }
   Job& job_mutable(JobId id);
-  DmrOutcome dmr_apply_impl(JobId id, const PolicyDecision& decision,
-                            double now);
+  Outcome dmr_apply_impl(JobId id, const Decision& decision, double now);
+  // The resize protocol's pieces, composed by dmr_apply_impl.
+  JobId submit_resizer(JobId parent, int extra_nodes, double now);
+  /// Zero-size update + cancel: detach the resizer's nodes and hand them
+  /// to the parent job.  Returns the transferred node ids.
+  std::vector<int> harvest_resizer(JobId resizer, double now);
   void rescale_time_limit(Job& job, double now, double ratio);
   void start_job(Job& job, double now);
   void finish_job(Job& job, double now, JobState final_state);
@@ -249,8 +240,6 @@ class Manager : public ::dmr::Rms {
   mutable double pending_cache_now_ = 0.0;
   mutable bool pending_cache_sorted_ = false;
   mutable std::vector<const Job*> pending_cache_;
-  mutable std::uint64_t running_cache_version_ = 0;
-  mutable std::vector<const Job*> running_cache_;
 };
 
 }  // namespace dmr::rms

@@ -26,11 +26,11 @@ int min_procs_run(int current, int factor, int ceiling, int min_procs) {
 namespace {
 
 /// Wide optimization (Algorithm 1, lines 13-24).
-PolicyDecision wide_optimization(const PolicyView& view,
-                                 const DmrRequest& request) {
+Decision wide_optimization(const PolicyView& view,
+                           const Request& request) {
   const Job& job = *view.job;
   const int current = job.allocated();
-  PolicyDecision decision;
+  Decision decision;
 
   if (!view.pending.empty()) {
     // Would any queued job start if this one released part of its
@@ -67,14 +67,14 @@ PolicyDecision wide_optimization(const PolicyView& view,
 
 }  // namespace
 
-PolicyDecision reconfiguration_policy(const PolicyView& view,
-                                      const DmrRequest& request) {
+Decision reconfiguration_policy(const PolicyView& view,
+                                const Request& request) {
   if (view.job == nullptr || !view.job->running()) {
     throw std::invalid_argument("policy: job must be running");
   }
   const Job& job = *view.job;
   const int current = job.allocated();
-  PolicyDecision decision;
+  Decision decision;
 
   // Mode 1 — "request an action": bounds that exclude the current size
   // are a strong suggestion the RMS tries to honor first.

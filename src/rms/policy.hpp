@@ -21,11 +21,12 @@
 
 namespace dmr::rms {
 
-// Aliases of the public API value types (include/dmr/types.hpp): the
-// policy's inputs and verdicts are exactly what crosses the facade.
+// The public API value types (include/dmr/types.hpp), under their one
+// name: the policy's inputs and verdicts are exactly what crosses the
+// facade.
 using Action = ::dmr::Action;
-using DmrRequest = ::dmr::Request;
-using PolicyDecision = ::dmr::Decision;
+using ::dmr::Decision;
+using ::dmr::Request;
 
 struct PolicyView {
   /// The job asking (must be running).
@@ -35,8 +36,8 @@ struct PolicyView {
   std::vector<const Job*> pending;
 };
 
-PolicyDecision reconfiguration_policy(const PolicyView& view,
-                                      const DmrRequest& request);
+Decision reconfiguration_policy(const PolicyView& view,
+                                const Request& request);
 
 /// Largest factor-reachable expansion of `current` that stays within
 /// min(limit, request bounds) and whose growth fits in `idle_nodes`.

@@ -257,14 +257,7 @@ double shadow_time(const ScheduleView& view, int needed, int* extra_nodes,
 std::vector<Job*> schedule_pass(const ScheduleView& view,
                                 const SchedulerConfig& config,
                                 std::vector<BlockDiag>* blocked) {
-  // Pre-sorted views (the manager's) are used in place; the pass never
-  // mutates the queue, so the copy exists only to sort hand-built ones.
-  std::vector<Job*> sorted;
-  if (!view.pending_sorted) {
-    sorted = view.pending;
-    sort_pending(sorted, view.now, config.weights);
-  }
-  const std::vector<Job*>& queue = view.pending_sorted ? view.pending : sorted;
+  const std::vector<Job*>& queue = view.pending;  // already in PendingOrder
 
   std::vector<Job*> started;
   IdlePool pool(view, config.alloc);

@@ -42,12 +42,11 @@ struct SchedulerConfig {
 struct ScheduleView {
   double now = 0.0;
   int idle_nodes = 0;
-  /// Eligible pending jobs (dependencies already filtered by the caller).
+  /// Eligible pending jobs (dependencies already filtered by the caller)
+  /// in PendingOrder at `now`.  Precondition, not checked: the pass
+  /// reads the queue as given.  Manager::schedule sorts it; hand-built
+  /// views call sort_pending first.
   std::vector<Job*> pending;
-  /// Set when `pending` is already in PendingOrder (Manager::schedule
-  /// sorts it in eligible_pending); schedule_pass then skips its own
-  /// sort.  The pass sorts by default so hand-built views stay valid.
-  bool pending_sorted = false;
   /// Running jobs, used to estimate the backfill shadow time.
   std::vector<const Job*> running;
   /// Draining flag per node id (empty = nothing draining).  Draining

@@ -94,19 +94,14 @@ void Control::entry(smpi::Context& ctx) {
     }
     ctx.world().barrier();
     if (ctx.rank() == 0) {
-      {
-        std::lock_guard<std::mutex> lock(mu);
-        ResizeRecord& record = report.resizes.back();
-        record.spawn_seconds = wall_seconds() - resize_begin;
-        if (moved) {
-          record.bytes_redistributed = moved->bytes_moved;
-          record.redistribution_transfers = moved->transfers;
-          record.redistribution_seconds = moved->seconds;
-        }
+      std::lock_guard<std::mutex> lock(mu);
+      ResizeRecord& record = report.resizes.back();
+      record.spawn_seconds = wall_seconds() - resize_begin;
+      if (moved) {
+        record.bytes_redistributed = moved->bytes_moved;
+        record.redistribution_transfers = moved->transfers;
+        record.redistribution_seconds = moved->seconds;
       }
-      // Feed the measured movement back so cost models calibrate from
-      // observation instead of hard-coded fractions.
-      if (moved && point) point->engine().record_redistribution(*moved);
     }
   } else {
     state->init(ctx.rank(), ctx.size());

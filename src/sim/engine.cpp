@@ -249,6 +249,12 @@ std::size_t Engine::run(std::size_t limit) {
 }
 
 std::size_t Engine::run_until(SimTime t_end) {
+  // +inf would leave now() infinite, so every later schedule_after
+  // throws; NaN compares false against every event time and runs them
+  // all.  Neither is a horizon.
+  if (!std::isfinite(t_end)) {
+    throw std::invalid_argument("Engine::run_until: non-finite horizon");
+  }
   std::size_t count = 0;
   while (settle_front() && !(active_.back().time > t_end)) {
     step();

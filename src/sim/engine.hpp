@@ -156,6 +156,8 @@ class Engine {
   std::size_t run(std::size_t limit = std::numeric_limits<std::size_t>::max());
 
   /// Run events with time <= t_end, then advance the clock to t_end.
+  /// Throws std::invalid_argument (running nothing) when t_end is not
+  /// finite.
   std::size_t run_until(SimTime t_end);
 
   /// Events executed so far (monotone counter, for tests/telemetry).

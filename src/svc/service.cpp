@@ -1,6 +1,7 @@
 #include "svc/service.hpp"
 
 #include <algorithm>
+#include <cmath>
 #include <stdexcept>
 
 #include "apps/models.hpp"
@@ -64,6 +65,11 @@ void Service::pump() {
 }
 
 void Service::advance_to(double t) {
+  // The sampler chain keeps the queue non-empty, so a NaN or infinite
+  // target would never return.
+  if (!std::isfinite(t)) {
+    throw std::invalid_argument("Service: advance_to a non-finite time");
+  }
   if (t < engine_.now()) {
     throw std::invalid_argument("Service: advance_to into the past");
   }
@@ -72,6 +78,9 @@ void Service::advance_to(double t) {
 }
 
 bool Service::drain(double max_sim_time) {
+  if (std::isnan(max_sim_time)) {
+    throw std::invalid_argument("Service: drain until NaN");
+  }
   for (;;) {
     pump();
     if (all_done() && queue_.empty()) return true;

@@ -81,12 +81,14 @@ class Service {
   double now() const { return engine_.now(); }
 
   /// Pump the ring, then advance simulated time to `t`, emitting metrics
-  /// samples on cadence along the way.
+  /// samples on cadence along the way.  Throws std::invalid_argument
+  /// when `t` is in the past or not finite.
   void advance_to(double t);
 
   /// Advance in sample-period slices (pumping each slice) until every
   /// accepted job completed and the ring is empty, or simulated time
-  /// reaches `max_sim_time`.  Returns true when the workload drained.
+  /// reaches `max_sim_time` (+inf: no limit; NaN throws
+  /// std::invalid_argument).  Returns true when the workload drained.
   bool drain(double max_sim_time = 1.0e9);
 
   // --- observability ---------------------------------------------------------

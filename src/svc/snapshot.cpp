@@ -1,7 +1,13 @@
 #include "svc/snapshot.hpp"
 
+#include <algorithm>
+#include <array>
+#include <charconv>
+#include <cmath>
+#include <limits>
 #include <sstream>
 #include <stdexcept>
+#include <string_view>
 
 #include "util/clock.hpp"
 
@@ -9,10 +15,94 @@ namespace dmr::svc {
 
 namespace {
 
-constexpr const char* kHeader = "dmrsvc-snapshot";
+constexpr std::string_view kHeader = "dmrsvc-snapshot";
 constexpr int kVersion = 1;
 
+/// A submission record's fields, in wire order.
+constexpr std::array<const char*, 11> kFields = {
+    "tag",   "arrival",  "nodes",    "min_nodes",   "max_nodes", "runtime",
+    "steps", "flexible", "moldable", "state_bytes", "partition"};
+
+/// `text` cut at every newline; empty lines stay, so numbers hold.
+std::vector<std::string_view> lines_of(std::string_view text) {
+  std::vector<std::string_view> lines;
+  std::size_t start = 0;
+  for (std::size_t end; (end = text.find('\n', start)) != text.npos;
+       start = end + 1) {
+    lines.push_back(text.substr(start, end - start));
+  }
+  lines.push_back(text.substr(start));
+  return lines;
+}
+
+/// The blank-separated fields of one line.
+std::vector<std::string_view> fields_of(std::string_view line) {
+  constexpr std::string_view kBlanks = " \t";
+  std::vector<std::string_view> fields;
+  std::size_t start = line.find_first_not_of(kBlanks);
+  while (start != line.npos) {
+    const std::size_t end = line.find_first_of(kBlanks, start);
+    fields.push_back(line.substr(start, end - start));
+    start = line.find_first_not_of(kBlanks, end);
+  }
+  return fields;
+}
+
+std::string quoted(std::string_view text) {
+  return "'" + std::string(text) + "'";
+}
+
+/// The whole of `text` as an integer of type T, at least `min`.
+template <typename T>
+T whole(std::string_view text, int line, const char* field,
+        T min = std::numeric_limits<T>::min()) {
+  T value{};
+  const char* end = text.data() + text.size();
+  const auto [stop, error] = std::from_chars(text.data(), end, value);
+  if (error == std::errc::result_out_of_range) {
+    throw SnapshotParseError(line, field, quoted(text) + " is out of range");
+  }
+  if (error != std::errc() || stop != end) {
+    throw SnapshotParseError(line, field,
+                             quoted(text) + " is not a whole number");
+  }
+  if (value < min) {
+    throw SnapshotParseError(line, field,
+                             quoted(text) + " is below " + std::to_string(min));
+  }
+  return value;
+}
+
+/// The whole of `text` as a finite number >= 0.
+double finite_nonnegative(std::string_view text, int line, const char* field) {
+  double value = 0.0;
+  const char* end = text.data() + text.size();
+  const auto [stop, error] = std::from_chars(text.data(), end, value);
+  // from_chars also reads "inf" and "nan".
+  if (error != std::errc() || stop != end || !std::isfinite(value) ||
+      value < 0.0) {
+    throw SnapshotParseError(line, field,
+                             quoted(text) + " is not a finite number >= 0");
+  }
+  return value;
+}
+
+bool flag(std::string_view text, int line, const char* field) {
+  if (text != "0" && text != "1") {
+    throw SnapshotParseError(line, field, quoted(text) + " is not 0 or 1");
+  }
+  return text == "1";
+}
+
 }  // namespace
+
+SnapshotParseError::SnapshotParseError(int line, const std::string& field,
+                                       const std::string& what)
+    : std::invalid_argument("snapshot parse error at line " +
+                            std::to_string(line) + ", field '" + field +
+                            "': " + what),
+      line_(line),
+      field_(field) {}
 
 std::string Snapshot::serialize() const {
   std::ostringstream out;
@@ -31,37 +121,70 @@ std::string Snapshot::serialize() const {
 }
 
 Snapshot Snapshot::deserialize(const std::string& text, ServiceConfig config) {
-  std::istringstream in(text);
-  std::string header, version;
   Snapshot snapshot;
   snapshot.config = std::move(config);
-  std::size_t count = 0;
-  {
-    std::string time_field, count_field;
-    if (!(in >> header >> version >> time_field >> count_field) ||
-        header != kHeader || version != "v" + std::to_string(kVersion) ||
-        time_field.rfind("time=", 0) != 0 || count_field.rfind("n=", 0) != 0) {
-      throw std::invalid_argument("Snapshot: malformed header");
-    }
-    snapshot.time = std::stod(time_field.substr(5));
-    count = std::stoul(count_field.substr(2));
+  const std::vector<std::string_view> lines = lines_of(text);
+  const std::vector<std::string_view> header = fields_of(lines[0]);
+  if (header.size() != 4 || header[0] != kHeader) {
+    throw SnapshotParseError(1, "header",
+                             "expected 'dmrsvc-snapshot v1 time=T n=N'");
   }
-  snapshot.submissions.reserve(count);
+  if (header[1] != "v" + std::to_string(kVersion)) {
+    throw SnapshotParseError(1, "version",
+                             "unsupported '" + std::string(header[1]) + "'");
+  }
+  if (!header[2].starts_with("time=")) {
+    throw SnapshotParseError(1, "time", "expected time=T");
+  }
+  if (!header[3].starts_with("n=")) {
+    throw SnapshotParseError(1, "n", "expected n=N");
+  }
+  snapshot.time = finite_nonnegative(header[2].substr(5), 1, "time");
+  const std::size_t count = whole<std::size_t>(header[3].substr(2), 1, "n");
+  // The count is untrusted: never reserve beyond the lines present.
+  snapshot.submissions.reserve(std::min(count, lines.size() - 1));
+  int line = 1;
   for (std::size_t i = 0; i < count; ++i) {
-    JobRequest request;
-    int flexible = 0, moldable = 0;
-    std::string partition;
-    if (!(in >> request.tag >> request.arrival >> request.nodes >>
-          request.min_nodes >> request.max_nodes >> request.runtime >>
-          request.steps >> flexible >> moldable >> request.state_bytes >>
-          partition)) {
-      throw std::invalid_argument("Snapshot: truncated at submission " +
-                                  std::to_string(i));
+    ++line;
+    const std::vector<std::string_view> fields =
+        static_cast<std::size_t>(line) <= lines.size()
+            ? fields_of(lines[static_cast<std::size_t>(line - 1)])
+            : std::vector<std::string_view>{};
+    if (fields.empty()) {
+      throw SnapshotParseError(line, "record",
+                               "truncated: n=" + std::to_string(count) +
+                                   " but " + std::to_string(i) + " records");
     }
-    request.flexible = flexible != 0;
-    request.moldable = moldable != 0;
-    if (partition != "-") request.partition = std::move(partition);
+    if (fields.size() < kFields.size()) {
+      throw SnapshotParseError(line, kFields[fields.size()], "missing");
+    }
+    if (fields.size() > kFields.size()) {
+      throw SnapshotParseError(line, "record",
+                               "junk after the last field: '" +
+                                   std::string(fields[kFields.size()]) + "'");
+    }
+    JobRequest request;
+    request.tag = whole<long long>(fields[0], line, kFields[0]);
+    request.arrival = finite_nonnegative(fields[1], line, kFields[1]);
+    request.nodes = whole<int>(fields[2], line, kFields[2], 1);
+    request.min_nodes = whole<int>(fields[3], line, kFields[3]);
+    request.max_nodes = whole<int>(fields[4], line, kFields[4]);
+    request.runtime = finite_nonnegative(fields[5], line, kFields[5]);
+    request.steps = whole<int>(fields[6], line, kFields[6], 1);
+    request.flexible = flag(fields[7], line, kFields[7]);
+    request.moldable = flag(fields[8], line, kFields[8]);
+    request.state_bytes = whole<std::size_t>(fields[9], line, kFields[9]);
+    if (fields[10] != "-") request.partition = std::string(fields[10]);
     snapshot.submissions.push_back(std::move(request));
+  }
+  // serialize() ends every line with a newline, so only an empty tail
+  // may follow the last record.
+  for (std::size_t rest = static_cast<std::size_t>(line); rest < lines.size();
+       ++rest) {
+    if (!lines[rest].empty()) {
+      throw SnapshotParseError(static_cast<int>(rest + 1), "record",
+                               "record beyond n=" + std::to_string(count));
+    }
   }
   return snapshot;
 }
@@ -147,8 +270,9 @@ std::string ForkReport::to_json() const {
 
 ForkReport fork_and_run(const Snapshot& snapshot, const WhatIf& whatif,
                         double horizon) {
-  if (horizon <= snapshot.time) {
-    throw std::invalid_argument("fork_and_run: horizon not past the snapshot");
+  if (!std::isfinite(horizon) || horizon <= snapshot.time) {
+    throw std::invalid_argument(
+        "fork_and_run: horizon not a finite time past the snapshot");
   }
   ForkReport report;
   report.from = snapshot.time;

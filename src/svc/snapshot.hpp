@@ -21,12 +21,28 @@
 
 #include <memory>
 #include <optional>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
 #include "svc/service.hpp"
 
 namespace dmr::svc {
+
+/// A malformed snapshot text: names the 1-based line and the field that
+/// failed.  An std::invalid_argument, like every other rejection of bad
+/// input to the service.
+class SnapshotParseError : public std::invalid_argument {
+ public:
+  SnapshotParseError(int line, const std::string& field,
+                     const std::string& what);
+  int line() const { return line_; }
+  const std::string& field() const { return field_; }
+
+ private:
+  int line_;
+  std::string field_;
+};
 
 struct Snapshot {
   ServiceConfig config;
@@ -40,7 +56,11 @@ struct Snapshot {
   /// measured "snapshot bytes" of the service bench.
   std::string serialize() const;
   /// Inverse of serialize().  The config is not part of the wire format
-  /// (it holds live policy objects); the caller supplies it.
+  /// (it holds live policy objects); the caller supplies it.  Accepts
+  /// exactly what serialize() writes, with values restore() can replay:
+  /// a finite time >= 0, exactly `n` records of 11 fields each, whole
+  /// in-range numbers, 0/1 flags, nodes and steps >= 1, finite arrival
+  /// and runtime >= 0.  Anything else throws SnapshotParseError.
   static Snapshot deserialize(const std::string& text, ServiceConfig config);
 };
 
@@ -95,7 +115,8 @@ struct ForkReport {
 };
 
 /// Replay baseline and what-if variant from `snapshot` to `horizon`
-/// (absolute simulated time > snapshot.time) and report both endpoints.
+/// (a finite absolute simulated time > snapshot.time; anything else
+/// throws std::invalid_argument) and report both endpoints.
 ForkReport fork_and_run(const Snapshot& snapshot, const WhatIf& whatif,
                         double horizon);
 

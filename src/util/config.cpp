@@ -6,59 +6,8 @@
 #include <cstdlib>
 #include <cstring>
 #include <limits>
-#include <stdexcept>
 
 namespace dmr::util {
-
-std::optional<std::string> env_string(const std::string& name) {
-  const char* value = std::getenv(name.c_str());
-  if (value == nullptr) return std::nullopt;
-  return std::string(value);
-}
-
-double env_double(const std::string& name, double fallback) {
-  const auto text = env_string(name);
-  if (!text) return fallback;
-  try {
-    std::size_t consumed = 0;
-    const double value = std::stod(*text, &consumed);
-    if (consumed != text->size()) return fallback;
-    return value;
-  } catch (const std::exception&) {
-    return fallback;
-  }
-}
-
-long long env_int(const std::string& name, long long fallback) {
-  const auto text = env_string(name);
-  if (!text) return fallback;
-  try {
-    std::size_t consumed = 0;
-    const long long value = std::stoll(*text, &consumed);
-    if (consumed != text->size()) return fallback;
-    return value;
-  } catch (const std::exception&) {
-    return fallback;
-  }
-}
-
-bool env_bool(const std::string& name, bool fallback) {
-  const auto text = env_string(name);
-  if (!text) return fallback;
-  if (*text == "1" || *text == "true" || *text == "yes" || *text == "on") {
-    return true;
-  }
-  if (*text == "0" || *text == "false" || *text == "no" || *text == "off") {
-    return false;
-  }
-  return fallback;
-}
-
-void set_env(const std::string& name, const std::string& value) {
-  ::setenv(name.c_str(), value.c_str(), 1);
-}
-
-void unset_env(const std::string& name) { ::unsetenv(name.c_str()); }
 
 std::optional<std::pair<std::string, std::string>> parse_key_value(
     std::string_view arg) {

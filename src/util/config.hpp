@@ -1,8 +1,8 @@
-// Environment-backed configuration knobs.
-//
-// The paper exposes runtime tunables through environment variables
-// (NANOX_SCHED_PERIOD); we follow the same convention under the DMR_
-// prefix, with typed accessors and programmatic overrides for tests.
+// Command-line configuration: "key=value" arguments and the checked
+// number parsers every binary's options go through.  (The paper's
+// runtime knobs, such as NANOX_SCHED_PERIOD, are plain constructor or
+// config arguments here; nothing reads the environment except the log
+// level, DMR_LOG_LEVEL, in util/log.cpp.)
 #pragma once
 
 #include <cstdint>
@@ -12,18 +12,6 @@
 #include <string_view>
 
 namespace dmr::util {
-
-/// Read an environment variable; empty optional when unset.
-std::optional<std::string> env_string(const std::string& name);
-
-/// Typed lookups with defaults; malformed values fall back to the default.
-double env_double(const std::string& name, double fallback);
-long long env_int(const std::string& name, long long fallback);
-bool env_bool(const std::string& name, bool fallback);
-
-/// Test hook: override a variable for the current process (setenv wrapper).
-void set_env(const std::string& name, const std::string& value);
-void unset_env(const std::string& name);
 
 /// Parse "key=value" pairs (used by example binaries for CLI options).
 std::optional<std::pair<std::string, std::string>> parse_key_value(

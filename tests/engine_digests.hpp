@@ -44,13 +44,15 @@ inline std::uint64_t fnv1a(const std::string& text) {
 inline std::string job_table(const fed::Federation& federation) {
   std::string digest;
   char line[192];
-  for (const rms::Job* job : federation.jobs()) {
-    std::snprintf(line, sizeof(line), "%llu:%d:%.17g:%.17g:%.17g:%d:%d\n",
-                  static_cast<unsigned long long>(job->id),
-                  static_cast<int>(job->state), job->submit_time,
-                  job->start_time, job->end_time, job->expansions,
-                  job->shrinks);
-    digest += line;
+  for (int c = 0; c < federation.cluster_count(); ++c) {
+    for (const rms::Job* job : federation.manager(c).jobs()) {
+      std::snprintf(line, sizeof(line), "%llu:%d:%.17g:%.17g:%.17g:%d:%d\n",
+                    static_cast<unsigned long long>(job->id),
+                    static_cast<int>(job->state), job->submit_time,
+                    job->start_time, job->end_time, job->expansions,
+                    job->shrinks);
+      digest += line;
+    }
   }
   return digest;
 }

@@ -2,7 +2,8 @@
 # sidecar from a real run (sweep --attr-json over the bundled miniature
 # SWF trace), then drive dmr_explain through its query surface — the
 # summary, one concrete --job breakdown, --top-waits and
-# --critical-path.  Invoked as
+# --critical-path, then a sidecar with a malformed \u escape, which must
+# be refused with exit 1.  Invoked as
 #   cmake -DSWEEP=<sweep binary> -DDMR_EXPLAIN=<dmr_explain binary>
 #         -DSWF=<mini.swf> -P explain_smoke.cmake
 
@@ -79,5 +80,22 @@ if(NOT cmp MATCHES "no job's wait moved")
   message(FATAL_ERROR "self-compare reported phantom movement:\n${cmp}")
 endif()
 
+# A malformed sidecar is refused with a located error and exit 1, not a
+# crash: a \u escape needs four hex digits.
+set(bad_sidecar "${CMAKE_CURRENT_BINARY_DIR}/explain_smoke_bad.json")
+file(WRITE "${bad_sidecar}" [=[{"jobs":[{"name":"\uZZZZ"}]}]=])
+execute_process(COMMAND ${DMR_EXPLAIN} ${bad_sidecar}
+                OUTPUT_VARIABLE bad_out
+                ERROR_VARIABLE bad_err
+                RESULT_VARIABLE bad_rc)
+if(NOT bad_rc EQUAL 1)
+  message(FATAL_ERROR "dmr_explain on a \\uZZZZ sidecar exited with "
+                      "'${bad_rc}', expected 1\nstderr:\n${bad_err}")
+endif()
+if(NOT bad_err MATCHES "offset")
+  message(FATAL_ERROR "dmr_explain named no offset for the bad sidecar:\n"
+                      "${bad_err}")
+endif()
+
 message(STATUS "explain_smoke: job ${top_job_id} explained; "
-               "critical path and self-compare clean")
+               "critical path and self-compare clean; bad sidecar refused")

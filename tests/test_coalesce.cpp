@@ -70,7 +70,7 @@ std::vector<drv::JobPlan> table_one_mix(std::uint64_t seed, int jobs,
         class_of[static_cast<std::size_t>(i)])];
     plan.model.iterations =
         std::max(1, static_cast<int>(plan.model.iterations * 0.2));
-    rms::DmrRequest& request = plan.model.request;
+    rms::Request& request = plan.model.request;
     request.max_procs = std::min(request.max_procs, max_size);
     request.preferred = std::min(request.preferred, max_size);
     plan.arrival = arrival;
@@ -279,7 +279,6 @@ TEST(InhibitorPredicate, WouldAllowPredictsAllow) {
       t += std::uniform_int_distribution<>(0, 9)(rng) == 0
                ? 0.0
                : std::uniform_real_distribution<>(0.0, max_gap)(rng);
-      if (std::uniform_int_distribution<>(0, 49)(rng) == 0) inhibitor.reset();
       const bool predicted = inhibitor.would_allow(t);
       EXPECT_EQ(predicted, inhibitor.allow(t))
           << "round " << round << " step " << i << " t " << t;

@@ -78,7 +78,7 @@ TEST(Moldable, MoldedJobCanExpandLater) {
   m.schedule(1.0);
   ASSERT_EQ(m.job(mold).allocated(), 2);
   m.job_finished(hog, 5.0);
-  DmrRequest request;
+  Request request;
   request.min_procs = 1;
   request.max_procs = 8;
   const auto outcome = m.dmr_check(mold, request, 6.0);
@@ -109,7 +109,7 @@ TEST(Accounting, ResizeSplitsTheIntegral) {
   Accounting accounting(m);
   const JobId id = m.submit(spec("a", 4), 0.0);
   m.schedule(0.0);
-  DmrRequest request;
+  Request request;
   request.min_procs = 1;
   request.max_procs = 16;
   // Expand 4 -> 16 at t=10.
@@ -131,7 +131,7 @@ TEST(Accounting, ShrinkRecordedOnCompletion) {
   const JobId id = m.submit(spec("a", 8), 0.0);
   m.schedule(0.0);
   m.submit(spec("queued", 4, 4), 1.0);
-  DmrRequest request;
+  Request request;
   request.min_procs = 1;
   request.max_procs = 8;
   const auto outcome = m.dmr_check(id, request, 10.0);
@@ -246,7 +246,7 @@ TEST(Evolving, SetRequestDrivesForcedExpansion) {
   const JobId id = session.submit(spec("evolving", 4));
   session.schedule();
 
-  DmrRequest initial;
+  Request initial;
   initial.min_procs = 4;
   initial.max_procs = 4;  // pinned: no spontaneous resizing
   auto runtime = std::make_shared<dmr::ReconfigPoint>(session, initial);
@@ -258,7 +258,7 @@ TEST(Evolving, SetRequestDrivesForcedExpansion) {
     EXPECT_EQ(quiet.action, Action::None);
     // Phase 2: the application evolves — it now *requires* >= 8 procs.
     if (ctx.rank() == 0) {
-      DmrRequest demand;
+      Request demand;
       demand.min_procs = 8;
       demand.max_procs = 8;
       runtime->set_request(demand);
@@ -280,7 +280,7 @@ TEST(Evolving, ForcedShrinkViaMaxBelowCurrent) {
   const JobId id = session.submit(spec("evolving", 8));
   session.schedule();
 
-  DmrRequest demand;
+  Request demand;
   demand.min_procs = 1;
   demand.max_procs = 2;  // application no longer scales past 2
   auto runtime = std::make_shared<dmr::ReconfigPoint>(session, demand);

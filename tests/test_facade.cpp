@@ -313,43 +313,6 @@ TEST(SessionLifecycle, UnboundAndDoubleSubmitAreErrors) {
 
   session.submit(small_spec(2, 4));
   EXPECT_THROW(session.submit(small_spec(1, 4)), std::logic_error);
-  EXPECT_THROW(session.bind(7), std::logic_error);
-}
-
-TEST(SessionLifecycle, ShrinkAbortKeepsAllocation) {
-  Manager manager(RmsConfig{.nodes = 8, .scheduler = {}});
-  double now = 0.0;
-  Session session(manager, [&now] { return now; });
-  session.submit(small_spec(8, 8));
-  session.schedule();
-
-  // A queued rigid job makes the policy shrink the running job.
-  Session rigid(session.connection());
-  JobSpec rigid_spec;
-  rigid_spec.name = "rigid";
-  rigid_spec.requested_nodes = 4;
-  rigid_spec.min_nodes = 4;
-  rigid_spec.max_nodes = 4;
-  rigid.submit(rigid_spec);
-  rigid.schedule();
-
-  ReconfigEngine engine(session);
-  const auto outcome = engine.check(
-      Mode::Sync,
-      Request{.min_procs = 1, .max_procs = 8, .factor = 2, .preferred = 0});
-  ASSERT_TRUE(outcome.has_value());
-  ASSERT_EQ(outcome->action, Action::Shrink);
-  EXPECT_TRUE(engine.shrink_pending());
-
-  // The drain fails (e.g. the offload could not complete): abort keeps
-  // the full allocation and clears the draining marks.
-  engine.abort_shrink();
-  EXPECT_FALSE(engine.shrink_pending());
-  EXPECT_EQ(session.info().allocated, 8);
-  EXPECT_EQ(session.info().surviving_hosts.size(), session.info().hosts.size());
-  // Completing after an abort is a no-op at the engine level.
-  EXPECT_NO_THROW(engine.complete_shrink());
-  session.finish();
 }
 
 TEST(SessionLifecycle, ShrinkCompleteReleasesNodesAndStartsRigid) {
@@ -377,8 +340,8 @@ TEST(SessionLifecycle, ShrinkCompleteReleasesNodesAndStartsRigid) {
   EXPECT_EQ(session.info().surviving_hosts.size(), 4u);
 
   engine.complete_shrink();
-  EXPECT_FALSE(engine.shrink_pending());
   EXPECT_EQ(session.info().allocated, 4);
+  EXPECT_EQ(session.info().surviving_hosts, session.info().hosts);
   EXPECT_TRUE(rigid.info().running());
   session.finish();
   rigid.finish();
@@ -448,38 +411,7 @@ TEST(SessionLifecycle, SyncCheckDropsStaleDeferredDecision) {
   ASSERT_TRUE(third.has_value());
   EXPECT_EQ(third->action, Action::None);
   EXPECT_EQ(session.info().allocated, 8);
-  EXPECT_FALSE(engine.shrink_pending());
-  session.finish();
-}
-
-TEST(SessionLifecycle, ApplyHookFiresOnceOutsideTheLock) {
-  Manager manager(RmsConfig{.nodes = 8, .scheduler = {}});
-  double now = 0.0;
-  Session session(manager, [&now] { return now; });
-  session.submit(small_spec(2, 8));
-  session.schedule();
-
-  // The hook calls back into the engine — legal because it fires after
-  // the engine lock is released.
-  std::vector<Outcome> applied;
-  ReconfigEngine* self = nullptr;
-  ReconfigEngine engine(session, 0.0, [&](const Outcome& outcome) {
-    applied.push_back(outcome);
-    if (outcome.action == Action::Shrink) self->complete_shrink();
-  });
-  self = &engine;
-
-  const Request request{.min_procs = 1, .max_procs = 8, .factor = 2,
-                        .preferred = 0};
-  const auto outcome = engine.check(Mode::Sync, request);
-  ASSERT_TRUE(outcome.has_value());
-  EXPECT_EQ(outcome->action, Action::Expand);
-  ASSERT_EQ(applied.size(), 1u);
-  EXPECT_EQ(applied[0].new_size, 8);
-
-  // A no-action check does not fire the hook.
-  engine.check(Mode::Sync, request);
-  EXPECT_EQ(applied.size(), 1u);
+  EXPECT_EQ(session.info().surviving_hosts.size(), 8u);
   session.finish();
 }
 

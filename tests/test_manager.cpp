@@ -23,8 +23,8 @@ JobSpec spec(const std::string& name, int nodes, int min = 1, int max = 32,
   return s;
 }
 
-DmrRequest request(int min, int max, int preferred = 0) {
-  DmrRequest r;
+Request request(int min, int max, int preferred = 0) {
+  Request r;
   r.min_procs = min;
   r.max_procs = max;
   r.preferred = preferred;
@@ -108,39 +108,92 @@ TEST(Manager, DependentCancelledWithParent) {
   EXPECT_EQ(m.job(child).state, JobState::Cancelled);
 }
 
+/// Watches the resizer job of one expansion from inside the protocol:
+/// the manager's state at the resizer's submission, start and harvest.
+struct ResizerProbe final : obs::Sink {
+  JobId parent = kInvalidJob;
+  JobId resizer = kInvalidJob;
+  std::vector<int> resizer_nodes;
+  /// Idle nodes at every event from the resizer's start to the parent's
+  /// expansion: the hand-off must never pass through idle.
+  std::vector<int> idle_after_start;
+  /// User-visible job count and queue length while the resizer exists.
+  std::vector<std::size_t> jobs_seen;
+  std::vector<std::size_t> pending_seen;
+  bool harvested_to_parent = false;
+
+  obs::Interest interest() const override { return obs::kAllKinds; }
+  void on_event(const obs::Event& event) override {
+    const Manager& m = *event.manager;
+    if (event.kind == obs::EventKind::kSubmitted && event.job != parent) {
+      resizer = event.job;
+    }
+    if (resizer == kInvalidJob) return;
+    jobs_seen.push_back(m.jobs().size());
+    pending_seen.push_back(m.pending_snapshot(event.now).size());
+    if (event.kind == obs::EventKind::kStarted && event.job == resizer) {
+      resizer_nodes = m.job(resizer).nodes;
+    }
+    if (!resizer_nodes.empty()) idle_after_start.push_back(m.idle_nodes());
+    if (event.kind == obs::EventKind::kFinished && event.job == resizer) {
+      // Harvested: the nodes already belong to the parent.
+      harvested_to_parent = true;
+      for (int node : resizer_nodes) {
+        harvested_to_parent &= m.cluster().node(node).owner == parent;
+      }
+    }
+  }
+};
+
 TEST(ResizeProtocol, SubmitHarvestGrow) {
-  // The four Slurm steps of Section III, exercised piecewise.
+  // The four Slurm steps of Section III, observed through dmr_check:
+  // resizer submitted -> started on the idle nodes -> zero-size update
+  // hands its nodes to the parent -> resizer cancelled.
   Manager m(config(8));
-  const JobId a = m.submit(spec("a", 4), 0.0);
+  const JobId a = m.submit(spec("a", 4, 1, 8), 0.0);
   m.schedule(0.0);
-  const JobId rj = m.submit_resizer(a, 2, 1.0);
-  EXPECT_TRUE(m.job(rj).priority_boost);
-  EXPECT_TRUE(m.job(rj).spec.internal_resizer);
-  m.schedule(1.0);
-  ASSERT_TRUE(m.job(rj).running());
-  EXPECT_EQ(m.idle_nodes(), 2);
-  const auto harvested = m.harvest_resizer(rj, 1.0);
-  EXPECT_EQ(harvested.size(), 2u);
-  EXPECT_EQ(m.job(rj).state, JobState::Cancelled);
-  EXPECT_EQ(m.job(a).allocated(), 6);
-  EXPECT_EQ(m.job(a).requested_nodes, 6);
-  EXPECT_EQ(m.idle_nodes(), 2);  // nodes moved, not released
+  ResizerProbe probe;
+  probe.parent = a;
+  m.attach(probe);
+  const Outcome outcome = m.dmr_check(a, request(1, 8), 1.0);
+  ASSERT_EQ(outcome.action, Action::Expand);
+  ASSERT_NE(probe.resizer, kInvalidJob);
+  EXPECT_TRUE(m.job(probe.resizer).spec.internal_resizer);
+  EXPECT_EQ(m.job(probe.resizer).spec.depends_on, a);
+  EXPECT_EQ(m.job(probe.resizer).state, JobState::Cancelled);
+  EXPECT_EQ(probe.resizer_nodes.size(), 4u);
+  EXPECT_EQ(outcome.added_nodes, probe.resizer_nodes);
+  EXPECT_TRUE(probe.harvested_to_parent);
+  // The resizer took the four idle nodes and none was ever released.
+  ASSERT_FALSE(probe.idle_after_start.empty());
+  for (int idle : probe.idle_after_start) EXPECT_EQ(idle, 0);
+  EXPECT_EQ(m.job(a).allocated(), 8);
+  EXPECT_EQ(m.job(a).requested_nodes, 8);
+  EXPECT_EQ(m.idle_nodes(), 0);
 }
 
 TEST(ResizeProtocol, ResizerInvisibleToMetrics) {
   Manager m(config(8));
-  const JobId a = m.submit(spec("a", 4), 0.0);
+  const JobId a = m.submit(spec("a", 4, 1, 8), 0.0);
   m.schedule(0.0);
-  m.submit_resizer(a, 2, 1.0);
+  ResizerProbe probe;
+  probe.parent = a;
+  m.attach(probe);
+  ASSERT_EQ(m.dmr_check(a, request(1, 8), 1.0).action, Action::Expand);
+  ASSERT_NE(probe.resizer, kInvalidJob);
+  // Neither the job list nor the queue ever showed the resizer.
+  ASSERT_FALSE(probe.jobs_seen.empty());
+  for (std::size_t count : probe.jobs_seen) EXPECT_EQ(count, 1u);
+  for (std::size_t count : probe.pending_seen) EXPECT_EQ(count, 0u);
   EXPECT_EQ(m.jobs().size(), 1u);
-  EXPECT_TRUE(m.pending_snapshot(1.0).empty());
+  EXPECT_EQ(m.running_jobs(), 1);
 }
 
 TEST(DmrCheck, ExpandWholeFlow) {
   Manager m(config(16));
   const JobId a = m.submit(spec("a", 4), 0.0);
   m.schedule(0.0);
-  const DmrOutcome outcome = m.dmr_check(a, request(1, 16), 1.0);
+  const Outcome outcome = m.dmr_check(a, request(1, 16), 1.0);
   EXPECT_EQ(outcome.action, Action::Expand);
   EXPECT_EQ(outcome.new_size, 16);
   EXPECT_EQ(outcome.added_nodes.size(), 12u);
@@ -157,7 +210,7 @@ TEST(DmrCheck, ShrinkTwoPhase) {
   m.schedule(1.0);
   EXPECT_TRUE(m.job(b).pending());
 
-  const DmrOutcome outcome = m.dmr_check(a, request(1, 16, 4), 2.0);
+  const Outcome outcome = m.dmr_check(a, request(1, 16, 4), 2.0);
   EXPECT_EQ(outcome.action, Action::Shrink);
   EXPECT_EQ(outcome.new_size, 4);
   EXPECT_EQ(outcome.draining_nodes.size(), 12u);
@@ -178,32 +231,17 @@ TEST(DmrCheck, ShrinkBoostsTriggeringJob) {
   m.schedule(0.0);
   const JobId b = m.submit(spec("b", 12, 12, 12, 0, false), 1.0);
   m.schedule(1.0);
-  const DmrOutcome outcome = m.dmr_check(a, request(1, 16), 2.0);
+  const Outcome outcome = m.dmr_check(a, request(1, 16), 2.0);
   EXPECT_EQ(outcome.action, Action::Shrink);
   EXPECT_EQ(outcome.boosted, b);
   EXPECT_TRUE(m.job(b).priority_boost);
-}
-
-TEST(DmrCheck, AbortShrinkRestoresNodes) {
-  Manager m(config(16));
-  const JobId a = m.submit(spec("a", 16), 0.0);
-  m.schedule(0.0);
-  m.submit(spec("b", 8, 8, 8, 0, false), 1.0);
-  const DmrOutcome outcome = m.dmr_check(a, request(1, 16), 2.0);
-  ASSERT_EQ(outcome.action, Action::Shrink);
-  m.abort_shrink(a, 3.0);
-  EXPECT_EQ(m.job(a).allocated(), 16);
-  for (int node : m.job(a).nodes) {
-    EXPECT_FALSE(m.cluster().node(node).draining);
-  }
-  EXPECT_THROW(m.complete_shrink(a, 4.0), std::logic_error);
 }
 
 TEST(DmrCheck, NoActionWhenSaturated) {
   Manager m(config(8));
   const JobId a = m.submit(spec("a", 8, 1, 8, 8), 0.0);
   m.schedule(0.0);
-  const DmrOutcome outcome = m.dmr_check(a, request(1, 8, 8), 1.0);
+  const Outcome outcome = m.dmr_check(a, request(1, 8, 8), 1.0);
   EXPECT_EQ(outcome.action, Action::None);
   EXPECT_EQ(m.counters().no_actions, 1);
 }
@@ -219,7 +257,7 @@ TEST(DmrAsync, DeferredDecisionAppliesAgainstNewState) {
   m.job_finished(hog, 5.0);
   EXPECT_EQ(m.idle_nodes(), 12);
 
-  const PolicyDecision decision = m.dmr_decide(a, request(1, 16), 6.0);
+  const Decision decision = m.dmr_decide(a, request(1, 16), 6.0);
   ASSERT_EQ(decision.action, Action::Expand);
   EXPECT_EQ(decision.new_size, 16);
 
@@ -229,7 +267,7 @@ TEST(DmrAsync, DeferredDecisionAppliesAgainstNewState) {
   EXPECT_TRUE(m.job(c).running());
 
   // Applying the outdated decision must fail (not enough nodes for +12).
-  const DmrOutcome outcome = m.dmr_apply(a, decision, 8.0);
+  const Outcome outcome = m.dmr_apply(a, decision, 8.0);
   EXPECT_EQ(outcome.action, Action::None);
   EXPECT_TRUE(outcome.aborted);
   EXPECT_EQ(m.counters().aborted_expands, 1);
@@ -240,10 +278,10 @@ TEST(DmrAsync, StaleShrinkOvertakenIsAborted) {
   Manager m(config(16));
   const JobId a = m.submit(spec("a", 8), 0.0);
   m.schedule(0.0);
-  PolicyDecision stale;
+  Decision stale;
   stale.action = Action::Shrink;
   stale.new_size = 8;  // equal to current: nothing to release
-  const DmrOutcome outcome = m.dmr_apply(a, stale, 1.0);
+  const Outcome outcome = m.dmr_apply(a, stale, 1.0);
   EXPECT_EQ(outcome.action, Action::None);
   EXPECT_TRUE(outcome.aborted);
 }
@@ -257,14 +295,14 @@ TEST(Manager, ExpandAbortWhenResizerLosesRace) {
   // 12 idle; competitor wants 12 and is boosted above the resizer.
   const JobId rival = m.submit(spec("rival", 12, 12, 12, 0, false), 1.0);
   // Force rival ahead of the resizer by boosting it first.
-  PolicyDecision decision;
+  Decision decision;
   decision.action = Action::Expand;
   decision.new_size = 16;
   // Boost rival via a shrink decision boost path is indirect; instead
   // exercise dmr_apply after rival became running.
   m.schedule(1.0);
   EXPECT_TRUE(m.job(rival).running());
-  const DmrOutcome outcome = m.dmr_apply(a, decision, 2.0);
+  const Outcome outcome = m.dmr_apply(a, decision, 2.0);
   EXPECT_TRUE(outcome.aborted);
   EXPECT_EQ(m.job(a).allocated(), 4);
   // No resizer leftovers.
@@ -353,14 +391,9 @@ TEST(Manager, SnapshotsAreCachedAndInvalidate) {
   // Same state: the cached snapshot is reused, element storage included.
   const Job* const* storage = pending.data();
   EXPECT_EQ(m.pending_snapshot(2.0).data(), storage);
-  const auto& running = m.running_snapshot();
-  ASSERT_EQ(running.size(), 1u);
-  EXPECT_EQ(running[0]->id, a);
   m.job_finished(a, 3.0);
   EXPECT_TRUE(m.job(b).running());
   EXPECT_TRUE(m.pending_snapshot(3.0).empty());
-  ASSERT_EQ(m.running_snapshot().size(), 1u);
-  EXPECT_EQ(m.running_snapshot()[0]->id, b);
 }
 
 RmsConfig heterogeneous_config() {
@@ -408,18 +441,6 @@ TEST(Manager, MoldableHeadMoldsInSamePassAsBackfill) {
   EXPECT_EQ(m.job(b).allocated(), 2);
 }
 
-TEST(Manager, UpdateRespectsPartitionCapacity) {
-  Manager m(heterogeneous_config());
-  JobSpec pinned = spec("pinned", 2);
-  pinned.partition = "slow";
-  const JobId id = m.submit(pinned, 0.0);
-  // The slow partition only has 4 nodes; 5 would be unstartable forever.
-  EXPECT_THROW(m.update_requested_nodes(id, 5, 1.0), std::invalid_argument);
-  m.update_requested_nodes(id, 4, 1.0);
-  ASSERT_TRUE(m.job(id).running());
-  EXPECT_EQ(m.job(id).allocated(), 4);
-}
-
 TEST(Manager, PinnedExpandCappedByPartitionIdle) {
   // Regression: the policy once saw cluster-wide idle (6 nodes) and
   // granted an expansion the 4-node partition could not hold, making
@@ -429,7 +450,7 @@ TEST(Manager, PinnedExpandCappedByPartitionIdle) {
   pinned.partition = "fast";
   const JobId id = m.submit(pinned, 0.0);
   m.schedule(0.0);
-  const DmrOutcome outcome = m.dmr_check(id, request(1, 32), 1.0);
+  const Outcome outcome = m.dmr_check(id, request(1, 32), 1.0);
   EXPECT_EQ(outcome.action, Action::Expand);
   EXPECT_EQ(m.job(id).allocated(), 4);  // the whole partition, no more
 }
@@ -450,7 +471,7 @@ TEST(Manager, PinnedJobIgnoresForeignPartitionQueue) {
   const JobId b = m.submit(waiting, 1.0);
   m.schedule(1.0);
   EXPECT_TRUE(m.job(b).pending());
-  const DmrOutcome outcome = m.dmr_check(a, request(1, 4), 2.0);
+  const Outcome outcome = m.dmr_check(a, request(1, 4), 2.0);
   EXPECT_EQ(outcome.action, Action::None);
   EXPECT_EQ(m.job(a).allocated(), 4);
 }
@@ -461,7 +482,7 @@ TEST(Manager, ExpandInheritsPartitionConstraint) {
   pinned.partition = "slow";
   const JobId id = m.submit(pinned, 0.0);
   m.schedule(0.0);
-  const DmrOutcome outcome = m.dmr_check(id, request(1, 4), 1.0);
+  const Outcome outcome = m.dmr_check(id, request(1, 4), 1.0);
   EXPECT_EQ(outcome.action, Action::Expand);
   EXPECT_EQ(m.job(id).allocated(), 4);
   for (int node : m.job(id).nodes) {

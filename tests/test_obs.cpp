@@ -1,8 +1,8 @@
 // Tests for the observability layer: the trace recorder's output
 // survives the strict validator (and tampered documents do not), ring
 // overflow is counted rather than silently truncated, the profiler keeps
-// sub-microsecond durations, and attaching tracing never perturbs
-// simulated outcomes.
+// sub-microsecond durations, attaching tracing never perturbs simulated
+// outcomes, and the JSON reader rejects what the escaper never writes.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -355,6 +355,65 @@ TEST(ServiceCounters, TraceHooksRecordRingAndUtilizationTracks) {
   EXPECT_NE(json.find("utilization"), std::string::npos);
   const obs::TraceValidation validation = obs::validate_trace(json);
   EXPECT_TRUE(validation.ok) << validation.describe();
+}
+
+// --- JSON text: the one escaper and the strict reader ------------------------
+
+TEST(Json, RejectsMalformedStringsAndNumbers) {
+  const std::vector<std::string> bad = {
+      "\"\\uZZZZ\"",       // not hex
+      "[\"\\u12\", 1]",    // short escape must not eat the quote
+      "\"\\u00e9\"",       // beyond the ASCII the writers escape
+      "\"a\x01" "b\"",      // raw control character
+      "\"tab\there\"",      // raw tab
+      "1.2.3",
+      "[1.2.3]",
+      "01",
+      "+1",
+      "1.",
+      ".5",
+      "-",
+      "1e",
+      "1e+",
+      "-x",
+      "1e999",
+  };
+  for (const std::string& text : bad) {
+    obs::JsonValue value;
+    std::string error;
+    EXPECT_FALSE(obs::parse_json(text, value, error)) << text;
+    EXPECT_NE(error.find("at offset"), std::string::npos) << text << ": "
+                                                          << error;
+  }
+  obs::JsonValue value;
+  std::string error;
+  ASSERT_TRUE(obs::parse_json("[-0.5e+3, 0, 10, 2E-2, \"\\u0041\\/\"]",
+                              value, error))
+      << error;
+  ASSERT_EQ(value.items.size(), 5u);
+  EXPECT_DOUBLE_EQ(value.items[0].number, -500.0);
+  EXPECT_DOUBLE_EQ(value.items[3].number, 0.02);
+  EXPECT_EQ(value.items[4].text, "A/");
+}
+
+TEST(Json, EscapeThenParseRoundTripsEveryAsciiByte) {
+  std::string all;
+  for (int byte = 0x01; byte <= 0x7f; ++byte) {
+    const std::string one(1, static_cast<char>(byte));
+    all += one;
+    obs::JsonValue value;
+    std::string error;
+    ASSERT_TRUE(obs::parse_json("\"" + obs::json_escape(one) + "\"", value,
+                                error))
+        << byte << ": " << error;
+    EXPECT_EQ(value.text, one) << byte;
+  }
+  obs::JsonValue value;
+  std::string error;
+  ASSERT_TRUE(obs::parse_json("{\"k\":\"" + obs::json_escape(all) + "\"}",
+                              value, error))
+      << error;
+  EXPECT_EQ(obs::json_string(value.field("k")), all);
 }
 
 }  // namespace

@@ -30,8 +30,8 @@ Job pending_job(JobId id, int request) {
   return job;
 }
 
-DmrRequest request(int min, int max, int preferred = 0, int factor = 2) {
-  DmrRequest r;
+Request request(int min, int max, int preferred = 0, int factor = 2) {
+  Request r;
   r.min_procs = min;
   r.max_procs = max;
   r.preferred = preferred;
@@ -267,8 +267,8 @@ TEST_P(PolicySweep, DecisionsAreAlwaysFeasible) {
   view.job = &job;
   view.idle_nodes = param.idle;
   if (param.pending_request > 0) view.pending.push_back(&queued);
-  const DmrRequest req = request(1, 32, param.preferred);
-  const PolicyDecision d = reconfiguration_policy(view, req);
+  const Request req = request(1, 32, param.preferred);
+  const Decision d = reconfiguration_policy(view, req);
   switch (d.action) {
     case Action::Expand:
       EXPECT_GT(d.new_size, param.current);

@@ -106,14 +106,14 @@ TEST_P(ManagerFuzz, InvariantsHoldUnderRandomOperations) {
         } else if (action < 0.5) {
           manager.cancel(id, now);
         } else {
-          DmrRequest request;
+          Request request;
           request.min_procs = 1;
           request.max_procs = kNodes;
           request.preferred =
               rng.bernoulli(0.5)
                   ? static_cast<int>(rng.uniform_int(1, kNodes))
                   : 0;
-          const DmrOutcome outcome = manager.dmr_check(id, request, now);
+          const Outcome outcome = manager.dmr_check(id, request, now);
           if (outcome.action == Action::Shrink) draining[id] = true;
         }
       }

@@ -459,30 +459,6 @@ TEST(CostModelFeedback, CheckpointReportsCalibrateTheCrLane) {
   EXPECT_NEAR(moved.seconds, 2.0, 1e-9);
 }
 
-TEST(CostModelFeedback, EngineObserverFeedsTheCostModel) {
-  // The calibration tap: reports recorded on the shared engine flow
-  // straight into a CostModel via the observer.
-  Manager manager(RmsConfig{.nodes = 4, .scheduler = {}});
-  double clock = 0.0;
-  Session session(manager, [&] { return clock; });
-  JobSpec spec;
-  spec.name = "observer";
-  session.submit(spec);
-  ReconfigEngine engine(session);
-  drv::CostModel model;
-  engine.set_redist_observer(
-      [&model](const Report& report) { model.observe(report); });
-
-  Report report;
-  report.bytes_moved = 1 << 20;
-  report.seconds = 0.5;
-  engine.record_redistribution(report);
-  EXPECT_DOUBLE_EQ(model.measured_network_bw, (1 << 20) / 0.5);
-  EXPECT_EQ(engine.total_redistribution().bytes_moved,
-            std::size_t(1) << 20);
-  EXPECT_EQ(engine.last_redistribution().transfers, 0);
-}
-
 TEST(CostModelFeedback, MovementMatchesReconfigureSeconds) {
   drv::CostModel model;
   const std::size_t bytes = 64 << 20;

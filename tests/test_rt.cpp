@@ -10,7 +10,6 @@
 #include "dmr/manager.hpp"
 #include "dmr/reconfig_point.hpp"
 #include "rt/malleable_app.hpp"
-#include "util/config.hpp"
 #include "rt/redistribute.hpp"
 #include "smpi/universe.hpp"
 
@@ -30,20 +29,6 @@ TEST(Inhibitor, BlocksWithinPeriod) {
   EXPECT_FALSE(inhibitor.allow(4.999));
   EXPECT_TRUE(inhibitor.allow(5.0));
   EXPECT_FALSE(inhibitor.allow(7.0));
-}
-
-TEST(Inhibitor, ResetRearms) {
-  dmr::Inhibitor inhibitor(5.0);
-  EXPECT_TRUE(inhibitor.allow(0.0));
-  inhibitor.reset();
-  EXPECT_TRUE(inhibitor.allow(1.0));
-}
-
-TEST(Inhibitor, FromEnv) {
-  util::set_env("DMR_SCHED_PERIOD", "2.5");
-  EXPECT_DOUBLE_EQ(dmr::Inhibitor::from_env().period(), 2.5);
-  util::unset_env("DMR_SCHED_PERIOD");
-  EXPECT_DOUBLE_EQ(dmr::Inhibitor::from_env(7.0).period(), 7.0);
 }
 
 /// Minimal AppState: a distributed array where element i must equal
@@ -275,7 +260,7 @@ TEST(DmrRuntime, NegotiatedExpandThroughManager) {
   session.schedule();
   ASSERT_TRUE(session.info().running());
 
-  rms::DmrRequest request;
+  rms::Request request;
   request.min_procs = 1;
   request.max_procs = 8;
   auto runtime = std::make_shared<dmr::ReconfigPoint>(session, request);
@@ -320,7 +305,7 @@ TEST(DmrRuntime, ShrinkReleasesNodesAndStartsQueuedJob) {
   rigid_session.schedule();
   ASSERT_TRUE(rigid_session.info().pending());
 
-  rms::DmrRequest request;
+  rms::Request request;
   request.min_procs = 1;
   request.max_procs = 8;
   auto runtime = std::make_shared<dmr::ReconfigPoint>(session, request);
@@ -353,7 +338,7 @@ TEST(DmrRuntime, InhibitorSuppressesNegotiation) {
   session.submit(spec);
   session.schedule();
 
-  rms::DmrRequest request;
+  rms::Request request;
   request.min_procs = 1;
   request.max_procs = 8;
   // Huge inhibitor period: only the first check reaches the manager.
@@ -385,7 +370,7 @@ TEST(DmrRuntime, AsyncDefersDecisionByOneStep) {
   const rms::JobId job = session.submit(spec);
   session.schedule();
 
-  rms::DmrRequest request;
+  rms::Request request;
   request.min_procs = 1;
   request.max_procs = 8;
   auto runtime = std::make_shared<dmr::ReconfigPoint>(session, request);
@@ -415,7 +400,7 @@ TEST(DmrRuntime, DecisionBroadcastConsistentAcrossRanks) {
   spec.max_nodes = 8;
   session.submit(spec);
   session.schedule();
-  rms::DmrRequest request;
+  rms::Request request;
   request.min_procs = 1;
   request.max_procs = 8;
   auto runtime = std::make_shared<dmr::ReconfigPoint>(session, request);

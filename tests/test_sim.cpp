@@ -69,6 +69,24 @@ TEST(Engine, RejectsNonFiniteTimes) {
   }
 }
 
+TEST(Engine, RunUntilRejectsNonFiniteHorizon) {
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  constexpr double kNaN = std::numeric_limits<double>::quiet_NaN();
+  Engine engine;
+  int fired = 0;
+  engine.schedule_at(1.0, [&fired] { ++fired; });
+  engine.schedule_at(5.0, [&fired] { ++fired; });
+  for (const double horizon : {kInf, -kInf, kNaN}) {
+    EXPECT_THROW(engine.run_until(horizon), std::invalid_argument) << horizon;
+  }
+  // Nothing ran and the clock is untouched, so scheduling still works.
+  EXPECT_EQ(fired, 0);
+  EXPECT_DOUBLE_EQ(engine.now(), 0.0);
+  engine.schedule_after(2.0, [&fired] { ++fired; });
+  EXPECT_EQ(engine.run_until(3.0), 2u);
+  EXPECT_DOUBLE_EQ(engine.now(), 3.0);
+}
+
 TEST(Engine, RunUntilStopsAtBoundaryAndAdvancesClock) {
   Engine engine;
   std::vector<double> fired;

@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <limits>
 #include <stdexcept>
 #include <string>
 #include <thread>
@@ -239,6 +240,30 @@ TEST(Service, AdvanceIntoThePastThrows) {
   EXPECT_THROW(service.advance_to(50.0), std::invalid_argument);
 }
 
+TEST(Service, NonFiniteTimesAreRejected) {
+  // The sampler chain never lets the queue drain, so a NaN or infinite
+  // target must be refused rather than run forever.
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  constexpr double kNaN = std::numeric_limits<double>::quiet_NaN();
+  svc::Service service(small_service());
+  service.submit(request_of(0, 10.0));
+  for (const double t : {kNaN, kInf, -kInf}) {
+    EXPECT_THROW(service.advance_to(t), std::invalid_argument) << t;
+  }
+  EXPECT_THROW(service.drain(kNaN), std::invalid_argument);
+  EXPECT_DOUBLE_EQ(service.now(), 0.0);
+  service.advance_to(20.0);
+  const svc::Snapshot snap = svc::snapshot(service);
+  for (const double horizon : {kNaN, kInf}) {
+    EXPECT_THROW(svc::fork_and_run(snap, svc::WhatIf{}, horizon),
+                 std::invalid_argument)
+        << horizon;
+  }
+  // +inf still means "no limit" for drain.
+  EXPECT_TRUE(service.drain(kInf));
+  EXPECT_EQ(service.completed(), 1);
+}
+
 // --- Snapshot / restore ----------------------------------------------------
 
 TEST(Snapshot, SerializeDeserializeRoundTrip) {
@@ -281,6 +306,61 @@ TEST(Snapshot, DeserializeRejectsGarbage) {
       svc::Snapshot::deserialize("dmrsvc-snapshot v1 time=5 n=3\n1 0",
                                  small_service()),
       std::invalid_argument);
+}
+
+TEST(SnapshotParse, RejectsMalformedInput) {
+  // A well-formed record, then one field swapped per row.
+  const std::string kRecord = "7 0 4 1 8 200 5 1 0 268435456 -";
+  const auto doc = [&kRecord](const std::string& header,
+                              const std::string& record) {
+    return "dmrsvc-snapshot v1 " + header + "\n" + record + "\n";
+  };
+  const svc::Snapshot ok =
+      svc::Snapshot::deserialize(doc("time=5 n=1", kRecord), small_service());
+  ASSERT_EQ(ok.submissions.size(), 1u);
+  EXPECT_EQ(ok.submissions[0].state_bytes, std::size_t(1) << 28);
+
+  struct Case {
+    std::string text;
+    int line;
+    std::string field;
+  };
+  const std::vector<Case> cases = {
+      {doc("time=nan n=1", kRecord), 1, "time"},
+      {doc("time=inf n=1", kRecord), 1, "time"},
+      {doc("time=-5 n=1", kRecord), 1, "time"},
+      {doc("time=10x n=1", kRecord), 1, "time"},
+      {doc("time=5 n=-1", kRecord), 1, "n"},
+      {doc("time=5 n=99999999999999", kRecord), 3, "record"},
+      {doc("time=5 n=1", "7 0 4 1 8 200 5 1 0 -1 -"), 2, "state_bytes"},
+      {doc("time=5 n=1", "7 0 4 1 8 200 5 7 0 268435456 -"), 2, "flexible"},
+      {doc("time=5 n=1", "7 0 4 1 8 200 5 1 7 268435456 -"), 2, "moldable"},
+      {doc("time=5 n=1", kRecord + "\n" + kRecord), 3, "record"},
+      {doc("time=5 n=1", kRecord + " junk"), 2, "record"},
+      {doc("time=5 n=1", "7 0 -4 1 8 200 5 1 0 268435456 -"), 2, "nodes"},
+      {doc("time=5 n=1", "7 0 4 1 8 -200 5 1 0 268435456 -"), 2, "runtime"},
+      {doc("time=5 n=1", "7 0 4 1 8 200 0 1 0 268435456 -"), 2, "steps"},
+      {doc("time=5 n=1", "7 nan 4 1 8 200 5 1 0 268435456 -"), 2, "arrival"},
+      {doc("time=5 n=1", "7 0 4 1 8 200 5 1 0"), 2, "state_bytes"},
+      {doc("time=5 n=1", "7x 0 4 1 8 200 5 1 0 268435456 -"), 2, "tag"},
+      {"dmrsvc-snapshot v2 time=5 n=0\n", 1, "version"},
+  };
+  for (const Case& c : cases) {
+    try {
+      svc::Snapshot::deserialize(c.text, small_service());
+      ADD_FAILURE() << "accepted:\n" << c.text;
+    } catch (const svc::SnapshotParseError& error) {
+      EXPECT_EQ(error.line(), c.line) << error.what();
+      EXPECT_EQ(error.field(), c.field) << error.what();
+      EXPECT_NE(std::string(error.what()).find("line " +
+                                               std::to_string(c.line)),
+                std::string::npos)
+          << error.what();
+    } catch (const std::exception& error) {
+      ADD_FAILURE() << "untyped rejection: " << error.what() << "\n"
+                    << c.text;
+    }
+  }
 }
 
 // --- Determinism property: run(T1) == restore(snapshot(T0)).run(T1) --------

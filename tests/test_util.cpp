@@ -248,26 +248,6 @@ TEST(TimeSeriesChart, RendersAllSeries) {
   EXPECT_NE(out.find('#'), std::string::npos);
 }
 
-TEST(Config, EnvRoundTrip) {
-  set_env("DMR_TEST_KEY", "42");
-  EXPECT_EQ(env_int("DMR_TEST_KEY", 0), 42);
-  EXPECT_DOUBLE_EQ(env_double("DMR_TEST_KEY", 0.0), 42.0);
-  set_env("DMR_TEST_KEY", "not-a-number");
-  EXPECT_EQ(env_int("DMR_TEST_KEY", 7), 7);
-  unset_env("DMR_TEST_KEY");
-  EXPECT_FALSE(env_string("DMR_TEST_KEY").has_value());
-}
-
-TEST(Config, BoolParsing) {
-  set_env("DMR_TEST_BOOL", "true");
-  EXPECT_TRUE(env_bool("DMR_TEST_BOOL", false));
-  set_env("DMR_TEST_BOOL", "0");
-  EXPECT_FALSE(env_bool("DMR_TEST_BOOL", true));
-  set_env("DMR_TEST_BOOL", "garbage");
-  EXPECT_TRUE(env_bool("DMR_TEST_BOOL", true));
-  unset_env("DMR_TEST_BOOL");
-}
-
 TEST(Config, KeyValueParsing) {
   const auto kv = parse_key_value("nodes=64");
   ASSERT_TRUE(kv.has_value());

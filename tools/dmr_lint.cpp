@@ -26,10 +26,13 @@
 //                    TODO(#123) or FIXME(#123).
 //   unchecked-number no atoi/atol/atoll/atof, sscanf, strto* or std::sto*
 //                    call in the command-line layer (bench/, examples/,
-//                    tools/): they wrap, truncate or throw instead of
+//                    tools/) or the snapshot and JSON readers (src/svc/,
+//                    src/obs/): they wrap, truncate or throw instead of
 //                    rejecting.  CLI numbers go through util::parse_count,
-//                    parse_u64 and parse_real.  src/ keeps its documented
-//                    tolerant parsers (SWF fields and header directives).
+//                    parse_u64 and parse_real; the readers use
+//                    std::from_chars with an end check.  The rest of src/
+//                    keeps its documented tolerant parsers (SWF fields and
+//                    header directives).
 //
 // Any rule is suppressible at a site with a `dmr-lint:` comment holding
 // `allow(<rule>)`, on the same or the preceding line.  A suppression
@@ -548,7 +551,8 @@ void rule_unchecked_number(const std::string& path,
                            const std::vector<Token>& toks,
                            std::vector<Diagnostic>& out) {
   const bool in_scope = under(path, "bench/") || under(path, "examples/") ||
-                        under(path, "tools/");
+                        under(path, "tools/") || under(path, "src/svc/") ||
+                        under(path, "src/obs/");
   if (!in_scope) return;
   static const std::set<std::string> parsers = {
       "atoi",   "atol",    "atoll",    "atof",      "sscanf",
@@ -564,8 +568,10 @@ void rule_unchecked_number(const std::string& path,
     }
     out.push_back(Diagnostic{"unchecked-number", toks[i].line,
                              toks[i].text +
-                                 "() on a command-line number; use "
-                                 "util::parse_count, parse_u64 or parse_real"});
+                                 "() on an untrusted number; use "
+                                 "util::parse_count, parse_u64 or parse_real "
+                                 "on the command line, std::from_chars with "
+                                 "an end check in src/"});
   }
 }
 

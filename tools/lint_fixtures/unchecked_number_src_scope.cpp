@@ -1,8 +1,9 @@
 // dmr-lint-fixture: path=src/wl/directives.cpp
 //
-// The unchecked-number rule is scoped to the command-line layer: src/
-// keeps its documented tolerant parsers (SWF fields and header
-// directives check the end pointer themselves).  Zero expectations.
+// The unchecked-number rule is scoped to the command-line layer and the
+// snapshot/JSON readers: the rest of src/ keeps its documented tolerant
+// parsers (SWF fields and header directives check the end pointer
+// themselves).  Zero expectations.
 #include <cstdlib>
 #include <string>
 
