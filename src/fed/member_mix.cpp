@@ -1,7 +1,7 @@
 #include "fed/member_mix.hpp"
 
 #include <cctype>
-#include <cstdlib>
+#include <charconv>
 #include <stdexcept>
 
 namespace dmr::fed {
@@ -35,20 +35,31 @@ std::vector<std::string> split(const std::string& text, char sep) {
   }
 }
 
+/// A count in [1, 1e6]: digits only, no sign, no whitespace.
 bool parse_int(const std::string& text, int& out) {
-  if (text.empty()) return false;
-  char* end = nullptr;
-  const long value = std::strtol(text.c_str(), &end, 10);
-  if (*end != '\0' || value <= 0 || value > 1'000'000) return false;
-  out = static_cast<int>(value);
+  const char* last = text.data() + text.size();
+  int value = 0;
+  const auto [stop, error] = std::from_chars(text.data(), last, value);
+  if (error != std::errc() || stop != last || value <= 0 || value > 1'000'000) {
+    return false;
+  }
+  out = value;
   return true;
 }
 
+/// Speed factor bounds: a near-zero speed stretches runtimes past any
+/// finite simulated time, an infinite one collapses them to zero.
+constexpr double kMinSpeed = 0.01;
+constexpr double kMaxSpeed = 100.0;
+
 bool parse_speed(const std::string& text, double& out) {
-  if (text.empty()) return false;
-  char* end = nullptr;
-  const double value = std::strtod(text.c_str(), &end);
-  if (*end != '\0' || !(value > 0.0)) return false;
+  const char* last = text.data() + text.size();
+  double value = 0.0;
+  const auto [stop, error] = std::from_chars(text.data(), last, value);
+  if (error != std::errc() || stop != last ||
+      !(value >= kMinSpeed && value <= kMaxSpeed)) {
+    return false;
+  }
   out = value;
   return true;
 }

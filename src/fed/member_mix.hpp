@@ -13,6 +13,9 @@
 //           | part ('+' part)*       heterogeneous partitions
 //   part   := IDENT '=' INT ['@' FLOAT]    name=nodes[@speed]
 //
+// COUNT and INT are decimal digits in [1, 1e6] (no sign, no spaces);
+// FLOAT is a finite speed factor in [0.01, 100].
+//
 // Examples:
 //   "16x64,8x128:speed=0.6"     16 members of 64 nodes, 8 slow 128-node
 //   "1x24:name=alpha,1xfast=16@1.25+slow=8@0.6:name=beta"

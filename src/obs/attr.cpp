@@ -27,6 +27,13 @@ std::string fmt(double value) {
   return buffer;
 }
 
+/// Add a job's slices to per-cause `totals`, in slice order.
+void add_slices(const JobAttribution& job, double* totals) {
+  for (const CauseSlice& slice : job.slices) {
+    totals[static_cast<std::size_t>(slice.cause)] += slice.seconds;
+  }
+}
+
 /// Every cause in alphabetical name order, for sorted-key emission.
 constexpr BlockReason kAlphabetical[kBlockReasonCount] = {
     BlockReason::kDependency,      BlockReason::kDrainingWait,
@@ -149,6 +156,14 @@ void WaitAttributor::on_event(const Event& event) {
 
 void WaitAttributor::on_job_submitted(JobId id, const std::string& name,
                                       double now) {
+  // A job at or below the settled prefix's end (a re-submitted id, or on
+  // a federation a lower member's id arriving after the prefix crossed
+  // into the next member's range) would change what the sums hold: drop
+  // them, and the next cause_totals() starts again from the first job.
+  if (settled_last_ && id <= *settled_last_) {
+    settled_last_.reset();
+    settled_totals_.fill(0.0);
+  }
   JobAttribution& job = jobs_[id];
   job.id = id;
   job.name = name;
@@ -214,23 +229,25 @@ void WaitAttributor::on_job_started(JobId id, double now) {
 void WaitAttributor::on_job_finished(JobId id, double now) {
   const auto record = jobs_.find(id);
   if (record == jobs_.end()) return;
-  const auto it = open_.find(id);
-  if (it != open_.end()) {
-    // Cancelled while pending: close the wait at the cancellation.
-    close_segment(record->second, it->second, now);
-    open_.erase(it);
-  }
   record->second.end = now;
+  const auto it = open_.find(id);
+  if (it == open_.end()) return;
+  // Cancelled while pending: close the wait at the cancellation.
+  close_segment(record->second, it->second, now);
+  open_.erase(it);
 }
 
 std::vector<double> WaitAttributor::cause_totals(double now) const {
-  std::vector<double> totals(static_cast<std::size_t>(kBlockReasonCount),
-                             0.0);
-  for (const auto& [id, job] : jobs_) {
-    for (const CauseSlice& slice : job.slices) {
-      totals[static_cast<std::size_t>(slice.cause)] += slice.seconds;
-    }
+  auto it = settled_last_ ? jobs_.upper_bound(*settled_last_) : jobs_.begin();
+  // Only an open segment still changes a job's slices, so every job
+  // below the oldest open one is final: fold those into the kept sums.
+  for (; it != jobs_.end(); ++it) {
+    if (!open_.empty() && it->first >= open_.begin()->first) break;
+    add_slices(it->second, settled_totals_.data());
+    settled_last_ = it->first;
   }
+  std::vector<double> totals(settled_totals_.begin(), settled_totals_.end());
+  for (; it != jobs_.end(); ++it) add_slices(it->second, totals.data());
   if (now >= 0.0) {
     for (const auto& [id, open] : open_) {
       if (now > open.since) {

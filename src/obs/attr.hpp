@@ -23,7 +23,9 @@
 // and those analytics live here so tests cover them directly.
 #pragma once
 
+#include <array>
 #include <map>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -95,6 +97,9 @@ class WaitAttributor final : public Sink {
 
   /// Seconds per BlockReason (index = enum value) over closed slices;
   /// `now >= 0` also counts each open segment up to `now` (live views).
+  /// Costs the jobs from the oldest pending one on, not the whole run:
+  /// the sums over the jobs before it are kept between calls (so two
+  /// threads must not call it on one attributor at once).
   std::vector<double> cause_totals(double now = -1.0) const;
   const std::map<JobId, JobAttribution>& jobs() const { return jobs_; }
   double makespan() const;
@@ -117,6 +122,14 @@ class WaitAttributor final : public Sink {
 
   std::map<JobId, JobAttribution> jobs_;
   std::map<JobId, OpenSegment> open_;
+  /// The settled prefix, extended by cause_totals(): the id-ordered run
+  /// of jobs whose slices are final (started, or cancelled while
+  /// pending), up to its last id, and its per-cause sums.  cause_totals()
+  /// resumes the id-ordered walk after it, so it makes the same additions
+  /// in the same order as a walk from the first job, and returns the same
+  /// bits.
+  mutable std::optional<JobId> settled_last_;  ///< nullopt: empty
+  mutable std::array<double, kBlockReasonCount> settled_totals_{};
 };
 
 // --- sidecar analytics (tools/dmr_explain; tested directly) -----------------

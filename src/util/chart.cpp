@@ -7,6 +7,21 @@
 
 namespace dmr::util {
 
+namespace {
+
+/// Index of the first point after `time`.
+std::size_t first_after(const std::vector<double>& times, double time) {
+  return static_cast<std::size_t>(
+      std::upper_bound(times.begin(), times.end(), time) - times.begin());
+}
+
+/// The value held just before point `index`: 0 before the first point.
+double held_value(const std::vector<double>& values, std::size_t index) {
+  return index == 0 ? 0.0 : values[index - 1];
+}
+
+}  // namespace
+
 void StepSeries::add_point(double time, double value) {
   if (!times_.empty() && time < times_.back()) {
     throw std::invalid_argument("StepSeries: time not monotone");
@@ -20,20 +35,19 @@ void StepSeries::add_point(double time, double value) {
 }
 
 double StepSeries::value_at(double time) const {
-  if (times_.empty() || time < times_.front()) return 0.0;
-  auto it = std::upper_bound(times_.begin(), times_.end(), time);
-  const auto idx = static_cast<std::size_t>(it - times_.begin()) - 1;
-  return values_[idx];
+  return held_value(values_, first_after(times_, time));
 }
 
 double StepSeries::average(double t0, double t1) const {
-  if (!(t1 > t0)) return value_at(t0);
+  // One search gives both the value in force at t0 and where the walk
+  // starts: the points at or before t0 only set that value.
+  std::size_t i = first_after(times_, t0);
+  if (!(t1 > t0)) return held_value(values_, i);
   double area = 0.0;
   double prev_t = t0;
-  double prev_v = value_at(t0);
-  for (std::size_t i = 0; i < times_.size(); ++i) {
+  double prev_v = held_value(values_, i);
+  for (; i < times_.size(); ++i) {
     const double t = times_[i];
-    if (t <= t0) continue;
     if (t >= t1) break;
     area += prev_v * (t - prev_t);
     prev_t = t;

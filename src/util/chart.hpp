@@ -18,7 +18,8 @@ class StepSeries {
   /// Value at time t (last change at or before t; 0 before first point).
   double value_at(double time) const;
 
-  /// Time-weighted average of the series over [t0, t1].
+  /// Time-weighted average of the series over [t0, t1]; costs a binary
+  /// search plus the points inside the window.
   double average(double t0, double t1) const;
 
   double last_time() const;

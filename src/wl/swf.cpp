@@ -2,11 +2,12 @@
 
 #include <algorithm>
 #include <cctype>
+#include <charconv>
 #include <cmath>
 #include <cstdio>
-#include <cstdlib>
 #include <fstream>
 #include <istream>
+#include <limits>
 #include <ostream>
 #include <sstream>
 
@@ -52,21 +53,59 @@ constexpr const char* kFieldNames[18] = {
 }
 
 double parse_number(const std::string& token, int line, int field) {
-  const char* begin = token.c_str();
-  char* end = nullptr;
-  const double value = std::strtod(begin, &end);
-  if (end == begin || *end != '\0') {
+  const char* last = token.data() + token.size();
+  double value = 0.0;
+  const auto [stop, error] = std::from_chars(token.data(), last, value);
+  if (error == std::errc::invalid_argument || stop != last) {
     field_error(token, line, field, "not numeric");
   }
-  // strtod also accepts "inf", "nan" and overflows like "1e999"; no SWF
-  // field means any of them, and a non-finite submit time would reach
-  // the engine.
+  if (error == std::errc::result_out_of_range) {
+    // from_chars reports overflow and underflow alike; a negative
+    // exponent ("1e-999") is the underflow.
+    const bool underflow = token.find("e-") != std::string::npos ||
+                           token.find("E-") != std::string::npos;
+    field_error(token, line, field, underflow ? "out of range" : "not finite");
+  }
+  // from_chars also accepts "inf" and "nan"; no SWF field means either,
+  // and a non-finite submit time would reach the engine.
   if (!std::isfinite(value)) field_error(token, line, field, "not finite");
   return value;
 }
 
-long long parse_integer(const std::string& token, int line, int field) {
-  return std::llround(parse_number(token, line, field));
+/// An integer field: exact when the token is a plain integer, else the
+/// number rounded half away from zero ("8.0" is 8).  Either way a value
+/// outside `Int` is an error, never a wrapped or unspecified integer.
+template <typename Int>
+Int parse_integer(const std::string& token, int line, int field) {
+  const char* last = token.data() + token.size();
+  Int value = 0;
+  const auto [stop, error] = std::from_chars(token.data(), last, value);
+  if (stop == last && error == std::errc()) return value;
+  if (stop == last && error == std::errc::result_out_of_range) {
+    field_error(token, line, field, "out of range");
+  }
+  const double rounded = std::round(parse_number(token, line, field));
+  // The bounds are -2^31 / -2^63 and 2^31 / 2^63: exact as doubles.
+  constexpr double kLow = static_cast<double>(std::numeric_limits<Int>::min());
+  if (!(rounded >= kLow && rounded < -kLow)) {
+    field_error(token, line, field, "out of range");
+  }
+  return static_cast<Int>(rounded);
+}
+
+/// A header directive's leading integer, trailing prose ignored ("128
+/// nodes"); 0 when the value does not start with one.
+template <typename Int>
+Int directive_number(const std::string& key, const std::string& value,
+                     int line) {
+  Int number = 0;
+  const std::errc error =
+      std::from_chars(value.data(), value.data() + value.size(), number).ec;
+  if (error == std::errc::result_out_of_range) {
+    throw SwfParseError(line, "directive " + key + " is out of range: \"" +
+                                  value + "\"");
+  }
+  return error == std::errc() ? number : 0;
 }
 
 /// `; Key: Value` (or `;Key: Value`); returns false for free comments.
@@ -130,11 +169,12 @@ SwfTrace parse_swf(std::istream& in) {
         // Directive values may carry trailing prose ("128 nodes"); take
         // the leading number and ignore the rest.
         if (key == "MaxNodes") {
-          trace.header.max_nodes = std::atoi(value.c_str());
+          trace.header.max_nodes = directive_number<int>(key, value, line_no);
         } else if (key == "MaxProcs") {
-          trace.header.max_procs = std::atoi(value.c_str());
+          trace.header.max_procs = directive_number<int>(key, value, line_no);
         } else if (key == "UnixStartTime") {
-          trace.header.unix_start_time = std::atoll(value.c_str());
+          trace.header.unix_start_time =
+              directive_number<long long>(key, value, line_no);
         }
       }
       continue;
@@ -146,24 +186,23 @@ SwfTrace parse_swf(std::istream& in) {
     }
     TraceJob job;
     job.line = line_no;
-    job.job_number = parse_integer(fields[0], line_no, 0);
+    job.job_number = parse_integer<long long>(fields[0], line_no, 0);
     job.submit = parse_number(fields[1], line_no, 1);
     job.wait = parse_number(fields[2], line_no, 2);
     job.run_time = parse_number(fields[3], line_no, 3);
-    job.used_procs = static_cast<int>(parse_integer(fields[4], line_no, 4));
+    job.used_procs = parse_integer<int>(fields[4], line_no, 4);
     job.avg_cpu_seconds = parse_number(fields[5], line_no, 5);
     job.used_memory_kb = parse_number(fields[6], line_no, 6);
-    job.requested_procs =
-        static_cast<int>(parse_integer(fields[7], line_no, 7));
+    job.requested_procs = parse_integer<int>(fields[7], line_no, 7);
     job.requested_time = parse_number(fields[8], line_no, 8);
     job.requested_memory_kb = parse_number(fields[9], line_no, 9);
-    job.status = static_cast<int>(parse_integer(fields[10], line_no, 10));
-    job.user_id = static_cast<int>(parse_integer(fields[11], line_no, 11));
-    job.group_id = static_cast<int>(parse_integer(fields[12], line_no, 12));
-    job.executable = static_cast<int>(parse_integer(fields[13], line_no, 13));
-    job.queue = static_cast<int>(parse_integer(fields[14], line_no, 14));
-    job.partition = static_cast<int>(parse_integer(fields[15], line_no, 15));
-    job.preceding_job = parse_integer(fields[16], line_no, 16);
+    job.status = parse_integer<int>(fields[10], line_no, 10);
+    job.user_id = parse_integer<int>(fields[11], line_no, 11);
+    job.group_id = parse_integer<int>(fields[12], line_no, 12);
+    job.executable = parse_integer<int>(fields[13], line_no, 13);
+    job.queue = parse_integer<int>(fields[14], line_no, 14);
+    job.partition = parse_integer<int>(fields[15], line_no, 15);
+    job.preceding_job = parse_integer<long long>(fields[16], line_no, 16);
     job.think_time = parse_number(fields[17], line_no, 17);
     trace.jobs.push_back(job);
   }

@@ -7,7 +7,10 @@
 // is tolerant — blank lines, free-form comments, unsorted records and
 // trailing extra fields are accepted — but malformed job lines fail
 // loudly with the offending line number, because a silently skipped
-// record would bias every downstream metric.
+// record would bias every downstream metric.  A number outside its
+// field's type (an int processor count of 4294967304, a `1e300` id) or
+// an out-of-range MaxNodes / MaxProcs / UnixStartTime directive is such
+// a failure too, never a wrapped value.
 //
 // Raw SWF records describe what one real machine ran; wl::TraceShaper
 // turns them into a wl::Workload for the simulator: filter what never

@@ -1,6 +1,7 @@
 # ctest: command-line numbers are rejected, never wrapped, truncated,
 # silently defaulted or thrown past main.  Every row of the table below
-# must exit with status 2 and name its argument on stderr.  Invoked as
+# must exit with status 2 and name its argument (or the member-mix group,
+# or the SWF line and field) on stderr.  Invoked as
 #   cmake -DSWEEP=<sweep> -DDMRSIM=<dmrsim> -DENGINE_BENCH=<engine_bench>
 #         -DMAKE_SWF=<make_swf> -P cli_count_smoke.cmake
 
@@ -37,6 +38,33 @@ expect_rejected("seed: '-1' is not an integer"
                 ${ENGINE_BENCH} smoke seed=-1)
 # NaN passed the range check and was written as submit times.
 expect_rejected("--load: 'nan' is not a finite number" ${MAKE_SWF} --load nan)
+
+# Member-mix speeds must be finite and in [0.01, 100]: an infinite
+# member took every job, 1e-300 gave a 2.65e300 s makespan and a
+# subnormal one aborted the engine with a non-finite time.  Counts take
+# no sign and no whitespace.
+foreach(members
+    "1x16:speed=inf,1x16" "1x16,1x16:speed=1e-300"
+    "1x16:speed=0x1p-1070,1x16" "1x16,1xa=8@inf+b=8" "1x+16,1x16"
+    " 1x16,1x16")
+  expect_rejected("member mix: group [01]"
+                  ${SWEEP} smoke clusters=2 --members "${members}")
+endforeach()
+
+# SWF integers outside their field's type: 4294967304 processors wrapped
+# to an 8-processor job, and 1e300 became 0 and was dropped as sizeless.
+set(record_tail "-1 1 1 1 1 1 1 -1 0")
+foreach(row
+    "used_procs|1 0 0 10 4294967304 -1 -1 4294967304 60 ${record_tail}"
+    "requested_procs|1 0 0 10 2 -1 -1 1e300 60 ${record_tail}")
+  string(REPLACE "|" ";" row "${row}")
+  list(GET row 0 field)
+  list(GET row 1 record)
+  set(swf "${CMAKE_CURRENT_BINARY_DIR}/cli_count_${field}.swf")
+  file(WRITE "${swf}" "; MaxNodes: 16\n${record}\n")
+  expect_rejected("line 2: field [0-9]+ \\(${field}\\) is out of range"
+                  ${SWEEP} smoke --swf "${swf}")
+endforeach()
 
 if(NOT failures STREQUAL "")
   message(FATAL_ERROR "command-line numbers accepted:${failures}")

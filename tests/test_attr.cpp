@@ -1,18 +1,23 @@
 // Tests for the wait-attribution layer: the conservation contract (a
 // started job's cause slices tile [submit, start] exactly), outcome
 // digests byte-identical with the attributor attached vs detached, the
-// sidecar JSON round trip, and the dmr_explain analytics (top waits,
-// critical path, regression compare) the CLI fronts.
+// sidecar JSON round trip, the dmr_explain analytics (top waits,
+// critical path, regression compare) the CLI fronts, and the kept
+// per-cause sums matching a walk over every job bit for bit.
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cstdint>
+#include <limits>
 #include <sstream>
 #include <string>
 #include <vector>
 
+#include "dmr/federation.hpp"
 #include "dmr/observe.hpp"
 #include "dmr/service.hpp"
 #include "dmr/simulation.hpp"
+#include "dmr/util.hpp"
 
 namespace {
 
@@ -257,6 +262,64 @@ TEST(WaitAttributor, LiveCauseTotalsCountOpenSegments) {
       closed[static_cast<std::size_t>(obs::BlockReason::kDrainingWait)], 0.0);
 }
 
+/// Doubles as bit patterns: equal only when every bit is.
+std::vector<std::uint64_t> bits(const std::vector<double>& values) {
+  std::vector<std::uint64_t> out;
+  for (const double value : values) {
+    out.push_back(std::bit_cast<std::uint64_t>(value));
+  }
+  return out;
+}
+
+/// One cause's seconds from cause_totals(now).
+double total_of(const obs::WaitAttributor& attr, obs::BlockReason cause,
+                double now = -1.0) {
+  return attr.cause_totals(now)[static_cast<std::size_t>(cause)];
+}
+
+/// Closed-slice totals as a walk over every job in id order.
+std::vector<double> walk_every_job(const obs::WaitAttributor& attr) {
+  std::vector<double> totals(static_cast<std::size_t>(obs::kBlockReasonCount),
+                             0.0);
+  for (const auto& [id, job] : attr.jobs()) {
+    for (const auto& slice : job.slices) {
+      totals[static_cast<std::size_t>(slice.cause)] += slice.seconds;
+    }
+  }
+  return totals;
+}
+
+TEST(WaitAttributor, SubmissionBelowTheSettledPrefixDropsItsSums) {
+  obs::WaitAttributor attr;
+  attr.on_job_submitted(5, "e", 0.0);
+  attr.on_job_blocked(5, 0.0, obs::BlockReason::kInsufficientIdle, 0);
+  attr.on_job_started(5, 4.0);
+  // Nothing is pending, so this call settles job 5.
+  EXPECT_EQ(bits(attr.cause_totals()), bits(walk_every_job(attr)));
+
+  // A new id below the settled job: its slices sort before job 5's.
+  attr.on_job_submitted(3, "c", 10.0);
+  attr.on_job_blocked(3, 10.0, obs::BlockReason::kDependency, 5);
+  attr.on_job_started(3, 13.0);
+  EXPECT_EQ(bits(attr.cause_totals()), bits(walk_every_job(attr)));
+  EXPECT_DOUBLE_EQ(total_of(attr, obs::BlockReason::kDependency), 3.0);
+
+  // A re-submitted settled id appends to the slices the sums hold.
+  attr.on_job_submitted(5, "e", 20.0);
+  attr.on_job_blocked(5, 20.0, obs::BlockReason::kEasyReservation, 3);
+  attr.on_job_started(5, 25.0);
+  EXPECT_EQ(bits(attr.cause_totals()), bits(walk_every_job(attr)));
+  EXPECT_GT(total_of(attr, obs::BlockReason::kEasyReservation), 0.0);
+
+  // A job cancelled while pending settles like a started one.
+  attr.on_job_submitted(7, "g", 30.0);
+  attr.on_job_blocked(7, 30.0, obs::BlockReason::kPartitionPinned, 0);
+  attr.on_job_finished(7, 36.0);
+  attr.on_job_submitted(8, "h", 40.0);
+  EXPECT_EQ(bits(attr.cause_totals()), bits(walk_every_job(attr)));
+  EXPECT_DOUBLE_EQ(total_of(attr, obs::BlockReason::kUnattributed, 50.0), 10.0);
+}
+
 // --- sidecar round trip ------------------------------------------------------
 
 TEST(AttributionSidecar, JsonRoundTripsBitExactly) {
@@ -452,6 +515,91 @@ TEST(ServiceAttribution, SamplesCarryWaitCauseColumns) {
   off.attribute_waits = false;
   svc::Service plain(off);
   EXPECT_EQ(plain.attribution(), nullptr);
+}
+
+/// At every sample, feeds the events recorded so far to a fresh
+/// attributor whose cause_totals walks every job, and expects the
+/// sample's cause columns to match it bit for bit.
+class ColdReplayCheck final : public obs::Sink {
+ public:
+  obs::Interest interest() const override {
+    return obs::kinds(obs::EventKind::kSubmitted, obs::EventKind::kBlocked,
+                      obs::EventKind::kStarted, obs::EventKind::kFinished,
+                      obs::EventKind::kSample);
+  }
+
+  void on_event(const obs::Event& event) override {
+    if (event.kind != obs::EventKind::kSample) {
+      feed_.push_back(event);
+      return;
+    }
+    obs::WaitAttributor cold;
+    // A pending job below every real id keeps the settled prefix empty,
+    // so this cause_totals is the walk from the first job.  Submitted at
+    // the sample instant, its own open segment adds nothing.
+    cold.on_job_submitted(std::numeric_limits<JobId>::min(), "pin", event.now);
+    for (const obs::Event& fed : feed_) cold.on_event(fed);
+    const std::vector<double> expected = cold.cause_totals(event.now);
+    EXPECT_EQ(bits(event.sample->cause_seconds), bits(expected))
+        << "sample at t=" << event.now;
+    ++samples;
+    if (event.sample->queue_depth > 0) ++backlogged_samples;
+  }
+
+  int samples = 0;
+  /// Samples taken with jobs pending: the sums had a tail to walk.
+  int backlogged_samples = 0;
+
+ private:
+  std::vector<obs::Event> feed_;
+};
+
+TEST(ServiceAttribution, CachedTotalsMatchColdReplay) {
+  for (const std::uint64_t seed : {1, 7, 42, 2017}) {
+    for (const int members : {1, 3}) {
+      svc::ServiceConfig config;
+      if (members == 1) {
+        config.driver.rms.nodes = 24;
+      } else {
+        const fed::MemberMix mix =
+            fed::parse_member_mix(fed::kDefaultMemberMix);
+        for (int c = 0; c < members; ++c) {
+          config.driver.federation.clusters.push_back(fed::member_spec(mix, c));
+        }
+        config.driver.federation.placement = fed::Placement::LeastLoaded;
+      }
+      config.sample_period = 40.0 + double(seed % 3) * 10.0;
+      config.window = 4 * config.sample_period;
+      svc::Service service(config);
+      ColdReplayCheck check;
+      service.driver_mutable().attach(check);
+
+      util::Rng rng(seed);
+      double arrival = 0.0;
+      for (long long tag = 0; tag < 80; ++tag) {
+        svc::JobRequest request;
+        request.tag = tag;
+        request.arrival = arrival;
+        request.nodes = static_cast<int>(rng.uniform_int(2, 8));
+        request.min_nodes = std::max(1, request.nodes / 4);
+        request.max_nodes = request.nodes * 2;
+        request.runtime = rng.uniform(100.0, 400.0);
+        request.steps = 5;
+        request.flexible = rng.bernoulli(0.7);
+        ASSERT_TRUE(service.submit(request));
+        arrival += rng.exponential_mean(15.0);
+      }
+      ASSERT_TRUE(service.drain(1.0e7));
+      const std::string label = "seed " + std::to_string(seed) + ", " +
+                                std::to_string(members) + " member(s)";
+      EXPECT_EQ(check.samples,
+                static_cast<int>(service.sample_records().size()))
+          << label;
+      // The stream queues: most samples find jobs pending behind
+      // started ones, so both the kept sums and the walk are exercised.
+      EXPECT_GT(check.backlogged_samples, check.samples / 2) << label;
+    }
+  }
 }
 
 }  // namespace

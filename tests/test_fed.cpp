@@ -349,7 +349,12 @@ TEST(MemberMix, RejectsMalformedSpecs) {
        {"", "x64", "4x", "4x0", "ax64", "4x64:speed=0", "4x64:speed=-1",
         "4x64:name=", "4x64:name=bad name", "4x64:bogus=1", "4xfast=",
         "4xfast=8@", "4xfast=8@0", "4xp", "1x8,1x8:name=m0",
-        "1x8:name=a,1x16:name=a"}) {
+        "1x8:name=a,1x16:name=a",
+        // Speeds must be finite and in [0.01, 100]; counts take no sign
+        // and no whitespace.
+        "1x16:speed=inf", "1x16:speed=nan", "1x16:speed=1e-300",
+        "1x16:speed=0x1p-1070", "1x16:speed=101", "1xa=8@inf+b=8",
+        "1xa=8@0.001", "1x+16", " 1x16", "1x16 ", "+1x16", "1x 16", "1xa=+8"}) {
     EXPECT_THROW(fed::parse_member_mix(bad), std::invalid_argument)
         << "spec: '" << bad << "'";
   }

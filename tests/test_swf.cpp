@@ -6,6 +6,7 @@
 // JobPlans directly).
 #include <gtest/gtest.h>
 
+#include <limits>
 #include <string>
 #include <vector>
 
@@ -148,6 +149,69 @@ TEST(SwfParse, NonFiniteFieldReportsLineAndField) {
           << error.what();
     }
   }
+}
+
+// Integers outside their field's type used to wrap (4294967304 procs
+// became 8) or go through llround's unspecified result (1e300 became 0
+// and the record was dropped as sizeless); header directives went
+// through atoi.  Each is now an error naming the line and field.
+TEST(SwfParse, RejectsOutOfRangeIntegers) {
+  const std::string good = "1 0 0 10 2 -1 -1 2 60 -1 1 1 1 1 1 1 -1 0\n";
+  const struct {
+    const char* text;
+    int line;
+    const char* name;
+    const char* problem;
+  } cases[] = {
+      {"2 5 0 10 4294967304 -1 -1 4294967304 60 -1 1 1 1 1 1 1 -1 0\n", 2,
+       "used_procs", "out of range"},
+      {"2 5 0 10 2 -1 -1 1e300 60 -1 1 1 1 1 1 1 -1 0\n", 2, "requested_procs",
+       "out of range"},
+      {"2 5 0 10 2 -1 -1 2 60 -1 -2147483649 1 1 1 1 1 -1 0\n", 2, "status",
+       "out of range"},
+      {"2 5 0 10 2 -1 -1 2 60 -1 1 2147483647.5 1 1 1 1 -1 0\n", 2, "user_id",
+       "out of range"},
+      {"9223372036854775808 5 0 10 2 -1 -1 2 60 -1 1 1 1 1 1 1 -1 0\n", 2,
+       "job_number", "out of range"},
+      {"2 5 0 10 2 -1 -1 2 60 -1 1 1 1 1 1 1 -9.3e18 0\n", 2, "preceding_job",
+       "out of range"},
+      // Underflow is out of range, not "not finite".
+      {"2 5 1e-999 10 2 -1 -1 2 60 -1 1 1 1 1 1 1 -1 0\n", 2, "wait",
+       "out of range"},
+      {"2 5 0 10 2 -1 -1 1e-999 60 -1 1 1 1 1 1 1 -1 0\n", 2, "requested_procs",
+       "out of range"},
+      {"; MaxNodes: 4294967296\n", 1, "MaxNodes", "out of range"},
+      {"; MaxProcs: -2147483649 procs\n", 1, "MaxProcs", "out of range"},
+      {"; UnixStartTime: 99999999999999999999\n", 1, "UnixStartTime",
+       "out of range"},
+  };
+  for (const auto& c : cases) {
+    const std::string text =
+        c.line == 1 ? std::string(c.text) + good : good + c.text;
+    try {
+      parse_swf_text(text);
+      ADD_FAILURE() << "expected SwfParseError for " << c.text;
+    } catch (const SwfParseError& error) {
+      const std::string what = error.what();
+      EXPECT_EQ(error.line(), c.line) << what;
+      EXPECT_NE(what.find(c.name), std::string::npos) << what;
+      EXPECT_NE(what.find(c.problem), std::string::npos) << what;
+    }
+  }
+  // The edges of each type, decimal integers and trailing directive
+  // prose are still read.
+  const SwfTrace trace = parse_swf_text(
+      "; MaxNodes: 2147483647 nodes\n"
+      "; UnixStartTime: -9223372036854775808\n"
+      "9223372036854775807 0 0 10 2.0 -1 -1 2 60 -1 1 -2147483648 1 1 1 1 "
+      "-1 0\n");
+  EXPECT_EQ(trace.header.max_nodes, 2147483647);
+  EXPECT_EQ(trace.header.unix_start_time,
+            std::numeric_limits<long long>::min());
+  ASSERT_EQ(trace.jobs.size(), 1u);
+  EXPECT_EQ(trace.jobs[0].job_number, std::numeric_limits<long long>::max());
+  EXPECT_EQ(trace.jobs[0].used_procs, 2);
+  EXPECT_EQ(trace.jobs[0].user_id, std::numeric_limits<int>::min());
 }
 
 TEST(SwfParse, ExtraTrailingFieldsTolerated) {

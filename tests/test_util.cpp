@@ -2,10 +2,14 @@
 // statistics, tables, charts and configuration.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
 #include <cmath>
 #include <cstdint>
 #include <limits>
 #include <set>
+#include <utility>
+#include <vector>
 
 #include "util/chart.hpp"
 #include "util/config.hpp"
@@ -221,6 +225,69 @@ TEST(StepSeries, ValueAtAndAverage) {
   EXPECT_DOUBLE_EQ(s.value_at(25.0), 2.0);
   // [0,30]: 10s at 0 + 10s at 4 + 10s at 2 = 60/30 = 2
   EXPECT_NEAR(s.average(0.0, 30.0), 2.0, 1e-12);
+}
+
+/// The average as a scan from the first point: what StepSeries::average
+/// computed before it started at a binary search.
+double scanned_average(const StepSeries& s, double t0, double t1) {
+  double prev_v = 0.0;
+  for (std::size_t i = 0; i < s.size() && s.times()[i] <= t0; ++i) {
+    prev_v = s.values()[i];
+  }
+  if (!(t1 > t0)) return prev_v;
+  double area = 0.0;
+  double prev_t = t0;
+  for (std::size_t i = 0; i < s.size(); ++i) {
+    const double t = s.times()[i];
+    if (t <= t0) continue;
+    if (t >= t1) break;
+    area += prev_v * (t - prev_t);
+    prev_t = t;
+    prev_v = s.values()[i];
+  }
+  area += prev_v * (t1 - prev_t);
+  return area / (t1 - t0);
+}
+
+TEST(StepSeries, AverageMatchesLinearScan) {
+  Rng rng(2017);
+  for (int trial = 0; trial < 200; ++trial) {
+    StepSeries s;
+    double t = rng.uniform(0.0, 50.0);
+    const int points = static_cast<int>(rng.uniform_int(0, 40));
+    for (int p = 0; p < points; ++p) {
+      s.add_point(t, rng.uniform(0.0, 64.0));
+      // Some repeats: same-instant points collapse.
+      if (!rng.bernoulli(0.1)) t += rng.exponential_mean(7.3);
+    }
+    const double first = s.empty() ? 0.0 : s.times().front();
+    const double last = s.last_time();
+    // t0 before the first point, t1 past the last, both past the last,
+    // and t1 == t0.
+    std::vector<std::pair<double, double>> windows = {
+        {first - 5.0, first + 3.0},
+        {first - 5.0, last + 5.0},
+        {last + 1.0, last + 9.0},
+        {last, last},
+    };
+    for (int w = 0; w < 20; ++w) {
+      const double t0 = rng.uniform(first - 10.0, last + 10.0);
+      windows.emplace_back(t0, t0 + rng.exponential_mean(30.0));
+      windows.emplace_back(t0, t0);
+      windows.emplace_back(t0, t0 - 1.0);
+    }
+    for (std::size_t i = 0; i < s.size(); i += 3) {
+      // t0 on a point, t1 on a point or between points.
+      const double t0 = s.times()[i];
+      windows.emplace_back(t0, s.times()[std::min(i + 2, s.size() - 1)]);
+      windows.emplace_back(t0, t0 + rng.uniform(0.0, 20.0));
+    }
+    for (const auto& [t0, t1] : windows) {
+      EXPECT_EQ(std::bit_cast<std::uint64_t>(s.average(t0, t1)),
+                std::bit_cast<std::uint64_t>(scanned_average(s, t0, t1)))
+          << "trial " << trial << " window [" << t0 << ", " << t1 << "]";
+    }
+  }
 }
 
 TEST(StepSeries, RejectsNonMonotoneTime) {

@@ -25,14 +25,11 @@
 //   todo-issue       every to-do marker carries an issue tag, written
 //                    TODO(#123) or FIXME(#123).
 //   unchecked-number no atoi/atol/atoll/atof, sscanf, strto* or std::sto*
-//                    call in the command-line layer (bench/, examples/,
-//                    tools/) or the snapshot and JSON readers (src/svc/,
-//                    src/obs/): they wrap, truncate or throw instead of
-//                    rejecting.  CLI numbers go through util::parse_count,
-//                    parse_u64 and parse_real; the readers use
-//                    std::from_chars with an end check.  The rest of src/
-//                    keeps its documented tolerant parsers (SWF fields and
-//                    header directives).
+//                    call outside tests/: they wrap, truncate or throw
+//                    instead of rejecting.  CLI numbers go through
+//                    util::parse_count, parse_u64 and parse_real; every
+//                    reader in src/ (snapshots, JSON, SWF, member mixes)
+//                    uses std::from_chars with an end check.
 //
 // Any rule is suppressible at a site with a `dmr-lint:` comment holding
 // `allow(<rule>)`, on the same or the preceding line.  A suppression
@@ -550,10 +547,7 @@ void rule_float_equal(const std::string& path, const std::vector<Token>& toks,
 void rule_unchecked_number(const std::string& path,
                            const std::vector<Token>& toks,
                            std::vector<Diagnostic>& out) {
-  const bool in_scope = under(path, "bench/") || under(path, "examples/") ||
-                        under(path, "tools/") || under(path, "src/svc/") ||
-                        under(path, "src/obs/");
-  if (!in_scope) return;
+  if (under(path, "tests/")) return;
   static const std::set<std::string> parsers = {
       "atoi",   "atol",    "atoll",    "atof",      "sscanf",
       "strtol", "strtoll", "strtoul",  "strtoull",  "strtod",
