@@ -32,6 +32,7 @@ WorkloadDriver::WorkloadDriver(sim::Engine& engine, DriverConfig config)
       completed_series_(trace_.series_handle("completed")),
       allocated_series_(trace_.series_handle("allocated")),
       running_series_(trace_.series_handle("running")),
+      member_series_(static_cast<std::size_t>(federation_.cluster_count())),
       by_id_(static_cast<std::size_t>(federation_.cluster_count())) {
   federation_.attach(*this);
   const obs::Hooks& hooks = config_.hooks;
@@ -86,21 +87,35 @@ void WorkloadDriver::record_allocation(int member) {
   }
   trace_.record_into(allocated_series_, allocated);
   trace_.record_into(running_series_, running);
+  // The member's own occupancy on federated runs, and per partition for
+  // the heterogeneous utilization report (qualified by member on
+  // federated runs).
   const bool multi = federation_.cluster_count() > 1;
-  const std::string& name = federation_.cluster_name(member);
   const rms::Manager& manager = federation_.manager(member);
-  if (multi) trace_.record("allocated@" + name, manager.allocated_nodes());
-  // Per-partition occupancy of the member that changed, for the
-  // heterogeneous utilization report (qualified by member on federated
-  // runs).
   const rms::Cluster& cluster = manager.cluster();
-  if (cluster.partition_count() > 1) {
-    for (int p = 0; p < cluster.partition_count(); ++p) {
-      const std::string series =
-          multi ? "allocated:" + name + "/" + cluster.partition(p).name
-                : "allocated:" + cluster.partition(p).name;
-      trace_.record(series, cluster.allocated_in(p));
+  const int partitions =
+      cluster.partition_count() > 1 ? cluster.partition_count() : 0;
+  if (!multi && partitions == 0) return;
+  std::vector<util::StepSeries*>& series =
+      member_series_[static_cast<std::size_t>(member)];
+  if (series.empty()) {
+    series.assign(static_cast<std::size_t>(1 + partitions), nullptr);
+  }
+  const std::string& name = federation_.cluster_name(member);
+  if (multi) {
+    if (series[0] == nullptr) {
+      series[0] = trace_.series_handle("allocated@" + name);
     }
+    trace_.record_into(series[0], manager.allocated_nodes());
+  }
+  for (int p = 0; p < partitions; ++p) {
+    util::StepSeries*& handle = series[static_cast<std::size_t>(1 + p)];
+    if (handle == nullptr) {
+      handle = trace_.series_handle(
+          multi ? "allocated:" + name + "/" + cluster.partition(p).name
+                : "allocated:" + cluster.partition(p).name);
+    }
+    trace_.record_into(handle, cluster.allocated_in(p));
   }
 }
 

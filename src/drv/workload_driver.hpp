@@ -202,6 +202,11 @@ class WorkloadDriver : private obs::Sink {
   util::StepSeries* completed_series_;
   util::StepSeries* allocated_series_;
   util::StepSeries* running_series_;
+  /// Per member, its allocation series: [0] "allocated@<member>"
+  /// (federated runs), [1 + p] partition p's "allocated:[<member>/]<name>"
+  /// (multi-partition members).  Each is resolved on its first record, so
+  /// the trace names the same series as recording by name would.
+  std::vector<std::vector<util::StepSeries*>> member_series_;
   obs::SinkList sinks_;
   /// Sinks attached to engine_, detached again by the destructor.
   std::vector<obs::Sink*> dispatch_sinks_;

@@ -71,6 +71,8 @@ struct Job {
 /// Valid malleable sizes reachable from `current` with `factor`, within
 /// [min_nodes, max_nodes].  Expansion candidates are current*factor^k,
 /// shrink candidates current/factor^k (exact divisions only), k >= 1.
+/// The reference definition behind max_procs_to and min_procs_run, which
+/// walk the same powers without building the lists.
 std::vector<int> expand_candidates(int current, int factor, int max_nodes);
 std::vector<int> shrink_candidates(int current, int factor, int min_nodes);
 

@@ -1,6 +1,7 @@
 #include "rms/manager.hpp"
 
 #include <algorithm>
+#include <cmath>
 #include <stdexcept>
 
 #include "util/log.hpp"
@@ -12,6 +13,12 @@ namespace {
 Cluster make_cluster(const RmsConfig& config) {
   if (!config.partitions.empty()) return Cluster(config.partitions);
   return Cluster(config.nodes);
+}
+
+/// The (qos, count) entry for `qos`, or `counts.end()`.
+auto qos_entry(std::vector<std::pair<double, int>>& counts, double qos) {
+  return std::find_if(counts.begin(), counts.end(),
+                      [qos](const auto& entry) { return entry.first == qos; });
 }
 
 }  // namespace
@@ -73,6 +80,80 @@ void Manager::remove_from(std::vector<Job*>& list, const Job* job) {
   }
 }
 
+void Manager::enqueue(Job& job) {
+  // Submissions usually arrive in time order, so this is an append; but
+  // submit() accepts any `now`, so search for the position.
+  const auto at = std::upper_bound(pending_jobs_.begin(), pending_jobs_.end(),
+                                   &job, SubmitOrder{});
+  pending_jobs_.insert(at, &job);
+  const auto same = qos_entry(pending_qos_, job.spec.qos);
+  if (same != pending_qos_.end()) {
+    ++same->second;
+  } else {
+    pending_qos_.emplace_back(job.spec.qos, 1);
+  }
+  if (job.spec.internal_resizer || job.spec.depends_on) ++pending_filtered_;
+}
+
+void Manager::dequeue(const Job& job) {
+  pending_jobs_.erase(
+      std::find(pending_jobs_.begin(), pending_jobs_.end(), &job));
+  const auto same = qos_entry(pending_qos_, job.spec.qos);
+  if (--same->second == 0) pending_qos_.erase(same);
+  if (job.spec.internal_resizer || job.spec.depends_on) --pending_filtered_;
+}
+
+void Manager::boost(Job& job) {
+  if (!job.priority_boost) {
+    // Boosted jobs keep SubmitOrder among themselves, ahead of the rest:
+    // everything before the job stays sorted, so search it for the new
+    // position and rotate the job there.
+    const auto at = std::find(pending_jobs_.begin(), pending_jobs_.end(), &job);
+    job.priority_boost = true;
+    const auto to =
+        std::upper_bound(pending_jobs_.begin(), at, &job, SubmitOrder{});
+    std::rotate(to, at, at + 1);
+  }
+  mark_queue_changed();
+}
+
+std::span<const Job* const> Manager::ordered_pending(double now) const {
+  if (queue_in_order()) return pending_jobs_;
+  if (sorted_version_ != queue_version_ || sorted_now_ != now) {
+    sorted_pending_.assign(pending_jobs_.begin(), pending_jobs_.end());
+    sort_pending(sorted_pending_, now, config_.scheduler.weights);
+    sorted_version_ = queue_version_;
+    sorted_now_ = now;
+  }
+  return sorted_pending_;
+}
+
+std::span<const Job* const> Manager::eligible_of(
+    std::span<const Job* const> queue, bool resizers,
+    std::vector<const Job*>& scratch) const {
+  if (pending_filtered_ == 0) return queue;
+  scratch.clear();
+  for (const Job* job : queue) {
+    if ((resizers || !job->spec.internal_resizer) && eligible(*job)) {
+      scratch.push_back(job);
+    }
+  }
+  return scratch;
+}
+
+std::span<const Job* const> Manager::pending_queue(double now) const {
+  return eligible_of(ordered_pending(now), /*resizers=*/true, queue_scratch_);
+}
+
+std::span<const Job* const> Manager::pending_snapshot(double now) const {
+  return eligible_of(ordered_pending(now), /*resizers=*/false,
+                     snapshot_scratch_);
+}
+
+std::span<const Job* const> Manager::pending_unsorted() const {
+  return eligible_of(pending_jobs_, /*resizers=*/false, snapshot_scratch_);
+}
+
 JobId Manager::submit(JobSpec spec, double now) {
   int partition = kAnyPartition;
   int capacity = cluster_.size();
@@ -91,6 +172,11 @@ JobId Manager::submit(JobSpec spec, double now) {
     throw std::invalid_argument("Manager: bad malleability bounds for " +
                                 spec.name);
   }
+  // A NaN priority compares unordered with everything, which breaks the
+  // queue's strict weak order.
+  if (!std::isfinite(spec.qos)) {
+    throw std::invalid_argument("Manager: non-finite qos for " + spec.name);
+  }
   Job job;
   job.id = next_id_++;
   job.spec = std::move(spec);
@@ -103,7 +189,7 @@ JobId Manager::submit(JobSpec spec, double now) {
                    << job.requested_nodes << " nodes) at t=" << now;
   Job& stored = jobs_.emplace_back(std::move(job));
   dependents_.emplace_back();  // keeps the dense index parallel to jobs_
-  pending_jobs_.push_back(&stored);
+  enqueue(stored);
   if (stored.spec.depends_on) {
     const std::size_t parent = job_index(*stored.spec.depends_on);
     // An unknown parent was dead weight in the old map too: the job can
@@ -123,8 +209,8 @@ void Manager::start_job(Job& job, double now) {
   job.nodes = cluster_.allocate(job.id, job.requested_nodes, job.partition);
   job.state = JobState::Running;
   job.start_time = now;
+  dequeue(job);
   job.priority_boost = false;
-  remove_from(pending_jobs_, &job);
   running_jobs_.push_back(&job);
   if (!job.spec.internal_resizer) {
     user_allocated_nodes_ += job.allocated();
@@ -170,18 +256,14 @@ std::vector<JobId> Manager::schedule(double now) {
   // unconditional loop burned one full confirming pass per call.
   // The view scratch keeps its vector capacities across passes and
   // calls: schedule() runs twice per job on a replay, and a fresh
-  // allocation per pending/running snapshot showed up at archive scale.
+  // allocation per running snapshot showed up at archive scale.
   ScheduleView& view = view_scratch_;
   const bool diagnose = sinks_.wants(obs::EventKind::kBlocked);
   for (;;) {
     ++counters_.schedule_passes;
     view.now = now;
     view.idle_nodes = cluster_.idle();
-    view.pending.clear();
-    for (Job* job : pending_jobs_) {
-      if (eligible(*job)) view.pending.push_back(job);
-    }
-    sort_pending(view.pending, now, config_.scheduler.weights);
+    view.pending = pending_queue(now);
     view.running.clear();
     view.running.reserve(running_jobs_.size());
     for (const Job* job : running_jobs_) view.running.push_back(job);
@@ -200,54 +282,55 @@ std::vector<JobId> Manager::schedule(double now) {
       view.idle_node_ids = cluster_.idle_node_ids();
     }
     std::vector<BlockDiag> blocked;
-    std::vector<Job*> to_start = schedule_pass(
+    std::vector<const Job*> to_start = schedule_pass(
         view, config_.scheduler, diagnose ? &blocked : nullptr);
+    // Read before the reports: a sink's query may overwrite the kept
+    // copy the view reads.
+    const Job* const head =
+        view.pending.empty() ? nullptr : view.pending.front();
     // Report before the starts: a job diagnosed here and started by a
     // later round of this same fixpoint only accrues a zero-length
     // segment at `now`.
     for (const BlockDiag& diag : blocked) {
       report_blocked(*diag.job, now, diag.cause, diag.blocker);
     }
-    Job* molded = nullptr;
+    bool molded = false;
     if (to_start.empty()) {
       // Moldable extension: when nothing rigid fits, the *head* job (and
       // only the head — molding past a blocked head would starve it) may
       // start smaller than requested, down to its minimum.
-      if (!view.pending.empty()) {
-        Job* head = view.pending.front();
+      if (head != nullptr) {
         const int head_idle = head->partition == kAnyPartition
                                   ? view.idle_nodes
                                   : cluster_.idle_in(head->partition);
         if (head->spec.moldable && head->spec.min_nodes <= head_idle &&
             head_idle > 0) {
-          molded = head;
-          const int size = std::min(molded->requested_nodes, head_idle);
-          DMR_DEBUG("rms") << "molding job " << molded->id << " from "
-                           << molded->requested_nodes << " to " << size
+          molded = true;
+          const int size = std::min(head->requested_nodes, head_idle);
+          DMR_DEBUG("rms") << "molding job " << head->id << " from "
+                           << head->requested_nodes << " to " << size
                            << " nodes";
-          molded->requested_nodes = size;
-          to_start.push_back(molded);
+          job_mutable(head->id).requested_nodes = size;
+          to_start.push_back(head);
         }
       }
       if (to_start.empty()) break;
     }
     bool starts_may_cascade = false;
-    for (Job* job : to_start) {
-      const std::size_t dep_index = job_index(job->id);
-      if (dep_index != kNoJob) {
-        for (JobId child : dependents_[dep_index]) {
-          if (this->job(child).pending()) {
-            starts_may_cascade = true;
-            break;
-          }
+    for (const Job* pick : to_start) {
+      const std::size_t index = job_index(pick->id);
+      for (JobId child : dependents_[index]) {
+        if (this->job(child).pending()) {
+          starts_may_cascade = true;
+          break;
         }
       }
-      start_job(*job, now);
-      started.push_back(job->id);
+      start_job(jobs_[index], now);
+      started.push_back(pick->id);
     }
     // A molded start can leave idle nodes a newly exposed moldable head
     // could still use.
-    if (molded != nullptr) starts_may_cascade = true;
+    if (molded) starts_may_cascade = true;
     if (!starts_may_cascade) {
       // A rigid-only round cannot enable more rigid starts, but a
       // moldable job waiting behind it still can (the pass only molds
@@ -298,7 +381,7 @@ void Manager::finish_job(Job& job, double now, JobState final_state) {
     job.nodes = std::vector<int>();
     remove_from(running_jobs_, &job);
   }
-  if (was_pending) remove_from(pending_jobs_, &job);
+  if (was_pending) dequeue(job);
   job.state = final_state;
   job.end_time = now;
   if (!job.spec.internal_resizer) --unfinished_user_jobs_;
@@ -360,9 +443,7 @@ JobId Manager::submit_resizer(JobId parent, int extra_nodes, double now) {
   spec.partition = parent_job.spec.partition;
   const JobId id = submit(std::move(spec), now);
   // "RJ is set to the maximum priority, facilitating its execution."
-  // submit() already marked the queue changed; no snapshot can have been
-  // rebuilt since, so the boost needs no second invalidation.
-  job_mutable(id).priority_boost = true;
+  boost(job_mutable(id));
   return id;
 }
 
@@ -393,6 +474,9 @@ Decision Manager::dmr_decide(JobId id, const Request& request,
     throw std::logic_error("Manager: dmr_decide on non-running job");
   }
   ++counters_.checks;
+  // Announced before the view is built: a sink's query could otherwise
+  // overwrite the kept copies the view reads.
+  emit(obs::EventKind::kNegotiateBegin, id, now);
   PolicyView view;
   view.job = &job;
   if (job.partition == kAnyPartition) {
@@ -405,14 +489,15 @@ Decision Manager::dmr_decide(JobId id, const Request& request,
     // Cluster-wide idle would let it negotiate expansions its partition
     // cannot grant.
     view.idle_nodes = cluster_.idle_in(job.partition);
+    policy_scratch_.clear();
     for (const Job* pending : pending_snapshot(now)) {
       if (pending->partition == kAnyPartition ||
           pending->partition == job.partition) {
-        view.pending.push_back(pending);
+        policy_scratch_.push_back(pending);
       }
     }
+    view.pending = policy_scratch_;
   }
-  emit(obs::EventKind::kNegotiateBegin, id, now);
   const Decision decision = reconfiguration_policy(view, request);
   emit(obs::EventKind::kNegotiated, id, now, job.allocated(),
        decision.new_size, decision.action);
@@ -504,10 +589,7 @@ Outcome Manager::dmr_apply_impl(JobId id, const Decision& decision,
       if (decision.boost_target != kInvalidJob &&
           config_.shrink_priority_boost) {
         Job& target = job_mutable(decision.boost_target);
-        if (target.pending()) {
-          target.priority_boost = true;
-          mark_queue_changed();
-        }
+        if (target.pending()) boost(target);
       }
       ++counters_.shrinks;
       emit(obs::EventKind::kShrinkBegun, id, now, job.allocated(),
@@ -570,33 +652,6 @@ void Manager::complete_shrink(JobId id, double now) {
   view.start_time = record.start_time;
   view.end_time = record.end_time;
   return view;
-}
-
-const std::vector<const Job*>& Manager::pending_unsorted() const {
-  if (pending_cache_version_ != queue_version_) {
-    pending_cache_.clear();
-    for (const Job* job : pending_jobs_) {
-      if (job->spec.internal_resizer) continue;
-      if (!eligible(*job)) continue;
-      pending_cache_.push_back(job);
-    }
-    pending_cache_version_ = queue_version_;
-    pending_cache_sorted_ = false;
-  }
-  return pending_cache_;
-}
-
-const std::vector<const Job*>& Manager::pending_snapshot(double now) const {
-  pending_unsorted();
-  // Priorities are age-based, so the sort key moves with `now`; relative
-  // order is stable below the age cap, but re-sorting the (small) live
-  // queue is cheap and exact.
-  if (!pending_cache_sorted_ || pending_cache_now_ != now) {
-    sort_pending(pending_cache_, now, config_.scheduler.weights);
-    pending_cache_now_ = now;
-    pending_cache_sorted_ = true;
-  }
-  return pending_cache_;
 }
 
 }  // namespace dmr::rms

@@ -13,13 +13,21 @@
 //    synchronized workflow with a management node collecting ACKs.
 //
 // Scheduling is *incremental*: the manager maintains pending/running
-// index lists and snapshot caches, and a schedule() call runs a real
-// pass only when a preceding event could have changed placements (job
-// end, shrink completion, submission, queue reorder).  The
-// schedule_requests / schedule_passes counters expose the saving; at
-// workload scale (thousands of jobs, most of them long finished) this
-// turns the former whole-table O(n log n) rebuild per mutation into
-// work proportional to the live job set.
+// index lists, and a schedule() call runs a real pass only when a
+// preceding event could have changed placements (job end, shrink
+// completion, submission, queue reorder).  The schedule_requests /
+// schedule_passes counters expose the saving; at workload scale
+// (thousands of jobs, most of them long finished) this turns the former
+// whole-table O(n log n) rebuild per mutation into work proportional to
+// the live job set.
+//
+// The pending list is kept in SubmitOrder (boosted first, then submit
+// time, then id) as jobs enter, leave and are boosted.  While every
+// pending job has one qos value and the weights satisfy
+// order_fixed_by_submission (the defaults do), that *is* PendingOrder at
+// every instant, so scheduling passes and Algorithm 1 read the list
+// itself: no sort and no copy per check or pass.  Otherwise they read a
+// decorate-sorted copy, redone at each new `now` or queue change.
 //
 // The manager is clock-agnostic: every mutation takes `now`, so the same
 // code serves the discrete-event simulation and the real-time examples.
@@ -28,6 +36,8 @@
 #include <cstdint>
 #include <deque>
 #include <limits>
+#include <span>
+#include <utility>
 #include <vector>
 
 #include "dmr/rms.hpp"
@@ -117,13 +127,20 @@ class Manager : public ::dmr::Rms {
   ::dmr::JobView query(JobId id) const override;
   const Cluster& cluster() const { return cluster_; }
   int idle_nodes() const { return cluster_.idle(); }
-  /// Eligible pending (non-internal) jobs in priority order.  Served
-  /// from a cache invalidated only by queue-changing events.
-  const std::vector<const Job*>& pending_snapshot(double now) const;
-  /// The same jobs in unspecified order: callers that only aggregate
-  /// (federation routing sums, service queue depth) skip the
-  /// priority-sort the age-moving `now` would force on every call.
-  const std::vector<const Job*>& pending_unsorted() const;
+  /// Eligible pending jobs, internal resizers included, in PendingOrder
+  /// at `now`: the queue a scheduling pass reads.  A view of the
+  /// manager's own list (or of a filtered or sorted copy it keeps), valid
+  /// until the manager changes or the same query runs again.
+  std::span<const Job* const> pending_queue(double now) const;
+  /// The same without internal resizers: the queue Algorithm 1 scans
+  /// (dmr_decide).  Same validity as pending_queue.
+  std::span<const Job* const> pending_snapshot(double now) const;
+  /// The same jobs in SubmitOrder, which is PendingOrder only while the
+  /// order cannot move with time: callers that only aggregate
+  /// (federation routing sums, service queue depth) never pay a sort.
+  /// It shares pending_snapshot's kept copy, so either call may end the
+  /// other's view.
+  std::span<const Job* const> pending_unsorted() const;
   /// All user-visible jobs (submission order).
   const std::vector<const Job*>& jobs() const { return user_jobs_; }
   /// True when no user job is pending or running.
@@ -203,8 +220,29 @@ class Manager : public ::dmr::Rms {
                  .cause = cause, .blocker = blocker});
   }
   /// A queue/allocation event happened: placements may change and the
-  /// snapshot caches are stale.
+  /// sorted copy of the queue is stale.
   void mark_queue_changed();
+  /// pending_jobs_ upkeep: insert at the job's SubmitOrder position,
+  /// erase in place, and move a newly boosted job into the boosted
+  /// prefix.
+  void enqueue(Job& job);
+  void dequeue(const Job& job);
+  void boost(Job& job);
+  /// True while PendingOrder cannot move with time, so pending_jobs_ is
+  /// the queue in PendingOrder at every `now`.
+  bool queue_in_order() const {
+    return pending_qos_.size() <= 1 &&
+           order_fixed_by_submission(config_.scheduler.weights);
+  }
+  /// Every pending job in PendingOrder at `now`: pending_jobs_ itself
+  /// while queue_in_order(), else sorted_pending_.
+  std::span<const Job* const> ordered_pending(double now) const;
+  /// The eligible jobs of `queue` (internal resizers only when
+  /// `resizers`): `queue` itself when no pending job can be left out,
+  /// else a copy in `scratch`.
+  std::span<const Job* const> eligible_of(
+      std::span<const Job* const> queue, bool resizers,
+      std::vector<const Job*>& scratch) const;
   void remove_from(std::vector<Job*>& list, const Job* job);
 
   RmsConfig config_;
@@ -219,7 +257,14 @@ class Manager : public ::dmr::Rms {
   obs::SinkList sinks_;
 
   // --- live-set indices (the incremental-scheduling state) -----------------
-  std::vector<Job*> pending_jobs_;  // every pending job, resizers included
+  /// Every pending job, resizers included, in SubmitOrder.
+  std::vector<Job*> pending_jobs_;
+  /// (qos, count) over pending_jobs_: at most one entry while every
+  /// pending job shares its qos value.
+  std::vector<std::pair<double, int>> pending_qos_;
+  /// Pending jobs a queue view may leave out (internal resizers, jobs
+  /// with a dependency); at zero every view is the ordered list itself.
+  int pending_filtered_ = 0;
   std::vector<Job*> running_jobs_;  // every running job, resizers included
   std::vector<const Job*> user_jobs_;  // non-internal, submission order
   /// Per-job dependent lists, parallel to jobs_ (same dense index).
@@ -231,15 +276,21 @@ class Manager : public ::dmr::Rms {
   int user_allocated_nodes_ = 0;
   int user_running_jobs_ = 0;
   bool placements_dirty_ = true;
-  /// Scratch for schedule()'s per-pass snapshot; member so the pending/
-  /// running vector capacities survive across the two passes every
-  /// replayed job triggers.
+  /// Scratch for schedule()'s per-pass snapshot; member so the running
+  /// vector capacity survives across the two passes every replayed job
+  /// triggers.
   ScheduleView view_scratch_;
+  /// dmr_decide's queue for a pinned job (the jobs its partition serves).
+  std::vector<const Job*> policy_scratch_;
   std::uint64_t queue_version_ = 1;
-  mutable std::uint64_t pending_cache_version_ = 0;
-  mutable double pending_cache_now_ = 0.0;
-  mutable bool pending_cache_sorted_ = false;
-  mutable std::vector<const Job*> pending_cache_;
+  /// The queue's decorate-sorted copy while its order moves with time,
+  /// valid for (sorted_version_, sorted_now_).
+  mutable std::vector<const Job*> sorted_pending_;
+  mutable std::uint64_t sorted_version_ = 0;
+  mutable double sorted_now_ = 0.0;
+  /// The filtered copies behind pending_queue and pending_snapshot.
+  mutable std::vector<const Job*> queue_scratch_;
+  mutable std::vector<const Job*> snapshot_scratch_;
 };
 
 }  // namespace dmr::rms

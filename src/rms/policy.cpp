@@ -1,26 +1,41 @@
 #include "rms/policy.hpp"
 
-#include <algorithm>
 #include <stdexcept>
 
 #include "util/log.hpp"
 
 namespace dmr::rms {
 
+// Both run at every reconfiguring point that reaches the RMS, so they
+// walk the factor powers in place rather than build the candidate lists.
+
 int max_procs_to(int current, int factor, int limit, int idle_nodes) {
+  if (current <= 0 || factor < 2) {
+    throw std::invalid_argument("max_procs_to: bad arguments");
+  }
+  // Candidates grow, and so does the growth each needs: the last one
+  // that fits in the idle nodes is the largest.  long long: size stays
+  // <= limit before the multiply, so it cannot overflow.
   int best = 0;
-  for (int size : expand_candidates(current, factor, limit)) {
-    if (size - current <= idle_nodes) best = std::max(best, size);
+  for (long long size = static_cast<long long>(current) * factor;
+       size <= limit && size - current <= idle_nodes; size *= factor) {
+    best = static_cast<int>(size);
   }
   return best;
 }
 
 int min_procs_run(int current, int factor, int ceiling, int min_procs) {
-  int best = 0;
-  for (int size : shrink_candidates(current, factor, min_procs)) {
-    if (size <= ceiling) best = std::max(best, size);
+  if (current <= 0 || factor < 2) {
+    throw std::invalid_argument("min_procs_run: bad arguments");
   }
-  return best;
+  // Candidates shrink: the first one under the ceiling is the largest.
+  int size = current;
+  while (size % factor == 0) {
+    size /= factor;
+    if (size < min_procs) break;
+    if (size <= ceiling) return size;
+  }
+  return 0;
 }
 
 namespace {

@@ -14,7 +14,7 @@
 // Algorithm 1 is unit-testable.
 #pragma once
 
-#include <vector>
+#include <span>
 
 #include "dmr/types.hpp"
 #include "rms/job.hpp"
@@ -32,8 +32,10 @@ struct PolicyView {
   /// The job asking (must be running).
   const Job* job = nullptr;
   int idle_nodes = 0;
-  /// Eligible pending jobs in priority order (highest first).
-  std::vector<const Job*> pending;
+  /// Eligible pending jobs the asking job's nodes could serve, in
+  /// priority order (highest first).  A view: Manager::dmr_decide hands
+  /// over its own queue, or a filtered copy it keeps for pinned jobs.
+  std::span<const Job* const> pending;
 };
 
 Decision reconfiguration_policy(const PolicyView& view,
@@ -42,12 +44,16 @@ Decision reconfiguration_policy(const PolicyView& view,
 /// Largest factor-reachable expansion of `current` that stays within
 /// min(limit, request bounds) and whose growth fits in `idle_nodes`.
 /// Returns 0 when no valid expansion exists (Algorithm 1's
-/// max_procs_to()).
+/// max_procs_to()): the largest of expand_candidates(current, factor,
+/// limit) within reach, found by stepping through the factor powers.
+/// Throws std::invalid_argument when current < 1 or factor < 2.
 int max_procs_to(int current, int factor, int limit, int idle_nodes);
 
 /// Largest factor-reachable shrink of `current` that is <= ceiling and
 /// >= min_procs; 0 when none exists (Algorithm 1's min_procs_run() once
-/// the ceiling is derived from the target job's requirement).
+/// the ceiling is derived from the target job's requirement): the
+/// largest of shrink_candidates(current, factor, min_procs) <= ceiling.
+/// Throws std::invalid_argument when current < 1 or factor < 2.
 int min_procs_run(int current, int factor, int ceiling, int min_procs);
 
 }  // namespace dmr::rms

@@ -1,6 +1,7 @@
 #include "rms/priority.hpp"
 
 #include <algorithm>
+#include <cmath>
 
 namespace dmr::rms {
 
@@ -28,21 +29,30 @@ bool PendingOrder::operator()(const Job* a, const Job* b) const {
   return a->id < b->id;
 }
 
-namespace {
+bool SubmitOrder::operator()(const Job* a, const Job* b) const {
+  if (a->priority_boost != b->priority_boost) return a->priority_boost;
+  if (a->submit_time != b->submit_time) return a->submit_time < b->submit_time;
+  return a->id < b->id;
+}
 
-template <typename JobPtr>
-void sort_pending_impl(std::vector<JobPtr>& jobs, double now,
-                       const PriorityWeights& weights) {
+bool order_fixed_by_submission(const PriorityWeights& weights) {
+  return weights.size_weight == 0.0 && weights.age_weight >= 0.0 &&
+         std::isfinite(weights.age_weight) && std::isfinite(weights.qos_weight);
+}
+
+void sort_pending(std::vector<const Job*>& jobs, double now,
+                  const PriorityWeights& weights) {
   struct Ranked {
-    JobPtr job;
+    const Job* job;
     double priority;
   };
-  // Scratch kept across calls: the sort runs per schedule pass and a
-  // fresh decoration buffer per pass is pure allocator churn.
+  // Scratch kept across calls: a queue whose order moves with time sorts
+  // at every new `now`, and a fresh decoration buffer each time is pure
+  // allocator churn.
   static thread_local std::vector<Ranked> ranked;
   ranked.clear();
   ranked.reserve(jobs.size());
-  for (JobPtr job : jobs) {
+  for (const Job* job : jobs) {
     ranked.push_back(Ranked{job, job_priority(*job, now, weights)});
   }
   // Same key sequence as PendingOrder; the id tiebreak makes the order a
@@ -59,18 +69,6 @@ void sort_pending_impl(std::vector<JobPtr>& jobs, double now,
     return a.job->id < b.job->id;
   });
   for (std::size_t i = 0; i < ranked.size(); ++i) jobs[i] = ranked[i].job;
-}
-
-}  // namespace
-
-void sort_pending(std::vector<Job*>& jobs, double now,
-                  const PriorityWeights& weights) {
-  sort_pending_impl(jobs, now, weights);
-}
-
-void sort_pending(std::vector<const Job*>& jobs, double now,
-                  const PriorityWeights& weights) {
-  sort_pending_impl(jobs, now, weights);
 }
 
 }  // namespace dmr::rms

@@ -33,14 +33,30 @@ struct PendingOrder {
   bool operator()(const Job* a, const Job* b) const;
 };
 
-/// Sort `jobs` into PendingOrder.  Decorate-sort-undecorate: each job's
-/// priority is computed once instead of twice per comparison (the
-/// comparator's total order makes both produce the identical sequence,
-/// but a sorted pending queue of P jobs costs P evaluations instead of
-/// ~2 P log P — the difference between the scheduler and the priority
-/// function dominating an archive-scale replay's profile).
-void sort_pending(std::vector<Job*>& jobs, double now,
-                  const PriorityWeights& weights);
+/// PendingOrder without the priority term: boosted jobs first, then FIFO
+/// (submit time, then id).  A total order that never moves with time.
+struct SubmitOrder {
+  bool operator()(const Job* a, const Job* b) const;
+};
+
+/// True when PendingOrder equals SubmitOrder at every `now` among jobs
+/// that share one qos value: no size weight, and finite age and qos
+/// weights with the age weight non-negative.  Then the priority is a
+/// constant plus a term monotone non-decreasing in age, because
+/// floating-point subtraction, `max`, `min`, division by a positive cap,
+/// multiplication by a non-negative weight and adding a constant are all
+/// monotone; so an earlier submission never ranks below a later one,
+/// and equal priorities fall to (submit, id).  The finite weights keep
+/// every priority a number (an infinite weight times a zero age factor
+/// is NaN, which compares unordered).  The default weights qualify.
+bool order_fixed_by_submission(const PriorityWeights& weights);
+
+/// Sort `jobs` into PendingOrder: the reference order, and what a queue
+/// whose order moves with time re-runs at each new `now`.
+/// Decorate-sort-undecorate: each job's priority is computed once instead
+/// of twice per comparison (the comparator's total order makes both
+/// produce the identical sequence, but a sorted pending queue of P jobs
+/// costs P evaluations instead of ~2 P log P).
 void sort_pending(std::vector<const Job*>& jobs, double now,
                   const PriorityWeights& weights);
 

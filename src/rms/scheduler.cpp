@@ -254,16 +254,19 @@ double shadow_time(const ScheduleView& view, int needed, int* extra_nodes,
   return std::numeric_limits<double>::infinity();
 }
 
-std::vector<Job*> schedule_pass(const ScheduleView& view,
-                                const SchedulerConfig& config,
-                                std::vector<BlockDiag>* blocked) {
-  const std::vector<Job*>& queue = view.pending;  // already in PendingOrder
+std::vector<const Job*> schedule_pass(const ScheduleView& view,
+                                      const SchedulerConfig& config,
+                                      std::vector<BlockDiag>* blocked) {
+  const std::span<const Job* const> queue = view.pending;  // in PendingOrder
 
-  std::vector<Job*> started;
+  std::vector<const Job*> started;
   IdlePool pool(view, config.alloc);
   // Node ids granted to each started job (synthetic on a homogeneous
-  // cluster), for the shadow and diagnosis computations below.
-  std::vector<std::vector<int>> granted;
+  // cluster), for the shadow and diagnosis computations below.  This and
+  // the post-pass view below are scratch kept across passes: a pass runs
+  // after nearly every submission, start and resize.
+  static thread_local std::vector<std::vector<int>> granted;
+  granted.clear();
 
   // Start jobs FCFS until the head no longer fits.
   std::size_t head = 0;
@@ -279,18 +282,19 @@ std::vector<Job*> schedule_pass(const ScheduleView& view,
   // The view after the starts so far: the pool's remaining idle counts,
   // and every job started this pass treated as running from `now` (its
   // end is known only through its limit).  `synthetic` owns the copies
-  // the returned view's running list points into, so each call
-  // invalidates the view the previous one returned.
-  std::vector<Job> synthetic;
-  auto post_pass_view = [&] {
-    ScheduleView after = view;
+  // the view's running list points into, so each call invalidates the
+  // view the previous one returned.
+  static thread_local ScheduleView after;
+  static thread_local std::vector<Job> synthetic;
+  auto post_pass_view = [&]() -> const ScheduleView& {
+    after = view;
     after.idle_nodes = pool.idle_total;
     after.idle_per_partition = pool.idle_parts;
     after.idle_node_ids = pool.idle_ids;
-    synthetic.clear();
-    synthetic.reserve(started.size());
+    synthetic.resize(started.size());
     for (std::size_t i = 0; i < started.size(); ++i) {
-      Job copy = *started[i];
+      Job& copy = synthetic[i];
+      copy = *started[i];
       copy.start_time = view.now;
       if (granted[i].empty()) {
         copy.nodes.assign(static_cast<std::size_t>(copy.requested_nodes),
@@ -298,13 +302,12 @@ std::vector<Job*> schedule_pass(const ScheduleView& view,
       } else {
         copy.nodes = granted[i];
       }
-      synthetic.push_back(std::move(copy));
     }
     for (const Job& job : synthetic) after.running.push_back(&job);
     return after;
   };
 
-  Job* head_job = queue[head];
+  const Job* head_job = queue[head];
   if (config.backfill) {
     // EASY reservation for the blocked head job, computed in the head's
     // eligible pool (its partition, or the whole cluster when
@@ -312,7 +315,7 @@ std::vector<Job*> schedule_pass(const ScheduleView& view,
     // start have unknown end times only through their limits, so they
     // count as running from `now`.
     const int head_pool = view.heterogeneous() ? head_job->partition : -1;
-    const ScheduleView shadow_view = post_pass_view();
+    const ScheduleView& shadow_view = post_pass_view();
     int extra_at_shadow = 0;
     const double shadow = shadow_time(shadow_view, head_job->requested_nodes,
                                       &extra_at_shadow, head_pool);
@@ -324,7 +327,7 @@ std::vector<Job*> schedule_pass(const ScheduleView& view,
     // the shadow time).
     int backfill_window = extra_at_shadow;
     for (std::size_t i = head + 1; i < queue.size(); ++i) {
-      Job* job = queue[i];
+      const Job* job = queue[i];
       if (!pool.fits(*job)) continue;
       const bool disjoint = head_pool >= 0 && job->partition >= 0 &&
                             job->partition != head_pool;
@@ -348,10 +351,10 @@ std::vector<Job*> schedule_pass(const ScheduleView& view,
   if (blocked != nullptr) {
     // Diagnose every job still pending against the post-pass state (the
     // same convention as the shadow computation).
-    const ScheduleView diag_view = post_pass_view();
+    const ScheduleView& diag_view = post_pass_view();
 
     for (std::size_t i = head; i < queue.size(); ++i) {
-      Job* job = queue[i];
+      const Job* job = queue[i];
       if (std::find(started.begin(), started.end(), job) != started.end()) {
         continue;
       }

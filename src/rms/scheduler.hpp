@@ -17,6 +17,7 @@
 #pragma once
 
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "rms/cluster.hpp"
@@ -44,9 +45,10 @@ struct ScheduleView {
   int idle_nodes = 0;
   /// Eligible pending jobs (dependencies already filtered by the caller)
   /// in PendingOrder at `now`.  Precondition, not checked: the pass
-  /// reads the queue as given.  Manager::schedule sorts it; hand-built
-  /// views call sort_pending first.
-  std::vector<Job*> pending;
+  /// reads the queue as given.  Manager::schedule hands over a view of
+  /// its queue, which it keeps in that order; hand-built views call
+  /// sort_pending first.
+  std::span<const Job* const> pending;
   /// Running jobs, used to estimate the backfill shadow time.
   std::vector<const Job*> running;
   /// Draining flag per node id (empty = nothing draining).  Draining
@@ -67,7 +69,7 @@ struct ScheduleView {
 /// (the reserved head, the critical expected release, the draining
 /// shrink) or 0 when no single job is responsible.
 struct BlockDiag {
-  Job* job = nullptr;
+  const Job* job = nullptr;
   obs::BlockReason cause{};  // zero value = kUnattributed
   JobId blocker = 0;
 };
@@ -81,9 +83,9 @@ struct BlockDiag {
 /// With `blocked` non-null the pass additionally appends one BlockDiag
 /// per pending job it did not start, in priority order.  Diagnosis is
 /// observation only: the started set is byte-identical either way.
-std::vector<Job*> schedule_pass(const ScheduleView& view,
-                                const SchedulerConfig& config,
-                                std::vector<BlockDiag>* blocked = nullptr);
+std::vector<const Job*> schedule_pass(
+    const ScheduleView& view, const SchedulerConfig& config,
+    std::vector<BlockDiag>* blocked = nullptr);
 
 /// Earliest time at which `needed` nodes are expected to be free in
 /// `pool` (a partition index, or -1 for the whole cluster), given current

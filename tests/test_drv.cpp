@@ -379,6 +379,24 @@ TEST(Driver, TraceSeriesRecorded) {
   EXPECT_DOUBLE_EQ(driver.trace().series("completed").max_value(), 1.0);
 }
 
+TEST(Driver, MemberSeriesAppearAtTheirFirstRecord) {
+  // A federated member's "allocated@" series, and a multi-partition
+  // member's per-partition ones, exist once that member's allocation
+  // first changes; a member that never runs a job has none.
+  DriverConfig config;
+  config.federation.clusters = {
+      fed::ClusterSpec{"plain", small_config(8).rms},
+      fed::ClusterSpec{"split", heterogeneous_config().rms}};
+  sim::Engine engine;
+  WorkloadDriver driver(engine, config);
+  driver.add(pinned_plan("slow", 40.0, 2));  // only "split" has "slow"
+  driver.run();
+  std::string names;
+  for (const std::string& name : driver.trace().names()) names += name + " ";
+  EXPECT_EQ(names, "allocated allocated:split/fast allocated:split/slow "
+                   "allocated@split completed running ");
+}
+
 TEST(Driver, RealisticMixWithTableOneModels) {
   // Miniature Section IX: CG/Jacobi/N-body jobs (scaled-down iteration
   // counts) on a 64-node cluster, submitted at their max size.

@@ -3,6 +3,9 @@
 // handling, and the synchronous/asynchronous DMR flows.
 #include <gtest/gtest.h>
 
+#include <limits>
+#include <string>
+
 #include "rms/manager.hpp"
 
 namespace {
@@ -350,6 +353,30 @@ TEST(Manager, RejectsBadSubmissions) {
   bad.min_nodes = 8;
   bad.max_nodes = 4;
   EXPECT_THROW(m.submit(bad, 0.0), std::invalid_argument);
+}
+
+TEST(Manager, RejectsNonFiniteQos) {
+  // A NaN priority is unordered against every other, so the queue could
+  // not be kept in order: the submission is refused, naming the job.
+  Manager m(config(8));
+  for (double qos : {std::numeric_limits<double>::quiet_NaN(),
+                     std::numeric_limits<double>::infinity(),
+                     -std::numeric_limits<double>::infinity()}) {
+    JobSpec bad = spec("badqos", 4);
+    bad.qos = qos;
+    try {
+      m.submit(bad, 0.0);
+      ADD_FAILURE() << "qos " << qos << " accepted";
+    } catch (const std::invalid_argument& error) {
+      EXPECT_NE(std::string(error.what()).find("badqos"), std::string::npos)
+          << error.what();
+    }
+  }
+  EXPECT_TRUE(m.jobs().empty());
+  EXPECT_TRUE(m.pending_queue(0.0).empty());
+  JobSpec finite = spec("finite", 4);
+  finite.qos = -1e300;
+  EXPECT_NO_THROW(m.submit(finite, 0.0));
 }
 
 TEST(Manager, GuardsStateTransitions) {

@@ -2,6 +2,13 @@
 // branch, plus parameterized sweeps of the size arithmetic helpers.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <limits>
+#include <sstream>
+#include <string>
+#include <utility>
+#include <vector>
+
 #include "rms/policy.hpp"
 
 namespace {
@@ -53,6 +60,96 @@ TEST(MinProcsRun, LargestShrinkUnderCeiling) {
   EXPECT_EQ(min_procs_run(16, 2, 3, 4), 0);   // min bound blocks it
   EXPECT_EQ(min_procs_run(6, 2, 4, 1), 3);
   EXPECT_EQ(min_procs_run(5, 2, 4, 1), 0);    // 5 has no factor-2 divisor
+}
+
+// The candidate lists stay as the reference the in-place walks must
+// reproduce.
+int ref_max_procs_to(int current, int factor, int limit, int idle) {
+  int best = 0;
+  for (int size : expand_candidates(current, factor, limit)) {
+    if (size - current <= idle) best = std::max(best, size);
+  }
+  return best;
+}
+
+int ref_min_procs_run(int current, int factor, int ceiling, int min_procs) {
+  int best = 0;
+  for (int size : shrink_candidates(current, factor, min_procs)) {
+    if (size <= ceiling) best = std::max(best, size);
+  }
+  return best;
+}
+
+/// "name(a, b, c, d)", for failure messages.
+std::string call(const char* name, int a, int b, int c, int d) {
+  std::ostringstream out;
+  out << name << '(' << a << ", " << b << ", " << c << ", " << d << ')';
+  return out.str();
+}
+
+/// Arguments worth trying against `current`: every value in [-1, 40],
+/// each size reachable from it by `factor` up to 4096 and the growth to
+/// reach it, each give or take one, and INT_MAX.
+std::vector<int> probes(int current, int factor) {
+  std::vector<int> values;
+  for (int v = -1; v <= 40; ++v) values.push_back(v);
+  for (int size = current; size <= 4096; size *= factor) {
+    for (int d = -1; d <= 1; ++d) {
+      values.push_back(size + d);
+      values.push_back(size - current + d);
+    }
+  }
+  for (int size = current; size % factor == 0;) {
+    size /= factor;
+    for (int d = -1; d <= 1; ++d) values.push_back(size + d);
+  }
+  values.push_back(std::numeric_limits<int>::max());
+  std::sort(values.begin(), values.end());
+  values.erase(std::unique(values.begin(), values.end()), values.end());
+  return values;
+}
+
+TEST(MaxProcsTo, MatchesCandidateListEverywhere) {
+  for (int current = 1; current <= 256; ++current) {
+    for (int factor = 2; factor <= 4; ++factor) {
+      const std::vector<int> values = probes(current, factor);
+      for (int limit : values) {
+        for (int idle : values) {
+          ASSERT_EQ(max_procs_to(current, factor, limit, idle),
+                    ref_max_procs_to(current, factor, limit, idle))
+              << call("max_procs_to", current, factor, limit, idle);
+        }
+      }
+    }
+  }
+}
+
+TEST(MinProcsRun, MatchesCandidateListEverywhere) {
+  for (int current = 1; current <= 256; ++current) {
+    for (int factor = 2; factor <= 4; ++factor) {
+      const std::vector<int> values = probes(current, factor);
+      for (int ceiling : values) {
+        for (int min_procs : values) {
+          ASSERT_EQ(min_procs_run(current, factor, ceiling, min_procs),
+                    ref_min_procs_run(current, factor, ceiling, min_procs))
+              << call("min_procs_run", current, factor, ceiling, min_procs);
+        }
+      }
+    }
+  }
+}
+
+TEST(MaxProcsTo, RejectsWhatTheCandidateListsReject) {
+  for (const auto& [current, factor] :
+       std::vector<std::pair<int, int>>{{0, 2}, {-1, 2}, {4, 1}, {4, 0},
+                                        {4, -2}, {0, 0}}) {
+    EXPECT_THROW(max_procs_to(current, factor, 64, 64), std::invalid_argument);
+    EXPECT_THROW(ref_max_procs_to(current, factor, 64, 64),
+                 std::invalid_argument);
+    EXPECT_THROW(min_procs_run(current, factor, 64, 1), std::invalid_argument);
+    EXPECT_THROW(ref_min_procs_run(current, factor, 64, 1),
+                 std::invalid_argument);
+  }
 }
 
 TEST(Policy, RequiresRunningJob) {
@@ -120,7 +217,8 @@ TEST(Policy, EmptyQueueExpandLimitedByIdle) {
 TEST(Policy, PreferredEqualsCurrentNoAction) {
   const Job job = running_job(1, 8);
   const Job queued = pending_job(2, 64);
-  PolicyView view{&job, /*idle=*/16, {&queued}};
+  const Job* const queue[] = {&queued};
+  PolicyView view{&job, /*idle=*/16, queue};
   const auto d = reconfiguration_policy(view, request(2, 32, 8));
   EXPECT_EQ(d.action, Action::None);
 }
@@ -128,7 +226,8 @@ TEST(Policy, PreferredEqualsCurrentNoAction) {
 TEST(Policy, ExpandTowardPreferred) {
   const Job job = running_job(1, 4);
   const Job queued = pending_job(2, 64);  // cannot run regardless
-  PolicyView view{&job, /*idle=*/4, {&queued}};
+  const Job* const queue[] = {&queued};
+  PolicyView view{&job, /*idle=*/4, queue};
   const auto d = reconfiguration_policy(view, request(2, 32, 8));
   EXPECT_EQ(d.action, Action::Expand);
   EXPECT_EQ(d.new_size, 8);
@@ -138,7 +237,8 @@ TEST(Policy, PartialExpandTowardPreferred) {
   // Preferred 16 but only 4 idle: grant the largest reachable step (8).
   const Job job = running_job(1, 4);
   const Job queued = pending_job(2, 64);
-  PolicyView view{&job, /*idle=*/4, {&queued}};
+  const Job* const queue[] = {&queued};
+  PolicyView view{&job, /*idle=*/4, queue};
   const auto d = reconfiguration_policy(view, request(2, 32, 16));
   EXPECT_EQ(d.action, Action::Expand);
   EXPECT_EQ(d.new_size, 8);
@@ -149,7 +249,8 @@ TEST(Policy, ShrinkToPreferred) {
   // shrink straight to 8 (Algorithm 1 lines 10-12).
   const Job job = running_job(1, 32);
   const Job queued = pending_job(2, 16);
-  PolicyView view{&job, /*idle=*/0, {&queued}};
+  const Job* const queue[] = {&queued};
+  PolicyView view{&job, /*idle=*/0, queue};
   const auto d = reconfiguration_policy(view, request(2, 32, 8));
   EXPECT_EQ(d.action, Action::Shrink);
   EXPECT_EQ(d.new_size, 8);
@@ -160,7 +261,8 @@ TEST(Policy, PreferredNotReachableFallsThroughToWideOpt) {
   // the queued job (needs 4, idle 0) can run if we shrink to 4.
   const Job job = running_job(1, 8);
   const Job queued = pending_job(2, 4);
-  PolicyView view{&job, /*idle=*/0, {&queued}};
+  const Job* const queue[] = {&queued};
+  PolicyView view{&job, /*idle=*/0, queue};
   const auto d = reconfiguration_policy(view, request(1, 32, 6));
   EXPECT_EQ(d.action, Action::Shrink);
   EXPECT_EQ(d.new_size, 4);
@@ -173,7 +275,8 @@ TEST(Policy, WideOptShrinkForQueuedJobAndBoost) {
   // Algorithm 1 lines 14-18: shrink so the queued job can start, boost it.
   const Job job = running_job(1, 16);
   const Job queued = pending_job(2, 12);
-  PolicyView view{&job, /*idle=*/0, {&queued}};
+  const Job* const queue[] = {&queued};
+  PolicyView view{&job, /*idle=*/0, queue};
   const auto d = reconfiguration_policy(view, request(1, 32));
   EXPECT_EQ(d.action, Action::Shrink);
   // need = 12 - 0 = 12 -> ceiling 4 -> largest divisor <= 4 is 4.
@@ -184,7 +287,8 @@ TEST(Policy, WideOptShrinkForQueuedJobAndBoost) {
 TEST(Policy, WideOptShrinkAccountsForIdleNodes) {
   const Job job = running_job(1, 16);
   const Job queued = pending_job(2, 12);
-  PolicyView view{&job, /*idle=*/8, {&queued}};
+  const Job* const queue[] = {&queued};
+  PolicyView view{&job, /*idle=*/8, queue};
   const auto d = reconfiguration_policy(view, request(1, 32));
   // need = 12 - 8 = 4 -> ceiling 12 -> shrink to 8 suffices.
   EXPECT_EQ(d.action, Action::Shrink);
@@ -194,7 +298,8 @@ TEST(Policy, WideOptShrinkAccountsForIdleNodes) {
 TEST(Policy, WideOptNoActionWhenQueuedJobAlreadyFits) {
   const Job job = running_job(1, 8);
   const Job queued = pending_job(2, 4);
-  PolicyView view{&job, /*idle=*/6, {&queued}};
+  const Job* const queue[] = {&queued};
+  PolicyView view{&job, /*idle=*/6, queue};
   const auto d = reconfiguration_policy(view, request(1, 32));
   EXPECT_EQ(d.action, Action::None);
 }
@@ -204,7 +309,8 @@ TEST(Policy, WideOptExpandWhenNoPendingJobCanBeHelped) {
   // a full shrink -> expand instead.
   const Job job = running_job(1, 4);
   const Job queued = pending_job(2, 64);
-  PolicyView view{&job, /*idle=*/12, {&queued}};
+  const Job* const queue[] = {&queued};
+  PolicyView view{&job, /*idle=*/12, queue};
   const auto d = reconfiguration_policy(view, request(1, 32));
   EXPECT_EQ(d.action, Action::Expand);
   EXPECT_EQ(d.new_size, 16);
@@ -229,7 +335,8 @@ TEST(Policy, WideOptNoneWhenNothingPossible) {
 TEST(Policy, ShrinkRespectsJobMinimum) {
   const Job job = running_job(1, 8);
   const Job queued = pending_job(2, 7);
-  PolicyView view{&job, /*idle=*/0, {&queued}};
+  const Job* const queue[] = {&queued};
+  PolicyView view{&job, /*idle=*/0, queue};
   // Helping the queued job needs shrink to ceiling 1, but min is 4.
   const auto d = reconfiguration_policy(view, request(4, 32));
   EXPECT_EQ(d.action, Action::None);
@@ -241,7 +348,8 @@ TEST(Policy, ScansPendingQueueInPriorityOrder) {
   const Job job = running_job(1, 16);
   const Job big = pending_job(2, 64);
   const Job fit = pending_job(3, 12);
-  PolicyView view{&job, /*idle=*/0, {&big, &fit}};
+  const Job* const queue[] = {&big, &fit};
+  PolicyView view{&job, /*idle=*/0, queue};
   const auto d = reconfiguration_policy(view, request(1, 32));
   EXPECT_EQ(d.action, Action::Shrink);
   EXPECT_EQ(d.new_size, 4);
@@ -266,7 +374,8 @@ TEST_P(PolicySweep, DecisionsAreAlwaysFeasible) {
   PolicyView view;
   view.job = &job;
   view.idle_nodes = param.idle;
-  if (param.pending_request > 0) view.pending.push_back(&queued);
+  const Job* const queue[] = {&queued};
+  if (param.pending_request > 0) view.pending = queue;
   const Request req = request(1, 32, param.preferred);
   const Decision d = reconfiguration_policy(view, req);
   switch (d.action) {

@@ -3,7 +3,9 @@
 //
 //  - Manager fuzz: any interleaving of submit / schedule / finish /
 //    cancel / dmr_check / complete_shrink preserves cluster accounting
-//    (no node owned twice, idle + allocated == total, job states sane).
+//    (no node owned twice, idle + allocated == total, job states sane),
+//    and the pending queue the manager keeps ordered reads exactly as a
+//    fresh sort_pending would, under several priority configurations.
 //  - Driver seed sweep: for every seed, the flexible run of a workload
 //    is deterministic and its makespan never exceeds the fixed run's by
 //    more than the reconfiguration overhead bound.
@@ -13,6 +15,9 @@
 
 #include <map>
 #include <set>
+#include <span>
+#include <string>
+#include <tuple>
 
 #include "apps/models.hpp"
 #include "drv/workload_driver.hpp"
@@ -61,17 +66,105 @@ void check_invariants(const Manager& manager, int cluster_nodes) {
   }
 }
 
-class ManagerFuzz : public ::testing::TestWithParam<std::uint64_t> {};
+/// Checks, at every point the manager reads its pending queue (a
+/// scheduling pass begins, Algorithm 1 negotiates) and whenever the test
+/// asks, that the queue it reads equals a fresh sort_pending of the same
+/// jobs at that instant.
+struct QueueOrderCheck final : obs::Sink {
+  PriorityWeights weights;
+  /// Every job submitted, internal resizers included.
+  std::vector<JobId> ids;
+
+  obs::Interest interest() const override {
+    return obs::kinds(obs::EventKind::kSubmitted, obs::EventKind::kPassBegin,
+                      obs::EventKind::kNegotiateBegin);
+  }
+  void on_event(const obs::Event& event) override {
+    if (event.kind == obs::EventKind::kSubmitted) {
+      ids.push_back(event.job);
+      return;
+    }
+    check(*event.manager, event.now, event.kind == obs::EventKind::kPassBegin);
+  }
+
+  /// The pass's queue keeps internal resizers; Algorithm 1's does not.
+  void check(const Manager& manager, double now, bool pass) const {
+    std::vector<const Job*> expected;
+    for (JobId id : ids) {
+      const Job& job = manager.job(id);
+      if (!job.pending() || (!pass && job.spec.internal_resizer)) continue;
+      if (job.spec.depends_on && !manager.job(*job.spec.depends_on).running()) {
+        continue;
+      }
+      expected.push_back(&job);
+    }
+    sort_pending(expected, now, weights);
+    const std::span<const Job* const> read =
+        pass ? manager.pending_queue(now) : manager.pending_snapshot(now);
+    EXPECT_EQ(ids_of(read), ids_of(expected))
+        << (pass ? "pass" : "policy") << " queue at t=" << now;
+  }
+
+  static std::vector<JobId> ids_of(std::span<const Job* const> jobs) {
+    std::vector<JobId> out;
+    for (const Job* job : jobs) out.push_back(job->id);
+    return out;
+  }
+};
+
+/// One fuzz configuration: the priority weights and how often a
+/// submission takes an unusual shape.  Probabilities of 0 draw nothing
+/// from the generator, so "default" replays the original fuzz streams.
+struct FuzzConfig {
+  const char* name;
+  PriorityWeights weights;
+  /// Submissions with a qos other than 0 (the queue's order then moves
+  /// with time until they leave it).
+  double outlier_qos = 0.0;
+  /// Submissions that depend on a live job (views must filter them).
+  double dependent = 0.0;
+  /// Submissions stamped up to 50 s in the past.
+  double backdated = 0.0;
+  double moldable = 0.2;
+};
+
+void PrintTo(const FuzzConfig& config, std::ostream* out) {
+  *out << config.name;
+}
+
+const FuzzConfig kFuzzConfigs[] = {
+    {.name = "default", .weights = {}},
+    // Ages saturate within a few submissions, so priorities tie and the
+    // order falls to (submit, id), also while outliers force sorting.
+    {.name = "saturated_age", .weights = {.age_cap = 10.0}, .outlier_qos = 0.1,
+     .dependent = 0.15, .backdated = 0.2},
+    // Size-weighted priorities move when a molded head shrinks.
+    {.name = "size_weight", .weights = {.size_weight = 500.0}, .moldable = 0.6},
+    {.name = "outlier_qos", .weights = {}, .outlier_qos = 0.05,
+     .dependent = 0.1, .backdated = 0.1},
+};
+
+using FuzzCase = std::tuple<FuzzConfig, std::uint64_t>;
+
+class ManagerFuzz : public ::testing::TestWithParam<FuzzCase> {};
 
 TEST_P(ManagerFuzz, InvariantsHoldUnderRandomOperations) {
   constexpr int kNodes = 16;
-  Manager manager(RmsConfig{.nodes = kNodes, .scheduler = {}});
-  util::Rng rng(GetParam());
+  const auto& [fuzz, seed] = GetParam();
+  RmsConfig rms{.nodes = kNodes, .scheduler = {}};
+  rms.scheduler.weights = fuzz.weights;
+  Manager manager(rms);
+  QueueOrderCheck order;
+  order.weights = fuzz.weights;
+  order.weights.cluster_size = kNodes;
+  manager.attach(order);
+  util::Rng rng(seed);
   double now = 0.0;
   std::vector<JobId> live;
   std::map<JobId, bool> draining;
 
   for (int op = 0; op < 400; ++op) {
+    SCOPED_TRACE(::testing::Message() << "seed " << seed << " op " << op);
     now += rng.exponential_mean(5.0);
     const double dice = rng.uniform();
     if (dice < 0.35 || live.empty()) {
@@ -82,9 +175,22 @@ TEST_P(ManagerFuzz, InvariantsHoldUnderRandomOperations) {
       spec.min_nodes = 1;
       spec.max_nodes = kNodes;
       spec.flexible = rng.bernoulli(0.7);
-      spec.moldable = rng.bernoulli(0.2);
+      spec.moldable = rng.bernoulli(fuzz.moldable);
       spec.time_limit = rng.uniform(10.0, 500.0);
-      live.push_back(manager.submit(spec, now));
+      if (fuzz.outlier_qos > 0.0 && rng.bernoulli(fuzz.outlier_qos)) {
+        spec.qos = rng.bernoulli(0.5) ? 1.0 : -0.5;
+      }
+      if (fuzz.dependent > 0.0 && !live.empty() &&
+          rng.bernoulli(fuzz.dependent)) {
+        const auto parent = static_cast<std::size_t>(
+            rng.uniform_int(0, static_cast<std::int64_t>(live.size()) - 1));
+        spec.depends_on = live[parent];
+      }
+      double at = now;
+      if (fuzz.backdated > 0.0 && rng.bernoulli(fuzz.backdated)) {
+        at -= rng.uniform(0.0, 50.0);
+      }
+      live.push_back(manager.submit(spec, at));
       manager.schedule(now);
     } else {
       const auto pick = static_cast<std::size_t>(
@@ -119,6 +225,8 @@ TEST_P(ManagerFuzz, InvariantsHoldUnderRandomOperations) {
       }
     }
     check_invariants(manager, kNodes);
+    order.check(manager, now, /*pass=*/true);
+    order.check(manager, now, /*pass=*/false);
   }
 
   // Drain everything; the system must wind down cleanly.
@@ -133,9 +241,14 @@ TEST_P(ManagerFuzz, InvariantsHoldUnderRandomOperations) {
   EXPECT_TRUE(manager.all_done());
 }
 
-INSTANTIATE_TEST_SUITE_P(Seeds, ManagerFuzz,
-                         ::testing::Values(1, 2, 3, 5, 8, 13, 21, 34, 55,
-                                           89));
+INSTANTIATE_TEST_SUITE_P(
+    Seeds, ManagerFuzz,
+    ::testing::Combine(::testing::ValuesIn(kFuzzConfigs),
+                       ::testing::Values(1, 2, 3, 5, 8, 13, 21, 34, 55, 89)),
+    [](const ::testing::TestParamInfo<FuzzCase>& info) {
+      return std::string(std::get<0>(info.param).name) + "_" +
+             std::to_string(std::get<1>(info.param));
+    });
 
 // --- Driver seed sweep ---------------------------------------------------------
 

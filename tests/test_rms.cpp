@@ -142,7 +142,8 @@ TEST(Scheduler, StartsJobsThatFit) {
   ScheduleView view;
   view.now = 10.0;
   view.idle_nodes = 8;
-  view.pending = {&a, &b};
+  const Job* const queue[] = {&a, &b};
+  view.pending = queue;
   const auto started = schedule_pass(view, SchedulerConfig{});
   EXPECT_EQ(started.size(), 2u);
 }
@@ -154,7 +155,8 @@ TEST(Scheduler, NeverOverAllocates) {
   ScheduleView view;
   view.now = 10.0;
   view.idle_nodes = 5;
-  view.pending = {&a, &b, &c};
+  const Job* const queue[] = {&a, &b, &c};
+  view.pending = queue;
   const auto started = schedule_pass(view, SchedulerConfig{});
   int total = 0;
   for (const Job* job : started) total += job->requested_nodes;
@@ -177,7 +179,8 @@ TEST(Scheduler, BackfillFillsAroundBlockedHead) {
   ScheduleView view;
   view.now = 10.0;
   view.idle_nodes = 4;
-  view.pending = {&head, &small};
+  const Job* const queue[] = {&head, &small};
+  view.pending = queue;
   view.running = {&running};
   const auto started = schedule_pass(view, SchedulerConfig{});
   ASSERT_EQ(started.size(), 1u);
@@ -200,7 +203,8 @@ TEST(Scheduler, BackfillNeverDelaysHead) {
   ScheduleView view;
   view.now = 10.0;
   view.idle_nodes = 4;
-  view.pending = {&head, &greedy};
+  const Job* const queue[] = {&head, &greedy};
+  view.pending = queue;
   view.running = {&running};
   const auto started = schedule_pass(view, SchedulerConfig{});
   EXPECT_TRUE(started.empty());
@@ -222,7 +226,8 @@ TEST(Scheduler, BackfillUsesWindowBeyondHeadNeed) {
   ScheduleView view;
   view.now = 10.0;
   view.idle_nodes = 12;
-  view.pending = {&head, &windowed};
+  const Job* const queue[] = {&head, &windowed};
+  view.pending = queue;
   view.running = {&running};
   const auto started = schedule_pass(view, SchedulerConfig{});
   ASSERT_EQ(started.size(), 1u);
@@ -241,7 +246,8 @@ TEST(Scheduler, NoBackfillWhenDisabled) {
   ScheduleView view;
   view.now = 10.0;
   view.idle_nodes = 4;
-  view.pending = {&head, &small};
+  const Job* const queue[] = {&head, &small};
+  view.pending = queue;
   view.running = {&running};
   SchedulerConfig config;
   config.backfill = false;
@@ -255,11 +261,12 @@ TEST(Scheduler, PriorityOrderRespected) {
   ScheduleView view;
   view.now = 200.0;
   view.idle_nodes = 4;
-  view.pending = {&low, &boosted};
+  std::vector<const Job*> queue = {&low, &boosted};
   // The pass reads the queue as given: order it first, as the manager
   // does.
   const SchedulerConfig config;
-  sort_pending(view.pending, view.now, config.weights);
+  sort_pending(queue, view.now, config.weights);
+  view.pending = queue;
   const auto started = schedule_pass(view, config);
   ASSERT_EQ(started.size(), 1u);
   EXPECT_EQ(started[0]->id, 2);
@@ -275,7 +282,8 @@ TEST(Scheduler, PassWithZeroIdleNodesStartsNothing) {
   ScheduleView view;
   view.now = 10.0;
   view.idle_nodes = 0;
-  view.pending = {&a, &b};
+  const Job* const queue[] = {&a, &b};
+  view.pending = queue;
   view.running = {&running};
   EXPECT_TRUE(schedule_pass(view, SchedulerConfig{}).empty());
 }
@@ -299,10 +307,11 @@ TEST(Scheduler, BackfillNeverDelaysBoostedHead) {
   ScheduleView view;
   view.now = 60.0;
   view.idle_nodes = 4;
-  view.pending = {&greedy, &boosted, &small};
+  std::vector<const Job*> queue = {&greedy, &boosted, &small};
   view.running = {&running};
   const SchedulerConfig config;
-  sort_pending(view.pending, view.now, config.weights);
+  sort_pending(queue, view.now, config.weights);
+  view.pending = queue;
   const auto started = schedule_pass(view, config);
   ASSERT_EQ(started.size(), 1u);
   EXPECT_EQ(started[0]->id, 3);
@@ -348,7 +357,8 @@ TEST(Scheduler, BackfillDoesNotSquatOnDrainReleasedNodes) {
   ScheduleView view;
   view.now = 10.0;
   view.idle_nodes = 2;
-  view.pending = {&head, &greedy};
+  const Job* const queue[] = {&head, &greedy};
+  view.pending = queue;
   view.running = {&hog};
   view.node_draining = {0, 0, 1, 1, 0, 0};
   EXPECT_TRUE(schedule_pass(view, SchedulerConfig{}).empty());
@@ -417,7 +427,8 @@ TEST(Scheduler, PartitionConstrainedJobWaitsForItsPartition) {
   Job pinned = make_job(1, 3, 0.0);
   pinned.partition = 1;
   ScheduleView view = heterogeneous_view(10.0);
-  view.pending = {&pinned};
+  const Job* const queue[] = {&pinned};
+  view.pending = queue;
   EXPECT_TRUE(schedule_pass(view, SchedulerConfig{}).empty());
 }
 
@@ -442,7 +453,8 @@ TEST(Scheduler, DisjointPartitionBackfillsPastBlockedHead) {
   view.idle_nodes = 2;
   view.idle_per_partition = {0, 2};
   view.idle_node_ids = {4, 5};
-  view.pending = {&head, &other};
+  const Job* const queue[] = {&head, &other};
+  view.pending = queue;
   view.running = {&hog};
   const auto started = schedule_pass(view, SchedulerConfig{});
   ASSERT_EQ(started.size(), 1u);
@@ -471,7 +483,8 @@ TEST(Scheduler, SpanningJobChargedAgainstHeadPoolWindow) {
   view.idle_nodes = 2;
   view.idle_per_partition = {0, 2};
   view.idle_node_ids = {4, 5};
-  view.pending = {&head, &spanning};
+  const Job* const queue[] = {&head, &spanning};
+  view.pending = queue;
   view.running = {&hog};
   const auto started = schedule_pass(view, SchedulerConfig{});
   ASSERT_EQ(started.size(), 1u);
@@ -541,11 +554,13 @@ TEST(Scheduler, PackPolicyLetsPinnedJobStartBehindSpanningOne) {
   pinned.partition = 0;
 
   ScheduleView lowest_view = heterogeneous_view(10.0);
-  lowest_view.pending = {&spanning, &pinned};
+  const Job* const lowest_queue[] = {&spanning, &pinned};
+  lowest_view.pending = lowest_queue;
   EXPECT_EQ(schedule_pass(lowest_view, SchedulerConfig{}).size(), 1u);
 
   ScheduleView pack_view = heterogeneous_view(10.0);
-  pack_view.pending = {&spanning, &pinned};
+  const Job* const pack_queue[] = {&spanning, &pinned};
+  pack_view.pending = pack_queue;
   SchedulerConfig pack_config;
   pack_config.alloc = AllocPolicy::Pack;
   const auto started = schedule_pass(pack_view, pack_config);
