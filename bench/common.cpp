@@ -1,7 +1,6 @@
 #include "common.hpp"
 
 #include <algorithm>
-#include <chrono>
 #include <cstdio>
 
 #include "dmr/util.hpp"
@@ -45,7 +44,6 @@ drv::DriverConfig fs_driver_config(const FsWorkloadOptions& options) {
   config.asynchronous = options.asynchronous;
   config.sched_period_override = options.sched_period;
   config.check_overhead_seconds = options.check_overhead;
-  config.hooks = options.hooks;
   return config;
 }
 
@@ -126,97 +124,6 @@ drv::WorkloadMetrics run_realistic_workload(
     driver.add(std::move(plan));
   }
   return driver.run();
-}
-
-std::string realistic_outcome_digest(const RealisticWorkloadOptions& options,
-                                     drv::WorkloadMetrics* metrics) {
-  sim::Engine engine;
-  drv::WorkloadDriver driver(engine, realistic_driver_config(options));
-  for (auto& plan : build_realistic_plans(options)) {
-    driver.add(std::move(plan));
-  }
-  const drv::WorkloadMetrics run_metrics = driver.run();
-  if (metrics != nullptr) *metrics = run_metrics;
-  // Full-precision per-job lifecycle plus the resize tallies: any
-  // divergence in scheduling, negotiation or redistribution cost shows
-  // up in at least one of these digits.
-  std::string digest;
-  const fed::Federation& federation = driver.federation();
-  char line[160];
-  for (int c = 0; c < federation.cluster_count(); ++c) {
-    for (const rms::Job* job : federation.manager(c).jobs()) {
-      std::snprintf(line, sizeof(line), "%llu:%.17g:%.17g:%.17g\n",
-                    static_cast<unsigned long long>(job->id),
-                    job->submit_time, job->start_time, job->end_time);
-      digest += line;
-    }
-  }
-  std::snprintf(line, sizeof(line),
-                "makespan=%.17g expands=%lld shrinks=%lld bytes=%zu\n",
-                run_metrics.makespan, run_metrics.expands,
-                run_metrics.shrinks, run_metrics.bytes_redistributed);
-  digest += line;
-  return digest;
-}
-
-wl::Workload build_archive_workload(const ArchiveWorkloadOptions& options) {
-  wl::FeitelsonParams params;
-  params.jobs = options.jobs;
-  params.max_size = options.max_size;
-  params.seed = options.seed;
-  params.mean_interarrival =
-      wl::feitelson_balanced_interarrival(params, options.nodes, options.load);
-  const auto jobs = wl::generate_feitelson(params);
-  // Round-trip through SWF text so the bench measures the same records a
-  // make_swf-produced file would yield, serializer quirks included.
-  const wl::SwfTrace trace = wl::parse_swf_text(
-      wl::to_swf_text(wl::trace_from_feitelson(jobs, options.nodes)));
-  wl::TraceShaper shaper;
-  shaper.target_nodes = options.nodes;
-  return shaper.shape(trace);
-}
-
-std::string archive_outcome_digest(const wl::Workload& workload,
-                                   const ArchiveWorkloadOptions& options,
-                                   drv::WorkloadMetrics* metrics,
-                                   double* replay_seconds) {
-  sim::Engine engine;
-  drv::DriverConfig config;
-  config.rms.nodes = workload.target_nodes;
-  config.hooks = options.hooks;
-  drv::WorkloadDriver driver(engine, config);
-  drv::PlanShape shape;
-  shape.steps = options.steps;
-  shape.flexible = false;  // archival records are rigid
-  for (auto& plan : drv::plans_from_workload(workload, shape)) {
-    driver.add(std::move(plan));
-  }
-  const auto replay_start = std::chrono::steady_clock::now();
-  const drv::WorkloadMetrics run_metrics = driver.run();
-  if (replay_seconds != nullptr) {
-    *replay_seconds =
-        std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                      replay_start)
-            .count();
-  }
-  if (metrics != nullptr) *metrics = run_metrics;
-  std::string digest;
-  const fed::Federation& federation = driver.federation();
-  char line[160];
-  digest.reserve(static_cast<std::size_t>(run_metrics.jobs) * 48);
-  for (int c = 0; c < federation.cluster_count(); ++c) {
-    for (const rms::Job* job : federation.manager(c).jobs()) {
-      std::snprintf(line, sizeof(line), "%llu:%.17g:%.17g:%.17g\n",
-                    static_cast<unsigned long long>(job->id),
-                    job->submit_time, job->start_time, job->end_time);
-      digest += line;
-    }
-  }
-  std::snprintf(line, sizeof(line),
-                "makespan=%.17g util=%.17g jobs=%d\n", run_metrics.makespan,
-                run_metrics.utilization, run_metrics.jobs);
-  digest += line;
-  return digest;
 }
 
 std::string fs_timeline_chart(const FsWorkloadOptions& options,

@@ -42,9 +42,6 @@ struct FsWorkloadOptions {
   /// Runtime<->RMS negotiation cost per non-inhibited check.
   double check_overhead = 0.05;
   std::uint64_t seed = 2017;
-  /// Observability sinks threaded into the driver (trace recorder and/or
-  /// profiler); default-empty hooks keep the run on the zero-cost path.
-  obs::Hooks hooks;
 };
 
 /// Build and run one FS workload; returns the workload metrics.
@@ -63,58 +60,14 @@ struct RealisticWorkloadOptions {
   bool backfill = true;
   /// Moldable submission (the paper's future-work extension).
   bool moldable = false;
-  /// Observability sinks threaded into the driver (trace recorder and/or
-  /// profiler); default-empty hooks keep the run on the zero-cost path.
+  /// Observability sinks threaded into the driver (fig10 attaches its
+  /// wait attributor here); default-empty hooks keep the run on the
+  /// zero-cost path.
   obs::Hooks hooks;
 };
 
 drv::WorkloadMetrics run_realistic_workload(
     const RealisticWorkloadOptions& options);
-
-/// Archive-scale replay: a seeded Feitelson workload round-tripped
-/// through SWF text (exactly the `make_swf | swf_replay` path, in
-/// memory) and replayed rigidly — the event-engine stress workload.
-/// 100k jobs at ~steps+3 engine events each puts >1M events through the
-/// calendar queue while the scheduler sees only the live-job window.
-struct ArchiveWorkloadOptions {
-  int jobs = 100000;
-  /// Machine size; also balances the arrival rate against `load`.
-  int nodes = 1024;
-  int max_size = 128;          // largest job, nodes
-  double load = 0.7;           // offered load in (0, 1]
-  /// Iterations per job — one finish-step event each.  25 matches the
-  /// paper's Table I FS run (and FsWorkloadOptions), so the event mix
-  /// leans on the engine's steady-state step path, not job turnover.
-  int steps = 25;
-  std::uint64_t seed = 1;
-  obs::Hooks hooks;
-};
-
-/// Synthesize the archive trace: generate_feitelson with the balanced
-/// inter-arrival mean, serialize to SWF text, parse it back and shape
-/// onto `nodes`.  Deterministic in the options; build once and share
-/// across repetitions — only the replay is the measured section.
-wl::Workload build_archive_workload(const ArchiveWorkloadOptions& options);
-
-/// Replay `workload` rigidly through the driver; same digest contract
-/// as realistic_outcome_digest (byte-identical iff the outcomes are).
-/// `replay_seconds` (when non-null) receives the wall time of the
-/// driver run alone — plan building and digest rendering are setup, and
-/// at 100k jobs they would dilute the events/sec row.
-std::string archive_outcome_digest(const wl::Workload& workload,
-                                   const ArchiveWorkloadOptions& options,
-                                   drv::WorkloadMetrics* metrics = nullptr,
-                                   double* replay_seconds = nullptr);
-
-/// Run the realistic workload and render every job's lifecycle
-/// (id:submit:start:end, 17 significant digits) plus the headline
-/// counters into one string — byte-identical across runs iff the
-/// simulated outcomes are.  engine_bench compares digests with tracing
-/// attached vs detached to prove observability never perturbs the
-/// simulation.  When `metrics` is non-null the run's metrics are stored
-/// there too.
-std::string realistic_outcome_digest(const RealisticWorkloadOptions& options,
-                                     drv::WorkloadMetrics* metrics = nullptr);
 
 /// Run an FS workload and render the paper-style evolution chart
 /// (allocated nodes / running jobs / completed jobs over time).

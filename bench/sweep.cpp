@@ -19,16 +19,15 @@
 //
 // Usage:  sweep [jobs=N] [seeds=N] [threads=N] [steps=N] [load=F]
 //               [clusters=N | --clusters N] [--members SPEC]
-//               [--swf FILE | swf=FILE] [--append-json FILE]
-//               [--trace FILE] [--trace-cell INDEX] [--attr]
-//               [--attr-json FILE] [smoke]
+//               [--swf FILE | swf=FILE] [--trace FILE]
+//               [--trace-cell INDEX] [--attr] [--attr-json FILE]
+//               [--audit] [smoke]
 //   --trace FILE       record the traced cell's Chrome trace timeline
 //   --trace-cell INDEX which grid cell --trace / --attr-json single out
 //                      (default 0; out-of-range indices are an error)
 //   --attr             attach a wait attributor to every scenario and
 //                      emit wait_cause_* columns per line (opt-in: the
-//                      default sweep stays hook-free for the perf
-//                      trajectory)
+//                      default sweep stays hook-free)
 //   --attr-json FILE   write the traced cell's attribution sidecar
 //                      (tools/dmr_explain input)
 //   smoke      CI mode: a small trace, 1 seed, 2 threads (with
@@ -49,10 +48,6 @@
 //              the historical alpha/beta/gamma cycle.  Indices past the
 //              mix cycle through it again, so a small mix still scales
 //              to --clusters 64.
-//   --append-json FILE
-//              append the end-of-run summary line (cells/sec and the
-//              grid shape) to FILE, so repeated runs accumulate the
-//              perf trajectory (BENCH_sweep.json)
 //   --audit    attach one chk::Auditor per scenario (lifecycle DFA,
 //              node conservation, event ordering, federation routing,
 //              redistribution byte conservation); any violation is
@@ -129,9 +124,7 @@ struct SweepOptions {
   double load = 0.9;
   std::string swf;  // non-empty = replay this SWF trace
   std::string members = fed::kDefaultMemberMix;  // federation member mix
-  std::string append_json;  // non-empty = append the summary line here
-  std::string trace;        // non-empty = record the traced cell's timeline
-  std::string engine_json;  // non-empty = append a profiled engine row here
+  std::string trace;  // non-empty = record the traced cell's timeline
   int trace_cell = 0;  // which grid cell --trace / --attr-json single out
   bool attr = false;   // per-scenario wait attribution (wait_cause_* columns)
   std::string attr_json;  // non-empty = write the traced cell's sidecar here
@@ -222,9 +215,10 @@ struct AuditTotals {
 };
 
 /// Build the FS workload for one scenario and run it to completion.
-/// `hooks` carries the sweep-wide profiler, plus the trace recorder on
-/// the one scenario --trace singled out; --audit adds a per-scenario
-/// chk::Auditor (scenarios are independent, so each gets its own).
+/// `hooks` carries the trace recorder and sidecar attributor on the one
+/// scenario --trace / --attr-json singled out; --audit adds a
+/// per-scenario chk::Auditor (scenarios are independent, so each gets
+/// its own).
 std::string run_scenario(const Scenario& scenario, obs::Hooks hooks,
                          AuditTotals* audit) {
   const bool federated = scenario.options.clusters > 1;
@@ -432,9 +426,6 @@ int main(int argc, char** argv) {
     } else if (std::strncmp(argv[i], "members=", 8) == 0 &&
                argv[i][8] != '\0') {
       options.members = argv[i] + 8;
-    } else if (std::strcmp(argv[i], "--append-json") == 0 && i + 1 < argc) {
-      options.append_json = argv[i + 1];
-      ++i;
     } else if (std::strcmp(argv[i], "--trace") == 0 && i + 1 < argc) {
       options.trace = argv[i + 1];
       ++i;
@@ -445,19 +436,15 @@ int main(int argc, char** argv) {
     } else if (std::strcmp(argv[i], "--attr-json") == 0 && i + 1 < argc) {
       options.attr_json = argv[i + 1];
       ++i;
-    } else if (std::strcmp(argv[i], "--engine-json") == 0 && i + 1 < argc) {
-      options.engine_json = argv[i + 1];
-      ++i;
     } else if (const char* load = util::arg_value(argv[i], "load")) {
       options.load = util::parse_real(load, "load", 0.0, 1.0);
     } else {
       std::fprintf(stderr,
                    "usage: %s [jobs=N] [seeds=N] [threads=N] [steps=N] "
                    "[load=F] [clusters=N | --clusters N] [--members SPEC] "
-                   "[--swf FILE | swf=FILE] [--append-json FILE] "
-                   "[--trace FILE] [--trace-cell INDEX] [--attr] "
-                   "[--attr-json FILE] [--engine-json FILE] [--audit] "
-                   "[smoke]\n",
+                   "[--swf FILE | swf=FILE] [--trace FILE] "
+                   "[--trace-cell INDEX] [--attr] [--attr-json FILE] "
+                   "[--audit] [smoke]\n",
                    argv[0]);
       return 2;
     }
@@ -618,12 +605,10 @@ int main(int argc, char** argv) {
   // grid order to keep runs diffable.
   std::vector<std::string> lines(scenarios.size());
   std::atomic<std::size_t> next{0};
-  // Sweep-wide observability: one profiler shared by every worker
-  // (relaxed atomics — designed for exactly this), and a trace recorder
-  // attached to scenario 0 only, so --trace yields one coherent timeline
-  // rather than an interleaving of independent simulated clocks.
+  // The trace recorder is attached to the singled-out cell only, so
+  // --trace yields one coherent timeline rather than an interleaving of
+  // independent simulated clocks.
   obs::TraceRecorder trace_recorder;
-  obs::Profiler profiler;
   obs::WaitAttributor cell_attributor;  // --attr-json, traced cell only
   AuditTotals audit;
   const double start = util::wall_seconds();
@@ -637,7 +622,6 @@ int main(int argc, char** argv) {
         const std::size_t index = next.fetch_add(1);
         if (index >= scenarios.size()) return;
         obs::Hooks hooks;
-        if (!options.engine_json.empty()) hooks.profiler = &profiler;
         if (index == static_cast<std::size_t>(options.trace_cell)) {
           if (!options.trace.empty()) hooks.trace = &trace_recorder;
           if (!options.attr_json.empty()) hooks.attr = &cell_attributor;
@@ -691,52 +675,18 @@ int main(int argc, char** argv) {
       options.clusters > 1
           ? 1
           : static_cast<int>(std::end(kVariants) - std::begin(kVariants));
-  char summary[768];
-  std::snprintf(
-      summary, sizeof(summary),
+  // Printed directly, not through a fixed buffer: the line embeds the
+  // escaped --members spec, which has no length bound.
+  std::printf(
       "{\"bench\":\"sweep\",\"summary\":true,\"scenarios\":%zu,"
       "\"clusters\":%d,\"members\":\"%s\","
       "\"jobs_per_trace\":%d,\"policies\":%d,\"variants\":%d,"
-      "\"wall_seconds\":%.3f,\"cells_per_second\":%.2f,%s}",
+      "\"wall_seconds\":%.3f,\"cells_per_second\":%.2f,%s}\n",
       scenarios.size(), options.clusters,
       obs::json_escape(options.members).c_str(), options.jobs,
       policy_count, variant_count, wall,
       wall > 0.0 ? static_cast<double>(scenarios.size()) / wall : 0.0,
       bench_provenance_fields(worker_count).c_str());
-  std::printf("%s\n", summary);
-  if (!options.append_json.empty()) {
-    // Accumulate the perf trajectory: one summary line per run, appended
-    // so successive PRs can plot cells/sec over time (BENCH_sweep.json).
-    std::FILE* file = std::fopen(options.append_json.c_str(), "a");
-    if (file == nullptr) {
-      std::fprintf(stderr, "sweep: cannot append to %s\n",
-                   options.append_json.c_str());
-      return 1;
-    }
-    std::fprintf(file, "%s\n", summary);
-    std::fclose(file);
-  }
-  if (!options.engine_json.empty()) {
-    // One profiled row over the whole sweep (every scenario fed the
-    // shared profiler): sweep's contribution to the BENCH_engine.json
-    // trajectory.  `jobs` is the planned grid total — SWF shaping may
-    // keep fewer per scenario; the per-scenario lines carry exact counts.
-    const obs::ProfileReport report = profiler.report(
-        wall, static_cast<long long>(scenarios.size()) *
-                  static_cast<long long>(options.jobs));
-    std::FILE* file = std::fopen(options.engine_json.c_str(), "a");
-    if (file == nullptr) {
-      std::fprintf(stderr, "sweep: cannot append to %s\n",
-                   options.engine_json.c_str());
-      return 1;
-    }
-    std::fprintf(file,
-                 "{\"bench\":\"engine\",\"workload\":\"sweep\","
-                 "\"scenarios\":%zu,\"jobs_per_trace\":%d,%s,%s}\n",
-                 scenarios.size(), options.jobs, report.json_fields().c_str(),
-                 bench_provenance_fields(worker_count).c_str());
-    std::fclose(file);
-  }
   if (options.audit && audit.violations.load() != 0) return 1;
   return 0;
 }

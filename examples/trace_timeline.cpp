@@ -77,12 +77,11 @@ int main(int argc, char** argv) {
   }
   std::printf("load it in https://ui.perfetto.dev or chrome://tracing\n");
 
-  // 4. The profiler's wall-clock split, next to the run's counters.
-  const obs::ProfileReport report = profiler.report(wall, metrics.jobs);
-  std::printf("\nprofile: %.0f events/s, %lld schedule passes "
-              "(%.3f us each), peak RSS %ld KiB\n",
-              report.events_per_second, report.schedule_passes,
-              report.seconds_per_pass * 1.0e6, report.peak_rss_kb);
+  // 4. The profiler's event count and the peak RSS, next to the run's
+  //    counters.
+  std::printf("\nprofile: %llu engine events in %.3f s, peak RSS %ld KiB\n",
+              static_cast<unsigned long long>(profiler.events()), wall,
+              obs::Profiler::peak_rss_kb());
   std::printf("counters: %lld checks, %lld schedule requests, %lld passes "
               "(%lld saved), %zu bytes redistributed\n",
               metrics.checks, metrics.schedule_requests,

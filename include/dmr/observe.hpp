@@ -10,8 +10,8 @@
 // ServiceConfig reaches it via its driver config):
 //  - obs::TraceRecorder, rendered by the obs::TraceSink adapter into a
 //    Perfetto-loadable Chrome trace-event timeline;
-//  - obs::Profiler, a wall-clock self-profile (events/sec, time in
-//    schedule passes vs placement, peak RSS) for BENCH_engine.json rows;
+//  - obs::Profiler, a count of dispatched engine events, plus the
+//    process's peak RSS;
 //  - obs::WaitAttributor, a per-job wait decomposition (typed
 //    BlockReason segments whose seconds sum exactly to the wait) written
 //    as the sidecar tools/dmr_explain ingests.

@@ -18,8 +18,9 @@
 //    ring); that demotes balance violations to warnings — loss is
 //    reported, never silently accepted as a complete timeline.
 //
-// Used by tests/test_obs.cpp, the trace_smoke ctest (through the
-// bench/trace_validate binary) and engine_bench's self-check.
+// Used by tests/test_obs.cpp and tests/test_observers.cpp, the
+// trace_smoke ctest (through the bench/trace_validate binary) and the
+// examples that write a trace.
 #pragma once
 
 #include <cstdint>

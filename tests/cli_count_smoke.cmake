@@ -2,8 +2,8 @@
 # silently defaulted or thrown past main.  Every row of the table below
 # must exit with status 2 and name its argument (or the member-mix group,
 # or the SWF line and field) on stderr.  Invoked as
-#   cmake -DSWEEP=<sweep> -DDMRSIM=<dmrsim> -DENGINE_BENCH=<engine_bench>
-#         -DMAKE_SWF=<make_swf> -P cli_count_smoke.cmake
+#   cmake -DSWEEP=<sweep> -DDMRSIM=<dmrsim> -DMAKE_SWF=<make_swf>
+#         -P cli_count_smoke.cmake
 
 set(failures "")
 
@@ -34,8 +34,8 @@ expect_rejected("jobs: 'abc' is not an integer" ${DMRSIM} jobs=abc)
 # -5 used to mean "unset" and ran the default 20 nodes.
 expect_rejected("nodes: '-5' is not an integer" ${DMRSIM} nodes=-5)
 # %llu wrapped -1 to 18446744073709551615.
-expect_rejected("seed: '-1' is not an integer"
-                ${ENGINE_BENCH} smoke seed=-1)
+expect_rejected("seed: '-1' is not an integer" ${DMRSIM} seed=-1)
+expect_rejected("seed: '-1' is not an integer" ${MAKE_SWF} --seed -1)
 # NaN passed the range check and was written as submit times.
 expect_rejected("--load: 'nan' is not a finite number" ${MAKE_SWF} --load nan)
 

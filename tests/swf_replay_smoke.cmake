@@ -1,6 +1,7 @@
 # ctest smoke for SWF trace replay: run the bundled miniature trace
 # through the sweep harness in federation mode and sanity-check the
-# JSON-lines output.  Invoked as
+# JSON-lines output; then check that a long --members mix still yields
+# whole JSON lines.  Invoked as
 #   cmake -DSWEEP=<sweep binary> -DSWF=<mini.swf> -P swf_replay_smoke.cmake
 
 execute_process(COMMAND ${SWEEP} smoke clusters=2 --swf ${SWF}
@@ -44,6 +45,30 @@ endforeach()
 # never silent.
 if(NOT err MATCHES "dropped 3")
   message(FATAL_ERROR "missing shaping summary on stderr:\n${err}")
+endif()
+
+# The summary line embeds the --members spec, so a long mix (40 named
+# groups, 719 characters) must still end in a closed JSON object.
+set(members "")
+foreach(index RANGE 10 49)
+  list(APPEND members "1x8:name=member${index}")
+endforeach()
+string(JOIN "," members ${members})
+execute_process(COMMAND ${SWEEP} smoke clusters=2 --members "${members}"
+                OUTPUT_VARIABLE out
+                ERROR_VARIABLE err
+                RESULT_VARIABLE rc)
+if(NOT rc EQUAL 0)
+  message(FATAL_ERROR "sweep --members exited with ${rc}\nstderr:\n${err}")
+endif()
+string(REPLACE "\n" ";" lines "${out}")
+foreach(line IN LISTS lines)
+  if(NOT line STREQUAL "" AND NOT line MATCHES "^\\{.*\\}$")
+    message(FATAL_ERROR "not a JSON line: ${line}")
+  endif()
+endforeach()
+if(NOT out MATCHES "\"summary\":true,[^\n]*member49\"")
+  message(FATAL_ERROR "summary line lost the member mix:\n${out}")
 endif()
 
 message(STATUS "swf_replay_smoke: ${scenario_lines} scenario lines OK")

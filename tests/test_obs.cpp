@@ -1,10 +1,12 @@
 // Tests for the observability layer: the trace recorder's output
 // survives the strict validator (and tampered documents do not), ring
-// overflow is counted rather than silently truncated, the profiler keeps
-// sub-microsecond durations, attaching tracing never perturbs simulated
-// outcomes, and the JSON reader rejects what the escaper never writes.
+// overflow is counted rather than silently truncated, the profiler
+// counts every dispatched event, attaching tracing never perturbs
+// simulated outcomes, and the JSON reader rejects what the escaper never
+// writes.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <fstream>
 #include <sstream>
@@ -24,11 +26,22 @@ using namespace dmr;
 struct RunOutcome {
   std::string digest;
   drv::WorkloadMetrics metrics;
+  std::uint64_t executed = 0;  // engine events dispatched
 };
 
-/// Render every job's full-precision lifecycle: byte-identical across
-/// runs iff the simulated outcomes are.
-std::string outcome_digest(const drv::WorkloadDriver& driver) {
+/// Run `plans` through the driver with `hooks` attached, and render
+/// every job's full-precision lifecycle plus the resize tallies:
+/// byte-identical across runs iff the simulated outcomes are.
+RunOutcome run_plans(drv::DriverConfig config,
+                     std::vector<drv::JobPlan> plans,
+                     const obs::Hooks& hooks) {
+  sim::Engine engine;
+  config.hooks = hooks;
+  drv::WorkloadDriver driver(engine, config);
+  for (auto& plan : plans) driver.add(std::move(plan));
+  RunOutcome outcome;
+  outcome.metrics = driver.run();
+  outcome.executed = engine.executed();
   std::ostringstream out;
   out.precision(17);
   const fed::Federation& federation = driver.federation();
@@ -38,40 +51,64 @@ std::string outcome_digest(const drv::WorkloadDriver& driver) {
           << ':' << job->end_time << '\n';
     }
   }
-  return out.str();
+  out << "makespan=" << outcome.metrics.makespan
+      << " expands=" << outcome.metrics.expands
+      << " shrinks=" << outcome.metrics.shrinks
+      << " bytes=" << outcome.metrics.bytes_redistributed << '\n';
+  outcome.digest = out.str();
+  return outcome;
 }
 
 /// A small FS workload (Feitelson sizes/arrivals, 5 reconfiguring
 /// points) on a 16-node cluster, with `hooks` threaded through the
-/// driver.  `configure` tweaks the driver before the run.
-RunOutcome run_fs(std::uint64_t seed, const obs::Hooks& hooks,
-                  int jobs = 20) {
+/// driver.
+RunOutcome run_fs(std::uint64_t seed, const obs::Hooks& hooks) {
   wl::FeitelsonParams params;
-  params.jobs = jobs;
+  params.jobs = 20;
   params.max_size = 16;
   params.mean_interarrival = 15.0;
   params.max_runtime = 60.0 * 5;
   params.seed = seed;
-  const auto workload = wl::generate_feitelson(params);
-
-  sim::Engine engine;
-  drv::DriverConfig config;
-  config.rms.nodes = 16;
-  config.hooks = hooks;
-  drv::WorkloadDriver driver(engine, config);
-  for (const auto& job : workload) {
+  std::vector<drv::JobPlan> plans;
+  for (const auto& job : wl::generate_feitelson(params)) {
     drv::JobPlan plan;
     plan.arrival = job.arrival;
     plan.model = apps::fs_model(5, job.size, job.runtime / 5, 16,
                                 std::size_t(1) << 20);
     plan.submit_nodes = job.size;
     plan.flexible = true;
-    driver.add(std::move(plan));
+    plans.push_back(std::move(plan));
   }
-  RunOutcome outcome;
-  outcome.metrics = driver.run();
-  outcome.digest = outcome_digest(driver);
-  return outcome;
+  drv::DriverConfig config;
+  config.rms.nodes = 16;
+  return run_plans(config, std::move(plans), hooks);
+}
+
+/// The Section IX mix: CG, Jacobi and N-body round-robin, each submitted
+/// at its maximum size, at a fifth of Table I's iterations, on 64 nodes
+/// with EASY backfill and the shrink priority boost.
+RunOutcome run_section_ix(std::uint64_t seed, const obs::Hooks& hooks) {
+  const std::vector<apps::AppModel> classes = {
+      apps::cg_model(), apps::jacobi_model(), apps::nbody_model()};
+  util::Rng rng(seed);
+  std::vector<drv::JobPlan> plans;
+  double arrival = 0.0;
+  for (int i = 0; i < 24; ++i) {
+    arrival += rng.exponential_mean(60.0);
+    drv::JobPlan plan;
+    plan.model = classes[i % 3];
+    plan.model.iterations =
+        std::max(1, static_cast<int>(plan.model.iterations * 0.2));
+    plan.arrival = arrival;
+    plan.submit_nodes = plan.model.request.max_procs;
+    plan.flexible = true;
+    plans.push_back(std::move(plan));
+  }
+  drv::DriverConfig config;
+  config.rms.nodes = 64;
+  config.rms.scheduler.backfill = true;
+  config.rms.shrink_priority_boost = true;
+  return run_plans(config, std::move(plans), hooks);
 }
 
 std::string wrap_events(const std::string& events) {
@@ -209,70 +246,33 @@ TEST(TraceRecorder, NeverSilentlyTruncates) {
 // --- determinism: tracing on/off, seed-swept --------------------------------
 
 TEST(TraceRecorder, AttachedObservabilityNeverPerturbsOutcomes) {
-  for (const std::uint64_t seed : {1ULL, 7ULL, 42ULL, 2017ULL}) {
-    const RunOutcome detached = run_fs(seed, {});
-    const RunOutcome repeat = run_fs(seed, {});
-    obs::TraceRecorder trace;
-    obs::Profiler profiler;
-    const RunOutcome attached =
-        run_fs(seed, {.trace = &trace, .profiler = &profiler});
-    ASSERT_FALSE(detached.digest.empty());
-    EXPECT_EQ(detached.digest, repeat.digest) << "seed " << seed;
-    EXPECT_EQ(detached.digest, attached.digest) << "seed " << seed;
-    EXPECT_GT(profiler.events(), 0u);
+  for (const auto run : {&run_fs, &run_section_ix}) {
+    const char* input = run == &run_fs ? "fs" : "section-ix";
+    for (const std::uint64_t seed : {1ULL, 7ULL, 42ULL, 2017ULL}) {
+      SCOPED_TRACE(::testing::Message() << input << " seed " << seed);
+      const RunOutcome detached = run(seed, {});
+      const RunOutcome repeat = run(seed, {});
+      obs::TraceRecorder trace;
+      obs::Profiler profiler;
+      const RunOutcome attached =
+          run(seed, {.trace = &trace, .profiler = &profiler});
+      ASSERT_FALSE(detached.digest.empty());
+      EXPECT_EQ(detached.digest, repeat.digest);
+      EXPECT_EQ(detached.digest, attached.digest);
+      EXPECT_GT(attached.metrics.expands, 0);
+      EXPECT_GT(attached.metrics.shrinks, 0);
+      EXPECT_EQ(profiler.events(), attached.executed);
+      const obs::TraceValidation validation =
+          obs::validate_trace(trace.to_json());
+      EXPECT_TRUE(validation.ok) << validation.describe();
+    }
   }
 }
 
 // --- profiler ---------------------------------------------------------------
 
-TEST(Profiler, ReportFoldsAccumulatorsAndRss) {
-  obs::Profiler profiler;
-  profiler.add_events(1000);
-  profiler.add_events(1);
-  profiler.add_schedule(0.25);
-  profiler.add_schedule(0.25);
-  profiler.add_placement(0.1);
-  const obs::ProfileReport report = profiler.report(2.0, 10);
-  EXPECT_EQ(report.events, 1001u);
-  EXPECT_DOUBLE_EQ(report.events_per_second, 1001.0 / 2.0);
-  EXPECT_DOUBLE_EQ(report.jobs_per_second, 5.0);
-  EXPECT_EQ(report.schedule_passes, 2);
-  EXPECT_NEAR(report.schedule_seconds, 0.5, 1e-6);
-  EXPECT_NEAR(report.seconds_per_pass, 0.25, 1e-6);
-  EXPECT_EQ(report.placements, 1);
-  EXPECT_NEAR(report.engine_seconds, 2.0 - 0.5 - 0.1, 1e-6);
-  EXPECT_GT(report.peak_rss_kb, 0) << "VmHWM should parse on Linux";
-  const std::string row = report.json_fields();
-  EXPECT_NE(row.find("\"events_per_second\":"), std::string::npos);
-  EXPECT_NE(row.find("\"peak_rss_kb\":"), std::string::npos);
-}
-
-TEST(Profiler, KeepsSubMicrosecondPasses) {
-  // A replay's passes average ~125 ns: whole-microsecond accumulation
-  // reported them as zero.
-  obs::Profiler profiler;
-  for (int i = 0; i < 1000; ++i) profiler.add_schedule(1.25e-7);
-  const obs::ProfileReport report = profiler.report(1.0, 1);
-  EXPECT_NEAR(report.schedule_seconds, 1.25e-4, 1e-9);
-  EXPECT_NEAR(report.seconds_per_pass, 1.25e-7, 1e-12);
-  // The row prints enough digits to show them.
-  EXPECT_NE(report.json_fields().find("\"seconds_per_pass\":0.000000125"),
-            std::string::npos)
-      << report.json_fields();
-}
-
-TEST(Profiler, TimesPassesAndPlacementsFromTheEventStream) {
-  obs::Profiler profiler;
-  const RunOutcome outcome = run_fs(7, {.profiler = &profiler});
-  const obs::ProfileReport report = profiler.report(1.0, outcome.metrics.jobs);
-  // One timed sample per schedule call that ran passes.
-  EXPECT_GT(report.schedule_passes, 0);
-  EXPECT_LE(report.schedule_passes, outcome.metrics.schedule_passes);
-  EXPECT_LE(report.schedule_passes, outcome.metrics.schedule_requests);
-  // A profiler observes placements, so every submission is routed
-  // through the placement policy and timed.
-  EXPECT_EQ(report.placements, outcome.metrics.jobs);
-  EXPECT_GT(report.schedule_seconds, 0.0);
+TEST(Profiler, ReadsPeakRss) {
+  EXPECT_GT(obs::Profiler::peak_rss_kb(), 0) << "VmHWM should parse on Linux";
 }
 
 // --- provenance -------------------------------------------------------------

@@ -25,6 +25,7 @@
 #include "obs/attr.hpp"
 #include "obs/profiler.hpp"
 #include "obs/trace.hpp"
+#include "obs/validate.hpp"
 #include "rms/accounting.hpp"
 
 namespace {
@@ -145,6 +146,9 @@ ObserverDigests digest_observers(const Observers& observers) {
   const chk::Report report = observers.auditor.report();
   EXPECT_TRUE(report.ok()) << report.describe();
   EXPECT_EQ(observers.trace.dropped(), 0u);
+  const obs::TraceValidation validation =
+      obs::validate_trace(observers.trace.to_json());
+  EXPECT_TRUE(validation.ok) << validation.describe();
   EXPECT_GT(observers.profiler.events(), 0u);
   return {trace_digest(observers.trace),
           digests::fnv1a(observers.attr.to_json()), audit_digest(report),

@@ -211,9 +211,17 @@ TEST(Service, SampleTimesAreMonotoneAndLinesMirrorRecords) {
     EXPECT_GT(samples[i].time, samples[i - 1].time);
   }
   for (std::size_t i = 0; i < samples.size(); ++i) {
-    EXPECT_EQ(service.sample_lines()[i], samples[i].to_json());
-    EXPECT_EQ(samples[i].to_json().front(), '{');
-    EXPECT_EQ(samples[i].to_json().back(), '}');
+    const std::string& line = service.sample_lines()[i];
+    EXPECT_EQ(line, samples[i].to_json());
+    EXPECT_EQ(line.front(), '{');
+    EXPECT_EQ(line.back(), '}');
+    for (const char* field : {"\"window\":", "\"utilization\":",
+                              "\"queue_depth\":", "\"wait_p99\":",
+                              "\"submitted_total\":"}) {
+      EXPECT_NE(line.find(field), std::string::npos) << field << " in " << line;
+    }
+    EXPECT_EQ(line.find("nan"), std::string::npos) << line;
+    EXPECT_EQ(line.find("inf"), std::string::npos) << line;
     EXPECT_FALSE(std::isnan(samples[i].utilization));
     EXPECT_GE(samples[i].utilization, 0.0);
     EXPECT_LE(samples[i].utilization, 1.0 + 1e-9);

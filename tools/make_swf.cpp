@@ -1,7 +1,8 @@
 // make_swf — synthesize a Feitelson-model workload as an SWF trace.
 //
-// The archive-scale replay path (engine_bench `archive`, swf_replay,
-// sweep --swf) needs traces far larger than the checked-in samples.
+// The archive-scale replay path (swf_replay, sweep --swf, the
+// archive_smoke ctest) needs traces far larger than the checked-in
+// samples.
 // This tool writes one on demand: job sizes, runtimes, repeats and
 // Poisson arrivals from wl::generate_feitelson, the inter-arrival mean
 // balanced against the target machine so the queue stays loaded but
