@@ -4,6 +4,8 @@
 // passes and workload generation.
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
+
 #include "dmr/manager.hpp"
 #include "dmr/malleable.hpp"
 #include "dmr/simulation.hpp"
@@ -88,7 +90,8 @@ void BM_ReconfigurationPolicy(benchmark::State& state) {
   rms::Request request;
   request.min_procs = 1;
   request.max_procs = 32;
-  // The view borrows the queue, as Manager::dmr_decide hands it over.
+  // The view borrows the queue, as Manager::dmr_decide hands it over;
+  // ascending ids at one submit time are already in SubmitOrder.
   rms::PolicyView view;
   view.job = &job;
   view.idle_nodes = 4;
@@ -108,13 +111,13 @@ void BM_SchedulerPass(benchmark::State& state) {
     jobs[i].spec.time_limit = 100.0 + static_cast<double>(i % 7) * 50.0;
     jobs[i].submit_time = static_cast<double>(i);
   }
-  // The pass reads a queue already in PendingOrder, as Manager::schedule
+  // The pass reads a queue already in SubmitOrder, as Manager::schedule
   // hands it over (the manager keeps its queue in that order), so the
   // ordering happens once, outside the timed loop.
   const rms::SchedulerConfig config;
   std::vector<const rms::Job*> queue;
   for (const auto& job : jobs) queue.push_back(&job);
-  rms::sort_pending(queue, 1000.0, config.weights);
+  std::sort(queue.begin(), queue.end(), rms::SubmitOrder{});
   rms::ScheduleView view;
   view.now = 1000.0;
   view.idle_nodes = 64;

@@ -18,7 +18,12 @@
 //     scale=X              iteration-count scale      (default 1.0, <= 1000)
 //     accounting=0|1       print the sacct-style log  (default 0)
 //     csv=PREFIX           dump timeline CSVs to PREFIX_<series>.csv
+//
+// Anything else exits with status 2 naming the argument: an unknown key,
+// an argument without '=', a workload other than fs or mix, a switch
+// other than 0 or 1, or a number out of range.
 #include <cstdio>
+#include <cstdlib>
 #include <fstream>
 #include <limits>
 #include <map>
@@ -47,6 +52,16 @@ struct Options {
   std::string csv_prefix;
 };
 
+[[noreturn]] void reject(const char* arg, const char* why) {
+  std::fprintf(stderr, "%s: %s\n", arg, why);
+  std::exit(2);
+}
+
+/// A 0/1 switch: any other text exits 2 naming `name`.
+bool parse_switch(const char* text, const char* name) {
+  return util::parse_u64(text, name, 1) == 1;
+}
+
 Options parse(int argc, char** argv) {
   constexpr double kMaxReal = std::numeric_limits<double>::max();
   Options options;
@@ -54,25 +69,22 @@ Options parse(int argc, char** argv) {
   std::optional<double> arrival;
   for (int i = 1; i < argc; ++i) {
     const auto kv = util::parse_key_value(argv[i]);
-    if (!kv) {
-      std::fprintf(stderr, "ignoring argument '%s' (want key=value)\n",
-                   argv[i]);
-      continue;
-    }
+    if (!kv) reject(argv[i], "not a key=value argument");
     const auto& [key, text] = *kv;
     const char* value = text.c_str();
     if (key == "workload") {
+      if (text != "fs" && text != "mix") reject(argv[i], "not fs or mix");
       options.workload = text;
     } else if (key == "jobs") {
       options.jobs = util::parse_count(value, "jobs");
     } else if (key == "nodes") {
       nodes = util::parse_count(value, "nodes");
     } else if (key == "flexible") {
-      options.flexible = text == "1";
+      options.flexible = parse_switch(value, "flexible");
     } else if (key == "moldable") {
-      options.moldable = text == "1";
+      options.moldable = parse_switch(value, "moldable");
     } else if (key == "async") {
-      options.asynchronous = text == "1";
+      options.asynchronous = parse_switch(value, "async");
     } else if (key == "period") {
       options.period = util::parse_real(value, "period", 0.0, kMaxReal);
     } else if (key == "arrival") {
@@ -82,11 +94,11 @@ Options parse(int argc, char** argv) {
     } else if (key == "scale") {
       options.scale = util::parse_real(value, "scale", 0.0, 1000.0);
     } else if (key == "accounting") {
-      options.accounting = text == "1";
+      options.accounting = parse_switch(value, "accounting");
     } else if (key == "csv") {
       options.csv_prefix = text;
     } else {
-      std::fprintf(stderr, "unknown option '%s'\n", key.c_str());
+      reject(argv[i], "unknown option");
     }
   }
   const bool mix = options.workload == "mix";

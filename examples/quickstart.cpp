@@ -66,7 +66,8 @@ class Counters final : public rt::BufferedAppState {
 }  // namespace
 
 int main() {
-  // 1. The resource manager: 8 virtual nodes, backfill + multifactor.
+  // 1. The resource manager: 8 virtual nodes, EASY backfill over a FIFO
+  //    queue (boosted jobs first).
   Manager manager(RmsConfig{.nodes = 8, .scheduler = {},
                             .shrink_priority_boost = true});
 

@@ -107,8 +107,6 @@ struct JobSpec {
   bool flexible = false;
   /// Wall-clock limit estimate used by the backfill scheduler.
   double time_limit = 3600.0;
-  /// Base quality-of-service priority component.
-  double qos = 0.0;
   /// Run only while this job is running (used by resizer jobs).
   std::optional<JobId> depends_on;
   /// Resizer jobs are internal bookkeeping helpers, invisible to metrics.

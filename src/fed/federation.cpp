@@ -66,8 +66,7 @@ const rms::Cluster& Federation::cluster_for(JobId id) const {
 
 const rms::Job& Federation::job(JobId id) const { return owner(id).job(id); }
 
-std::vector<ClusterStatus> Federation::statuses(const JobSpec& spec,
-                                                double /*now*/) const {
+std::vector<ClusterStatus> Federation::statuses(const JobSpec& spec) const {
   std::vector<ClusterStatus> all;
   all.reserve(managers_.size());
   for (int c = 0; c < cluster_count(); ++c) {
@@ -94,10 +93,8 @@ std::vector<ClusterStatus> Federation::statuses(const JobSpec& spec,
       }
       // capacity stays 0 when the member lacks the partition: ineligible.
     }
-    // Routing only sums the queue — the unsorted view skips the
-    // priority sort a fresh `now` would force on every submission.
     for (const rms::Job* pending :
-         managers_[static_cast<std::size_t>(c)]->pending_unsorted()) {
+         managers_[static_cast<std::size_t>(c)]->pending_snapshot()) {
       ++status.pending_jobs;
       status.pending_nodes += pending->requested_nodes;
     }
@@ -138,7 +135,7 @@ JobId Federation::submit(JobSpec spec, double now) {
                      << cluster_name(0) << " via " << policy_->name();
     return managers_.front()->submit(std::move(spec), now);
   }
-  const std::vector<ClusterStatus> all = statuses(spec, now);
+  const std::vector<ClusterStatus> all = statuses(spec);
   std::vector<int> eligible;
   for (const ClusterStatus& status : all) {
     if (spec.requested_nodes <= status.capacity) {
@@ -154,9 +151,6 @@ JobId Federation::submit(JobSpec spec, double now) {
                                      ? std::string()
                                      : ", partition '" + spec.partition + "'") +
                                 ")");
-  }
-  if (sinks_.wants(obs::EventKind::kPlaceBegin)) {
-    sinks_.emit({.kind = obs::EventKind::kPlaceBegin, .now = now});
   }
   const int picked = policy_->place(spec, all, eligible);
   if (std::find(eligible.begin(), eligible.end(), picked) == eligible.end()) {

@@ -133,7 +133,7 @@ class Federation : public ::dmr::Rms {
   rms::Manager& owner(JobId id);
   const rms::Manager& owner(JobId id) const;
   /// Status snapshot of every member, specialized to `spec`'s pool.
-  std::vector<ClusterStatus> statuses(const JobSpec& spec, double now) const;
+  std::vector<ClusterStatus> statuses(const JobSpec& spec) const;
 
   FederationConfig config_;
   std::vector<std::unique_ptr<rms::Manager>> managers_;

@@ -68,7 +68,6 @@ constexpr int kBlockReasonCount = 7;
 /// member's manager.
 enum class EventKind : std::uint8_t {
   kSubmitted,       ///< queued (resizers included); new_size = requested
-  kPlaceBegin,      ///< federation routing starts (job unset)
   kPlaced,          ///< routed to `member`; new_size = requested,
                     ///< `federation` + `statuses` = what the policy saw
   kBlocked,         ///< pending job (re)diagnosed: `cause`, `blocker`
@@ -91,7 +90,7 @@ enum class EventKind : std::uint8_t {
   kSample,          ///< the service sampled `federation`: `sample`
 };
 
-constexpr int kEventKindCount = 19;
+constexpr int kEventKindCount = 18;
 
 /// A bit per EventKind: what a sink subscribes to.
 using Interest = std::uint32_t;

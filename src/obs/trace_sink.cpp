@@ -26,8 +26,7 @@ TraceSink::TraceSink(TraceRecorder& trace, const fed::Federation& federation)
 }
 
 Interest TraceSink::interest() const {
-  return kAllKinds & ~kinds(EventKind::kPlaceBegin, EventKind::kBlocked,
-                            EventKind::kDispatch);
+  return kAllKinds & ~kinds(EventKind::kBlocked, EventKind::kDispatch);
 }
 
 void TraceSink::on_event(const Event& event) {

@@ -4,6 +4,12 @@
 
 namespace dmr::rms {
 
+bool SubmitOrder::operator()(const Job* a, const Job* b) const {
+  if (a->priority_boost != b->priority_boost) return a->priority_boost;
+  if (a->submit_time != b->submit_time) return a->submit_time < b->submit_time;
+  return a->id < b->id;
+}
+
 std::vector<int> expand_candidates(int current, int factor, int max_nodes) {
   if (current <= 0 || factor < 2) {
     throw std::invalid_argument("expand_candidates: bad arguments");

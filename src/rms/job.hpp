@@ -68,6 +68,13 @@ struct Job {
   }
 };
 
+/// The pending queue's one order: boosted jobs first (Algorithm 1's
+/// set_max_priority), then submit time, then id.  A total order that
+/// never moves with time; see scheduler.hpp for why it is the paper's.
+struct SubmitOrder {
+  bool operator()(const Job* a, const Job* b) const;
+};
+
 /// Valid malleable sizes reachable from `current` with `factor`, within
 /// [min_nodes, max_nodes].  Expansion candidates are current*factor^k,
 /// shrink candidates current/factor^k (exact divisions only), k >= 1.

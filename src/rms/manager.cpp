@@ -1,7 +1,6 @@
 #include "rms/manager.hpp"
 
 #include <algorithm>
-#include <cmath>
 #include <stdexcept>
 
 #include "util/log.hpp"
@@ -15,12 +14,6 @@ Cluster make_cluster(const RmsConfig& config) {
   return Cluster(config.nodes);
 }
 
-/// The (qos, count) entry for `qos`, or `counts.end()`.
-auto qos_entry(std::vector<std::pair<double, int>>& counts, double qos) {
-  return std::find_if(counts.begin(), counts.end(),
-                      [qos](const auto& entry) { return entry.first == qos; });
-}
-
 }  // namespace
 
 Manager::Manager(RmsConfig config, int member)
@@ -28,7 +21,6 @@ Manager::Manager(RmsConfig config, int member)
       cluster_(make_cluster(config_)),
       next_id_(config_.first_job_id),
       member_(member) {
-  config_.scheduler.weights.cluster_size = cluster_.size();
   cluster_.set_alloc_policy(config_.scheduler.alloc);
 }
 
@@ -67,11 +59,6 @@ bool Manager::eligible(const Job& job) const {
   return true;
 }
 
-void Manager::mark_queue_changed() {
-  placements_dirty_ = true;
-  ++queue_version_;
-}
-
 void Manager::remove_from(std::vector<Job*>& list, const Job* job) {
   const auto it = std::find(list.begin(), list.end(), job);
   if (it != list.end()) {
@@ -86,20 +73,12 @@ void Manager::enqueue(Job& job) {
   const auto at = std::upper_bound(pending_jobs_.begin(), pending_jobs_.end(),
                                    &job, SubmitOrder{});
   pending_jobs_.insert(at, &job);
-  const auto same = qos_entry(pending_qos_, job.spec.qos);
-  if (same != pending_qos_.end()) {
-    ++same->second;
-  } else {
-    pending_qos_.emplace_back(job.spec.qos, 1);
-  }
   if (job.spec.internal_resizer || job.spec.depends_on) ++pending_filtered_;
 }
 
 void Manager::dequeue(const Job& job) {
   pending_jobs_.erase(
       std::find(pending_jobs_.begin(), pending_jobs_.end(), &job));
-  const auto same = qos_entry(pending_qos_, job.spec.qos);
-  if (--same->second == 0) pending_qos_.erase(same);
   if (job.spec.internal_resizer || job.spec.depends_on) --pending_filtered_;
 }
 
@@ -114,26 +93,14 @@ void Manager::boost(Job& job) {
         std::upper_bound(pending_jobs_.begin(), at, &job, SubmitOrder{});
     std::rotate(to, at, at + 1);
   }
-  mark_queue_changed();
+  placements_dirty_ = true;
 }
 
-std::span<const Job* const> Manager::ordered_pending(double now) const {
-  if (queue_in_order()) return pending_jobs_;
-  if (sorted_version_ != queue_version_ || sorted_now_ != now) {
-    sorted_pending_.assign(pending_jobs_.begin(), pending_jobs_.end());
-    sort_pending(sorted_pending_, now, config_.scheduler.weights);
-    sorted_version_ = queue_version_;
-    sorted_now_ = now;
-  }
-  return sorted_pending_;
-}
-
-std::span<const Job* const> Manager::eligible_of(
-    std::span<const Job* const> queue, bool resizers,
-    std::vector<const Job*>& scratch) const {
-  if (pending_filtered_ == 0) return queue;
+std::span<const Job* const> Manager::eligible_pending(
+    bool resizers, std::vector<const Job*>& scratch) const {
+  if (pending_filtered_ == 0) return pending_jobs_;
   scratch.clear();
-  for (const Job* job : queue) {
+  for (const Job* job : pending_jobs_) {
     if ((resizers || !job->spec.internal_resizer) && eligible(*job)) {
       scratch.push_back(job);
     }
@@ -141,17 +108,12 @@ std::span<const Job* const> Manager::eligible_of(
   return scratch;
 }
 
-std::span<const Job* const> Manager::pending_queue(double now) const {
-  return eligible_of(ordered_pending(now), /*resizers=*/true, queue_scratch_);
+std::span<const Job* const> Manager::pending_queue() const {
+  return eligible_pending(/*resizers=*/true, queue_scratch_);
 }
 
-std::span<const Job* const> Manager::pending_snapshot(double now) const {
-  return eligible_of(ordered_pending(now), /*resizers=*/false,
-                     snapshot_scratch_);
-}
-
-std::span<const Job* const> Manager::pending_unsorted() const {
-  return eligible_of(pending_jobs_, /*resizers=*/false, snapshot_scratch_);
+std::span<const Job* const> Manager::pending_snapshot() const {
+  return eligible_pending(/*resizers=*/false, snapshot_scratch_);
 }
 
 JobId Manager::submit(JobSpec spec, double now) {
@@ -171,11 +133,6 @@ JobId Manager::submit(JobSpec spec, double now) {
   if (spec.min_nodes < 1 || spec.max_nodes < spec.min_nodes) {
     throw std::invalid_argument("Manager: bad malleability bounds for " +
                                 spec.name);
-  }
-  // A NaN priority compares unordered with everything, which breaks the
-  // queue's strict weak order.
-  if (!std::isfinite(spec.qos)) {
-    throw std::invalid_argument("Manager: non-finite qos for " + spec.name);
   }
   Job job;
   job.id = next_id_++;
@@ -200,7 +157,7 @@ JobId Manager::submit(JobSpec spec, double now) {
     user_jobs_.push_back(&stored);
     ++unfinished_user_jobs_;
   }
-  mark_queue_changed();
+  placements_dirty_ = true;
   emit(obs::EventKind::kSubmitted, id, now, 0, stored.requested_nodes);
   return id;
 }
@@ -216,7 +173,6 @@ void Manager::start_job(Job& job, double now) {
     user_allocated_nodes_ += job.allocated();
     ++user_running_jobs_;
   }
-  ++queue_version_;
   DMR_DEBUG("rms") << "start job " << job.id << " on " << job.allocated()
                    << " nodes at t=" << now;
   emit(obs::EventKind::kStarted, job.id, now, 0, job.allocated());
@@ -233,10 +189,7 @@ void Manager::add_nodes(int count, const std::string& partition, double now) {
     }
   }
   cluster_.add_nodes(count, index);
-  // The multifactor size weight normalizes by the cluster size; keep it
-  // in step so priorities stay comparable after the growth.
-  config_.scheduler.weights.cluster_size = cluster_.size();
-  mark_queue_changed();
+  placements_dirty_ = true;
   emit(obs::EventKind::kAllocChanged, kInvalidJob, now);
 }
 
@@ -263,7 +216,7 @@ std::vector<JobId> Manager::schedule(double now) {
     ++counters_.schedule_passes;
     view.now = now;
     view.idle_nodes = cluster_.idle();
-    view.pending = pending_queue(now);
+    view.pending = pending_queue();
     view.running.clear();
     view.running.reserve(running_jobs_.size());
     for (const Job* job : running_jobs_) view.running.push_back(job);
@@ -386,7 +339,6 @@ void Manager::finish_job(Job& job, double now, JobState final_state) {
   job.end_time = now;
   if (!job.spec.internal_resizer) --unfinished_user_jobs_;
   emit(obs::EventKind::kFinished, job.id, now);
-  ++queue_version_;
   // Released nodes or a removed queue entry (a new head) can both change
   // the next placement decision; a node-less exit (resizer harvest)
   // cannot.
@@ -481,7 +433,7 @@ Decision Manager::dmr_decide(JobId id, const Request& request,
   view.job = &job;
   if (job.partition == kAnyPartition) {
     view.idle_nodes = cluster_.idle();
-    view.pending = pending_snapshot(now);
+    view.pending = pending_snapshot();
   } else {
     // A pinned job can only grow within — and release nodes back into —
     // its own partition, so the policy must see that pool and only the
@@ -490,7 +442,7 @@ Decision Manager::dmr_decide(JobId id, const Request& request,
     // cannot grant.
     view.idle_nodes = cluster_.idle_in(job.partition);
     policy_scratch_.clear();
-    for (const Job* pending : pending_snapshot(now)) {
+    for (const Job* pending : pending_snapshot()) {
       if (pending->partition == kAnyPartition ||
           pending->partition == job.partition) {
         policy_scratch_.push_back(pending);
@@ -624,7 +576,7 @@ void Manager::complete_shrink(JobId id, double now) {
   job.requested_nodes = job.allocated();
   user_allocated_nodes_ -= static_cast<int>(draining.size());
   ++job.shrinks;
-  mark_queue_changed();
+  placements_dirty_ = true;
   emit(obs::EventKind::kShrinkEnded, id, now, old_size, job.allocated());
   emit(obs::EventKind::kAllocChanged, kInvalidJob, now);
   DMR_DEBUG("rms") << "job " << id << " shrunk to " << job.allocated()

@@ -22,22 +22,18 @@
 // the live job set.
 //
 // The pending list is kept in SubmitOrder (boosted first, then submit
-// time, then id) as jobs enter, leave and are boosted.  While every
-// pending job has one qos value and the weights satisfy
-// order_fixed_by_submission (the defaults do), that *is* PendingOrder at
-// every instant, so scheduling passes and Algorithm 1 read the list
-// itself: no sort and no copy per check or pass.  Otherwise they read a
-// decorate-sorted copy, redone at each new `now` or queue change.
+// time, then id) as jobs enter, leave and are boosted.  That is the
+// queue's one order and it never moves with time, so scheduling passes
+// and Algorithm 1 read the list itself: no sort and no copy per check or
+// pass.
 //
 // The manager is clock-agnostic: every mutation takes `now`, so the same
 // code serves the discrete-event simulation and the real-time examples.
 #pragma once
 
-#include <cstdint>
 #include <deque>
 #include <limits>
 #include <span>
-#include <utility>
 #include <vector>
 
 #include "dmr/rms.hpp"
@@ -127,20 +123,14 @@ class Manager : public ::dmr::Rms {
   ::dmr::JobView query(JobId id) const override;
   const Cluster& cluster() const { return cluster_; }
   int idle_nodes() const { return cluster_.idle(); }
-  /// Eligible pending jobs, internal resizers included, in PendingOrder
-  /// at `now`: the queue a scheduling pass reads.  A view of the
-  /// manager's own list (or of a filtered or sorted copy it keeps), valid
-  /// until the manager changes or the same query runs again.
-  std::span<const Job* const> pending_queue(double now) const;
+  /// Eligible pending jobs, internal resizers included, in SubmitOrder:
+  /// the queue a scheduling pass reads.  A view of the manager's own list
+  /// (or of a filtered copy it keeps), valid until the manager changes or
+  /// the same query runs again.
+  std::span<const Job* const> pending_queue() const;
   /// The same without internal resizers: the queue Algorithm 1 scans
   /// (dmr_decide).  Same validity as pending_queue.
-  std::span<const Job* const> pending_snapshot(double now) const;
-  /// The same jobs in SubmitOrder, which is PendingOrder only while the
-  /// order cannot move with time: callers that only aggregate
-  /// (federation routing sums, service queue depth) never pay a sort.
-  /// It shares pending_snapshot's kept copy, so either call may end the
-  /// other's view.
-  std::span<const Job* const> pending_unsorted() const;
+  std::span<const Job* const> pending_snapshot() const;
   /// All user-visible jobs (submission order).
   const std::vector<const Job*>& jobs() const { return user_jobs_; }
   /// True when no user job is pending or running.
@@ -219,30 +209,17 @@ class Manager : public ::dmr::Rms {
                  .member = member_, .now = now, .manager = this,
                  .cause = cause, .blocker = blocker});
   }
-  /// A queue/allocation event happened: placements may change and the
-  /// sorted copy of the queue is stale.
-  void mark_queue_changed();
   /// pending_jobs_ upkeep: insert at the job's SubmitOrder position,
   /// erase in place, and move a newly boosted job into the boosted
   /// prefix.
   void enqueue(Job& job);
   void dequeue(const Job& job);
   void boost(Job& job);
-  /// True while PendingOrder cannot move with time, so pending_jobs_ is
-  /// the queue in PendingOrder at every `now`.
-  bool queue_in_order() const {
-    return pending_qos_.size() <= 1 &&
-           order_fixed_by_submission(config_.scheduler.weights);
-  }
-  /// Every pending job in PendingOrder at `now`: pending_jobs_ itself
-  /// while queue_in_order(), else sorted_pending_.
-  std::span<const Job* const> ordered_pending(double now) const;
-  /// The eligible jobs of `queue` (internal resizers only when
-  /// `resizers`): `queue` itself when no pending job can be left out,
-  /// else a copy in `scratch`.
-  std::span<const Job* const> eligible_of(
-      std::span<const Job* const> queue, bool resizers,
-      std::vector<const Job*>& scratch) const;
+  /// The eligible pending jobs (internal resizers only when
+  /// `resizers`): pending_jobs_ itself when no pending job can be left
+  /// out, else a copy in `scratch`.
+  std::span<const Job* const> eligible_pending(
+      bool resizers, std::vector<const Job*>& scratch) const;
   void remove_from(std::vector<Job*>& list, const Job* job);
 
   RmsConfig config_;
@@ -259,9 +236,6 @@ class Manager : public ::dmr::Rms {
   // --- live-set indices (the incremental-scheduling state) -----------------
   /// Every pending job, resizers included, in SubmitOrder.
   std::vector<Job*> pending_jobs_;
-  /// (qos, count) over pending_jobs_: at most one entry while every
-  /// pending job shares its qos value.
-  std::vector<std::pair<double, int>> pending_qos_;
   /// Pending jobs a queue view may leave out (internal resizers, jobs
   /// with a dependency); at zero every view is the ordered list itself.
   int pending_filtered_ = 0;
@@ -282,12 +256,6 @@ class Manager : public ::dmr::Rms {
   ScheduleView view_scratch_;
   /// dmr_decide's queue for a pinned job (the jobs its partition serves).
   std::vector<const Job*> policy_scratch_;
-  std::uint64_t queue_version_ = 1;
-  /// The queue's decorate-sorted copy while its order moves with time,
-  /// valid for (sorted_version_, sorted_now_).
-  mutable std::vector<const Job*> sorted_pending_;
-  mutable std::uint64_t sorted_version_ = 0;
-  mutable double sorted_now_ = 0.0;
   /// The filtered copies behind pending_queue and pending_snapshot.
   mutable std::vector<const Job*> queue_scratch_;
   mutable std::vector<const Job*> snapshot_scratch_;

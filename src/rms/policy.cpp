@@ -49,7 +49,7 @@ Decision wide_optimization(const PolicyView& view,
 
   if (!view.pending.empty()) {
     // Would any queued job start if this one released part of its
-    // allocation?  Scan in priority order; the first beneficiary wins.
+    // allocation?  Scan in queue order; the first beneficiary wins.
     for (const Job* target : view.pending) {
       const int need = target->requested_nodes - view.idle_nodes;
       if (need <= 0) {

@@ -33,8 +33,8 @@ struct PolicyView {
   const Job* job = nullptr;
   int idle_nodes = 0;
   /// Eligible pending jobs the asking job's nodes could serve, in
-  /// priority order (highest first).  A view: Manager::dmr_decide hands
-  /// over its own queue, or a filtered copy it keeps for pinned jobs.
+  /// SubmitOrder.  A view: Manager::dmr_decide hands over its own queue,
+  /// or a filtered copy it keeps for pinned jobs.
   std::span<const Job* const> pending;
 };
 

@@ -257,7 +257,7 @@ double shadow_time(const ScheduleView& view, int needed, int* extra_nodes,
 std::vector<const Job*> schedule_pass(const ScheduleView& view,
                                       const SchedulerConfig& config,
                                       std::vector<BlockDiag>* blocked) {
-  const std::span<const Job* const> queue = view.pending;  // in PendingOrder
+  const std::span<const Job* const> queue = view.pending;  // in SubmitOrder
 
   std::vector<const Job*> started;
   IdlePool pool(view, config.alloc);

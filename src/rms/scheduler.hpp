@@ -1,10 +1,18 @@
-// Queue scheduling: FCFS by multifactor priority with EASY backfill.
+// Queue scheduling: FCFS in SubmitOrder with EASY backfill.
 //
 // This mirrors the paper's Slurm configuration ("backfill job scheduling
 // policy ... job priorities with the policy multifactor, both with default
-// values").  The pass is a pure function over a snapshot of the system so
-// it can be unit-tested exhaustively and reused by both the virtual-time
-// and the real-time managers.
+// values").  This model gives every job the same quality-of-service and
+// fair-share factors and weighs no job size, so the only multifactor term
+// that can separate two queued jobs is their age: an earlier submission
+// never ranks below a later one, and equal priorities fall to submit
+// time, then job id.  Algorithm 1's set_max_priority puts a boosted job
+// ahead of all of them.  That is SubmitOrder (job.hpp), the one order the
+// queue is kept in.
+//
+// The pass is a pure function over a snapshot of the system so it can be
+// unit-tested exhaustively and reused by both the virtual-time and the
+// real-time managers.
 //
 // Two snapshot extensions beyond the plain homogeneous view:
 //  - per-node draining flags: a shrinking job's draining nodes are
@@ -22,7 +30,6 @@
 
 #include "rms/cluster.hpp"
 #include "rms/job.hpp"
-#include "rms/priority.hpp"
 
 namespace dmr::obs {
 enum class BlockReason : int;
@@ -36,7 +43,6 @@ struct SchedulerConfig {
   /// must match the cluster's policy (the manager wires both from one
   /// config field) so the pass predicts exactly what allocate() grants.
   AllocPolicy alloc = AllocPolicy::LowestId;
-  PriorityWeights weights;
 };
 
 /// Snapshot of the scheduler's inputs at one instant.
@@ -44,10 +50,10 @@ struct ScheduleView {
   double now = 0.0;
   int idle_nodes = 0;
   /// Eligible pending jobs (dependencies already filtered by the caller)
-  /// in PendingOrder at `now`.  Precondition, not checked: the pass
-  /// reads the queue as given.  Manager::schedule hands over a view of
-  /// its queue, which it keeps in that order; hand-built views call
-  /// sort_pending first.
+  /// in SubmitOrder.  Precondition, not checked: the pass reads the
+  /// queue as given.  Manager::schedule hands over a view of its queue,
+  /// which it keeps in that order; hand-built views sort with
+  /// SubmitOrder first.
   std::span<const Job* const> pending;
   /// Running jobs, used to estimate the backfill shadow time.
   std::vector<const Job*> running;
@@ -77,11 +83,12 @@ struct BlockDiag {
 /// Decide which pending jobs to start now, in start order.  Guarantees:
 ///  - total requested nodes of the result never exceeds idle_nodes (and,
 ///    per partition-constrained job, that partition's idle count);
-///  - the highest-priority blocked job is never delayed by a backfilled
-///    one (EASY reservation based on running jobs' expected releases).
+///  - the first blocked job in queue order is never delayed by a
+///    backfilled one (EASY reservation based on running jobs' expected
+///    releases).
 ///
 /// With `blocked` non-null the pass additionally appends one BlockDiag
-/// per pending job it did not start, in priority order.  Diagnosis is
+/// per pending job it did not start, in queue order.  Diagnosis is
 /// observation only: the started set is byte-identical either way.
 std::vector<const Job*> schedule_pass(
     const ScheduleView& view, const SchedulerConfig& config,

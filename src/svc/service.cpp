@@ -116,9 +116,8 @@ void Service::take_sample() {
   const fed::Federation& federation = driver_.federation();
   int pending = 0;
   for (int c = 0; c < federation.cluster_count(); ++c) {
-    // Queue depth is a count; the unsorted view costs no priority sort.
-    pending += static_cast<int>(
-        federation.manager(c).pending_unsorted().size());
+    pending +=
+        static_cast<int>(federation.manager(c).pending_snapshot().size());
   }
   sample.queue_depth = pending;
   sample.ring_depth = static_cast<int>(queue_.size());

@@ -1,7 +1,7 @@
-# ctest: command-line numbers are rejected, never wrapped, truncated,
-# silently defaulted or thrown past main.  Every row of the table below
-# must exit with status 2 and name its argument (or the member-mix group,
-# or the SWF line and field) on stderr.  Invoked as
+# ctest: command-line numbers and options are rejected, never wrapped,
+# truncated, silently defaulted or thrown past main.  Every row of the
+# table below must exit with status 2 and name its argument (or the
+# member-mix group, or the SWF line and field) on stderr.  Invoked as
 #   cmake -DSWEEP=<sweep> -DDMRSIM=<dmrsim> -DMAKE_SWF=<make_swf>
 #         -P cli_count_smoke.cmake
 
@@ -38,6 +38,12 @@ expect_rejected("seed: '-1' is not an integer" ${DMRSIM} seed=-1)
 expect_rejected("seed: '-1' is not an integer" ${MAKE_SWF} --seed -1)
 # NaN passed the range check and was written as submit times.
 expect_rejected("--load: 'nan' is not a finite number" ${MAKE_SWF} --load nan)
+# An unknown workload ran fs, a switch other than 1 turned it off, and an
+# unknown key or a bare word was skipped with a warning.
+expect_rejected("workload=MIX: not fs or mix" ${DMRSIM} workload=MIX)
+expect_rejected("flexible: 'yes' is not an integer" ${DMRSIM} flexible=yes)
+expect_rejected("jobz=5: unknown option" ${DMRSIM} jobz=5)
+expect_rejected("jobs5: not a key=value argument" ${DMRSIM} jobs5)
 
 # Member-mix speeds must be finite and in [0.01, 100]: an infinite
 # member took every job, 1e-300 gave a 2.65e300 s makespan and a

@@ -3,7 +3,6 @@
 // handling, and the synchronous/asynchronous DMR flows.
 #include <gtest/gtest.h>
 
-#include <limits>
 #include <string>
 
 #include "rms/manager.hpp"
@@ -133,7 +132,7 @@ struct ResizerProbe final : obs::Sink {
     }
     if (resizer == kInvalidJob) return;
     jobs_seen.push_back(m.jobs().size());
-    pending_seen.push_back(m.pending_snapshot(event.now).size());
+    pending_seen.push_back(m.pending_snapshot().size());
     if (event.kind == obs::EventKind::kStarted && event.job == resizer) {
       resizer_nodes = m.job(resizer).nodes;
     }
@@ -310,7 +309,7 @@ TEST(Manager, ExpandAbortWhenResizerLosesRace) {
   EXPECT_EQ(m.job(a).allocated(), 4);
   // No resizer leftovers.
   EXPECT_EQ(m.idle_nodes(), 0);
-  EXPECT_TRUE(m.pending_snapshot(2.0).empty());
+  EXPECT_TRUE(m.pending_snapshot().empty());
 }
 
 /// Counts starts and ends and keeps the last reported allocation.
@@ -355,30 +354,6 @@ TEST(Manager, RejectsBadSubmissions) {
   EXPECT_THROW(m.submit(bad, 0.0), std::invalid_argument);
 }
 
-TEST(Manager, RejectsNonFiniteQos) {
-  // A NaN priority is unordered against every other, so the queue could
-  // not be kept in order: the submission is refused, naming the job.
-  Manager m(config(8));
-  for (double qos : {std::numeric_limits<double>::quiet_NaN(),
-                     std::numeric_limits<double>::infinity(),
-                     -std::numeric_limits<double>::infinity()}) {
-    JobSpec bad = spec("badqos", 4);
-    bad.qos = qos;
-    try {
-      m.submit(bad, 0.0);
-      ADD_FAILURE() << "qos " << qos << " accepted";
-    } catch (const std::invalid_argument& error) {
-      EXPECT_NE(std::string(error.what()).find("badqos"), std::string::npos)
-          << error.what();
-    }
-  }
-  EXPECT_TRUE(m.jobs().empty());
-  EXPECT_TRUE(m.pending_queue(0.0).empty());
-  JobSpec finite = spec("finite", 4);
-  finite.qos = -1e300;
-  EXPECT_NO_THROW(m.submit(finite, 0.0));
-}
-
 TEST(Manager, GuardsStateTransitions) {
   Manager m(config(8));
   const JobId a = m.submit(spec("a", 4), 0.0);
@@ -412,15 +387,15 @@ TEST(Manager, SnapshotsAreCachedAndInvalidate) {
   const JobId b = m.submit(spec("b", 4), 1.0);
   m.schedule(1.0);
   EXPECT_TRUE(m.job(a).running());
-  const auto& pending = m.pending_snapshot(2.0);
+  const auto& pending = m.pending_snapshot();
   ASSERT_EQ(pending.size(), 1u);
   EXPECT_EQ(pending[0]->id, b);
   // Same state: the cached snapshot is reused, element storage included.
   const Job* const* storage = pending.data();
-  EXPECT_EQ(m.pending_snapshot(2.0).data(), storage);
+  EXPECT_EQ(m.pending_snapshot().data(), storage);
   m.job_finished(a, 3.0);
   EXPECT_TRUE(m.job(b).running());
-  EXPECT_TRUE(m.pending_snapshot(3.0).empty());
+  EXPECT_TRUE(m.pending_snapshot().empty());
 }
 
 RmsConfig heterogeneous_config() {

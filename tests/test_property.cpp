@@ -5,7 +5,7 @@
 //    cancel / dmr_check / complete_shrink preserves cluster accounting
 //    (no node owned twice, idle + allocated == total, job states sane),
 //    and the pending queue the manager keeps ordered reads exactly as a
-//    fresh sort_pending would, under several priority configurations.
+//    fresh sort by SubmitOrder would, under several submission mixes.
 //  - Driver seed sweep: for every seed, the flexible run of a workload
 //    is deterministic and its makespan never exceeds the fixed run's by
 //    more than the reconfiguration overhead bound.
@@ -13,6 +13,7 @@
 //    message exactly once with per-pair FIFO order.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <map>
 #include <set>
 #include <span>
@@ -68,10 +69,9 @@ void check_invariants(const Manager& manager, int cluster_nodes) {
 
 /// Checks, at every point the manager reads its pending queue (a
 /// scheduling pass begins, Algorithm 1 negotiates) and whenever the test
-/// asks, that the queue it reads equals a fresh sort_pending of the same
-/// jobs at that instant.
+/// asks, that the queue it reads equals a fresh sort of the same jobs by
+/// SubmitOrder.
 struct QueueOrderCheck final : obs::Sink {
-  PriorityWeights weights;
   /// Every job submitted, internal resizers included.
   std::vector<JobId> ids;
 
@@ -98,9 +98,9 @@ struct QueueOrderCheck final : obs::Sink {
       }
       expected.push_back(&job);
     }
-    sort_pending(expected, now, weights);
+    std::sort(expected.begin(), expected.end(), SubmitOrder{});
     const std::span<const Job* const> read =
-        pass ? manager.pending_queue(now) : manager.pending_snapshot(now);
+        pass ? manager.pending_queue() : manager.pending_snapshot();
     EXPECT_EQ(ids_of(read), ids_of(expected))
         << (pass ? "pass" : "policy") << " queue at t=" << now;
   }
@@ -112,15 +112,11 @@ struct QueueOrderCheck final : obs::Sink {
   }
 };
 
-/// One fuzz configuration: the priority weights and how often a
-/// submission takes an unusual shape.  Probabilities of 0 draw nothing
-/// from the generator, so "default" replays the original fuzz streams.
+/// One fuzz configuration: how often a submission takes an unusual
+/// shape.  Probabilities of 0 draw nothing from the generator, so
+/// "default" replays the original fuzz streams.
 struct FuzzConfig {
   const char* name;
-  PriorityWeights weights;
-  /// Submissions with a qos other than 0 (the queue's order then moves
-  /// with time until they leave it).
-  double outlier_qos = 0.0;
   /// Submissions that depend on a live job (views must filter them).
   double dependent = 0.0;
   /// Submissions stamped up to 50 s in the past.
@@ -133,15 +129,12 @@ void PrintTo(const FuzzConfig& config, std::ostream* out) {
 }
 
 const FuzzConfig kFuzzConfigs[] = {
-    {.name = "default", .weights = {}},
-    // Ages saturate within a few submissions, so priorities tie and the
-    // order falls to (submit, id), also while outliers force sorting.
-    {.name = "saturated_age", .weights = {.age_cap = 10.0}, .outlier_qos = 0.1,
-     .dependent = 0.15, .backdated = 0.2},
-    // Size-weighted priorities move when a molded head shrinks.
-    {.name = "size_weight", .weights = {.size_weight = 500.0}, .moldable = 0.6},
-    {.name = "outlier_qos", .weights = {}, .outlier_qos = 0.05,
-     .dependent = 0.1, .backdated = 0.1},
+    {.name = "default"},
+    // Views filter out dependents, and a back-dated submission lands
+    // inside the queue rather than at its end.
+    {.name = "dependents_backdated", .dependent = 0.15, .backdated = 0.2},
+    // Molded heads change requested_nodes while other jobs wait.
+    {.name = "moldable", .moldable = 0.6},
 };
 
 using FuzzCase = std::tuple<FuzzConfig, std::uint64_t>;
@@ -151,12 +144,8 @@ class ManagerFuzz : public ::testing::TestWithParam<FuzzCase> {};
 TEST_P(ManagerFuzz, InvariantsHoldUnderRandomOperations) {
   constexpr int kNodes = 16;
   const auto& [fuzz, seed] = GetParam();
-  RmsConfig rms{.nodes = kNodes, .scheduler = {}};
-  rms.scheduler.weights = fuzz.weights;
-  Manager manager(rms);
+  Manager manager(RmsConfig{.nodes = kNodes, .scheduler = {}});
   QueueOrderCheck order;
-  order.weights = fuzz.weights;
-  order.weights.cluster_size = kNodes;
   manager.attach(order);
   util::Rng rng(seed);
   double now = 0.0;
@@ -177,9 +166,6 @@ TEST_P(ManagerFuzz, InvariantsHoldUnderRandomOperations) {
       spec.flexible = rng.bernoulli(0.7);
       spec.moldable = rng.bernoulli(fuzz.moldable);
       spec.time_limit = rng.uniform(10.0, 500.0);
-      if (fuzz.outlier_qos > 0.0 && rng.bernoulli(fuzz.outlier_qos)) {
-        spec.qos = rng.bernoulli(0.5) ? 1.0 : -0.5;
-      }
       if (fuzz.dependent > 0.0 && !live.empty() &&
           rng.bernoulli(fuzz.dependent)) {
         const auto parent = static_cast<std::size_t>(

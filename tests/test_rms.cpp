@@ -1,13 +1,13 @@
 // Tests for the resource-manager building blocks: cluster allocation,
-// malleable size arithmetic, multifactor priority and the EASY backfill
-// scheduler.
+// malleable size arithmetic, the queue order (SubmitOrder) and the EASY
+// backfill scheduler.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 
 #include "rms/cluster.hpp"
 #include "rms/job.hpp"
-#include "rms/priority.hpp"
 #include "rms/scheduler.hpp"
 
 namespace {
@@ -89,42 +89,24 @@ TEST(JobSizes, RejectBadArguments) {
   EXPECT_THROW(shrink_candidates(4, 1, 1), std::invalid_argument);
 }
 
-Job make_job(JobId id, int nodes, double submit, double qos = 0.0) {
+Job make_job(JobId id, int nodes, double submit) {
   Job job;
   job.id = id;
   job.spec.name = "j" + std::to_string(id);
   job.spec.requested_nodes = nodes;
   job.spec.min_nodes = 1;
   job.spec.max_nodes = nodes;
-  job.spec.qos = qos;
   job.spec.time_limit = 100.0;
   job.requested_nodes = nodes;
   job.submit_time = submit;
   return job;
 }
 
-TEST(Priority, AgeRaisesPriority) {
-  PriorityWeights weights;
-  const Job old_job = make_job(1, 2, 0.0);
-  const Job new_job = make_job(2, 2, 500.0);
-  const double now = 1000.0;
-  EXPECT_GT(job_priority(old_job, now, weights),
-            job_priority(new_job, now, weights));
-}
-
-TEST(Priority, QosDominatesAge) {
-  PriorityWeights weights;
-  const Job aged = make_job(1, 2, 0.0);
-  const Job qos = make_job(2, 2, 900.0, /*qos=*/5.0);
-  EXPECT_GT(job_priority(qos, 1000.0, weights),
-            job_priority(aged, 1000.0, weights));
-}
-
 TEST(Priority, BoostSortsFirst) {
   Job a = make_job(1, 2, 0.0);
   Job b = make_job(2, 2, 900.0);
   b.priority_boost = true;
-  const PendingOrder order{1000.0, PriorityWeights{}};
+  const SubmitOrder order{};
   EXPECT_TRUE(order(&b, &a));
   EXPECT_FALSE(order(&a, &b));
 }
@@ -132,8 +114,12 @@ TEST(Priority, BoostSortsFirst) {
 TEST(Priority, FifoTieBreak) {
   const Job a = make_job(1, 2, 10.0);
   const Job b = make_job(2, 2, 20.0);
-  const PendingOrder order{20.0, PriorityWeights{}};
+  const Job c = make_job(3, 2, 20.0);
+  const SubmitOrder order{};
   EXPECT_TRUE(order(&a, &b));
+  // Equal submit times fall to the id.
+  EXPECT_TRUE(order(&b, &c));
+  EXPECT_FALSE(order(&c, &b));
 }
 
 TEST(Scheduler, StartsJobsThatFit) {
@@ -264,9 +250,9 @@ TEST(Scheduler, PriorityOrderRespected) {
   std::vector<const Job*> queue = {&low, &boosted};
   // The pass reads the queue as given: order it first, as the manager
   // does.
-  const SchedulerConfig config;
-  sort_pending(queue, view.now, config.weights);
+  std::sort(queue.begin(), queue.end(), SubmitOrder{});
   view.pending = queue;
+  const SchedulerConfig config;
   const auto started = schedule_pass(view, config);
   ASSERT_EQ(started.size(), 1u);
   EXPECT_EQ(started[0]->id, 2);
@@ -309,9 +295,9 @@ TEST(Scheduler, BackfillNeverDelaysBoostedHead) {
   view.idle_nodes = 4;
   std::vector<const Job*> queue = {&greedy, &boosted, &small};
   view.running = {&running};
-  const SchedulerConfig config;
-  sort_pending(queue, view.now, config.weights);
+  std::sort(queue.begin(), queue.end(), SubmitOrder{});
   view.pending = queue;
+  const SchedulerConfig config;
   const auto started = schedule_pass(view, config);
   ASSERT_EQ(started.size(), 1u);
   EXPECT_EQ(started[0]->id, 3);
