@@ -7,7 +7,7 @@
 #include <algorithm>
 
 #include "dmr/manager.hpp"
-#include "dmr/malleable.hpp"
+#include "dmr/redist.hpp"
 #include "dmr/simulation.hpp"
 #include "dmr/substrate.hpp"
 #include "dmr/util.hpp"
@@ -63,9 +63,10 @@ BENCHMARK(BM_EngineScheduleRun)->Arg(1000)->Arg(100000);
 void BM_RedistributionPlan(benchmark::State& state) {
   const auto old_parts = static_cast<int>(state.range(0));
   const auto new_parts = static_cast<int>(state.range(1));
+  const Buffer desc{"plan", sizeof(double), 1 << 20, Layout::Block, 1};
   for (auto _ : state) {
     benchmark::DoNotOptimize(
-        rt::plan_redistribution(1 << 20, old_parts, new_parts));
+        redist::plan_transfers(desc, old_parts, new_parts));
   }
 }
 BENCHMARK(BM_RedistributionPlan)

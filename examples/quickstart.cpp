@@ -28,7 +28,7 @@ using namespace dmr;
 /// iteration adds one to every element.  Registering the vector is all
 /// the resize support the application writes — offload, reconstruction
 /// and the checkpoint format are derived from the registration.
-class Counters final : public rt::BufferedAppState {
+class Counters final : public AppState {
  public:
   explicit Counters(std::size_t total) : total_(total) {
     registry().add_block("counters", local_, total_);

@@ -1,15 +1,16 @@
 // Real-mode malleable execution: the application-side half of the API.
 //
 // Pulls in everything a real (threaded-rank) malleable application
-// needs: the process universe and communicators, the AppState interface
-// with the iterate -> check -> (spawn + offload + retire) loop of
-// Listings 2-3, and the block-redistribution helpers.
+// needs: the process universe and communicators, the AppState base
+// class that registers the application's buffers, the iterate -> check
+// -> (spawn + offload + retire) loop of Listings 2-3, and the block
+// distribution arithmetic.
 #pragma once
 
 #include "dmr/reconfig_point.hpp"  // IWYU pragma: export
 #include "dmr/session.hpp"         // IWYU pragma: export
 #include "dmr/types.hpp"           // IWYU pragma: export
-#include "rt/buffered_state.hpp"   // IWYU pragma: export
+#include "rt/app_state.hpp"        // IWYU pragma: export
 #include "rt/malleable_app.hpp"    // IWYU pragma: export
 #include "rt/redistribute.hpp"     // IWYU pragma: export
 #include "smpi/universe.hpp"       // IWYU pragma: export
@@ -17,15 +18,12 @@
 namespace dmr {
 
 using rt::AppState;
-using rt::BufferedAppState;
 using rt::BlockDistribution;
 using rt::ForcedDecision;
 using rt::MalleableConfig;
 using rt::ResizeRecord;
 using rt::RunReport;
-using rt::recv_blocks;
 using rt::run_malleable;
-using rt::send_blocks;
 using rt::start_malleable;
 using rt::StateFactory;
 

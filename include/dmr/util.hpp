@@ -1,6 +1,7 @@
 // Reporting and configuration utilities used by the examples and the
 // figure/table reproduction benches: ASCII charts and tables, summary
-// statistics, deterministic RNG and key=value / environment parsing.
+// statistics, deterministic RNG, key=value arguments and the checked
+// command-line number parsers.
 #pragma once
 
 #include "util/chart.hpp"   // IWYU pragma: export

@@ -11,7 +11,7 @@
 #include <cstddef>
 #include <vector>
 
-#include "rt/buffered_state.hpp"
+#include "rt/app_state.hpp"
 
 namespace dmr::apps {
 
@@ -31,7 +31,7 @@ void cg_matrix_row(std::size_t row, std::size_t n, double* out);
 /// Dense reference solve via plain (sequential) CG; for oracle tests.
 std::vector<double> cg_reference_solve(std::size_t n, int iterations);
 
-class CgState : public rt::BufferedAppState {
+class CgState : public rt::AppState {
  public:
   explicit CgState(CgConfig config);
 

@@ -9,7 +9,7 @@
 #include <cstddef>
 #include <vector>
 
-#include "rt/buffered_state.hpp"
+#include "rt/app_state.hpp"
 
 namespace dmr::apps {
 
@@ -24,7 +24,7 @@ struct FlexibleSleepConfig {
   double fill_base = 1.0;
 };
 
-class FlexibleSleepState : public rt::BufferedAppState {
+class FlexibleSleepState : public rt::AppState {
  public:
   explicit FlexibleSleepState(FlexibleSleepConfig config) : config_(config) {
     // The replicated step counter travels ahead of the array so a

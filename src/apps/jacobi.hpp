@@ -8,7 +8,7 @@
 #include <cstddef>
 #include <vector>
 
-#include "rt/buffered_state.hpp"
+#include "rt/app_state.hpp"
 
 namespace dmr::apps {
 
@@ -23,7 +23,7 @@ void jacobi_matrix_row(std::size_t row, std::size_t n, double* out);
 /// Sequential reference iteration for oracle tests.
 std::vector<double> jacobi_reference_solve(std::size_t n, int iterations);
 
-class JacobiState : public rt::BufferedAppState {
+class JacobiState : public rt::AppState {
  public:
   explicit JacobiState(JacobiConfig config);
 

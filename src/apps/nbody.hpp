@@ -11,7 +11,7 @@
 #include <cstddef>
 #include <vector>
 
-#include "rt/buffered_state.hpp"
+#include "rt/app_state.hpp"
 
 namespace dmr::apps {
 
@@ -48,7 +48,7 @@ NbodyDiagnostics nbody_diagnostics(const std::vector<Particle>& particles);
 void nbody_reference_step(std::vector<Particle>& particles,
                           const NbodyConfig& config);
 
-class NbodyState : public rt::BufferedAppState {
+class NbodyState : public rt::AppState {
  public:
   explicit NbodyState(NbodyConfig config) : config_(config) {
     // The particle array — position, velocity, mass, weight — is the

@@ -7,13 +7,21 @@
 namespace dmr::drv {
 
 double CostModel::migrated_fraction(int old_procs, int new_procs) {
-  // Evaluate the redistribution plan on a nominal element count; the
-  // fraction is size-independent for balanced blocks once the count is
-  // much larger than the rank counts.
+  // Count on a nominal element count; the fraction is size-independent
+  // for balanced blocks once the count is much larger than the rank
+  // counts.  Rank r of the new set lands on the node of old rank r, so
+  // an element stays put exactly when it lies in block r of both
+  // layouts: everything outside those overlaps crosses the network.
   constexpr std::size_t kNominal = 1 << 20;
-  const std::size_t moved =
-      rt::migrated_elements(kNominal, old_procs, new_procs);
-  return static_cast<double>(moved) / static_cast<double>(kNominal);
+  const rt::BlockDistribution from(kNominal, old_procs);
+  const rt::BlockDistribution to(kNominal, new_procs);
+  std::size_t kept = 0;
+  for (int r = 0; r < std::min(old_procs, new_procs); ++r) {
+    const std::size_t lo = std::max(from.begin(r), to.begin(r));
+    const std::size_t hi = std::min(from.end(r), to.end(r));
+    if (hi > lo) kept += hi - lo;
+  }
+  return static_cast<double>(kNominal - kept) / static_cast<double>(kNominal);
 }
 
 redist::Report CostModel::movement(std::size_t state_bytes, int old_procs,
@@ -30,8 +38,8 @@ redist::Report CostModel::movement(std::size_t state_bytes, int old_procs,
           static_cast<double>(report.bytes_moved) / measured_checkpoint_bw;
     } else {
       report.seconds =
-          static_cast<double>(state_bytes) / checkpoint_write_bw +
-          static_cast<double>(state_bytes) / checkpoint_read_bw;
+          static_cast<double>(state_bytes) / kCheckpointWriteBw +
+          static_cast<double>(state_bytes) / kCheckpointReadBw;
     }
     return report;
   }
@@ -47,7 +55,7 @@ redist::Report CostModel::movement(std::size_t state_bytes, int old_procs,
   // the partition speed of the nodes doing the moving.
   const double speed = node_speed > 0.0 ? node_speed : 1.0;
   const double per_lane =
-      (measured_network_bw > 0.0 ? measured_network_bw : network_bandwidth) *
+      (measured_network_bw > 0.0 ? measured_network_bw : kNetworkBandwidth) *
       speed;
   report.seconds =
       static_cast<double>(report.bytes_moved) / (per_lane * lanes);
@@ -55,8 +63,8 @@ redist::Report CostModel::movement(std::size_t state_bytes, int old_procs,
 }
 
 double CostModel::protocol_seconds(int new_procs) const {
-  double seconds = spawn_latency + per_proc_spawn * new_procs;
-  if (use_checkpoint_restart) seconds += cr_requeue_latency;
+  double seconds = kSpawnLatency + kPerProcSpawn * new_procs;
+  if (use_checkpoint_restart) seconds += kCrRequeueLatency;
   return seconds;
 }
 

@@ -21,26 +21,27 @@ namespace dmr::drv {
 
 struct CostModel {
   /// Fixed protocol latency per resize (resizer-job round trip, spawn).
-  double spawn_latency = 0.2;
+  static constexpr double kSpawnLatency = 0.2;
   /// Per-new-process launch cost.
-  double per_proc_spawn = 0.005;
+  static constexpr double kPerProcSpawn = 0.005;
   /// Effective interconnect bandwidth per participating node pair (B/s);
   /// FDR10-class fabric.
-  double network_bandwidth = 2.0e9;
+  static constexpr double kNetworkBandwidth = 2.0e9;
   /// Parallel filesystem bandwidths for the C/R baseline (aggregate).
-  double checkpoint_write_bw = 0.25e9;
-  double checkpoint_read_bw = 0.5e9;
+  static constexpr double kCheckpointWriteBw = 0.25e9;
+  static constexpr double kCheckpointReadBw = 0.5e9;
   /// C/R additionally tears the job down and resubmits it through the
   /// batch queue before reloading (the requeue latency the DMR protocol
   /// avoids by keeping the job alive during the resize).
-  double cr_requeue_latency = 5.0;
+  static constexpr double kCrRequeueLatency = 5.0;
+
   /// Route resizes through checkpoint files instead of the runtime
   /// redistribution (the C/R ablation).
   bool use_checkpoint_restart = false;
 
   /// Measured bandwidths, EWMA-blended from observed redist::Reports;
   /// 0 until the first observation, after which they replace the nominal
-  /// figures above.  The network figure is *per lane* (the report's
+  /// constants above.  The network figure is *per lane* (the report's
   /// aggregate rate divided by its lane count, so it transfers across
   /// resize shapes); the checkpoint figure is the store's aggregate rate.
   double measured_network_bw = 0.0;

@@ -15,13 +15,6 @@ std::string to_string(Placement placement) {
   return "unknown";
 }
 
-Placement placement_from_string(const std::string& name) {
-  for (Placement kind : all_placements()) {
-    if (to_string(kind) == name) return kind;
-  }
-  throw std::invalid_argument("fed: unknown placement policy '" + name + "'");
-}
-
 const std::vector<Placement>& all_placements() {
   static const std::vector<Placement> kAll = {
       Placement::RoundRobin,

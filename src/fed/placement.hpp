@@ -58,9 +58,6 @@ enum class Placement {
 };
 
 std::string to_string(Placement placement);
-/// Parse "round-robin" / "least-loaded" / "best-fit-speed" /
-/// "queue-depth"; throws std::invalid_argument on unknown names.
-Placement placement_from_string(const std::string& name);
 
 /// All built-in kinds, in a stable order (sweep axes iterate this).
 const std::vector<Placement>& all_placements();

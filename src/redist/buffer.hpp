@@ -86,7 +86,14 @@ class Distribution {
   std::size_t block_;
 };
 
-using Transfer = rt::Transfer;
+/// One contiguous copy between an old-layout rank and a new-layout rank.
+struct Transfer {
+  int src_rank = 0;
+  int dst_rank = 0;
+  std::size_t src_offset = 0;  ///< local element offset on the source rank
+  std::size_t dst_offset = 0;  ///< local element offset on the destination
+  std::size_t count = 0;       ///< elements
+};
 
 /// Overlap plan moving one buffer from `old_parts` to `new_parts` ranks.
 /// For Block / BlockCyclic layouts the transfers partition the global

@@ -1,8 +1,7 @@
-// P2pPlan: the overlap-plan executor, generalized from the single-array
-// rt::send_blocks / rt::recv_blocks pair to multi-buffer registries and
-// every Layout.  Each transfer of the plan becomes exactly one message;
-// every element of every Block / BlockCyclic buffer crosses the link
-// exactly once.
+// P2pPlan: the overlap-plan executor over multi-buffer registries and
+// every Layout.  Each transfer of plan_transfers becomes exactly one
+// message; every element of every Block / BlockCyclic buffer crosses the
+// link exactly once.
 #pragma once
 
 #include "redist/strategy.hpp"

@@ -1,55 +1,32 @@
-#include "rt/buffered_state.hpp"
+#include "rt/app_state.hpp"
 
 #include <cstring>
 #include <stdexcept>
-#include <utility>
-
-#include "redist/p2p_plan.hpp"
-#include "smpi/comm.hpp"
 
 namespace dmr::rt {
 
-BufferedAppState::BufferedAppState(std::shared_ptr<redist::Strategy> strategy)
-    : strategy_(std::move(strategy)) {}
-
-redist::Strategy& BufferedAppState::strategy() {
-  if (!strategy_) strategy_ = std::make_shared<redist::P2pPlan>();
-  return *strategy_;
-}
-
-void BufferedAppState::use_strategy(
-    std::shared_ptr<redist::Strategy> strategy) {
-  if (strategy) strategy_ = std::move(strategy);
-}
-
-const redist::Report* BufferedAppState::last_redist_report() const {
-  return has_report_ ? &last_report_ : nullptr;
-}
-
-void BufferedAppState::on_layout_changed(int rank, int nprocs) {
+void AppState::on_layout_changed(int rank, int nprocs) {
   (void)rank;
   (void)nprocs;
 }
 
-void BufferedAppState::send_state(const smpi::Comm& inter, int my_old_rank,
-                                  int old_size, int new_size) {
-  const redist::Endpoint endpoint{&inter, my_old_rank, old_size, new_size};
-  last_report_ = strategy().send(endpoint, registry_);
-  has_report_ = true;
+redist::Report AppState::send_state(redist::Strategy& strategy,
+                                    const smpi::Comm& inter, int my_old_rank,
+                                    int old_size, int new_size) const {
+  return strategy.send({&inter, my_old_rank, old_size, new_size}, registry_);
 }
 
-void BufferedAppState::recv_state(const smpi::Comm& parent, int my_new_rank,
-                                  int old_size, int new_size) {
-  const redist::Endpoint endpoint{&parent, my_new_rank, old_size, new_size};
-  last_report_ = strategy().recv(endpoint, registry_);
-  has_report_ = true;
+redist::Report AppState::recv_state(redist::Strategy& strategy,
+                                    const smpi::Comm& parent, int my_new_rank,
+                                    int old_size, int new_size) {
+  const redist::Report report =
+      strategy.recv({&parent, my_new_rank, old_size, new_size}, registry_);
   on_layout_changed(my_new_rank, new_size);
+  return report;
 }
 
-std::vector<std::byte> BufferedAppState::serialize_global(
-    const smpi::Comm& world) {
-  // Checkpoint layout: each buffer's bytes in canonical global element
-  // order, concatenated in registration order.  Rank 0 holds the result.
+std::vector<std::byte> AppState::serialize_global(
+    const smpi::Comm& world) const {
   std::vector<std::byte> out;
   for (std::size_t i = 0; i < registry_.size(); ++i) {
     const redist::Binding& binding = registry_.at(i);
@@ -77,18 +54,17 @@ std::vector<std::byte> BufferedAppState::serialize_global(
       });
     }
     if (pos != binding.desc.bytes_total()) {
-      throw std::runtime_error("BufferedAppState: gathered size mismatch "
-                               "for '" +
+      throw std::runtime_error("AppState: gathered size mismatch for '" +
                                binding.desc.name + "'");
     }
   }
   return out;
 }
 
-void BufferedAppState::deserialize_global(const smpi::Comm& world,
-                                          std::span<const std::byte> bytes) {
+void AppState::deserialize_global(const smpi::Comm& world,
+                                  std::span<const std::byte> bytes) {
   if (world.rank() == 0 && bytes.size() != registry_.total_bytes()) {
-    throw std::runtime_error("BufferedAppState: checkpoint size mismatch");
+    throw std::runtime_error("AppState: checkpoint size mismatch");
   }
   std::size_t offset = 0;  // meaningful on rank 0 only
   for (std::size_t i = 0; i < registry_.size(); ++i) {
@@ -125,8 +101,7 @@ void BufferedAppState::deserialize_global(const smpi::Comm& world,
     const auto mine = world.scatterv(chunks, 0);
     const auto local = binding.resize(dist.local_count(world.rank()));
     if (mine.size() != local.size()) {
-      throw std::runtime_error("BufferedAppState: restored block size "
-                               "mismatch for '" +
+      throw std::runtime_error("AppState: restored block size mismatch for '" +
                                binding.desc.name + "'");
     }
     std::memcpy(local.data(), mine.data(), mine.size());

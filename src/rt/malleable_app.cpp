@@ -3,6 +3,7 @@
 #include <atomic>
 #include <mutex>
 
+#include "redist/p2p_plan.hpp"
 #include "util/clock.hpp"
 #include "util/log.hpp"
 
@@ -22,6 +23,8 @@ struct Control : std::enable_shared_from_this<Control> {
   MalleableConfig config;
   StateFactory factory;
   std::shared_ptr<::dmr::ReconfigPoint> point;
+  /// The job's strategy when its session set none.
+  redist::P2pPlan p2p;
 
   std::mutex mu;
   RunReport report;
@@ -31,6 +34,8 @@ struct Control : std::enable_shared_from_this<Control> {
 
   void entry(smpi::Context& ctx);
   ResizeDecision decide(smpi::Context& ctx, int step);
+  /// The session's redistribution strategy, else P2pPlan.
+  redist::Strategy& strategy();
 };
 
 ResizeDecision Control::decide(smpi::Context& ctx, int step) {
@@ -58,22 +63,23 @@ ResizeDecision Control::decide(smpi::Context& ctx, int step) {
                                        : ::dmr::Mode::Sync);
 }
 
+redist::Strategy& Control::strategy() {
+  if (point && point->session().redist_strategy()) {
+    return *point->session().redist_strategy();
+  }
+  return p2p;
+}
+
 void Control::entry(smpi::Context& ctx) {
   auto state = factory();
-  // Pluggable redistribution: an explicitly configured strategy wins,
-  // else whatever was registered on the session travels with the job.
-  if (config.strategy) {
-    state->use_strategy(config.strategy);
-  } else if (point) {
-    state->use_strategy(point->session().redist_strategy());
-  }
   int t0 = 0;
   if (ctx.parent()) {
     const auto meta = ctx.parent()->recv<int>(0, kMetaTag);
     t0 = meta[0];
     const int old_size = meta[1];
     const auto action = static_cast<Action>(meta[2]);
-    state->recv_state(*ctx.parent(), ctx.rank(), old_size, ctx.size());
+    const redist::Report mine = state->recv_state(
+        strategy(), *ctx.parent(), ctx.rank(), old_size, ctx.size());
     if (action == Action::Shrink && ctx.rank() == 0) {
       // Shrink drain protocol: do not negotiate again until the retiring
       // set released its nodes (the RMS still sees the old allocation).
@@ -81,27 +87,19 @@ void Control::entry(smpi::Context& ctx) {
     }
     // Aggregate the per-rank recv reports into the resize's effective
     // movement: total bytes over the slowest rank's wall time (the
-    // aggregate bandwidth a cost model wants to observe).  Collective —
-    // every rank of a buffered app participates uniformly.
-    std::optional<redist::Report> moved;
-    if (const redist::Report* mine = state->last_redist_report()) {
-      redist::Report aggregate = *mine;
-      aggregate.bytes_moved = ctx.world().allreduce_sum(mine->bytes_moved);
-      aggregate.transfers = ctx.world().allreduce_sum(mine->transfers);
-      aggregate.seconds = ctx.world().allreduce(
-          mine->seconds, [](double a, double b) { return a > b ? a : b; });
-      moved = aggregate;
-    }
+    // aggregate bandwidth a cost model wants to observe).
+    const std::size_t bytes = ctx.world().allreduce_sum(mine.bytes_moved);
+    const int transfers = ctx.world().allreduce_sum(mine.transfers);
+    const double seconds = ctx.world().allreduce(
+        mine.seconds, [](double a, double b) { return a > b ? a : b; });
     ctx.world().barrier();
     if (ctx.rank() == 0) {
       std::lock_guard<std::mutex> lock(mu);
       ResizeRecord& record = report.resizes.back();
       record.spawn_seconds = wall_seconds() - resize_begin;
-      if (moved) {
-        record.bytes_redistributed = moved->bytes_moved;
-        record.redistribution_transfers = moved->transfers;
-        record.redistribution_seconds = moved->seconds;
-      }
+      record.bytes_redistributed = bytes;
+      record.redistribution_transfers = transfers;
+      record.redistribution_seconds = seconds;
     }
   } else {
     state->init(ctx.rank(), ctx.size());
@@ -137,7 +135,8 @@ void Control::entry(smpi::Context& ctx) {
           inter.send(r, kMetaTag, std::span<const int>(meta, 3));
         }
       }
-      state->send_state(inter, ctx.rank(), ctx.size(), decision.new_size);
+      state->send_state(strategy(), inter, ctx.rank(), ctx.size(),
+                        decision.new_size);
       if (decision.action == Action::Shrink) {
         if (point) point->finish_shrink(ctx.world());
         if (ctx.rank() == 0) inter.send_value(0, kGoTag, 1);

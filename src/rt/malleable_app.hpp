@@ -1,11 +1,11 @@
 // Real-mode malleable application loop (Listings 2-3 of the paper).
 //
-// An application provides an AppState with four capabilities: initialize,
-// compute one step, send its state into a spawn inter-communicator, and
-// reconstruct it on the other side.  run_malleable() owns the iterate ->
-// check -> (spawn + offload + retire) loop: when the DMR runtime returns
-// an action, every old rank collectively spawns the new process set,
-// offloads its data (the OmpSs "onto" tasks), completes the shrink drain
+// An application provides an AppState that initializes, computes one
+// step and registers its distributed buffers.  run_malleable() owns the
+// iterate -> check -> (spawn + offload + retire) loop: when the DMR
+// runtime returns an action, every old rank collectively spawns the new
+// process set, offloads its registered buffers through the job's
+// redist::Strategy (the OmpSs "onto" tasks), completes the shrink drain
 // protocol when applicable, and exits — execution continues in the new
 // communicator, exactly as the `taskwait` semantics of Listing 2.
 #pragma once
@@ -15,61 +15,16 @@
 #include <future>
 #include <memory>
 #include <optional>
-#include <span>
 #include <string>
 #include <vector>
 
 #include "dmr/reconfig_point.hpp"
-#include "redist/strategy.hpp"
+#include "rt/app_state.hpp"
 #include "smpi/universe.hpp"
 
 namespace dmr::rt {
 
 using ResizeDecision = ::dmr::ResizeDecision;
-
-/// Application-state interface for malleable execution.
-class AppState {
- public:
-  virtual ~AppState() = default;
-
-  /// Fresh start on the initial process set.
-  virtual void init(int rank, int nprocs) = 0;
-
-  /// One solver iteration over the current communicator.
-  virtual void compute_step(const smpi::Comm& world, int step) = 0;
-
-  /// Offload this old rank's share into the new configuration (expand or
-  /// shrink; `new_size` ranks on the remote side of `inter`).
-  virtual void send_state(const smpi::Comm& inter, int my_old_rank,
-                          int old_size, int new_size) = 0;
-
-  /// Rebuild local state on a freshly spawned rank from the parent side.
-  virtual void recv_state(const smpi::Comm& parent, int my_new_rank,
-                          int old_size, int new_size) = 0;
-
-  /// Collective: rank 0 returns the full serialized application state
-  /// (others return empty).  Used by the checkpoint/restart baseline and
-  /// by tests asserting that resizes preserve state.
-  virtual std::vector<std::byte> serialize_global(const smpi::Comm& world) = 0;
-
-  /// Collective inverse: rank 0 passes the bytes, every rank rebuilds its
-  /// block for the current communicator size.
-  virtual void deserialize_global(const smpi::Comm& world,
-                                  std::span<const std::byte> bytes) = 0;
-
-  /// Inject the session's redistribution strategy.  No-op for states
-  /// that hand-roll their movement; BufferedAppState routes all
-  /// registered buffers through it.
-  virtual void use_strategy(std::shared_ptr<redist::Strategy> strategy) {
-    (void)strategy;
-  }
-
-  /// Measured cost of this rank's last send_state/recv_state, when the
-  /// state tracks one (BufferedAppState does); nullptr otherwise.
-  virtual const redist::Report* last_redist_report() const {
-    return nullptr;
-  }
-};
 
 using StateFactory = std::function<std::unique_ptr<AppState>()>;
 
@@ -89,9 +44,6 @@ struct MalleableConfig {
   ForcedDecision forced_decision;
   /// First step at which checks begin (step 0 check usually wasted).
   int first_check_step = 1;
-  /// Redistribution strategy handed to every rank's state; falls back to
-  /// the session's strategy (Session::redist_strategy), then to P2pPlan.
-  std::shared_ptr<redist::Strategy> strategy;
 };
 
 /// One completed resize, with wall-clock timing of the non-solving phase.
@@ -104,8 +56,7 @@ struct ResizeRecord {
   /// receiving its state" — the paper's "spawning" bar in Fig. 1.
   double spawn_seconds = 0.0;
   /// Measured movement aggregated over the new process set: total bytes
-  /// and transfers received, over the slowest rank's wall time (zero
-  /// when the state does not use registered buffers).
+  /// and transfers received, over the slowest rank's wall time.
   std::size_t bytes_redistributed = 0;
   int redistribution_transfers = 0;
   double redistribution_seconds = 0.0;

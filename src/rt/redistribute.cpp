@@ -1,6 +1,5 @@
 #include "rt/redistribute.hpp"
 
-#include <algorithm>
 #include <stdexcept>
 
 namespace dmr::rt {
@@ -35,70 +34,6 @@ int BlockDistribution::owner(std::size_t index) const {
   while (rank > 0 && begin(rank) > index) --rank;
   while (rank + 1 < parts_ && end(rank) <= index) ++rank;
   return rank;
-}
-
-std::vector<Transfer> plan_redistribution(std::size_t total, int old_parts,
-                                          int new_parts) {
-  // Validate the geometry before the early-outs so every degenerate call
-  // fails (or succeeds) the same way regardless of `total`.
-  if (old_parts <= 0 || new_parts <= 0) {
-    throw std::invalid_argument("plan_redistribution: non-positive parts");
-  }
-  if (total == 0) return {};
-  const BlockDistribution old_dist(total, old_parts);
-  const BlockDistribution new_dist(total, new_parts);
-  std::vector<Transfer> plan;
-  // March over the global index space intersecting the two partitions.
-  int src = 0;
-  int dst = 0;
-  std::size_t cursor = 0;
-  while (cursor < total) {
-    while (old_dist.end(src) <= cursor) ++src;
-    while (new_dist.end(dst) <= cursor) ++dst;
-    const std::size_t upper = std::min(old_dist.end(src), new_dist.end(dst));
-    Transfer t;
-    t.src_rank = src;
-    t.dst_rank = dst;
-    t.src_offset = cursor - old_dist.begin(src);
-    t.dst_offset = cursor - new_dist.begin(dst);
-    t.count = upper - cursor;
-    plan.push_back(t);
-    cursor = upper;
-  }
-  return plan;
-}
-
-std::vector<Transfer> transfers_from(const std::vector<Transfer>& plan,
-                                     int src_rank) {
-  std::vector<Transfer> mine;
-  for (const Transfer& t : plan) {
-    if (t.src_rank == src_rank) mine.push_back(t);
-  }
-  return mine;
-}
-
-std::vector<Transfer> transfers_to(const std::vector<Transfer>& plan,
-                                   int dst_rank) {
-  std::vector<Transfer> mine;
-  for (const Transfer& t : plan) {
-    if (t.dst_rank == dst_rank) mine.push_back(t);
-  }
-  return mine;
-}
-
-std::size_t migrated_elements(std::size_t total, int old_parts,
-                              int new_parts) {
-  std::size_t moved = 0;
-  for (const Transfer& t : plan_redistribution(total, old_parts, new_parts)) {
-    // In the spawn-based model every element crosses into a *new* process
-    // even when the block boundaries coincide; however only elements whose
-    // owning node changes traverse the network.  We count an element as
-    // migrated when its global position maps to a different rank index,
-    // since rank r of the new set is placed on the node of old rank r
-    // whenever both exist.
-    if (t.src_rank != t.dst_rank) moved += t.count;
-  }
-  return moved;
 }
 
 }  // namespace dmr::rt

@@ -1,18 +1,10 @@
-// Block-distribution arithmetic and redistribution planning.
-//
-// The OmpSs offload directives of Listing 3 move a rank's sub-array to
-// the processes of the new communicator.  This module computes which
-// index ranges travel where for an arbitrary P -> Q resize (the paper's
-// homogeneous factor-2 case is the special case where every transfer is a
-// clean split or merge), and executes the plan over a dmr::smpi
-// inter-communicator.
+// Block-distribution arithmetic: the balanced row-block layout shared by
+// the applications, redist::Distribution's Block layout and the cost
+// model's migrated fraction.  Which index ranges travel where on a
+// P -> Q resize is redist::plan_transfers.
 #pragma once
 
 #include <cstddef>
-#include <span>
-#include <vector>
-
-#include "smpi/comm.hpp"
 
 namespace dmr::rt {
 
@@ -38,63 +30,5 @@ class BlockDistribution {
   std::size_t total_;
   int parts_;
 };
-
-/// One contiguous copy between an old-layout rank and a new-layout rank.
-struct Transfer {
-  int src_rank = 0;
-  int dst_rank = 0;
-  std::size_t src_offset = 0;  // offset into the source rank's local block
-  std::size_t dst_offset = 0;  // offset into the destination's local block
-  std::size_t count = 0;       // elements
-};
-
-/// Exact overlap plan for redistributing a block-distributed array from
-/// `old_parts` to `new_parts` ranks.  The transfers partition the global
-/// index space: every element is moved exactly once.
-std::vector<Transfer> plan_redistribution(std::size_t total, int old_parts,
-                                          int new_parts);
-
-/// Transfers sent by / received by one rank, in deterministic order.
-std::vector<Transfer> transfers_from(const std::vector<Transfer>& plan,
-                                     int src_rank);
-std::vector<Transfer> transfers_to(const std::vector<Transfer>& plan,
-                                   int dst_rank);
-
-/// Total bytes crossing rank boundaries for a resize (elements that stay
-/// on a surviving rank with the same global range do not count).  Used by
-/// the simulation's reconfiguration cost model.
-std::size_t migrated_elements(std::size_t total, int old_parts, int new_parts);
-
-/// Execute the sending half of a redistribution over the spawn
-/// inter-communicator: `mine` is this old rank's local block.
-template <typename T>
-void send_blocks(const smpi::Comm& inter, int my_old_rank,
-                 std::span<const T> mine, std::size_t total, int old_parts,
-                 int new_parts, int tag) {
-  const auto plan = plan_redistribution(total, old_parts, new_parts);
-  for (const Transfer& t : transfers_from(plan, my_old_rank)) {
-    inter.send(t.dst_rank, tag,
-               std::span<const T>(mine.data() + t.src_offset, t.count));
-  }
-}
-
-/// Execute the receiving half on a new rank; returns its local block.
-template <typename T>
-std::vector<T> recv_blocks(const smpi::Comm& parent, int my_new_rank,
-                           std::size_t total, int old_parts, int new_parts,
-                           int tag) {
-  const BlockDistribution dist(total, new_parts);
-  std::vector<T> block(dist.count(my_new_rank));
-  const auto plan = plan_redistribution(total, old_parts, new_parts);
-  for (const Transfer& t : transfers_to(plan, my_new_rank)) {
-    const auto piece = parent.recv<T>(t.src_rank, tag);
-    if (piece.size() != t.count) {
-      throw smpi::SmpiError("recv_blocks: transfer size mismatch");
-    }
-    std::copy(piece.begin(), piece.end(), block.begin() +
-              static_cast<std::ptrdiff_t>(t.dst_offset));
-  }
-  return block;
-}
 
 }  // namespace dmr::rt

@@ -1,8 +1,5 @@
 #include "smpi/comm.hpp"
 
-#include <algorithm>
-#include <map>
-
 namespace dmr::smpi {
 namespace detail {
 
@@ -45,7 +42,14 @@ Mailbox& Comm::target_mailbox(int dest) const {
   return *group[static_cast<std::size_t>(dest)];
 }
 
-Mailbox& Comm::my_mailbox() const {
+Mailbox& Comm::receiving_mailbox(int source) const {
+  if (source != kAnySource) {
+    const int src_side = is_inter() ? 1 - side_ : side_;
+    const auto group_size = static_cast<int>(state_->side[src_side].size());
+    if (source < 0 || source >= group_size) {
+      throw RankError("source rank out of range for " + state_->name);
+    }
+  }
   return *state_->side[side_][static_cast<std::size_t>(rank_)];
 }
 
@@ -64,22 +68,8 @@ void Comm::send_bytes(int dest, int tag, std::span<const std::byte> data) const 
   target_mailbox(dest).deposit(std::move(envelope));
 }
 
-std::vector<std::byte> Comm::recv_bytes(int source, int tag,
-                                        Status* status) const {
-  if (source != kAnySource) {
-    const int src_side = is_inter() ? 1 - side_ : side_;
-    const auto group_size = static_cast<int>(state_->side[src_side].size());
-    if (source < 0 || source >= group_size) {
-      throw RankError("source rank out of range for " + state_->name);
-    }
-  }
-  Envelope envelope = my_mailbox().receive(source, tag);
-  if (status != nullptr) {
-    status->source = envelope.source;
-    status->tag = envelope.tag;
-    status->bytes = envelope.data.size();
-  }
-  return std::move(envelope.data);
+std::vector<std::byte> Comm::recv_bytes(int source, int tag) const {
+  return receiving_mailbox(source).receive(source, tag).data;
 }
 
 Request Comm::isend_bytes(int dest, int tag,
@@ -95,62 +85,7 @@ Request Comm::isend_bytes(int dest, int tag,
 }
 
 Request Comm::irecv_bytes(int source, int tag) const {
-  return my_mailbox().post_receive(source, tag);
-}
-
-bool Comm::probe(int source, int tag, Status* status) const {
-  return my_mailbox().probe(source, tag, status);
-}
-
-Comm Comm::split(int color, int key) const {
-  check_intra("split");
-  // Gather (color, key) from every rank at rank 0.
-  const int mine[2] = {color, key};
-  std::vector<int> all;
-  gatherv(std::span<const int>(mine, 2), all, 0);
-
-  using SplitMap =
-      std::vector<std::pair<std::shared_ptr<detail::CommState>, int>>;
-  if (rank_ == 0) {
-    auto assignment = std::make_shared<SplitMap>(
-        static_cast<std::size_t>(size()),
-        std::make_pair(std::shared_ptr<detail::CommState>(), -1));
-    // Group members by color; order within a group by (key, old rank).
-    std::map<int, std::vector<std::pair<int, int>>> groups;  // color -> (key, old)
-    for (int r = 0; r < size(); ++r) {
-      const int c = all[static_cast<std::size_t>(2 * r)];
-      const int k = all[static_cast<std::size_t>(2 * r + 1)];
-      if (c < 0) continue;  // MPI_UNDEFINED: rank opts out
-      groups[c].emplace_back(k, r);
-    }
-    for (auto& [c, members] : groups) {
-      std::sort(members.begin(), members.end());
-      auto state = detail::CommState::make_intra(
-          state_->name + ":split" + std::to_string(c),
-          static_cast<int>(members.size()));
-      for (std::size_t i = 0; i < members.size(); ++i) {
-        (*assignment)[static_cast<std::size_t>(members[i].second)] = {
-            state, static_cast<int>(i)};
-      }
-    }
-    std::lock_guard<std::mutex> lock(state_->coll_mu);
-    state_->split_slot = assignment;
-  }
-  barrier();
-  std::shared_ptr<SplitMap> assignment;
-  {
-    std::lock_guard<std::mutex> lock(state_->coll_mu);
-    assignment = std::static_pointer_cast<SplitMap>(state_->split_slot);
-  }
-  barrier();
-  if (rank_ == 0) {
-    std::lock_guard<std::mutex> lock(state_->coll_mu);
-    state_->split_slot.reset();
-  }
-  const auto& [new_state, new_rank] =
-      (*assignment)[static_cast<std::size_t>(rank_)];
-  if (!new_state) return Comm();  // opted out
-  return Comm(new_state, /*side=*/0, new_rank);
+  return receiving_mailbox(source).post_receive(source, tag);
 }
 
 void Comm::barrier() const {

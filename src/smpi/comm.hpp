@@ -36,8 +36,6 @@ struct CommState {
   // Spawn rendezvous: the root publishes the child communicator here for
   // its siblings to pick up between two barriers.
   std::shared_ptr<void> spawn_slot;
-  // Split rendezvous: per-old-rank (new comm state, new rank) entries.
-  std::shared_ptr<void> split_slot;
 
   static std::shared_ptr<CommState> make_intra(std::string name, int size);
   static std::shared_ptr<CommState> make_inter(std::string name,
@@ -52,9 +50,6 @@ class Comm {
   Comm() = default;
   Comm(std::shared_ptr<detail::CommState> state, int side, int rank)
       : state_(std::move(state)), side_(side), rank_(rank) {}
-
-  bool valid() const { return state_ != nullptr; }
-  const std::string& name() const { return state_->name; }
 
   /// Rank within the local group.
   int rank() const { return rank_; }
@@ -72,11 +67,9 @@ class Comm {
   /// Blocking standard send (buffered: copies and returns).
   void send_bytes(int dest, int tag, std::span<const std::byte> data) const;
   /// Blocking receive; returns the payload.
-  std::vector<std::byte> recv_bytes(int source, int tag,
-                                    Status* status = nullptr) const;
+  std::vector<std::byte> recv_bytes(int source, int tag) const;
   Request isend_bytes(int dest, int tag, std::span<const std::byte> data) const;
   Request irecv_bytes(int source, int tag) const;
-  bool probe(int source, int tag, Status* status = nullptr) const;
 
   template <typename T>
   void send(int dest, int tag, std::span<const T> data) const {
@@ -90,9 +83,9 @@ class Comm {
   }
 
   template <typename T>
-  std::vector<T> recv(int source, int tag, Status* status = nullptr) const {
+  std::vector<T> recv(int source, int tag) const {
     static_assert(std::is_trivially_copyable_v<T>);
-    const auto raw = recv_bytes(source, tag, status);
+    const auto raw = recv_bytes(source, tag);
     if (raw.size() % sizeof(T) != 0) {
       throw SmpiError("recv: payload size not a multiple of element size");
     }
@@ -104,30 +97,12 @@ class Comm {
   }
 
   template <typename T>
-  T recv_value(int source, int tag, Status* status = nullptr) const {
-    const auto values = recv<T>(source, tag, status);
+  T recv_value(int source, int tag) const {
+    const auto values = recv<T>(source, tag);
     if (values.size() != 1) {
       throw SmpiError("recv_value: expected exactly one element");
     }
     return values.front();
-  }
-
-  template <typename T>
-  Request isend(int dest, int tag, std::span<const T> data) const {
-    static_assert(std::is_trivially_copyable_v<T>);
-    return isend_bytes(dest, tag, std::as_bytes(data));
-  }
-
-  Request irecv(int source, int tag) const { return irecv_bytes(source, tag); }
-
-  /// Combined send + receive (MPI_Sendrecv): posts the receive first so
-  /// exchanging pairs cannot deadlock.
-  template <typename T>
-  std::vector<T> sendrecv(int dest, int send_tag, std::span<const T> data,
-                          int source, int recv_tag) const {
-    Request pending = irecv(source, recv_tag);
-    send(dest, send_tag, data);
-    return pending.take<T>();
   }
 
   // --- collectives (intra-communicators only) ------------------------------
@@ -149,13 +124,6 @@ class Comm {
     }
   }
 
-  template <typename T>
-  T bcast_value(T value, int root) const {
-    std::vector<T> buffer{value};
-    bcast(buffer, root);
-    return buffer.front();
-  }
-
   /// Reduce with a binary fold; result valid at root only.
   template <typename T, typename Op>
   T reduce(const T& value, Op op, int root) const {
@@ -174,8 +142,9 @@ class Comm {
 
   template <typename T, typename Op>
   T allreduce(const T& value, Op op) const {
-    const T result = reduce(value, op, 0);
-    return bcast_value(result, 0);
+    std::vector<T> result{reduce(value, op, 0)};
+    bcast(result, 0);
+    return result.front();
   }
 
   template <typename T>
@@ -221,36 +190,6 @@ class Comm {
     return out;
   }
 
-  /// Personalized all-to-all with variable chunk sizes: `outgoing[r]` is
-  /// sent to rank r; the result holds what each rank sent to us, indexed
-  /// by source rank.
-  template <typename T>
-  std::vector<std::vector<T>> alltoallv(
-      const std::vector<std::vector<T>>& outgoing) const {
-    check_intra("alltoallv");
-    if (outgoing.size() != static_cast<std::size_t>(size())) {
-      throw SmpiError("alltoallv: outgoing count != communicator size");
-    }
-    std::vector<Request> pending;
-    pending.reserve(static_cast<std::size_t>(size()));
-    for (int r = 0; r < size(); ++r) pending.push_back(irecv(r, kTagAlltoall));
-    for (int r = 0; r < size(); ++r) {
-      const auto& chunk = outgoing[static_cast<std::size_t>(r)];
-      send(r, kTagAlltoall, std::span<const T>(chunk.data(), chunk.size()));
-    }
-    std::vector<std::vector<T>> incoming(static_cast<std::size_t>(size()));
-    for (int r = 0; r < size(); ++r) {
-      incoming[static_cast<std::size_t>(r)] =
-          pending[static_cast<std::size_t>(r)].take<T>();
-    }
-    return incoming;
-  }
-
-  /// Partition the communicator by color (MPI_Comm_split): every rank
-  /// calls; ranks sharing a color end up in a fresh intra-communicator,
-  /// ordered by (key, old rank).
-  Comm split(int color, int key) const;
-
   /// Root scatters `chunks[r]` to rank r; everyone returns their chunk.
   template <typename T>
   std::vector<T> scatterv(const std::vector<std::vector<T>>& chunks,
@@ -278,7 +217,9 @@ class Comm {
  private:
   friend class Universe;
   Mailbox& target_mailbox(int dest) const;
-  Mailbox& my_mailbox() const;
+  /// This rank's mailbox, once `source` is checked against the sending
+  /// group (kAnySource passes).
+  Mailbox& receiving_mailbox(int source) const;
   void check_intra(const char* what) const;
 
   std::shared_ptr<detail::CommState> state_;

@@ -70,23 +70,4 @@ Request Mailbox::post_receive(int source, int tag) {
   return Request(std::move(state));
 }
 
-bool Mailbox::probe(int source, int tag, Status* status) {
-  std::lock_guard<std::mutex> lock(mu_);
-  const auto it = std::find_if(
-      queue_.begin(), queue_.end(),
-      [&](const Envelope& e) { return matches(e, source, tag); });
-  if (it == queue_.end()) return false;
-  if (status != nullptr) {
-    status->source = it->source;
-    status->tag = it->tag;
-    status->bytes = it->data.size();
-  }
-  return true;
-}
-
-std::size_t Mailbox::queued() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return queue_.size();
-}
-
 }  // namespace dmr::smpi

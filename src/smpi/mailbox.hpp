@@ -40,11 +40,6 @@ class Mailbox {
   /// deposit (or immediately if a queued envelope already matches).
   Request post_receive(int source, int tag);
 
-  /// True when a matching envelope is already queued (MPI_Iprobe).
-  bool probe(int source, int tag, Status* status = nullptr);
-
-  std::size_t queued() const;
-
  private:
   struct Pending {
     int source;
@@ -57,7 +52,7 @@ class Mailbox {
            (tag == kAnyTag || tag == envelope.tag);
   }
 
-  mutable std::mutex mu_;
+  std::mutex mu_;
   std::condition_variable cv_;
   std::deque<Envelope> queue_;
   std::list<Pending> pending_;

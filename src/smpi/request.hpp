@@ -3,11 +3,8 @@
 
 #include <condition_variable>
 #include <cstddef>
-#include <cstring>
 #include <memory>
 #include <mutex>
-#include <span>
-#include <type_traits>
 #include <vector>
 
 #include "smpi/types.hpp"
@@ -36,7 +33,7 @@ struct RequestState {
 
 /// Handle for an in-flight isend/irecv.  Copyable (shared state); wait()
 /// blocks until completion and returns the Status.  For receives, the
-/// payload is retrieved with take_data()/take<T>() after completion.
+/// payload is retrieved with take_data().
 class Request {
  public:
   Request() = default;
@@ -50,8 +47,6 @@ class Request {
     state->done = true;
     return Request(std::move(state));
   }
-
-  bool valid() const { return state_ != nullptr; }
 
   bool test() const {
     if (!state_) return true;
@@ -74,31 +69,8 @@ class Request {
     return std::move(state_->data);
   }
 
-  /// Reinterpret the received payload as a vector of trivially-copyable T.
-  template <typename T>
-  std::vector<T> take() {
-    static_assert(std::is_trivially_copyable_v<T>);
-    const std::vector<std::byte> raw = take_data();
-    if (raw.size() % sizeof(T) != 0) {
-      throw SmpiError("Request::take: payload size not a multiple of T");
-    }
-    std::vector<T> out(raw.size() / sizeof(T));
-    std::memcpy(out.data(), raw.data(), raw.size());
-    return out;
-  }
-
-  std::shared_ptr<detail::RequestState> state() const { return state_; }
-
  private:
   std::shared_ptr<detail::RequestState> state_;
 };
-
-/// Block until all requests complete (MPI_Waitall).
-inline std::vector<Status> wait_all(std::span<Request> requests) {
-  std::vector<Status> statuses;
-  statuses.reserve(requests.size());
-  for (auto& request : requests) statuses.push_back(request.wait());
-  return statuses;
-}
 
 }  // namespace dmr::smpi

@@ -19,14 +19,10 @@ constexpr int kAnyTag = -1;
 
 /// Tags below this value are reserved for internal collective traffic.
 constexpr int kReservedTagBase = -1000;
-constexpr int kTagBarrier = kReservedTagBase - 1;  // unused: barrier is CV-based
 constexpr int kTagBcast = kReservedTagBase - 2;
 constexpr int kTagReduce = kReservedTagBase - 3;
 constexpr int kTagGather = kReservedTagBase - 4;
 constexpr int kTagScatter = kReservedTagBase - 5;
-constexpr int kTagSpawn = kReservedTagBase - 6;
-constexpr int kTagAlltoall = kReservedTagBase - 7;
-constexpr int kTagSplit = kReservedTagBase - 8;
 
 /// Completion metadata of a receive (MPI_Status analogue).
 struct Status {

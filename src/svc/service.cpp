@@ -10,6 +10,9 @@ namespace dmr::svc {
 
 namespace {
 
+/// Submission ring capacity (a power of two).
+constexpr std::size_t kQueueCapacity = 1024;
+
 /// The driver config the service actually runs: the caller's, with the
 /// service-owned attributor patched in when wait attribution is on and
 /// no external one was supplied.  config_ itself stays untouched so
@@ -31,7 +34,7 @@ Service::Service(ServiceConfig config)
                     ? config.driver.hooks.attr
                     : (config.attribute_waits ? &attr_ : nullptr)),
       driver_(engine_, attributed_driver(config, &attr_)),
-      queue_(config.queue_capacity),
+      queue_(kQueueCapacity),
       window_(config.window, config.sample_period) {
   // The windowed collectors read the same event stream the trace does.
   driver_.attach(window_);

@@ -41,8 +41,6 @@ namespace dmr::svc {
 struct ServiceConfig {
   /// Cluster / federation / cost configuration the driver runs against.
   drv::DriverConfig driver;
-  /// Submission ring capacity (rounded up to a power of two).
-  std::size_t queue_capacity = 1024;
   /// Metrics cadence: one sample (and one window rotation) per period of
   /// simulated time.
   double sample_period = 30.0;

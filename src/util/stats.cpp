@@ -2,53 +2,12 @@
 
 #include <algorithm>
 #include <cmath>
-#include <sstream>
-#include <stdexcept>
 
 namespace dmr::util {
 
-void RunningStats::add(double x) {
-  if (count_ == 0) {
-    min_ = x;
-    max_ = x;
-  } else {
-    min_ = std::min(min_, x);
-    max_ = std::max(max_, x);
-  }
-  ++count_;
-  sum_ += x;
-  const double delta = x - mean_;
-  mean_ += delta / static_cast<double>(count_);
-  m2_ += delta * (x - mean_);
-}
+namespace {
 
-void RunningStats::merge(const RunningStats& other) {
-  if (other.count_ == 0) return;
-  if (count_ == 0) {
-    *this = other;
-    return;
-  }
-  const double na = static_cast<double>(count_);
-  const double nb = static_cast<double>(other.count_);
-  const double delta = other.mean_ - mean_;
-  const double n = na + nb;
-  mean_ += delta * nb / n;
-  m2_ += other.m2_ + delta * delta * na * nb / n;
-  count_ += other.count_;
-  sum_ += other.sum_;
-  min_ = std::min(min_, other.min_);
-  max_ = std::max(max_, other.max_);
-}
-
-void RunningStats::reset() { *this = RunningStats(); }
-
-double RunningStats::variance() const {
-  if (count_ < 2) return 0.0;
-  return m2_ / static_cast<double>(count_ - 1);
-}
-
-double RunningStats::stddev() const { return std::sqrt(variance()); }
-
+/// Linear-interpolated percentile of a *sorted* sample vector, q in [0,1].
 double percentile_sorted(const std::vector<double>& sorted, double q) {
   if (sorted.empty()) return 0.0;
   if (q <= 0.0) return sorted.front();
@@ -60,16 +19,25 @@ double percentile_sorted(const std::vector<double>& sorted, double q) {
   return sorted[lo] * (1.0 - frac) + sorted[lo + 1] * frac;
 }
 
+}  // namespace
+
 Summary summarize(std::vector<double> samples) {
   Summary s;
   s.count = samples.size();
   if (samples.empty()) return s;
   std::sort(samples.begin(), samples.end());
-  RunningStats rs;
-  for (double x : samples) rs.add(x);
-  s.mean = rs.mean();
-  s.stddev = rs.stddev();
-  s.sum = rs.sum();
+  // Welford's update over the sorted samples.
+  double m2 = 0.0;
+  for (std::size_t i = 0; i < samples.size(); ++i) {
+    const double x = samples[i];
+    s.sum += x;
+    const double delta = x - s.mean;
+    s.mean += delta / static_cast<double>(i + 1);
+    m2 += delta * (x - s.mean);
+  }
+  if (samples.size() > 1) {
+    s.stddev = std::sqrt(m2 / static_cast<double>(samples.size() - 1));
+  }
   s.min = samples.front();
   s.max = samples.back();
   s.p25 = percentile_sorted(samples, 0.25);
@@ -77,50 +45,6 @@ Summary summarize(std::vector<double> samples) {
   s.p75 = percentile_sorted(samples, 0.75);
   s.p95 = percentile_sorted(samples, 0.95);
   return s;
-}
-
-Histogram::Histogram(double lo, double hi, std::size_t bins)
-    : lo_(lo), hi_(hi), counts_(bins, 0) {
-  if (bins == 0) throw std::invalid_argument("Histogram: zero bins");
-  if (!(hi > lo)) throw std::invalid_argument("Histogram: hi <= lo");
-}
-
-void Histogram::add(double x) {
-  ++total_;
-  if (x < lo_) {
-    ++underflow_;
-    return;
-  }
-  if (x >= hi_) {
-    ++overflow_;
-    return;
-  }
-  const double span = hi_ - lo_;
-  auto bin = static_cast<std::size_t>((x - lo_) / span *
-                                      static_cast<double>(counts_.size()));
-  if (bin >= counts_.size()) bin = counts_.size() - 1;
-  ++counts_[bin];
-}
-
-double Histogram::bin_lo(std::size_t bin) const {
-  return lo_ + (hi_ - lo_) * static_cast<double>(bin) /
-                   static_cast<double>(counts_.size());
-}
-
-double Histogram::bin_hi(std::size_t bin) const { return bin_lo(bin + 1); }
-
-std::string Histogram::render(std::size_t width) const {
-  std::size_t peak = 1;
-  for (std::size_t c : counts_) peak = std::max(peak, c);
-  std::ostringstream out;
-  for (std::size_t i = 0; i < counts_.size(); ++i) {
-    const auto bar =
-        counts_[i] * width / peak;
-    out << "[" << bin_lo(i) << ", " << bin_hi(i) << ") ";
-    for (std::size_t j = 0; j < bar; ++j) out << '#';
-    out << ' ' << counts_[i] << '\n';
-  }
-  return out.str();
 }
 
 }  // namespace dmr::util

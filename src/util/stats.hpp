@@ -1,35 +1,10 @@
-// Streaming and batch statistics used by the metrics collectors.
+// Batch statistics used by the metrics collectors.
 #pragma once
 
 #include <cstddef>
-#include <string>
 #include <vector>
 
 namespace dmr::util {
-
-/// Welford streaming accumulator: mean/variance without storing samples.
-class RunningStats {
- public:
-  void add(double x);
-  void merge(const RunningStats& other);
-  void reset();
-
-  std::size_t count() const { return count_; }
-  double mean() const { return count_ > 0 ? mean_ : 0.0; }
-  double variance() const;  // sample variance (n-1)
-  double stddev() const;
-  double min() const { return count_ > 0 ? min_ : 0.0; }
-  double max() const { return count_ > 0 ? max_ : 0.0; }
-  double sum() const { return sum_; }
-
- private:
-  std::size_t count_ = 0;
-  double mean_ = 0.0;
-  double m2_ = 0.0;
-  double min_ = 0.0;
-  double max_ = 0.0;
-  double sum_ = 0.0;
-};
 
 /// Batch summary over a stored sample vector, with exact percentiles.
 struct Summary {
@@ -47,35 +22,5 @@ struct Summary {
 
 /// Compute a Summary (copies and sorts the input).
 Summary summarize(std::vector<double> samples);
-
-/// Linear-interpolated percentile of a *sorted* sample vector, q in [0,1].
-double percentile_sorted(const std::vector<double>& sorted, double q);
-
-/// Fixed-bin histogram, used for distribution sanity tests of the workload
-/// model.
-class Histogram {
- public:
-  Histogram(double lo, double hi, std::size_t bins);
-
-  void add(double x);
-  std::size_t bin_count(std::size_t bin) const { return counts_.at(bin); }
-  std::size_t bins() const { return counts_.size(); }
-  std::size_t total() const { return total_; }
-  std::size_t underflow() const { return underflow_; }
-  std::size_t overflow() const { return overflow_; }
-  double bin_lo(std::size_t bin) const;
-  double bin_hi(std::size_t bin) const;
-
-  /// Render as a terminal bar chart, `width` characters at the widest bin.
-  std::string render(std::size_t width = 50) const;
-
- private:
-  double lo_;
-  double hi_;
-  std::vector<std::size_t> counts_;
-  std::size_t total_ = 0;
-  std::size_t underflow_ = 0;
-  std::size_t overflow_ = 0;
-};
 
 }  // namespace dmr::util

@@ -46,7 +46,7 @@ TEST(CostModel, DegenerateSingleRank) {
   CostModel cost;
   // No data: only the spawn/protocol terms remain.
   EXPECT_NEAR(cost.reconfigure_seconds(0, 4, 8),
-              cost.spawn_latency + cost.per_proc_spawn * 8, 1e-12);
+              CostModel::kSpawnLatency + CostModel::kPerProcSpawn * 8, 1e-12);
 }
 
 TEST(CostModel, MigratedFractionShape) {

@@ -1,6 +1,6 @@
 // Tests for the framework extensions beyond the paper's core: moldable
 // submission (the paper's named future work), the accounting ledger, and
-// the additional smpi collectives (sendrecv / alltoallv / split).
+// evolving applications that change their own request mid-run.
 #include <gtest/gtest.h>
 
 #include "rms/accounting.hpp"
@@ -164,78 +164,6 @@ TEST(Accounting, RenderContainsAllJobs) {
   EXPECT_EQ(accounting.total_resizes(), 0);
 }
 
-TEST(SmpiSendrecv, PairwiseExchangeNoDeadlock) {
-  smpi::Universe universe;
-  universe.launch("t", 2, [](smpi::Context& ctx) {
-    const int peer = 1 - ctx.rank();
-    const std::vector<int> mine{ctx.rank() * 10, ctx.rank() * 10 + 1};
-    const auto theirs = ctx.world().sendrecv(
-        peer, 5, std::span<const int>(mine), peer, 5);
-    ASSERT_EQ(theirs.size(), 2u);
-    EXPECT_EQ(theirs[0], peer * 10);
-    EXPECT_EQ(theirs[1], peer * 10 + 1);
-  });
-  universe.await_all();
-  EXPECT_TRUE(universe.failures().empty());
-}
-
-TEST(SmpiAlltoallv, PersonalizedExchange) {
-  smpi::Universe universe;
-  universe.launch("t", 3, [](smpi::Context& ctx) {
-    // Rank r sends {r*10 + d} repeated (d+1) times to rank d.
-    std::vector<std::vector<int>> outgoing(3);
-    for (int d = 0; d < 3; ++d) {
-      outgoing[static_cast<size_t>(d)].assign(static_cast<size_t>(d + 1),
-                                              ctx.rank() * 10 + d);
-    }
-    const auto incoming = ctx.world().alltoallv(outgoing);
-    ASSERT_EQ(incoming.size(), 3u);
-    for (int s = 0; s < 3; ++s) {
-      const auto& chunk = incoming[static_cast<size_t>(s)];
-      ASSERT_EQ(chunk.size(), static_cast<size_t>(ctx.rank() + 1));
-      for (int value : chunk) EXPECT_EQ(value, s * 10 + ctx.rank());
-    }
-  });
-  universe.await_all();
-  EXPECT_TRUE(universe.failures().empty());
-}
-
-TEST(SmpiSplit, PartitionsByColor) {
-  smpi::Universe universe;
-  universe.launch("t", 6, [](smpi::Context& ctx) {
-    // Even ranks -> color 0, odd -> color 1; key reverses the order.
-    const int color = ctx.rank() % 2;
-    const auto sub = ctx.world().split(color, -ctx.rank());
-    ASSERT_TRUE(sub.valid());
-    EXPECT_EQ(sub.size(), 3);
-    // Reverse key order: world rank 4 becomes rank 0 of the even group.
-    const int expected_rank = (5 - ctx.rank()) / 2;
-    EXPECT_EQ(sub.rank(), expected_rank);
-    // The subgroup is a fully functional communicator.
-    const int sum = sub.allreduce_sum(ctx.rank());
-    EXPECT_EQ(sum, color == 0 ? 0 + 2 + 4 : 1 + 3 + 5);
-  });
-  universe.await_all();
-  EXPECT_TRUE(universe.failures().empty());
-}
-
-TEST(SmpiSplit, NegativeColorOptsOut) {
-  smpi::Universe universe;
-  universe.launch("t", 4, [](smpi::Context& ctx) {
-    const int color = ctx.rank() == 3 ? -1 : 0;
-    const auto sub = ctx.world().split(color, ctx.rank());
-    if (ctx.rank() == 3) {
-      EXPECT_FALSE(sub.valid());
-    } else {
-      ASSERT_TRUE(sub.valid());
-      EXPECT_EQ(sub.size(), 3);
-      EXPECT_EQ(sub.rank(), ctx.rank());
-    }
-  });
-  universe.await_all();
-  EXPECT_TRUE(universe.failures().empty());
-}
-
 TEST(Evolving, SetRequestDrivesForcedExpansion) {
   // An *evolving* application (Feitelson's fourth class) decides mid-run
   // that it needs more processes: raising min_procs above the current
@@ -296,27 +224,6 @@ TEST(Evolving, ForcedShrinkViaMaxBelowCurrent) {
   universe.await_all();
   ASSERT_TRUE(universe.failures().empty()) << universe.failures()[0];
   EXPECT_EQ(m.job(id).allocated(), 2);
-}
-
-TEST(SmpiSplit, RepeatedSplitsIndependent) {
-  smpi::Universe universe;
-  universe.launch("t", 4, [](smpi::Context& ctx) {
-    const auto first = ctx.world().split(ctx.rank() / 2, ctx.rank());
-    const auto second = ctx.world().split(ctx.rank() % 2, ctx.rank());
-    EXPECT_EQ(first.size(), 2);
-    EXPECT_EQ(second.size(), 2);
-    // Messages on one sub-communicator do not leak into the other.
-    first.send_value(1 - first.rank(), 1, 100 + ctx.rank());
-    second.send_value(1 - second.rank(), 1, 200 + ctx.rank());
-    const int from_first = first.recv_value<int>(1 - first.rank(), 1);
-    const int from_second = second.recv_value<int>(1 - second.rank(), 1);
-    EXPECT_GE(from_first, 100);
-    EXPECT_LT(from_first, 104);
-    EXPECT_GE(from_second, 200);
-    EXPECT_LT(from_second, 204);
-  });
-  universe.await_all();
-  EXPECT_TRUE(universe.failures().empty());
 }
 
 }  // namespace

@@ -12,7 +12,6 @@
 
 #include <memory>
 #include <mutex>
-#include <span>
 #include <stdexcept>
 #include <vector>
 
@@ -139,7 +138,9 @@ std::vector<ResizeEvent> run_des(const Scenario& scenario, Mode mode) {
 /// array whose blocks follow every resize.
 class ParityState final : public AppState {
  public:
-  explicit ParityState(std::size_t total) : total_(total) {}
+  explicit ParityState(std::size_t total) : total_(total) {
+    registry().add_block("array", local_, total_);
+  }
 
   void init(int rank, int nprocs) override {
     const BlockDistribution dist(total_, nprocs);
@@ -149,21 +150,6 @@ class ParityState final : public AppState {
     world.barrier();
     for (double& v : local_) v += 1.0;
   }
-  void send_state(const smpi::Comm& inter, int my_old_rank, int old_size,
-                  int new_size) override {
-    send_blocks<double>(inter, my_old_rank, std::span<const double>(local_),
-                        total_, old_size, new_size, 3);
-  }
-  void recv_state(const smpi::Comm& parent, int my_new_rank, int old_size,
-                  int new_size) override {
-    local_ = recv_blocks<double>(parent, my_new_rank, total_, old_size,
-                                 new_size, 3);
-  }
-  std::vector<std::byte> serialize_global(const smpi::Comm&) override {
-    return {};
-  }
-  void deserialize_global(const smpi::Comm&,
-                          std::span<const std::byte>) override {}
 
  private:
   std::size_t total_;

@@ -186,6 +186,30 @@ TEST(Integration, InhibitedJobNeverContactsRmsAgain) {
   EXPECT_TRUE(manager.all_done());
 }
 
+/// Flexible Sleep that hands the gathered global array of its final
+/// step (step 5) to the test.
+class Capture final : public apps::FlexibleSleepState {
+ public:
+  Capture(apps::FlexibleSleepConfig config, std::vector<double>* out,
+          std::mutex* mu)
+      : FlexibleSleepState(config), out_(out), mu_(mu) {}
+
+  void compute_step(const smpi::Comm& world, int step) override {
+    FlexibleSleepState::compute_step(world, step);
+    if (step == 5) {
+      const auto all = world.allgatherv(std::span<const double>(local()));
+      if (world.rank() == 0) {
+        std::lock_guard<std::mutex> lock(*mu_);
+        *out_ = all;
+      }
+    }
+  }
+
+ private:
+  std::vector<double>* out_;
+  std::mutex* mu_;
+};
+
 TEST(Integration, CheckpointAndDmrProduceIdenticalState) {
   // The same FS run through the two malleability mechanisms must land on
   // the same global array (C/R is slower, not different).
@@ -204,39 +228,6 @@ TEST(Integration, CheckpointAndDmrProduceIdenticalState) {
   // DMR path.
   std::vector<double> dmr_final;
   {
-    struct Capture final : public rt::AppState {
-      apps::FlexibleSleepState inner;
-      std::vector<double>* out;
-      std::mutex* mu;
-      Capture(apps::FlexibleSleepConfig c, std::vector<double>* o,
-              std::mutex* m)
-          : inner(c), out(o), mu(m) {}
-      void init(int r, int n) override { inner.init(r, n); }
-      void compute_step(const smpi::Comm& w, int s) override {
-        inner.compute_step(w, s);
-        if (s == 5) {
-          const auto all =
-              w.allgatherv(std::span<const double>(inner.local()));
-          if (w.rank() == 0) {
-            std::lock_guard<std::mutex> lock(*mu);
-            *out = all;
-          }
-        }
-      }
-      void send_state(const smpi::Comm& i, int r, int o, int n) override {
-        inner.send_state(i, r, o, n);
-      }
-      void recv_state(const smpi::Comm& p, int r, int o, int n) override {
-        inner.recv_state(p, r, o, n);
-      }
-      std::vector<std::byte> serialize_global(const smpi::Comm& w) override {
-        return inner.serialize_global(w);
-      }
-      void deserialize_global(const smpi::Comm& w,
-                              std::span<const std::byte> b) override {
-        inner.deserialize_global(w, b);
-      }
-    };
     std::mutex mu;
     smpi::Universe universe;
     rt::MalleableConfig config;
@@ -264,39 +255,6 @@ TEST(Integration, CheckpointAndDmrProduceIdenticalState) {
     config.forced_decision = forced;
     // Reuse FS directly and read the checkpoint after the run: simpler —
     // run, then gather by re-running serialize via a capture state.
-    struct Capture final : public rt::AppState {
-      apps::FlexibleSleepState inner;
-      std::vector<double>* out;
-      std::mutex* mu;
-      Capture(apps::FlexibleSleepConfig c, std::vector<double>* o,
-              std::mutex* m)
-          : inner(c), out(o), mu(m) {}
-      void init(int r, int n) override { inner.init(r, n); }
-      void compute_step(const smpi::Comm& w, int s) override {
-        inner.compute_step(w, s);
-        if (s == 5) {
-          const auto all =
-              w.allgatherv(std::span<const double>(inner.local()));
-          if (w.rank() == 0) {
-            std::lock_guard<std::mutex> lock(*mu);
-            *out = all;
-          }
-        }
-      }
-      void send_state(const smpi::Comm& i, int r, int o, int n) override {
-        inner.send_state(i, r, o, n);
-      }
-      void recv_state(const smpi::Comm& p, int r, int o, int n) override {
-        inner.recv_state(p, r, o, n);
-      }
-      std::vector<std::byte> serialize_global(const smpi::Comm& w) override {
-        return inner.serialize_global(w);
-      }
-      void deserialize_global(const smpi::Comm& w,
-                              std::span<const std::byte> b) override {
-        inner.deserialize_global(w, b);
-      }
-    };
     std::mutex mu;
     ckpt::run_checkpoint_restart(
         universe, config,

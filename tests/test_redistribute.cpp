@@ -1,18 +1,29 @@
-// Property tests of the block-distribution arithmetic and the
-// redistribution planner: the plan must partition the index space for
-// every (total, P, Q) combination, and executing it must reproduce the
-// global array exactly.
+// Property tests of the block-distribution arithmetic, the
+// redistribution planner on a Block buffer (the plan must partition the
+// index space for every (total, P, Q) combination) and the cost model's
+// count of the elements a resize moves.
 #include <gtest/gtest.h>
 
-#include <map>
-#include <mutex>
+#include <algorithm>
+#include <vector>
 
+#include "drv/cost_model.hpp"
+#include "redist/buffer.hpp"
 #include "rt/redistribute.hpp"
-#include "smpi/universe.hpp"
 
 namespace {
 
-using namespace dmr::rt;
+using dmr::drv::CostModel;
+using dmr::redist::Transfer;
+using dmr::rt::BlockDistribution;
+
+/// The planner's view of a block-distributed array of `total` doubles.
+std::vector<Transfer> block_plan(std::size_t total, int old_parts,
+                                 int new_parts) {
+  const dmr::redist::Buffer desc{"array", sizeof(double), total,
+                                 dmr::redist::Layout::Block, 1};
+  return dmr::redist::plan_transfers(desc, old_parts, new_parts);
+}
 
 TEST(BlockDistribution, BalancedCounts) {
   const BlockDistribution dist(10, 3);
@@ -55,21 +66,20 @@ TEST(BlockDistribution, Errors) {
 }
 
 TEST(Plan, EmptyForZeroElements) {
-  EXPECT_TRUE(plan_redistribution(0, 4, 2).empty());
-  EXPECT_TRUE(plan_redistribution(0, 1, 1).empty());
-  EXPECT_EQ(migrated_elements(0, 4, 2), 0u);
+  EXPECT_TRUE(block_plan(0, 4, 2).empty());
+  EXPECT_TRUE(block_plan(0, 1, 1).empty());
 }
 
 TEST(Plan, RejectsNonPositiveParts) {
   // Geometry validation fires even when there is nothing to move.
-  EXPECT_THROW(plan_redistribution(16, 0, 4), std::invalid_argument);
-  EXPECT_THROW(plan_redistribution(16, 4, -1), std::invalid_argument);
-  EXPECT_THROW(plan_redistribution(0, 0, 4), std::invalid_argument);
+  EXPECT_THROW(block_plan(16, 0, 4), std::invalid_argument);
+  EXPECT_THROW(block_plan(16, 4, -1), std::invalid_argument);
+  EXPECT_THROW(block_plan(0, 0, 4), std::invalid_argument);
 }
 
 TEST(Plan, SinglePartBothDirections) {
   // 1 -> Q: the lone old rank feeds every new rank once, in order.
-  const auto scatter = plan_redistribution(10, 1, 4);
+  const auto scatter = block_plan(10, 1, 4);
   ASSERT_EQ(scatter.size(), 4u);
   std::size_t covered = 0;
   for (std::size_t i = 0; i < scatter.size(); ++i) {
@@ -80,7 +90,7 @@ TEST(Plan, SinglePartBothDirections) {
   }
   EXPECT_EQ(covered, 10u);
   // Q -> 1: the mirror merge.
-  const auto gather = plan_redistribution(10, 4, 1);
+  const auto gather = block_plan(10, 4, 1);
   ASSERT_EQ(gather.size(), 4u);
   for (std::size_t i = 0; i < gather.size(); ++i) {
     EXPECT_EQ(gather[i].src_rank, static_cast<int>(i));
@@ -88,7 +98,7 @@ TEST(Plan, SinglePartBothDirections) {
     EXPECT_EQ(gather[i].src_offset, 0u);
   }
   // 1 -> 1 self-copy (the same-size "migration" of Fig. 1's 48-48 case).
-  const auto identity = plan_redistribution(10, 1, 1);
+  const auto identity = block_plan(10, 1, 1);
   ASSERT_EQ(identity.size(), 1u);
   EXPECT_EQ(identity[0].count, 10u);
 }
@@ -96,7 +106,7 @@ TEST(Plan, SinglePartBothDirections) {
 TEST(Plan, TotalSmallerThanParts) {
   // 3 elements over 5 -> 2 ranks: empty old ranks contribute no
   // transfers, every transfer moves at least one element.
-  const auto plan = plan_redistribution(3, 5, 2);
+  const auto plan = block_plan(3, 5, 2);
   const BlockDistribution old_dist(3, 5);
   std::size_t covered = 0;
   for (const Transfer& t : plan) {
@@ -106,7 +116,7 @@ TEST(Plan, TotalSmallerThanParts) {
   }
   EXPECT_EQ(covered, 3u);
   // Growing into mostly-empty ranks is also valid.
-  const auto grow = plan_redistribution(3, 2, 8);
+  const auto grow = block_plan(3, 2, 8);
   covered = 0;
   for (const Transfer& t : grow) {
     EXPECT_GT(t.count, 0u);
@@ -116,7 +126,7 @@ TEST(Plan, TotalSmallerThanParts) {
 }
 
 TEST(Plan, IdentityWhenLayoutUnchanged) {
-  const auto plan = plan_redistribution(100, 4, 4);
+  const auto plan = block_plan(100, 4, 4);
   EXPECT_EQ(plan.size(), 4u);
   for (const Transfer& t : plan) {
     EXPECT_EQ(t.src_rank, t.dst_rank);
@@ -127,7 +137,7 @@ TEST(Plan, IdentityWhenLayoutUnchanged) {
 
 TEST(Plan, CleanSplitOnFactor2Expand) {
   // 8 elements, 2 -> 4 ranks: each old rank feeds exactly two new ranks.
-  const auto plan = plan_redistribution(8, 2, 4);
+  const auto plan = block_plan(8, 2, 4);
   ASSERT_EQ(plan.size(), 4u);
   EXPECT_EQ(plan[0].src_rank, 0);
   EXPECT_EQ(plan[0].dst_rank, 0);
@@ -152,7 +162,7 @@ TEST_P(PlanSweep, TransfersPartitionTheIndexSpace) {
   const auto [total, old_parts, new_parts] = GetParam();
   const BlockDistribution old_dist(total, old_parts);
   const BlockDistribution new_dist(total, new_parts);
-  const auto plan = plan_redistribution(total, old_parts, new_parts);
+  const auto plan = block_plan(total, old_parts, new_parts);
   std::vector<int> covered(total, 0);
   for (const Transfer& t : plan) {
     EXPECT_GT(t.count, 0u);
@@ -173,23 +183,23 @@ TEST_P(PlanSweep, TransfersPartitionTheIndexSpace) {
 }
 
 TEST_P(PlanSweep, PerRankViewsMatchFullPlan) {
+  // Each old rank sends, and each new rank receives, exactly its block.
   const auto [total, old_parts, new_parts] = GetParam();
-  const auto plan = plan_redistribution(total, old_parts, new_parts);
-  std::size_t from_total = 0, to_total = 0;
+  const BlockDistribution old_dist(total, old_parts);
+  const BlockDistribution new_dist(total, new_parts);
+  const auto plan = block_plan(total, old_parts, new_parts);
+  std::vector<std::size_t> sent(static_cast<std::size_t>(old_parts), 0);
+  std::vector<std::size_t> received(static_cast<std::size_t>(new_parts), 0);
+  for (const Transfer& t : plan) {
+    sent[static_cast<std::size_t>(t.src_rank)] += t.count;
+    received[static_cast<std::size_t>(t.dst_rank)] += t.count;
+  }
   for (int r = 0; r < old_parts; ++r) {
-    for (const Transfer& t : transfers_from(plan, r)) {
-      EXPECT_EQ(t.src_rank, r);
-      from_total += t.count;
-    }
+    EXPECT_EQ(sent[static_cast<std::size_t>(r)], old_dist.count(r));
   }
   for (int r = 0; r < new_parts; ++r) {
-    for (const Transfer& t : transfers_to(plan, r)) {
-      EXPECT_EQ(t.dst_rank, r);
-      to_total += t.count;
-    }
+    EXPECT_EQ(received[static_cast<std::size_t>(r)], new_dist.count(r));
   }
-  EXPECT_EQ(from_total, total);
-  EXPECT_EQ(to_total, total);
 }
 
 INSTANTIATE_TEST_SUITE_P(
@@ -204,7 +214,7 @@ INSTANTIATE_TEST_SUITE_P(
                       PlanCase{6, 6, 6}));
 
 TEST(MigratedElements, ZeroWhenUnchanged) {
-  EXPECT_EQ(migrated_elements(1024, 4, 4), 0u);
+  EXPECT_DOUBLE_EQ(CostModel::migrated_fraction(4, 4), 0.0);
 }
 
 TEST(MigratedElements, FactorTwoExpandMovesHalf) {
@@ -212,51 +222,28 @@ TEST(MigratedElements, FactorTwoExpandMovesHalf) {
   // half to rank 1; same for old rank 1 -> 2,3.  Elements staying on the
   // same rank index: new ranks 0 and... only rank 0's first half and
   // nothing else: ranks 1,2,3 all receive from a different source index.
-  const std::size_t total = 1024;
-  const std::size_t moved = migrated_elements(total, 2, 4);
-  EXPECT_EQ(moved, total * 3 / 4);
+  EXPECT_DOUBLE_EQ(CostModel::migrated_fraction(2, 4), 0.75);
 }
 
 TEST(MigratedElements, FractionGrowsWithImbalance) {
-  EXPECT_LT(migrated_elements(1 << 16, 8, 16),
-            migrated_elements(1 << 16, 8, 64));
+  EXPECT_LT(CostModel::migrated_fraction(8, 16),
+            CostModel::migrated_fraction(8, 64));
 }
 
-TEST(SendRecvBlocks, RoundTripAcrossSpawn) {
-  // End-to-end over the substrate: 3 ranks redistribute a 31-element
-  // array to 5 spawned ranks; the gathered result must be the original.
-  dmr::smpi::Universe universe;
-  constexpr std::size_t kTotal = 31;
-  constexpr int kOld = 3, kNew = 5;
-  std::mutex mu;
-  std::map<int, std::vector<double>> received;
-
-  universe.launch("old", kOld, [&](dmr::smpi::Context& ctx) {
-    const BlockDistribution dist(kTotal, kOld);
-    std::vector<double> mine(dist.count(ctx.rank()));
-    for (std::size_t i = 0; i < mine.size(); ++i) {
-      mine[i] = static_cast<double>(dist.begin(ctx.rank()) + i) * 1.5;
-    }
-    const auto inter = ctx.spawn(ctx.world(), kNew,
-                                 [&](dmr::smpi::Context& child) {
-      const auto block = recv_blocks<double>(*child.parent(), child.rank(),
-                                             kTotal, kOld, kNew, 5);
-      std::lock_guard<std::mutex> lock(mu);
-      received[child.rank()] = block;
-    });
-    send_blocks<double>(inter, ctx.rank(), std::span<const double>(mine),
-                        kTotal, kOld, kNew, 5);
-  });
-  universe.await_all();
-  ASSERT_TRUE(universe.failures().empty());
-
-  const BlockDistribution new_dist(kTotal, kNew);
-  for (int r = 0; r < kNew; ++r) {
-    const auto& block = received[r];
-    ASSERT_EQ(block.size(), new_dist.count(r)) << "rank " << r;
-    for (std::size_t i = 0; i < block.size(); ++i) {
-      EXPECT_DOUBLE_EQ(block[i],
-                       static_cast<double>(new_dist.begin(r) + i) * 1.5);
+TEST(MigratedElements, FractionMatchesThePlannerOnEveryShape) {
+  // The cost model counts in place; plan_transfers on its nominal
+  // 2^20-element Block buffer is the reference: an element moves when
+  // its transfer crosses rank indices.
+  constexpr std::size_t kNominal = 1 << 20;
+  for (int old_parts = 1; old_parts <= 64; ++old_parts) {
+    for (int new_parts = 1; new_parts <= 64; ++new_parts) {
+      std::size_t moved = 0;
+      for (const Transfer& t : block_plan(kNominal, old_parts, new_parts)) {
+        if (t.src_rank != t.dst_rank) moved += t.count;
+      }
+      ASSERT_EQ(CostModel::migrated_fraction(old_parts, new_parts),
+                static_cast<double>(moved) / static_cast<double>(kNominal))
+          << old_parts << " -> " << new_parts;
     }
   }
 }

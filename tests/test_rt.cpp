@@ -33,9 +33,11 @@ TEST(Inhibitor, BlocksWithinPeriod) {
 
 /// Minimal AppState: a distributed array where element i must equal
 /// base + i + steps_done at all times — resizes must preserve it.
-class ArrayState final : public rt::AppState {
+class ArrayState : public rt::AppState {
  public:
-  explicit ArrayState(std::size_t total) : total_(total) {}
+  explicit ArrayState(std::size_t total) : total_(total) {
+    registry().add_block("array", local_, total_);
+  }
 
   void init(int rank, int nprocs) override {
     const rt::BlockDistribution dist(total_, nprocs);
@@ -47,42 +49,6 @@ class ArrayState final : public rt::AppState {
   void compute_step(const smpi::Comm& world, int) override {
     world.barrier();
     for (double& v : local_) v += 1.0;
-  }
-  void send_state(const smpi::Comm& inter, int my_old_rank, int old_size,
-                  int new_size) override {
-    rt::send_blocks<double>(inter, my_old_rank,
-                            std::span<const double>(local_), total_,
-                            old_size, new_size, 11);
-  }
-  void recv_state(const smpi::Comm& parent, int my_new_rank, int old_size,
-                  int new_size) override {
-    local_ = rt::recv_blocks<double>(parent, my_new_rank, total_, old_size,
-                                     new_size, 11);
-  }
-  std::vector<std::byte> serialize_global(const smpi::Comm& world) override {
-    std::vector<double> full;
-    world.gatherv(std::span<const double>(local_), full, 0);
-    std::vector<std::byte> bytes(full.size() * sizeof(double));
-    if (world.rank() == 0) {
-      std::memcpy(bytes.data(), full.data(), bytes.size());
-    } else {
-      bytes.clear();
-    }
-    return bytes;
-  }
-  void deserialize_global(const smpi::Comm& world,
-                          std::span<const std::byte> bytes) override {
-    std::vector<std::vector<double>> chunks;
-    if (world.rank() == 0) {
-      const auto* data = reinterpret_cast<const double*>(bytes.data());
-      const rt::BlockDistribution dist(total_, world.size());
-      chunks.resize(static_cast<std::size_t>(world.size()));
-      for (int r = 0; r < world.size(); ++r) {
-        chunks[static_cast<std::size_t>(r)].assign(data + dist.begin(r),
-                                                   data + dist.end(r));
-      }
-    }
-    local_ = world.scatterv(chunks, 0);
   }
 
   /// Validate against the oracle and report via allreduce (collective).
@@ -146,6 +112,10 @@ TEST(MalleableLoop, ForcedExpandPreservesData) {
   EXPECT_EQ(report.resizes[0].new_size, 4);
   EXPECT_EQ(report.resizes[0].step, 3);
   EXPECT_GT(report.resizes[0].spawn_seconds, 0.0);
+  // Summed over the new ranks: all 50 elements, in the 4 transfers of
+  // the 2 -> 4 block plan.
+  EXPECT_EQ(report.resizes[0].bytes_redistributed, 50 * sizeof(double));
+  EXPECT_EQ(report.resizes[0].redistribution_transfers, 4);
 }
 
 TEST(MalleableLoop, ForcedShrinkAndReExpand) {
@@ -180,36 +150,20 @@ TEST(MalleableLoop, ForcedShrinkAndReExpand) {
 
 /// Final-state correctness: run with a scripted resize, then verify the
 /// array equals the oracle at the end (checked inside the last step).
-class CheckingArrayState final : public rt::AppState {
+class CheckingArrayState final : public ArrayState {
  public:
   CheckingArrayState(std::size_t total, int last_step,
                      std::atomic<int>& checks)
-      : inner_(total), last_step_(last_step), checks_(checks) {}
-  void init(int rank, int nprocs) override { inner_.init(rank, nprocs); }
+      : ArrayState(total), last_step_(last_step), checks_(checks) {}
   void compute_step(const smpi::Comm& world, int step) override {
-    inner_.compute_step(world, step);
+    ArrayState::compute_step(world, step);
     if (step == last_step_) {
-      ArrayState::expect_consistent(world, inner_.local(), inner_.total(),
-                                    step + 1);
+      expect_consistent(world, local(), total(), step + 1);
       ++checks_;
     }
   }
-  void send_state(const smpi::Comm& inter, int r, int o, int n) override {
-    inner_.send_state(inter, r, o, n);
-  }
-  void recv_state(const smpi::Comm& parent, int r, int o, int n) override {
-    inner_.recv_state(parent, r, o, n);
-  }
-  std::vector<std::byte> serialize_global(const smpi::Comm& world) override {
-    return inner_.serialize_global(world);
-  }
-  void deserialize_global(const smpi::Comm& world,
-                          std::span<const std::byte> bytes) override {
-    inner_.deserialize_global(world, bytes);
-  }
 
  private:
-  ArrayState inner_;
   int last_step_;
   std::atomic<int>& checks_;
 };

@@ -22,6 +22,15 @@ Envelope make_envelope(int src, int tag, std::vector<int> payload) {
   return e;
 }
 
+/// The one int a received payload carries (-1, and a failure, if the
+/// payload is not exactly one int).
+int only_int(const std::vector<std::byte>& data) {
+  int value = -1;
+  EXPECT_EQ(data.size(), sizeof(int));
+  if (data.size() == sizeof(int)) std::memcpy(&value, data.data(), sizeof(int));
+  return value;
+}
+
 TEST(Mailbox, FifoPerSourceAndTag) {
   Mailbox box;
   box.deposit(make_envelope(0, 1, {10}));
@@ -41,7 +50,12 @@ TEST(Mailbox, TagSelectivity) {
   box.deposit(make_envelope(0, 3, {30}));
   const Envelope got = box.receive(0, 3);
   EXPECT_EQ(got.tag, 3);
-  EXPECT_EQ(box.queued(), 1u);
+  // Only the tag-5 envelope is left: a posted receive takes it at once,
+  // and the next one finds nothing.
+  Request rest = box.post_receive(0, kAnyTag);
+  ASSERT_TRUE(rest.test());
+  EXPECT_EQ(only_int(rest.take_data()), 50);
+  EXPECT_FALSE(box.post_receive(0, kAnyTag).test());
 }
 
 TEST(Mailbox, AnySourceAnyTag) {
@@ -58,9 +72,7 @@ TEST(Mailbox, PostedReceiveCompletedByDeposit) {
   EXPECT_FALSE(req.test());
   box.deposit(make_envelope(1, 7, {99}));
   EXPECT_TRUE(req.test());
-  const auto data = req.take<int>();
-  ASSERT_EQ(data.size(), 1u);
-  EXPECT_EQ(data[0], 99);
+  EXPECT_EQ(only_int(req.take_data()), 99);
 }
 
 TEST(Mailbox, PostedReceivesMatchInPostingOrder) {
@@ -69,18 +81,8 @@ TEST(Mailbox, PostedReceivesMatchInPostingOrder) {
   Request second = box.post_receive(0, kAnyTag);
   box.deposit(make_envelope(0, 1, {1}));
   box.deposit(make_envelope(0, 2, {2}));
-  EXPECT_EQ(first.take<int>()[0], 1);
-  EXPECT_EQ(second.take<int>()[0], 2);
-}
-
-TEST(Mailbox, ProbeDoesNotConsume) {
-  Mailbox box;
-  EXPECT_FALSE(box.probe(0, 0));
-  box.deposit(make_envelope(0, 0, {5}));
-  Status status;
-  EXPECT_TRUE(box.probe(0, 0, &status));
-  EXPECT_EQ(status.bytes, sizeof(int));
-  EXPECT_EQ(box.queued(), 1u);
+  EXPECT_EQ(only_int(first.take_data()), 1);
+  EXPECT_EQ(only_int(second.take_data()), 2);
 }
 
 TEST(Universe, WorldSizeAndRanks) {
@@ -123,54 +125,26 @@ TEST(Universe, MessagesBetweenSamePairStayOrdered) {
   EXPECT_TRUE(universe.failures().empty());
 }
 
-TEST(Universe, IsendIrecvWaitall) {
-  Universe universe;
-  universe.launch("t", 2, [](Context& ctx) {
-    if (ctx.rank() == 0) {
-      std::vector<Request> reqs;
-      for (int i = 0; i < 8; ++i) {
-        const double v = i * 1.5;
-        reqs.push_back(ctx.world().isend(1, i, std::span<const double>(&v, 1)));
-      }
-      wait_all(reqs);
-    } else {
-      std::vector<Request> reqs;
-      for (int i = 0; i < 8; ++i) reqs.push_back(ctx.world().irecv(0, i));
-      for (int i = 0; i < 8; ++i) {
-        EXPECT_DOUBLE_EQ(reqs[static_cast<size_t>(i)].take<double>()[0],
-                         i * 1.5);
-      }
-    }
-  });
-  universe.await_all();
-  EXPECT_TRUE(universe.failures().empty());
-}
-
-TEST(Universe, RecvStatusReportsSourceTagBytes) {
-  Universe universe;
-  universe.launch("t", 2, [](Context& ctx) {
-    if (ctx.rank() == 0) {
-      const std::vector<int> payload{1, 2, 3};
-      ctx.world().send(1, 42, std::span<const int>(payload));
-    } else {
-      Status status;
-      const auto data = ctx.world().recv<int>(kAnySource, kAnyTag, &status);
-      EXPECT_EQ(status.source, 0);
-      EXPECT_EQ(status.tag, 42);
-      EXPECT_EQ(status.bytes, 3 * sizeof(int));
-      EXPECT_EQ(data.size(), 3u);
-    }
-  });
-  universe.await_all();
-  EXPECT_TRUE(universe.failures().empty());
-}
-
 TEST(Universe, RankOutOfRangeThrows) {
   Universe universe;
   universe.launch("t", 2, [](Context& ctx) {
     if (ctx.rank() == 0) {
       EXPECT_THROW(ctx.world().send_value(5, 0, 1), RankError);
       EXPECT_THROW(ctx.world().recv_value<int>(-2, 0), RankError);
+    }
+  });
+  universe.await_all();
+  EXPECT_TRUE(universe.failures().empty());
+}
+
+TEST(Universe, IrecvFromOutOfRangeRankThrows) {
+  // Nothing waits on the requests, so a receive posted without the
+  // check fails here instead of hanging.
+  Universe universe;
+  universe.launch("t", 2, [](Context& ctx) {
+    if (ctx.rank() == 0) {
+      EXPECT_THROW(ctx.world().irecv_bytes(99, 0), RankError);
+      EXPECT_THROW(ctx.world().irecv_bytes(-2, 0), RankError);
     }
   });
   universe.await_all();

@@ -61,38 +61,42 @@ TEST(Rng, UniformIntRejectsInvertedRange) {
 
 TEST(Rng, ExponentialMeanConverges) {
   Rng rng(42);
-  RunningStats stats;
-  for (int i = 0; i < 200000; ++i) stats.add(rng.exponential_mean(10.0));
-  EXPECT_NEAR(stats.mean(), 10.0, 0.15);
+  std::vector<double> samples;
+  for (int i = 0; i < 200000; ++i) {
+    samples.push_back(rng.exponential_mean(10.0));
+  }
+  EXPECT_NEAR(summarize(samples).mean, 10.0, 0.15);
 }
 
 TEST(Rng, HyperexponentialMeanMatchesMixture) {
   Rng rng(42);
-  RunningStats stats;
+  std::vector<double> samples;
   // E = 0.7*5 + 0.3*50 = 18.5
   for (int i = 0; i < 300000; ++i) {
-    stats.add(rng.hyperexponential(0.7, 5.0, 50.0));
+    samples.push_back(rng.hyperexponential(0.7, 5.0, 50.0));
   }
-  EXPECT_NEAR(stats.mean(), 18.5, 0.5);
+  EXPECT_NEAR(summarize(samples).mean, 18.5, 0.5);
 }
 
 TEST(Rng, HyperexponentialIsOverdispersed) {
   Rng rng(9);
-  RunningStats stats;
+  std::vector<double> samples;
   for (int i = 0; i < 100000; ++i) {
-    stats.add(rng.hyperexponential(0.8, 2.0, 40.0));
+    samples.push_back(rng.hyperexponential(0.8, 2.0, 40.0));
   }
   // Coefficient of variation > 1 distinguishes it from a plain
   // exponential.
-  EXPECT_GT(stats.stddev() / stats.mean(), 1.1);
+  const Summary stats = summarize(samples);
+  EXPECT_GT(stats.stddev / stats.mean, 1.1);
 }
 
 TEST(Rng, NormalMoments) {
   Rng rng(5);
-  RunningStats stats;
-  for (int i = 0; i < 200000; ++i) stats.add(rng.normal(3.0, 2.0));
-  EXPECT_NEAR(stats.mean(), 3.0, 0.05);
-  EXPECT_NEAR(stats.stddev(), 2.0, 0.05);
+  std::vector<double> samples;
+  for (int i = 0; i < 200000; ++i) samples.push_back(rng.normal(3.0, 2.0));
+  const Summary stats = summarize(samples);
+  EXPECT_NEAR(stats.mean, 3.0, 0.05);
+  EXPECT_NEAR(stats.stddev, 2.0, 0.05);
 }
 
 TEST(Rng, DiscreteRespectsWeights) {
@@ -129,28 +133,13 @@ TEST(Rng, ShuffleIsPermutation) {
   EXPECT_EQ(v, sorted);
 }
 
-TEST(RunningStats, MeanVarianceMinMax) {
-  RunningStats s;
-  for (double x : {2.0, 4.0, 4.0, 4.0, 5.0, 5.0, 7.0, 9.0}) s.add(x);
-  EXPECT_DOUBLE_EQ(s.mean(), 5.0);
-  EXPECT_NEAR(s.stddev(), std::sqrt(32.0 / 7.0), 1e-12);
-  EXPECT_DOUBLE_EQ(s.min(), 2.0);
-  EXPECT_DOUBLE_EQ(s.max(), 9.0);
-  EXPECT_DOUBLE_EQ(s.sum(), 40.0);
-}
-
-TEST(RunningStats, MergeEqualsCombined) {
-  RunningStats a, b, all;
-  Rng rng(21);
-  for (int i = 0; i < 1000; ++i) {
-    const double x = rng.normal();
-    all.add(x);
-    (i % 2 ? a : b).add(x);
-  }
-  a.merge(b);
-  EXPECT_EQ(a.count(), all.count());
-  EXPECT_NEAR(a.mean(), all.mean(), 1e-9);
-  EXPECT_NEAR(a.variance(), all.variance(), 1e-9);
+TEST(Summary, MomentsOfKnownData) {
+  const Summary s = summarize({2.0, 4.0, 4.0, 4.0, 5.0, 5.0, 7.0, 9.0});
+  EXPECT_DOUBLE_EQ(s.mean, 5.0);
+  EXPECT_NEAR(s.stddev, std::sqrt(32.0 / 7.0), 1e-12);
+  EXPECT_DOUBLE_EQ(s.min, 2.0);
+  EXPECT_DOUBLE_EQ(s.max, 9.0);
+  EXPECT_DOUBLE_EQ(s.sum, 40.0);
 }
 
 TEST(Summary, PercentilesOfKnownData) {
@@ -169,22 +158,6 @@ TEST(Summary, EmptyInputIsZeroed) {
   const Summary s = summarize({});
   EXPECT_EQ(s.count, 0u);
   EXPECT_DOUBLE_EQ(s.mean, 0.0);
-}
-
-TEST(Histogram, BinsAndOverflow) {
-  Histogram h(0.0, 10.0, 10);
-  for (double x : {0.5, 1.5, 1.6, 9.99, 10.0, -0.1}) h.add(x);
-  EXPECT_EQ(h.bin_count(0), 1u);
-  EXPECT_EQ(h.bin_count(1), 2u);
-  EXPECT_EQ(h.bin_count(9), 1u);
-  EXPECT_EQ(h.overflow(), 1u);
-  EXPECT_EQ(h.underflow(), 1u);
-  EXPECT_EQ(h.total(), 6u);
-}
-
-TEST(Histogram, RejectsDegenerateRange) {
-  EXPECT_THROW(Histogram(1.0, 1.0, 4), std::invalid_argument);
-  EXPECT_THROW(Histogram(0.0, 1.0, 0), std::invalid_argument);
 }
 
 TEST(TableWriter, AlignsColumns) {
