@@ -41,7 +41,7 @@ void BM_MailboxPostedReceive(benchmark::State& state) {
     envelope.tag = 7;
     envelope.data.resize(64);
     mailbox.deposit(std::move(envelope));
-    benchmark::DoNotOptimize(request.wait());
+    benchmark::DoNotOptimize(request.take_data());
   }
 }
 BENCHMARK(BM_MailboxPostedReceive);

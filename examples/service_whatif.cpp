@@ -65,8 +65,7 @@ int main() {
   const double kHorizon = 8.0 * 3600;
 
   std::printf("== live feed (sampled every %.0f s) ==\n", config.sample_period);
-  service.set_sample_sink(
-      [](const std::string& line) { std::printf("%s\n", line.c_str()); });
+  std::size_t printed = 0;
   while (service.now() < kSnapshotTime) {
     while (arrival <= service.now() + 60.0) {
       const auto result = service.queue().push(make_request(rng, tag, arrival));
@@ -75,8 +74,11 @@ int main() {
       arrival += rng.exponential_mean(kMeanInterarrival);
     }
     service.advance_to(service.now() + 60.0);
+    const auto& samples = service.sample_records();
+    for (; printed < samples.size(); ++printed) {
+      std::printf("%s\n", samples[printed].to_json().c_str());
+    }
   }
-  service.set_sample_sink(nullptr);
 
   // The rest of the day's schedule is already known to the ingest layer:
   // accept it now (future arrivals are legal in the submission log), so

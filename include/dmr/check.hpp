@@ -12,9 +12,9 @@
 //  - federation id-range disjointness and routing-stride consistency,
 //  - byte conservation per dmr::redist report.
 // Violations collect into a structured chk::Report (JSON with the
-// BENCH_*.json provenance fields); Options::fail_fast throws
-// chk::AuditError at the first one instead.  Detached, every emit site
-// it would read is one interest-mask test.
+// BENCH_*.json provenance fields; the first 64 are stored, the rest
+// counted).  Detached, every emit site it would read is one
+// interest-mask test.
 //
 // The static half of the chk:: layer is tools/dmr_lint (build target
 // `dmr_lint`, ctest `lint`): the project-rule checker that keeps

@@ -7,7 +7,6 @@
 #include "util/chart.hpp"   // IWYU pragma: export
 #include "util/clock.hpp"   // IWYU pragma: export
 #include "util/config.hpp"  // IWYU pragma: export
-#include "util/log.hpp"     // IWYU pragma: export
 #include "util/rng.hpp"     // IWYU pragma: export
 #include "util/stats.hpp"   // IWYU pragma: export
 #include "util/table.hpp"   // IWYU pragma: export

@@ -66,10 +66,6 @@ std::string Report::describe() const {
   return out.str();
 }
 
-AuditError::AuditError(const Violation& violation_in)
-    : std::logic_error("chk: " + format_violation(violation_in)),
-      violation(violation_in) {}
-
 const char* Auditor::phase_name(Phase phase) {
   switch (phase) {
     case Phase::Queued:
@@ -86,10 +82,9 @@ const char* Auditor::phase_name(Phase phase) {
 
 void Auditor::violate(const char* invariant, ::dmr::JobId job, double now,
                       std::string message) {
-  Violation violation{invariant, std::move(message), job, now};
-  if (options_.fail_fast) throw AuditError(violation);
-  if (report_.violations.size() < options_.max_violations) {
-    report_.violations.push_back(std::move(violation));
+  if (report_.violations.size() < kMaxStoredViolations) {
+    report_.violations.push_back(
+        Violation{invariant, std::move(message), job, now});
   } else {
     ++report_.dropped_violations;
   }

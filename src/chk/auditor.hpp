@@ -27,15 +27,13 @@
 //    sane transfer/lane/second counts.
 //
 // Violations are collected into a structured chk::Report (JSON with the
-// same provenance fields as the BENCH_*.json rows); Options::fail_fast
-// instead aborts the run at the first violation by throwing AuditError.
-// Detached (the default), every emit site it reads is one mask test.
+// same provenance fields as the BENCH_*.json rows); the run itself goes
+// on.  Detached (the default), every emit site it reads is one mask test.
 #pragma once
 
 #include <cstdint>
 #include <map>
 #include <mutex>
-#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -73,7 +71,8 @@ struct Report {
   long long placement_checks = 0;
   long long federation_audits = 0;
   long long redist_reports = 0;
-  /// Violations past Options::max_violations are counted, not stored.
+  /// Violations past Auditor::kMaxStoredViolations are counted, not
+  /// stored.
   long long dropped_violations = 0;
 
   bool ok() const { return violations.empty() && dropped_violations == 0; }
@@ -88,27 +87,13 @@ struct Report {
   std::string describe() const;
 };
 
-/// Thrown by a fail-fast auditor at the first violation.
-class AuditError : public std::logic_error {
- public:
-  explicit AuditError(const Violation& violation);
-  const Violation violation;
-};
-
 /// All entry points are serialized on an internal mutex: one auditor may
 /// serve every worker thread of a sweep.
 class Auditor final : public obs::Sink {
  public:
-  struct Options {
-    /// Throw AuditError at the first violation instead of collecting.
-    bool fail_fast = false;
-    /// Stored-violation cap; the rest are counted in dropped_violations
-    /// (reported, never silently lost).
-    std::size_t max_violations = 64;
-  };
-
-  Auditor() = default;
-  explicit Auditor(Options options) : options_(options) {}
+  /// Stored-violation cap; the rest are counted in dropped_violations
+  /// (reported, never silently lost).
+  static constexpr std::size_t kMaxStoredViolations = 64;
 
   // --- the event stream ------------------------------------------------------
 
@@ -176,14 +161,13 @@ class Auditor final : public obs::Sink {
   enum class Phase { Queued, Running, Reconfiguring, Done };
   static const char* phase_name(Phase phase);
 
-  /// Record (or, fail-fast, throw) one violation.
+  /// Record one violation.
   void violate(const char* invariant, ::dmr::JobId job, double now,
                std::string message);
   /// DFA edge helper: job must currently be in `from`; moves it to `to`.
   void lifecycle_edge(::dmr::JobId id, double now, Phase from, Phase to,
                       const char* edge);
 
-  Options options_;
   mutable std::mutex mutex_;
   Report report_;
   std::map<::dmr::JobId, Phase> phases_;

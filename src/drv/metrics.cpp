@@ -1,25 +1,10 @@
 #include "drv/metrics.hpp"
 
-#include <sstream>
-
 namespace dmr::drv {
 
 double gain_percent(double fixed, double flexible) {
   if (fixed <= 0.0) return 0.0;
   return (fixed - flexible) / fixed * 100.0;
-}
-
-std::string describe(const WorkloadMetrics& metrics) {
-  std::ostringstream out;
-  out << "jobs=" << metrics.jobs << " makespan=" << metrics.makespan
-      << "s util=" << metrics.utilization * 100.0 << "%"
-      << " wait=" << metrics.wait.mean << "s exec=" << metrics.execution.mean
-      << "s completion=" << metrics.completion.mean << "s expands="
-      << metrics.expands << " shrinks=" << metrics.shrinks
-      << " redistributed="
-      << static_cast<double>(metrics.bytes_redistributed) / (1 << 20)
-      << "MB in " << metrics.redistribution_seconds << "s";
-  return out.str();
 }
 
 }  // namespace dmr::drv

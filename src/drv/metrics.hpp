@@ -85,7 +85,4 @@ struct WorkloadMetrics {
 /// quantity (the paper's bar labels).
 double gain_percent(double fixed, double flexible);
 
-/// Human-readable one-line summary.
-std::string describe(const WorkloadMetrics& metrics);
-
 }  // namespace dmr::drv

@@ -3,8 +3,6 @@
 #include <algorithm>
 #include <stdexcept>
 
-#include "util/log.hpp"
-
 namespace dmr::fed {
 
 Federation::Federation(FederationConfig config) : config_(std::move(config)) {
@@ -130,9 +128,6 @@ JobId Federation::submit(JobSpec spec, double now) {
           ")");
     }
     ++placements_[0];
-    DMR_DEBUG("fed") << "route '" << spec.name << "' ("
-                     << spec.requested_nodes << " nodes) -> "
-                     << cluster_name(0) << " via " << policy_->name();
     return managers_.front()->submit(std::move(spec), now);
   }
   const std::vector<ClusterStatus> all = statuses(spec);
@@ -159,9 +154,6 @@ JobId Federation::submit(JobSpec spec, double now) {
                            std::to_string(picked));
   }
   ++placements_[static_cast<std::size_t>(picked)];
-  DMR_DEBUG("fed") << "route '" << spec.name << "' (" << spec.requested_nodes
-                   << " nodes) -> " << cluster_name(picked) << " via "
-                   << policy_->name();
   const int nodes = spec.requested_nodes;
   rms::Manager& member = *managers_[static_cast<std::size_t>(picked)];
   const JobId id = member.submit(std::move(spec), now);
@@ -251,15 +243,8 @@ double Federation::conservative_speed(const std::string& partition) const {
   return slowest;
 }
 
-void Federation::set_placement(Placement placement) {
-  config_.placement = placement;
-  config_.policy.reset();
-  policy_ = std::shared_ptr<PlacementPolicy>(make_placement(placement));
-}
-
-void Federation::add_nodes(int member, int count,
-                           const std::string& partition, double now) {
-  manager(member).add_nodes(count, partition, now);
+void Federation::add_nodes(int count, double now) {
+  managers_.front()->add_nodes(count, now);
   total_nodes_ += count;
 }
 

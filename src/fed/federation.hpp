@@ -108,15 +108,11 @@ class Federation : public ::dmr::Rms {
   const std::vector<long long>& placements() const { return placements_; }
   const PlacementPolicy& placement_policy() const { return *policy_; }
 
-  // --- live reconfiguration (service-mode what-if hooks) ---------------------
+  // --- live reconfiguration (the service's what-if hook) ---------------------
 
-  /// Swap the placement policy at runtime; affects submissions from now
-  /// on (jobs already routed stay where they are).
-  void set_placement(Placement placement);
-  /// Grow `member`'s cluster by `count` idle nodes (in `partition`, the
-  /// member's first partition when empty) at simulated time `now`.
-  void add_nodes(int member, int count, const std::string& partition,
-                 double now);
+  /// Grow member 0's first partition by `count` idle nodes at simulated
+  /// time `now`.
+  void add_nodes(int count, double now);
 
   /// Slowest speed a job constrained to `partition` (empty = any) could
   /// be gated by on any member able to host it: the pinned partition's

@@ -30,9 +30,9 @@ struct Chunk {
 
 template <typename Filter>
 std::vector<Chunk> enumerate_chunks(const Endpoint& endpoint,
-                                    const Registry& registry,
-                                    std::size_t chunk_bytes, bool sending,
+                                    const Registry& registry, bool sending,
                                     Filter mine) {
+  constexpr std::size_t chunk_bytes = PipelinedChunks::kChunkBytes;
   std::vector<Chunk> chunks;
   for (std::size_t i = 0; i < registry.size(); ++i) {
     const Binding& binding = registry.at(i);
@@ -56,16 +56,6 @@ std::vector<Chunk> enumerate_chunks(const Endpoint& endpoint,
 
 }  // namespace
 
-PipelinedChunks::PipelinedChunks(PipelinedOptions options)
-    : options_(options) {
-  if (options_.chunk_bytes == 0) {
-    throw std::invalid_argument("PipelinedChunks: zero chunk size");
-  }
-  if (options_.max_in_flight <= 0) {
-    throw std::invalid_argument("PipelinedChunks: non-positive window");
-  }
-}
-
 Report PipelinedChunks::send(const Endpoint& endpoint,
                              const Registry& registry) {
   Report report;
@@ -73,24 +63,16 @@ Report PipelinedChunks::send(const Endpoint& endpoint,
   report.lanes = std::max(1, std::min(endpoint.old_size, endpoint.new_size));
   const double start = wall_seconds();
   const auto chunks = enumerate_chunks(
-      endpoint, registry, options_.chunk_bytes, /*sending=*/true,
+      endpoint, registry, /*sending=*/true,
       [&](const Transfer& t) { return t.src_rank == endpoint.rank; });
-  // Stream the chunks with a bounded window of outstanding isends.
-  std::deque<smpi::Request> window;
   for (const Chunk& chunk : chunks) {
     const Binding& owner =
         registry.at(static_cast<std::size_t>(chunk.tag - kPipeTagBase));
-    if (static_cast<int>(window.size()) >= options_.max_in_flight) {
-      window.front().wait();
-      window.pop_front();
-    }
-    window.push_back(endpoint.link->isend_bytes(
-        chunk.peer, chunk.tag,
-        owner.read().subspan(chunk.offset, chunk.size)));
+    endpoint.link->send_bytes(chunk.peer, chunk.tag,
+                              owner.read().subspan(chunk.offset, chunk.size));
     report.bytes_moved += chunk.size;
     ++report.transfers;
   }
-  for (auto& request : window) request.wait();
   report.seconds = wall_seconds() - start;
   return report;
 }
@@ -109,16 +91,16 @@ Report PipelinedChunks::recv(const Endpoint& endpoint, Registry& registry) {
     storage[i] = binding.resize(dist.local_count(endpoint.rank));
   }
   const auto chunks = enumerate_chunks(
-      endpoint, registry, options_.chunk_bytes, /*sending=*/false,
+      endpoint, registry, /*sending=*/false,
       [&](const Transfer& t) { return t.dst_rank == endpoint.rank; });
-  // Bounded look-ahead: keep up to max_in_flight receives posted, then
+  // Bounded look-ahead: keep up to kMaxInFlight receives posted, then
   // complete them in enumeration order (FIFO per (source, tag) matches
   // the sender's chunk order).
   std::deque<smpi::Request> window;
   std::size_t posted = 0;
   for (std::size_t done = 0; done < chunks.size(); ++done) {
     while (posted < chunks.size() &&
-           posted - done < static_cast<std::size_t>(options_.max_in_flight)) {
+           posted - done < static_cast<std::size_t>(kMaxInFlight)) {
       window.push_back(endpoint.link->irecv_bytes(chunks[posted].peer,
                                                   chunks[posted].tag));
       ++posted;

@@ -6,9 +6,8 @@
 
 namespace dmr::rms {
 
-Cluster::Cluster(int node_count, std::string name_prefix)
-    : Cluster(std::vector<Partition>{
-          Partition{std::move(name_prefix), node_count, 1.0}}) {}
+Cluster::Cluster(int node_count)
+    : Cluster(std::vector<Partition>{Partition{"vnode", node_count, 1.0}}) {}
 
 Cluster::Cluster(std::vector<Partition> partitions)
     : partitions_(std::move(partitions)) {
@@ -126,14 +125,12 @@ std::vector<int> pack_partition_order(
   return order;
 }
 
-void Cluster::add_nodes(int count, int partition) {
+void Cluster::add_nodes(int count) {
   if (count <= 0) {
     throw std::invalid_argument("Cluster: non-positive node count to add");
   }
-  if (partition < 0 || partition >= partition_count()) {
-    throw std::out_of_range("Cluster: add_nodes partition out of range");
-  }
-  Partition& part = partitions_[static_cast<std::size_t>(partition)];
+  constexpr int partition = 0;
+  Partition& part = partitions_.front();
   int local = part.nodes;
   for (int added = 0; added < count; ++added, ++local) {
     Node node;

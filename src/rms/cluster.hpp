@@ -80,7 +80,8 @@ struct Node {
 
 class Cluster {
  public:
-  explicit Cluster(int node_count, std::string name_prefix = "vnode");
+  /// Homogeneous cluster of one partition; nodes are "vnode<i>".
+  explicit Cluster(int node_count);
   /// Heterogeneous cluster: one node range per partition, ids assigned in
   /// declaration order.  Node names are "<partition><local-index>".
   explicit Cluster(std::vector<Partition> partitions);
@@ -96,7 +97,6 @@ class Cluster {
   /// The scheduler's pass mirrors whatever is set here, so change it only
   /// between passes (the manager sets it once at construction).
   void set_alloc_policy(AllocPolicy policy) { alloc_policy_ = policy; }
-  AllocPolicy alloc_policy() const { return alloc_policy_; }
   const Partition& partition(int index) const {
     return partitions_.at(static_cast<std::size_t>(index));
   }
@@ -115,12 +115,13 @@ class Cluster {
     return nodes_.at(static_cast<std::size_t>(id));
   }
 
-  /// Grow a partition by `count` idle nodes (the service's "+N nodes"
-  /// what-if).  New nodes get the next ids and continue the partition's
-  /// local naming; existing allocations are untouched.  All node lookups
-  /// go through the per-node partition index, so the appended range is
-  /// legal even when it makes the partition's id range non-contiguous.
-  void add_nodes(int count, int partition = 0);
+  /// Grow the first partition by `count` idle nodes (the service's "+N
+  /// nodes" what-if).  New nodes get the next ids and continue the
+  /// partition's local naming; existing allocations are untouched.  All
+  /// node lookups go through the per-node partition index, so the
+  /// appended range is legal even when it makes the partition's id range
+  /// non-contiguous.
+  void add_nodes(int count);
 
   /// Allocate `count` idle nodes to `job`; returns their ids.  When
   /// `partition` is not kAnyPartition only that partition's nodes are

@@ -3,8 +3,6 @@
 #include <algorithm>
 #include <stdexcept>
 
-#include "util/log.hpp"
-
 namespace dmr::rms {
 
 namespace {
@@ -142,8 +140,6 @@ JobId Manager::submit(JobSpec spec, double now) {
   job.submit_time = now;
   job.state = JobState::Pending;
   const JobId id = job.id;
-  DMR_DEBUG("rms") << "submit job " << id << " '" << job.spec.name << "' ("
-                   << job.requested_nodes << " nodes) at t=" << now;
   Job& stored = jobs_.emplace_back(std::move(job));
   dependents_.emplace_back();  // keeps the dense index parallel to jobs_
   enqueue(stored);
@@ -173,22 +169,12 @@ void Manager::start_job(Job& job, double now) {
     user_allocated_nodes_ += job.allocated();
     ++user_running_jobs_;
   }
-  DMR_DEBUG("rms") << "start job " << job.id << " on " << job.allocated()
-                   << " nodes at t=" << now;
   emit(obs::EventKind::kStarted, job.id, now, 0, job.allocated());
   emit(obs::EventKind::kAllocChanged, kInvalidJob, now);
 }
 
-void Manager::add_nodes(int count, const std::string& partition, double now) {
-  int index = 0;
-  if (!partition.empty()) {
-    index = cluster_.partition_index(partition);
-    if (index == kAnyPartition) {
-      throw std::invalid_argument("Manager: add_nodes to unknown partition '" +
-                                  partition + "'");
-    }
-  }
-  cluster_.add_nodes(count, index);
+void Manager::add_nodes(int count, double now) {
+  cluster_.add_nodes(count);
   placements_dirty_ = true;
   emit(obs::EventKind::kAllocChanged, kInvalidJob, now);
 }
@@ -260,9 +246,6 @@ std::vector<JobId> Manager::schedule(double now) {
             head_idle > 0) {
           molded = true;
           const int size = std::min(head->requested_nodes, head_idle);
-          DMR_DEBUG("rms") << "molding job " << head->id << " from "
-                           << head->requested_nodes << " to " << size
-                           << " nodes";
           job_mutable(head->id).requested_nodes = size;
           to_start.push_back(head);
         }
@@ -364,7 +347,6 @@ void Manager::cancel_dependents(JobId parent, double now) {
 void Manager::cancel(JobId id, double now) {
   Job& job = job_mutable(id);
   if (job.finished()) return;
-  DMR_DEBUG("rms") << "cancel job " << id << " at t=" << now;
   finish_job(job, now, JobState::Cancelled);
   schedule(now);
 }
@@ -374,7 +356,6 @@ void Manager::job_finished(JobId id, double now) {
   if (!job.running()) {
     throw std::logic_error("Manager: job_finished on non-running job");
   }
-  DMR_DEBUG("rms") << "finish job " << id << " at t=" << now;
   finish_job(job, now, JobState::Completed);
   schedule(now);
 }
@@ -513,8 +494,6 @@ Outcome Manager::dmr_apply_impl(JobId id, const Decision& decision,
       emit(obs::EventKind::kExpanded, id, now, decision.new_size - extra,
            decision.new_size);
       emit(obs::EventKind::kAllocChanged, kInvalidJob, now);
-      DMR_DEBUG("rms") << "job " << id << " expanded to " << job.allocated()
-                       << " nodes at t=" << now;
       return outcome;
     }
 
@@ -546,8 +525,6 @@ Outcome Manager::dmr_apply_impl(JobId id, const Decision& decision,
       ++counters_.shrinks;
       emit(obs::EventKind::kShrinkBegun, id, now, job.allocated(),
            decision.new_size);
-      DMR_DEBUG("rms") << "job " << id << " shrinking to "
-                       << decision.new_size << " nodes at t=" << now;
       return outcome;
     }
   }
@@ -579,8 +556,6 @@ void Manager::complete_shrink(JobId id, double now) {
   placements_dirty_ = true;
   emit(obs::EventKind::kShrinkEnded, id, now, old_size, job.allocated());
   emit(obs::EventKind::kAllocChanged, kInvalidJob, now);
-  DMR_DEBUG("rms") << "job " << id << " shrunk to " << job.allocated()
-                   << " nodes at t=" << now;
   schedule(now);
 }
 

@@ -104,16 +104,11 @@ class Manager : public ::dmr::Rms {
   /// reschedules (the boosted job should start here).
   void complete_shrink(JobId id, double now) override;
 
-  // --- live reconfiguration (service-mode what-if hooks) ---------------------
+  // --- live reconfiguration (the service's what-if hook) ---------------------
 
-  /// Grow the cluster by `count` idle nodes in `partition` (the first
-  /// partition when empty; unknown names throw).  Marks placements dirty
-  /// so the next schedule() sees the new capacity.
-  void add_nodes(int count, const std::string& partition, double now);
-  /// Flip Algorithm 1's shrink priority boost at runtime.
-  void set_shrink_priority_boost(bool enabled) {
-    config_.shrink_priority_boost = enabled;
-  }
+  /// Grow the first partition by `count` idle nodes.  Marks placements
+  /// dirty so the next schedule() sees the new capacity.
+  void add_nodes(int count, double now);
 
   // --- queries ---------------------------------------------------------------
 

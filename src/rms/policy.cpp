@@ -2,8 +2,6 @@
 
 #include <stdexcept>
 
-#include "util/log.hpp"
-
 namespace dmr::rms {
 
 // Both run at every reconfiguring point that reaches the RMS, so they

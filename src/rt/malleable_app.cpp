@@ -5,7 +5,6 @@
 
 #include "redist/p2p_plan.hpp"
 #include "util/clock.hpp"
-#include "util/log.hpp"
 
 namespace dmr::rt {
 

@@ -33,11 +33,10 @@ using StateFactory = std::function<std::unique_ptr<AppState>()>;
 using ForcedDecision =
     std::function<std::optional<ResizeDecision>(int step, int current_size)>;
 
+/// The loop's own settings; the DMR request and the inhibitor period
+/// belong to the ReconfigPoint the loop checks through.
 struct MalleableConfig {
   int total_steps = 1;
-  /// The DMR API arguments (min / max / factor / preferred).
-  ::dmr::Request request;
-  double inhibitor_period = 0.0;
   /// Use dmr_icheck_status instead of dmr_check_status.
   bool asynchronous = false;
   /// When set, bypass the runtime negotiation entirely.

@@ -72,18 +72,6 @@ std::vector<std::byte> Comm::recv_bytes(int source, int tag) const {
   return receiving_mailbox(source).receive(source, tag).data;
 }
 
-Request Comm::isend_bytes(int dest, int tag,
-                          std::span<const std::byte> data) const {
-  // Standard-mode send with eager buffering: the payload is copied into
-  // the envelope, so the operation completes locally at once.
-  send_bytes(dest, tag, data);
-  Status status;
-  status.source = rank_;
-  status.tag = tag;
-  status.bytes = data.size();
-  return Request::completed(status);
-}
-
 Request Comm::irecv_bytes(int source, int tag) const {
   return receiving_mailbox(source).post_receive(source, tag);
 }

@@ -68,7 +68,7 @@ class Comm {
   void send_bytes(int dest, int tag, std::span<const std::byte> data) const;
   /// Blocking receive; returns the payload.
   std::vector<std::byte> recv_bytes(int source, int tag) const;
-  Request isend_bytes(int dest, int tag, std::span<const std::byte> data) const;
+  /// Nonblocking receive; the Request's take_data() yields the payload.
   Request irecv_bytes(int source, int tag) const;
 
   template <typename T>

@@ -6,15 +6,11 @@ namespace dmr::smpi {
 
 void Mailbox::deposit(Envelope envelope) {
   std::shared_ptr<detail::RequestState> to_complete;
-  Status status;
   {
     std::lock_guard<std::mutex> lock(mu_);
     for (auto it = pending_.begin(); it != pending_.end(); ++it) {
       if (matches(envelope, it->source, it->tag)) {
         to_complete = it->request;
-        status.source = envelope.source;
-        status.tag = envelope.tag;
-        status.bytes = envelope.data.size();
         pending_.erase(it);
         break;
       }
@@ -25,7 +21,7 @@ void Mailbox::deposit(Envelope envelope) {
       return;
     }
   }
-  to_complete->complete(status, std::move(envelope.data));
+  to_complete->complete(std::move(envelope.data));
 }
 
 Envelope Mailbox::receive(int source, int tag) {
@@ -60,13 +56,7 @@ Request Mailbox::post_receive(int source, int tag) {
       pending_.push_back(Pending{source, tag, state});
     }
   }
-  if (found) {
-    Status status;
-    status.source = matched.source;
-    status.tag = matched.tag;
-    status.bytes = matched.data.size();
-    state->complete(status, std::move(matched.data));
-  }
+  if (found) state->complete(std::move(matched.data));
   return Request(std::move(state));
 }
 

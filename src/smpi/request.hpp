@@ -16,13 +16,11 @@ struct RequestState {
   std::mutex mu;
   std::condition_variable cv;
   bool done = false;
-  Status status;
-  std::vector<std::byte> data;  // payload for receives
+  std::vector<std::byte> data;  // the received payload
 
-  void complete(Status st, std::vector<std::byte> payload) {
+  void complete(std::vector<std::byte> payload) {
     {
       std::lock_guard<std::mutex> lock(mu);
-      status = st;
       data = std::move(payload);
       done = true;
     }
@@ -31,22 +29,13 @@ struct RequestState {
 };
 }  // namespace detail
 
-/// Handle for an in-flight isend/irecv.  Copyable (shared state); wait()
-/// blocks until completion and returns the Status.  For receives, the
-/// payload is retrieved with take_data().
+/// Handle for an in-flight irecv.  Copyable (shared state); take_data()
+/// blocks until completion and moves the payload out.
 class Request {
  public:
   Request() = default;
   explicit Request(std::shared_ptr<detail::RequestState> state)
       : state_(std::move(state)) {}
-
-  /// An already-complete request (used for buffered isend).
-  static Request completed(Status st) {
-    auto state = std::make_shared<detail::RequestState>();
-    state->status = st;
-    state->done = true;
-    return Request(std::move(state));
-  }
 
   bool test() const {
     if (!state_) return true;
@@ -54,14 +43,7 @@ class Request {
     return state_->done;
   }
 
-  Status wait() {
-    if (!state_) throw SmpiError("Request::wait on empty request");
-    std::unique_lock<std::mutex> lock(state_->mu);
-    state_->cv.wait(lock, [&] { return state_->done; });
-    return state_->status;
-  }
-
-  /// Move the received payload out (receives only; empty for sends).
+  /// Wait for the matching send, then move the received payload out.
   std::vector<std::byte> take_data() {
     if (!state_) throw SmpiError("Request::take_data on empty request");
     std::unique_lock<std::mutex> lock(state_->mu);

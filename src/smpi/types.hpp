@@ -6,7 +6,6 @@
 // exact surface the DMR malleability mechanism needs from MPI.
 #pragma once
 
-#include <cstddef>
 #include <cstdint>
 #include <stdexcept>
 #include <string>
@@ -23,13 +22,6 @@ constexpr int kTagBcast = kReservedTagBase - 2;
 constexpr int kTagReduce = kReservedTagBase - 3;
 constexpr int kTagGather = kReservedTagBase - 4;
 constexpr int kTagScatter = kReservedTagBase - 5;
-
-/// Completion metadata of a receive (MPI_Status analogue).
-struct Status {
-  int source = kAnySource;
-  int tag = kAnyTag;
-  std::size_t bytes = 0;
-};
 
 class SmpiError : public std::runtime_error {
  public:

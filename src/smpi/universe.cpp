@@ -2,8 +2,6 @@
 
 #include <sstream>
 
-#include "util/log.hpp"
-
 namespace dmr::smpi {
 
 const std::vector<std::string>& Context::hosts() const {
@@ -79,9 +77,6 @@ ProcessSet& Universe::launch_internal(
   set->world_state_ =
       detail::CommState::make_intra(set->name_ + ":world", nprocs);
   total_ranks_.fetch_add(nprocs);
-
-  DMR_DEBUG("smpi") << "launching set '" << set_ptr->name_ << "' with "
-                    << nprocs << " ranks";
 
   auto shared_entry = std::make_shared<Entry>(std::move(entry));
   set->threads_.reserve(static_cast<std::size_t>(nprocs));

@@ -4,7 +4,7 @@
 #include <cmath>
 #include <stdexcept>
 
-#include "apps/models.hpp"
+#include "drv/plan.hpp"
 
 namespace dmr::svc {
 
@@ -12,6 +12,29 @@ namespace {
 
 /// Submission ring capacity (a power of two).
 constexpr std::size_t kQueueCapacity = 1024;
+
+/// The plan of an accepted request.  The request is outside input: a
+/// malformed one is rejected and its bounds are clamped to contain its
+/// size before the shared conversion sees them.
+drv::JobPlan plan_of(const JobRequest& request) {
+  if (request.nodes <= 0 || request.steps <= 0 || request.runtime < 0.0) {
+    throw std::invalid_argument("Service: malformed job request");
+  }
+  wl::WorkloadJob job;
+  job.arrival = request.arrival;
+  job.nodes = request.nodes;
+  job.runtime = request.runtime;
+  job.min_nodes = std::max(1, request.min_nodes);
+  job.max_nodes = std::max(request.nodes, request.max_nodes);
+  drv::PlanShape shape;
+  shape.steps = request.steps;
+  shape.flexible = request.flexible;
+  shape.moldable = request.moldable;
+  shape.state_bytes = request.state_bytes;
+  drv::JobPlan plan = drv::plan_job(job, shape);
+  plan.partition = request.partition;
+  return plan;
+}
 
 /// The driver config the service actually runs: the caller's, with the
 /// service-owned attributor patched in when wait attribution is on and
@@ -57,7 +80,7 @@ bool Service::submit(JobRequest request) {
     first_arrival_ = request.arrival;
   }
   log_.push_back(request);
-  driver_.submit_at(to_plan(request));
+  driver_.submit_at(plan_of(request));
   ++accepted_;
   return true;
 }
@@ -90,26 +113,6 @@ bool Service::drain(double max_sim_time) {
     if (engine_.now() >= max_sim_time) return false;
     advance_to(std::min(max_sim_time, engine_.now() + config_.sample_period));
   }
-}
-
-drv::JobPlan Service::to_plan(const JobRequest& request) const {
-  if (request.nodes <= 0 || request.steps <= 0 || request.runtime < 0.0) {
-    throw std::invalid_argument("Service: malformed job request");
-  }
-  drv::JobPlan plan;
-  plan.arrival = request.arrival;
-  plan.model = apps::fs_model(request.steps, request.nodes,
-                              request.runtime / request.steps,
-                              request.max_nodes, request.state_bytes);
-  plan.model.request.min_procs = std::max(1, request.min_nodes);
-  plan.model.request.max_procs = std::max(request.nodes, request.max_nodes);
-  plan.submit_nodes = request.nodes;
-  const bool rigid =
-      request.min_nodes == request.nodes && request.max_nodes == request.nodes;
-  plan.flexible = request.flexible && !rigid;
-  plan.moldable = request.moldable;
-  plan.partition = request.partition;
-  return plan;
 }
 
 void Service::take_sample() {
@@ -158,26 +161,12 @@ void Service::take_sample() {
                 .federation = &federation, .sample = &sample});
   }
   window_.rotate();
-  samples_.push_back(sample);
-  lines_.push_back(sample.to_json());
-  if (sink_) sink_(lines_.back());
+  samples_.push_back(std::move(sample));
 }
 
-void Service::add_nodes(int count, int member, const std::string& partition) {
-  driver_.federation_mutable().add_nodes(member, count, partition,
-                                         engine_.now());
+void Service::add_nodes(int count) {
+  driver_.federation_mutable().add_nodes(count, engine_.now());
   driver_.federation_mutable().schedule(engine_.now());
-}
-
-void Service::set_placement(fed::Placement placement) {
-  driver_.federation_mutable().set_placement(placement);
-}
-
-void Service::set_shrink_boost(bool enabled) {
-  fed::Federation& federation = driver_.federation_mutable();
-  for (int c = 0; c < federation.cluster_count(); ++c) {
-    federation.manager(c).set_shrink_priority_boost(enabled);
-  }
 }
 
 }  // namespace dmr::svc

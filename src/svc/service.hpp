@@ -15,9 +15,9 @@
 //    p50/p95/p99 wait/response quantiles;
 //  - snapshot() captures the service state at a simulated instant as
 //    (config, accepted-submission log, clock); svc::restore() rebuilds
-//    it by deterministic replay, and svc::fork_and_run() branches
-//    what-if hypotheses (add nodes, switch placement, flip shrink boost)
-//    from the same instant (see svc/snapshot.hpp).
+//    it by deterministic replay, and svc::fork_and_run() branches a
+//    what-if hypothesis (add nodes) from the same instant (see
+//    svc/snapshot.hpp).
 //
 // Time model: the caller owns the pace.  advance_to(t) pumps the ring
 // and runs the event loop to simulated time t; drain() advances in
@@ -28,7 +28,6 @@
 
 #include <functional>
 #include <memory>
-#include <string>
 #include <vector>
 
 #include "drv/workload_driver.hpp"
@@ -91,14 +90,9 @@ class Service {
 
   // --- observability ---------------------------------------------------------
 
-  /// Emitted samples, in time order (JSON lines mirror sample_records).
-  const std::vector<std::string>& sample_lines() const { return lines_; }
+  /// Emitted samples, in time order (a sample's JSON line is its
+  /// to_json()).
   const std::vector<MetricsSample>& sample_records() const { return samples_; }
-  /// Streaming sink for sample JSON lines (stdout tailers); called in
-  /// addition to the in-memory log.
-  void set_sample_sink(std::function<void(const std::string&)> sink) {
-    sink_ = std::move(sink);
-  }
 
   /// Batch metrics over the jobs completed so far (callable any time).
   drv::WorkloadMetrics metrics() const { return driver_.collect_metrics(); }
@@ -120,19 +114,13 @@ class Service {
   /// Accepted submissions in acceptance order (the snapshot log).
   const std::vector<JobRequest>& submission_log() const { return log_; }
 
-  // --- live what-if hooks ----------------------------------------------------
+  // --- live what-if hook -----------------------------------------------------
 
-  /// Grow a member cluster by `count` nodes right now and reschedule, so
-  /// pending jobs can take the new capacity immediately.
-  void add_nodes(int count, int member = 0, const std::string& partition = "");
-  /// Swap the federation's placement policy for future submissions.
-  void set_placement(fed::Placement placement);
-  /// Flip Algorithm 1's shrink priority boost on every member.
-  void set_shrink_boost(bool enabled);
+  /// Grow member 0's first partition by `count` nodes right now and
+  /// reschedule, so pending jobs can take the new capacity immediately.
+  void add_nodes(int count);
 
  private:
-  /// JobRequest -> JobPlan (the FS model, mirroring plans_from_workload).
-  drv::JobPlan to_plan(const JobRequest& request) const;
   void take_sample();
 
   ServiceConfig config_;
@@ -148,11 +136,9 @@ class Service {
   MetricsWindow window_;
   std::vector<JobRequest> log_;
   std::vector<MetricsSample> samples_;
-  std::vector<std::string> lines_;
   /// The self-rescheduling sampler event (captures only `this`; the
   /// engine holds copies, so no ownership cycle).
   std::function<void()> sampler_;
-  std::function<void(const std::string&)> sink_;
   long long accepted_ = 0;
   long long rejected_stale_ = 0;
   double first_arrival_ = -1.0;

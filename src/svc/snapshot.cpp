@@ -214,12 +214,7 @@ std::unique_ptr<Service> restore(const Snapshot& snapshot) {
 std::string WhatIf::describe() const {
   std::ostringstream out;
   out << label << ":";
-  if (add_nodes > 0) {
-    out << " +" << add_nodes << " nodes@member" << member;
-    if (!partition.empty()) out << "/" << partition;
-  }
-  if (placement) out << " placement=" << fed::to_string(*placement);
-  if (shrink_boost) out << " shrink_boost=" << (*shrink_boost ? "on" : "off");
+  if (add_nodes > 0) out << " +" << add_nodes << " nodes@member0";
   return out.str();
 }
 
@@ -229,12 +224,8 @@ ForkRun run_branch(const Snapshot& snap, const WhatIf* whatif, double horizon,
                    const std::string& label) {
   const double start = util::wall_seconds();
   std::unique_ptr<Service> service = restore(snap);
-  if (whatif != nullptr) {
-    if (whatif->add_nodes > 0) {
-      service->add_nodes(whatif->add_nodes, whatif->member, whatif->partition);
-    }
-    if (whatif->placement) service->set_placement(*whatif->placement);
-    if (whatif->shrink_boost) service->set_shrink_boost(*whatif->shrink_boost);
+  if (whatif != nullptr && whatif->add_nodes > 0) {
+    service->add_nodes(whatif->add_nodes);
   }
   service->advance_to(horizon);
   ForkRun run;

@@ -11,16 +11,14 @@
 // everything observable), which buys deterministic replay debugging for
 // free: any live state is reproducible from its snapshot.
 //
-// Forks branch hypotheses from the captured instant: fork_and_run()
-// replays the baseline and a mutated variant ("+64 nodes", "switch
-// placement to least-loaded", "disable the shrink boost") side by side
-// to a horizon and reports both windowed-metric endpoints plus their
-// delta — the operator's "what if?" answered without touching the live
-// instance.
+// Forks branch a hypothesis from the captured instant: fork_and_run()
+// replays the baseline and a variant grown by N nodes ("+64 nodes")
+// side by side to a horizon and reports both windowed-metric endpoints
+// plus their delta — the operator's capacity question answered without
+// touching the live instance.
 #pragma once
 
 #include <memory>
-#include <optional>
 #include <stdexcept>
 #include <string>
 #include <vector>
@@ -73,14 +71,9 @@ std::unique_ptr<Service> restore(const Snapshot& snapshot);
 /// One hypothetical mutation applied at the snapshot instant.
 struct WhatIf {
   std::string label = "variant";
-  /// Grow member `member` by `add_nodes` nodes (0 = no growth).
+  /// Grow member 0's first partition by `add_nodes` nodes (0 = no
+  /// growth).
   int add_nodes = 0;
-  int member = 0;
-  std::string partition;
-  /// Switch the placement policy (multi-cluster federations).
-  std::optional<fed::Placement> placement;
-  /// Flip Algorithm 1's shrink priority boost.
-  std::optional<bool> shrink_boost;
 
   std::string describe() const;
 };

@@ -1,8 +1,8 @@
 // Command-line configuration: "key=value" arguments and the checked
 // number parsers every binary's options go through.  (The paper's
 // runtime knobs, such as NANOX_SCHED_PERIOD, are plain constructor or
-// config arguments here; nothing reads the environment except the log
-// level, DMR_LOG_LEVEL, in util/log.cpp.)
+// config arguments here; nothing reads the environment, which
+// dmr_lint's `environment` rule enforces.)
 #pragma once
 
 #include <cstdint>

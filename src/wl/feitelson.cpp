@@ -7,12 +7,18 @@
 namespace dmr::wl {
 
 namespace {
+
+/// Probability weight boost for power-of-two sizes.
+constexpr double kPow2Boost = 3.0;
+/// Maximum repetition count for the repeated-runs component.
+constexpr int kMaxRepeats = 4;
+
 bool is_power_of_two(int value) {
   return value > 0 && (value & (value - 1)) == 0;
 }
 }  // namespace
 
-std::vector<double> feitelson_size_weights(int max_size, double pow2_boost) {
+std::vector<double> feitelson_size_weights(int max_size) {
   if (max_size < 1) {
     throw std::invalid_argument("feitelson_size_weights: max_size < 1");
   }
@@ -22,7 +28,7 @@ std::vector<double> feitelson_size_weights(int max_size, double pow2_boost) {
   std::vector<double> weights(static_cast<std::size_t>(max_size));
   for (int size = 1; size <= max_size; ++size) {
     double w = 1.0 / static_cast<double>(size);
-    if (is_power_of_two(size)) w *= pow2_boost;
+    if (is_power_of_two(size)) w *= kPow2Boost;
     weights[static_cast<std::size_t>(size - 1)] = w;
   }
   return weights;
@@ -49,8 +55,7 @@ std::vector<SyntheticJob> generate_feitelson(const FeitelsonParams& params) {
     throw std::invalid_argument("generate_feitelson: non-positive job count");
   }
   util::Rng rng(params.seed);
-  const auto weights = feitelson_size_weights(params.max_size,
-                                              params.pow2_boost);
+  const auto weights = feitelson_size_weights(params.max_size);
   std::vector<SyntheticJob> jobs;
   jobs.reserve(static_cast<std::size_t>(params.jobs));
   double clock = 0.0;
@@ -64,10 +69,10 @@ std::vector<SyntheticJob> generate_feitelson(const FeitelsonParams& params) {
       const double u = rng.uniform();
       double cumulative = 0.0;
       double normalizer = 0.0;
-      for (int r = 1; r <= params.max_repeats; ++r) {
+      for (int r = 1; r <= kMaxRepeats; ++r) {
         normalizer += std::pow(static_cast<double>(r), -2.5);
       }
-      for (int r = 1; r <= params.max_repeats; ++r) {
+      for (int r = 1; r <= kMaxRepeats; ++r) {
         cumulative += std::pow(static_cast<double>(r), -2.5) / normalizer;
         if (u <= cumulative) {
           repeats = r;
@@ -100,8 +105,7 @@ double feitelson_balanced_interarrival(const FeitelsonParams& params,
   // E[size * runtime] from the same distributions the generator samples:
   // size weights, and per-size hyperexponential means (mirroring
   // feitelson_runtime's branch probability and long-branch scaling).
-  const auto weights = feitelson_size_weights(params.max_size,
-                                              params.pow2_boost);
+  const auto weights = feitelson_size_weights(params.max_size);
   double weight_sum = 0.0;
   double node_seconds = 0.0;
   for (int size = 1; size <= params.max_size; ++size) {

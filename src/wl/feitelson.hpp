@@ -1,11 +1,12 @@
 // Workload synthesis following Feitelson's statistical model (the same
 // model the paper uses, Section VII-C):
 //  - job sizes from a discrete distribution over [1, max_size] that
-//    emphasizes small sizes and powers of two;
+//    emphasizes small sizes and powers of two (weight 1/size, tripled
+//    on powers of two);
 //  - runtimes from a two-branch hyperexponential whose means correlate
 //    with the job size (bigger jobs run longer);
-//  - repeated runs: a job may be resubmitted several times back-to-back
-//    (count with a heavy-tailed distribution);
+//  - repeated runs: a job may be resubmitted up to four times
+//    back-to-back (count with a heavy-tailed distribution);
 //  - Poisson arrivals (exponential inter-arrival times).
 #pragma once
 
@@ -31,10 +32,6 @@ struct FeitelsonParams {
   /// Cap runtimes at this value (0 = uncapped).  The FS study caps each
   /// step at 60 s.
   double max_runtime = 0.0;
-  /// Probability weight boost for power-of-two sizes.
-  double pow2_boost = 3.0;
-  /// Maximum repetition count for the repeated-runs component.
-  int max_repeats = 4;
   std::uint64_t seed = 1;
 };
 
@@ -47,7 +44,7 @@ struct SyntheticJob {
 };
 
 /// Size distribution weights over [1, max_size] (exposed for tests).
-std::vector<double> feitelson_size_weights(int max_size, double pow2_boost);
+std::vector<double> feitelson_size_weights(int max_size);
 
 /// Draw one runtime for a job of `size` nodes.
 double feitelson_runtime(util::Rng& rng, int size,

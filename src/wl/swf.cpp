@@ -282,9 +282,8 @@ std::string ShapeReport::describe() const {
   std::ostringstream out;
   out << "parsed " << parsed << ", kept " << kept << ", dropped " << dropped()
       << " (status " << dropped_status << ", zero-runtime "
-      << dropped_zero_runtime << ", no-size " << dropped_no_size
-      << ", oversize " << dropped_oversize << ", window " << dropped_window
-      << ", cap " << dropped_cap << "), clamped " << clamped_oversize;
+      << dropped_zero_runtime << ", no-size " << dropped_no_size << ", cap "
+      << dropped_cap << "), clamped " << clamped_oversize;
   return out.str();
 }
 
@@ -328,12 +327,12 @@ Workload TraceShaper::shape(const SwfTrace& trace, ShapeReport* report) const {
   std::vector<Survivor> survivors;
   survivors.reserve(records.size());
   for (const TraceJob* record : records) {
-    if (!keep_failed && record->status != kSwfStatusCompleted &&
+    if (record->status != kSwfStatusCompleted &&
         record->status != kSwfStatusUnknown) {
       ++counts.dropped_status;
       continue;
     }
-    if (!keep_zero_runtime && record->run_time <= 0.0) {
+    if (record->run_time <= 0.0) {
       ++counts.dropped_zero_runtime;
       continue;
     }
@@ -348,23 +347,12 @@ Workload TraceShaper::shape(const SwfTrace& trace, ShapeReport* report) const {
     int nodes = std::max(
         1, static_cast<int>(std::lround(source_nodes * scale)));
     if (nodes > ceiling) {
-      if (drop_oversize) {
-        ++counts.dropped_oversize;
-        continue;
-      }
       nodes = ceiling;
       ++counts.clamped_oversize;
     }
     survivors.push_back(Survivor{record, nodes});
   }
 
-  if (time_window > 0.0 && !survivors.empty()) {
-    const double horizon = survivors.front().record->submit + time_window;
-    std::size_t end = survivors.size();
-    while (end > 0 && survivors[end - 1].record->submit > horizon) --end;
-    counts.dropped_window = static_cast<int>(survivors.size() - end);
-    survivors.resize(end);
-  }
   if (max_jobs > 0 && static_cast<int>(survivors.size()) > max_jobs) {
     counts.dropped_cap = static_cast<int>(survivors.size()) - max_jobs;
     survivors.resize(static_cast<std::size_t>(max_jobs));
@@ -376,9 +364,7 @@ Workload TraceShaper::shape(const SwfTrace& trace, ShapeReport* report) const {
   workload.target_nodes = resolved_target;
   workload.jobs.reserve(survivors.size());
   const double origin =
-      normalize_arrivals && !survivors.empty()
-          ? survivors.front().record->submit
-          : 0.0;
+      survivors.empty() ? 0.0 : survivors.front().record->submit;
   for (const Survivor& survivor : survivors) {
     WorkloadJob job;
     job.index = static_cast<int>(workload.jobs.size());

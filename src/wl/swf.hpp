@@ -15,8 +15,8 @@
 // Raw SWF records describe what one real machine ran; wl::TraceShaper
 // turns them into a wl::Workload for the simulator: filter what never
 // executed (failed / cancelled / zero-runtime records), rescale
-// processors to nodes against a target cluster, clamp or drop oversize
-// requests, optionally cap the job count or time window, and annotate
+// processors to nodes against a target cluster, clamp oversize
+// requests, optionally cap the job count, and annotate
 // the rigid records with malleability bounds so Algorithm 1 has room to
 // reconfigure them.  Every record the shaper removes or alters is
 // counted in a ShapeReport — consumers must surface those counts rather
@@ -118,7 +118,7 @@ std::string to_swf_text(const SwfTrace& trace);
 SwfTrace trace_from_feitelson(const std::vector<SyntheticJob>& jobs,
                               int machine_nodes = 0);
 
-/// What shaping kept, dropped and altered.  parsed == kept + the six
+/// What shaping kept, dropped and altered.  parsed == kept + the four
 /// dropped_* counts; clamped records are kept (and counted in kept).
 struct ShapeReport {
   int parsed = 0;
@@ -126,20 +126,23 @@ struct ShapeReport {
   int dropped_status = 0;        // failed / cancelled / partial records
   int dropped_zero_runtime = 0;  // run_time <= 0 (or missing)
   int dropped_no_size = 0;       // neither requested nor used processors
-  int dropped_oversize = 0;      // wider than the ceiling (drop mode)
-  int dropped_window = 0;        // outside the time window
   int dropped_cap = 0;           // past the max_jobs cap
-  int clamped_oversize = 0;      // narrowed to the ceiling (clamp mode)
+  int clamped_oversize = 0;      // narrowed to the ceiling
 
   int dropped() const {
     return dropped_status + dropped_zero_runtime + dropped_no_size +
-           dropped_oversize + dropped_window + dropped_cap;
+           dropped_cap;
   }
   /// One-line human-readable summary for logs.
   std::string describe() const;
 };
 
-/// Shapes a raw SwfTrace into a simulator-ready wl::Workload.
+/// Shapes a raw SwfTrace into a simulator-ready wl::Workload.  Records
+/// whose status is failed, cancelled or partial are dropped (unknown
+/// status is kept — most archive records carry -1), as are records with
+/// a zero or missing runtime or no size.  Requests wider than the
+/// ceiling are clamped to it.  Arrivals shift so the first kept job
+/// arrives at t = 0.
 struct TraceShaper {
   /// Cluster size (nodes) to rescale the trace onto; 0 = keep the source
   /// machine's size (no rescaling).
@@ -147,20 +150,8 @@ struct TraceShaper {
   /// Per-job ceiling in nodes (0 = target_nodes).  On federations pass
   /// the largest member so every kept job fits somewhere.
   int max_job_nodes = 0;
-  /// Oversize requests: clamp to the ceiling (default) or drop.
-  bool drop_oversize = false;
-  /// Keep records whose status is failed/cancelled/partial (unknown
-  /// status is always kept — most archive records carry -1).
-  bool keep_failed = false;
-  /// Keep records with zero/missing runtime (they complete instantly).
-  bool keep_zero_runtime = false;
   /// Keep at most this many jobs after filtering (0 = all).
   int max_jobs = 0;
-  /// Keep only jobs submitted within this window from the first kept
-  /// submission, seconds (0 = all).
-  double time_window = 0.0;
-  /// Shift arrivals so the first kept job arrives at t = 0.
-  bool normalize_arrivals = true;
   /// Malleability annotation for the (rigid) SWF records.
   MalleabilityConfig malleability;
 

@@ -22,13 +22,8 @@ int min_nodes_for(int nodes, const MalleabilityConfig& config) {
   switch (config.policy) {
     case Malleability::Rigid:
       return nodes;
-    case Malleability::Pow2Halving: {
-      const int halvings = std::max(0, config.halvings);
-      // nodes >> halvings, but without shifting past the width.
-      int floor_nodes = nodes;
-      for (int h = 0; h < halvings && floor_nodes > 1; ++h) floor_nodes /= 2;
-      return std::max(1, floor_nodes);
-    }
+    case Malleability::Pow2Halving:
+      return std::max(1, nodes >> kPow2Halvings);
     case Malleability::FractionOfRequest: {
       const double fraction = std::clamp(config.min_fraction, 0.0, 1.0);
       return std::max(

@@ -18,12 +18,15 @@
 
 namespace dmr::wl {
 
+/// Successive halvings a Pow2Halving job may shrink below its request.
+constexpr int kPow2Halvings = 2;
+
 /// How rigid trace jobs are annotated with malleability bounds.
 enum class Malleability {
   /// min = max = requested size: the job can never be reconfigured.
   Rigid,
   /// The job may shrink by successive halvings below its request:
-  /// min = max(1, nodes >> halvings).
+  /// min = max(1, nodes >> kPow2Halvings).
   Pow2Halving,
   /// The job may shrink to a fraction of its request:
   /// min = max(1, ceil(nodes * min_fraction)).
@@ -34,8 +37,6 @@ const char* to_string(Malleability policy);
 
 struct MalleabilityConfig {
   Malleability policy = Malleability::Pow2Halving;
-  /// Pow2Halving: how many halvings below the request are allowed.
-  int halvings = 2;
   /// FractionOfRequest: the floor as a fraction of the request (0 lets
   /// the job shrink all the way to one node).
   double min_fraction = 0.5;

@@ -149,8 +149,8 @@ inline std::uint64_t service_digest(std::uint64_t seed) {
 
   std::string digest = job_table(service.driver().federation());
   digest += metrics_tail(service.metrics());
-  for (const std::string& line : service.sample_lines()) {
-    digest += line;
+  for (const svc::MetricsSample& sample : service.sample_records()) {
+    digest += sample.to_json();
     digest += '\n';
   }
   return fnv1a(digest);

@@ -504,8 +504,7 @@ TEST(ServiceAttribution, SamplesCarryWaitCauseColumns) {
   const svc::MetricsSample& last = service.sample_records().back();
   ASSERT_EQ(last.cause_seconds.size(),
             static_cast<std::size_t>(obs::kBlockReasonCount));
-  EXPECT_NE(service.sample_lines().back().find("\"wait_cause_"),
-            std::string::npos);
+  EXPECT_NE(last.to_json().find("\"wait_cause_"), std::string::npos);
   // The run was contended (8x2 nodes demanded of 4): some cause accrued.
   double total = 0.0;
   for (const double seconds : last.cause_seconds) total += seconds;

@@ -1,8 +1,8 @@
 // Tests for the chk:: correctness-analysis layer: the lifecycle DFA,
 // every invariant's failure path (seeded through chk::TestBackdoor
 // corruptions the production code is designed never to produce), the
-// structured report, fail-fast mode, and — the property the whole layer
-// exists to protect — byte-identical simulated outcomes with the
+// structured report and its violation cap, and — the property the whole
+// layer exists to protect — byte-identical simulated outcomes with the
 // auditor attached vs detached.
 #include <gtest/gtest.h>
 
@@ -381,7 +381,7 @@ TEST(ByteConservation, NanDurationAndZeroLanesAreCaught) {
   EXPECT_EQ(result.violations.size(), 2u) << result.describe();
 }
 
-// --- report / fail-fast ------------------------------------------------------
+// --- report ------------------------------------------------------------------
 
 TEST(Report, JsonCarriesChecksViolationsAndProvenance) {
   chk::Auditor auditor;
@@ -408,28 +408,16 @@ TEST(Report, DescribeListsEachViolation) {
 }
 
 TEST(Report, ViolationCapCountsInsteadOfDropping) {
-  chk::Auditor auditor(chk::Auditor::Options{.max_violations = 2});
-  for (JobId id = 1; id <= 5; ++id) auditor.on_job_started(id, 0.0);
+  chk::Auditor auditor;
+  constexpr auto kJobs =
+      static_cast<JobId>(chk::Auditor::kMaxStoredViolations) + 3;
+  for (JobId id = 1; id <= kJobs; ++id) auditor.on_job_started(id, 0.0);
   const chk::Report report = auditor.report();
-  EXPECT_EQ(report.violations.size(), 2u);
+  EXPECT_EQ(report.violations.size(), chk::Auditor::kMaxStoredViolations);
   EXPECT_EQ(report.dropped_violations, 3);
   EXPECT_FALSE(report.ok());
   EXPECT_NE(report.describe().find("3 more (cap reached)"),
             std::string::npos);
-}
-
-TEST(FailFast, ThrowsAuditErrorWithTheViolation) {
-  chk::Auditor auditor(chk::Auditor::Options{.fail_fast = true});
-  try {
-    auditor.on_job_started(77, 8.5);
-    FAIL() << "expected AuditError";
-  } catch (const chk::AuditError& error) {
-    EXPECT_EQ(error.violation.invariant, "job-lifecycle");
-    EXPECT_EQ(error.violation.job, 77);
-    EXPECT_DOUBLE_EQ(error.violation.sim_time, 8.5);
-    EXPECT_NE(std::string(error.what()).find("job-lifecycle"),
-              std::string::npos);
-  }
 }
 
 TEST(Auditor, ResetClearsStateAndCounts) {

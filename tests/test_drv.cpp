@@ -26,21 +26,6 @@ TEST(Metrics, GainPercent) {
   EXPECT_DOUBLE_EQ(drv::gain_percent(0.0, 50.0), 0.0);  // guarded
 }
 
-TEST(Metrics, DescribeContainsKeyNumbers) {
-  drv::WorkloadMetrics metrics;
-  metrics.jobs = 7;
-  metrics.makespan = 123.0;
-  metrics.expands = 3;
-  metrics.shrinks = 4;
-  metrics.bytes_redistributed = std::size_t(6) << 20;
-  metrics.redistribution_seconds = 1.5;
-  const std::string text = drv::describe(metrics);
-  EXPECT_NE(text.find("jobs=7"), std::string::npos);
-  EXPECT_NE(text.find("123"), std::string::npos);
-  EXPECT_NE(text.find("expands=3"), std::string::npos);
-  EXPECT_NE(text.find("redistributed=6MB"), std::string::npos);
-}
-
 TEST(CostModel, DegenerateSingleRank) {
   EXPECT_DOUBLE_EQ(CostModel::migrated_fraction(1, 1), 0.0);
   CostModel cost;

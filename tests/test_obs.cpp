@@ -327,8 +327,7 @@ TEST(ServiceCounters, SamplesExposeIngestTallies) {
   EXPECT_EQ(last.rejected_stale_total, service.rejected_stale());
   EXPECT_EQ(last.rejected_full_total,
             static_cast<long long>(service.queue().rejected_full()));
-  EXPECT_NE(service.sample_lines().back().find("\"rejected_full_total\":"),
-            std::string::npos);
+  EXPECT_NE(last.to_json().find("\"rejected_full_total\":"), std::string::npos);
 }
 
 TEST(ServiceCounters, TraceHooksRecordRingAndUtilizationTracks) {

@@ -375,17 +375,20 @@ TEST(StrategyParity, RandomizedSweep) {
 }
 
 TEST(PipelinedChunks, SmallChunksManyTransfers) {
-  // Force multi-chunk streams: 8-byte chunks over a 64-double buffer.
-  PipelinedChunks strategy({/*chunk_bytes=*/8, /*max_in_flight=*/2});
-  ParityCase pc{64, 0, 1, 0, 2, 3};
+  // Multi-chunk streams with short tails: 2 -> 3 ranks moves a Block
+  // buffer of 6 * (one chunk + 4 doubles) as two transfers of a sixth
+  // of it (2 chunks each) and two of a third (3 chunks each).
+  constexpr std::size_t kChunkDoubles =
+      PipelinedChunks::kChunkBytes / sizeof(double);
+  PipelinedChunks strategy;
+  ParityCase pc{6 * (kChunkDoubles + 4), 0, 1, 0, 2, 3};
   Report total;
   auto results = run_parity(strategy, pc, &total);
   for (int r = 0; r < pc.new_parts; ++r) {
     ASSERT_EQ(results[r], expected_contents(pc, r));
   }
-  // 64 doubles = 512 bytes received across ranks in 8-byte chunks.
-  EXPECT_EQ(total.transfers, 64);
-  EXPECT_EQ(total.bytes_moved, 64 * sizeof(double));
+  EXPECT_EQ(total.transfers, 2 * 2 + 2 * 3);
+  EXPECT_EQ(total.bytes_moved, pc.doubles * sizeof(double));
 }
 
 TEST(CheckpointRoute, MovesBytesThroughTheStore) {

@@ -206,13 +206,11 @@ TEST(Service, SampleTimesAreMonotoneAndLinesMirrorRecords) {
   service.drain();
   const auto& samples = service.sample_records();
   ASSERT_GT(samples.size(), 2u);
-  ASSERT_EQ(service.sample_lines().size(), samples.size());
   for (std::size_t i = 1; i < samples.size(); ++i) {
     EXPECT_GT(samples[i].time, samples[i - 1].time);
   }
   for (std::size_t i = 0; i < samples.size(); ++i) {
-    const std::string& line = service.sample_lines()[i];
-    EXPECT_EQ(line, samples[i].to_json());
+    const std::string line = samples[i].to_json();
     EXPECT_EQ(line.front(), '{');
     EXPECT_EQ(line.back(), '}');
     for (const char* field : {"\"window\":", "\"utilization\":",
@@ -546,6 +544,30 @@ TEST(Fork, AddingNodesMovesTheWindowedMetrics) {
   EXPECT_EQ(service.now(), snap.time);
 }
 
+TEST(Fork, GrowthLandsOnTheFirstMember) {
+  const svc::ServiceConfig config = property_config(1, 3);
+  svc::Service service(config);
+  for (const svc::JobRequest& request : property_stream(1, 8)) {
+    ASSERT_TRUE(service.submit(request));
+  }
+  service.advance_to(300.0);
+  const svc::Snapshot snap = svc::snapshot(service);
+
+  svc::WhatIf whatif;
+  whatif.label = "+8 nodes";
+  whatif.add_nodes = 8;
+  const svc::ForkReport report = svc::fork_and_run(snap, whatif, 2000.0);
+  const auto& baseline = report.baseline.metrics.clusters;
+  const auto& variant = report.variant.metrics.clusters;
+  ASSERT_EQ(baseline.size(), 3u);
+  ASSERT_EQ(variant.size(), 3u);
+  EXPECT_EQ(variant[0].nodes, baseline[0].nodes + 8);
+  for (std::size_t c = 1; c < baseline.size(); ++c) {
+    EXPECT_EQ(variant[c].name, baseline[c].name);
+    EXPECT_EQ(variant[c].nodes, baseline[c].nodes) << baseline[c].name;
+  }
+}
+
 TEST(Fork, HorizonMustLieBeyondTheSnapshot) {
   svc::Service service(small_service());
   service.submit(request_of(0, 0.0));
@@ -559,11 +581,9 @@ TEST(Fork, WhatIfDescribeNamesTheMutation) {
   svc::WhatIf whatif;
   whatif.label = "grow";
   whatif.add_nodes = 64;
-  whatif.placement = fed::Placement::QueueDepth;
-  whatif.shrink_boost = false;
   const std::string text = whatif.describe();
-  EXPECT_NE(text.find("+64 nodes"), std::string::npos);
-  EXPECT_NE(text.find("shrink_boost=off"), std::string::npos);
+  EXPECT_EQ(text.rfind("grow:", 0), 0u) << text;
+  EXPECT_NE(text.find("+64 nodes"), std::string::npos) << text;
 }
 
 }  // namespace

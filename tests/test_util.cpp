@@ -13,7 +13,6 @@
 
 #include "util/chart.hpp"
 #include "util/config.hpp"
-#include "util/log.hpp"
 #include "util/rng.hpp"
 #include "util/stats.hpp"
 #include "util/table.hpp"
@@ -355,27 +354,6 @@ TEST(ConfigDeathTest, RealAndU64RejectJunk) {
   EXPECT_EXIT(parse_u64("18446744073709551616", "seed"), exits_2, "seed");
   EXPECT_EXIT(parse_u64("12abc", "seed"), exits_2, "seed");
   EXPECT_EXIT(parse_u64("11", "--job", 10), exits_2, "--job");
-}
-
-TEST(Log, SinkCapturesAtLevel) {
-  auto& logger = Logger::instance();
-  const LogLevel saved = logger.level();
-  std::vector<std::string> lines;
-  logger.set_sink([&](std::string_view line) { lines.emplace_back(line); });
-  logger.set_level(LogLevel::Info);
-  DMR_INFO("test") << "hello " << 42;
-  DMR_DEBUG("test") << "filtered";
-  logger.reset_sink();
-  logger.set_level(saved);
-  ASSERT_EQ(lines.size(), 1u);
-  EXPECT_NE(lines[0].find("hello 42"), std::string::npos);
-  EXPECT_NE(lines[0].find("[test]"), std::string::npos);
-}
-
-TEST(Log, ParseLevels) {
-  EXPECT_EQ(parse_log_level("trace"), LogLevel::Trace);
-  EXPECT_EQ(parse_log_level("off"), LogLevel::Off);
-  EXPECT_EQ(parse_log_level("bogus"), LogLevel::Info);
 }
 
 }  // namespace

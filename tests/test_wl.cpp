@@ -20,21 +20,21 @@ FeitelsonParams params(int jobs, std::uint64_t seed = 1) {
 }
 
 TEST(SizeWeights, SmallSizesDominate) {
-  const auto w = feitelson_size_weights(20, 3.0);
+  const auto w = feitelson_size_weights(20);
   ASSERT_EQ(w.size(), 20u);
   EXPECT_GT(w[0], w[2]);   // size 1 > size 3
   EXPECT_GT(w[4], w[5]);   // size 5 > size 6
 }
 
 TEST(SizeWeights, PowersOfTwoSpike) {
-  const auto w = feitelson_size_weights(20, 3.0);
+  const auto w = feitelson_size_weights(20);
   EXPECT_GT(w[7], w[6]);    // 8 boosted over 7
   EXPECT_GT(w[15], w[14]);  // 16 boosted over 15
   EXPECT_GT(w[15], w[16]);  // 16 over 17
 }
 
 TEST(SizeWeights, RejectsBadMax) {
-  EXPECT_THROW(feitelson_size_weights(0, 3.0), std::invalid_argument);
+  EXPECT_THROW(feitelson_size_weights(0), std::invalid_argument);
 }
 
 TEST(BalancedInterarrival, MatchesSampledOfferedLoad) {

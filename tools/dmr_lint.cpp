@@ -30,6 +30,12 @@
 //                    util::parse_count, parse_u64 and parse_real; every
 //                    reader in src/ (snapshots, JSON, SWF, member mixes)
 //                    uses std::from_chars with an end check.
+//   environment      no getenv/secure_getenv call and no use of environ
+//                    outside tests/: the program reads no environment
+//                    variable.  Every setting (the paper's
+//                    NANOX_SCHED_PERIOD included) is an argument or a
+//                    config field, so a run is reproduced from its
+//                    command line alone.
 //
 // Any rule is suppressible at a site with a `dmr-lint:` comment holding
 // `allow(<rule>)`, on the same or the preceding line.  A suppression
@@ -210,7 +216,7 @@ struct Diagnostic {
 const std::set<std::string>& known_rules() {
   static const std::set<std::string> rules = {
       "wall-clock", "unordered-json",   "naked-lock",         "float-equal",
-      "todo-issue", "unchecked-number", "unused-suppression",
+      "todo-issue", "unchecked-number", "unused-suppression", "environment",
   };
   return rules;
 }
@@ -569,6 +575,22 @@ void rule_unchecked_number(const std::string& path,
   }
 }
 
+void rule_environment(const std::string& path, const std::vector<Token>& toks,
+                      std::vector<Diagnostic>& out) {
+  if (under(path, "tests/")) return;
+  const std::size_t n = toks.size();
+  for (std::size_t i = 0; i < n; ++i) {
+    if (toks[i].kind != Token::Kind::Ident) continue;
+    const std::string& t = toks[i].text;
+    const bool call = (t == "getenv" || t == "secure_getenv") && i + 1 < n &&
+                      toks[i + 1].text == "(";
+    if (!call && t != "environ") continue;
+    out.push_back(Diagnostic{"environment", toks[i].line,
+                             t + " reads the environment; pass the setting "
+                                 "as an argument or a config field"});
+  }
+}
+
 void rule_todo_issue(const std::vector<Comment>& comments,
                      std::vector<Diagnostic>& out) {
   for (const Comment& comment : comments) {
@@ -599,6 +621,7 @@ FileResult lint_file(const std::string& pseudo_path, const Scan& scan) {
   rule_naked_lock(scan.tokens, raw);
   rule_float_equal(pseudo_path, scan.tokens, raw);
   rule_unchecked_number(pseudo_path, scan.tokens, raw);
+  rule_environment(pseudo_path, scan.tokens, raw);
   rule_todo_issue(scan.comments, raw);
 
   // Collect suppressions; apply to the same and the following line.
