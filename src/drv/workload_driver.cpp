@@ -1,6 +1,10 @@
 #include "drv/workload_driver.hpp"
 
 #include <algorithm>
+#include <bit>
+#include <cmath>
+#include <cstdint>
+#include <limits>
 #include <stdexcept>
 
 #include "chk/auditor.hpp"
@@ -9,6 +13,55 @@
 namespace dmr::drv {
 
 namespace {
+
+using Limits = std::numeric_limits<double>;
+static_assert(Limits::is_iec559 && Limits::round_style == std::round_to_nearest,
+              "advance_steps reproduces binary64 round-to-nearest sums");
+
+/// How the next `limit` additions of `at += step` behave while their sums
+/// stay in at's binade [lo, 2 lo): there every double is a multiple of
+/// u = ulp(at), so each addition adds `per_step`, the step rounded to a
+/// multiple of u, and j of them sum to at + j * per_step exactly (the
+/// product is below 2^52 u).
+struct BinadeRun {
+  double per_step = 0.0;
+  /// The additions the form covers: 0 where it does not hold, and then
+  /// the next addition is a plain one.
+  int take = 0;
+};
+
+BinadeRun binade_run(double at, double step, int limit) {
+  // Not for a negative or NaN step, nor for a clock that is not finite
+  // or so small (below 2^-971) that 1 / ulp(at) overflows.
+  if (!(at >= 0x1p-971 && at <= Limits::max() && step >= 0.0)) return {};
+  constexpr std::uint64_t kMantissa = (std::uint64_t(1) << 52) - 1;
+  const auto bits = std::bit_cast<std::uint64_t>(at);
+  const double lo = std::bit_cast<double>(bits & ~kMantissa);
+  const double u = lo * 0x1p-52;
+  // The ulps from at up to 2 lo.  A step of that much or more (infinity
+  // too) leaves the binade at once.
+  const auto room =
+      static_cast<std::int64_t>(kMantissa + 1 - (bits & kMantissa));
+  if (!(step < static_cast<double>(room) * u)) return {};
+  // step / u, exact and below 2^52 (1 / u is the power of two whose
+  // exponent field is 2098 minus at's), rounded to the nearest whole
+  // number by the 2^52 shift.
+  const double inverse_u =
+      std::bit_cast<double>((std::uint64_t(2098) - (bits >> 52)) << 52);
+  const double units = step * inverse_u;
+  const double stride = (units + 0x1p52) - 0x1p52;
+  // A tie rounds to the even neighbour, which follows at's last bit.
+  if (std::abs(units - stride) == 0.5) return {};
+  // Below half an ulp (stride 0) every sum rounds back to at.  Else the
+  // sums stay below 2 lo while j * stride < room; the product compares
+  // in doubles, exactly below 2^53 and, rounding being monotone, never
+  // below room when the exact one is not.
+  if (static_cast<double>(limit) * stride < static_cast<double>(room)) {
+    return {stride * u, limit};
+  }
+  const auto whole = static_cast<std::int64_t>(stride);
+  return {stride * u, static_cast<int>((room - 1) / whole)};
+}
 
 /// A single-member federation built from the plain RmsConfig keeps one
 /// driver code path: routing to one cluster is the identity, so the run
@@ -21,6 +74,40 @@ fed::FederationConfig make_federation(const DriverConfig& config) {
 }
 
 }  // namespace
+
+StepRun advance_steps(double at, double step, int n,
+                      const ::dmr::Inhibitor* inhibitor) {
+  const auto allows = [inhibitor](double t) {
+    return inhibitor != nullptr && inhibitor->would_allow(t);
+  };
+  int k = 0;
+  while (k < n && !allows(at)) {
+    const auto [per_step, take] = binade_run(at, step, n - k);
+    if (take == 0) {
+      at += step;
+      ++k;
+      continue;
+    }
+    const auto sum = [&](int j) {
+      return at + static_cast<double>(j) * per_step;
+    };
+    if (!allows(sum(take))) {
+      at = sum(take);
+      k += take;
+      continue;
+    }
+    // would_allow(t) tests fl(t - last) >= period, which is monotone in
+    // t: bisect for the first sum it lets through (sum(0) = at is not).
+    int below = 0;
+    int above = take;
+    while (above - below > 1) {
+      const int mid = below + (above - below) / 2;
+      (allows(sum(mid)) ? above : below) = mid;
+    }
+    return {sum(above), k + above};
+  }
+  return {at, k};
+}
 
 WorkloadDriver::WorkloadDriver(sim::Engine& engine, DriverConfig config)
     : engine_(engine),
@@ -240,17 +327,16 @@ void WorkloadDriver::schedule_step(Exec& exec) {
   // A job's allocation and speed change only at its own checks, and an
   // inhibited check touches nothing, so the steps up to the next check
   // the inhibitor lets through (a rigid job never checks) run back to
-  // back: one event ends them all.  Adding `duration` step by step keeps
-  // every step's end exactly where one event per step would put it.
+  // back: one event ends them all, at exactly the clock one event per
+  // step would reach.
   const bool rigid = !exec.plan.flexible;
   const ::dmr::Inhibitor inhibitor =
       rigid ? ::dmr::Inhibitor() : exec.engine->inhibitor();
-  double at = engine_.now() + duration;
-  while (exec.steps_left > 1 && (rigid || !inhibitor.would_allow(at))) {
-    at += duration;
-    --exec.steps_left;
-  }
-  engine_.schedule_at(at, [this, &exec] { finish_step(exec); });
+  const ::dmr::Inhibitor* stop = rigid ? nullptr : &inhibitor;
+  const StepRun skipped = advance_steps(engine_.now() + duration, duration,
+                                        exec.steps_left - 1, stop);
+  exec.steps_left -= skipped.steps;
+  engine_.schedule_at(skipped.at, [this, &exec] { finish_step(exec); });
 }
 
 void WorkloadDriver::finish_step(Exec& exec) {

@@ -11,7 +11,13 @@
 // allocation and speed change only at its own checks, so one engine event
 // ends every run of steps up to the next check the checking inhibitor
 // lets through, or up to the job's last step.  The steps in between, and
-// every step of a rigid job, are advanced arithmetically.
+// every step of a rigid job, are advanced in closed form by
+// advance_steps, to the bit the clock one addition per step would reach:
+// within the clock's binade each addition adds the same multiple of its
+// ulp, so a run of them is one exact multiply-add, the first step the
+// inhibitor lets through is found by bisection, and a tie, a zero, tiny
+// or non-finite clock, or the addition that leaves the binade is one
+// plain addition.
 //
 // The driver talks to a fed::Federation — one member cluster by default
 // (built from DriverConfig::rms, behaviourally identical to driving the
@@ -34,6 +40,7 @@
 
 #include "apps/models.hpp"
 #include "dmr/engine.hpp"
+#include "dmr/inhibitor.hpp"
 #include "dmr/session.hpp"
 #include "drv/cost_model.hpp"
 #include "drv/metrics.hpp"
@@ -65,6 +72,24 @@ struct JobPlan {
   /// named partition are eligible.
   std::string partition;
 };
+
+/// The end of a run of skipped steps: the clock after them, and how many
+/// there were.
+struct StepRun {
+  double at = 0.0;
+  int steps = 0;
+};
+
+/// Adds `step` to `at` until `n` steps are added or `inhibitor` would
+/// let a check at the sum through (a null inhibitor, a rigid job's, never
+/// does), and returns bit for bit what one `at += step` per step returns:
+///   while (k < n && !(inhibitor && inhibitor->would_allow(at))) {
+///     at += step;
+///     ++k;
+///   }
+/// in O(binades crossed + log n) instead of n dependent additions.
+StepRun advance_steps(double at, double step, int n,
+                      const ::dmr::Inhibitor* inhibitor);
 
 struct DriverConfig {
   /// Single-cluster configuration; ignored when `federation` has members.

@@ -6,6 +6,7 @@
 #include <sstream>
 #include <stdexcept>
 
+#include "obs/attr.hpp"
 #include "rms/manager.hpp"
 
 namespace dmr::svc {
@@ -109,9 +110,10 @@ std::string MetricsSample::to_json() const {
       << ",\"rejected_full_total\":" << rejected_full_total
       << ",\"rejected_full_cum\":" << rejected_full_total
       << ",\"rejected_stale_total\":" << rejected_stale_total;
-  for (std::size_t c = 0; c < cause_seconds.size() && c < cause_keys.size();
-       ++c) {
-    out << ",\"wait_cause_" << cause_keys[c] << "\":" << cause_seconds[c];
+  for (std::size_t r = 0; r < cause_seconds.size(); ++r) {
+    out << ",\"wait_cause_"
+        << obs::block_reason_key(static_cast<obs::BlockReason>(r))
+        << "\":" << cause_seconds[r];
   }
   out << "}";
   return out.str();

@@ -91,10 +91,9 @@ struct MetricsSample {
   long long rejected_stale_total = 0;
   /// Cumulative wait seconds per obs::BlockReason (enum-index order,
   /// open segments counted up to sample time).  Empty when the service
-  /// runs without wait attribution; emitted as wait_cause_* JSON keys.
+  /// runs without wait attribution; entry r is emitted as the JSON key
+  /// "wait_cause_" + obs::block_reason_key(r).
   std::vector<double> cause_seconds;
-  /// Column key per cause_seconds entry ("easy_reservation", ...).
-  std::vector<std::string> cause_keys;
 
   std::string to_json() const;
 };

@@ -17,7 +17,8 @@ constexpr std::size_t kQueueCapacity = 1024;
 /// malformed one is rejected and its bounds are clamped to contain its
 /// size before the shared conversion sees them.
 drv::JobPlan plan_of(const JobRequest& request) {
-  if (request.nodes <= 0 || request.steps <= 0 || request.runtime < 0.0) {
+  if (request.nodes <= 0 || request.steps <= 0 || request.runtime < 0.0 ||
+      !std::isfinite(request.arrival)) {
     throw std::invalid_argument("Service: malformed job request");
   }
   wl::WorkloadJob job;
@@ -76,11 +77,14 @@ bool Service::submit(JobRequest request) {
     ++rejected_stale_;
     return false;
   }
+  // A malformed request throws here, before it can enter the log that
+  // snapshots replay.
+  drv::JobPlan plan = plan_of(request);
   if (first_arrival_ < 0.0 || request.arrival < first_arrival_) {
     first_arrival_ = request.arrival;
   }
   log_.push_back(request);
-  driver_.submit_at(plan_of(request));
+  driver_.submit_at(std::move(plan));
   ++accepted_;
   return true;
 }
@@ -146,12 +150,6 @@ void Service::take_sample() {
     // Open segments count up to the sample instant so a live view shows
     // waits as they accrue, not only after the job starts.
     sample.cause_seconds = attr_ptr_->cause_totals(t1);
-    sample.cause_keys.reserve(
-        static_cast<std::size_t>(obs::kBlockReasonCount));
-    for (int r = 0; r < obs::kBlockReasonCount; ++r) {
-      sample.cause_keys.push_back(
-          obs::block_reason_key(static_cast<obs::BlockReason>(r)));
-    }
   }
   // Lane::Sample fires after every state change at the same instant, so
   // sinks see the settled post-event state.

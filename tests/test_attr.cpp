@@ -504,7 +504,20 @@ TEST(ServiceAttribution, SamplesCarryWaitCauseColumns) {
   const svc::MetricsSample& last = service.sample_records().back();
   ASSERT_EQ(last.cause_seconds.size(),
             static_cast<std::size_t>(obs::kBlockReasonCount));
-  EXPECT_NE(last.to_json().find("\"wait_cause_"), std::string::npos);
+  // One column per cause, keyed by block_reason_key, in enum order, and
+  // no other.
+  const std::string line = last.to_json();
+  std::size_t at = 0;
+  for (int r = 0; r < obs::kBlockReasonCount; ++r) {
+    const std::string column =
+        std::string(",\"wait_cause_") +
+        obs::block_reason_key(static_cast<obs::BlockReason>(r)) + "\":";
+    const std::size_t found = line.find(column, at);
+    ASSERT_NE(found, std::string::npos)
+        << column << " after " << at << " in " << line;
+    at = found + column.size();
+  }
+  EXPECT_EQ(line.find("wait_cause_", at), std::string::npos) << line;
   // The run was contended (8x2 nodes demanded of 4): some cause accrued.
   double total = 0.0;
   for (const double seconds : last.cause_seconds) total += seconds;

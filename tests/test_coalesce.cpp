@@ -12,13 +12,19 @@
 //
 // The driver dispatches one engine event per check that reaches the RMS;
 // the event-count gates and the Inhibitor::would_allow tests below pin
-// that, deterministically.
+// that, deterministically.  The steps in between advance in closed form
+// (drv::advance_steps); AdvanceSteps checks it bit for bit against the
+// step-by-step loop it replaced.
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
+#include <cmath>
 #include <cstdint>
 #include <cstdio>
 #include <iterator>
+#include <limits>
+#include <optional>
 #include <random>
 #include <string>
 #include <vector>
@@ -141,6 +147,8 @@ struct Scenario {
   /// < 0: the Table I mix; otherwise Flexible Sleep at this period.
   double period;
   bool all_rigid;
+  /// Added to every arrival of the Table I mix.
+  double epoch = 0.0;
 };
 
 constexpr Scenario kScenarios[] = {
@@ -153,6 +161,9 @@ constexpr Scenario kScenarios[] = {
     {"fs_p7_federation", true, 7.0, false},
     {"fs_p30_federation", true, 30.0, false},
     {"rigid_single", false, 0.0, true},
+    // SWF-epoch clocks: at 2^31 s one ulp is 2^-21 s, so every skipped
+    // step's sum rounds on a grid coarse enough to show in the digest.
+    {"table1_epoch_single", false, -1.0, false, 0x1p31},
 };
 
 RunResult run_scenario(const Scenario& scenario, std::uint64_t seed,
@@ -161,7 +172,9 @@ RunResult run_scenario(const Scenario& scenario, std::uint64_t seed,
       scenario.federation ? federation_config() : single_cluster_config();
   const int max_size = scenario.federation ? 16 : 64;
   if (scenario.period < 0.0) {
-    return run(config, asynchronous, table_one_mix(seed, 30, max_size));
+    std::vector<drv::JobPlan> plans = table_one_mix(seed, 30, max_size);
+    for (drv::JobPlan& plan : plans) plan.arrival += scenario.epoch;
+    return run(config, asynchronous, std::move(plans));
   }
   config.sched_period_override = scenario.period;
   return run(config, asynchronous,
@@ -176,8 +189,9 @@ std::uint64_t scenario_digest(const Scenario& scenario, std::uint64_t seed) {
 }
 
 // Captured from the per-iteration driver, which dispatched one engine
-// event per application step.  Row order follows kScenarios; columns
-// follow kSeeds.
+// event per application step; the table1_epoch_single row from the
+// coalesced driver that still added each skipped step in turn.  Row
+// order follows kScenarios; columns follow kSeeds.
 constexpr std::uint64_t kGoldens[][4] = {
     {0xe5133884336262d5ULL, 0x757676fb38f7397aULL, 0x253ba5dfc73d66c5ULL,
      0x608225bb637522d9ULL},
@@ -197,6 +211,8 @@ constexpr std::uint64_t kGoldens[][4] = {
      0x3b3b954f1687fb64ULL},
     {0x1d00d273383236adULL, 0xb749a4d856c07e5dULL, 0xe94dcd88866c9b6fULL,
      0xda5f83c432ab98c3ULL},
+    {0xf63d29279908926aULL, 0x8c493169367c9ef9ULL, 0x0ca40ac4e5cc87beULL,
+     0x464d0c2c516f5389ULL},
 };
 static_assert(std::size(kGoldens) == std::size(kScenarios));
 
@@ -284,6 +300,139 @@ TEST(InhibitorPredicate, WouldAllowPredictsAllow) {
           << "round " << round << " step " << i << " t " << t;
     }
   }
+}
+
+// --- drv::advance_steps against the loop it replaced -------------------------
+
+/// One `at += step` per skipped step: the oracle.
+drv::StepRun step_by_step(double at, double step, int n,
+                          const Inhibitor* inhibitor) {
+  int k = 0;
+  while (k < n && !(inhibitor != nullptr && inhibitor->would_allow(at))) {
+    at += step;
+    ++k;
+  }
+  return {at, k};
+}
+
+/// ulp of a positive normal `at`: the spacing of doubles in its binade.
+double ulp_of(double at) { return std::ldexp(1.0, std::ilogb(at) - 52); }
+
+struct AdvanceCase {
+  double at = 0.0;
+  double step = 0.0;
+  int n = 0;
+  std::optional<Inhibitor> inhibitor;
+};
+
+/// Case `i` of the seeded sweep.  The clock, step, inhibitor and n
+/// classes cycle with i, so every combination recurs.
+AdvanceCase advance_case(std::mt19937_64& rng, std::uint64_t i) {
+  const auto uniform = [&rng](double lo, double hi) {
+    return std::uniform_real_distribution<double>(lo, hi)(rng);
+  };
+  const auto integer = [&rng](int lo, int hi) {
+    return std::uniform_int_distribution<int>(lo, hi)(rng);
+  };
+  AdvanceCase c;
+  switch (i % 5) {
+    case 0:  // a simulated clock
+      c.at = uniform(0.0, 1e5);
+      break;
+    case 1:  // an SWF-epoch clock, ulp 2^-21 s
+      c.at = 0x1p31 + uniform(0.0, 1e6);
+      break;
+    case 2: {  // a few ulps below a power of two, or on it
+      c.at = std::ldexp(1.0, integer(-30, 60));
+      for (int j = integer(0, 8); j > 0; --j) c.at = std::nextafter(c.at, 0.0);
+      break;
+    }
+    case 3:  // any binade, subnormals and the top one included
+      c.at = std::ldexp(uniform(1.0, 2.0), integer(-1080, 1023));
+      break;
+    default: {  // zeros, signs and the extremes
+      constexpr double kSpecial[] = {
+          0.0, -0.0, std::numeric_limits<double>::denorm_min(),
+          std::numeric_limits<double>::min(), -3.5, -1e-300,
+          std::numeric_limits<double>::max()};
+      c.at = kSpecial[static_cast<std::size_t>(integer(0, 6))];
+      break;
+    }
+  }
+  const double u = std::isnormal(c.at) && c.at > 0.0 ? ulp_of(c.at) : 0x1p-40;
+  switch ((i / 5) % 6) {
+    case 0:  // an exact tie: (m + 1/2) ulps
+      c.step = (integer(0, 1000) + 0.5) * u;
+      break;
+    case 1:  // below half an ulp (zero included)
+      c.step = integer(0, 7) == 0 ? 0.0 : uniform(0.0, 0.5) * u;
+      break;
+    case 2: {  // a whole number of ulps plus a fraction near one half
+      const double half = std::nextafter(0.5, integer(0, 1) == 0 ? 0.0 : 1.0);
+      const double fraction = integer(0, 1) == 0 ? half : uniform(0.0, 1.0);
+      c.step = (integer(0, 1 << 20) + fraction) * u;
+      break;
+    }
+    case 3:  // a step in seconds, scaled across binades
+      c.step = std::ldexp(uniform(1e-3, 100.0), integer(-20, 20));
+      break;
+    case 4:  // comparable to the clock: crosses a binade every few steps
+      c.step = std::abs(c.at) * uniform(0.01, 4.0) + u;
+      break;
+    default: {  // negative, infinite, NaN or zero
+      constexpr double kSpecial[] = {
+          -0.25, std::numeric_limits<double>::infinity(),
+          std::numeric_limits<double>::quiet_NaN(), 0.0, -0.0};
+      c.step = kSpecial[static_cast<std::size_t>(integer(0, 4))];
+      break;
+    }
+  }
+  c.n = (i / 30) % 7 == 0 ? integer(0, 3) : integer(0, 3000);
+  switch ((i / 210) % 4) {
+    case 0:  // a rigid job: no inhibitor
+      break;
+    case 1:  // disabled: every check goes through
+      c.inhibitor.emplace(integer(0, 1) == 0 ? 0.0 : -1.0);
+      break;
+    case 2:  // unarmed: the first check goes through
+      c.inhibitor.emplace(uniform(1e-3, 30.0));
+      break;
+    default: {  // armed, the window ending about `stop` steps ahead
+      const double stop = integer(-10, c.n + 10);
+      const double period = std::abs(c.step) * uniform(0.5, 400.0) + 1e-9;
+      c.inhibitor.emplace(period);
+      c.inhibitor->allow(c.at + stop * c.step - period);
+      break;
+    }
+  }
+  return c;
+}
+
+TEST(AdvanceSteps, MatchesStepByStepLoop) {
+  constexpr std::uint64_t kCases = 1'000'000;
+  std::mt19937_64 rng(2017);
+  std::uint64_t mismatches = 0;
+  for (std::uint64_t i = 0; i < kCases; ++i) {
+    const AdvanceCase c = advance_case(rng, i);
+    const Inhibitor* inhibitor = c.inhibitor ? &*c.inhibitor : nullptr;
+    const drv::StepRun expected = step_by_step(c.at, c.step, c.n, inhibitor);
+    const drv::StepRun actual =
+        drv::advance_steps(c.at, c.step, c.n, inhibitor);
+    if (std::bit_cast<std::uint64_t>(actual.at) ==
+            std::bit_cast<std::uint64_t>(expected.at) &&
+        actual.steps == expected.steps) {
+      continue;
+    }
+    if (++mismatches <= 10) {
+      char text[200];
+      std::snprintf(text, sizeof(text),
+                    "case %llu: %a + %a * %d: %a after %d, loop %a after %d",
+                    static_cast<unsigned long long>(i), c.at, c.step, c.n,
+                    actual.at, actual.steps, expected.at, expected.steps);
+      ADD_FAILURE() << text;
+    }
+  }
+  EXPECT_EQ(mismatches, 0u) << "of " << kCases << " cases";
 }
 
 }  // namespace

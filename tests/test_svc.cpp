@@ -510,6 +510,44 @@ TEST(SnapshotProperty, ReplayMatchesLiveFederation) {
   }
 }
 
+TEST(SnapshotProperty, MalformedRequestLeavesTheLogReplayable) {
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  svc::JobRequest zero_nodes = request_of(0, 10.0);
+  zero_nodes.nodes = 0;
+  svc::JobRequest zero_steps = request_of(0, 10.0);
+  zero_steps.steps = 0;
+  svc::JobRequest negative_runtime = request_of(0, 10.0);
+  negative_runtime.runtime = -1.0;
+  svc::JobRequest nan_arrival = request_of(0, 10.0);
+  nan_arrival.arrival = std::numeric_limits<double>::quiet_NaN();
+  svc::JobRequest infinite_arrival = request_of(0, 10.0);
+  infinite_arrival.arrival = kInf;
+  for (const svc::JobRequest& bad : {zero_nodes, zero_steps, negative_runtime,
+                                     nan_arrival, infinite_arrival}) {
+    svc::Service live(small_service());
+    EXPECT_THROW(live.submit(bad), std::invalid_argument);
+    ASSERT_TRUE(live.submit(request_of(1, 20.0)));
+    EXPECT_EQ(live.submission_log().size(), 1u);
+    EXPECT_EQ(live.accepted(), 1);
+    live.advance_to(120.0);
+    const svc::Snapshot snap = svc::Snapshot::deserialize(
+        svc::snapshot(live).serialize(), small_service());
+    std::unique_ptr<svc::Service> replayed = svc::restore(snap);
+    ASSERT_TRUE(live.drain(kInf));
+    ASSERT_TRUE(replayed->drain(kInf));
+    EXPECT_EQ(replayed->completed(), live.completed());
+    EXPECT_EQ(replayed->accepted(), live.accepted());
+    // The rejected request did not move the first arrival either, which
+    // every sample's utilization window starts from.
+    const auto& live_samples = live.sample_records();
+    const auto& replay_samples = replayed->sample_records();
+    ASSERT_EQ(replay_samples.size(), live_samples.size());
+    for (std::size_t i = 0; i < live_samples.size(); ++i) {
+      expect_samples_equal(replay_samples[i], live_samples[i]);
+    }
+  }
+}
+
 // --- What-if forks ---------------------------------------------------------
 
 TEST(Fork, AddingNodesMovesTheWindowedMetrics) {
