@@ -1,12 +1,13 @@
-// Micro-benchmark of the dmr::redist strategies: plan + execute
-// throughput for each strategy across the canonical resize shapes
-// (grow x2, shrink x2, prime <-> prime), emitting one JSON object per
-// line ("bench JSON") so CI and notebooks can ingest the results.
+// Micro-benchmark of dmr::redist's chunked movement: plan + execute
+// time across the canonical resize shapes (grow x2, shrink x2,
+// prime <-> prime), with drv::CostModel's nominal movement printed
+// beside each measurement, one JSON object per line ("bench JSON") so
+// CI and notebooks can ingest the results.
 //
 // Usage:  micro_redistribute [elements=N] [reps=N] [smoke]
 //   smoke        one repetition over a small array (CI mode)
-//   elements=N   doubles in the Block buffer (default 1M)
-//   reps=N       repetitions per (strategy, shape) pair (default 3)
+//   elements=N   doubles in the data buffer (default 1M)
+//   reps=N       repetitions per shape (default 3)
 #include <cstdio>
 #include <cstring>
 #include <mutex>
@@ -37,8 +38,8 @@ constexpr Shape kShapes[] = {
 };
 
 /// The buffer set under test: a Block array of doubles (the workload),
-/// a BlockCyclic array of ints and a Replicated header — one buffer per
-/// layout so every code path is exercised.
+/// a Block array of ints and a Replicated header, so every layout and a
+/// multi-buffer registry are exercised.
 struct BenchState {
   std::vector<double> data;
   std::vector<int> tags;
@@ -47,7 +48,7 @@ struct BenchState {
 
   explicit BenchState(std::size_t elements) {
     registry.add_block("data", data, elements);
-    registry.add_block_cyclic("tags", tags, elements / 2 + 1, /*block=*/64);
+    registry.add_block("tags", tags, elements / 2 + 1);
     registry.add_replicated("header", header, 16);
   }
 
@@ -70,11 +71,9 @@ struct Measurement {
   std::size_t bytes_total = 0;
   int transfers = 0;
   int failures = 0;
-  redist::Report recv_report;
 };
 
-Measurement run_once(redist::Strategy& strategy, const Shape& shape,
-                     std::size_t elements) {
+Measurement run_once(const Shape& shape, std::size_t elements) {
   Measurement m;
   // Plan cost, measured separately from execution.
   {
@@ -103,14 +102,14 @@ Measurement run_once(redist::Strategy& strategy, const Shape& shape,
           const redist::Endpoint endpoint{&*child.parent(), child.rank(),
                                           shape.from, shape.to};
           const redist::Report report =
-              strategy.recv(endpoint, fresh.registry);
+              redist::recv_buffers(endpoint, fresh.registry);
           std::lock_guard<std::mutex> lock(mu);
           // Concurrent ranks: sum bytes, keep the slowest wall time.
           recv_total.merge_concurrent(report);
         });
     const redist::Endpoint endpoint{&inter, ctx.rank(), shape.from,
                                     shape.to};
-    (void)strategy.send(endpoint, state.registry);
+    (void)redist::send_buffers(endpoint, state.registry);
   });
   universe.await_all();
   m.exec_seconds = wall_seconds() - start;
@@ -121,7 +120,6 @@ Measurement run_once(redist::Strategy& strategy, const Shape& shape,
   m.bytes_moved = recv_total.bytes_moved;
   m.bytes_total = recv_total.bytes_total;
   m.transfers = recv_total.transfers;
-  m.recv_report = recv_total;
   return m;
 }
 
@@ -146,56 +144,28 @@ int main(int argc, char** argv) {
     }
   }
 
-  // The measured-cost feedback loop: every measured Report calibrates
-  // the simulator's CostModel, whose movement prediction is emitted
-  // next to the measurement it will stand in for.
-  drv::CostModel model;
+  const drv::CostModel model;
   int failures = 0;
-  for (const char* name : {"p2p", "pipelined", "checkpoint"}) {
-    for (const Shape& shape : kShapes) {
-      // One strategy instance per shape so the checkpoint route reuses
-      // its shard directory across reps (as a real store would).
-      const auto strategy = redist::make_strategy(name);
-      for (int rep = 0; rep < reps; ++rep) {
-        const Measurement m = run_once(*strategy, shape, elements);
-        failures += m.failures;
-        model.observe(m.recv_report);
-        model.use_checkpoint_restart = m.recv_report.via_checkpoint;
-        const double model_seconds =
-            model.movement(m.bytes_total, shape.from, shape.to).seconds;
-        // Heterogeneity re-validation of the calibrated model: at node
-        // speed 1.0 the prediction must equal model_seconds (this bench
-        // measures reference-speed hardware, so calibration and the
-        // speed factor stay orthogonal); a 0.6-speed allocation must pay
-        // 1/0.6x on the network path and nothing extra through the
-        // checkpoint store.
-        const double model_ref =
-            model.movement(m.bytes_total, shape.from, shape.to, 1.0).seconds;
-        const double model_slow =
-            model.movement(m.bytes_total, shape.from, shape.to, 0.6).seconds;
-        const bool speed_ok =
-            model_ref == model_seconds &&
-            (m.recv_report.via_checkpoint
-                 ? model_slow == model_seconds
-                 : model_slow >= model_seconds * 1.5);
-        const double throughput =
-            m.exec_seconds > 0.0
-                ? static_cast<double>(m.bytes_moved) / m.exec_seconds / 1e6
-                : 0.0;
-        std::printf(
-            "{\"bench\":\"micro_redistribute\",\"strategy\":\"%s\","
-            "\"shape\":\"%s\",\"old\":%d,\"new\":%d,\"elements\":%zu,"
-            "\"rep\":%d,\"bytes_total\":%zu,\"bytes_moved\":%zu,"
-            "\"transfers\":%d,\"plan_seconds\":%.6f,\"exec_seconds\":%.6f,"
-            "\"throughput_mbps\":%.2f,\"model_seconds\":%.6f,"
-            "\"model_seconds_speed06\":%.6f,\"speed_check\":\"%s\"}\n",
-            name, shape.kind, shape.from, shape.to, elements, rep,
-            m.bytes_total, m.bytes_moved, m.transfers, m.plan_seconds,
-            m.exec_seconds, throughput, model_seconds, model_slow,
-            speed_ok ? "ok" : "drift");
-        if (!speed_ok) ++failures;
-        std::fflush(stdout);
-      }
+  for (const Shape& shape : kShapes) {
+    for (int rep = 0; rep < reps; ++rep) {
+      const Measurement m = run_once(shape, elements);
+      failures += m.failures;
+      const double model_seconds =
+          model.movement(m.bytes_total, shape.from, shape.to).seconds;
+      const double throughput =
+          m.exec_seconds > 0.0
+              ? static_cast<double>(m.bytes_moved) / m.exec_seconds / 1e6
+              : 0.0;
+      std::printf(
+          "{\"bench\":\"micro_redistribute\",\"shape\":\"%s\","
+          "\"old\":%d,\"new\":%d,\"elements\":%zu,\"rep\":%d,"
+          "\"bytes_total\":%zu,\"bytes_moved\":%zu,\"transfers\":%d,"
+          "\"plan_seconds\":%.6f,\"exec_seconds\":%.6f,"
+          "\"throughput_mbps\":%.2f,\"model_seconds\":%.6f}\n",
+          shape.kind, shape.from, shape.to, elements, rep, m.bytes_total,
+          m.bytes_moved, m.transfers, m.plan_seconds, m.exec_seconds,
+          throughput, model_seconds);
+      std::fflush(stdout);
     }
   }
   if (failures > 0) {

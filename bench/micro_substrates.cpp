@@ -64,7 +64,7 @@ BENCHMARK(BM_EngineScheduleRun)->Arg(1000)->Arg(100000);
 void BM_RedistributionPlan(benchmark::State& state) {
   const auto old_parts = static_cast<int>(state.range(0));
   const auto new_parts = static_cast<int>(state.range(1));
-  const Buffer desc{"plan", sizeof(double), 1 << 20, Layout::Block, 1};
+  const Buffer desc{"plan", sizeof(double), 1 << 20, Layout::Block};
   for (auto _ : state) {
     benchmark::DoNotOptimize(
         redist::plan_transfers(desc, old_parts, new_parts));

@@ -96,10 +96,6 @@ int main() {
   request.factor = 2;
   auto point = std::make_shared<ReconfigPoint>(session, request);
 
-  // Pick a redistribution strategy for the job's registered buffers
-  // (p2p is the default; pipelined streams bounded-in-flight chunks).
-  session.set_redist_strategy(redist::make_strategy("pipelined"));
-
   // 4. Run the malleable loop: 6 iterations over 64 elements.
   smpi::Universe universe;
   MalleableConfig config;

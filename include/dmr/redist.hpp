@@ -2,20 +2,14 @@
 //
 // Applications register their resize-relevant state as typed buffers
 // (dmr::Buffer: element size, global count, layout) in a per-rank
-// dmr::redist::Registry; on a resize a pluggable redist::Strategy moves
-// every registered buffer across the old -> new process set and reports
-// the measured cost (redist::Report), which calibrates drv::CostModel.
-//
-// Shipped strategies: P2pPlan (overlap-plan rank-to-rank transfers),
-// PipelinedChunks (chunked bounded-in-flight streams) and
-// CheckpointRoute (the C/R baseline through the ckpt store).
+// dmr::redist::Registry; on a resize redist::send_buffers and
+// redist::recv_buffers move every registered buffer across the
+// old -> new process set in 64 KiB chunks and report the measured cost
+// (redist::Report).
 #pragma once
 
-#include "redist/buffer.hpp"            // IWYU pragma: export
-#include "redist/checkpoint_route.hpp"  // IWYU pragma: export
-#include "redist/p2p_plan.hpp"          // IWYU pragma: export
-#include "redist/pipelined.hpp"         // IWYU pragma: export
-#include "redist/strategy.hpp"          // IWYU pragma: export
+#include "redist/buffer.hpp"  // IWYU pragma: export
+#include "redist/move.hpp"    // IWYU pragma: export
 
 namespace dmr {
 

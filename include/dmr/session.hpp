@@ -20,10 +20,6 @@
 
 namespace dmr {
 
-namespace redist {
-class Strategy;
-}  // namespace redist
-
 /// Thread-safe, clocked access to an Rms backend.
 class Connection {
  public:
@@ -80,16 +76,6 @@ class Session {
   void complete_shrink();
   JobView info() const;
 
-  // --- data redistribution ---------------------------------------------------
-
-  /// Strategy used to move this job's registered buffers on resizes
-  /// (dmr::redist; nullptr = the runtime default, P2pPlan).  Set before
-  /// launching the malleable loop.
-  void set_redist_strategy(std::shared_ptr<redist::Strategy> strategy);
-  const std::shared_ptr<redist::Strategy>& redist_strategy() const {
-    return redist_strategy_;
-  }
-
   // --- lifecycle -------------------------------------------------------------
 
   /// Report completion to the RMS.  Idempotent: only the first call
@@ -103,7 +89,6 @@ class Session {
 
   std::shared_ptr<Connection> connection_;
   JobId job_ = kInvalidJob;
-  std::shared_ptr<redist::Strategy> redist_strategy_;
   std::atomic<bool> finished_{false};
 };
 

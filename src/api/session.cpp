@@ -95,10 +95,6 @@ void Session::complete_shrink() {
 
 JobView Session::info() const { return connection_->query(require_job()); }
 
-void Session::set_redist_strategy(std::shared_ptr<redist::Strategy> strategy) {
-  redist_strategy_ = std::move(strategy);
-}
-
 void Session::finish() {
   const JobId id = require_job();
   if (finished_.exchange(true)) return;

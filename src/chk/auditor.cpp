@@ -7,7 +7,7 @@
 #include "dmr/build_info.hpp"
 #include "fed/federation.hpp"
 #include "obs/json.hpp"
-#include "redist/strategy.hpp"
+#include "redist/move.hpp"
 #include "rms/cluster.hpp"
 #include "rms/manager.hpp"
 
@@ -373,7 +373,7 @@ void Auditor::on_redist_report(const redist::Report& report,
     fail(msg.str());
   }
   // A store-routed report may legitimately move every byte twice (write
-  // plus read-back); the direct strategies never exceed the total.
+  // plus read-back); point-to-point movement never exceeds the total.
   const std::size_t ceiling =
       report.via_checkpoint ? 2 * report.bytes_total : report.bytes_total;
   if (report.bytes_moved > ceiling) {

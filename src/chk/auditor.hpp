@@ -53,7 +53,7 @@ struct Report;
 namespace dmr::chk {
 
 /// One invariant breach: which rule, where, and when (simulated time; 0
-/// for wall-clock contexts like a real redistribution strategy).
+/// for wall-clock contexts like a real buffer redistribution).
 struct Violation {
   std::string invariant;
   std::string message;

@@ -38,7 +38,7 @@ class CheckpointStore {
   void clear();
 
   /// Telemetry for benches.  Counters are mutex-guarded so concurrent
-  /// rank threads (redist::CheckpointRoute) can share one store.
+  /// rank threads can share one store.
   std::size_t bytes_written() const;
   std::size_t bytes_read() const;
   int writes() const;

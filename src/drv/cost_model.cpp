@@ -33,14 +33,8 @@ redist::Report CostModel::movement(std::size_t state_bytes, int old_procs,
     report.via_checkpoint = true;
     report.bytes_moved = 2 * state_bytes;
     report.transfers = 2;
-    if (measured_checkpoint_bw > 0.0) {
-      report.seconds =
-          static_cast<double>(report.bytes_moved) / measured_checkpoint_bw;
-    } else {
-      report.seconds =
-          static_cast<double>(state_bytes) / kCheckpointWriteBw +
-          static_cast<double>(state_bytes) / kCheckpointReadBw;
-    }
+    report.seconds = static_cast<double>(state_bytes) / kCheckpointWriteBw +
+                     static_cast<double>(state_bytes) / kCheckpointReadBw;
     return report;
   }
   // DMR: only the migrating fraction crosses the network, and transfers
@@ -51,12 +45,10 @@ redist::Report CostModel::movement(std::size_t state_bytes, int old_procs,
   report.transfers = old_procs + new_procs;
   const int lanes = std::max(1, std::min(old_procs, new_procs));
   report.lanes = lanes;
-  // Calibrated bandwidth (observe()) or the nominal figure, scaled by
-  // the partition speed of the nodes doing the moving.
+  // The nominal figure, scaled by the partition speed of the nodes doing
+  // the moving.
   const double speed = node_speed > 0.0 ? node_speed : 1.0;
-  const double per_lane =
-      (measured_network_bw > 0.0 ? measured_network_bw : kNetworkBandwidth) *
-      speed;
+  const double per_lane = kNetworkBandwidth * speed;
   report.seconds =
       static_cast<double>(report.bytes_moved) / (per_lane * lanes);
   return report;
@@ -73,20 +65,6 @@ double CostModel::reconfigure_seconds(std::size_t state_bytes, int old_procs,
                                       double node_speed) const {
   return protocol_seconds(new_procs) +
          movement(state_bytes, old_procs, new_procs, node_speed).seconds;
-}
-
-void CostModel::observe(const redist::Report& report) {
-  double bandwidth = report.bandwidth();
-  if (bandwidth <= 0.0) return;
-  // Network reports are normalized to per-lane terms so an observation
-  // from one resize shape transfers to another; the checkpoint store has
-  // no lane structure.
-  if (!report.via_checkpoint) {
-    bandwidth /= std::max(1, report.lanes);
-  }
-  double& slot =
-      report.via_checkpoint ? measured_checkpoint_bw : measured_network_bw;
-  slot = slot > 0.0 ? 0.5 * slot + 0.5 * bandwidth : bandwidth;
 }
 
 }  // namespace dmr::drv

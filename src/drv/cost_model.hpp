@@ -7,15 +7,14 @@
 // is where Fig. 1's 31-77x spawn-cost gap comes from.
 //
 // The movement half is expressed as a redist::Report — the same value a
-// real redistribution measures — and the model *calibrates* itself from
-// observed reports (observe()): once a measured effective bandwidth
-// exists it replaces the nominal hardware numbers, so simulated resize
-// costs track real movement instead of hard-coded fractions.
+// real redistribution measures — priced at the nominal hardware figures
+// below; bench/micro_redistribute prints it beside each measured
+// movement.
 #pragma once
 
 #include <cstddef>
 
-#include "redist/strategy.hpp"
+#include "redist/move.hpp"
 
 namespace dmr::drv {
 
@@ -39,14 +38,6 @@ struct CostModel {
   /// redistribution (the C/R ablation).
   bool use_checkpoint_restart = false;
 
-  /// Measured bandwidths, EWMA-blended from observed redist::Reports;
-  /// 0 until the first observation, after which they replace the nominal
-  /// constants above.  The network figure is *per lane* (the report's
-  /// aggregate rate divided by its lane count, so it transfers across
-  /// resize shapes); the checkpoint figure is the store's aggregate rate.
-  double measured_network_bw = 0.0;
-  double measured_checkpoint_bw = 0.0;
-
   /// Modeled data movement for resizing `old_procs` -> `new_procs` with
   /// `state_bytes` of registered application state — the Report a
   /// virtual-time substrate "measures" for the resize.  `node_speed` is
@@ -66,11 +57,6 @@ struct CostModel {
 
   /// Spawn/teardown share only (no data movement).
   double protocol_seconds(int new_procs) const;
-
-  /// Calibrate from a measured report (real-mode runs, micro benches):
-  /// blends the report's effective bandwidth into the matching measured_
-  /// slot.  Reports that moved nothing or were not timed are ignored.
-  void observe(const redist::Report& report);
 
   /// Fraction of the state that crosses node boundaries in a DMR resize
   /// (elements whose owning rank index changes).

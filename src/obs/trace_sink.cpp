@@ -5,7 +5,7 @@
 
 #include "fed/federation.hpp"
 #include "obs/json.hpp"
-#include "redist/strategy.hpp"
+#include "redist/move.hpp"
 #include "svc/metrics_window.hpp"
 #include "util/clock.hpp"
 

@@ -4,28 +4,10 @@
 
 namespace dmr::redist {
 
-std::string to_string(Layout layout) {
-  switch (layout) {
-    case Layout::Block:
-      return "block";
-    case Layout::BlockCyclic:
-      return "block-cyclic";
-    case Layout::Replicated:
-      return "replicated";
-  }
-  return "?";
-}
-
 Distribution::Distribution(const Buffer& desc, int parts)
-    : layout_(desc.layout),
-      total_(desc.count),
-      parts_(parts),
-      block_(desc.block) {
+    : layout_(desc.layout), total_(desc.count), parts_(parts) {
   if (parts <= 0) {
     throw std::invalid_argument("Distribution: non-positive parts");
-  }
-  if (layout_ == Layout::BlockCyclic && block_ == 0) {
-    throw std::invalid_argument("Distribution: zero block size");
   }
 }
 
@@ -33,92 +15,41 @@ std::size_t Distribution::local_count(int rank) const {
   if (rank < 0 || rank >= parts_) {
     throw std::out_of_range("Distribution: rank out of range");
   }
-  switch (layout_) {
-    case Layout::Block:
-      return rt::BlockDistribution(total_, parts_).count(rank);
-    case Layout::Replicated:
-      return total_;
-    case Layout::BlockCyclic: {
-      if (total_ == 0) return 0;
-      const std::size_t nblocks = (total_ + block_ - 1) / block_;
-      const auto parts = static_cast<std::size_t>(parts_);
-      const auto r = static_cast<std::size_t>(rank);
-      const std::size_t owned = nblocks / parts + (r < nblocks % parts);
-      std::size_t count = owned * block_;
-      // The globally-last block may be partial; subtract its padding if
-      // this rank owns it.
-      if ((nblocks - 1) % parts == r) {
-        count -= nblocks * block_ - total_;
-      }
-      return count;
-    }
-  }
-  return 0;
+  if (layout_ == Layout::Replicated) return total_;
+  return rt::BlockDistribution(total_, parts_).count(rank);
 }
 
 Distribution::Place Distribution::locate(std::size_t index) const {
   if (index >= total_) {
     throw std::out_of_range("Distribution: index out of range");
   }
-  switch (layout_) {
-    case Layout::Block: {
-      const rt::BlockDistribution dist(total_, parts_);
-      const int rank = dist.owner(index);
-      return {rank, index - dist.begin(rank)};
-    }
-    case Layout::Replicated:
-      // Canonical copy: rank 0 (every rank holds the same bytes).
-      return {0, index};
-    case Layout::BlockCyclic: {
-      const std::size_t b = index / block_;
-      const auto parts = static_cast<std::size_t>(parts_);
-      const int rank = static_cast<int>(b % parts);
-      return {rank, (b / parts) * block_ + index % block_};
-    }
-  }
-  return {};
+  // Replicated: the canonical copy is rank 0's (every rank holds the
+  // same bytes).
+  if (layout_ == Layout::Replicated) return {0, index};
+  const rt::BlockDistribution dist(total_, parts_);
+  const int rank = dist.owner(index);
+  return {rank, index - dist.begin(rank)};
 }
 
 std::size_t Distribution::run_length(std::size_t index) const {
   if (index >= total_) {
     throw std::out_of_range("Distribution: index out of range");
   }
-  switch (layout_) {
-    case Layout::Block: {
-      const rt::BlockDistribution dist(total_, parts_);
-      return dist.end(dist.owner(index)) - index;
-    }
-    case Layout::Replicated:
-      return total_ - index;
-    case Layout::BlockCyclic:
-      return std::min(total_, (index / block_ + 1) * block_) - index;
-  }
-  return 1;
+  if (layout_ == Layout::Replicated) return total_ - index;
+  const rt::BlockDistribution dist(total_, parts_);
+  return dist.end(dist.owner(index)) - index;
 }
 
 void Distribution::for_each_local_run(
     int rank,
     const std::function<void(std::size_t, std::size_t)>& fn) const {
   if (total_ == 0) return;
-  switch (layout_) {
-    case Layout::Block: {
-      const rt::BlockDistribution dist(total_, parts_);
-      if (dist.count(rank) > 0) fn(dist.begin(rank), dist.count(rank));
-      return;
-    }
-    case Layout::Replicated:
-      fn(0, total_);
-      return;
-    case Layout::BlockCyclic: {
-      const std::size_t nblocks = (total_ + block_ - 1) / block_;
-      for (std::size_t b = static_cast<std::size_t>(rank); b < nblocks;
-           b += static_cast<std::size_t>(parts_)) {
-        const std::size_t begin = b * block_;
-        fn(begin, std::min(total_, begin + block_) - begin);
-      }
-      return;
-    }
+  if (layout_ == Layout::Replicated) {
+    fn(0, total_);
+    return;
   }
+  const rt::BlockDistribution dist(total_, parts_);
+  if (dist.count(rank) > 0) fn(dist.begin(rank), dist.count(rank));
 }
 
 std::vector<Transfer> plan_transfers(const Buffer& desc, int old_parts,

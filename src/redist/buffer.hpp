@@ -2,11 +2,11 @@
 //
 // Applications describe every piece of resize-relevant state as a
 // dmr::redist::Buffer (element size, global count, layout) and bind the
-// rank-local storage behind it into a Registry.  A redistribution
-// strategy then moves *all* registered buffers across an old -> new
-// process set without knowing anything about the application — the
-// generalization of the paper's Listing 3, where each OmpSs "onto"
-// clause names one distributed structure.
+// rank-local storage behind it into a Registry.  On a resize,
+// send_buffers / recv_buffers (redist/move.hpp) move *all* registered
+// buffers across an old -> new process set without knowing anything
+// about the application — the generalization of the paper's Listing 3,
+// where each OmpSs "onto" clause names one distributed structure.
 #pragma once
 
 #include <cstddef>
@@ -26,13 +26,9 @@ namespace dmr::redist {
 enum class Layout {
   /// Balanced contiguous blocks (the paper's row-block distribution).
   Block,
-  /// Round-robin blocks of `Buffer::block` elements (ScaLAPACK-style).
-  BlockCyclic,
   /// Every rank holds the full buffer (Krylov scalars, step counters).
   Replicated,
 };
-
-std::string to_string(Layout layout);
 
 /// Descriptor of one registered application buffer.  An "element" is the
 /// indivisible unit of distribution — e.g. one matrix *row* of n doubles
@@ -42,7 +38,6 @@ struct Buffer {
   std::size_t elem_size = 0;  ///< bytes per element
   std::size_t count = 0;      ///< global element count
   Layout layout = Layout::Block;
-  std::size_t block = 1;  ///< elements per block (BlockCyclic only)
 
   /// Global payload bytes (one copy; replication not counted).
   std::size_t bytes_total() const { return elem_size * count; }
@@ -53,9 +48,6 @@ struct Buffer {
 class Distribution {
  public:
   Distribution(const Buffer& desc, int parts);
-
-  int parts() const { return parts_; }
-  std::size_t total() const { return total_; }
 
   /// Elements held locally by `rank` (== total for Replicated).
   std::size_t local_count(int rank) const;
@@ -83,7 +75,6 @@ class Distribution {
   Layout layout_;
   std::size_t total_;
   int parts_;
-  std::size_t block_;
 };
 
 /// One contiguous copy between an old-layout rank and a new-layout rank.
@@ -96,10 +87,10 @@ struct Transfer {
 };
 
 /// Overlap plan moving one buffer from `old_parts` to `new_parts` ranks.
-/// For Block / BlockCyclic layouts the transfers partition the global
-/// index space (every element moves exactly once); for Replicated
-/// buffers every new rank receives exactly one full copy, sourced
-/// round-robin from the old ranks.  Offsets are local *element* offsets.
+/// For Block buffers the transfers partition the global index space
+/// (every element moves exactly once); for Replicated buffers every new
+/// rank receives exactly one full copy, sourced round-robin from the old
+/// ranks.  Offsets are local *element* offsets.
 std::vector<Transfer> plan_transfers(const Buffer& desc, int old_parts,
                                      int new_parts);
 
@@ -114,7 +105,7 @@ struct Binding {
 };
 
 /// The per-rank set of registered buffers.  Registration order is the
-/// wire order every strategy follows, so it must be identical on all
+/// wire order the movement follows, so it must be identical on all
 /// ranks of both process sets.
 ///
 /// Non-copyable and non-movable: bindings close over references to the
@@ -138,24 +129,15 @@ class Registry {
   void add_block(std::string name, std::vector<T>& storage,
                  std::size_t global_count,
                  std::size_t items_per_element = 1) {
-    add_vector(std::move(name), storage, global_count, Layout::Block, 1,
+    add_vector(std::move(name), storage, global_count, Layout::Block,
                items_per_element);
-  }
-
-  template <typename T>
-  void add_block_cyclic(std::string name, std::vector<T>& storage,
-                        std::size_t global_count, std::size_t block,
-                        std::size_t items_per_element = 1) {
-    add_vector(std::move(name), storage, global_count, Layout::BlockCyclic,
-               block, items_per_element);
   }
 
   /// Every rank holds the full vector (identical across ranks).
   template <typename T>
   void add_replicated(std::string name, std::vector<T>& storage,
                       std::size_t global_count) {
-    add_vector(std::move(name), storage, global_count, Layout::Replicated, 1,
-               1);
+    add_vector(std::move(name), storage, global_count, Layout::Replicated, 1);
   }
 
   /// A single replicated value (Krylov rho, iteration counters, ...).
@@ -193,7 +175,7 @@ class Registry {
  private:
   template <typename T>
   void add_vector(std::string name, std::vector<T>& storage,
-                  std::size_t global_count, Layout layout, std::size_t block,
+                  std::size_t global_count, Layout layout,
                   std::size_t items_per_element) {
     static_assert(std::is_trivially_copyable_v<T>);
     Buffer desc;
@@ -201,7 +183,6 @@ class Registry {
     desc.elem_size = sizeof(T) * items_per_element;
     desc.count = global_count;
     desc.layout = layout;
-    desc.block = block;
     add(std::move(desc),
         [&storage] {
           return std::as_bytes(

@@ -1,4 +1,4 @@
-#include "redist/pipelined.hpp"
+#include "redist/move.hpp"
 
 #include <algorithm>
 #include <cstring>
@@ -15,8 +15,8 @@ namespace {
 
 using util::wall_seconds;
 
-/// Distinct from the P2pPlan range so mixed use cannot cross-match.
-constexpr int kPipeTagBase = 7800;
+/// Message tags: one per registered buffer, in registration order.
+constexpr int kTagBase = 7800;
 
 /// One chunk of one transfer, in the deterministic enumeration both
 /// sides derive independently from the shared plan: buffers in
@@ -32,42 +32,54 @@ template <typename Filter>
 std::vector<Chunk> enumerate_chunks(const Endpoint& endpoint,
                                     const Registry& registry, bool sending,
                                     Filter mine) {
-  constexpr std::size_t chunk_bytes = PipelinedChunks::kChunkBytes;
   std::vector<Chunk> chunks;
   for (std::size_t i = 0; i < registry.size(); ++i) {
     const Binding& binding = registry.at(i);
     const std::size_t elem = binding.desc.elem_size;
     const auto plan =
         plan_transfers(binding.desc, endpoint.old_size, endpoint.new_size);
-    const int tag = kPipeTagBase + static_cast<int>(i);
+    const int tag = kTagBase + static_cast<int>(i);
     for (const Transfer& t : plan) {
       if (!mine(t)) continue;
       const std::size_t base =
           (sending ? t.src_offset : t.dst_offset) * elem;
       const std::size_t bytes = t.count * elem;
-      for (std::size_t off = 0; off < bytes; off += chunk_bytes) {
+      for (std::size_t off = 0; off < bytes; off += kChunkBytes) {
         chunks.push_back({sending ? t.dst_rank : t.src_rank, tag,
-                          base + off, std::min(chunk_bytes, bytes - off)});
+                          base + off, std::min(kChunkBytes, bytes - off)});
       }
     }
   }
   return chunks;
 }
 
-}  // namespace
-
-Report PipelinedChunks::send(const Endpoint& endpoint,
-                             const Registry& registry) {
+Report start_report(const Endpoint& endpoint, const Registry& registry) {
   Report report;
   report.bytes_total = registry.total_bytes();
   report.lanes = std::max(1, std::min(endpoint.old_size, endpoint.new_size));
+  return report;
+}
+
+}  // namespace
+
+void Report::merge_concurrent(const Report& other) {
+  bytes_moved += other.bytes_moved;
+  bytes_total = std::max(bytes_total, other.bytes_total);
+  transfers += other.transfers;
+  seconds = std::max(seconds, other.seconds);
+  lanes = std::max(lanes, other.lanes);
+  via_checkpoint = via_checkpoint || other.via_checkpoint;
+}
+
+Report send_buffers(const Endpoint& endpoint, const Registry& registry) {
+  Report report = start_report(endpoint, registry);
   const double start = wall_seconds();
   const auto chunks = enumerate_chunks(
       endpoint, registry, /*sending=*/true,
       [&](const Transfer& t) { return t.src_rank == endpoint.rank; });
   for (const Chunk& chunk : chunks) {
     const Binding& owner =
-        registry.at(static_cast<std::size_t>(chunk.tag - kPipeTagBase));
+        registry.at(static_cast<std::size_t>(chunk.tag - kTagBase));
     endpoint.link->send_bytes(chunk.peer, chunk.tag,
                               owner.read().subspan(chunk.offset, chunk.size));
     report.bytes_moved += chunk.size;
@@ -77,10 +89,8 @@ Report PipelinedChunks::send(const Endpoint& endpoint,
   return report;
 }
 
-Report PipelinedChunks::recv(const Endpoint& endpoint, Registry& registry) {
-  Report report;
-  report.bytes_total = registry.total_bytes();
-  report.lanes = std::max(1, std::min(endpoint.old_size, endpoint.new_size));
+Report recv_buffers(const Endpoint& endpoint, Registry& registry) {
+  Report report = start_report(endpoint, registry);
   const double start = wall_seconds();
   // Lay out every buffer for the new geometry first so chunk offsets
   // resolve to stable storage.
@@ -109,10 +119,9 @@ Report PipelinedChunks::recv(const Endpoint& endpoint, Registry& registry) {
     auto payload = window.front().take_data();
     window.pop_front();
     if (payload.size() != chunk.size) {
-      throw std::runtime_error("PipelinedChunks: chunk size mismatch");
+      throw std::runtime_error("recv_buffers: chunk size mismatch");
     }
-    const auto out =
-        storage[static_cast<std::size_t>(chunk.tag - kPipeTagBase)];
+    const auto out = storage[static_cast<std::size_t>(chunk.tag - kTagBase)];
     std::memcpy(out.data() + chunk.offset, payload.data(), payload.size());
     report.bytes_moved += payload.size();
     ++report.transfers;

@@ -115,6 +115,50 @@ struct IdlePool {
   }
 };
 
+/// Walk every running job's expected releases of nodes in `pool` (a
+/// partition, or -1 for the whole cluster), calling
+/// emit(time, job, nodes, draining) for each, and return the nodes
+/// already idle there.  A job releases its draining nodes at `now` (the
+/// shrink drain completes imminently, well before the time limit) and
+/// the rest of its allocation at start_time + time_limit.
+template <typename Emit>
+int walk_releases(const ScheduleView& view, int pool, Emit&& emit) {
+  const bool pooled = pool >= 0 && view.heterogeneous();
+  const auto in_pool = [&](int node_id) {
+    if (!pooled) return true;
+    return node_id >= 0 &&
+           view.node_partition[static_cast<std::size_t>(node_id)] == pool;
+  };
+  const auto is_draining = [&](int node_id) {
+    return node_id >= 0 && !view.node_draining.empty() &&
+           view.node_draining[static_cast<std::size_t>(node_id)] != 0;
+  };
+  // Homogeneous cluster with nothing draining: every allocated node is
+  // in the pool and none releases early, so the per-node walk (paid per
+  // running job per shadow evaluation) collapses to the allocation size.
+  const bool count_only = !pooled && view.node_draining.empty();
+  for (const Job* job : view.running) {
+    int pool_nodes = 0;
+    int draining = 0;
+    if (count_only) {
+      pool_nodes = static_cast<int>(job->nodes.size());
+    } else {
+      for (int node_id : job->nodes) {
+        if (!in_pool(node_id)) continue;
+        ++pool_nodes;
+        if (is_draining(node_id)) ++draining;
+      }
+    }
+    if (draining > 0) emit(view.now, *job, draining, true);
+    if (pool_nodes - draining > 0) {
+      emit(std::max(view.now, job->start_time + job->spec.time_limit), *job,
+           pool_nodes - draining, false);
+    }
+  }
+  return pooled ? view.idle_per_partition[static_cast<std::size_t>(pool)]
+                : view.idle_nodes;
+}
+
 /// The running job whose expected release would cross the `needed`
 /// threshold (for BlockDiag attribution), found by the same release
 /// accumulation shadow_time performs.
@@ -127,17 +171,6 @@ struct CriticalRelease {
 
 CriticalRelease blocking_release(const ScheduleView& view, int needed,
                                  int pool) {
-  const bool pooled = pool >= 0 && view.heterogeneous();
-  const auto in_pool = [&](int node_id) {
-    if (!pooled) return true;
-    return node_id >= 0 &&
-           view.node_partition[static_cast<std::size_t>(node_id)] == pool;
-  };
-  const auto is_draining = [&](int node_id) {
-    return node_id >= 0 && !view.node_draining.empty() &&
-           view.node_draining[static_cast<std::size_t>(node_id)] != 0;
-  };
-
   struct Release {
     double time;
     JobId id;
@@ -147,33 +180,16 @@ CriticalRelease blocking_release(const ScheduleView& view, int needed,
   };
   std::vector<Release> releases;
   releases.reserve(view.running.size() * 2);
-  for (const Job* job : view.running) {
-    int pool_nodes = 0;
-    int draining = 0;
-    for (int node_id : job->nodes) {
-      if (!in_pool(node_id)) continue;
-      ++pool_nodes;
-      if (is_draining(node_id)) ++draining;
-    }
-    if (draining > 0) {
-      releases.push_back(Release{view.now, job->id, job, draining, true});
-    }
-    if (pool_nodes - draining > 0) {
-      const double expected_end =
-          std::max(view.now, job->start_time + job->spec.time_limit);
-      releases.push_back(
-          Release{expected_end, job->id, job, pool_nodes - draining, false});
-    }
-  }
+  int free_nodes = walk_releases(
+      view, pool, [&](double time, const Job& job, int nodes, bool draining) {
+        releases.push_back(Release{time, job.id, &job, nodes, draining});
+      });
+  if (free_nodes >= needed) return {};
   // Ties break by job id so the named blocker is deterministic.
   std::sort(releases.begin(), releases.end(),
             [](const Release& a, const Release& b) {
               return a.time != b.time ? a.time < b.time : a.id < b.id;
             });
-  int free_nodes =
-      pooled ? view.idle_per_partition[static_cast<std::size_t>(pool)]
-             : view.idle_nodes;
-  if (free_nodes >= needed) return {};
   for (const Release& release : releases) {
     free_nodes += release.nodes;
     if (free_nodes >= needed) {
@@ -187,62 +203,27 @@ CriticalRelease blocking_release(const ScheduleView& view, int needed,
 
 double shadow_time(const ScheduleView& view, int needed, int* extra_nodes,
                    int pool) {
-  const bool pooled = pool >= 0 && view.heterogeneous();
-  const auto in_pool = [&](int node_id) {
-    if (!pooled) return true;
-    return node_id >= 0 &&
-           view.node_partition[static_cast<std::size_t>(node_id)] == pool;
-  };
-  const auto is_draining = [&](int node_id) {
-    return node_id >= 0 && !view.node_draining.empty() &&
-           view.node_draining[static_cast<std::size_t>(node_id)] != 0;
-  };
-
   // Accumulate expected releases in time order until the requirement is
-  // met.  A job releases its draining nodes at `now` (the shrink drain
-  // completes imminently, well before the time limit) and the rest of its
-  // allocation at start_time + time_limit.
+  // met.
   struct Release {
     double time;
     int nodes;
   };
-  // Homogeneous cluster with nothing draining: every allocated node is
-  // in the pool and none releases early, so the per-node walk (paid per
-  // running job per shadow evaluation) collapses to the allocation size.
-  const bool count_only = !pooled && view.node_draining.empty();
   // Scratch kept across calls — one shadow evaluation per blocked pass,
   // each rebuilding the release schedule from the running set.
   static thread_local std::vector<Release> releases;
   releases.clear();
   releases.reserve(view.running.size() * 2);
-  for (const Job* job : view.running) {
-    int pool_nodes = 0;
-    int draining = 0;
-    if (count_only) {
-      pool_nodes = static_cast<int>(job->nodes.size());
-    } else {
-      for (int node_id : job->nodes) {
-        if (!in_pool(node_id)) continue;
-        ++pool_nodes;
-        if (is_draining(node_id)) ++draining;
-      }
-    }
-    if (draining > 0) releases.push_back(Release{view.now, draining});
-    if (pool_nodes - draining > 0) {
-      const double expected_end =
-          std::max(view.now, job->start_time + job->spec.time_limit);
-      releases.push_back(Release{expected_end, pool_nodes - draining});
-    }
-  }
-  std::sort(releases.begin(), releases.end(),
-            [](const Release& a, const Release& b) { return a.time < b.time; });
-  int free_nodes = pooled ? view.idle_per_partition[static_cast<std::size_t>(
-                                pool)]
-                          : view.idle_nodes;
+  int free_nodes =
+      walk_releases(view, pool, [](double time, const Job&, int nodes, bool) {
+        releases.push_back(Release{time, nodes});
+      });
   if (free_nodes >= needed) {
     if (extra_nodes != nullptr) *extra_nodes = free_nodes - needed;
     return view.now;
   }
+  std::sort(releases.begin(), releases.end(),
+            [](const Release& a, const Release& b) { return a.time < b.time; });
   for (const Release& release : releases) {
     free_nodes += release.nodes;
     if (free_nodes >= needed) {

@@ -10,17 +10,16 @@ void AppState::on_layout_changed(int rank, int nprocs) {
   (void)nprocs;
 }
 
-redist::Report AppState::send_state(redist::Strategy& strategy,
-                                    const smpi::Comm& inter, int my_old_rank,
+redist::Report AppState::send_state(const smpi::Comm& inter, int my_old_rank,
                                     int old_size, int new_size) const {
-  return strategy.send({&inter, my_old_rank, old_size, new_size}, registry_);
+  return redist::send_buffers({&inter, my_old_rank, old_size, new_size},
+                              registry_);
 }
 
-redist::Report AppState::recv_state(redist::Strategy& strategy,
-                                    const smpi::Comm& parent, int my_new_rank,
+redist::Report AppState::recv_state(const smpi::Comm& parent, int my_new_rank,
                                     int old_size, int new_size) {
-  const redist::Report report =
-      strategy.recv({&parent, my_new_rank, old_size, new_size}, registry_);
+  const redist::Report report = redist::recv_buffers(
+      {&parent, my_new_rank, old_size, new_size}, registry_);
   on_layout_changed(my_new_rank, new_size);
   return report;
 }

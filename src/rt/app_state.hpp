@@ -4,17 +4,17 @@
 // in the constructor) and overrides init / compute_step, plus
 // on_layout_changed when it keeps rank-derived members.  It never
 // touches the wire: on a resize the loop moves every registered buffer
-// through the job's redist::Strategy, and the global checkpoint format
-// used by the C/R baseline is derived from the same registrations —
-// rank-local blocks are assembled into (and sliced back out of)
-// canonical global order.
+// with redist::send_buffers / recv_buffers, and the global checkpoint
+// format used by the C/R baseline is derived from the same
+// registrations — rank-local blocks are assembled into (and sliced back
+// out of) canonical global order.
 #pragma once
 
 #include <cstddef>
 #include <span>
 #include <vector>
 
-#include "redist/strategy.hpp"
+#include "redist/move.hpp"
 #include "smpi/comm.hpp"
 
 namespace dmr::rt {
@@ -36,13 +36,11 @@ class AppState {
 
   /// Offload this old rank's buffers into the new configuration
   /// (`new_size` ranks on the remote side of `inter`).
-  redist::Report send_state(redist::Strategy& strategy,
-                            const smpi::Comm& inter, int my_old_rank,
+  redist::Report send_state(const smpi::Comm& inter, int my_old_rank,
                             int old_size, int new_size) const;
 
   /// Rebuild local state on a freshly spawned rank from the parent side.
-  redist::Report recv_state(redist::Strategy& strategy,
-                            const smpi::Comm& parent, int my_new_rank,
+  redist::Report recv_state(const smpi::Comm& parent, int my_new_rank,
                             int old_size, int new_size);
 
   /// Collective: rank 0 returns the full serialized application state

@@ -3,7 +3,6 @@
 #include <atomic>
 #include <mutex>
 
-#include "redist/p2p_plan.hpp"
 #include "util/clock.hpp"
 
 namespace dmr::rt {
@@ -22,8 +21,6 @@ struct Control : std::enable_shared_from_this<Control> {
   MalleableConfig config;
   StateFactory factory;
   std::shared_ptr<::dmr::ReconfigPoint> point;
-  /// The job's strategy when its session set none.
-  redist::P2pPlan p2p;
 
   std::mutex mu;
   RunReport report;
@@ -33,8 +30,6 @@ struct Control : std::enable_shared_from_this<Control> {
 
   void entry(smpi::Context& ctx);
   ResizeDecision decide(smpi::Context& ctx, int step);
-  /// The session's redistribution strategy, else P2pPlan.
-  redist::Strategy& strategy();
 };
 
 ResizeDecision Control::decide(smpi::Context& ctx, int step) {
@@ -62,13 +57,6 @@ ResizeDecision Control::decide(smpi::Context& ctx, int step) {
                                        : ::dmr::Mode::Sync);
 }
 
-redist::Strategy& Control::strategy() {
-  if (point && point->session().redist_strategy()) {
-    return *point->session().redist_strategy();
-  }
-  return p2p;
-}
-
 void Control::entry(smpi::Context& ctx) {
   auto state = factory();
   int t0 = 0;
@@ -77,16 +65,15 @@ void Control::entry(smpi::Context& ctx) {
     t0 = meta[0];
     const int old_size = meta[1];
     const auto action = static_cast<Action>(meta[2]);
-    const redist::Report mine = state->recv_state(
-        strategy(), *ctx.parent(), ctx.rank(), old_size, ctx.size());
+    const redist::Report mine =
+        state->recv_state(*ctx.parent(), ctx.rank(), old_size, ctx.size());
     if (action == Action::Shrink && ctx.rank() == 0) {
       // Shrink drain protocol: do not negotiate again until the retiring
       // set released its nodes (the RMS still sees the old allocation).
       (void)ctx.parent()->recv_value<int>(0, kGoTag);
     }
     // Aggregate the per-rank recv reports into the resize's effective
-    // movement: total bytes over the slowest rank's wall time (the
-    // aggregate bandwidth a cost model wants to observe).
+    // movement: total bytes over the slowest rank's wall time.
     const std::size_t bytes = ctx.world().allreduce_sum(mine.bytes_moved);
     const int transfers = ctx.world().allreduce_sum(mine.transfers);
     const double seconds = ctx.world().allreduce(
@@ -134,8 +121,7 @@ void Control::entry(smpi::Context& ctx) {
           inter.send(r, kMetaTag, std::span<const int>(meta, 3));
         }
       }
-      state->send_state(strategy(), inter, ctx.rank(), ctx.size(),
-                        decision.new_size);
+      state->send_state(inter, ctx.rank(), ctx.size(), decision.new_size);
       if (decision.action == Action::Shrink) {
         if (point) point->finish_shrink(ctx.world());
         if (ctx.rank() == 0) inter.send_value(0, kGoTag, 1);

@@ -4,9 +4,9 @@
 // step and registers its distributed buffers.  run_malleable() owns the
 // iterate -> check -> (spawn + offload + retire) loop: when the DMR
 // runtime returns an action, every old rank collectively spawns the new
-// process set, offloads its registered buffers through the job's
-// redist::Strategy (the OmpSs "onto" tasks), completes the shrink drain
-// protocol when applicable, and exits — execution continues in the new
+// process set, offloads its registered buffers with redist::send_buffers
+// (the OmpSs "onto" tasks), completes the shrink drain protocol when
+// applicable, and exits — execution continues in the new
 // communicator, exactly as the `taskwait` semantics of Listing 2.
 #pragma once
 

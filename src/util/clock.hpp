@@ -1,5 +1,5 @@
 // Wall-clock helper shared by everything that measures real elapsed
-// time (resize spawns, redistribution strategies, benches).
+// time (resize spawns, buffer redistribution, benches).
 //
 // This is the project's ONE sanctioned steady_clock read outside the
 // obs:: layer: everything that must time real work calls wall_seconds()

@@ -49,6 +49,10 @@ TEST(CostModel, CrMuchSlowerThanDmr) {
   const double dmr_s = dmr_cost.reconfigure_seconds(gigabyte, 48, 24);
   const double cr_s = cr_cost.reconfigure_seconds(gigabyte, 48, 24);
   EXPECT_GT(cr_s / dmr_s, 10.0);  // the Fig. 1 gap
+  // C/R writes the whole state to the store and reads it back.
+  const auto moved = cr_cost.movement(gigabyte, 48, 24);
+  EXPECT_TRUE(moved.via_checkpoint);
+  EXPECT_EQ(moved.bytes_moved, 2 * gigabyte);
 }
 
 TEST(CostModel, NodeSpeedScalesNetworkTransferOnly) {
@@ -66,18 +70,13 @@ TEST(CostModel, NodeSpeedScalesNetworkTransferOnly) {
   cr.use_checkpoint_restart = true;
   EXPECT_DOUBLE_EQ(cr.movement(bytes, 8, 16, 0.5).seconds,
                    cr.movement(bytes, 8, 16).seconds);
-  // Calibration from an observed report composes with the speed factor.
-  CostModel calibrated;
-  redist::Report observed;
-  observed.bytes_moved = std::size_t(1) << 28;
-  observed.bytes_total = observed.bytes_moved;
-  observed.transfers = 16;
-  observed.lanes = 8;
-  observed.seconds = 0.5;
-  calibrated.observe(observed);
-  const double cal = calibrated.movement(bytes, 8, 16).seconds;
-  EXPECT_NEAR(calibrated.movement(bytes, 8, 16, 0.5).seconds, 2.0 * cal,
-              1e-9);
+}
+
+TEST(CostModel, MovementMatchesReconfigureSeconds) {
+  CostModel model;
+  const std::size_t bytes = 64 << 20;
+  EXPECT_NEAR(model.protocol_seconds(8) + model.movement(bytes, 4, 8).seconds,
+              model.reconfigure_seconds(bytes, 4, 8), 1e-12);
 }
 
 TEST(CostModel, MoreLanesFasterRedistribution) {
@@ -87,6 +86,9 @@ TEST(CostModel, MoreLanesFasterRedistribution) {
   const std::size_t bytes = std::size_t(1) << 30;
   EXPECT_LT(cost.reconfigure_seconds(bytes, 16, 8),
             cost.reconfigure_seconds(bytes, 2, 1));
+  // At equal bytes, 4 -> 8 rides four lanes and 1 -> 2 only one.
+  EXPECT_LT(cost.movement(bytes, 4, 8).seconds,
+            cost.movement(bytes, 1, 2).seconds);
 }
 
 JobPlan fs_plan(double arrival, int size, double runtime, int steps,

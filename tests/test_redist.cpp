@@ -1,17 +1,18 @@
 // dmr::redist subsystem tests: distribution arithmetic for every layout,
-// exactly-once planning, registry bookkeeping, and the strategy-parity
-// property — P2pPlan, PipelinedChunks and CheckpointRoute must all
-// produce bit-identical buffer contents after an arbitrary P -> Q resize.
+// exactly-once planning, registry bookkeeping, and the movement property
+// — after an arbitrary P -> Q resize, send_buffers / recv_buffers leave
+// every new rank holding exactly the contents its new layout assigns.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstring>
 #include <map>
 #include <mutex>
 #include <random>
+#include <string>
 
 #include "dmr/dmr.hpp"
 #include "dmr/redist.hpp"
-#include "drv/cost_model.hpp"
 #include "smpi/universe.hpp"
 
 namespace {
@@ -21,14 +22,12 @@ using namespace dmr::redist;
 
 // --- Distribution -----------------------------------------------------------
 
-Buffer make_desc(Layout layout, std::size_t count, std::size_t elem_size = 8,
-                 std::size_t block = 1) {
+Buffer make_desc(Layout layout, std::size_t count) {
   Buffer desc;
   desc.name = "buf";
-  desc.elem_size = elem_size;
+  desc.elem_size = 8;
   desc.count = count;
   desc.layout = layout;
-  desc.block = block;
   return desc;
 }
 
@@ -43,26 +42,21 @@ TEST(Distribution, BlockMatchesBlockDistribution) {
   }
 }
 
-TEST(Distribution, BlockCyclicCountsSumToTotal) {
+TEST(Distribution, BlockCountsSumToTotal) {
   for (std::size_t total : {0u, 1u, 7u, 64u, 100u}) {
     for (int parts : {1, 2, 3, 5}) {
-      for (std::size_t block : {1u, 3u, 8u, 200u}) {
-        const Distribution dist(
-            make_desc(Layout::BlockCyclic, total, 8, block), parts);
-        std::size_t sum = 0;
-        for (int r = 0; r < parts; ++r) sum += dist.local_count(r);
-        EXPECT_EQ(sum, total) << "total=" << total << " parts=" << parts
-                              << " block=" << block;
-      }
+      const Distribution dist(make_desc(Layout::Block, total), parts);
+      std::size_t sum = 0;
+      for (int r = 0; r < parts; ++r) sum += dist.local_count(r);
+      EXPECT_EQ(sum, total) << "total=" << total << " parts=" << parts;
     }
   }
 }
 
-TEST(Distribution, BlockCyclicLocateRoundTrips) {
-  const std::size_t total = 53, block = 4;
+TEST(Distribution, BlockLocateRoundTrips) {
+  const std::size_t total = 53;
   const int parts = 3;
-  const Distribution dist(make_desc(Layout::BlockCyclic, total, 8, block),
-                          parts);
+  const Distribution dist(make_desc(Layout::Block, total), parts);
   // Walk each rank's local runs; together they must cover every index
   // exactly once and agree with locate().
   std::vector<int> covered(total, 0);
@@ -92,17 +86,14 @@ TEST(Distribution, ReplicatedHoldsEverythingEverywhere) {
 // --- plan_transfers ---------------------------------------------------------
 
 TEST(PlanTransfers, EveryElementMovesExactlyOnce) {
-  // The acceptance property for P2pPlan's plans: for distributing
-  // layouts, transfers partition the global index space.
+  // The acceptance property for the plans: for Block buffers,
+  // transfers partition the global index space.
   std::mt19937 rng(20170731);
   for (int trial = 0; trial < 40; ++trial) {
     const std::size_t total = rng() % 120;
     const int old_parts = 1 + static_cast<int>(rng() % 6);
     const int new_parts = 1 + static_cast<int>(rng() % 6);
-    const Layout layout =
-        (trial % 2 == 0) ? Layout::Block : Layout::BlockCyclic;
-    const std::size_t block = 1 + rng() % 9;
-    const Buffer desc = make_desc(layout, total, 8, block);
+    const Buffer desc = make_desc(Layout::Block, total);
     const Distribution src(desc, old_parts);
     const Distribution dst(desc, new_parts);
     // Local offset -> global index, per source rank.
@@ -134,9 +125,8 @@ TEST(PlanTransfers, EveryElementMovesExactlyOnce) {
       }
     }
     for (std::size_t i = 0; i < total; ++i) {
-      ASSERT_EQ(covered[i], 1)
-          << to_string(layout) << " total=" << total << " " << old_parts
-          << "->" << new_parts << " element " << i;
+      ASSERT_EQ(covered[i], 1) << "total=" << total << " " << old_parts
+                               << "->" << new_parts << " element " << i;
     }
   }
 }
@@ -190,7 +180,7 @@ TEST(Registry, RejectsDuplicatesAndAnonymousBuffers) {
   EXPECT_THROW(registry.add_block("", v, 4), std::invalid_argument);
 }
 
-// --- strategy parity --------------------------------------------------------
+// --- chunked movement -------------------------------------------------------
 
 /// Deterministic fill for global element `g`, byte `b` of buffer `which`.
 std::byte fill_byte(int which, std::size_t g, std::size_t b) {
@@ -198,9 +188,8 @@ std::byte fill_byte(int which, std::size_t g, std::size_t b) {
 }
 
 struct ParityCase {
-  std::size_t doubles = 0;   // Block doubles
-  std::size_t ints = 0;      // BlockCyclic ints
-  std::size_t block = 1;     // cyclic block size
+  std::size_t doubles = 0;     // Block doubles
+  std::size_t ints = 0;        // Block ints
   std::size_t replicated = 0;  // Replicated floats
   int old_parts = 1;
   int new_parts = 1;
@@ -216,9 +205,9 @@ struct ParityState {
   Registry registry;
 
   explicit ParityState(const ParityCase& pc) {
-    Buffer d = {"doubles", sizeof(double), pc.doubles, Layout::Block, 1};
-    Buffer i = {"ints", sizeof(int), pc.ints, Layout::BlockCyclic, pc.block};
-    Buffer r = {"rep", sizeof(float), pc.replicated, Layout::Replicated, 1};
+    Buffer d = {"doubles", sizeof(double), pc.doubles, Layout::Block};
+    Buffer i = {"ints", sizeof(int), pc.ints, Layout::Block};
+    Buffer r = {"rep", sizeof(float), pc.replicated, Layout::Replicated};
     registry.add(d, read_of(doubles), resize_of(doubles));
     registry.add(i, read_of(ints), resize_of(ints));
     registry.add(r, read_of(replicated), resize_of(replicated));
@@ -271,15 +260,17 @@ struct ParityState {
   }
 };
 
-/// Run one P -> Q redistribution under `strategy`; returns per-new-rank
-/// contents plus the summed send/recv reports.
-std::map<int, RankContents> run_parity(Strategy& strategy,
-                                       const ParityCase& pc,
-                                       Report* recv_total = nullptr) {
+/// What one P -> Q redistribution left behind on the new ranks.
+struct ParityRun {
+  std::map<int, RankContents> contents;  // by new rank
+  std::vector<Report> recv_reports;      // one per new rank
+  Report merged;  // the recv reports, merged as concurrent siblings
+};
+
+ParityRun run_parity(const ParityCase& pc) {
   smpi::Universe universe;
   std::mutex mu;
-  std::map<int, RankContents> results;
-  Report total;
+  ParityRun run;
   universe.launch("old", pc.old_parts, [&](smpi::Context& ctx) {
     ParityState state(pc);
     state.fill(ctx.rank(), pc.old_parts);
@@ -288,20 +279,20 @@ std::map<int, RankContents> run_parity(Strategy& strategy,
           ParityState fresh(pc);
           const Endpoint endpoint{&*child.parent(), child.rank(),
                                   pc.old_parts, pc.new_parts};
-          const Report report = strategy.recv(endpoint, fresh.registry);
+          const Report report = recv_buffers(endpoint, fresh.registry);
           std::lock_guard<std::mutex> lock(mu);
-          results[child.rank()] = fresh.snapshot();
-          total += report;
+          run.contents[child.rank()] = fresh.snapshot();
+          run.recv_reports.push_back(report);
+          run.merged.merge_concurrent(report);
         });
     const Endpoint endpoint{&inter, ctx.rank(), pc.old_parts, pc.new_parts};
-    (void)strategy.send(endpoint, state.registry);
+    (void)send_buffers(endpoint, state.registry);
   });
   universe.await_all();
   if (!universe.failures().empty()) {
     ADD_FAILURE() << universe.failures()[0];
   }
-  if (recv_total) *recv_total = total;
-  return results;
+  return run;
 }
 
 /// The ground truth: what rank `r` of the new layout must hold.
@@ -311,162 +302,67 @@ RankContents expected_contents(const ParityCase& pc, int rank) {
   return state.snapshot();
 }
 
-class StrategyParity : public ::testing::TestWithParam<ParityCase> {};
-
-TEST_P(StrategyParity, AllStrategiesBitIdentical) {
-  const ParityCase pc = GetParam();
-  const char* names[] = {"p2p", "pipelined", "checkpoint"};
-  std::map<int, RankContents> reference;
-  for (const char* name : names) {
-    const auto strategy = make_strategy(name);
-    Report total;
-    auto results = run_parity(*strategy, pc, &total);
-    ASSERT_EQ(results.size(), static_cast<std::size_t>(pc.new_parts))
-        << name;
-    for (int r = 0; r < pc.new_parts; ++r) {
-      ASSERT_EQ(results[r], expected_contents(pc, r))
-          << name << ": wrong contents on new rank " << r;
-    }
-    if (reference.empty()) {
-      reference = std::move(results);
-    } else {
-      ASSERT_EQ(results, reference) << name << " diverges";
-    }
-    // Checkpoint-route reports must identify themselves so cost models
-    // calibrate the right bandwidth.
-    EXPECT_EQ(total.via_checkpoint, std::string(name) == "checkpoint");
+/// Every new rank holds its expected contents, and each recv report
+/// describes a point-to-point movement of the whole registry.
+void expect_exact_move(const ParityCase& pc, const ParityRun& run) {
+  ASSERT_EQ(run.contents.size(), static_cast<std::size_t>(pc.new_parts));
+  for (int r = 0; r < pc.new_parts; ++r) {
+    ASSERT_EQ(run.contents.at(r), expected_contents(pc, r))
+        << "wrong contents on new rank " << r;
+  }
+  const std::size_t total_bytes = ParityState(pc).registry.total_bytes();
+  ASSERT_EQ(run.recv_reports.size(), static_cast<std::size_t>(pc.new_parts));
+  for (const Report& report : run.recv_reports) {
+    EXPECT_FALSE(report.via_checkpoint);
+    EXPECT_EQ(report.lanes,
+              std::max(1, std::min(pc.old_parts, pc.new_parts)));
+    EXPECT_EQ(report.bytes_total, total_bytes);
   }
 }
 
-INSTANTIATE_TEST_SUITE_P(
-    Shapes, StrategyParity,
-    ::testing::Values(ParityCase{64, 40, 4, 3, 2, 4},    // grow x2
-                      ParityCase{64, 40, 4, 3, 4, 2},    // shrink x2
-                      ParityCase{97, 53, 3, 5, 3, 5},    // prime -> prime
-                      ParityCase{33, 17, 8, 1, 5, 5},    // same size
-                      ParityCase{5, 3, 2, 2, 4, 6},      // total < parts
-                      ParityCase{0, 0, 1, 0, 3, 2},      // nothing to move
-                      ParityCase{48, 0, 1, 4, 6, 1},     // collapse to 1
-                      ParityCase{7, 100, 7, 2, 1, 6}));  // explode from 1
+class ChunkedEngine : public ::testing::TestWithParam<ParityCase> {};
 
-TEST(StrategyParity, RandomizedSweep) {
-  // Property test over random sizes/layouts (beyond the named shapes).
+TEST_P(ChunkedEngine, MatchesExpectedContents) {
+  const ParityCase pc = GetParam();
+  expect_exact_move(pc, run_parity(pc));
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Shapes, ChunkedEngine,
+    ::testing::Values(ParityCase{64, 40, 3, 2, 4},    // grow x2
+                      ParityCase{64, 40, 3, 4, 2},    // shrink x2
+                      ParityCase{97, 53, 5, 3, 5},    // prime -> prime
+                      ParityCase{33, 17, 1, 5, 5},    // same size
+                      ParityCase{5, 3, 2, 4, 6},      // total < parts
+                      ParityCase{0, 0, 0, 3, 2},      // nothing to move
+                      ParityCase{48, 0, 4, 6, 1},     // collapse to 1
+                      ParityCase{7, 100, 2, 1, 6}));  // explode from 1
+
+TEST(ChunkedEngine, RandomizedSweep) {
+  // Property test over random sizes and shapes (beyond the named ones).
   std::mt19937 rng(42);
   for (int trial = 0; trial < 6; ++trial) {
     ParityCase pc;
     pc.doubles = rng() % 150;
     pc.ints = rng() % 150;
-    pc.block = 1 + rng() % 10;
     pc.replicated = rng() % 8;
     pc.old_parts = 1 + static_cast<int>(rng() % 5);
     pc.new_parts = 1 + static_cast<int>(rng() % 5);
-    std::map<int, RankContents> reference;
-    for (const char* name : {"p2p", "pipelined", "checkpoint"}) {
-      const auto strategy = make_strategy(name);
-      auto results = run_parity(*strategy, pc);
-      for (int r = 0; r < pc.new_parts; ++r) {
-        ASSERT_EQ(results[r], expected_contents(pc, r))
-            << name << " trial " << trial << " rank " << r;
-      }
-      if (reference.empty()) reference = std::move(results);
-      else ASSERT_EQ(results, reference) << name << " trial " << trial;
-    }
+    SCOPED_TRACE("trial " + std::to_string(trial));
+    expect_exact_move(pc, run_parity(pc));
   }
 }
 
-TEST(PipelinedChunks, SmallChunksManyTransfers) {
+TEST(ChunkedEngine, SmallChunksManyTransfers) {
   // Multi-chunk streams with short tails: 2 -> 3 ranks moves a Block
   // buffer of 6 * (one chunk + 4 doubles) as two transfers of a sixth
   // of it (2 chunks each) and two of a third (3 chunks each).
-  constexpr std::size_t kChunkDoubles =
-      PipelinedChunks::kChunkBytes / sizeof(double);
-  PipelinedChunks strategy;
-  ParityCase pc{6 * (kChunkDoubles + 4), 0, 1, 0, 2, 3};
-  Report total;
-  auto results = run_parity(strategy, pc, &total);
-  for (int r = 0; r < pc.new_parts; ++r) {
-    ASSERT_EQ(results[r], expected_contents(pc, r));
-  }
-  EXPECT_EQ(total.transfers, 2 * 2 + 2 * 3);
-  EXPECT_EQ(total.bytes_moved, pc.doubles * sizeof(double));
-}
-
-TEST(CheckpointRoute, MovesBytesThroughTheStore) {
-  CheckpointRoute strategy;
-  ParityCase pc{32, 0, 1, 2, 2, 2};
-  Report total;
-  auto results = run_parity(strategy, pc, &total);
-  EXPECT_TRUE(total.via_checkpoint);
-  EXPECT_GT(strategy.store().bytes_written(), 0u);
-  EXPECT_GT(strategy.store().bytes_read(), 0u);
-}
-
-// --- cost-model calibration -------------------------------------------------
-
-TEST(CostModelFeedback, ObserveCalibratesNetworkBandwidth) {
-  drv::CostModel model;
-  const double nominal = model.reconfigure_seconds(1 << 30, 4, 8);
-
-  Report report;
-  report.bytes_moved = 1 << 20;
-  report.seconds = 1.0;  // 1 MiB/s: a much slower fabric than nominal
-  model.observe(report);
-  EXPECT_GT(model.measured_network_bw, 0.0);
-  EXPECT_DOUBLE_EQ(model.measured_checkpoint_bw, 0.0);
-  const double calibrated = model.reconfigure_seconds(1 << 30, 4, 8);
-  EXPECT_GT(calibrated, nominal);
-
-  // A second observation blends (EWMA), not replaces.
-  Report faster = report;
-  faster.seconds = 0.25;
-  model.observe(faster);
-  EXPECT_NEAR(model.measured_network_bw,
-              0.5 * (1 << 20) + 0.5 * 4.0 * (1 << 20), 1.0);
-}
-
-TEST(CostModelFeedback, NetworkObservationsNormalizePerLane) {
-  // A report measured over 4 lanes calibrates the same per-lane rate as
-  // one measured over 1 lane at a quarter of the aggregate bandwidth —
-  // so an observation from one resize shape transfers to another.
-  drv::CostModel four, one;
-  Report wide;
-  wide.bytes_moved = 4 << 20;
-  wide.seconds = 1.0;
-  wide.lanes = 4;
-  four.observe(wide);
-  Report narrow;
-  narrow.bytes_moved = 1 << 20;
-  narrow.seconds = 1.0;
-  narrow.lanes = 1;
-  one.observe(narrow);
-  EXPECT_DOUBLE_EQ(four.measured_network_bw, one.measured_network_bw);
-  // movement() scales the per-lane figure back up by the shape's lanes:
-  // 4 -> 8 rides four lanes, 1 -> 2 only one.
-  EXPECT_LT(four.movement(1 << 26, 4, 8).seconds,
-            four.movement(1 << 26, 1, 2).seconds);
-}
-
-TEST(CostModelFeedback, CheckpointReportsCalibrateTheCrLane) {
-  drv::CostModel model;
-  model.use_checkpoint_restart = true;
-  Report report;
-  report.bytes_moved = 10 << 20;
-  report.seconds = 2.0;
-  report.via_checkpoint = true;
-  model.observe(report);
-  EXPECT_GT(model.measured_checkpoint_bw, 0.0);
-  EXPECT_DOUBLE_EQ(model.measured_network_bw, 0.0);
-  const auto moved = model.movement(5 << 20, 4, 2);
-  EXPECT_TRUE(moved.via_checkpoint);
-  // 2 * 5 MiB at the measured 5 MiB/s => 2 s.
-  EXPECT_NEAR(moved.seconds, 2.0, 1e-9);
-}
-
-TEST(CostModelFeedback, MovementMatchesReconfigureSeconds) {
-  drv::CostModel model;
-  const std::size_t bytes = 64 << 20;
-  EXPECT_NEAR(model.protocol_seconds(8) + model.movement(bytes, 4, 8).seconds,
-              model.reconfigure_seconds(bytes, 4, 8), 1e-12);
+  constexpr std::size_t kChunkDoubles = kChunkBytes / sizeof(double);
+  const ParityCase pc{6 * (kChunkDoubles + 4), 0, 0, 2, 3};
+  const ParityRun run = run_parity(pc);
+  expect_exact_move(pc, run);
+  EXPECT_EQ(run.merged.transfers, 2 * 2 + 2 * 3);
+  EXPECT_EQ(run.merged.bytes_moved, pc.doubles * sizeof(double));
 }
 
 }  // namespace

@@ -21,7 +21,7 @@ using dmr::rt::BlockDistribution;
 std::vector<Transfer> block_plan(std::size_t total, int old_parts,
                                  int new_parts) {
   const dmr::redist::Buffer desc{"array", sizeof(double), total,
-                                 dmr::redist::Layout::Block, 1};
+                                 dmr::redist::Layout::Block};
   return dmr::redist::plan_transfers(desc, old_parts, new_parts);
 }
 
