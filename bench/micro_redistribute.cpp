@@ -2,7 +2,9 @@
 // time across the canonical resize shapes (grow x2, shrink x2,
 // prime <-> prime), with drv::CostModel's nominal movement printed
 // beside each measurement, one JSON object per line ("bench JSON") so
-// CI and notebooks can ingest the results.
+// CI and notebooks can ingest the results.  After each timed move every
+// byte every new rank holds is checked against the old ranks' fill;
+// a failed rank or a wrong byte makes the run exit 1.
 //
 // Usage:  micro_redistribute [elements=N] [reps=N] [smoke]
 //   smoke        one repetition over a small array (CI mode)
@@ -10,6 +12,7 @@
 //   reps=N       repetitions per shape (default 3)
 #include <cstdio>
 #include <cstring>
+#include <memory>
 #include <mutex>
 #include <string>
 #include <vector>
@@ -52,15 +55,54 @@ struct BenchState {
     registry.add_replicated("header", header, 16);
   }
 
+  /// Byte of buffer `i` at global byte position `at`: the same on every
+  /// rank of either process set, so a receiver can check what arrived.
+  static std::byte pattern(std::size_t i, std::size_t at) {
+    return static_cast<std::byte>((i * 89 + at * 13 + 7) % 251);
+  }
+
   void fill(int rank, int parts) {
     for (std::size_t i = 0; i < registry.size(); ++i) {
       redist::Binding& binding = registry.at(i);
       const redist::Distribution dist(binding.desc, parts);
       const auto out = binding.resize(dist.local_count(rank));
-      for (std::size_t b = 0; b < out.size(); ++b) {
-        out[b] = static_cast<std::byte>((i * 89 + b * 13 + 7) % 251);
+      const std::size_t elem = binding.desc.elem_size;
+      std::size_t local = 0;
+      dist.for_each_local_run(rank, [&](std::size_t global, std::size_t n) {
+        for (std::size_t b = 0; b < n * elem; ++b) {
+          out[local + b] = pattern(i, global * elem + b);
+        }
+        local += n * elem;
+      });
+    }
+  }
+
+  /// Buffers holding a byte other than what fill(rank, parts) writes, a
+  /// missing or surplus byte included; prints one line for each.
+  int mismatches(int rank, int parts) const {
+    int buffers = 0;
+    for (std::size_t i = 0; i < registry.size(); ++i) {
+      const redist::Binding& binding = registry.at(i);
+      const redist::Distribution dist(binding.desc, parts);
+      const auto held = binding.read();
+      const std::size_t elem = binding.desc.elem_size;
+      const std::size_t want = dist.local_count(rank) * elem;
+      std::size_t wrong = held.size() > want ? held.size() - want
+                                             : want - held.size();
+      std::size_t local = 0;
+      dist.for_each_local_run(rank, [&](std::size_t global, std::size_t n) {
+        for (std::size_t b = 0; b < n * elem && local + b < held.size(); ++b) {
+          if (held[local + b] != pattern(i, global * elem + b)) ++wrong;
+        }
+        local += n * elem;
+      });
+      if (wrong > 0) {
+        std::fprintf(stderr, "rank %d buffer %s: %zu of %zu bytes wrong\n",
+                     rank, binding.desc.name.c_str(), wrong, want);
+        ++buffers;
       }
     }
+    return buffers;
   }
 };
 
@@ -91,6 +133,9 @@ Measurement run_once(const Shape& shape, std::size_t elements) {
 
   std::mutex mu;
   redist::Report recv_total;
+  // One slot per new rank, kept past the timed section for the check.
+  std::vector<std::unique_ptr<BenchState>> received(
+      static_cast<std::size_t>(shape.to));
   smpi::Universe universe;
   const double start = wall_seconds();
   universe.launch("old", shape.from, [&](smpi::Context& ctx) {
@@ -98,11 +143,12 @@ Measurement run_once(const Shape& shape, std::size_t elements) {
     state.fill(ctx.rank(), shape.from);
     const auto inter = ctx.spawn(
         ctx.world(), shape.to, [&](smpi::Context& child) {
-          BenchState fresh(elements);
+          auto& fresh = received[static_cast<std::size_t>(child.rank())];
+          fresh = std::make_unique<BenchState>(elements);
           const redist::Endpoint endpoint{&*child.parent(), child.rank(),
                                           shape.from, shape.to};
           const redist::Report report =
-              redist::recv_buffers(endpoint, fresh.registry);
+              redist::recv_buffers(endpoint, fresh->registry);
           std::lock_guard<std::mutex> lock(mu);
           // Concurrent ranks: sum bytes, keep the slowest wall time.
           recv_total.merge_concurrent(report);
@@ -116,6 +162,12 @@ Measurement run_once(const Shape& shape, std::size_t elements) {
   for (const auto& failure : universe.failures()) {
     std::fprintf(stderr, "rank failure: %s\n", failure.c_str());
     ++m.failures;
+  }
+  // Every byte of every buffer on every new rank, the replicated header
+  // included, must be where the old ranks' fill put it.
+  for (int rank = 0; rank < shape.to; ++rank) {
+    const auto& fresh = received[static_cast<std::size_t>(rank)];
+    if (fresh != nullptr) m.failures += fresh->mismatches(rank, shape.to);
   }
   m.bytes_moved = recv_total.bytes_moved;
   m.bytes_total = recv_total.bytes_total;
@@ -169,7 +221,8 @@ int main(int argc, char** argv) {
     }
   }
   if (failures > 0) {
-    std::fprintf(stderr, "%d rank failure(s)\n", failures);
+    std::fprintf(stderr, "%d failure(s): failed ranks or wrong buffers\n",
+                 failures);
     return 1;
   }
   return 0;

@@ -1,43 +1,55 @@
 #include "wl/swf.hpp"
 
 #include <algorithm>
-#include <cctype>
+#include <array>
+#include <cerrno>
 #include <charconv>
 #include <cmath>
 #include <cstdio>
-#include <fstream>
-#include <istream>
+#include <filesystem>
 #include <limits>
+#include <memory>
 #include <ostream>
 #include <sstream>
+#include <system_error>
 
 namespace dmr::wl {
 
 namespace {
 
-std::string trim(const std::string& text) {
+/// SWF records have 18 fields; later ones are tolerated and ignored.
+constexpr std::size_t kFields = 18;
+
+/// The C locale's whitespace (space, \t, \n, \v, \f, \r): where lines are
+/// trimmed and records split.
+constexpr bool is_blank(char c) { return c == ' ' || (c >= '\t' && c <= '\r'); }
+
+std::string_view trim(std::string_view text) {
   std::size_t begin = 0;
   std::size_t end = text.size();
-  while (begin < end && std::isspace(static_cast<unsigned char>(text[begin]))) {
-    ++begin;
-  }
-  while (end > begin &&
-         std::isspace(static_cast<unsigned char>(text[end - 1]))) {
-    --end;
-  }
+  while (begin < end && is_blank(text[begin])) ++begin;
+  while (end > begin && is_blank(text[end - 1])) --end;
   return text.substr(begin, end - begin);
 }
 
-std::vector<std::string> split_fields(const std::string& line) {
-  std::vector<std::string> fields;
-  std::istringstream in(line);
-  std::string field;
-  while (in >> field) fields.push_back(std::move(field));
-  return fields;
+/// Splits a record into its first kFields tokens; returns how many it
+/// found (kFields when there are more).
+std::size_t split_fields(std::string_view body,
+                         std::array<std::string_view, kFields>& fields) {
+  std::size_t count = 0;
+  std::size_t at = 0;
+  while (count < kFields) {
+    while (at < body.size() && is_blank(body[at])) ++at;
+    if (at == body.size()) break;
+    const std::size_t begin = at;
+    while (at < body.size() && !is_blank(body[at])) ++at;
+    fields[count++] = body.substr(begin, at - begin);
+  }
+  return count;
 }
 
 /// SWF field names, for diagnostics (1-based positions).
-constexpr const char* kFieldNames[18] = {
+constexpr const char* kFieldNames[kFields] = {
     "job_number",     "submit",          "wait",
     "run_time",       "used_procs",      "avg_cpu_seconds",
     "used_memory",    "requested_procs", "requested_time",
@@ -45,14 +57,14 @@ constexpr const char* kFieldNames[18] = {
     "group_id",       "executable",      "queue",
     "partition",      "preceding_job",   "think_time"};
 
-[[noreturn]] void field_error(const std::string& token, int line, int field,
+[[noreturn]] void field_error(std::string_view token, int line, int field,
                               const char* problem) {
   throw SwfParseError(line, "field " + std::to_string(field + 1) + " (" +
                                 kFieldNames[field] + ") is " + problem +
-                                ": \"" + token + "\"");
+                                ": \"" + std::string(token) + "\"");
 }
 
-double parse_number(const std::string& token, int line, int field) {
+double parse_number(std::string_view token, int line, int field) {
   const char* last = token.data() + token.size();
   double value = 0.0;
   const auto [stop, error] = std::from_chars(token.data(), last, value);
@@ -62,8 +74,8 @@ double parse_number(const std::string& token, int line, int field) {
   if (error == std::errc::result_out_of_range) {
     // from_chars reports overflow and underflow alike; a negative
     // exponent ("1e-999") is the underflow.
-    const bool underflow = token.find("e-") != std::string::npos ||
-                           token.find("E-") != std::string::npos;
+    const bool underflow = token.find("e-") != std::string_view::npos ||
+                           token.find("E-") != std::string_view::npos;
     field_error(token, line, field, underflow ? "out of range" : "not finite");
   }
   // from_chars also accepts "inf" and "nan"; no SWF field means either,
@@ -76,7 +88,7 @@ double parse_number(const std::string& token, int line, int field) {
 /// number rounded half away from zero ("8.0" is 8).  Either way a value
 /// outside `Int` is an error, never a wrapped or unspecified integer.
 template <typename Int>
-Int parse_integer(const std::string& token, int line, int field) {
+Int parse_integer(std::string_view token, int line, int field) {
   const char* last = token.data() + token.size();
   Int value = 0;
   const auto [stop, error] = std::from_chars(token.data(), last, value);
@@ -96,42 +108,119 @@ Int parse_integer(const std::string& token, int line, int field) {
 /// A header directive's leading integer, trailing prose ignored ("128
 /// nodes"); 0 when the value does not start with one.
 template <typename Int>
-Int directive_number(const std::string& key, const std::string& value,
-                     int line) {
+Int directive_number(std::string_view key, std::string_view value, int line) {
   Int number = 0;
   const std::errc error =
       std::from_chars(value.data(), value.data() + value.size(), number).ec;
   if (error == std::errc::result_out_of_range) {
-    throw SwfParseError(line, "directive " + key + " is out of range: \"" +
-                                  value + "\"");
+    throw SwfParseError(line, "directive " + std::string(key) +
+                                  " is out of range: \"" + std::string(value) +
+                                  "\"");
   }
   return error == std::errc() ? number : 0;
 }
 
 /// `; Key: Value` (or `;Key: Value`); returns false for free comments.
-bool parse_directive(const std::string& comment, std::string* key,
-                     std::string* value) {
+bool parse_directive(std::string_view comment, std::string_view* key,
+                     std::string_view* value) {
   const std::size_t colon = comment.find(':');
-  if (colon == std::string::npos) return false;
+  if (colon == std::string_view::npos) return false;
   *key = trim(comment.substr(0, colon));
   *value = trim(comment.substr(colon + 1));
   if (key->empty() || value->empty()) return false;
   // Directive keys are single words (MaxNodes, UnixStartTime, ...).
-  for (const char c : *key) {
-    if (std::isspace(static_cast<unsigned char>(c)) != 0) return false;
-  }
-  return true;
+  return std::none_of(key->begin(), key->end(), is_blank);
 }
 
-std::string format_number(double value) {
-  char buffer[48];
-  if (value == std::floor(value) && std::abs(value) < 1e15) {
-    std::snprintf(buffer, sizeof(buffer), "%lld",
-                  static_cast<long long>(value));
-  } else {
-    std::snprintf(buffer, sizeof(buffer), "%.17g", value);
+/// The whole file, or std::runtime_error naming the path and the reason
+/// (a directory opens but cannot be read).
+std::string read_file(const std::string& path) {
+  const std::unique_ptr<std::FILE, int (*)(std::FILE*)> file(
+      std::fopen(path.c_str(), "rb"), &std::fclose);
+  if (file == nullptr) throw std::runtime_error("swf: cannot open " + path);
+  std::string text;
+  std::error_code size_error;
+  const std::uintmax_t size = std::filesystem::file_size(path, size_error);
+  if (!size_error) text.reserve(static_cast<std::size_t>(size));
+  char chunk[1 << 16];
+  std::size_t got = 0;
+  while ((got = std::fread(chunk, 1, sizeof(chunk), file.get())) > 0) {
+    text.append(chunk, got);
   }
-  return buffer;
+  if (std::ferror(file.get()) != 0) {
+    const int error = errno;
+    throw std::runtime_error("swf: cannot read " + path + ": " +
+                             std::generic_category().message(error));
+  }
+  return text;
+}
+
+/// The header lines: the three interpreted directives, then the others
+/// in key order.
+std::string header_text(const SwfHeader& header) {
+  std::string text;
+  if (header.unix_start_time != 0) {
+    text += "; UnixStartTime: " + std::to_string(header.unix_start_time) + "\n";
+  }
+  if (header.max_nodes > 0) {
+    text += "; MaxNodes: " + std::to_string(header.max_nodes) + "\n";
+  }
+  if (header.max_procs > 0) {
+    text += "; MaxProcs: " + std::to_string(header.max_procs) + "\n";
+  }
+  for (const auto& [key, value] : header.directives) {
+    if (key == "MaxNodes" || key == "MaxProcs" || key == "UnixStartTime") {
+      continue;
+    }
+    text += "; " + key + ": " + value + "\n";
+  }
+  return text;
+}
+
+/// Longest record: 18 fields of at most 24 characters each
+/// ("-2.2250738585072014e-308", "-9223372036854775808"), each followed
+/// by a separator or the newline.
+constexpr std::size_t kRecordBytes = kFields * 25;
+
+/// Writes one record, newline included, at `out` (kRecordBytes long) and
+/// returns its end: integers as printf's %lld / %d print them; a number
+/// with no fractional part and a magnitude below 1e15 as an integer, any
+/// other (inf and nan included) as %.17g, which is what to_chars'
+/// general format at precision 17 is.
+char* format_record(const TraceJob& job, char* out) {
+  char* const last = out + kRecordBytes;
+  const auto integer = [&](long long value) {
+    out = std::to_chars(out, last, value).ptr;
+    *out++ = ' ';
+  };
+  const auto number = [&](double value) {
+    if (value == std::floor(value) && std::abs(value) < 1e15) {
+      integer(static_cast<long long>(value));
+      return;
+    }
+    out = std::to_chars(out, last, value, std::chars_format::general, 17).ptr;
+    *out++ = ' ';
+  };
+  integer(job.job_number);
+  number(job.submit);
+  number(job.wait);
+  number(job.run_time);
+  integer(job.used_procs);
+  number(job.avg_cpu_seconds);
+  number(job.used_memory_kb);
+  integer(job.requested_procs);
+  number(job.requested_time);
+  number(job.requested_memory_kb);
+  integer(job.status);
+  integer(job.user_id);
+  integer(job.group_id);
+  integer(job.executable);
+  integer(job.queue);
+  integer(job.partition);
+  integer(job.preceding_job);
+  number(job.think_time);
+  out[-1] = '\n';  // the last separator ends the line
+  return out;
 }
 
 }  // namespace
@@ -152,20 +241,30 @@ SwfParseError::SwfParseError(int line, const std::string& what)
                          ": " + what),
       line_(line) {}
 
-SwfTrace parse_swf(std::istream& in) {
+SwfTrace parse_swf_text(std::string_view text) {
   SwfTrace trace;
-  std::string line;
+  // One allocation for the records: at most one per line, and a record
+  // line holds at least 18 one-character fields and 17 separators.
+  const auto lines =
+      static_cast<std::size_t>(std::count(text.begin(), text.end(), '\n'));
+  trace.jobs.reserve(std::min(lines, text.size() / (2 * kFields)) + 1);
+  std::array<std::string_view, kFields> fields;
   int line_no = 0;
-  while (std::getline(in, line)) {
+  // Lines as std::getline splits them: a last line needs no newline, and
+  // a trailing newline starts no empty line.
+  for (std::size_t begin = 0; begin < text.size();) {
+    std::size_t end = text.find('\n', begin);
+    if (end == std::string_view::npos) end = text.size();
+    const std::string_view body = trim(text.substr(begin, end - begin));
+    begin = end + 1;
     ++line_no;
-    const std::string body = trim(line);
     if (body.empty()) continue;
     if (body.front() == ';') {
       ++trace.header.comment_lines;
-      std::string key;
-      std::string value;
+      std::string_view key;
+      std::string_view value;
       if (parse_directive(trim(body.substr(1)), &key, &value)) {
-        trace.header.directives[key] = value;
+        trace.header.directives[std::string(key)] = value;
         // Directive values may carry trailing prose ("128 nodes"); take
         // the leading number and ignore the rest.
         if (key == "MaxNodes") {
@@ -179,12 +278,12 @@ SwfTrace parse_swf(std::istream& in) {
       }
       continue;
     }
-    const std::vector<std::string> fields = split_fields(body);
-    if (fields.size() < 18) {
+    const std::size_t found = split_fields(body, fields);
+    if (found < kFields) {
       throw SwfParseError(line_no, "expected 18 fields, got " +
-                                       std::to_string(fields.size()));
+                                       std::to_string(found));
     }
-    TraceJob job;
+    TraceJob& job = trace.jobs.emplace_back();
     job.line = line_no;
     job.job_number = parse_integer<long long>(fields[0], line_no, 0);
     job.submit = parse_number(fields[1], line_no, 1);
@@ -204,54 +303,29 @@ SwfTrace parse_swf(std::istream& in) {
     job.partition = parse_integer<int>(fields[15], line_no, 15);
     job.preceding_job = parse_integer<long long>(fields[16], line_no, 16);
     job.think_time = parse_number(fields[17], line_no, 17);
-    trace.jobs.push_back(job);
   }
   return trace;
 }
 
-SwfTrace parse_swf_text(const std::string& text) {
-  std::istringstream in(text);
-  return parse_swf(in);
-}
-
 SwfTrace parse_swf_file(const std::string& path) {
-  std::ifstream in(path);
-  if (!in) {
-    throw std::runtime_error("swf: cannot open " + path);
-  }
-  return parse_swf(in);
+  return parse_swf_text(read_file(path));
 }
 
 void write_swf(std::ostream& out, const SwfTrace& trace) {
-  const SwfHeader& header = trace.header;
-  if (header.unix_start_time != 0) {
-    out << "; UnixStartTime: " << header.unix_start_time << "\n";
-  }
-  if (header.max_nodes > 0) out << "; MaxNodes: " << header.max_nodes << "\n";
-  if (header.max_procs > 0) out << "; MaxProcs: " << header.max_procs << "\n";
-  for (const auto& [key, value] : header.directives) {
-    if (key == "MaxNodes" || key == "MaxProcs" || key == "UnixStartTime") {
-      continue;
-    }
-    out << "; " << key << ": " << value << "\n";
-  }
+  out << header_text(trace.header);
+  char record[kRecordBytes];
   for (const TraceJob& job : trace.jobs) {
-    out << job.job_number << ' ' << format_number(job.submit) << ' '
-        << format_number(job.wait) << ' ' << format_number(job.run_time) << ' '
-        << job.used_procs << ' ' << format_number(job.avg_cpu_seconds) << ' '
-        << format_number(job.used_memory_kb) << ' ' << job.requested_procs
-        << ' ' << format_number(job.requested_time) << ' '
-        << format_number(job.requested_memory_kb) << ' ' << job.status << ' '
-        << job.user_id << ' ' << job.group_id << ' ' << job.executable << ' '
-        << job.queue << ' ' << job.partition << ' ' << job.preceding_job << ' '
-        << format_number(job.think_time) << "\n";
+    out.write(record, format_record(job, record) - record);
   }
 }
 
 std::string to_swf_text(const SwfTrace& trace) {
-  std::ostringstream out;
-  write_swf(out, trace);
-  return out.str();
+  std::string text = header_text(trace.header);
+  char record[kRecordBytes];
+  for (const TraceJob& job : trace.jobs) {
+    text.append(record, format_record(job, record));
+  }
+  return text;
 }
 
 SwfTrace trace_from_feitelson(const std::vector<SyntheticJob>& jobs,
@@ -343,12 +417,17 @@ Workload TraceShaper::shape(const SwfTrace& trace, ShapeReport* report) const {
       ++counts.dropped_no_size;
       continue;
     }
-    const int source_nodes = (procs + ppn - 1) / ppn;
-    int nodes = std::max(
-        1, static_cast<int>(std::lround(source_nodes * scale)));
-    if (nodes > ceiling) {
-      nodes = ceiling;
+    // Rounded up without `procs + ppn - 1`, which overflows when the
+    // header's MaxProcs / MaxNodes is near INT_MAX.
+    const int source_nodes = procs / ppn + (procs % ppn != 0 ? 1 : 0);
+    // Compared as a double: a record far wider than the header's
+    // machine rescales past INT_MAX, which a conversion would wrap.
+    const double width = std::max(1.0, std::round(source_nodes * scale));
+    int nodes = ceiling;
+    if (width > ceiling) {
       ++counts.clamped_oversize;
+    } else {
+      nodes = static_cast<int>(width);
     }
     survivors.push_back(Survivor{record, nodes});
   }

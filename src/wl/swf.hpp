@@ -27,6 +27,7 @@
 #include <map>
 #include <stdexcept>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "wl/workload.hpp"
@@ -96,14 +97,19 @@ class SwfParseError : public std::runtime_error {
   int line_;
 };
 
-SwfTrace parse_swf(std::istream& in);
-SwfTrace parse_swf_text(const std::string& text);
-/// Throws std::runtime_error when the file cannot be opened.
+/// Parses the text in place: lines are split as std::getline splits
+/// them (CRLF and a last line without a newline included) and records
+/// at the C locale's whitespace.
+SwfTrace parse_swf_text(std::string_view text);
+/// Reads the whole file, then parses it.  Throws std::runtime_error
+/// naming the path when the file cannot be opened or read (a directory
+/// opens but cannot be read).
 SwfTrace parse_swf_file(const std::string& path);
 
 /// Serialize (directives first, then one 18-field line per job).
 /// Round-trips through parse_swf_text: fractional times are written with
-/// full precision, which real archives do not use but the parser accepts.
+/// full precision (%.17g), which real archives do not use but the parser
+/// accepts.  Both write the same bytes.
 void write_swf(std::ostream& out, const SwfTrace& trace);
 std::string to_swf_text(const SwfTrace& trace);
 

@@ -1,8 +1,9 @@
 # ctest smoke for the archive-scale replay path: synthesize a 100k-job
-# SWF trace with make_swf, then replay it through swf_replay with the
-# runtime invariant auditor attached.  Deterministic end to end (the
-# trace is fully determined by the make_swf flags), so a hang or an
-# auditor violation here points at the event engine, not the workload.
+# SWF trace with make_swf, check its bytes against a pinned sha256, then
+# replay it through swf_replay with the runtime invariant auditor
+# attached.  Deterministic end to end (the trace is fully determined by
+# the make_swf flags), so a hang or an auditor violation here points at
+# the event engine, not the workload.
 # Invoked as
 #   cmake -DMAKE_SWF=<make_swf> -DSWF_REPLAY=<swf_replay>
 #         -DWORK_DIR=<build dir> -P archive_smoke.cmake
@@ -19,6 +20,15 @@ if(NOT rc EQUAL 0)
 endif()
 if(NOT err MATCHES "make_swf: 100000 jobs on 1024 nodes")
   message(FATAL_ERROR "missing make_swf summary on stderr:\n${err}")
+endif()
+# The digest was captured from the stream-based SWF writer the in-place
+# one replaced: a changed digit in the writer or the generator shows here.
+file(SHA256 ${trace} digest)
+set(expected_digest
+    "5e3e7a791c0db3fbd059409f65022ff797890a7a16553a8f9b829515d6f0f9b2")
+if(NOT digest STREQUAL expected_digest)
+  message(FATAL_ERROR "make_swf wrote different bytes: sha256 ${digest}, "
+                      "expected ${expected_digest}")
 endif()
 
 execute_process(COMMAND ${SWF_REPLAY} ${trace} --nodes 1024 --audit

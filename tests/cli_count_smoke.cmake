@@ -1,7 +1,8 @@
 # ctest: command-line numbers and options are rejected, never wrapped,
 # truncated, silently defaulted or thrown past main.  Every row of the
 # table below must exit with status 2 and name its argument (or the
-# member-mix group, or the SWF line and field) on stderr.  Invoked as
+# member-mix group, the SWF line and field, or the unreadable SWF path)
+# on stderr.  Invoked as
 #   cmake -DSWEEP=<sweep> -DDMRSIM=<dmrsim> -DMAKE_SWF=<make_swf>
 #         -P cli_count_smoke.cmake
 
@@ -71,6 +72,13 @@ foreach(row
   expect_rejected("line 2: field [0-9]+ \\(${field}\\) is out of range"
                   ${SWEEP} smoke --swf "${swf}")
 endforeach()
+
+# A directory opens but cannot be read; the failed read used to end the
+# input, and the sweep replayed an empty trace.
+set(swf_dir "${CMAKE_CURRENT_BINARY_DIR}/cli_count_dir.swf")
+file(MAKE_DIRECTORY "${swf_dir}")
+expect_rejected("cannot read .*cli_count_dir\\.swf"
+                ${SWEEP} smoke --swf "${swf_dir}")
 
 if(NOT failures STREQUAL "")
   message(FATAL_ERROR "command-line numbers accepted:${failures}")
