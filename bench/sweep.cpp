@@ -18,8 +18,7 @@
 //    differences are attributable to routing alone.
 //
 // Usage:  sweep [jobs=N] [seeds=N] [threads=N] [steps=N] [load=F]
-//               [clusters=N | --clusters N] [--members SPEC]
-//               [--swf FILE | swf=FILE] [--trace FILE]
+//               [clusters=N] [--members SPEC] [--swf FILE] [--trace FILE]
 //               [--trace-cell INDEX] [--attr] [--attr-json FILE]
 //               [--audit] [smoke]
 //   --trace FILE       record the traced cell's Chrome trace timeline
@@ -47,7 +46,7 @@
 //              e.g. "16x64,8x128:speed=0.6"); the default reproduces
 //              the historical alpha/beta/gamma cycle.  Indices past the
 //              mix cycle through it again, so a small mix still scales
-//              to --clusters 64.
+//              to clusters=64.
 //   --audit    attach one chk::Auditor per scenario (lifecycle DFA,
 //              node conservation, event ordering, federation routing,
 //              redistribution byte conservation); any violation is
@@ -332,9 +331,7 @@ std::string run_scenario(const Scenario& scenario, obs::Hooks hooks,
   if (scenario.options.audit) {
     const chk::Report report = auditor.report();
     audit->checks.fetch_add(report.total_checks());
-    audit->violations.fetch_add(
-        static_cast<long long>(report.violations.size()) +
-        report.dropped_violations);
+    audit->violations.fetch_add(report.violation_count());
     if (!report.ok()) {
       std::fprintf(stderr,
                    "sweep: audit violations (cluster=%s policy=%s "
@@ -345,7 +342,7 @@ std::string run_scenario(const Scenario& scenario, obs::Hooks hooks,
                    report.describe().c_str());
     }
     out << ",\"audit_checks\":" << report.total_checks()
-        << ",\"audit_violations\":" << report.violations.size();
+        << ",\"audit_violations\":" << report.violation_count();
   }
   if (scenario.shaped != nullptr) {
     // Shaping telemetry: what the replay dropped or altered.  A smaller
@@ -411,21 +408,14 @@ int main(int argc, char** argv) {
                util::parse_count_arg(argv[i], "steps", options.steps) ||
                util::parse_count_arg(argv[i], "clusters", options.clusters)) {
       continue;
-    } else if (std::strcmp(argv[i], "--clusters") == 0 && i + 1 < argc) {
-      options.clusters = util::parse_count(argv[++i], "--clusters");
     } else if (std::strcmp(argv[i], "--audit") == 0) {
       options.audit = true;
     } else if (std::strcmp(argv[i], "--swf") == 0 && i + 1 < argc) {
       options.swf = argv[i + 1];
       ++i;
-    } else if (std::strncmp(argv[i], "swf=", 4) == 0 && argv[i][4] != '\0') {
-      options.swf = argv[i] + 4;
     } else if (std::strcmp(argv[i], "--members") == 0 && i + 1 < argc) {
       options.members = argv[i + 1];
       ++i;
-    } else if (std::strncmp(argv[i], "members=", 8) == 0 &&
-               argv[i][8] != '\0') {
-      options.members = argv[i] + 8;
     } else if (std::strcmp(argv[i], "--trace") == 0 && i + 1 < argc) {
       options.trace = argv[i + 1];
       ++i;
@@ -441,10 +431,9 @@ int main(int argc, char** argv) {
     } else {
       std::fprintf(stderr,
                    "usage: %s [jobs=N] [seeds=N] [threads=N] [steps=N] "
-                   "[load=F] [clusters=N | --clusters N] [--members SPEC] "
-                   "[--swf FILE | swf=FILE] [--trace FILE] "
-                   "[--trace-cell INDEX] [--attr] [--attr-json FILE] "
-                   "[--audit] [smoke]\n",
+                   "[load=F] [clusters=N] [--members SPEC] [--swf FILE] "
+                   "[--trace FILE] [--trace-cell INDEX] [--attr] "
+                   "[--attr-json FILE] [--audit] [smoke]\n",
                    argv[0]);
       return 2;
     }

@@ -10,11 +10,13 @@
 //  - node conservation in rms::Manager / rms::Cluster,
 //  - sim::Engine event-queue monotonicity and (time, lane, seq) order,
 //  - federation id-range disjointness and routing-stride consistency,
-//  - byte conservation per dmr::redist report.
-// Violations collect into a structured chk::Report (JSON with the
-// BENCH_*.json provenance fields; the first 64 are stored, the rest
-// counted).  Detached, every emit site it would read is one
-// interest-mask test.
+//  - byte conservation per modeled dmr::redist report.
+// Its public surface is the sink's (interest(), on_event()) plus
+// report(): there is no per-check entry point, so a test feeds it
+// obs::Events the way the layers do.  Violations collect into a
+// structured chk::Report (JSON with the BENCH_*.json provenance fields;
+// the first 64 are stored, the rest counted).  Detached, every emit site
+// it would read is one interest-mask test.
 //
 // The static half of the chk:: layer is tools/dmr_lint (build target
 // `dmr_lint`, ctest `lint`): the project-rule checker that keeps

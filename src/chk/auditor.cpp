@@ -1,6 +1,5 @@
 #include "chk/auditor.hpp"
 
-#include <algorithm>
 #include <sstream>
 #include <tuple>
 
@@ -37,8 +36,7 @@ std::string Report::json() const {
       << ",\"placement_checks\":" << placement_checks
       << ",\"redist_reports\":" << redist_reports
       << ",\"total\":" << total_checks() << "}"
-      << ",\"violation_count\":"
-      << (static_cast<long long>(violations.size()) + dropped_violations)
+      << ",\"violation_count\":" << violation_count()
       << ",\"dropped_violations\":" << dropped_violations << ",\"violations\":[";
   for (std::size_t i = 0; i < violations.size(); ++i) {
     const Violation& v = violations[i];
@@ -57,9 +55,8 @@ std::string Report::describe() const {
     out << "chk: ok (" << total_checks() << " checks, 0 violations)";
     return out.str();
   }
-  out << "chk: " << (static_cast<long long>(violations.size()) +
-                     dropped_violations)
-      << " violation(s) in " << total_checks() << " checks";
+  out << "chk: " << violation_count() << " violation(s) in " << total_checks()
+      << " checks";
   for (const Violation& v : violations) out << "\n  " << format_violation(v);
   if (dropped_violations > 0)
     out << "\n  ... and " << dropped_violations << " more (cap reached)";
@@ -118,52 +115,56 @@ obs::Interest Auditor::interest() const {
 
 void Auditor::on_event(const obs::Event& event) {
   using K = obs::EventKind;
-  const ::dmr::JobId id = event.job;
-  const double now = event.now;
+  // The DFA edges between submit and finish.  Every resize step ends
+  // with a conservation sweep of the member it touched.
+  struct Edge {
+    K kind;
+    Phase from;
+    Phase to;
+    const char* name;
+    bool resize;
+  };
+  static constexpr Edge kEdges[] = {
+      {K::kStarted, Phase::Queued, Phase::Running, "start", false},
+      {K::kExpanded, Phase::Running, Phase::Running, "expand", true},
+      {K::kShrinkBegun, Phase::Running, Phase::Reconfiguring, "shrink-begin",
+       true},
+      {K::kShrinkEnded, Phase::Reconfiguring, Phase::Running, "shrink-end",
+       true},
+  };
+  const std::lock_guard<std::mutex> lock(mutex_);
+  for (const Edge& edge : kEdges) {
+    if (edge.kind != event.kind) continue;
+    lifecycle_edge(event.job, event.now, edge.from, edge.to, edge.name);
+    if (edge.resize) check_manager(*event.manager, event.now);
+    return;
+  }
   switch (event.kind) {
     case K::kSubmitted:
-      return on_job_submitted(id, now);
-    case K::kPlaced:
-      return on_placement(id, event.member, fed::kClusterIdStride, now);
-    case K::kStarted:
-      return on_job_started(id, now);
-    case K::kExpanded:
-      on_job_resized(id, now);
-      break;
-    case K::kShrinkBegun:
-      on_shrink_begun(id, now);
-      break;
-    case K::kShrinkEnded:
-      on_shrink_ended(id, now);
-      break;
+      return job_submitted(event.job, event.now);
     case K::kFinished:
-      return on_job_finished(id, now);
+      return job_finished(event.job, event.now);
+    case K::kPlaced:
+      return check_placement(event.job, event.member, event.now);
     case K::kPass:
-      break;
+      return check_manager(*event.manager, event.now);
     case K::kDispatch:
-      return on_event_dispatch(now, event.dispatch.lane, event.dispatch.seq,
-                               event.dispatch.clock, event.dispatch.watermark);
+      return check_dispatch(event);
     case K::kRedistributed:
-      // A modeled report has no buffer registry; it must account for
-      // exactly the job's declared state bytes.
-      return on_redist_report(*event.report, event.bytes, now);
+      return check_redist(event);
     case K::kSample:
       // The service's steady heartbeat: audit the settled state.
-      check_federation(*event.federation, now);
+      check_federation(*event.federation, event.now);
       for (int c = 0; c < event.federation->cluster_count(); ++c) {
-        check_manager(event.federation->manager(c), now);
+        check_manager(event.federation->manager(c), event.now);
       }
       return;
     default:
       return;
   }
-  // Every resize step and every schedule call ends with a conservation
-  // sweep of the member it touched.
-  check_manager(*event.manager, now);
 }
 
-void Auditor::on_job_submitted(::dmr::JobId id, double now) {
-  const std::lock_guard<std::mutex> lock(mutex_);
+void Auditor::job_submitted(::dmr::JobId id, double now) {
   ++report_.lifecycle_edges;
   const auto [it, inserted] = phases_.emplace(id, Phase::Queued);
   if (!inserted) {
@@ -173,28 +174,7 @@ void Auditor::on_job_submitted(::dmr::JobId id, double now) {
   }
 }
 
-void Auditor::on_job_started(::dmr::JobId id, double now) {
-  const std::lock_guard<std::mutex> lock(mutex_);
-  lifecycle_edge(id, now, Phase::Queued, Phase::Running, "start");
-}
-
-void Auditor::on_job_resized(::dmr::JobId id, double now) {
-  const std::lock_guard<std::mutex> lock(mutex_);
-  lifecycle_edge(id, now, Phase::Running, Phase::Running, "expand");
-}
-
-void Auditor::on_shrink_begun(::dmr::JobId id, double now) {
-  const std::lock_guard<std::mutex> lock(mutex_);
-  lifecycle_edge(id, now, Phase::Running, Phase::Reconfiguring, "shrink-begin");
-}
-
-void Auditor::on_shrink_ended(::dmr::JobId id, double now) {
-  const std::lock_guard<std::mutex> lock(mutex_);
-  lifecycle_edge(id, now, Phase::Reconfiguring, Phase::Running, "shrink-end");
-}
-
-void Auditor::on_job_finished(::dmr::JobId id, double now) {
-  const std::lock_guard<std::mutex> lock(mutex_);
+void Auditor::job_finished(::dmr::JobId id, double now) {
   ++report_.lifecycle_edges;
   const auto it = phases_.find(id);
   if (it == phases_.end()) {
@@ -209,10 +189,10 @@ void Auditor::on_job_finished(::dmr::JobId id, double now) {
   it->second = Phase::Done;
 }
 
-void Auditor::on_event_dispatch(double time, int lane, std::uint64_t seq,
-                                double clock, std::uint64_t seq_watermark) {
-  const std::lock_guard<std::mutex> lock(mutex_);
+void Auditor::check_dispatch(const obs::Event& event) {
   ++report_.event_dispatches;
+  const double time = event.now;
+  const auto& [lane, seq, clock, watermark] = event.dispatch;
   if (time < clock) {
     std::ostringstream msg;
     msg << "event (t=" << time << ", lane=" << lane << ", seq=" << seq
@@ -239,13 +219,12 @@ void Auditor::on_event_dispatch(double time, int lane, std::uint64_t seq,
   last_time_ = time;
   last_lane_ = lane;
   last_seq_ = seq;
-  last_watermark_ = seq_watermark;
+  last_watermark_ = watermark;
 }
 
-void Auditor::on_placement(::dmr::JobId id, int member, ::dmr::JobId stride,
-                           double now) {
-  const std::lock_guard<std::mutex> lock(mutex_);
+void Auditor::check_placement(::dmr::JobId id, int member, double now) {
   ++report_.placement_checks;
+  const ::dmr::JobId stride = fed::kClusterIdStride;
   const ::dmr::JobId lo = static_cast<::dmr::JobId>(member) * stride;
   if (id <= lo || id > lo + stride) {
     std::ostringstream msg;
@@ -256,7 +235,6 @@ void Auditor::on_placement(::dmr::JobId id, int member, ::dmr::JobId stride,
 }
 
 void Auditor::check_federation(const fed::Federation& federation, double now) {
-  const std::lock_guard<std::mutex> lock(mutex_);
   ++report_.federation_audits;
   const ::dmr::JobId stride = fed::kClusterIdStride;
   for (int c = 0; c < federation.cluster_count(); ++c) {
@@ -282,30 +260,60 @@ void Auditor::check_federation(const fed::Federation& federation, double now) {
 }
 
 void Auditor::check_manager(const rms::Manager& manager, double now) {
-  const std::lock_guard<std::mutex> lock(mutex_);
   ++report_.conservation_audits;
   const rms::Cluster& cluster = manager.cluster();
+  const int size = cluster.size();
+  if (listed_.size() < static_cast<std::size_t>(size)) {
+    listed_.resize(static_cast<std::size_t>(size));
+  }
 
-  // Recompute everything from the node table, then compare against the
-  // cluster's cached counters and every job's allocation list.
-  std::vector<int> idle_per(static_cast<std::size_t>(cluster.partition_count()),
-                            0);
-  std::map<::dmr::JobId, std::vector<int>> owned;
+  // Walk 1: every node a running job lists must be in range, given to it
+  // by the owner table, and listed once.  Mark the ones that are.
+  for (const rms::Job* job : manager.running_list()) {
+    for (const int id : job->nodes) {
+      const bool in_range = id >= 0 && id < size;
+      const bool owned = in_range && cluster.node(id).owner == job->id;
+      if (owned && listed_[static_cast<std::size_t>(id)] == 0) {
+        listed_[static_cast<std::size_t>(id)] = 1;
+        continue;
+      }
+      std::ostringstream msg;
+      msg << "job's node list names ";
+      if (!in_range) {
+        msg << "node " << id << " outside the " << size << "-node cluster";
+      } else if (owned) {
+        msg << cluster.node(id).name << " twice";
+      } else if (cluster.node(id).owner == ::dmr::kInvalidJob) {
+        msg << cluster.node(id).name << ", which the owner table leaves idle";
+      } else {
+        msg << cluster.node(id).name << ", which the owner table gives to job "
+            << cluster.node(id).owner;
+      }
+      violate("node-conservation", job->id, now, msg.str());
+    }
+  }
+
+  // Walk 2: the node table.  Recount idle and draining nodes, blame the
+  // owner of every owned node the first walk left unmarked, and clear
+  // the marks for the next audit.
+  idle_per_.assign(static_cast<std::size_t>(cluster.partition_count()), 0);
   int idle = 0;
   int draining = 0;
-  for (int id = 0; id < cluster.size(); ++id) {
+  for (int id = 0; id < size; ++id) {
     const rms::Node& node = cluster.node(id);
+    std::uint8_t& listed = listed_[static_cast<std::size_t>(id)];
     if (node.draining) ++draining;
     if (node.owner == ::dmr::kInvalidJob) {
       ++idle;
-      ++idle_per[static_cast<std::size_t>(node.partition)];
+      ++idle_per_[static_cast<std::size_t>(node.partition)];
       if (node.draining) {
         violate("node-conservation", ::dmr::kInvalidJob, now,
                 "idle node " + node.name + " is marked draining");
       }
-    } else {
-      owned[node.owner].push_back(id);
+    } else if (listed == 0) {
+      blame_unlisted(manager, id, now);
     }
+    listed = 0;
   }
 
   if (idle != cluster.idle()) {
@@ -322,7 +330,7 @@ void Auditor::check_manager(const rms::Manager& manager, double now) {
   }
   for (int p = 0; p < cluster.partition_count(); ++p) {
     const int total = cluster.partition(p).nodes;
-    const int idle_p = idle_per[static_cast<std::size_t>(p)];
+    const int idle_p = idle_per_[static_cast<std::size_t>(p)];
     if (idle_p != cluster.idle_in(p) ||
         idle_p + cluster.allocated_in(p) != total) {
       std::ostringstream msg;
@@ -332,44 +340,35 @@ void Auditor::check_manager(const rms::Manager& manager, double now) {
       violate("node-conservation", ::dmr::kInvalidJob, now, msg.str());
     }
   }
-
-  // Each job's node list must match the owner table exactly; a node in
-  // two allocations shows up as a list/owner mismatch on one of them.
-  for (const auto& [id, nodes] : owned) {
-    try {
-      const rms::Job& job = manager.job(id);
-      if (!job.running()) {
-        std::ostringstream msg;
-        msg << "owns " << nodes.size() << " node(s) while "
-            << (job.pending() ? "pending" : "finished");
-        violate("node-conservation", id, now, msg.str());
-      }
-      std::vector<int> declared = job.nodes;
-      std::sort(declared.begin(), declared.end());
-      if (declared != nodes) {
-        std::ostringstream msg;
-        msg << "job's node list has " << declared.size()
-            << " node(s) but the owner table gives it " << nodes.size();
-        violate("node-conservation", id, now, msg.str());
-      }
-    } catch (const std::exception&) {
-      violate("node-conservation", id, now,
-              "owner table names a job the manager does not know");
-    }
-  }
 }
 
-void Auditor::on_redist_report(const redist::Report& report,
-                               std::size_t registered_bytes, double now) {
-  const std::lock_guard<std::mutex> lock(mutex_);
+void Auditor::blame_unlisted(const rms::Manager& manager, int node,
+                             double now) {
+  const rms::Node& entry = manager.cluster().node(node);
+  std::ostringstream msg;
+  try {
+    const rms::Job& job = manager.job(entry.owner);
+    msg << "owns " << entry.name << " while "
+        << (job.pending()   ? "pending"
+            : job.running() ? "running, but its node list omits it"
+                            : "finished");
+  } catch (const std::exception&) {
+    msg << "owner table gives " << entry.name
+        << " to a job the manager does not know";
+  }
+  violate("node-conservation", entry.owner, now, msg.str());
+}
+
+void Auditor::check_redist(const obs::Event& event) {
   ++report_.redist_reports;
+  const redist::Report& report = *event.report;
   const auto fail = [&](const std::string& message) {
-    violate("byte-conservation", ::dmr::kInvalidJob, now, message);
+    violate("byte-conservation", ::dmr::kInvalidJob, event.now, message);
   };
-  if (report.bytes_total != registered_bytes) {
+  if (report.bytes_total != event.bytes) {
     std::ostringstream msg;
     msg << "report accounts for " << report.bytes_total << " bytes but "
-        << registered_bytes << " are registered";
+        << event.bytes << " are registered";
     fail(msg.str());
   }
   // A store-routed report may legitimately move every byte twice (write
@@ -397,17 +396,6 @@ void Auditor::on_redist_report(const redist::Report& report,
 Report Auditor::report() const {
   const std::lock_guard<std::mutex> lock(mutex_);
   return report_;
-}
-
-void Auditor::reset() {
-  const std::lock_guard<std::mutex> lock(mutex_);
-  report_ = Report{};
-  phases_.clear();
-  has_last_event_ = false;
-  last_time_ = 0.0;
-  last_lane_ = 0;
-  last_seq_ = 0;
-  last_watermark_ = 0;
 }
 
 }  // namespace dmr::chk

@@ -12,23 +12,27 @@
 //    enters reconfiguring and only its completion (or the job's end)
 //    leaves it; every other edge is a violation carrying the job id and
 //    the simulated time;
-//  - node conservation in rms::Manager / rms::Cluster: per partition
-//    idle + allocated == total, draining nodes are always owned, no node
-//    appears in two allocations, and every job's node list matches the
-//    cluster's owner table exactly;
+//  - node conservation in rms::Manager / rms::Cluster, after every
+//    schedule call and resize step: per partition idle + allocated ==
+//    total, draining nodes are always owned, and every running job's node
+//    list matches the cluster's owner table exactly (no node listed
+//    twice, by two jobs, or by a job the table does not give it; no owned
+//    node missing from its owner's list);
 //  - event-queue ordering in sim::Engine: the clock never moves
 //    backwards, and two events that coexisted in the queue dispatch in
 //    (time, lane, seq) order;
 //  - federation identity: every member's job ids stay inside its
 //    disjoint kClusterIdStride range and route back to the member that
 //    placed them;
-//  - redistribution byte conservation: each dmr::redist Report accounts
-//    for exactly the registered buffer bytes, with moved <= total and
-//    sane transfer/lane/second counts.
+//  - redistribution byte conservation: each modeled dmr::redist Report
+//    accounts for exactly the job's declared state bytes, with moved <=
+//    total and sane transfer/lane/second counts.
 //
-// Violations are collected into a structured chk::Report (JSON with the
-// same provenance fields as the BENCH_*.json rows); the run itself goes
-// on.  Detached (the default), every emit site it reads is one mask test.
+// The event stream is the only way in: tests feed it obs::Events the way
+// the layers emit them.  Violations are collected into a structured
+// chk::Report (JSON with the same provenance fields as the BENCH_*.json
+// rows); the run itself goes on.  Detached (the default), every emit site
+// it reads is one mask test.
 #pragma once
 
 #include <cstdint>
@@ -46,14 +50,10 @@ class Manager;
 namespace dmr::fed {
 class Federation;
 }
-namespace dmr::redist {
-struct Report;
-}
 
 namespace dmr::chk {
 
-/// One invariant breach: which rule, where, and when (simulated time; 0
-/// for wall-clock contexts like a real buffer redistribution).
+/// One invariant breach: which rule, where, and when (simulated time).
 struct Violation {
   std::string invariant;
   std::string message;
@@ -75,7 +75,11 @@ struct Report {
   /// stored.
   long long dropped_violations = 0;
 
-  bool ok() const { return violations.empty() && dropped_violations == 0; }
+  /// Every violation found: the stored ones plus those past the cap.
+  long long violation_count() const {
+    return static_cast<long long>(violations.size()) + dropped_violations;
+  }
+  bool ok() const { return violation_count() == 0; }
   long long total_checks() const {
     return lifecycle_edges + event_dispatches + conservation_audits +
            placement_checks + federation_audits + redist_reports;
@@ -87,86 +91,46 @@ struct Report {
   std::string describe() const;
 };
 
-/// All entry points are serialized on an internal mutex: one auditor may
-/// serve every worker thread of a sweep.
+/// Events and report() are serialized on an internal mutex.
 class Auditor final : public obs::Sink {
  public:
   /// Stored-violation cap; the rest are counted in dropped_violations
   /// (reported, never silently lost).
   static constexpr std::size_t kMaxStoredViolations = 64;
 
-  // --- the event stream ------------------------------------------------------
-
   obs::Interest interest() const override;
-  /// Drives the checks below (callable directly too).
   void on_event(const obs::Event& event) override;
 
-  // --- per-job lifecycle DFA -------------------------------------------------
-
-  void on_job_submitted(::dmr::JobId id, double now);
-  void on_job_started(::dmr::JobId id, double now);
-  /// An expansion was applied (legal only while running).
-  void on_job_resized(::dmr::JobId id, double now);
-  /// A shrink began draining: running -> reconfiguring.
-  void on_shrink_begun(::dmr::JobId id, double now);
-  /// The drain completed: reconfiguring -> running.
-  void on_shrink_ended(::dmr::JobId id, double now);
-  /// Completion or cancellation: queued/running/reconfiguring -> done.
-  void on_job_finished(::dmr::JobId id, double now);
-
-  // --- sim::Engine event ordering --------------------------------------------
-
-  /// Called as an event leaves the queue.  `clock` is the engine's time
-  /// before this event advances it; `seq_watermark` is the engine's
-  /// next-sequence counter, which tells the auditor whether the previous
-  /// event could have seen this one in the queue (only then is
-  /// (time, lane, seq) dispatch order enforceable).
-  void on_event_dispatch(double time, int lane, std::uint64_t seq,
-                         double clock, std::uint64_t seq_watermark);
-
-  // --- federation identity ---------------------------------------------------
-
-  /// A submit-time routing decision: `id` must lie inside member
-  /// `member`'s disjoint id range of width `stride`.
-  void on_placement(::dmr::JobId id, int member, ::dmr::JobId stride,
-                    double now);
-  /// Full sweep: every member's job table stays inside its id range and
-  /// routes back to the member that owns it.
-  void check_federation(const fed::Federation& federation, double now);
-
-  // --- node conservation -----------------------------------------------------
-
-  /// Full sweep of one manager: recompute idle/allocated/draining from
-  /// the node table and cross-check counters, partitions, and every
-  /// job's node list against the owner table.
-  void check_manager(const rms::Manager& manager, double now);
-
-  // --- redistribution byte conservation --------------------------------------
-
-  /// `registered_bytes` is the registry's total at execution time (the
-  /// report must account for exactly those bytes); pass
-  /// `report.bytes_total` for modeled reports with no registry.
-  void on_redist_report(const redist::Report& report,
-                        std::size_t registered_bytes, double now);
-
-  // --- results ---------------------------------------------------------------
-
-  /// Copy of the collected report (copied under the lock; safe to call
-  /// while rank threads are still recording).
+  /// Copy of the collected report (copied under the lock).
   Report report() const;
-  bool ok() const { return report().ok(); }
-  void reset();
 
  private:
   enum class Phase { Queued, Running, Reconfiguring, Done };
   static const char* phase_name(Phase phase);
 
-  /// Record one violation.
+  // Each check below runs under mutex_, taken once by on_event.
   void violate(const char* invariant, ::dmr::JobId job, double now,
                std::string message);
-  /// DFA edge helper: job must currently be in `from`; moves it to `to`.
+  /// One lifecycle DFA edge: the job must be in `from`; it moves to `to`.
   void lifecycle_edge(::dmr::JobId id, double now, Phase from, Phase to,
                       const char* edge);
+  void job_submitted(::dmr::JobId id, double now);
+  void job_finished(::dmr::JobId id, double now);
+  /// `event` leaves the engine's queue (see obs::DispatchOrder).
+  void check_dispatch(const obs::Event& event);
+  /// A routing decision: the id must lie in the member's id range.
+  void check_placement(::dmr::JobId id, int member, double now);
+  /// Every member's job table stays inside its id range and routes back
+  /// to the member that owns it.
+  void check_federation(const fed::Federation& federation, double now);
+  /// Node conservation in two flat walks: every running job's node list
+  /// against the owner table, then the node table against the marks the
+  /// first walk left and the cluster's cached counters.
+  void check_manager(const rms::Manager& manager, double now);
+  /// A modeled report must account for exactly the declared state bytes.
+  void check_redist(const obs::Event& event);
+  /// Blames the owner of an owned node no running job's list marked.
+  void blame_unlisted(const rms::Manager& manager, int node, double now);
 
   mutable std::mutex mutex_;
   Report report_;
@@ -178,6 +142,12 @@ class Auditor final : public obs::Sink {
   int last_lane_ = 0;
   std::uint64_t last_seq_ = 0;
   std::uint64_t last_watermark_ = 0;
+
+  // check_manager's scratch, kept so a clean audit allocates nothing:
+  // one mark per node (all zero between audits) and the idle recount
+  // per partition.
+  std::vector<std::uint8_t> listed_;
+  std::vector<int> idle_per_;
 };
 
 }  // namespace dmr::chk

@@ -126,6 +126,10 @@ class Manager : public ::dmr::Rms {
   /// The same without internal resizers: the queue Algorithm 1 scans
   /// (dmr_decide).  Same validity as pending_queue.
   std::span<const Job* const> pending_snapshot() const;
+  /// Every running job, internal resizers included, in no fixed order:
+  /// the list a scheduling pass copies into its view.  Valid until the
+  /// manager changes.
+  std::span<const Job* const> running_list() const { return running_jobs_; }
   /// All user-visible jobs (submission order).
   const std::vector<const Job*>& jobs() const { return user_jobs_; }
   /// True when no user job is pending or running.

@@ -3,24 +3,32 @@
 // corruptions the production code is designed never to produce), the
 // structured report and its violation cap, and — the property the whole
 // layer exists to protect — byte-identical simulated outcomes with the
-// auditor attached vs detached.
+// auditor attached vs detached.  The auditor's one way in is the event
+// stream, so every test feeds it obs::Events the way the layers emit
+// them.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstdint>
 #include <limits>
+#include <map>
+#include <set>
 #include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "chk/backdoor.hpp"
 #include "dmr/check.hpp"
 #include "dmr/observe.hpp"
 #include "dmr/simulation.hpp"
+#include "util/rng.hpp"
 
 namespace {
 
 using namespace dmr;
+using K = obs::EventKind;
 
 /// The single violation in `report`, with the suite failing loudly when
 /// the count is not exactly one.
@@ -30,18 +38,63 @@ chk::Violation only_violation(const chk::Report& report) {
                                    : report.violations.front();
 }
 
+rms::RmsConfig eight_nodes() {
+  rms::RmsConfig config;
+  config.nodes = 8;
+  return config;
+}
+
+/// The manager a job event names when only the lifecycle matters: no
+/// jobs, so the conservation sweep a resize step triggers is clean.
+const rms::Manager& idle_manager() {
+  static const rms::Manager manager(eight_nodes());
+  return manager;
+}
+
+/// A job event, as rms::Manager emits it.
+void job_event(chk::Auditor& auditor, obs::EventKind kind, JobId id,
+               double now) {
+  auditor.on_event(
+      {.kind = kind, .job = id, .now = now, .manager = &idle_manager()});
+}
+
+/// An engine dispatch, as sim::Engine reports it.
+void dispatch(chk::Auditor& auditor, double time, int lane, std::uint64_t seq,
+              double clock, std::uint64_t watermark) {
+  auditor.on_event({.kind = K::kDispatch,
+                    .now = time,
+                    .dispatch = {.lane = lane,
+                                 .seq = seq,
+                                 .clock = clock,
+                                 .watermark = watermark}});
+}
+
+/// The end of a schedule call, which sweeps the member's nodes.
+void pass(chk::Auditor& auditor, const rms::Manager& manager, double now) {
+  auditor.on_event({.kind = K::kPass, .now = now, .manager = &manager});
+}
+
+/// A modeled redistribution of a job with `bytes` of declared state.
+void redistributed(chk::Auditor& auditor, const redist::Report& report,
+                   std::size_t bytes, double now) {
+  auditor.on_event({.kind = K::kRedistributed,
+                    .now = now,
+                    .bytes = bytes,
+                    .report = &report});
+}
+
 // --- lifecycle DFA -----------------------------------------------------------
 
 TEST(Lifecycle, LegalCycleIsClean) {
   chk::Auditor auditor;
-  auditor.on_job_submitted(7, 0.0);
-  auditor.on_job_started(7, 1.0);
-  auditor.on_job_resized(7, 2.0);
-  auditor.on_shrink_begun(7, 3.0);
-  auditor.on_shrink_ended(7, 4.0);
-  auditor.on_shrink_begun(7, 5.0);
-  auditor.on_shrink_ended(7, 6.0);
-  auditor.on_job_finished(7, 7.0);
+  job_event(auditor, K::kSubmitted, 7, 0.0);
+  job_event(auditor, K::kStarted, 7, 1.0);
+  job_event(auditor, K::kExpanded, 7, 2.0);
+  job_event(auditor, K::kShrinkBegun, 7, 3.0);
+  job_event(auditor, K::kShrinkEnded, 7, 4.0);
+  job_event(auditor, K::kShrinkBegun, 7, 5.0);
+  job_event(auditor, K::kShrinkEnded, 7, 6.0);
+  job_event(auditor, K::kFinished, 7, 7.0);
   const chk::Report report = auditor.report();
   EXPECT_TRUE(report.ok()) << report.describe();
   EXPECT_EQ(report.lifecycle_edges, 8);
@@ -49,7 +102,7 @@ TEST(Lifecycle, LegalCycleIsClean) {
 
 TEST(Lifecycle, StartWithoutSubmitCarriesJobIdAndTime) {
   chk::Auditor auditor;
-  auditor.on_job_started(42, 12.5);
+  job_event(auditor, K::kStarted, 42, 12.5);
   const chk::Violation violation = only_violation(auditor.report());
   EXPECT_EQ(violation.invariant, "job-lifecycle");
   EXPECT_EQ(violation.job, 42);
@@ -59,8 +112,8 @@ TEST(Lifecycle, StartWithoutSubmitCarriesJobIdAndTime) {
 
 TEST(Lifecycle, ResubmitWhileQueuedIsIllegal) {
   chk::Auditor auditor;
-  auditor.on_job_submitted(3, 0.0);
-  auditor.on_job_submitted(3, 1.0);
+  job_event(auditor, K::kSubmitted, 3, 0.0);
+  job_event(auditor, K::kSubmitted, 3, 1.0);
   const chk::Violation violation = only_violation(auditor.report());
   EXPECT_EQ(violation.invariant, "job-lifecycle");
   EXPECT_EQ(violation.job, 3);
@@ -70,8 +123,8 @@ TEST(Lifecycle, ResubmitWhileQueuedIsIllegal) {
 
 TEST(Lifecycle, ShrinkFromQueuedNamesBothPhases) {
   chk::Auditor auditor;
-  auditor.on_job_submitted(9, 0.0);
-  auditor.on_shrink_begun(9, 2.0);
+  job_event(auditor, K::kSubmitted, 9, 0.0);
+  job_event(auditor, K::kShrinkBegun, 9, 2.0);
   const chk::Violation violation = only_violation(auditor.report());
   EXPECT_EQ(violation.invariant, "job-lifecycle");
   EXPECT_EQ(violation.job, 9);
@@ -81,10 +134,10 @@ TEST(Lifecycle, ShrinkFromQueuedNamesBothPhases) {
 
 TEST(Lifecycle, DoubleFinishIsIllegal) {
   chk::Auditor auditor;
-  auditor.on_job_submitted(5, 0.0);
-  auditor.on_job_started(5, 1.0);
-  auditor.on_job_finished(5, 2.0);
-  auditor.on_job_finished(5, 3.0);
+  job_event(auditor, K::kSubmitted, 5, 0.0);
+  job_event(auditor, K::kStarted, 5, 1.0);
+  job_event(auditor, K::kFinished, 5, 2.0);
+  job_event(auditor, K::kFinished, 5, 3.0);
   const chk::Violation violation = only_violation(auditor.report());
   EXPECT_EQ(violation.invariant, "job-lifecycle");
   EXPECT_EQ(violation.job, 5);
@@ -94,9 +147,9 @@ TEST(Lifecycle, DoubleFinishIsIllegal) {
 
 TEST(Lifecycle, OneBadEdgeAdoptsAndDoesNotCascade) {
   chk::Auditor auditor;
-  auditor.on_job_started(11, 1.0);   // never submitted: one violation
-  auditor.on_job_resized(11, 2.0);   // now legally running
-  auditor.on_job_finished(11, 3.0);  // and legally finished
+  job_event(auditor, K::kStarted, 11, 1.0);   // never submitted: one
+  job_event(auditor, K::kExpanded, 11, 2.0);  // now legally running
+  job_event(auditor, K::kFinished, 11, 3.0);  // and legally finished
   EXPECT_EQ(auditor.report().violations.size(), 1u);
 }
 
@@ -104,8 +157,8 @@ TEST(Lifecycle, OneBadEdgeAdoptsAndDoesNotCascade) {
 
 TEST(EventOrder, BehindTheClockIsAViolation) {
   chk::Auditor auditor;
-  auditor.on_event_dispatch(10.0, 0, 1, 0.0, 2);
-  auditor.on_event_dispatch(5.0, 0, 2, 10.0, 3);
+  dispatch(auditor, 10.0, 0, 1, 0.0, 2);
+  dispatch(auditor, 5.0, 0, 2, 10.0, 3);
   const chk::Violation violation = only_violation(auditor.report());
   EXPECT_EQ(violation.invariant, "event-order");
   EXPECT_DOUBLE_EQ(violation.sim_time, 10.0);
@@ -116,8 +169,8 @@ TEST(EventOrder, CoexistingEventsMustDispatchInOrder) {
   chk::Auditor auditor;
   // Both events queued (seqs 1 and 2, watermark 3) but the later tuple
   // pops first: a heap-ordering bug the auditor must catch.
-  auditor.on_event_dispatch(5.0, 1, 2, 0.0, 3);
-  auditor.on_event_dispatch(5.0, 0, 1, 5.0, 3);
+  dispatch(auditor, 5.0, 1, 2, 0.0, 3);
+  dispatch(auditor, 5.0, 0, 1, 5.0, 3);
   const chk::Violation violation = only_violation(auditor.report());
   EXPECT_EQ(violation.invariant, "event-order");
   EXPECT_NE(violation.message.find("should have preceded"),
@@ -129,8 +182,8 @@ TEST(EventOrder, EventScheduledDuringCallbackMayLandAtSameInstant) {
   // seq 5 >= watermark 4: the second event did not coexist with the
   // first (a mid-callback arrival), so a lower lane at the same time is
   // legal.
-  auditor.on_event_dispatch(5.0, 1, 2, 0.0, 4);
-  auditor.on_event_dispatch(5.0, 0, 5, 5.0, 6);
+  dispatch(auditor, 5.0, 1, 2, 0.0, 4);
+  dispatch(auditor, 5.0, 0, 5, 5.0, 6);
   EXPECT_TRUE(auditor.report().ok()) << auditor.report().describe();
 }
 
@@ -152,12 +205,6 @@ TEST(EventOrder, BackdoorTimeTravelThroughTheRealEngine) {
 }
 
 // --- node conservation -------------------------------------------------------
-
-rms::RmsConfig eight_nodes() {
-  rms::RmsConfig config;
-  config.nodes = 8;
-  return config;
-}
 
 /// An 8-node manager with two running 3-node jobs (ids returned).
 struct ManagerFixture {
@@ -182,7 +229,7 @@ struct ManagerFixture {
 TEST(NodeConservation, CleanManagerPasses) {
   ManagerFixture fixture;
   chk::Auditor auditor;
-  auditor.check_manager(fixture.manager, 1.0);
+  pass(auditor, fixture.manager, 1.0);
   const chk::Report report = auditor.report();
   EXPECT_TRUE(report.ok()) << report.describe();
   EXPECT_EQ(report.conservation_audits, 1);
@@ -192,7 +239,7 @@ TEST(NodeConservation, SkewedIdleCounterIsCaught) {
   ManagerFixture fixture;
   chk::TestBackdoor::skew_idle_counter(fixture.manager, +1);
   chk::Auditor auditor;
-  auditor.check_manager(fixture.manager, 33.0);
+  pass(auditor, fixture.manager, 33.0);
   const chk::Violation violation = only_violation(auditor.report());
   EXPECT_EQ(violation.invariant, "node-conservation");
   EXPECT_DOUBLE_EQ(violation.sim_time, 33.0);
@@ -207,7 +254,7 @@ TEST(NodeConservation, ForeignOwnerInTheTableIsCaught) {
   // unknown-owner violation specifically.
   chk::TestBackdoor::set_node_owner(fixture.manager, 7, 424242);
   chk::Auditor auditor;
-  auditor.check_manager(fixture.manager, 2.0);
+  pass(auditor, fixture.manager, 2.0);
   const chk::Report report = auditor.report();
   ASSERT_FALSE(report.ok());
   bool unknown_owner = false;
@@ -226,7 +273,7 @@ TEST(NodeConservation, JobListOwnerTableMismatchIsCaught) {
   // The job claims a node the owner table says is idle.
   chk::TestBackdoor::claim_node(fixture.manager, fixture.first, 7);
   chk::Auditor auditor;
-  auditor.check_manager(fixture.manager, 4.0);
+  pass(auditor, fixture.manager, 4.0);
   const chk::Violation violation = only_violation(auditor.report());
   EXPECT_EQ(violation.invariant, "node-conservation");
   EXPECT_EQ(violation.job, fixture.first);
@@ -237,7 +284,7 @@ TEST(NodeConservation, IdleDrainingNodeIsCaught) {
   ManagerFixture fixture;
   chk::TestBackdoor::set_node_draining(fixture.manager, 6, true);
   chk::Auditor auditor;
-  auditor.check_manager(fixture.manager, 5.0);
+  pass(auditor, fixture.manager, 5.0);
   const chk::Report report = auditor.report();
   ASSERT_FALSE(report.ok());
   // Two symptoms of the same corruption: the idle node marked draining,
@@ -250,6 +297,298 @@ TEST(NodeConservation, IdleDrainingNodeIsCaught) {
     }
   }
   EXPECT_TRUE(idle_draining) << report.describe();
+}
+
+// --- node conservation: the two walks against the map-based reference --------
+
+/// The map-based sweep the two walks replaced, kept as their reference:
+/// recount the node table into a map of each owner's nodes, then compare
+/// every owner's list with its job's sorted node list.  Only the
+/// (invariant, job) pairs are compared, so its messages are shortened.
+std::vector<chk::Violation> reference_audit(const rms::Manager& manager,
+                                            double now) {
+  std::vector<chk::Violation> out;
+  const auto violate = [&](JobId job, const std::string& message) {
+    out.push_back({"node-conservation", message, job, now});
+  };
+  const rms::Cluster& cluster = manager.cluster();
+  std::vector<int> idle_per(static_cast<std::size_t>(cluster.partition_count()),
+                            0);
+  std::map<JobId, std::vector<int>> owned;
+  int idle = 0;
+  int draining = 0;
+  for (int id = 0; id < cluster.size(); ++id) {
+    const rms::Node& node = cluster.node(id);
+    if (node.draining) ++draining;
+    if (node.owner == kInvalidJob) {
+      ++idle;
+      ++idle_per[static_cast<std::size_t>(node.partition)];
+      if (node.draining) {
+        violate(kInvalidJob, "idle node " + node.name + " is marked draining");
+      }
+    } else {
+      owned[node.owner].push_back(id);
+    }
+  }
+  if (idle != cluster.idle()) violate(kInvalidJob, "idle counter");
+  if (draining != cluster.draining_count()) {
+    violate(kInvalidJob, "draining counter");
+  }
+  for (int p = 0; p < cluster.partition_count(); ++p) {
+    const int idle_p = idle_per[static_cast<std::size_t>(p)];
+    if (idle_p != cluster.idle_in(p) ||
+        idle_p + cluster.allocated_in(p) != cluster.partition(p).nodes) {
+      violate(kInvalidJob, "partition " + cluster.partition(p).name);
+    }
+  }
+  for (const auto& [id, nodes] : owned) {
+    try {
+      const rms::Job& job = manager.job(id);
+      if (!job.running()) {
+        violate(id, job.pending() ? "owns nodes while pending"
+                                  : "owns nodes while finished");
+      }
+      std::vector<int> declared = job.nodes;
+      std::sort(declared.begin(), declared.end());
+      if (declared != nodes) violate(id, "node list != owner table");
+    } catch (const std::exception&) {
+      violate(id, "owner table names a job the manager does not know");
+    }
+  }
+  return out;
+}
+
+using Blame = std::set<std::pair<std::string, JobId>>;
+
+Blame blamed(const std::vector<chk::Violation>& violations) {
+  Blame out;
+  for (const chk::Violation& v : violations) out.insert({v.invariant, v.job});
+  return out;
+}
+
+/// A live manager state: `ops` seeded operations of ManagerFuzz's mix
+/// (submit + schedule, finish, cancel, dmr_check, complete_shrink) on a
+/// cluster of two 8-node partitions, some jobs pinned to one of them.
+/// Shrinks left uncompleted keep nodes draining.
+struct LiveState {
+  rms::Manager manager;
+  double now = 0.0;
+
+  static rms::RmsConfig two_partitions() {
+    rms::RmsConfig config;
+    config.partitions = {{.name = "fast", .nodes = 8, .speed = 1.0},
+                         {.name = "slow", .nodes = 8, .speed = 0.5}};
+    return config;
+  }
+
+  LiveState(std::uint64_t seed, int ops) : manager(two_partitions()) {
+    util::Rng rng(seed);
+    std::vector<JobId> live;
+    std::set<JobId> draining;
+    for (int op = 0; op < ops; ++op) {
+      now += rng.exponential_mean(5.0);
+      if (rng.uniform() < 0.35 || live.empty()) {
+        rms::JobSpec spec;
+        spec.name = "j" + std::to_string(op);
+        spec.requested_nodes = static_cast<int>(rng.uniform_int(1, 8));
+        spec.min_nodes = 1;
+        spec.max_nodes = 8;
+        spec.flexible = rng.bernoulli(0.7);
+        spec.time_limit = rng.uniform(10.0, 500.0);
+        const double pin = rng.uniform();
+        spec.partition = pin < 0.3 ? "fast" : pin < 0.6 ? "slow" : "";
+        live.push_back(manager.submit(spec, now));
+        manager.schedule(now);
+        continue;
+      }
+      const auto pick = static_cast<std::size_t>(
+          rng.uniform_int(0, static_cast<std::int64_t>(live.size()) - 1));
+      const JobId id = live[pick];
+      const rms::Job& job = manager.job(id);
+      if (job.finished()) {
+        live.erase(live.begin() + static_cast<std::ptrdiff_t>(pick));
+      } else if (draining.erase(id) != 0) {
+        manager.complete_shrink(id, now);
+      } else if (job.pending()) {
+        if (rng.bernoulli(0.3)) manager.cancel(id, now);
+      } else if (rng.bernoulli(0.4)) {
+        manager.job_finished(id, now);
+      } else {
+        Request request;
+        request.min_procs = 1;
+        request.max_procs = 8;
+        request.preferred =
+            rng.bernoulli(0.5) ? static_cast<int>(rng.uniform_int(1, 8)) : 0;
+        if (manager.dmr_check(id, request, now).action == Action::Shrink) {
+          draining.insert(id);
+        }
+      }
+    }
+  }
+};
+
+/// The corruptions the property applies, one per state.
+enum class Corruption {
+  kHandToRunning,   // a running job's node to another running job
+  kHandToPending,   // ... to a pending job
+  kHandToFinished,  // ... to a finished job
+  kHandToUnknown,   // ... to an id the manager never issued
+  kHandToNobody,    // ... to nobody (idle)
+  kClaimIdle,       // a running job lists an idle node
+  kClaimOthers,     // ... another running job's node
+  kClaimOwn,        // ... a node it already lists
+  kClaimPastEnd,    // ... an id past the cluster
+  kDrainIdle,       // an idle node marked draining
+  kSkewIdle,        // the cached idle counter off by a few
+};
+constexpr int kCorruptions = 11;
+
+const char* corruption_name(Corruption corruption) {
+  constexpr const char* kNames[] = {
+      "hand-to-running", "hand-to-pending", "hand-to-finished",
+      "hand-to-unknown", "hand-to-nobody",  "claim-idle",
+      "claim-others",    "claim-own",       "claim-past-end",
+      "drain-idle",      "skew-idle"};
+  return kNames[static_cast<int>(corruption)];
+}
+
+/// Applies `corruption` to `manager` with targets drawn from `rng`;
+/// false when the state has no target for it (no idle node, say).
+bool corrupt(rms::Manager& manager, Corruption corruption, util::Rng& rng) {
+  const auto draw = [&rng](const auto& from) {
+    return from[static_cast<std::size_t>(
+        rng.uniform_int(0, static_cast<std::int64_t>(from.size()) - 1))];
+  };
+  std::vector<const rms::Job*> running;
+  for (const rms::Job* job : manager.running_list()) running.push_back(job);
+  std::vector<JobId> pending;
+  std::vector<JobId> finished;
+  for (const rms::Job* job : manager.jobs()) {
+    if (job->pending()) pending.push_back(job->id);
+    if (job->finished()) finished.push_back(job->id);
+  }
+  std::vector<int> idle;
+  const rms::Cluster& cluster = manager.cluster();
+  for (int id = 0; id < cluster.size(); ++id) {
+    if (cluster.node(id).owner == kInvalidJob) idle.push_back(id);
+  }
+  if (running.empty() && corruption != Corruption::kDrainIdle &&
+      corruption != Corruption::kSkewIdle) {
+    return false;
+  }
+  // A running job other than `id` (callers check that there are two).
+  const auto other_than = [&](JobId id) {
+    const rms::Job* job = nullptr;
+    do {
+      job = draw(running);
+    } while (job->id == id);
+    return job;
+  };
+  using C = Corruption;
+  switch (corruption) {
+    case C::kHandToRunning:
+    case C::kHandToPending:
+    case C::kHandToFinished:
+    case C::kHandToUnknown:
+    case C::kHandToNobody: {
+      const rms::Job* donor = draw(running);
+      JobId to = kInvalidJob;
+      if (corruption == C::kHandToRunning) {
+        if (running.size() < 2) return false;
+        to = other_than(donor->id)->id;
+      } else if (corruption == C::kHandToPending) {
+        if (pending.empty()) return false;
+        to = draw(pending);
+      } else if (corruption == C::kHandToFinished) {
+        if (finished.empty()) return false;
+        to = draw(finished);
+      } else if (corruption == C::kHandToUnknown) {
+        to = 999999;
+      }
+      chk::TestBackdoor::set_node_owner(manager, draw(donor->nodes), to);
+      return true;
+    }
+    case C::kClaimIdle:
+      if (idle.empty()) return false;
+      chk::TestBackdoor::claim_node(manager, draw(running)->id, draw(idle));
+      return true;
+    case C::kClaimOthers: {
+      if (running.size() < 2) return false;
+      const JobId claimant = draw(running)->id;
+      chk::TestBackdoor::claim_node(manager, claimant,
+                                    draw(other_than(claimant)->nodes));
+      return true;
+    }
+    case C::kClaimOwn: {
+      const rms::Job* job = draw(running);
+      chk::TestBackdoor::claim_node(manager, job->id, draw(job->nodes));
+      return true;
+    }
+    case C::kClaimPastEnd:
+      chk::TestBackdoor::claim_node(
+          manager, draw(running)->id,
+          cluster.size() + static_cast<int>(rng.uniform_int(0, 3)));
+      return true;
+    case C::kDrainIdle:
+      if (idle.empty()) return false;
+      chk::TestBackdoor::set_node_draining(manager, draw(idle), true);
+      return true;
+    case C::kSkewIdle: {
+      const int by = static_cast<int>(rng.uniform_int(1, 3));
+      chk::TestBackdoor::skew_idle_counter(manager,
+                                           rng.bernoulli(0.5) ? by : -by);
+      return true;
+    }
+  }
+  return false;
+}
+
+TEST(NodeConservation, TwoWalksBlameWhatTheMapBasedSweepBlames) {
+  int applied[kCorruptions] = {};
+  for (std::uint64_t seed = 1; seed <= 12; ++seed) {
+    for (const int ops : {30, 90, 240}) {
+      for (int c = 0; c < kCorruptions; ++c) {
+        const auto corruption = static_cast<Corruption>(c);
+        SCOPED_TRACE(::testing::Message()
+                     << "seed " << seed << " ops " << ops << " corruption "
+                     << corruption_name(corruption));
+        LiveState state(seed, ops);
+        if (c == 0) {
+          chk::Auditor clean;
+          pass(clean, state.manager, state.now);
+          EXPECT_TRUE(clean.report().ok()) << clean.report().describe();
+          EXPECT_TRUE(reference_audit(state.manager, state.now).empty());
+        }
+        util::Rng rng(seed * 1000 + static_cast<std::uint64_t>(ops * 16 + c));
+        if (!corrupt(state.manager, corruption, rng)) continue;
+        ++applied[c];
+        Blame expected = blamed(reference_audit(state.manager, state.now));
+        // The reference starts from the owner table, so a running job the
+        // table gives no node at all (its only node handed away) escapes
+        // it; the list walk blames that job too.
+        const rms::Cluster& cluster = state.manager.cluster();
+        for (const rms::Job* job : state.manager.running_list()) {
+          bool owns_one = false;
+          for (int id = 0; id < cluster.size(); ++id) {
+            owns_one = owns_one || cluster.node(id).owner == job->id;
+          }
+          if (!owns_one && !job->nodes.empty()) {
+            expected.insert({"node-conservation", job->id});
+          }
+        }
+        chk::Auditor auditor;
+        pass(auditor, state.manager, state.now);
+        const chk::Report report = auditor.report();
+        ASSERT_EQ(report.dropped_violations, 0);
+        EXPECT_FALSE(report.ok());
+        EXPECT_EQ(blamed(report.violations), expected) << report.describe();
+      }
+    }
+  }
+  // Every corruption met enough states to mean something.
+  for (int c = 0; c < kCorruptions; ++c) {
+    EXPECT_GE(applied[c], 12) << corruption_name(static_cast<Corruption>(c));
+  }
 }
 
 // --- federation identity -----------------------------------------------------
@@ -277,13 +616,19 @@ rms::JobSpec small_job(const std::string& name) {
   return spec;
 }
 
+/// A service sample of `federation`, which sweeps every member.
+void sample(chk::Auditor& auditor, const fed::Federation& federation,
+            double now) {
+  auditor.on_event({.kind = K::kSample, .now = now, .federation = &federation});
+}
+
 TEST(FederationIdentity, PlacementInsideTheRangeIsClean) {
   fed::Federation federation(two_members());
   chk::Auditor auditor;
   federation.attach(auditor);
   federation.submit(small_job("a"), 0.0);
   federation.submit(small_job("b"), 0.0);
-  auditor.check_federation(federation, 1.0);
+  sample(auditor, federation, 1.0);
   const chk::Report report = auditor.report();
   EXPECT_TRUE(report.ok()) << report.describe();
   EXPECT_EQ(report.placement_checks, 2);
@@ -299,7 +644,7 @@ TEST(FederationIdentity, RekeyedJobLeavesItsMembersRange) {
   const JobId foreign = id + fed::kClusterIdStride;
   chk::TestBackdoor::rekey_job(federation.manager(member), id, foreign);
   chk::Auditor auditor;
-  auditor.check_federation(federation, 9.0);
+  sample(auditor, federation, 9.0);
   const chk::Violation violation = only_violation(auditor.report());
   EXPECT_EQ(violation.invariant, "fed-id-range");
   EXPECT_EQ(violation.job, foreign);
@@ -309,7 +654,7 @@ TEST(FederationIdentity, RekeyedJobLeavesItsMembersRange) {
 
 TEST(FederationIdentity, OutOfRangePlacementIsCaught) {
   chk::Auditor auditor;
-  auditor.on_placement(5, 1, fed::kClusterIdStride, 2.0);
+  auditor.on_event({.kind = K::kPlaced, .job = 5, .member = 1, .now = 2.0});
   const chk::Violation violation = only_violation(auditor.report());
   EXPECT_EQ(violation.invariant, "fed-id-range");
   EXPECT_EQ(violation.job, 5);
@@ -329,7 +674,7 @@ redist::Report clean_report() {
 
 TEST(ByteConservation, CleanReportPasses) {
   chk::Auditor auditor;
-  auditor.on_redist_report(clean_report(), 1024, 1.0);
+  redistributed(auditor, clean_report(), 1024, 1.0);
   EXPECT_TRUE(auditor.report().ok()) << auditor.report().describe();
 }
 
@@ -338,13 +683,13 @@ TEST(ByteConservation, CheckpointMayMoveEveryByteTwice) {
   report.via_checkpoint = true;
   report.bytes_moved = 2048;  // write + read-back
   chk::Auditor auditor;
-  auditor.on_redist_report(report, 1024, 1.0);
+  redistributed(auditor, report, 1024, 1.0);
   EXPECT_TRUE(auditor.report().ok()) << auditor.report().describe();
 }
 
 TEST(ByteConservation, UnaccountedBytesAreCaught) {
   chk::Auditor auditor;
-  auditor.on_redist_report(clean_report(), 4096, 6.0);
+  redistributed(auditor, clean_report(), 4096, 6.0);
   const chk::Violation violation = only_violation(auditor.report());
   EXPECT_EQ(violation.invariant, "byte-conservation");
   EXPECT_DOUBLE_EQ(violation.sim_time, 6.0);
@@ -355,7 +700,7 @@ TEST(ByteConservation, MovingMoreThanTheTotalIsCaught) {
   redist::Report report = clean_report();
   report.bytes_moved = 2048;  // 2x without the checkpoint excuse
   chk::Auditor auditor;
-  auditor.on_redist_report(report, 1024, 1.0);
+  redistributed(auditor, report, 1024, 1.0);
   const chk::Violation violation = only_violation(auditor.report());
   EXPECT_EQ(violation.invariant, "byte-conservation");
   EXPECT_NE(violation.message.find("moved"), std::string::npos);
@@ -365,7 +710,7 @@ TEST(ByteConservation, MovedBytesWithoutTransfersAreCaught) {
   redist::Report report = clean_report();
   report.transfers = 0;
   chk::Auditor auditor;
-  auditor.on_redist_report(report, 1024, 1.0);
+  redistributed(auditor, report, 1024, 1.0);
   const chk::Violation violation = only_violation(auditor.report());
   EXPECT_EQ(violation.invariant, "byte-conservation");
   EXPECT_NE(violation.message.find("transfers"), std::string::npos);
@@ -376,7 +721,7 @@ TEST(ByteConservation, NanDurationAndZeroLanesAreCaught) {
   report.lanes = 0;
   report.seconds = std::numeric_limits<double>::quiet_NaN();
   chk::Auditor auditor;
-  auditor.on_redist_report(report, 1024, 1.0);
+  redistributed(auditor, report, 1024, 1.0);
   const chk::Report result = auditor.report();
   EXPECT_EQ(result.violations.size(), 2u) << result.describe();
 }
@@ -385,8 +730,8 @@ TEST(ByteConservation, NanDurationAndZeroLanesAreCaught) {
 
 TEST(Report, JsonCarriesChecksViolationsAndProvenance) {
   chk::Auditor auditor;
-  auditor.on_job_submitted(1, 0.0);
-  auditor.on_job_started(2, 3.5);  // never submitted
+  job_event(auditor, K::kSubmitted, 1, 0.0);
+  job_event(auditor, K::kStarted, 2, 3.5);  // never submitted
   const std::string json = auditor.report().json();
   EXPECT_NE(json.find("\"report\":\"chk\""), std::string::npos) << json;
   EXPECT_NE(json.find("\"ok\":false"), std::string::npos) << json;
@@ -400,7 +745,7 @@ TEST(Report, JsonCarriesChecksViolationsAndProvenance) {
 
 TEST(Report, DescribeListsEachViolation) {
   chk::Auditor auditor;
-  auditor.on_job_started(2, 3.5);
+  job_event(auditor, K::kStarted, 2, 3.5);
   const std::string text = auditor.report().describe();
   EXPECT_NE(text.find("1 violation(s)"), std::string::npos) << text;
   EXPECT_NE(text.find("job-lifecycle"), std::string::npos) << text;
@@ -411,25 +756,17 @@ TEST(Report, ViolationCapCountsInsteadOfDropping) {
   chk::Auditor auditor;
   constexpr auto kJobs =
       static_cast<JobId>(chk::Auditor::kMaxStoredViolations) + 3;
-  for (JobId id = 1; id <= kJobs; ++id) auditor.on_job_started(id, 0.0);
+  for (JobId id = 1; id <= kJobs; ++id) {
+    job_event(auditor, K::kStarted, id, 0.0);
+  }
   const chk::Report report = auditor.report();
   EXPECT_EQ(report.violations.size(), chk::Auditor::kMaxStoredViolations);
   EXPECT_EQ(report.dropped_violations, 3);
+  EXPECT_EQ(report.violation_count(), 67);
   EXPECT_FALSE(report.ok());
   EXPECT_NE(report.describe().find("3 more (cap reached)"),
             std::string::npos);
-}
-
-TEST(Auditor, ResetClearsStateAndCounts) {
-  chk::Auditor auditor;
-  auditor.on_job_started(1, 0.0);
-  ASSERT_FALSE(auditor.ok());
-  auditor.reset();
-  EXPECT_TRUE(auditor.ok());
-  EXPECT_EQ(auditor.report().total_checks(), 0);
-  // The DFA forgot the adopted phase: resubmitting id 1 is legal again.
-  auditor.on_job_submitted(1, 0.0);
-  EXPECT_TRUE(auditor.ok());
+  EXPECT_NE(report.json().find("\"violation_count\":67"), std::string::npos);
 }
 
 // --- the headline property: attached == detached -----------------------------
