@@ -80,7 +80,7 @@ int main(int argc, char** argv) {
       attributor.write_file(attr_json);
       std::fprintf(stderr,
                    "fig10: attribution (flexible, 50 jobs) -> %s: %zu jobs\n",
-                   attr_json.c_str(), attributor.jobs().size());
+                   attr_json.c_str(), attributor.profile().jobs.size());
     } catch (const std::exception& e) {
       std::fprintf(stderr, "fig10: %s\n", e.what());
       return 1;

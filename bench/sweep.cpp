@@ -641,7 +641,7 @@ int main(int argc, char** argv) {
       std::fprintf(stderr, "sweep: attribution (scenario %d) -> %s: %zu "
                    "jobs\n",
                    options.trace_cell, options.attr_json.c_str(),
-                   cell_attributor.jobs().size());
+                   cell_attributor.profile().jobs.size());
     } catch (const std::exception& error) {
       std::fprintf(stderr, "sweep: %s\n", error.what());
       return 1;

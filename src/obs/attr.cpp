@@ -2,15 +2,14 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstdio>
 #include <fstream>
-#include <set>
+#include <limits>
 #include <sstream>
 #include <stdexcept>
+#include <utility>
 
 #include "fed/federation.hpp"
 #include "obs/json.hpp"
-#include "obs/trace.hpp"
 
 namespace dmr::obs {
 
@@ -20,19 +19,50 @@ constexpr double kEps = 1.0e-9;
 /// One event's worth of timing slop for critical-path handoff checks.
 constexpr double kHandoffTolerance = 1.0e-6;
 
-/// Full-precision double, so the sidecar round-trips bit-exactly.
-std::string fmt(double value) {
-  char buffer[32];
-  std::snprintf(buffer, sizeof(buffer), "%.17g", value);
-  return buffer;
-}
-
 /// Add a job's slices to per-cause `totals`, in slice order.
 void add_slices(const JobAttribution& job, double* totals) {
   for (const CauseSlice& slice : job.slices) {
     totals[static_cast<std::size_t>(slice.cause)] += slice.seconds;
   }
 }
+
+/// Append a slice, merged into the last one when cause and blocker repeat.
+void add_slice(JobAttribution& job, BlockReason cause, JobId blocker,
+               double seconds) {
+  if (!job.slices.empty() && job.slices.back().cause == cause &&
+      job.slices.back().blocker == blocker) {
+    job.slices.back().seconds += seconds;
+  } else {
+    job.slices.push_back(CauseSlice{cause, blocker, seconds});
+  }
+}
+
+/// Visit the rows from `at` on, in id order, until `visit` returns false;
+/// return that row's position, or else the end of the last member.
+template <typename Members, typename Position, typename Visit>
+Position rows_from(const Members& members, Position at, Visit visit) {
+  for (; at.member < members.size(); ++at.member, at.index = 0) {
+    for (; at.index < members[at.member].size(); ++at.index) {
+      if (!visit(members[at.member][at.index])) return at;
+    }
+    if (at.member + 1 == members.size()) break;
+  }
+  return at;
+}
+
+/// Each cause's human-facing name and JSON column key, in enum order.
+constexpr struct {
+  const char* name;
+  const char* key;
+} kNames[kBlockReasonCount] = {
+    {"unattributed", "unattributed"},
+    {"insufficient-idle", "insufficient_idle"},
+    {"easy-reservation", "easy_reservation"},
+    {"partition-pinned", "partition_pinned"},
+    {"draining-wait", "draining_wait"},
+    {"shrink-pending", "shrink_pending"},
+    {"dependency", "dependency"},
+};
 
 /// Every cause in alphabetical name order, for sorted-key emission.
 constexpr BlockReason kAlphabetical[kBlockReasonCount] = {
@@ -45,37 +75,20 @@ constexpr BlockReason kAlphabetical[kBlockReasonCount] = {
 }  // namespace
 
 const char* to_string(BlockReason reason) {
-  switch (reason) {
-    case BlockReason::kUnattributed: return "unattributed";
-    case BlockReason::kInsufficientIdle: return "insufficient-idle";
-    case BlockReason::kEasyReservation: return "easy-reservation";
-    case BlockReason::kPartitionPinned: return "partition-pinned";
-    case BlockReason::kDrainingWait: return "draining-wait";
-    case BlockReason::kShrinkPending: return "shrink-pending";
-    case BlockReason::kDependency: return "dependency";
-  }
-  return "unattributed";
+  const auto at = static_cast<std::size_t>(reason);
+  return at < std::size(kNames) ? kNames[at].name : "unattributed";
 }
 
 const char* block_reason_key(BlockReason reason) {
-  switch (reason) {
-    case BlockReason::kUnattributed: return "unattributed";
-    case BlockReason::kInsufficientIdle: return "insufficient_idle";
-    case BlockReason::kEasyReservation: return "easy_reservation";
-    case BlockReason::kPartitionPinned: return "partition_pinned";
-    case BlockReason::kDrainingWait: return "draining_wait";
-    case BlockReason::kShrinkPending: return "shrink_pending";
-    case BlockReason::kDependency: return "dependency";
-  }
-  return "unattributed";
+  const auto at = static_cast<std::size_t>(reason);
+  return at < std::size(kNames) ? kNames[at].key : "unattributed";
 }
 
-BlockReason block_reason_from(const std::string& name) {
-  for (int i = 0; i < kBlockReasonCount; ++i) {
-    const auto reason = static_cast<BlockReason>(i);
-    if (name == to_string(reason)) return reason;
+std::optional<BlockReason> block_reason_from(const std::string& name) {
+  for (std::size_t at = 0; at < std::size(kNames); ++at) {
+    if (name == kNames[at].name) return static_cast<BlockReason>(at);
   }
-  return BlockReason::kUnattributed;
+  return std::nullopt;
 }
 
 double JobAttribution::attributed_seconds() const {
@@ -85,21 +98,21 @@ double JobAttribution::attributed_seconds() const {
 }
 
 std::vector<CauseSlice> ranked_causes(const JobAttribution& job) {
-  // Aggregate by (cause, blocker); ordered keys keep ties deterministic.
-  std::map<std::pair<int, JobId>, double> totals;
-  for (const CauseSlice& slice : job.slices) {
-    totals[{static_cast<int>(slice.cause), slice.blocker}] += slice.seconds;
-  }
+  // Aggregate by (cause, blocker); equal totals rank by that key.
+  const auto key = [](const CauseSlice& slice) {
+    return std::pair(static_cast<int>(slice.cause), slice.blocker);
+  };
   std::vector<CauseSlice> ranked;
-  ranked.reserve(totals.size());
-  for (const auto& [key, seconds] : totals) {
-    ranked.push_back(CauseSlice{static_cast<BlockReason>(key.first),
-                                key.second, seconds});
+  for (const CauseSlice& s : job.slices) {
+    auto it = std::find_if(ranked.begin(), ranked.end(), [&](const auto& r) {
+      return key(r) == key(s);
+    });
+    if (it == ranked.end()) it = ranked.insert(it, {s.cause, s.blocker});
+    it->seconds += s.seconds;
   }
-  std::stable_sort(ranked.begin(), ranked.end(),
-                   [](const CauseSlice& a, const CauseSlice& b) {
-                     return a.seconds > b.seconds;
-                   });
+  std::sort(ranked.begin(), ranked.end(), [&](const auto& a, const auto& b) {
+    return a.seconds != b.seconds ? a.seconds > b.seconds : key(a) < key(b);
+  });
   return ranked;
 }
 
@@ -111,202 +124,189 @@ Interest WaitAttributor::interest() const {
 }
 
 void WaitAttributor::on_event(const Event& event) {
-  // A resizer never enters jobs_/open_, so only its submission needs the
-  // test: every later report about it finds nothing to update.
   switch (event.kind) {
-    case EventKind::kSubmitted: {
-      const rms::Job& job = event.manager->job(event.job);
-      if (!job.spec.internal_resizer) {
-        on_job_submitted(event.job, job.spec.name, event.now);
-      }
-      return;
-    }
-    case EventKind::kPlaced: {
-      // Placement provenance: which policy routed where, the queue depth
-      // it saw there, and the members that could not hold the job at all.
-      const fed::ClusterStatus& picked =
-          (*event.statuses)[static_cast<std::size_t>(event.member)];
-      std::string note = "policy=" +
-                         event.federation->placement_policy().name() +
-                         " -> " + picked.name +
-                         " queue_depth=" + std::to_string(picked.pending_jobs);
-      std::string rejected;
-      for (const fed::ClusterStatus& status : *event.statuses) {
-        if (event.new_size <= status.capacity) continue;
-        if (!rejected.empty()) rejected += ",";
-        rejected += status.name;
-      }
-      if (!rejected.empty()) note += " rejected=" + rejected;
-      const auto record = jobs_.find(event.job);
-      if (record == jobs_.end()) return;
-      record->second.member = event.member;
-      record->second.placement = std::move(note);
-      return;
-    }
-    case EventKind::kBlocked:
-      return on_job_blocked(event.job, event.now, event.cause, event.blocker);
-    case EventKind::kStarted:
-      return on_job_started(event.job, event.now);
-    case EventKind::kFinished:
-      return on_job_finished(event.job, event.now);
-    default:
-      return;
+    case EventKind::kSubmitted: return submitted(event);
+    case EventKind::kPlaced: return placed(event);
+    case EventKind::kBlocked: return blocked(event);
+    case EventKind::kStarted: return started(event);
+    case EventKind::kFinished: return finished(event);
+    default: return;
   }
 }
 
-void WaitAttributor::on_job_submitted(JobId id, const std::string& name,
-                                      double now) {
-  // A job at or below the settled prefix's end (a re-submitted id, or on
-  // a federation a lower member's id arriving after the prefix crossed
-  // into the next member's range) would change what the sums hold: drop
-  // them, and the next cause_totals() starts again from the first job.
-  if (settled_last_ && id <= *settled_last_) {
-    settled_last_.reset();
+WaitAttributor::Position WaitAttributor::position_of(JobId id) {
+  return Position{static_cast<std::size_t>((id - 1) / fed::kClusterIdStride),
+                  static_cast<std::size_t>((id - 1) % fed::kClusterIdStride)};
+}
+
+WaitAttributor::Row* WaitAttributor::find(JobId id) {
+  if (id < 1) return nullptr;  // no member issues it (and id - 1 is safe)
+  const Position at = position_of(id);
+  if (at.member >= members_.size()) return nullptr;
+  std::deque<Row>& rows = members_[at.member];
+  Row* row = at.index < rows.size() ? &rows[at.index] : nullptr;
+  return row != nullptr && row->job.id == id ? row : nullptr;
+}
+
+void WaitAttributor::close_segment(Row& row, double now) {
+  const OpenSegment& open = *row.open;
+  if (now > open.since) {
+    add_slice(row.job, open.cause, open.blocker, now - open.since);
+  }
+}
+
+void WaitAttributor::submitted(const Event& event) {
+  // A resizer gets no row, so every later report about it finds nothing.
+  const rms::Job& job = event.manager->job(event.job);
+  if (job.spec.internal_resizer) return;
+  const Position at = position_of(event.job);
+  // A member issues its ids in order, so only a member below the
+  // settled prefix's end can place a job inside the prefix: drop the
+  // sums, and the next cause_totals() starts from the first job.
+  if (at.member < settled_end_.member) {
+    settled_end_ = Position{};
     settled_totals_.fill(0.0);
   }
-  JobAttribution& job = jobs_[id];
-  job.id = id;
-  job.name = name;
-  job.submit = now;
-  open_[id] = OpenSegment{BlockReason::kUnattributed, 0, now};
+  if (at.member >= members_.size()) members_.resize(at.member + 1);
+  std::deque<Row>& rows = members_[at.member];
+  if (at.index >= rows.size()) rows.resize(at.index + 1);
+  Row& row = rows[at.index];
+  row.job.id = event.job;
+  row.job.name = job.spec.name;
+  row.job.submit = event.now;
+  row.open = OpenSegment{BlockReason::kUnattributed, 0, event.now};
 }
 
-void WaitAttributor::close_segment(JobAttribution& job,
-                                   const OpenSegment& open, double now) {
-  const double seconds = now - open.since;
-  if (!(seconds > 0.0)) return;
-  if (!job.slices.empty() && job.slices.back().cause == open.cause &&
-      job.slices.back().blocker == open.blocker) {
-    job.slices.back().seconds += seconds;
-    return;
+void WaitAttributor::placed(const Event& event) {
+  Row* row = find(event.job);
+  if (row == nullptr) return;
+  // Placement provenance: which policy routed where, the queue depth it
+  // saw there, and the members that could not hold the job at all.
+  const fed::ClusterStatus& picked =
+      (*event.statuses)[static_cast<std::size_t>(event.member)];
+  std::string note = "policy=" + event.federation->placement_policy().name() +
+                     " -> " + picked.name +
+                     " queue_depth=" + std::to_string(picked.pending_jobs);
+  const char* separator = " rejected=";
+  for (const fed::ClusterStatus& status : *event.statuses) {
+    if (event.new_size <= status.capacity) continue;
+    note += separator + status.name;
+    separator = ",";
   }
-  job.slices.push_back(CauseSlice{open.cause, open.blocker, seconds});
+  row->job.member = event.member;
+  row->job.placement = std::move(note);
 }
 
-void WaitAttributor::on_job_blocked(JobId id, double now, BlockReason cause,
-                                    JobId blocker) {
-  const auto it = open_.find(id);
-  if (it == open_.end()) return;  // unknown, or already started
-  OpenSegment& open = it->second;
+void WaitAttributor::blocked(const Event& event) {
+  Row* row = find(event.job);
+  if (row == nullptr || !row->open) return;  // unknown, or already started
+  OpenSegment& open = *row->open;
   if (open.cause == BlockReason::kUnattributed) {
     // First diagnosis: the cause held since the segment opened.
-    open.cause = cause;
-    open.blocker = blocker;
-    return;
+    open.cause = event.cause;
+    open.blocker = event.blocker;
+  } else if (open.cause != event.cause || open.blocker != event.blocker) {
+    close_segment(*row, event.now);
+    open = OpenSegment{event.cause, event.blocker, event.now};
   }
-  if (open.cause == cause && open.blocker == blocker) return;
-  const auto job = jobs_.find(id);
-  if (job != jobs_.end()) close_segment(job->second, open, now);
-  open = OpenSegment{cause, blocker, now};
 }
 
-void WaitAttributor::on_job_started(JobId id, double now) {
-  const auto it = open_.find(id);
-  if (it == open_.end()) return;
-  const auto record = jobs_.find(id);
-  if (record != jobs_.end()) {
-    JobAttribution& job = record->second;
-    job.start = now;
-    // The final segment absorbs accumulated rounding so the slices tile
-    // [submit, start] exactly: sum(seconds) == start - submit by
-    // construction, the conservation property tests assert.
-    OpenSegment final = it->second;
-    const double wait = now - job.submit;
-    const double correction = wait - job.attributed_seconds();
-    if (std::abs(correction) > 0.0) {
-      if (!job.slices.empty() && job.slices.back().cause == final.cause &&
-          job.slices.back().blocker == final.blocker) {
-        job.slices.back().seconds += correction;
-      } else {
-        job.slices.push_back(
-            CauseSlice{final.cause, final.blocker, correction});
-      }
-    }
+void WaitAttributor::started(const Event& event) {
+  Row* row = find(event.job);
+  if (row == nullptr || !row->open) return;
+  JobAttribution& job = row->job;
+  job.start = event.now;
+  // The final segment absorbs accumulated rounding, so the slices sum
+  // to start - submit exactly: the conservation the tests assert.
+  const double correction =
+      (event.now - job.submit) - job.attributed_seconds();
+  if (std::abs(correction) > 0.0) {
+    add_slice(job, row->open->cause, row->open->blocker, correction);
   }
-  open_.erase(it);
+  row->open.reset();
 }
 
-void WaitAttributor::on_job_finished(JobId id, double now) {
-  const auto record = jobs_.find(id);
-  if (record == jobs_.end()) return;
-  record->second.end = now;
-  const auto it = open_.find(id);
-  if (it == open_.end()) return;
-  // Cancelled while pending: close the wait at the cancellation.
-  close_segment(record->second, it->second, now);
-  open_.erase(it);
+void WaitAttributor::finished(const Event& event) {
+  Row* row = find(event.job);
+  if (row == nullptr) return;
+  row->job.end = event.now;
+  if (!row->open) return;
+  close_segment(*row, event.now);  // cancelled while pending
+  row->open.reset();
 }
 
 std::vector<double> WaitAttributor::cause_totals(double now) const {
-  auto it = settled_last_ ? jobs_.upper_bound(*settled_last_) : jobs_.begin();
-  // Only an open segment still changes a job's slices, so every job
-  // below the oldest open one is final: fold those into the kept sums.
-  for (; it != jobs_.end(); ++it) {
-    if (!open_.empty() && it->first >= open_.begin()->first) break;
-    add_slices(it->second, settled_totals_.data());
-    settled_last_ = it->first;
-  }
+  // Only an open segment still changes a job's slices, so every row
+  // before the first waiting one is final: fold those into the kept
+  // sums.  The cursor stays in the last member, where new ids land.
+  settled_end_ = rows_from(members_, settled_end_, [&](const Row& row) {
+    if (!row.open) add_slices(row.job, settled_totals_.data());
+    return !row.open;
+  });
   std::vector<double> totals(settled_totals_.begin(), settled_totals_.end());
-  for (; it != jobs_.end(); ++it) add_slices(it->second, totals.data());
-  if (now >= 0.0) {
-    for (const auto& [id, open] : open_) {
-      if (now > open.since) {
-        totals[static_cast<std::size_t>(open.cause)] += now - open.since;
-      }
+  rows_from(members_, settled_end_, [&](const Row& row) {
+    add_slices(row.job, totals.data());
+    return true;
+  });
+  if (now < 0.0) return totals;
+  rows_from(members_, settled_end_, [&](const Row& row) {
+    const std::optional<OpenSegment>& open = row.open;
+    if (open && now > open->since) {
+      totals[static_cast<std::size_t>(open->cause)] += now - open->since;
     }
-  }
+    return true;
+  });
   return totals;
 }
 
-double WaitAttributor::makespan() const {
-  double makespan = 0.0;
-  for (const auto& [id, job] : jobs_) {
-    makespan = std::max(makespan, job.end);
+AttributionProfile WaitAttributor::profile() const {
+  AttributionProfile profile;
+  profile.cause_totals = cause_totals();
+  for (const std::deque<Row>& rows : members_) {
+    for (const Row& row : rows) {
+      if (row.job.id == 0) continue;
+      profile.makespan = std::max(profile.makespan, row.job.end);
+      profile.jobs.push_back(row.job);
+    }
   }
-  return makespan;
+  return profile;
 }
 
 std::string WaitAttributor::to_json() const {
-  // Keys are emitted in sorted order at every level (the dmr_lint
-  // unordered-json rule demands deterministic bytes from JSON writers;
-  // jobs_ is an ordered map, causes iterate alphabetically).
-  const std::vector<double> totals = cause_totals();
+  // Sorted keys at every level (dmr_lint's unordered-json rule wants
+  // deterministic bytes), and 17 significant digits per double, so the
+  // sidecar round-trips bit-exactly.
+  const AttributionProfile all = profile();
   std::ostringstream out;
+  out.precision(17);
   out << "{\"causes\":{";
   for (int i = 0; i < kBlockReasonCount; ++i) {
     const BlockReason reason = kAlphabetical[i];
-    if (i > 0) out << ",";
-    out << "\"" << to_string(reason)
-        << "\":" << fmt(totals[static_cast<std::size_t>(reason)]);
+    out << (i > 0 ? ",\"" : "\"") << to_string(reason)
+        << "\":" << all.cause_totals[static_cast<std::size_t>(reason)];
   }
   out << "},\"dmr_attr\":1,\"jobs\":[";
-  bool first = true;
-  for (const auto& [id, job] : jobs_) {
-    if (!first) out << ",";
-    first = false;
-    out << "{\"end\":" << fmt(job.end) << ",\"id\":" << id
-        << ",\"member\":" << job.member << ",\"name\":\""
+  for (std::size_t j = 0; j < all.jobs.size(); ++j) {
+    const JobAttribution& job = all.jobs[j];
+    out << (j > 0 ? ",{" : "{") << "\"end\":" << job.end << ",\"id\":"
+        << job.id << ",\"member\":" << job.member << ",\"name\":\""
         << json_escape(job.name) << "\",\"placement\":\""
         << json_escape(job.placement) << "\",\"slices\":[";
     for (std::size_t s = 0; s < job.slices.size(); ++s) {
       const CauseSlice& slice = job.slices[s];
-      if (s > 0) out << ",";
-      out << "{\"blocker\":" << slice.blocker << ",\"cause\":\""
-          << to_string(slice.cause) << "\",\"seconds\":" << fmt(slice.seconds)
-          << "}";
+      out << (s > 0 ? ",{" : "{") << "\"blocker\":" << slice.blocker
+          << ",\"cause\":\"" << to_string(slice.cause)
+          << "\",\"seconds\":" << slice.seconds << "}";
     }
-    out << "],\"start\":" << fmt(job.start) << ",\"submit\":"
-        << fmt(job.submit) << "}";
+    out << "],\"start\":" << job.start << ",\"submit\":" << job.submit << "}";
   }
-  out << "],\"makespan\":" << fmt(makespan()) << "}";
+  out << "],\"makespan\":" << all.makespan << "}";
   return out.str();
 }
 
 void WaitAttributor::write_file(const std::string& path) const {
   std::ofstream out(path);
-  if (!out) {
-    throw std::runtime_error("WaitAttributor: cannot write " + path);
-  }
+  if (!out) throw std::runtime_error("WaitAttributor: cannot write " + path);
   out << to_json() << "\n";
 }
 
@@ -329,15 +329,13 @@ double AttributionProfile::total_wait() const {
 AttributionProfile parse_attribution(const std::string& json,
                                      std::string& error) {
   AttributionProfile profile;
-  profile.cause_totals.assign(static_cast<std::size_t>(kBlockReasonCount),
-                              0.0);
   JsonValue root;
   if (!parse_json(json, root, error)) {
     error = "JSON parse error: " + error;
     return profile;
   }
-  if (root.kind != JsonValue::Kind::Object ||
-      static_cast<int>(json_number(root.field("dmr_attr"))) != 1) {
+  // Only an object has fields, so any other document fails here too.
+  if (!json_integer(root.field("dmr_attr"), 1, 1)) {
     error = "not an attribution sidecar (missing \"dmr_attr\":1)";
     return profile;
   }
@@ -346,25 +344,43 @@ AttributionProfile parse_attribution(const std::string& json,
     error = "missing jobs array";
     return profile;
   }
-  for (const JsonValue& entry : jobs->items) {
-    if (entry.kind != JsonValue::Kind::Object) {
-      error = "job entry is not an object";
+  // A rejection names the field and where it sits, as validate_trace's do.
+  const auto where = [](std::size_t j, const std::string& slice = "") {
+    return " (job " + std::to_string(j) + slice + ")";
+  };
+  for (std::size_t j = 0; j < jobs->items.size(); ++j) {
+    // An entry that is not an object has no fields, so no id either.
+    const JsonValue& entry = jobs->items[j];
+    const auto id = json_integer(entry.field("id"), 1, kJsonExactInteger);
+    const auto member = json_integer(entry.field("member"), -1,
+                                     std::numeric_limits<int>::max(), -1);
+    if (!id || !member) {
+      error = (id ? "malformed member" : "missing or malformed id") + where(j);
       return profile;
     }
     JobAttribution job;
-    job.id = static_cast<JobId>(json_number(entry.field("id")));
+    job.id = *id;
     job.name = json_string(entry.field("name"));
     job.submit = json_number(entry.field("submit"));
     job.start = json_number(entry.field("start"), -1.0);
     job.end = json_number(entry.field("end"), -1.0);
-    job.member = static_cast<int>(json_number(entry.field("member"), -1.0));
+    job.member = static_cast<int>(*member);
     job.placement = json_string(entry.field("placement"));
     if (const JsonValue* slices = entry.field("slices")) {
-      for (const JsonValue& item : slices->items) {
-        CauseSlice slice;
-        slice.cause = block_reason_from(json_string(item.field("cause")));
-        slice.blocker = static_cast<JobId>(json_number(item.field("blocker")));
-        slice.seconds = json_number(item.field("seconds"));
+      for (std::size_t s = 0; s < slices->items.size(); ++s) {
+        const JsonValue& item = slices->items[s];
+        const std::string name = json_string(item.field("cause"));
+        const auto cause = block_reason_from(name);
+        const auto blocker =
+            json_integer(item.field("blocker"), 0, kJsonExactInteger, 0);
+        if (!cause || !blocker) {
+          error = (cause ? std::string("malformed blocker")
+                         : "unknown cause '" + name + "'") +
+                  where(j, ", slice " + std::to_string(s));
+          return profile;
+        }
+        const CauseSlice slice{*cause, *blocker,
+                               json_number(item.field("seconds"))};
         job.slices.push_back(slice);
         profile.cause_totals[static_cast<std::size_t>(slice.cause)] +=
             slice.seconds;
@@ -386,23 +402,11 @@ AttributionProfile load_attribution_file(const std::string& path,
   std::ifstream in(path);
   if (!in) {
     error = "cannot read " + path;
-    AttributionProfile profile;
-    profile.cause_totals.assign(static_cast<std::size_t>(kBlockReasonCount),
-                                0.0);
-    return profile;
+    return {};
   }
   std::ostringstream text;
   text << in.rdbuf();
   return parse_attribution(text.str(), error);
-}
-
-AttributionProfile snapshot_attribution(const WaitAttributor& attr) {
-  AttributionProfile profile;
-  profile.cause_totals = attr.cause_totals();
-  profile.makespan = attr.makespan();
-  profile.jobs.reserve(attr.jobs().size());
-  for (const auto& [id, job] : attr.jobs()) profile.jobs.push_back(job);
-  return profile;
 }
 
 std::vector<const JobAttribution*> top_waits(const AttributionProfile& profile,
@@ -429,9 +433,10 @@ CriticalPath critical_path(const AttributionProfile& profile) {
   if (tail == nullptr) return path;
   path.makespan = tail->end;
 
-  std::vector<JobId> chain{tail->id};
-  std::vector<CriticalPathEdge> edges;
-  std::set<JobId> visited{tail->id};
+  path.chain.push_back(tail->id);
+  // One flag per profile job, by its position in the sorted list.
+  std::vector<bool> visited(profile.jobs.size());
+  visited[static_cast<std::size_t>(tail - profile.jobs.data())] = true;
   const JobAttribution* cur = tail;
   for (;;) {
     if (cur->wait_seconds() <= kEps) break;
@@ -443,7 +448,9 @@ CriticalPath critical_path(const AttributionProfile& profile) {
     }
     if (last == nullptr || last->blocker == 0) break;
     const JobAttribution* blocker = profile.find(last->blocker);
-    if (blocker == nullptr || visited.count(blocker->id) != 0) break;
+    if (blocker == nullptr) break;
+    const auto slot = static_cast<std::size_t>(blocker - profile.jobs.data());
+    if (visited[slot]) break;
     CriticalPathEdge edge;
     edge.blocker = blocker->id;
     edge.job = cur->id;
@@ -458,15 +465,13 @@ CriticalPath critical_path(const AttributionProfile& profile) {
     edge.tight = cur->start >= blocker->start - kHandoffTolerance &&
                  (blocker->end < 0.0 ||
                   cur->start <= blocker->end + kHandoffTolerance);
-    edges.push_back(edge);
-    chain.push_back(blocker->id);
-    visited.insert(blocker->id);
+    path.edges.push_back(edge);
+    path.chain.push_back(blocker->id);
+    visited[slot] = true;
     cur = blocker;
   }
-  std::reverse(chain.begin(), chain.end());
-  std::reverse(edges.begin(), edges.end());
-  path.chain = std::move(chain);
-  path.edges = std::move(edges);
+  std::reverse(path.chain.begin(), path.chain.end());
+  std::reverse(path.edges.begin(), path.edges.end());
   const JobAttribution* root = profile.find(path.chain.front());
   path.root_submit = root != nullptr ? root->submit : 0.0;
   return path;

@@ -3,28 +3,24 @@
 // The paper's headline result (figs. 10-11) is that DMR malleability
 // cuts job *waiting* time, yet the driver reports wait only as a scalar
 // summary.  This layer answers *why* a job waited: every scheduler
-// decision point in rms::Manager (insufficient idle nodes, blocked
-// behind the EASY reservation, partition-pin mismatch, draining-wait,
-// shrink-pending, dependency gating) emits a typed BlockReason, and the
-// attributor, a sink on that event stream, folds the reports into
-// per-job wait decompositions (resizer pseudo-jobs excluded).
+// decision point in rms::Manager emits a kBlocked event with a typed
+// BlockReason, and the attributor, a sink on that event stream, folds
+// them into per-job wait decompositions (resizer pseudo-jobs excluded).
 //
 // Conservation is the contract: a job's wait [submit, start] is tiled
-// by contiguous cause segments — one segment is open at any moment, a
-// re-diagnosis with a different cause closes it and opens the next, and
-// start closes the last — so the per-cause seconds of a started job sum
-// *exactly* to start - submit.  Attribution is observation only; like
-// every other observer, outcome digests are byte-identical attached vs.
-// detached.
+// by contiguous cause segments — one open at any moment, a re-diagnosis
+// with a different cause closes it and opens the next, and start closes
+// the last — so a started job's per-cause seconds sum *exactly* to
+// start - submit.  Like every observer it never perturbs a run: outcome
+// digests are byte-identical attached vs. detached.
 //
-// The sidecar (to_json / write_file) is a compact sorted-key JSON
-// document tools/dmr_explain ingests alongside the Chrome trace to
-// answer --job / --top-waits / --critical-path / --compare; the loader
-// and those analytics live here so tests cover them directly.
+// The sidecar (to_json / write_file) is the sorted-key JSON document
+// tools/dmr_explain reads for --job / --top-waits / --critical-path /
+// --compare; the loader and those analytics live here, under test.
 #pragma once
 
 #include <array>
-#include <map>
+#include <deque>
 #include <optional>
 #include <string>
 #include <vector>
@@ -38,8 +34,8 @@ namespace dmr::obs {
 const char* to_string(BlockReason reason);
 /// JSON column key ("easy_reservation").
 const char* block_reason_key(BlockReason reason);
-/// Inverse of to_string; kUnattributed on unknown names.
-BlockReason block_reason_from(const std::string& name);
+/// Inverse of to_string; nullopt on unknown names.
+std::optional<BlockReason> block_reason_from(const std::string& name);
 
 /// One chronological slice of a job's wait, merged with the previous
 /// slice when cause and blocker repeat.
@@ -58,8 +54,7 @@ struct JobAttribution {
   double submit = 0.0;
   double start = -1.0;  ///< -1 until started
   double end = -1.0;    ///< -1 until finished
-  /// Federation member the placement routed to (-1 single-cluster runs
-  /// without provenance).
+  /// The member placement routed it to; -1 when unknown.
   int member = -1;
   /// Placement provenance: policy, picked member, queue depth at the
   /// decision, members that rejected the job (failover).
@@ -73,27 +68,21 @@ struct JobAttribution {
 /// Aggregate a job's slices by (cause, blocker), largest first.
 std::vector<CauseSlice> ranked_causes(const JobAttribution& job);
 
-/// The attribution accumulator.  Not serialized: parallel harnesses
-/// attach one attributor per scenario.
+struct AttributionProfile {
+  std::vector<JobAttribution> jobs;  ///< sorted by id
+  std::vector<double> cause_totals = std::vector<double>(kBlockReasonCount);
+  double makespan = 0.0;
+
+  const JobAttribution* find(JobId id) const;
+  double total_wait() const;
+};
+
+/// The attribution accumulator, a sink on the event stream (its one way
+/// in).  Not serialized: parallel harnesses attach one per scenario.
 class WaitAttributor final : public Sink {
  public:
-  // --- the event stream ------------------------------------------------------
-
   Interest interest() const override;
   void on_event(const Event& event) override;
-
-  // --- decision-point feed (what the event stream drives) -------------------
-
-  void on_job_submitted(JobId id, const std::string& name, double now);
-  /// Re-diagnosis of a still-pending job.  Same cause and blocker as the
-  /// open segment: no-op.  Different: closes the open segment at `now`
-  /// and opens the next.  A still-unattributed segment is back-dated
-  /// instead (the cause held since submit).
-  void on_job_blocked(JobId id, double now, BlockReason cause, JobId blocker);
-  void on_job_started(JobId id, double now);
-  void on_job_finished(JobId id, double now);
-
-  // --- aggregates ------------------------------------------------------------
 
   /// Seconds per BlockReason (index = enum value) over closed slices;
   /// `now >= 0` also counts each open segment up to `now` (live views).
@@ -101,10 +90,8 @@ class WaitAttributor final : public Sink {
   /// the sums over the jobs before it are kept between calls (so two
   /// threads must not call it on one attributor at once).
   std::vector<double> cause_totals(double now = -1.0) const;
-  const std::map<JobId, JobAttribution>& jobs() const { return jobs_; }
-  double makespan() const;
-
-  // --- sidecar ---------------------------------------------------------------
+  /// Every job in id order, cause_totals() and the makespan.
+  AttributionProfile profile() const;
 
   /// Compact sorted-key JSON sidecar (parse_attribution round-trips it).
   std::string to_json() const;
@@ -117,41 +104,48 @@ class WaitAttributor final : public Sink {
     JobId blocker = 0;
     double since = 0.0;
   };
+  /// A job id's attribution and, while the job waits, its open segment.
+  /// `job.id` stays 0 where no user job holds the id (a resizer's).
+  struct Row {
+    JobAttribution job;
+    std::optional<OpenSegment> open;
+  };
+  /// (member, index in its id range), as Federation::cluster_of and
+  /// index_in_member compute it: ordered like the ids.
+  struct Position {
+    std::size_t member = 0;
+    std::size_t index = 0;
+  };
+  static Position position_of(JobId id);
+  Row* find(JobId id);  ///< nullptr unless a user job holds `id`
+  static void close_segment(Row& row, double now);
 
-  void close_segment(JobAttribution& job, const OpenSegment& open, double now);
+  // What on_event runs.  A re-diagnosis (kBlocked) with a new cause or
+  // blocker closes the open segment and opens the next, except that an
+  // unattributed segment takes the cause instead (it held since submit).
+  void submitted(const Event& event);
+  void placed(const Event& event);
+  void blocked(const Event& event);
+  void started(const Event& event);
+  void finished(const Event& event);
 
-  std::map<JobId, JobAttribution> jobs_;
-  std::map<JobId, OpenSegment> open_;
-  /// The settled prefix, extended by cause_totals(): the id-ordered run
-  /// of jobs whose slices are final (started, or cancelled while
-  /// pending), up to its last id, and its per-cause sums.  cause_totals()
-  /// resumes the id-ordered walk after it, so it makes the same additions
-  /// in the same order as a walk from the first job, and returns the same
-  /// bits.
-  mutable std::optional<JobId> settled_last_;  ///< nullopt: empty
+  /// Rows per member; a deque grows without copying what it holds.
+  std::deque<std::deque<Row>> members_;
+  /// The settled prefix, kept by cause_totals(): the rows before
+  /// `settled_end_` are final and `settled_totals_` holds their sums, the
+  /// additions a walk from the first job makes, in its order.
+  mutable Position settled_end_;
   mutable std::array<double, kBlockReasonCount> settled_totals_{};
 };
 
 // --- sidecar analytics (tools/dmr_explain; tested directly) -----------------
 
-struct AttributionProfile {
-  std::vector<JobAttribution> jobs;  ///< sorted by id
-  std::vector<double> cause_totals;  ///< kBlockReasonCount entries
-  double makespan = 0.0;
-
-  const JobAttribution* find(JobId id) const;
-  double total_wait() const;
-};
-
 /// Parse a sidecar document; empty `error` on success.
 AttributionProfile parse_attribution(const std::string& json,
                                      std::string& error);
-/// Read and parse `path`; an unreadable file is an error, not an
-/// exception.
+/// Read and parse `path`; an unreadable file sets `error`.
 AttributionProfile load_attribution_file(const std::string& path,
                                          std::string& error);
-/// Snapshot the live accumulator into a profile (no JSON round trip).
-AttributionProfile snapshot_attribution(const WaitAttributor& attr);
 
 /// The `n` longest-waiting jobs, longest first.
 std::vector<const JobAttribution*> top_waits(const AttributionProfile& profile,

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cctype>
 #include <charconv>
+#include <cmath>
 #include <cstdio>
 
 namespace dmr::obs {
@@ -298,6 +299,22 @@ double json_number(const JsonValue* value, double fallback) {
   return value != nullptr && value->kind == JsonValue::Kind::Number
              ? value->number
              : fallback;
+}
+
+std::optional<std::int64_t> json_integer(const JsonValue* value,
+                                         std::int64_t min, std::int64_t max,
+                                         std::optional<std::int64_t> fallback) {
+  if (value == nullptr) return fallback;
+  if (value->kind != JsonValue::Kind::Number) return std::nullopt;
+  const double number = value->number;
+  // Range and wholeness first: converting a value outside the integer
+  // type is undefined, and a fraction would be cut off silently.
+  if (!(number >= static_cast<double>(min) &&
+        number <= static_cast<double>(max)) ||
+      number != std::trunc(number)) {
+    return std::nullopt;
+  }
+  return static_cast<std::int64_t>(number);
 }
 
 std::string json_string(const JsonValue* value) {

@@ -14,6 +14,8 @@
 // read approximately.
 #pragma once
 
+#include <cstdint>
+#include <optional>
 #include <string>
 #include <utility>
 #include <vector>
@@ -50,6 +52,19 @@ bool parse_json(const std::string& text, JsonValue& out, std::string& error);
 /// The numeric value of `value`, or `fallback` when it is null or not a
 /// number.
 double json_number(const JsonValue* value, double fallback = 0.0);
+
+/// The largest magnitude up to which every whole JSON number is an
+/// exact double: 2^53.
+constexpr std::int64_t kJsonExactInteger = std::int64_t{1} << 53;
+
+/// The whole number `value` holds, checked against [min, max] before it
+/// is converted: nullopt when it is not a number, has a fraction or lies
+/// outside the range, and `fallback` when `value` is null (an absent
+/// field; nullopt makes the field required).  Both bounds must lie
+/// within +-kJsonExactInteger.
+std::optional<std::int64_t> json_integer(
+    const JsonValue* value, std::int64_t min, std::int64_t max,
+    std::optional<std::int64_t> fallback = std::nullopt);
 
 /// The string value of `value`, or empty when it is null or not a
 /// string.

@@ -1,6 +1,7 @@
 #include "obs/validate.hpp"
 
 #include <fstream>
+#include <limits>
 #include <map>
 #include <set>
 #include <sstream>
@@ -13,6 +14,9 @@ namespace dmr::obs {
 namespace {
 
 // --- structural rules -------------------------------------------------------
+
+/// Chrome trace pids and tids are 32-bit, as TraceRecorder writes them.
+constexpr std::int64_t kMaxTrackId = std::numeric_limits<std::uint32_t>::max();
 
 struct TrackState {
   int depth = 0;
@@ -34,8 +38,13 @@ TraceValidation validate_trace(const std::string& json) {
     return result;
   }
   if (const JsonValue* other = root.field("otherData")) {
-    result.dropped = static_cast<std::uint64_t>(
-        json_number(other->field("dropped_events")));
+    const auto dropped =
+        json_integer(other->field("dropped_events"), 0, kJsonExactInteger, 0);
+    if (!dropped) {
+      result.errors.push_back("malformed otherData.dropped_events");
+      return result;
+    }
+    result.dropped = static_cast<std::uint64_t>(*dropped);
   }
   const JsonValue* events = root.field("traceEvents");
   if (events == nullptr || events->kind != JsonValue::Kind::Array) {
@@ -67,10 +76,18 @@ TraceValidation validate_trace(const std::string& json) {
       continue;
     }
     const double ts = ts_field->number;
-    const auto pid =
-        static_cast<std::uint32_t>(json_number(event.field("pid")));
-    const auto tid =
-        static_cast<std::uint32_t>(json_number(event.field("tid")));
+    const auto pid_value = json_integer(event.field("pid"), 0, kMaxTrackId, 0);
+    if (!pid_value) {
+      result.errors.push_back("malformed pid" + where());
+      continue;
+    }
+    const auto tid_value = json_integer(event.field("tid"), 0, kMaxTrackId, 0);
+    if (!tid_value) {
+      result.errors.push_back("malformed tid" + where());
+      continue;
+    }
+    const auto pid = static_cast<std::uint32_t>(*pid_value);
+    const auto tid = static_cast<std::uint32_t>(*tid_value);
     const std::string name = json_string(event.field("name"));
     // End events ("E" sync, "e" nestable async) close the span the
     // matching begin named; the format leaves their name optional.

@@ -190,8 +190,22 @@ Snapshot Snapshot::deserialize(const std::string& text, ServiceConfig config) {
 }
 
 Snapshot snapshot(const Service& service) {
+  // A policy object keeps its own state, which a copy of the config
+  // would share with every restore instead of copying.
+  if (service.config().driver.federation.policy != nullptr) {
+    throw std::invalid_argument(
+        "snapshot: the federation runs a caller-supplied placement policy, "
+        "whose state cannot be captured");
+  }
   Snapshot captured;
   captured.config = service.config();
+  // The observers stay with the live service: a restore replays the run
+  // and would feed them every event a second time.  The restored one
+  // attributes waits on its own whenever the live one does.
+  ServiceConfig& config = captured.config;
+  config.attribute_waits =
+      config.attribute_waits || config.driver.hooks.attr != nullptr;
+  config.driver.hooks = {};
   captured.submissions = service.submission_log();
   captured.time = service.now();
   return captured;

@@ -62,7 +62,11 @@ struct Snapshot {
   static Snapshot deserialize(const std::string& text, ServiceConfig config);
 };
 
-/// Capture `service` at its current simulated instant.
+/// Capture `service` at its current simulated instant.  The captured
+/// config carries no observers (`driver.hooks`): they stay with the live
+/// service, and a restore attributes waits with its own attributor.
+/// Throws std::invalid_argument when the federation runs a caller-supplied
+/// placement policy object, whose state a snapshot cannot copy.
 Snapshot snapshot(const Service& service);
 
 /// Rebuild a service in the captured state by deterministic replay.

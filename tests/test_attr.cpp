@@ -1,14 +1,15 @@
 // Tests for the wait-attribution layer: the conservation contract (a
 // started job's cause slices tile [submit, start] exactly), outcome
 // digests byte-identical with the attributor attached vs detached, the
-// sidecar JSON round trip, the dmr_explain analytics (top waits,
-// critical path, regression compare) the CLI fronts, and the kept
-// per-cause sums matching a walk over every job bit for bit.
+// sidecar JSON round trip and its reader's rejections, the dmr_explain
+// analytics (top waits, critical path, regression compare) the CLI
+// fronts, and the kept per-cause sums matching a walk over every job
+// bit for bit.  The attributor's one way in is the event stream, so
+// every test feeds it obs::Events the way the layers emit them.
 #include <gtest/gtest.h>
 
 #include <bit>
 #include <cstdint>
-#include <limits>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -109,7 +110,8 @@ RunOutcome run_federated(std::uint64_t seed, const obs::Hooks& hooks,
 void expect_conservation(const obs::WaitAttributor& attr) {
   double total_wait = 0.0;
   int waited = 0;
-  for (const auto& [id, job] : attr.jobs()) {
+  for (const obs::JobAttribution& job : attr.profile().jobs) {
+    const JobId id = job.id;
     ASSERT_GE(job.start, 0.0) << "job " << id << " never started";
     // Exact, not approximate: the final slice absorbs the rounding.
     EXPECT_DOUBLE_EQ(job.attributed_seconds(), job.wait_seconds())
@@ -154,10 +156,10 @@ TEST(WaitConservation, FederatedSlicesTileTheWaitExactly) {
     SCOPED_TRACE("seed " + std::to_string(seed));
     expect_conservation(attr);
     // Federated runs also carry placement provenance on every job.
-    for (const auto& [id, job] : attr.jobs()) {
-      EXPECT_GE(job.member, 0) << "job " << id;
+    for (const obs::JobAttribution& job : attr.profile().jobs) {
+      EXPECT_GE(job.member, 0) << "job " << job.id;
       EXPECT_NE(job.placement.find("policy="), std::string::npos)
-          << "job " << id;
+          << "job " << job.id;
     }
   }
 }
@@ -195,18 +197,81 @@ TEST(WaitAttribution, AttachedAttributorNeverPerturbsOutcomes) {
 
 // --- the accumulator state machine -------------------------------------------
 
+/// Two 8-node members whose managers issue the ids the direct-feed tests
+/// report on: member c's from c * fed::kClusterIdStride + 1.  Each call
+/// feeds the attributor one obs::Event the way the layers emit it,
+/// naming the member's manager (the attributor reads a submitted job's
+/// name and resizer flag from it).
+class Feed {
+ public:
+  explicit Feed(obs::WaitAttributor& attr) : attr_(attr) {}
+
+  /// Submit a one-node job named `name` to `member` and report it.
+  JobId submit(const std::string& name, double now, int member = 0) {
+    rms::Manager& manager = federation_.manager(member);
+    JobSpec spec;
+    spec.name = name;
+    const JobId id = manager.submit(spec, now);
+    emit({.kind = obs::EventKind::kSubmitted, .job = id, .now = now});
+    return id;
+  }
+  void blocked(JobId id, double now, obs::BlockReason cause, JobId blocker) {
+    emit({.kind = obs::EventKind::kBlocked,
+          .job = id,
+          .now = now,
+          .cause = cause,
+          .blocker = blocker});
+  }
+  void started(JobId id, double now) {
+    emit({.kind = obs::EventKind::kStarted, .job = id, .now = now});
+  }
+  void finished(JobId id, double now) {
+    emit({.kind = obs::EventKind::kFinished, .job = id, .now = now});
+  }
+
+ private:
+  static fed::FederationConfig two_members() {
+    fed::FederationConfig config;
+    for (const char* name : {"a", "b"}) {
+      fed::ClusterSpec member;
+      member.name = name;
+      member.rms.nodes = 8;
+      config.clusters.push_back(member);
+    }
+    return config;
+  }
+  void emit(obs::Event event) {
+    event.member = federation_.cluster_of(event.job);
+    event.manager = &federation_.manager(event.member);
+    attr_.on_event(event);
+  }
+
+  obs::WaitAttributor& attr_;
+  fed::Federation federation_{two_members()};
+};
+
+/// The attribution of job `id` (a copy: the profile is a snapshot).
+obs::JobAttribution attribution_of(const obs::WaitAttributor& attr,
+                                   JobId id) {
+  const obs::AttributionProfile profile = attr.profile();
+  const obs::JobAttribution* job = profile.find(id);
+  EXPECT_NE(job, nullptr) << "job " << id;
+  return job != nullptr ? *job : obs::JobAttribution{};
+}
+
 TEST(WaitAttributor, BackDatesFirstDiagnosisAndClosesOnChange) {
   obs::WaitAttributor attr;
-  attr.on_job_submitted(1, "a", 0.0);
+  Feed feed(attr);
+  const JobId id = feed.submit("a", 0.0);
   // First diagnosis back-dates to the submit: the cause held all along.
-  attr.on_job_blocked(1, 5.0, obs::BlockReason::kInsufficientIdle, 2);
+  feed.blocked(id, 5.0, obs::BlockReason::kInsufficientIdle, 2);
   // Re-diagnosis with the same cause and blocker is a no-op.
-  attr.on_job_blocked(1, 6.0, obs::BlockReason::kInsufficientIdle, 2);
+  feed.blocked(id, 6.0, obs::BlockReason::kInsufficientIdle, 2);
   // A different cause closes the segment and opens the next.
-  attr.on_job_blocked(1, 8.0, obs::BlockReason::kEasyReservation, 3);
-  attr.on_job_started(1, 10.0);
+  feed.blocked(id, 8.0, obs::BlockReason::kEasyReservation, 3);
+  feed.started(id, 10.0);
 
-  const auto& job = attr.jobs().at(1);
+  const obs::JobAttribution job = attribution_of(attr, id);
   ASSERT_EQ(job.slices.size(), 2u);
   EXPECT_EQ(job.slices[0].cause, obs::BlockReason::kInsufficientIdle);
   EXPECT_EQ(job.slices[0].blocker, 2);
@@ -217,18 +282,19 @@ TEST(WaitAttributor, BackDatesFirstDiagnosisAndClosesOnChange) {
   EXPECT_DOUBLE_EQ(job.attributed_seconds(), job.wait_seconds());
 
   // Post-start reports are ignored (the wait is over).
-  attr.on_job_blocked(1, 12.0, obs::BlockReason::kDependency, 9);
-  EXPECT_EQ(attr.jobs().at(1).slices.size(), 2u);
+  feed.blocked(id, 12.0, obs::BlockReason::kDependency, 9);
+  EXPECT_EQ(attribution_of(attr, id).slices.size(), 2u);
 }
 
 TEST(WaitAttributor, RankedCausesAggregateAcrossSlices) {
   obs::WaitAttributor attr;
-  attr.on_job_submitted(1, "a", 0.0);
-  attr.on_job_blocked(1, 1.0, obs::BlockReason::kInsufficientIdle, 2);
-  attr.on_job_blocked(1, 3.0, obs::BlockReason::kEasyReservation, 3);
-  attr.on_job_blocked(1, 4.0, obs::BlockReason::kInsufficientIdle, 2);
-  attr.on_job_started(1, 10.0);
-  const auto ranked = obs::ranked_causes(attr.jobs().at(1));
+  Feed feed(attr);
+  const JobId id = feed.submit("a", 0.0);
+  feed.blocked(id, 1.0, obs::BlockReason::kInsufficientIdle, 2);
+  feed.blocked(id, 3.0, obs::BlockReason::kEasyReservation, 3);
+  feed.blocked(id, 4.0, obs::BlockReason::kInsufficientIdle, 2);
+  feed.started(id, 10.0);
+  const auto ranked = obs::ranked_causes(attribution_of(attr, id));
   ASSERT_EQ(ranked.size(), 2u);
   // insufficient-idle accumulated [0,3) + [4,10) = 9 s, easy 1 s.
   EXPECT_EQ(ranked[0].cause, obs::BlockReason::kInsufficientIdle);
@@ -239,10 +305,11 @@ TEST(WaitAttributor, RankedCausesAggregateAcrossSlices) {
 
 TEST(WaitAttributor, CancelledPendingJobClosesAtCancellation) {
   obs::WaitAttributor attr;
-  attr.on_job_submitted(1, "a", 0.0);
-  attr.on_job_blocked(1, 2.0, obs::BlockReason::kPartitionPinned, 0);
-  attr.on_job_finished(1, 7.0);  // cancelled while pending
-  const auto& job = attr.jobs().at(1);
+  Feed feed(attr);
+  const JobId id = feed.submit("a", 0.0);
+  feed.blocked(id, 2.0, obs::BlockReason::kPartitionPinned, 0);
+  feed.finished(id, 7.0);  // cancelled while pending
+  const obs::JobAttribution job = attribution_of(attr, id);
   EXPECT_LT(job.start, 0.0);
   ASSERT_EQ(job.slices.size(), 1u);
   EXPECT_DOUBLE_EQ(job.slices[0].seconds, 7.0);
@@ -251,8 +318,9 @@ TEST(WaitAttributor, CancelledPendingJobClosesAtCancellation) {
 
 TEST(WaitAttributor, LiveCauseTotalsCountOpenSegments) {
   obs::WaitAttributor attr;
-  attr.on_job_submitted(1, "a", 0.0);
-  attr.on_job_blocked(1, 1.0, obs::BlockReason::kDrainingWait, 5);
+  Feed feed(attr);
+  const JobId id = feed.submit("a", 0.0);
+  feed.blocked(id, 1.0, obs::BlockReason::kDrainingWait, 5);
   const auto live = attr.cause_totals(6.0);
   EXPECT_DOUBLE_EQ(
       live[static_cast<std::size_t>(obs::BlockReason::kDrainingWait)], 6.0);
@@ -281,7 +349,7 @@ double total_of(const obs::WaitAttributor& attr, obs::BlockReason cause,
 std::vector<double> walk_every_job(const obs::WaitAttributor& attr) {
   std::vector<double> totals(static_cast<std::size_t>(obs::kBlockReasonCount),
                              0.0);
-  for (const auto& [id, job] : attr.jobs()) {
+  for (const obs::JobAttribution& job : attr.profile().jobs) {
     for (const auto& slice : job.slices) {
       totals[static_cast<std::size_t>(slice.cause)] += slice.seconds;
     }
@@ -291,31 +359,27 @@ std::vector<double> walk_every_job(const obs::WaitAttributor& attr) {
 
 TEST(WaitAttributor, SubmissionBelowTheSettledPrefixDropsItsSums) {
   obs::WaitAttributor attr;
-  attr.on_job_submitted(5, "e", 0.0);
-  attr.on_job_blocked(5, 0.0, obs::BlockReason::kInsufficientIdle, 0);
-  attr.on_job_started(5, 4.0);
-  // Nothing is pending, so this call settles job 5.
+  Feed feed(attr);
+  const JobId late = feed.submit("e", 0.0, /*member=*/1);
+  feed.blocked(late, 0.0, obs::BlockReason::kInsufficientIdle, 0);
+  feed.started(late, 4.0);
+  // Nothing is pending, so this call settles member 1's job.
   EXPECT_EQ(bits(attr.cause_totals()), bits(walk_every_job(attr)));
 
-  // A new id below the settled job: its slices sort before job 5's.
-  attr.on_job_submitted(3, "c", 10.0);
-  attr.on_job_blocked(3, 10.0, obs::BlockReason::kDependency, 5);
-  attr.on_job_started(3, 13.0);
+  // Member 0's ids sort before member 1's: this job lands inside the
+  // settled prefix.
+  const JobId early = feed.submit("c", 10.0, /*member=*/0);
+  ASSERT_LT(early, late);
+  feed.blocked(early, 10.0, obs::BlockReason::kDependency, late);
+  feed.started(early, 13.0);
   EXPECT_EQ(bits(attr.cause_totals()), bits(walk_every_job(attr)));
   EXPECT_DOUBLE_EQ(total_of(attr, obs::BlockReason::kDependency), 3.0);
 
-  // A re-submitted settled id appends to the slices the sums hold.
-  attr.on_job_submitted(5, "e", 20.0);
-  attr.on_job_blocked(5, 20.0, obs::BlockReason::kEasyReservation, 3);
-  attr.on_job_started(5, 25.0);
-  EXPECT_EQ(bits(attr.cause_totals()), bits(walk_every_job(attr)));
-  EXPECT_GT(total_of(attr, obs::BlockReason::kEasyReservation), 0.0);
-
   // A job cancelled while pending settles like a started one.
-  attr.on_job_submitted(7, "g", 30.0);
-  attr.on_job_blocked(7, 30.0, obs::BlockReason::kPartitionPinned, 0);
-  attr.on_job_finished(7, 36.0);
-  attr.on_job_submitted(8, "h", 40.0);
+  const JobId cancelled = feed.submit("g", 30.0, /*member=*/1);
+  feed.blocked(cancelled, 30.0, obs::BlockReason::kPartitionPinned, 0);
+  feed.finished(cancelled, 36.0);
+  feed.submit("h", 40.0, /*member=*/1);
   EXPECT_EQ(bits(attr.cause_totals()), bits(walk_every_job(attr)));
   EXPECT_DOUBLE_EQ(total_of(attr, obs::BlockReason::kUnattributed, 50.0), 10.0);
 }
@@ -331,7 +395,7 @@ TEST(AttributionSidecar, JsonRoundTripsBitExactly) {
   const obs::AttributionProfile parsed =
       obs::parse_attribution(attr.to_json(), error);
   ASSERT_TRUE(error.empty()) << error;
-  const obs::AttributionProfile direct = obs::snapshot_attribution(attr);
+  const obs::AttributionProfile direct = attr.profile();
 
   ASSERT_EQ(parsed.jobs.size(), direct.jobs.size());
   EXPECT_DOUBLE_EQ(parsed.makespan, direct.makespan);
@@ -385,12 +449,63 @@ TEST(AttributionSidecar, RejectsForeignDocuments) {
   EXPECT_NE(error.find("cannot read"), std::string::npos);
 }
 
+TEST(AttributionSidecar, RejectsNumbersNoFieldCanHold) {
+  // The writer's layout with job 1's fields spliced in: each integer is
+  // checked before it is converted, and a cause must be a known name.
+  const auto sidecar = [](const std::string& job) {
+    return R"({"causes":{},"dmr_attr":1,"jobs":[)"
+           R"({"end":9,"id":1,"member":0,"name":"a","placement":"",)"
+           R"("slices":[],"start":0,"submit":0},)"
+           R"({"end":9,)" + job + R"(,"name":"b","placement":"",)"
+           R"("start":4,"submit":0}],"makespan":9})";
+  };
+  const auto job = [](const std::string& id, const std::string& member,
+                      const std::string& blocker, const std::string& cause) {
+    return R"("id":)" + id + R"(,"member":)" + member +
+           R"(,"slices":[{"blocker":)" + blocker + R"(,"cause":")" + cause +
+           R"(","seconds":4}])";
+  };
+  std::string error;
+  const obs::AttributionProfile good =
+      obs::parse_attribution(sidecar(job("2", "0", "1", "dependency")), error);
+  ASSERT_TRUE(error.empty()) << error;
+  ASSERT_EQ(good.jobs.size(), 2u);
+  EXPECT_EQ(good.jobs[1].id, 2);
+  EXPECT_EQ(good.jobs[1].slices.at(0).blocker, 1);
+
+  const struct {
+    std::string job;
+    std::string error;
+  } cases[] = {
+      {job("1e30", "0", "1", "dependency"), "malformed id (job 1)"},
+      {job("-3", "0", "1", "dependency"), "malformed id (job 1)"},
+      {job("2.7", "0", "1", "dependency"), "malformed id (job 1)"},
+      {job("\"2\"", "0", "1", "dependency"), "malformed id (job 1)"},
+      {job("2", "1e12", "1", "dependency"), "malformed member (job 1)"},
+      {job("2", "-2", "1", "dependency"), "malformed member (job 1)"},
+      {job("2", "0", "-1", "dependency"), "malformed blocker (job 1, slice 0)"},
+      {job("2", "0", "1e300", "dependency"),
+       "malformed blocker (job 1, slice 0)"},
+      {job("2", "0", "1", "bogus"), "unknown cause 'bogus' (job 1, slice 0)"},
+      {R"("member":0,"slices":[])", "missing or malformed id (job 1)"},
+  };
+  for (const auto& bad : cases) {
+    const obs::AttributionProfile profile =
+        obs::parse_attribution(sidecar(bad.job), error);
+    EXPECT_NE(error.find(bad.error), std::string::npos)
+        << bad.job << " read as: " << (error.empty() ? "valid" : error);
+  }
+  // The version flag is read the same way.
+  obs::parse_attribution(R"({"dmr_attr":1e30,"jobs":[]})", error);
+  EXPECT_NE(error.find("dmr_attr"), std::string::npos) << error;
+}
+
 // --- analytics ---------------------------------------------------------------
 
 TEST(AttributionAnalytics, TopWaitsRanksLongestFirst) {
   obs::WaitAttributor attr;
   run_single(2017, {.attr = &attr});
-  const obs::AttributionProfile profile = obs::snapshot_attribution(attr);
+  const obs::AttributionProfile profile = attr.profile();
   const auto top = obs::top_waits(profile, 5);
   ASSERT_FALSE(top.empty());
   EXPECT_LE(top.size(), 5u);
@@ -406,7 +521,7 @@ TEST(AttributionAnalytics, TopWaitsRanksLongestFirst) {
 TEST(AttributionAnalytics, CriticalPathEndsAtTheMakespanJob) {
   obs::WaitAttributor attr;
   run_single(2017, {.attr = &attr});
-  const obs::AttributionProfile profile = obs::snapshot_attribution(attr);
+  const obs::AttributionProfile profile = attr.profile();
   const obs::CriticalPath path = obs::critical_path(profile);
   ASSERT_FALSE(path.chain.empty());
   EXPECT_EQ(path.edges.size(), path.chain.size() - 1);
@@ -451,8 +566,8 @@ TEST(AttributionAnalytics, CompareFindsTheRegression) {
     for (auto& plan : fs_plans(2017, 24, 8)) driver.add(std::move(plan));
     driver.run();
   }
-  const obs::AttributionDelta delta = obs::compare_profiles(
-      obs::snapshot_attribution(attr_a), obs::snapshot_attribution(attr_b));
+  const obs::AttributionDelta delta =
+      obs::compare_profiles(attr_a.profile(), attr_b.profile());
   EXPECT_EQ(delta.jobs_a, 24);
   EXPECT_EQ(delta.jobs_b, 24);
   EXPECT_GT(delta.total_wait_b, delta.total_wait_a);
@@ -474,8 +589,7 @@ TEST(BlockReason, NamesRoundTripAndKeysAreColumnSafe) {
     const std::string key = obs::block_reason_key(reason);
     EXPECT_EQ(key.find('-'), std::string::npos) << key;
   }
-  EXPECT_EQ(obs::block_reason_from("no-such-cause"),
-            obs::BlockReason::kUnattributed);
+  EXPECT_FALSE(obs::block_reason_from("no-such-cause").has_value());
 }
 
 // --- service samples ---------------------------------------------------------
@@ -530,8 +644,8 @@ TEST(ServiceAttribution, SamplesCarryWaitCauseColumns) {
 }
 
 /// At every sample, feeds the events recorded so far to a fresh
-/// attributor whose cause_totals walks every job, and expects the
-/// sample's cause columns to match it bit for bit.
+/// attributor, whose one cause_totals call walks every job from the
+/// first, and expects the sample's cause columns to match it bit for bit.
 class ColdReplayCheck final : public obs::Sink {
  public:
   obs::Interest interest() const override {
@@ -546,10 +660,6 @@ class ColdReplayCheck final : public obs::Sink {
       return;
     }
     obs::WaitAttributor cold;
-    // A pending job below every real id keeps the settled prefix empty,
-    // so this cause_totals is the walk from the first job.  Submitted at
-    // the sample instant, its own open segment adds nothing.
-    cold.on_job_submitted(std::numeric_limits<JobId>::min(), "pin", event.now);
     for (const obs::Event& fed : feed_) cold.on_event(fed);
     const std::vector<double> expected = cold.cause_totals(event.now);
     EXPECT_EQ(bits(event.sample->cause_seconds), bits(expected))

@@ -190,6 +190,45 @@ TEST(TraceValidate, RejectsUnbalancedAsyncScope) {
   EXPECT_FALSE(validation.ok);
 }
 
+TEST(TraceValidate, RejectsIdsNoTrackCanHold) {
+  // pid and tid are 32-bit track ids: each is checked before it is
+  // converted, and the error names the field and the event.
+  const struct {
+    std::string ids;
+    std::string error;
+  } cases[] = {
+      {R"("pid":1e30,"tid":0)", "malformed pid (event 1)"},
+      {R"("pid":-1,"tid":0)", "malformed pid (event 1)"},
+      {R"("pid":2.5,"tid":0)", "malformed pid (event 1)"},
+      {R"("pid":0,"tid":4294967296)", "malformed tid (event 1)"},
+      {R"("pid":0,"tid":"7")", "malformed tid (event 1)"},
+  };
+  for (const auto& bad : cases) {
+    const auto validation = obs::validate_trace(wrap_events(
+        R"({"ph":"i","ts":0,"pid":0,"tid":0,"name":"a"},)"
+        R"({"ph":"i","ts":1,)" + bad.ids + R"(,"name":"b"})"));
+    EXPECT_FALSE(validation.ok) << bad.ids;
+    ASSERT_FALSE(validation.errors.empty()) << bad.ids;
+    EXPECT_EQ(validation.errors.front(), bad.error) << bad.ids;
+  }
+  // The largest 32-bit ids are valid tracks.
+  const auto widest = obs::validate_trace(wrap_events(
+      R"({"ph":"i","ts":0,"pid":4294967295,"tid":4294967295,"name":"a"})"));
+  EXPECT_TRUE(widest.ok) << widest.describe();
+}
+
+TEST(TraceValidate, RejectsADroppedCountNoCounterCanHold) {
+  for (const std::string dropped : {"1e30", "-6", "2.5"}) {
+    const auto validation = obs::validate_trace(
+        R"({"otherData":{"dropped_events":)" + dropped +
+        R"(},"traceEvents":[{"ph":"i","ts":0,"pid":0,"tid":0,"name":"a"}]})");
+    EXPECT_FALSE(validation.ok) << dropped;
+    ASSERT_FALSE(validation.errors.empty()) << dropped;
+    EXPECT_EQ(validation.errors.front(), "malformed otherData.dropped_events")
+        << dropped;
+  }
+}
+
 TEST(TraceValidate, RejectsMalformedJson) {
   EXPECT_FALSE(obs::validate_trace("this is not json").ok);
   EXPECT_FALSE(obs::validate_trace("{\"traceEvents\":42}").ok);

@@ -6,13 +6,16 @@
 // what-if fork divergence.
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <limits>
 #include <stdexcept>
 #include <string>
 #include <thread>
 #include <vector>
 
+#include "dmr/check.hpp"
 #include "dmr/service.hpp"
 #include "fed/member_mix.hpp"
 #include "util/rng.hpp"
@@ -451,6 +454,14 @@ void expect_samples_equal(const svc::MetricsSample& a,
   EXPECT_EQ(a.response_p50, b.response_p50);
   EXPECT_EQ(a.response_p95, b.response_p95);
   EXPECT_EQ(a.response_p99, b.response_p99);
+  // The wait-cause columns, bit for bit: the restored attributor saw the
+  // same events in the same order.
+  ASSERT_EQ(a.cause_seconds.size(), b.cause_seconds.size());
+  for (std::size_t r = 0; r < a.cause_seconds.size(); ++r) {
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(a.cause_seconds[r]),
+              std::bit_cast<std::uint64_t>(b.cause_seconds[r]))
+        << "cause " << r << " at t=" << a.time;
+  }
 }
 
 /// The replay-determinism property: a service run straight to T1 and a
@@ -546,6 +557,63 @@ TEST(SnapshotProperty, MalformedRequestLeavesTheLogReplayable) {
       expect_samples_equal(replay_samples[i], live_samples[i]);
     }
   }
+}
+
+TEST(SnapshotProperty, RestoreAndForkLeaveTheLiveObserversAlone) {
+  // Caller-supplied observers watch the live run only: a restore or a
+  // fork replays the run from the first arrival, and fed to them it reads
+  // as every job submitted twice.
+  chk::Auditor auditor;
+  obs::WaitAttributor attr;
+  svc::ServiceConfig config = small_service(4);
+  config.driver.hooks.auditor = &auditor;
+  config.driver.hooks.attr = &attr;
+  // Ignored beside a caller's attributor: the live samples carry cause
+  // columns, so the restored ones must too.
+  config.attribute_waits = false;
+  svc::Service live(config);
+  for (long long tag = 0; tag < 8; ++tag) {
+    ASSERT_TRUE(live.submit(request_of(tag, 5.0 * double(tag), 2, 240.0)));
+  }
+  live.advance_to(300.0);
+  const std::string attributed = attr.to_json();
+  const long long checks = auditor.report().total_checks();
+  ASSERT_TRUE(auditor.report().ok()) << auditor.report().describe();
+
+  const svc::Snapshot snap = svc::snapshot(live);
+  std::unique_ptr<svc::Service> restored = svc::restore(snap);
+  svc::WhatIf whatif;
+  whatif.add_nodes = 4;
+  const svc::ForkReport report = svc::fork_and_run(snap, whatif, 2000.0);
+  EXPECT_GT(report.baseline.last_sample.completed_total, 0);
+
+  EXPECT_TRUE(auditor.report().ok()) << auditor.report().describe();
+  EXPECT_EQ(auditor.report().total_checks(), checks);
+  EXPECT_TRUE(attr.to_json() == attributed) << "the live attributor moved";
+  // The restored service still attributes its own waits.
+  ASSERT_NE(restored->attribution(), nullptr);
+  EXPECT_NE(restored->attribution(), &attr);
+  EXPECT_TRUE(restored->attribution()->to_json() == attributed)
+      << restored->attribution()->to_json();
+}
+
+TEST(SnapshotProperty, RejectsACallerSuppliedPlacementPolicy) {
+  // A policy object keeps state (round-robin's cursor) that a copied
+  // config would share with the restored service, so restoring would
+  // move the live service's later placements.
+  svc::ServiceConfig config = property_config(1, 3);
+  config.driver.federation.policy =
+      fed::make_placement(fed::Placement::RoundRobin);
+  svc::Service live(config);
+  for (const svc::JobRequest& request : property_stream(1, 8)) {
+    ASSERT_TRUE(live.submit(request));
+  }
+  live.advance_to(300.0);
+  EXPECT_THROW(svc::snapshot(live), std::invalid_argument);
+  // A built-in placement kind is plain data and snapshots fine.
+  config.driver.federation.policy = nullptr;
+  svc::Service plain(config);
+  EXPECT_NO_THROW(svc::snapshot(plain));
 }
 
 // --- What-if forks ---------------------------------------------------------
