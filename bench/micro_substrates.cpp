@@ -104,11 +104,48 @@ void BM_ReconfigurationPolicy(benchmark::State& state) {
 }
 BENCHMARK(BM_ReconfigurationPolicy)->Arg(0)->Arg(10)->Arg(100);
 
+// One scheduling pass over `jobs` pending jobs.  het:0 is a 64-node
+// homogeneous cluster with nothing running.  het:1 is a fast(48) +
+// slow(32) cluster under Pack: pending jobs pinned to either partition
+// or spanning both, eight running jobs granted by the cluster, two of
+// them shrinking (their tail nodes draining), and diagnosis on.  That
+// case predicts each start's grant over the idle bitmap and walks
+// releases node by node, so sanitizer builds run that path too.
 void BM_SchedulerPass(benchmark::State& state) {
   const auto count = static_cast<std::size_t>(state.range(0));
+  const bool het = state.range(1) == 1;
+  const rms::AllocPolicy alloc =
+      het ? rms::AllocPolicy::Pack : rms::AllocPolicy::LowestId;
+  const std::vector<rms::Partition> fast_slow = {{"fast", 48, 1.0},
+                                                 {"slow", 32, 0.5}};
+  rms::Cluster cluster = het ? rms::Cluster(fast_slow) : rms::Cluster(64);
+  const auto partition_of = [het](std::size_t i) {
+    return het && i % 3 != 2 ? static_cast<int>(i % 3) : rms::kAnyPartition;
+  };
+  std::vector<rms::Job> running(het ? 8 : 0);
+  std::vector<const rms::Job*> running_list;
+  for (std::size_t i = 0; i < running.size(); ++i) {
+    rms::Job& job = running[i];
+    job.id = static_cast<rms::JobId>(10000 + i);
+    job.state = rms::JobState::Running;
+    job.partition = partition_of(i);
+    job.requested_nodes = 3 + static_cast<int>(i % 4) * 2;
+    job.nodes = cluster.allocate(job.id, job.requested_nodes, job.partition,
+                                 alloc);
+    job.start_time = 100.0 * static_cast<double>(i);
+    job.spec.time_limit = 900.0 + 50.0 * static_cast<double>(i);
+    running_list.push_back(&job);
+  }
+  for (const std::size_t shrinking : {std::size_t(1), std::size_t(4)}) {
+    if (shrinking >= running.size()) continue;
+    const std::vector<int>& nodes = running[shrinking].nodes;
+    const auto half = static_cast<std::ptrdiff_t>(nodes.size() / 2);
+    cluster.set_draining({nodes.begin() + half, nodes.end()}, true);
+  }
   std::vector<rms::Job> jobs(count);
   for (std::size_t i = 0; i < count; ++i) {
     jobs[i].id = static_cast<rms::JobId>(i + 1);
+    jobs[i].partition = partition_of(i);
     jobs[i].requested_nodes = 1 + static_cast<int>(i % 32);
     jobs[i].spec.time_limit = 100.0 + static_cast<double>(i % 7) * 50.0;
     jobs[i].submit_time = static_cast<double>(i);
@@ -116,21 +153,34 @@ void BM_SchedulerPass(benchmark::State& state) {
   // The pass reads a queue already in SubmitOrder, as Manager::schedule
   // hands it over (the manager keeps its queue in that order), so the
   // ordering happens once, outside the timed loop.
-  const rms::SchedulerConfig config;
+  rms::SchedulerConfig config;
+  config.alloc = alloc;
   std::vector<const rms::Job*> queue;
   for (const auto& job : jobs) queue.push_back(&job);
   std::sort(queue.begin(), queue.end(), rms::SubmitOrder{});
   rms::ScheduleView view;
   view.now = 1000.0;
-  view.idle_nodes = 64;
+  view.idle_nodes = cluster.idle();
   view.pending = queue;
+  view.running = running_list;
+  if (het) {
+    view.node_draining = cluster.node_draining();
+    view.node_partition = cluster.node_partitions();
+    view.idle_per_partition = cluster.idle_per_partition();
+    view.idle_bits = cluster.idle_bits();
+  }
+  std::vector<rms::BlockDiag> blocked;
   for (auto _ : state) {
-    benchmark::DoNotOptimize(rms::schedule_pass(view, config));
+    blocked.clear();
+    benchmark::DoNotOptimize(
+        rms::schedule_pass(view, config, het ? &blocked : nullptr));
   }
   state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) *
                           static_cast<int64_t>(count));
 }
-BENCHMARK(BM_SchedulerPass)->Arg(10)->Arg(100)->Arg(1000);
+BENCHMARK(BM_SchedulerPass)
+    ->ArgNames({"jobs", "het"})
+    ->ArgsProduct({{10, 100, 1000}, {0, 1}});
 
 void BM_DmrCheckFullStack(benchmark::State& state) {
   // A full reconfiguring point against a loaded manager (policy +

@@ -297,16 +297,19 @@ void Auditor::check_manager(const rms::Manager& manager, double now) {
   // owner of every owned node the first walk left unmarked, and clear
   // the marks for the next audit.
   idle_per_.assign(static_cast<std::size_t>(cluster.partition_count()), 0);
+  const std::vector<std::uint8_t>& draining_flags = cluster.node_draining();
+  const std::vector<int>& partition_of = cluster.node_partitions();
   int idle = 0;
   int draining = 0;
   for (int id = 0; id < size; ++id) {
     const rms::Node& node = cluster.node(id);
-    std::uint8_t& listed = listed_[static_cast<std::size_t>(id)];
-    if (node.draining) ++draining;
+    const auto at = static_cast<std::size_t>(id);
+    std::uint8_t& listed = listed_[at];
+    if (draining_flags[at] != 0) ++draining;
     if (node.owner == ::dmr::kInvalidJob) {
       ++idle;
-      ++idle_per_[static_cast<std::size_t>(node.partition)];
-      if (node.draining) {
+      ++idle_per_[static_cast<std::size_t>(partition_of[at])];
+      if (draining_flags[at] != 0) {
         violate("node-conservation", ::dmr::kInvalidJob, now,
                 "idle node " + node.name + " is marked draining");
       }

@@ -28,7 +28,8 @@ struct TestBackdoor {
   /// Flip a node's draining flag without the counter bookkeeping.
   static void set_node_draining(rms::Manager& manager, int node_id,
                                 bool draining) {
-    manager.cluster_.mutable_node(node_id).draining = draining;
+    manager.cluster_.draining_.at(static_cast<std::size_t>(node_id)) =
+        draining ? 1 : 0;
   }
 
   /// Corrupt the cluster's cached idle counter.

@@ -124,7 +124,14 @@ MemberGroup parse_group(std::size_t index, const std::string& token) {
     if (!parse_int(sizes, group.nodes)) fail(index, "bad node count", token);
   } else {
     for (const std::string& part : split(sizes, '+')) {
-      group.partitions.push_back(parse_partition(index, part));
+      rms::Partition parsed = parse_partition(index, part);
+      for (const rms::Partition& earlier : group.partitions) {
+        if (earlier.name == parsed.name) {
+          fail(index, "duplicate partition name '" + parsed.name + "'",
+               token);
+        }
+      }
+      group.partitions.push_back(std::move(parsed));
     }
   }
   return group;

@@ -15,7 +15,12 @@ Cluster::Cluster(std::vector<Partition> partitions)
     throw std::invalid_argument("Cluster: no partitions");
   }
   int total = 0;
-  for (const Partition& part : partitions_) {
+  for (std::size_t p = 0; p < partitions_.size(); ++p) {
+    const Partition& part = partitions_[p];
+    if (partition_index(part.name) != static_cast<int>(p)) {
+      throw std::invalid_argument("Cluster: duplicate partition name '" +
+                                  part.name + "'");
+    }
     if (part.nodes <= 0) {
       throw std::invalid_argument("Cluster: non-positive node count in '" +
                                   part.name + "'");
@@ -28,6 +33,7 @@ Cluster::Cluster(std::vector<Partition> partitions)
   }
   nodes_.resize(static_cast<std::size_t>(total));
   node_partition_.resize(static_cast<std::size_t>(total));
+  draining_.assign(static_cast<std::size_t>(total), 0);
   idle_per_partition_.resize(partitions_.size());
   int id = 0;
   for (std::size_t p = 0; p < partitions_.size(); ++p) {
@@ -36,7 +42,6 @@ Cluster::Cluster(std::vector<Partition> partitions)
       Node& node = nodes_[static_cast<std::size_t>(id)];
       node.id = id;
       node.name = part.name + std::to_string(local);
-      node.partition = static_cast<int>(p);
       node.speed = part.speed;
       node_partition_[static_cast<std::size_t>(id)] = static_cast<int>(p);
     }
@@ -99,8 +104,8 @@ Node& Cluster::mutable_node(int id) {
   return nodes_[static_cast<std::size_t>(id)];
 }
 
-std::vector<int> pack_partition_order(
-    const std::vector<int>& idle_per_partition, int count) {
+std::vector<int> pack_partition_order(std::span<const int> idle_per_partition,
+                                      int count) {
   const auto idle = [&](int p) {
     return idle_per_partition[static_cast<std::size_t>(p)];
   };
@@ -136,10 +141,10 @@ void Cluster::add_nodes(int count) {
     Node node;
     node.id = size();
     node.name = part.name + std::to_string(local);
-    node.partition = partition;
     node.speed = part.speed;
     nodes_.push_back(std::move(node));
     node_partition_.push_back(partition);
+    draining_.push_back(0);
     idle_bits_.resize((nodes_.size() + 63) / 64, 0);
     set_idle_bit(static_cast<int>(nodes_.size()) - 1);
   }
@@ -148,54 +153,57 @@ void Cluster::add_nodes(int count) {
   idle_count_ += count;
 }
 
-std::vector<int> Cluster::allocate(JobId job, int count, int partition) {
+std::vector<int> grant_order(std::span<const std::uint64_t> idle_bits,
+                             std::span<const int> node_partition,
+                             std::span<const int> idle_per_partition,
+                             int count, int partition, AllocPolicy policy) {
+  std::vector<int> granted;
+  granted.reserve(static_cast<std::size_t>(count));
+  // Lowest id first within `pool`: walk the set bits of the idle bitmap
+  // in id order, at a word per 64 nodes.
+  const auto take_from = [&](int pool, int want) {
+    for (std::size_t w = 0; w < idle_bits.size() && want > 0; ++w) {
+      std::uint64_t bits = idle_bits[w];
+      while (bits != 0 && want > 0) {
+        const int id = static_cast<int>(w * 64) + std::countr_zero(bits);
+        bits &= bits - 1;
+        if (pool != kAnyPartition &&
+            node_partition[static_cast<std::size_t>(id)] != pool) {
+          continue;
+        }
+        granted.push_back(id);
+        --want;
+      }
+    }
+  };
+  if (partition == kAnyPartition && policy == AllocPolicy::Pack &&
+      idle_per_partition.size() > 1) {
+    for (int pool : pack_partition_order(idle_per_partition, count)) {
+      take_from(pool, count - static_cast<int>(granted.size()));
+    }
+  } else {
+    take_from(partition, count);
+  }
+  return granted;
+}
+
+std::vector<int> Cluster::allocate(JobId job, int count, int partition,
+                                   AllocPolicy policy) {
   if (count <= 0) throw std::invalid_argument("Cluster: non-positive count");
   const int available =
       partition == kAnyPartition ? idle_count_ : idle_in(partition);
   if (count > available) {
     throw std::runtime_error("Cluster: insufficient idle nodes");
   }
-  const auto take_from = [&](int pool, int remaining) {
-    // Lowest id first within the pool: walk set bits of the idle bitmap
-    // in id order — the same grant order the former whole-table scan
-    // produced, at a word per 64 nodes.
-    int taken = 0;
-    std::vector<int> granted;
-    granted.reserve(static_cast<std::size_t>(remaining));
-    for (std::size_t w = 0; w < idle_bits_.size() && taken < remaining; ++w) {
-      std::uint64_t bits = idle_bits_[w];
-      while (bits != 0 && taken < remaining) {
-        const int id =
-            static_cast<int>(w * 64) + std::countr_zero(bits);
-        bits &= bits - 1;
-        if (pool != kAnyPartition &&
-            node_partition_[static_cast<std::size_t>(id)] != pool) {
-          continue;
-        }
-        Node& node = nodes_[static_cast<std::size_t>(id)];
-        node.owner = job;
-        node.draining = false;
-        clear_idle_bit(id);
-        --idle_per_partition_[static_cast<std::size_t>(node.partition)];
-        granted.push_back(id);
-        ++taken;
-      }
-    }
-    return granted;
-  };
-  std::vector<int> granted;
-  if (partition == kAnyPartition && alloc_policy_ == AllocPolicy::Pack &&
-      partition_count() > 1) {
-    granted.reserve(static_cast<std::size_t>(count));
-    for (int pool : pack_partition_order(idle_per_partition_, count)) {
-      const int want =
-          std::min(count - static_cast<int>(granted.size()), idle_in(pool));
-      const auto taken = take_from(pool, want);
-      granted.insert(granted.end(), taken.begin(), taken.end());
-      if (static_cast<int>(granted.size()) == count) break;
-    }
-  } else {
-    granted = take_from(partition, count);
+  std::vector<int> granted = grant_order(idle_bits_, node_partition_,
+                                         idle_per_partition_, count,
+                                         partition, policy);
+  for (int id : granted) {
+    nodes_[static_cast<std::size_t>(id)].owner = job;
+    draining_[static_cast<std::size_t>(id)] = 0;
+    clear_idle_bit(id);
+    --idle_per_partition_[static_cast<std::size_t>(
+        node_partition_[static_cast<std::size_t>(id)])];
   }
   idle_count_ -= count;
   return granted;
@@ -208,10 +216,10 @@ void Cluster::release(JobId job, const std::vector<int>& node_ids) {
       throw std::runtime_error("Cluster: releasing node not owned by job");
     }
     node.owner = kInvalidJob;
-    if (node.draining) --draining_count_;
-    node.draining = false;
+    clear_draining(id);
     set_idle_bit(id);
-    ++idle_per_partition_[static_cast<std::size_t>(node.partition)];
+    ++idle_per_partition_[static_cast<std::size_t>(
+        node_partition_[static_cast<std::size_t>(id)])];
     ++idle_count_;
   }
 }
@@ -224,38 +232,16 @@ void Cluster::transfer(JobId from, JobId to,
       throw std::runtime_error("Cluster: transferring node not owned by job");
     }
     node.owner = to;
-    if (node.draining) --draining_count_;
-    node.draining = false;
+    clear_draining(id);
   }
 }
 
 void Cluster::set_draining(const std::vector<int>& node_ids, bool draining) {
   for (int id : node_ids) {
-    Node& node = mutable_node(id);
-    if (node.draining != draining) draining_count_ += draining ? 1 : -1;
-    node.draining = draining;
+    std::uint8_t& flag = draining_.at(static_cast<std::size_t>(id));
+    if ((flag != 0) != draining) draining_count_ += draining ? 1 : -1;
+    flag = draining ? 1 : 0;
   }
-}
-
-std::vector<std::uint8_t> Cluster::draining_flags() const {
-  std::vector<std::uint8_t> flags(nodes_.size(), 0);
-  for (const auto& node : nodes_) {
-    if (node.draining) flags[static_cast<std::size_t>(node.id)] = 1;
-  }
-  return flags;
-}
-
-std::vector<int> Cluster::idle_node_ids() const {
-  std::vector<int> idle;
-  idle.reserve(static_cast<std::size_t>(idle_count_));
-  for (std::size_t w = 0; w < idle_bits_.size(); ++w) {
-    std::uint64_t bits = idle_bits_[w];
-    while (bits != 0) {
-      idle.push_back(static_cast<int>(w * 64) + std::countr_zero(bits));
-      bits &= bits - 1;
-    }
-  }
-  return idle;
 }
 
 }  // namespace dmr::rms

@@ -13,6 +13,7 @@
 #pragma once
 
 #include <cstdint>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -49,11 +50,22 @@ std::string to_string(AllocPolicy policy);
 /// consumes, given per-partition idle counts: the fullest partition
 /// that still holds the whole grant (best fit), or partitions in
 /// descending idle count when none does (fewest partitions spanned).
-/// Ties break on the lower index.  One shared implementation serves
-/// Cluster::allocate and the scheduler's pass, so the pass predicts
-/// exactly what the cluster grants.
-std::vector<int> pack_partition_order(
-    const std::vector<int>& idle_per_partition, int count);
+/// Ties break on the lower index.
+std::vector<int> pack_partition_order(std::span<const int> idle_per_partition,
+                                      int count);
+
+/// The node ids a grant of `count` nodes takes, in grant order, given
+/// the idle bitmap (bit set = idle), each node's partition and the idle
+/// count per partition.  A grant pinned to `partition`, or any grant
+/// under LowestId, takes the lowest eligible ids first; a Pack grant
+/// that may span partitions takes whole partitions in
+/// pack_partition_order.  Cluster::allocate commits exactly this list
+/// and the scheduler's pass predicts its starts with it, so the one
+/// walk decides both.  Precondition: `count` eligible nodes are idle.
+std::vector<int> grant_order(std::span<const std::uint64_t> idle_bits,
+                             std::span<const int> node_partition,
+                             std::span<const int> idle_per_partition,
+                             int count, int partition, AllocPolicy policy);
 
 /// One homogeneous slice of the cluster.
 struct Partition {
@@ -69,11 +81,6 @@ struct Node {
   std::string name;
   /// Owning job, or kInvalidJob when idle.
   JobId owner = kInvalidJob;
-  /// Draining: still owned, but scheduled for release after the shrink
-  /// drain protocol completes (no new work may land on it).
-  bool draining = false;
-  /// Partition index this node belongs to.
-  int partition = 0;
   /// Speed factor inherited from the partition.
   double speed = 1.0;
 };
@@ -83,7 +90,8 @@ class Cluster {
   /// Homogeneous cluster of one partition; nodes are "vnode<i>".
   explicit Cluster(int node_count);
   /// Heterogeneous cluster: one node range per partition, ids assigned in
-  /// declaration order.  Node names are "<partition><local-index>".
+  /// declaration order.  Node names are "<partition><local-index>", so
+  /// partition names must be distinct (std::invalid_argument otherwise).
   explicit Cluster(std::vector<Partition> partitions);
 
   int size() const { return static_cast<int>(nodes_.size()); }
@@ -93,10 +101,6 @@ class Cluster {
   // --- partitions ------------------------------------------------------------
 
   int partition_count() const { return static_cast<int>(partitions_.size()); }
-  /// Node-selection policy for spanning allocations (default LowestId).
-  /// The scheduler's pass mirrors whatever is set here, so change it only
-  /// between passes (the manager sets it once at construction).
-  void set_alloc_policy(AllocPolicy policy) { alloc_policy_ = policy; }
   const Partition& partition(int index) const {
     return partitions_.at(static_cast<std::size_t>(index));
   }
@@ -110,6 +114,13 @@ class Cluster {
   double min_speed(const std::vector<int>& node_ids) const;
   /// Partition index of every node, indexed by node id.
   const std::vector<int>& node_partitions() const { return node_partition_; }
+  /// Idle node count of every partition, indexed by partition.
+  const std::vector<int>& idle_per_partition() const {
+    return idle_per_partition_;
+  }
+  /// Idle-node bitmap: bit `id % 64` of word `id / 64` is set when node
+  /// `id` is idle.
+  const std::vector<std::uint64_t>& idle_bits() const { return idle_bits_; }
 
   const Node& node(int id) const {
     return nodes_.at(static_cast<std::size_t>(id));
@@ -123,15 +134,16 @@ class Cluster {
   /// non-contiguous.
   void add_nodes(int count);
 
-  /// Allocate `count` idle nodes to `job`; returns their ids.  When
-  /// `partition` is not kAnyPartition only that partition's nodes are
-  /// eligible and the grant takes lowest ids first.  Spanning grants
-  /// follow the alloc policy (LowestId, or Pack's best-fit partition
-  /// selection); both orders are deterministic, which keeps simulations
-  /// bit-reproducible.  Throws when fewer than `count` eligible nodes
-  /// are idle.
+  /// Allocate `count` idle nodes to `job`; returns their ids, in the
+  /// order grant_order gives.  When `partition` is not kAnyPartition
+  /// only that partition's nodes are eligible and the grant takes lowest
+  /// ids first.  Spanning grants follow `policy` (LowestId, or Pack's
+  /// best-fit partition selection); both orders are deterministic, which
+  /// keeps simulations bit-reproducible.  Throws when fewer than `count`
+  /// eligible nodes are idle.
   std::vector<int> allocate(JobId job, int count,
-                            int partition = kAnyPartition);
+                            int partition = kAnyPartition,
+                            AllocPolicy policy = AllocPolicy::LowestId);
 
   /// Release specific nodes owned by `job`.
   void release(JobId job, const std::vector<int>& node_ids);
@@ -141,18 +153,21 @@ class Cluster {
   /// the original job).
   void transfer(JobId from, JobId to, const std::vector<int>& node_ids);
 
-  /// Mark nodes as draining (shrink in progress).
+  /// Mark nodes as draining (shrink in progress): still owned, but
+  /// scheduled for release after the shrink drain protocol completes (no
+  /// new work may land on them).
   void set_draining(const std::vector<int>& node_ids, bool draining);
 
-  /// Number of nodes currently draining (0 lets schedule passes skip
-  /// building the per-node drain snapshot).
+  bool draining(int id) const {
+    return draining_.at(static_cast<std::size_t>(id)) != 0;
+  }
+  /// Number of nodes currently draining (0 lets schedule passes skip the
+  /// per-node drain test).
   int draining_count() const { return draining_count_; }
-  /// Draining flag per node id, for the scheduler snapshot.
-  std::vector<std::uint8_t> draining_flags() const;
+  /// Draining flag of every node, indexed by node id.
+  const std::vector<std::uint8_t>& node_draining() const { return draining_; }
 
   std::string node_name(int id) const { return node(id).name; }
-  /// Sorted ids of all idle nodes (the scheduler's allocation preview).
-  std::vector<int> idle_node_ids() const;
 
  private:
   /// Test-only state corruption for auditor failure-path tests.
@@ -167,10 +182,16 @@ class Cluster {
     idle_bits_[static_cast<std::size_t>(id) >> 6] &=
         ~(std::uint64_t(1) << (id & 63));
   }
+  void clear_draining(int id) {
+    std::uint8_t& flag = draining_[static_cast<std::size_t>(id)];
+    draining_count_ -= flag;
+    flag = 0;
+  }
   std::vector<Node> nodes_;
   std::vector<Partition> partitions_;
   std::vector<int> node_partition_;
   std::vector<int> idle_per_partition_;
+  std::vector<std::uint8_t> draining_;
   /// Idle-node bitmap (bit set = owner == kInvalidJob), kept in sync by
   /// allocate/release/transfer/add_nodes.  Allocation at archive scale
   /// used to scan the whole Node table (strings and all) per grant;
@@ -181,7 +202,6 @@ class Cluster {
   /// cluster is heterogeneous (min_speed's per-node scan short-circuits
   /// on the uniform — i.e. paper-testbed — case).
   double uniform_speed_ = 0.0;
-  AllocPolicy alloc_policy_ = AllocPolicy::LowestId;
   int idle_count_ = 0;
   int draining_count_ = 0;
 };

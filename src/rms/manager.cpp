@@ -18,9 +18,7 @@ Manager::Manager(RmsConfig config, int member)
     : config_(std::move(config)),
       cluster_(make_cluster(config_)),
       next_id_(config_.first_job_id),
-      member_(member) {
-  cluster_.set_alloc_policy(config_.scheduler.alloc);
-}
+      member_(member) {}
 
 void Manager::rescale_time_limit(Job& job, double now, double ratio) {
   // Keep the backfill shadow estimates honest across resizes (the real
@@ -159,7 +157,8 @@ JobId Manager::submit(JobSpec spec, double now) {
 }
 
 void Manager::start_job(Job& job, double now) {
-  job.nodes = cluster_.allocate(job.id, job.requested_nodes, job.partition);
+  job.nodes = cluster_.allocate(job.id, job.requested_nodes, job.partition,
+                                config_.scheduler.alloc);
   job.state = JobState::Running;
   job.start_time = now;
   dequeue(job);
@@ -188,38 +187,14 @@ std::vector<JobId> Manager::schedule(double now) {
   }
   emit(obs::EventKind::kPassBegin, kInvalidJob, now);
   placements_dirty_ = false;
-  const bool heterogeneous = cluster_.partition_count() > 1;
   // Iterate only while a start can enable further starts: a started job
   // with a pending dependent (resizer jobs depend on their parent
   // running) or a molded head leaving idle nodes behind.  The former
   // unconditional loop burned one full confirming pass per call.
-  // The view scratch keeps its vector capacities across passes and
-  // calls: schedule() runs twice per job on a replay, and a fresh
-  // allocation per running snapshot showed up at archive scale.
-  ScheduleView& view = view_scratch_;
   const bool diagnose = sinks_.wants(obs::EventKind::kBlocked);
   for (;;) {
     ++counters_.schedule_passes;
-    view.now = now;
-    view.idle_nodes = cluster_.idle();
-    view.pending = pending_queue();
-    view.running.clear();
-    view.running.reserve(running_jobs_.size());
-    for (const Job* job : running_jobs_) view.running.push_back(job);
-    view.node_draining.clear();
-    if (cluster_.draining_count() > 0) {
-      view.node_draining = cluster_.draining_flags();
-    }
-    if (heterogeneous) {
-      view.node_partition = cluster_.node_partitions();
-      view.idle_per_partition.resize(
-          static_cast<std::size_t>(cluster_.partition_count()));
-      for (int p = 0; p < cluster_.partition_count(); ++p) {
-        view.idle_per_partition[static_cast<std::size_t>(p)] =
-            cluster_.idle_in(p);
-      }
-      view.idle_node_ids = cluster_.idle_node_ids();
-    }
+    const ScheduleView view = schedule_view(now);
     std::vector<BlockDiag> blocked;
     std::vector<const Job*> to_start = schedule_pass(
         view, config_.scheduler, diagnose ? &blocked : nullptr);
@@ -296,6 +271,23 @@ std::vector<JobId> Manager::schedule(double now) {
   }
   emit(obs::EventKind::kPass, kInvalidJob, now);
   return started;
+}
+
+ScheduleView Manager::schedule_view(double now) const {
+  ScheduleView view;
+  view.now = now;
+  view.idle_nodes = cluster_.idle();
+  view.pending = pending_queue();
+  view.running = running_list();
+  if (cluster_.draining_count() > 0) {
+    view.node_draining = cluster_.node_draining();
+  }
+  if (cluster_.partition_count() > 1) {
+    view.node_partition = cluster_.node_partitions();
+    view.idle_per_partition = cluster_.idle_per_partition();
+    view.idle_bits = cluster_.idle_bits();
+  }
+  return view;
 }
 
 void Manager::finish_job(Job& job, double now, JobState final_state) {
@@ -535,7 +527,7 @@ void Manager::complete_shrink(JobId id, double now) {
   Job& job = job_mutable(id);
   std::vector<int> draining;
   for (int node_id : job.nodes) {
-    if (cluster_.node(node_id).draining) draining.push_back(node_id);
+    if (cluster_.draining(node_id)) draining.push_back(node_id);
   }
   if (draining.empty()) {
     throw std::logic_error("Manager: complete_shrink with no draining nodes");
@@ -568,7 +560,7 @@ void Manager::complete_shrink(JobId id, double now) {
   view.allocated = record.allocated();
   for (int node_id : record.nodes) {
     view.hosts.push_back(cluster_.node_name(node_id));
-    if (!cluster_.node(node_id).draining) {
+    if (!cluster_.draining(node_id)) {
       view.surviving_hosts.push_back(cluster_.node_name(node_id));
     }
   }

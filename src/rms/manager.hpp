@@ -127,9 +127,12 @@ class Manager : public ::dmr::Rms {
   /// (dmr_decide).  Same validity as pending_queue.
   std::span<const Job* const> pending_snapshot() const;
   /// Every running job, internal resizers included, in no fixed order:
-  /// the list a scheduling pass copies into its view.  Valid until the
-  /// manager changes.
+  /// the list a scheduling pass reads.  Valid until the manager changes.
   std::span<const Job* const> running_list() const { return running_jobs_; }
+  /// What a scheduling pass at `now` reads: the queue, the running list
+  /// and the cluster's idle, draining and partition tables, in place.
+  /// Same validity as pending_queue.
+  ScheduleView schedule_view(double now) const;
   /// All user-visible jobs (submission order).
   const std::vector<const Job*>& jobs() const { return user_jobs_; }
   /// True when no user job is pending or running.
@@ -249,10 +252,6 @@ class Manager : public ::dmr::Rms {
   int user_allocated_nodes_ = 0;
   int user_running_jobs_ = 0;
   bool placements_dirty_ = true;
-  /// Scratch for schedule()'s per-pass snapshot; member so the running
-  /// vector capacity survives across the two passes every replayed job
-  /// triggers.
-  ScheduleView view_scratch_;
   /// dmr_decide's queue for a pinned job (the jobs its partition serves).
   std::vector<const Job*> policy_scratch_;
   /// The filtered copies behind pending_queue and pending_snapshot.

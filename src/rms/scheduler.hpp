@@ -10,18 +10,19 @@
 // ahead of all of them.  That is SubmitOrder (job.hpp), the one order the
 // queue is kept in.
 //
-// The pass is a pure function over a snapshot of the system so it can be
-// unit-tested exhaustively and reused by both the virtual-time and the
-// real-time managers.
+// The pass is a pure function over a view of the live tables (the
+// manager's queue and running list, the cluster's idle and draining
+// tables), read in place, so it can be unit-tested exhaustively and
+// reused by both the virtual-time and the real-time managers.
 //
-// Two snapshot extensions beyond the plain homogeneous view:
+// Two view extensions beyond the plain homogeneous one:
 //  - per-node draining flags: a shrinking job's draining nodes are
 //    released as soon as the drain protocol completes, not at the job's
 //    time limit, so the EASY reservation treats them as imminent;
 //  - heterogeneous partitions: per-partition idle counts plus the idle
-//    node-id list (mirroring the cluster's lowest-id-first grant order)
-//    let the pass place partition-constrained jobs and keep the EASY
-//    reservation per-pool.
+//    bitmap let the pass predict each grant with the cluster's own
+//    grant_order, place partition-constrained jobs and keep the EASY
+//    reservation per pool.
 #pragma once
 
 #include <cstdint>
@@ -39,13 +40,14 @@ namespace dmr::rms {
 
 struct SchedulerConfig {
   bool backfill = true;
-  /// Node-selection order for spanning jobs on heterogeneous clusters;
-  /// must match the cluster's policy (the manager wires both from one
-  /// config field) so the pass predicts exactly what allocate() grants.
+  /// Node-selection order for spanning jobs on heterogeneous clusters.
+  /// The manager grants by this same field, so the pass predicts
+  /// exactly what Cluster::allocate grants.
   AllocPolicy alloc = AllocPolicy::LowestId;
 };
 
-/// Snapshot of the scheduler's inputs at one instant.
+/// The scheduler's inputs at one instant: spans over tables the caller
+/// keeps, valid while those tables do not change.
 struct ScheduleView {
   double now = 0.0;
   int idle_nodes = 0;
@@ -56,16 +58,18 @@ struct ScheduleView {
   /// SubmitOrder first.
   std::span<const Job* const> pending;
   /// Running jobs, used to estimate the backfill shadow time.
-  std::vector<const Job*> running;
+  std::span<const Job* const> running;
   /// Draining flag per node id (empty = nothing draining).  Draining
   /// nodes release at `now` for shadow purposes.
-  std::vector<std::uint8_t> node_draining;
+  std::span<const std::uint8_t> node_draining;
   /// Heterogeneous clusters only (all three empty on the homogeneous
   /// fast path): partition index per node id, idle count per partition,
-  /// and the sorted idle node ids the cluster would grant next.
-  std::vector<int> node_partition;
-  std::vector<int> idle_per_partition;
-  std::vector<int> idle_node_ids;
+  /// and the idle bitmap (Cluster::idle_bits) grants are taken from.
+  /// Precondition, not checked: `idle_nodes` and each partition's count
+  /// are the set bits of the bitmap there, as in a Cluster's own tables.
+  std::span<const int> node_partition;
+  std::span<const int> idle_per_partition;
+  std::span<const std::uint64_t> idle_bits;
 
   bool heterogeneous() const { return !idle_per_partition.empty(); }
 };

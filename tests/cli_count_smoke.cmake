@@ -49,11 +49,13 @@ expect_rejected("jobs5: not a key=value argument" ${DMRSIM} jobs5)
 # Member-mix speeds must be finite and in [0.01, 100]: an infinite
 # member took every job, 1e-300 gave a 2.65e300 s makespan and a
 # subnormal one aborted the engine with a non-finite time.  Counts take
-# no sign and no whitespace.
+# no sign and no whitespace.  A group may not repeat a partition name:
+# both partitions recorded into one utilization series, so every line
+# carried its utilization key twice.
 foreach(members
     "1x16:speed=inf,1x16" "1x16,1x16:speed=1e-300"
     "1x16:speed=0x1p-1070,1x16" "1x16,1xa=8@inf+b=8" "1x+16,1x16"
-    " 1x16,1x16")
+    " 1x16,1x16" "1xa=8+a=8")
   expect_rejected("member mix: group [01]"
                   ${SWEEP} smoke clusters=2 --members "${members}")
 endforeach()

@@ -319,11 +319,12 @@ std::vector<chk::Violation> reference_audit(const rms::Manager& manager,
   int draining = 0;
   for (int id = 0; id < cluster.size(); ++id) {
     const rms::Node& node = cluster.node(id);
-    if (node.draining) ++draining;
+    if (cluster.draining(id)) ++draining;
     if (node.owner == kInvalidJob) {
       ++idle;
-      ++idle_per[static_cast<std::size_t>(node.partition)];
-      if (node.draining) {
+      ++idle_per[static_cast<std::size_t>(
+          cluster.node_partitions()[static_cast<std::size_t>(id)])];
+      if (cluster.draining(id)) {
         violate(kInvalidJob, "idle node " + node.name + " is marked draining");
       }
     } else {

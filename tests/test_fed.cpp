@@ -371,6 +371,22 @@ TEST(MemberMix, ErrorsNameTheGroupAndToken) {
   }
 }
 
+TEST(MemberMix, RejectsRepeatedPartitionNames) {
+  // Both partitions would record into one utilization series and repeat
+  // node names.
+  try {
+    fed::parse_member_mix("1x16,1xa=8+b=4+a=8");
+    FAIL() << "accepted a repeated partition name";
+  } catch (const std::invalid_argument& error) {
+    const std::string what = error.what();
+    EXPECT_NE(what.find("member mix: group 1: duplicate partition name 'a'"),
+              std::string::npos)
+        << what;
+  }
+  // Names repeat freely across groups.
+  EXPECT_NO_THROW(fed::parse_member_mix("1xa=8+b=8,1xa=4+b=4"));
+}
+
 TEST(MemberMix, DefaultMixReproducesTheHistoricalCycle) {
   // The sweep's old hard-coded cycle: alpha (24 homogeneous), beta
   // (fast 16@1.25 + slow 8@0.6), gamma (g 12@0.8), then alpha2, beta2...

@@ -413,7 +413,7 @@ TEST(Manager, PartitionConstrainedSubmission) {
   m.schedule(0.0);
   ASSERT_TRUE(m.job(id).running());
   for (int node : m.job(id).nodes) {
-    EXPECT_EQ(m.cluster().node(node).partition, 1);
+    EXPECT_EQ(m.cluster().node_partitions()[static_cast<std::size_t>(node)], 1);
   }
   // Unknown partitions and over-partition requests are rejected.
   JobSpec unknown = spec("x", 2);
@@ -488,7 +488,7 @@ TEST(Manager, ExpandInheritsPartitionConstraint) {
   EXPECT_EQ(outcome.action, Action::Expand);
   EXPECT_EQ(m.job(id).allocated(), 4);
   for (int node : m.job(id).nodes) {
-    EXPECT_EQ(m.cluster().node(node).partition, 1);
+    EXPECT_EQ(m.cluster().node_partitions()[static_cast<std::size_t>(node)], 1);
   }
 }
 

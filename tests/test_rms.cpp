@@ -5,6 +5,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdint>
 
 #include "rms/cluster.hpp"
 #include "rms/job.hpp"
@@ -58,8 +59,8 @@ TEST(Cluster, DrainingFlag) {
   Cluster cluster(2);
   const auto nodes = cluster.allocate(1, 2);
   cluster.set_draining({nodes[1]}, true);
-  EXPECT_FALSE(cluster.node(nodes[0]).draining);
-  EXPECT_TRUE(cluster.node(nodes[1]).draining);
+  EXPECT_FALSE(cluster.draining(nodes[0]));
+  EXPECT_TRUE(cluster.draining(nodes[1]));
 }
 
 TEST(JobSizes, ExpandCandidatesFactor2) {
@@ -167,7 +168,8 @@ TEST(Scheduler, BackfillFillsAroundBlockedHead) {
   view.idle_nodes = 4;
   const Job* const queue[] = {&head, &small};
   view.pending = queue;
-  view.running = {&running};
+  const Job* const running_jobs[] = {&running};
+  view.running = running_jobs;
   const auto started = schedule_pass(view, SchedulerConfig{});
   ASSERT_EQ(started.size(), 1u);
   EXPECT_EQ(started[0]->id, 2);
@@ -191,7 +193,8 @@ TEST(Scheduler, BackfillNeverDelaysHead) {
   view.idle_nodes = 4;
   const Job* const queue[] = {&head, &greedy};
   view.pending = queue;
-  view.running = {&running};
+  const Job* const running_jobs[] = {&running};
+  view.running = running_jobs;
   const auto started = schedule_pass(view, SchedulerConfig{});
   EXPECT_TRUE(started.empty());
 }
@@ -214,7 +217,8 @@ TEST(Scheduler, BackfillUsesWindowBeyondHeadNeed) {
   view.idle_nodes = 12;
   const Job* const queue[] = {&head, &windowed};
   view.pending = queue;
-  view.running = {&running};
+  const Job* const running_jobs[] = {&running};
+  view.running = running_jobs;
   const auto started = schedule_pass(view, SchedulerConfig{});
   ASSERT_EQ(started.size(), 1u);
   EXPECT_EQ(started[0]->id, 2);
@@ -234,7 +238,8 @@ TEST(Scheduler, NoBackfillWhenDisabled) {
   view.idle_nodes = 4;
   const Job* const queue[] = {&head, &small};
   view.pending = queue;
-  view.running = {&running};
+  const Job* const running_jobs[] = {&running};
+  view.running = running_jobs;
   SchedulerConfig config;
   config.backfill = false;
   EXPECT_TRUE(schedule_pass(view, config).empty());
@@ -270,7 +275,8 @@ TEST(Scheduler, PassWithZeroIdleNodesStartsNothing) {
   view.idle_nodes = 0;
   const Job* const queue[] = {&a, &b};
   view.pending = queue;
-  view.running = {&running};
+  const Job* const running_jobs[] = {&running};
+  view.running = running_jobs;
   EXPECT_TRUE(schedule_pass(view, SchedulerConfig{}).empty());
 }
 
@@ -294,13 +300,44 @@ TEST(Scheduler, BackfillNeverDelaysBoostedHead) {
   view.now = 60.0;
   view.idle_nodes = 4;
   std::vector<const Job*> queue = {&greedy, &boosted, &small};
-  view.running = {&running};
+  const Job* const running_jobs[] = {&running};
+  view.running = running_jobs;
   std::sort(queue.begin(), queue.end(), SubmitOrder{});
   view.pending = queue;
   const SchedulerConfig config;
   const auto started = schedule_pass(view, config);
   ASSERT_EQ(started.size(), 1u);
   EXPECT_EQ(started[0]->id, 3);
+}
+
+TEST(Scheduler, ShadowListsRunningReleasesBeforeThisPassStarts) {
+  // The shadow sorts releases by time alone, so tied releases count in
+  // the order they are listed: running jobs first, then the jobs this
+  // pass started.  Job 10's four nodes and the started job's two free
+  // together at t=100.  In that order the head's 8 nodes are free after
+  // job 10's release with none to spare, so the long 2-node job must not
+  // backfill; listed the other way round, the window would be 2 nodes.
+  Job running = make_job(10, 4, 0.0);
+  running.state = JobState::Running;
+  running.start_time = 0.0;
+  running.spec.time_limit = 100.0;
+  running.nodes = {0, 1, 2, 3};
+  Job quick = make_job(1, 2, 1.0);
+  quick.spec.time_limit = 50.0;  // started at t=50, ends with job 10
+  Job head = make_job(2, 8, 2.0);
+  Job greedy = make_job(3, 2, 3.0);
+  greedy.spec.time_limit = 1000.0;
+
+  ScheduleView view;
+  view.now = 50.0;
+  view.idle_nodes = 6;
+  const Job* const queue[] = {&quick, &head, &greedy};
+  view.pending = queue;
+  const Job* const running_jobs[] = {&running};
+  view.running = running_jobs;
+  const auto started = schedule_pass(view, SchedulerConfig{});
+  ASSERT_EQ(started.size(), 1u);
+  EXPECT_EQ(started[0]->id, 1);
 }
 
 TEST(Scheduler, ShadowTreatsDrainingNodesAsImminentRelease) {
@@ -315,8 +352,10 @@ TEST(Scheduler, ShadowTreatsDrainingNodesAsImminentRelease) {
   ScheduleView view;
   view.now = 10.0;
   view.idle_nodes = 0;
-  view.running = {&shrinking};
-  view.node_draining = {0, 0, 1, 1};
+  const Job* const running_jobs[] = {&shrinking};
+  view.running = running_jobs;
+  const std::uint8_t draining[] = {0, 0, 1, 1};
+  view.node_draining = draining;
   int extra = -1;
   EXPECT_DOUBLE_EQ(shadow_time(view, 2, &extra), 10.0);
   EXPECT_EQ(extra, 0);
@@ -345,8 +384,10 @@ TEST(Scheduler, BackfillDoesNotSquatOnDrainReleasedNodes) {
   view.idle_nodes = 2;
   const Job* const queue[] = {&head, &greedy};
   view.pending = queue;
-  view.running = {&hog};
-  view.node_draining = {0, 0, 1, 1, 0, 0};
+  const Job* const running_jobs[] = {&hog};
+  view.running = running_jobs;
+  const std::uint8_t draining[] = {0, 0, 1, 1, 0, 0};
+  view.node_draining = draining;
   EXPECT_TRUE(schedule_pass(view, SchedulerConfig{}).empty());
 }
 
@@ -363,6 +404,89 @@ TEST(Cluster, HeterogeneousPartitions) {
   EXPECT_DOUBLE_EQ(cluster.node(5).speed, 0.5);
   EXPECT_DOUBLE_EQ(cluster.min_speed({0, 1}), 1.0);
   EXPECT_DOUBLE_EQ(cluster.min_speed({0, 5}), 0.5);
+}
+
+TEST(Cluster, RejectsDuplicatePartitionNames) {
+  // Node names are "<partition><index>", so a repeated name would repeat
+  // node names and merge two partitions' utilization series.
+  EXPECT_THROW(Cluster({Partition{"a", 8, 1.0}, Partition{"a", 8, 1.0}}),
+               std::invalid_argument);
+  EXPECT_THROW(Cluster({Partition{"a", 2, 1.0}, Partition{"b", 2, 1.0},
+                        Partition{"a", 2, 0.5}}),
+               std::invalid_argument);
+}
+
+/// The grant Cluster::allocate should commit, read off the owner table
+/// node by node: the lowest idle ids the grant may take, partition by
+/// partition in pack_partition_order for a spanning Pack grant.
+std::vector<int> owner_table_grant(const Cluster& cluster, int count,
+                                   int partition, AllocPolicy policy) {
+  const auto partition_of = [&](int id) {
+    return cluster.node_partitions()[static_cast<std::size_t>(id)];
+  };
+  std::vector<int> pools = {partition};
+  if (partition == kAnyPartition && policy == AllocPolicy::Pack) {
+    std::vector<int> idle(static_cast<std::size_t>(cluster.partition_count()));
+    for (int id = 0; id < cluster.size(); ++id) {
+      if (cluster.node(id).owner == kInvalidJob) {
+        ++idle[static_cast<std::size_t>(partition_of(id))];
+      }
+    }
+    pools = pack_partition_order(idle, count);
+  }
+  std::vector<int> grant;
+  for (int pool : pools) {
+    for (int id = 0; id < cluster.size(); ++id) {
+      if (static_cast<int>(grant.size()) == count) break;
+      if (cluster.node(id).owner == kInvalidJob &&
+          (pool == kAnyPartition || partition_of(id) == pool)) {
+        grant.push_back(id);
+      }
+    }
+  }
+  return grant;
+}
+
+TEST(Cluster, AllocateGrantsWhatTheOwnerTableGives) {
+  // Seeded allocate/release churn on three uneven partitions (one spans
+  // a 64-node bitmap word boundary), both policies, pinned and spanning
+  // grants.  grant_order walks the idle bitmap; the reference walks the
+  // owner table.
+  Cluster cluster({Partition{"a", 5, 1.0}, Partition{"b", 70, 1.0},
+                   Partition{"c", 9, 0.5}});
+  std::vector<std::pair<JobId, std::vector<int>>> held;
+  JobId next_job = 1;
+  std::uint64_t state = 12345;
+  const auto draw = [&state](int bound) {
+    state = state * 6364136223846793005ULL + 1442695040888963407ULL;
+    return static_cast<int>((state >> 33) % static_cast<std::uint64_t>(bound));
+  };
+  int grants = 0;
+  for (int op = 0; op < 2000; ++op) {
+    if (!held.empty() && draw(2) == 0) {
+      const auto victim =
+          static_cast<std::size_t>(draw(static_cast<int>(held.size())));
+      cluster.release(held[victim].first, held[victim].second);
+      held[victim] = std::move(held.back());
+      held.pop_back();
+      continue;
+    }
+    const int partition = draw(4) - 1;  // kAnyPartition, a, b or c
+    const AllocPolicy policy =
+        draw(2) == 0 ? AllocPolicy::LowestId : AllocPolicy::Pack;
+    const int available = partition == kAnyPartition
+                              ? cluster.idle()
+                              : cluster.idle_in(partition);
+    if (available == 0) continue;
+    const int count = 1 + draw(std::min(available, 12));
+    const std::vector<int> expected =
+        owner_table_grant(cluster, count, partition, policy);
+    const JobId job = next_job++;
+    held.emplace_back(job, cluster.allocate(job, count, partition, policy));
+    EXPECT_EQ(held.back().second, expected) << "op " << op;
+    ++grants;
+  }
+  EXPECT_GT(grants, 500);
 }
 
 TEST(Cluster, PartitionConstrainedAllocation) {
@@ -387,7 +511,7 @@ TEST(Cluster, DrainingCountTracksFlags) {
   cluster.set_draining({nodes[0], nodes[1]}, true);
   cluster.set_draining({nodes[1]}, true);  // idempotent
   EXPECT_EQ(cluster.draining_count(), 2);
-  const auto flags = cluster.draining_flags();
+  const auto& flags = cluster.node_draining();
   EXPECT_EQ(flags[0], 1);
   EXPECT_EQ(flags[2], 0);
   cluster.release(1, {nodes[0]});
@@ -396,23 +520,40 @@ TEST(Cluster, DrainingCountTracksFlags) {
   EXPECT_EQ(cluster.draining_count(), 0);
 }
 
-ScheduleView heterogeneous_view(double now) {
-  // 4 fast nodes (0-3), 2 slow nodes (4-5), all idle.
-  ScheduleView view;
-  view.now = now;
-  view.idle_nodes = 6;
-  view.node_partition = {0, 0, 0, 0, 1, 1};
-  view.idle_per_partition = {4, 2};
-  view.idle_node_ids = {0, 1, 2, 3, 4, 5};
-  return view;
-}
+/// The tables a heterogeneous view reads: 4 fast nodes (0-3) and 2 slow
+/// nodes (4-5), of which `idle` are idle.
+struct FastSlowTables {
+  static constexpr int kNodePartition[] = {0, 0, 0, 0, 1, 1};
+  int idle_nodes = 0;
+  int idle_per_partition[2] = {0, 0};
+  std::uint64_t idle_bits = 0;
+
+  explicit FastSlowTables(std::initializer_list<int> idle) {
+    for (int id : idle) {
+      ++idle_nodes;
+      ++idle_per_partition[kNodePartition[id]];
+      idle_bits |= std::uint64_t(1) << id;
+    }
+  }
+
+  ScheduleView view(double now) const {
+    ScheduleView view;
+    view.now = now;
+    view.idle_nodes = idle_nodes;
+    view.node_partition = kNodePartition;
+    view.idle_per_partition = idle_per_partition;
+    view.idle_bits = {&idle_bits, 1};
+    return view;
+  }
+};
 
 TEST(Scheduler, PartitionConstrainedJobWaitsForItsPartition) {
   // The slow partition only has 2 nodes: a 3-node job pinned there must
   // not start even though the cluster has 6 idle nodes overall.
   Job pinned = make_job(1, 3, 0.0);
   pinned.partition = 1;
-  ScheduleView view = heterogeneous_view(10.0);
+  const FastSlowTables tables({0, 1, 2, 3, 4, 5});
+  ScheduleView view = tables.view(10.0);
   const Job* const queue[] = {&pinned};
   view.pending = queue;
   EXPECT_TRUE(schedule_pass(view, SchedulerConfig{}).empty());
@@ -435,13 +576,12 @@ TEST(Scheduler, DisjointPartitionBackfillsPastBlockedHead) {
   other.partition = 1;
   other.spec.time_limit = 100000.0;
 
-  ScheduleView view = heterogeneous_view(10.0);
-  view.idle_nodes = 2;
-  view.idle_per_partition = {0, 2};
-  view.idle_node_ids = {4, 5};
+  const FastSlowTables tables({4, 5});
+  ScheduleView view = tables.view(10.0);
   const Job* const queue[] = {&head, &other};
   view.pending = queue;
-  view.running = {&hog};
+  const Job* const running_jobs[] = {&hog};
+  view.running = running_jobs;
   const auto started = schedule_pass(view, SchedulerConfig{});
   ASSERT_EQ(started.size(), 1u);
   EXPECT_EQ(started[0]->id, 2);
@@ -465,13 +605,12 @@ TEST(Scheduler, SpanningJobChargedAgainstHeadPoolWindow) {
   Job spanning = make_job(2, 2, 2.0);
   spanning.spec.time_limit = 100000.0;  // far past the shadow
 
-  ScheduleView view = heterogeneous_view(10.0);
-  view.idle_nodes = 2;
-  view.idle_per_partition = {0, 2};
-  view.idle_node_ids = {4, 5};
+  const FastSlowTables tables({4, 5});
+  ScheduleView view = tables.view(10.0);
   const Job* const queue[] = {&head, &spanning};
   view.pending = queue;
-  view.running = {&hog};
+  const Job* const running_jobs[] = {&hog};
+  view.running = running_jobs;
   const auto started = schedule_pass(view, SchedulerConfig{});
   ASSERT_EQ(started.size(), 1u);
   EXPECT_EQ(started[0]->id, 2);
@@ -486,11 +625,10 @@ TEST(Scheduler, ShadowTimePerPool) {
   hog.nodes = {0, 1, 2, 3};
   hog.partition = 0;
 
-  ScheduleView view = heterogeneous_view(10.0);
-  view.idle_nodes = 2;
-  view.idle_per_partition = {0, 2};
-  view.idle_node_ids = {4, 5};
-  view.running = {&hog};
+  const FastSlowTables tables({4, 5});
+  ScheduleView view = tables.view(10.0);
+  const Job* const running_jobs[] = {&hog};
+  view.running = running_jobs;
   int extra = -1;
   EXPECT_DOUBLE_EQ(shadow_time(view, 4, &extra, /*pool=*/0), 100.0);
   EXPECT_EQ(extra, 0);
@@ -501,13 +639,15 @@ TEST(Scheduler, ShadowTimePerPool) {
 TEST(Cluster, PackAllocationPicksBestFitPartition) {
   Cluster cluster({Partition{"a", 4, 1.0}, Partition{"b", 2, 1.0},
                    Partition{"c", 8, 1.0}});
-  cluster.set_alloc_policy(AllocPolicy::Pack);
+  constexpr AllocPolicy kPack = AllocPolicy::Pack;
   // 2 nodes fit whole into the fullest partition that holds them: b.
-  EXPECT_EQ(cluster.allocate(1, 2), (std::vector<int>{4, 5}));
+  EXPECT_EQ(cluster.allocate(1, 2, kAnyPartition, kPack),
+            (std::vector<int>{4, 5}));
   // 3 nodes now best-fit a (4 idle beats c's 8).
-  EXPECT_EQ(cluster.allocate(2, 3), (std::vector<int>{0, 1, 2}));
+  EXPECT_EQ(cluster.allocate(2, 3, kAnyPartition, kPack),
+            (std::vector<int>{0, 1, 2}));
   // 9 nodes fit nowhere whole: span descending idle — c (8), then a (1).
-  EXPECT_EQ(cluster.allocate(3, 9),
+  EXPECT_EQ(cluster.allocate(3, 9, kAnyPartition, kPack),
             (std::vector<int>{6, 7, 8, 9, 10, 11, 12, 13, 3}));
 }
 
@@ -519,15 +659,16 @@ TEST(Cluster, PackKeepsWholePartitionsFreeForPinnedJobs) {
   EXPECT_THROW(fragmented.allocate(2, 4, 0), std::runtime_error);
   // Pack routes the spanning grant into the slow pair instead.
   Cluster packed({Partition{"fast", 4, 1.0}, Partition{"slow", 2, 0.5}});
-  packed.set_alloc_policy(AllocPolicy::Pack);
-  EXPECT_EQ(packed.allocate(1, 2), (std::vector<int>{4, 5}));
-  EXPECT_EQ(packed.allocate(2, 4, 0), (std::vector<int>{0, 1, 2, 3}));
+  EXPECT_EQ(packed.allocate(1, 2, kAnyPartition, AllocPolicy::Pack),
+            (std::vector<int>{4, 5}));
+  EXPECT_EQ(packed.allocate(2, 4, 0, AllocPolicy::Pack),
+            (std::vector<int>{0, 1, 2, 3}));
 }
 
 TEST(Cluster, PackConstrainedGrantsUnchanged) {
   Cluster cluster({Partition{"fast", 4, 1.0}, Partition{"slow", 2, 0.5}});
-  cluster.set_alloc_policy(AllocPolicy::Pack);
-  EXPECT_EQ(cluster.allocate(1, 2, 0), (std::vector<int>{0, 1}));
+  EXPECT_EQ(cluster.allocate(1, 2, 0, AllocPolicy::Pack),
+            (std::vector<int>{0, 1}));
 }
 
 TEST(Scheduler, PackPolicyLetsPinnedJobStartBehindSpanningOne) {
@@ -539,17 +680,15 @@ TEST(Scheduler, PackPolicyLetsPinnedJobStartBehindSpanningOne) {
   Job pinned = make_job(2, 4, 1.0);
   pinned.partition = 0;
 
-  ScheduleView lowest_view = heterogeneous_view(10.0);
-  const Job* const lowest_queue[] = {&spanning, &pinned};
-  lowest_view.pending = lowest_queue;
-  EXPECT_EQ(schedule_pass(lowest_view, SchedulerConfig{}).size(), 1u);
+  const FastSlowTables tables({0, 1, 2, 3, 4, 5});
+  const Job* const queue[] = {&spanning, &pinned};
+  ScheduleView view = tables.view(10.0);
+  view.pending = queue;
+  EXPECT_EQ(schedule_pass(view, SchedulerConfig{}).size(), 1u);
 
-  ScheduleView pack_view = heterogeneous_view(10.0);
-  const Job* const pack_queue[] = {&spanning, &pinned};
-  pack_view.pending = pack_queue;
   SchedulerConfig pack_config;
   pack_config.alloc = AllocPolicy::Pack;
-  const auto started = schedule_pass(pack_view, pack_config);
+  const auto started = schedule_pass(view, pack_config);
   ASSERT_EQ(started.size(), 2u);
   EXPECT_EQ(started[0]->id, 1);
   EXPECT_EQ(started[1]->id, 2);
@@ -570,7 +709,8 @@ TEST(Scheduler, ShadowTimeComputation) {
   ScheduleView view;
   view.now = 10.0;
   view.idle_nodes = 2;
-  view.running = {&r1, &r2};
+  const Job* const running_jobs[] = {&r1, &r2};
+  view.running = running_jobs;
   int extra = -1;
   EXPECT_DOUBLE_EQ(shadow_time(view, 6, &extra), 50.0);
   EXPECT_EQ(extra, 0);
