@@ -6,6 +6,8 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <random>
+#include <vector>
 
 #include "dmr/manager.hpp"
 #include "dmr/redist.hpp"
@@ -247,6 +249,53 @@ BENCHMARK(BM_AdvanceSteps)
     ->Args({0, 1})
     ->Args({1, 0})
     ->Args({1, 1});
+
+// The CG shape of BM_AdvanceSteps with what a workload varies from one
+// event to the next drawn from a seeded sequence: the clock, how far the
+// inhibitor's window has run (so the first open step falls anywhere from
+// the next one to ~273 ahead) and the steps left.  Replaying one input,
+// as BM_AdvanceSteps does, lets the branch predictor learn the search's
+// path; 4096 drawn inputs, cycled, do not.
+void BM_AdvanceStepsDrawn(benchmark::State& state) {
+  const bool loop = state.range(0) == 1;
+  const apps::AppModel model = apps::cg_model();
+  const double step = model.step_seconds(32);
+  struct Draw {
+    double now;
+    double since_check;
+    int skipped;
+  };
+  std::vector<Draw> draws(4096);
+  std::mt19937_64 rng(2017);
+  for (Draw& draw : draws) {
+    draw.now = std::uniform_real_distribution<double>(600.0, 1e5)(rng);
+    draw.since_check =
+        std::uniform_real_distribution<double>(0.0, model.sched_period)(rng);
+    draw.skipped =
+        std::uniform_int_distribution<int>(1, model.iterations - 1)(rng);
+  }
+  std::size_t next = 0;
+  std::int64_t steps = 0;
+  for (auto _ : state) {
+    const Draw& draw = draws[next];
+    next = (next + 1) % draws.size();
+    Inhibitor inhibitor(model.sched_period);
+    inhibitor.allow(draw.now - draw.since_check);
+    drv::StepRun run{draw.now + step, 0};
+    if (loop) {
+      while (run.steps < draw.skipped && !inhibitor.would_allow(run.at)) {
+        run.at += step;
+        ++run.steps;
+      }
+    } else {
+      run = drv::advance_steps(run.at, step, draw.skipped, &inhibitor);
+    }
+    benchmark::DoNotOptimize(run);
+    steps += run.steps;
+  }
+  state.SetItemsProcessed(steps);
+}
+BENCHMARK(BM_AdvanceStepsDrawn)->ArgNames({"loop"})->Arg(0)->Arg(1);
 
 void BM_FeitelsonGenerate(benchmark::State& state) {
   wl::FeitelsonParams params;

@@ -8,6 +8,8 @@
 // application model's sched_period).
 #pragma once
 
+#include <limits>
+
 namespace dmr {
 
 class Inhibitor {
@@ -19,6 +21,17 @@ class Inhibitor {
   /// callers test upcoming checks with it.
   bool would_allow(double now) const {
     return period_ <= 0.0 || !(armed_ && now - last_ < period_);
+  }
+
+  /// When the window the last granted check armed closes: last + period
+  /// while armed, -infinity while every check goes through.  The sum is
+  /// rounded (to +infinity when it overflows) and would_allow rounds
+  /// now - last, so the first time would_allow lets through can lie a
+  /// rounding either side of it: callers aim their would_allow tests with
+  /// it, they do not replace them.
+  double reopens_at() const {
+    return armed_ ? last_ + period_
+                  : -std::numeric_limits<double>::infinity();
   }
 
   /// Returns true when a check at `now` is allowed; a granted check arms

@@ -1,10 +1,14 @@
 #include "apps/models.hpp"
 
+#include <algorithm>
+#include <array>
 #include <cmath>
 
 namespace dmr::apps {
 
-double cg_speedup(int nprocs) {
+namespace {
+
+double cg_speedup_curve(int nprocs) {
   // Calibrated to the scalability study of Section IX-A: best at 32
   // procs, "sweet spot" at 8 — each doubling past 8 gains < 10%
   // (8 -> 16: 9.2%, 16 -> 32: 6.9%).  Interpolated in log2(p) between the
@@ -26,6 +30,21 @@ double cg_speedup(int nprocs) {
     }
   }
   return kPoints[5].s;
+}
+
+}  // namespace
+
+double cg_speedup(int nprocs) {
+  // Every step a CG or Jacobi job runs reads the curve: evaluate it once
+  // per process count up to 32, where it turns flat.
+  static const std::array<double, 33> kTable = [] {
+    std::array<double, 33> table{};
+    for (int p = 0; p <= 32; ++p) {
+      table[static_cast<std::size_t>(p)] = cg_speedup_curve(p);
+    }
+    return table;
+  }();
+  return kTable[static_cast<std::size_t>(std::clamp(nprocs, 0, 32))];
 }
 
 double nbody_speedup(int nprocs) {

@@ -97,12 +97,26 @@ StepRun advance_steps(double at, double step, int n,
       continue;
     }
     // would_allow(t) tests fl(t - last) >= period, which is monotone in
-    // t: bisect for the first sum it lets through (sum(0) = at is not).
+    // t, so one sum in (0, take] is the first it lets through (sum(0) =
+    // at is not).  Aim at the first sum that reaches the reopening time,
+    // clamped into [1, take] (the estimate may be <= 0, past take or
+    // infinite); rounding can put the answer next to it, so walk down
+    // while the probe is let through and up while it is not, and bisect
+    // what is left if two steps do not settle it.
     int below = 0;
     int above = take;
-    while (above - below > 1) {
-      const int mid = below + (above - below) / 2;
-      (allows(sum(mid)) ? above : below) = mid;
+    const double ahead = std::ceil((inhibitor->reopens_at() - at) / per_step);
+    int probe = 1;
+    if (ahead >= static_cast<double>(take)) {
+      probe = take;
+    } else if (ahead > 1.0) {
+      probe = static_cast<int>(ahead);
+    }
+    for (int walked = 0; above - below > 1; ++walked) {
+      if (walked > 2) probe = below + (above - below) / 2;
+      const bool open = allows(sum(probe));
+      (open ? above : below) = probe;
+      probe += open ? -1 : 1;
     }
     return {sum(above), k + above};
   }
@@ -294,25 +308,22 @@ void WorkloadDriver::on_started(const rms::Job& job) {
 }
 
 void WorkloadDriver::begin_execution(Exec& exec) {
-  double delay = 0.0;
-  if (exec.plan.flexible) delay = reconfiguring_point(exec);
-  proceed_after_check(exec, delay);
+  proceed_after_check(exec, exec.plan.flexible ? reconfiguring_point(exec)
+                                               : Resume{});
 }
 
-void WorkloadDriver::proceed_after_check(Exec& exec, double delay) {
-  if (delay <= 0.0) {
-    // No redistribution to pay for; a zero-cost shrink (no modeled state)
-    // still completes its drain before the next step.  A rigid job never
-    // negotiates, so it can never have a pending shrink — skip the
-    // (mutex-guarded) no-op on the archive replay's hot path.
-    if (exec.plan.flexible) exec.engine->complete_shrink();
+void WorkloadDriver::proceed_after_check(Exec& exec, Resume resume) {
+  if (resume.delay <= 0.0) {
+    // Nothing to pay for; a shrink still completes its drain before the
+    // next step.
+    if (resume.drain) exec.engine->complete_shrink();
     schedule_step(exec);
     return;
   }
-  engine_.schedule_after(delay, [this, &exec] {
+  engine_.schedule_after(resume.delay, [this, &exec, drain = resume.drain] {
     // A shrink's draining nodes are released once the redistribution
-    // (the modeled delay) completes; no-op otherwise.
-    exec.engine->complete_shrink();
+    // (the modeled delay) completes.
+    if (drain) exec.engine->complete_shrink();
     schedule_step(exec);
   });
 }
@@ -345,9 +356,8 @@ void WorkloadDriver::finish_step(Exec& exec) {
     exec.session->finish();
     return;
   }
-  double delay = 0.0;
-  if (exec.plan.flexible) delay = reconfiguring_point(exec);
-  proceed_after_check(exec, delay);
+  proceed_after_check(exec, exec.plan.flexible ? reconfiguring_point(exec)
+                                               : Resume{});
 }
 
 double WorkloadDriver::apply_outcome(Exec& exec, rms::Outcome& outcome) {
@@ -386,7 +396,7 @@ double WorkloadDriver::apply_outcome(Exec& exec, rms::Outcome& outcome) {
          outcome.redistribution_seconds;
 }
 
-double WorkloadDriver::reconfiguring_point(Exec& exec) {
+WorkloadDriver::Resume WorkloadDriver::reconfiguring_point(Exec& exec) {
   // The negotiate/defer/apply protocol is the shared engine's job; the
   // driver only prices the result in virtual time.  The asynchronous
   // call overlaps negotiation with the next step, so the per-check
@@ -394,10 +404,14 @@ double WorkloadDriver::reconfiguring_point(Exec& exec) {
   auto outcome = exec.engine->check(
       config_.asynchronous ? ::dmr::Mode::Async : ::dmr::Mode::Sync,
       exec.plan.model.request);
-  if (!outcome) return 0.0;  // inhibited: the RMS was never contacted
+  if (!outcome) return {};  // inhibited: the RMS was never contacted
   const double overhead =
       config_.asynchronous ? 0.0 : config_.check_overhead_seconds;
-  return overhead + apply_outcome(exec, *outcome);
+  // The engine leaves exactly such a shrink pending until its drain
+  // completes.
+  const bool drain =
+      outcome->action == rms::Action::Shrink && !outcome->aborted;
+  return {overhead + apply_outcome(exec, *outcome), drain};
 }
 
 void WorkloadDriver::collect_cluster_metrics(WorkloadMetrics& metrics,

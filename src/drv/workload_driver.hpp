@@ -15,9 +15,9 @@
 // advance_steps, to the bit the clock one addition per step would reach:
 // within the clock's binade each addition adds the same multiple of its
 // ulp, so a run of them is one exact multiply-add, the first step the
-// inhibitor lets through is found by bisection, and a tie, a zero, tiny
-// or non-finite clock, or the addition that leaves the binade is one
-// plain addition.
+// inhibitor lets through is estimated from its reopening time and then
+// checked, and a tie, a zero, tiny or non-finite clock, or the addition
+// that leaves the binade is one plain addition.
 //
 // The driver talks to a fed::Federation — one member cluster by default
 // (built from DriverConfig::rms, behaviourally identical to driving the
@@ -87,7 +87,10 @@ struct StepRun {
 ///     at += step;
 ///     ++k;
 ///   }
-/// in O(binades crossed + log n) instead of n dependent additions.
+/// in O(binades crossed) instead of n dependent additions: the step
+/// that reopens the inhibitor is estimated from Inhibitor::reopens_at and
+/// confirmed by would_allow on it and its neighbours, with a bisection
+/// (O(log n)) left for an estimate two steps do not settle.
 StepRun advance_steps(double at, double step, int n,
                       const ::dmr::Inhibitor* inhibitor);
 
@@ -196,21 +199,28 @@ class WorkloadDriver : private obs::Sink {
   void schedule_arrival(Exec& exec);
   void submit(Exec& exec);
   void on_started(const rms::Job& job);
+  /// What a reconfiguring point leaves to do before the next step.
+  struct Resume {
+    /// Seconds before the next step may start (0 when no action).
+    double delay = 0.0;
+    /// A shrink began: its drain completes once the delay is paid.
+    bool drain = false;
+  };
+
   /// First reconfiguring point, right after the allocation (Listing 2
   /// checks at the top of the very first iteration: jobs submitted at
   /// their maximum are "scaled-down as soon as possible").
   void begin_execution(Exec& exec);
-  /// Continue after a reconfiguring point: pay `delay`, finish a pending
-  /// shrink, then run the next step.
-  void proceed_after_check(Exec& exec, double delay);
+  /// Continue after a reconfiguring point: pay the delay, complete the
+  /// drain of a shrink the point began, then run the next step.
+  void proceed_after_check(Exec& exec, Resume resume);
   /// Schedule the end of the next step that reaches a check the
   /// inhibitor lets through, or of the last step, skipping the steps
   /// before it.
   void schedule_step(Exec& exec);
   void finish_step(Exec& exec);
-  /// Runs the reconfiguring point; returns the delay before the next
-  /// step may start (0 when no action).
-  double reconfiguring_point(Exec& exec);
+  /// Runs the reconfiguring point.
+  Resume reconfiguring_point(Exec& exec);
   /// Prices the outcome's data movement and stamps its redistribution
   /// fields from the modeled redist::Report.
   double apply_outcome(Exec& exec, rms::Outcome& outcome);

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <limits>
+#include <optional>
 
 #include "obs/attr.hpp"
 
@@ -147,7 +148,37 @@ struct CriticalRelease {
   bool draining = false;
 };
 
-CriticalRelease blocking_release(const IdlePool& idle, int needed, int pool) {
+/// One pool's expected releases after the pass, sorted by (time, id) so
+/// the named blocker is deterministic, and the nodes idle there.  The
+/// diagnosis does not change the pool, so each pool's list is built and
+/// sorted once per pass and read for every job left waiting there.
+class PoolReleases {
+ public:
+  PoolReleases(const IdlePool& idle, int pool) {
+    releases_.reserve((idle.view->running.size() + idle.started.size()) * 2);
+    idle_ = walk_releases(
+        idle, pool, [&](double time, const Job& job, int nodes, bool draining) {
+          releases_.push_back(Release{time, job.id, &job, nodes, draining});
+        });
+    std::sort(releases_.begin(), releases_.end(),
+              [](const Release& a, const Release& b) {
+                return a.time != b.time ? a.time < b.time : a.id < b.id;
+              });
+  }
+
+  CriticalRelease blocking(int needed) const {
+    int free_nodes = idle_;
+    if (free_nodes >= needed) return {};
+    for (const Release& release : releases_) {
+      free_nodes += release.nodes;
+      if (free_nodes >= needed) {
+        return CriticalRelease{release.owner, release.draining};
+      }
+    }
+    return {};
+  }
+
+ private:
   struct Release {
     double time;
     JobId id;
@@ -155,26 +186,9 @@ CriticalRelease blocking_release(const IdlePool& idle, int needed, int pool) {
     int nodes;
     bool draining;
   };
-  std::vector<Release> releases;
-  releases.reserve((idle.view->running.size() + idle.started.size()) * 2);
-  int free_nodes = walk_releases(
-      idle, pool, [&](double time, const Job& job, int nodes, bool draining) {
-        releases.push_back(Release{time, job.id, &job, nodes, draining});
-      });
-  if (free_nodes >= needed) return {};
-  // Ties break by job id so the named blocker is deterministic.
-  std::sort(releases.begin(), releases.end(),
-            [](const Release& a, const Release& b) {
-              return a.time != b.time ? a.time < b.time : a.id < b.id;
-            });
-  for (const Release& release : releases) {
-    free_nodes += release.nodes;
-    if (free_nodes >= needed) {
-      return CriticalRelease{release.owner, release.draining};
-    }
-  }
-  return {};
-}
+  std::vector<Release> releases_;
+  int idle_ = 0;
+};
 
 /// shadow_time after the pass's starts so far.
 double shadow_after(const IdlePool& idle, int needed, int* extra_nodes,
@@ -239,23 +253,28 @@ std::vector<const Job*> schedule_pass(const ScheduleView& view,
   if (config.backfill) {
     // EASY reservation for the blocked head job, computed in the head's
     // eligible pool (its partition, or the whole cluster when
-    // unconstrained), after the starts so far: jobs we just chose to
-    // start have unknown end times only through their limits, so they
-    // count as running from `now`.
+    // unconstrained), after the FCFS starts: jobs we just chose to start
+    // have unknown end times only through their limits, so they count as
+    // running from `now`.  Only a later job that fits reads it, so it is
+    // computed when the first one is found, before any backfill start.
     const int head_pool = view.heterogeneous() ? head_job->partition : -1;
-    int extra_at_shadow = 0;
-    const double shadow = shadow_after(pool, head_job->requested_nodes,
-                                       &extra_at_shadow, head_pool);
+    bool reserved = false;
+    double shadow = 0.0;
 
     // Backfill: later jobs may start now if they fit and cannot delay the
     // head — they complete before the shadow time, draw from a partition
     // disjoint from the head's pool, or take no more of the head's pool
     // than the backfill window (the nodes beyond the head's need free at
     // the shadow time).
-    int backfill_window = extra_at_shadow;
+    int backfill_window = 0;
     for (std::size_t i = head + 1; i < queue.size(); ++i) {
       const Job* job = queue[i];
       if (!pool.fits(*job)) continue;
+      if (!reserved) {
+        shadow = shadow_after(pool, head_job->requested_nodes,
+                              &backfill_window, head_pool);
+        reserved = true;
+      }
       const bool disjoint = head_pool >= 0 && job->partition >= 0 &&
                             job->partition != head_pool;
       const bool ends_before_shadow =
@@ -275,11 +294,19 @@ std::vector<const Job*> schedule_pass(const ScheduleView& view,
 
   if (blocked != nullptr) {
     // Diagnose every job still pending against the post-pass state (the
-    // same convention as the shadow computation).
+    // same convention as the shadow computation).  The pass started the
+    // jobs from the head on in queue order, so one cursor over its starts
+    // skips them.
     const std::vector<const Job*>& started = pool.started;
+    std::size_t next_start = head;
+    // Per pool (slot 0 the whole cluster, 1 + p partition p), its sorted
+    // releases, built on the first job diagnosed there.
+    std::vector<std::optional<PoolReleases>> releases(
+        1 + view.idle_per_partition.size());
     for (std::size_t i = head; i < queue.size(); ++i) {
       const Job* job = queue[i];
-      if (std::find(started.begin(), started.end(), job) != started.end()) {
+      if (next_start < started.size() && started[next_start] == job) {
+        ++next_start;
         continue;
       }
       BlockDiag diag;
@@ -292,8 +319,10 @@ std::vector<const Job*> schedule_pass(const ScheduleView& view,
         diag.blocker = head_job->id;
       } else {
         const int job_pool = view.heterogeneous() ? job->partition : -1;
-        const CriticalRelease crit =
-            blocking_release(pool, job->requested_nodes, job_pool);
+        std::optional<PoolReleases>& in_pool =
+            releases[static_cast<std::size_t>(1 + job_pool)];
+        if (!in_pool) in_pool.emplace(pool, job_pool);
+        const CriticalRelease crit = in_pool->blocking(job->requested_nodes);
         if (job_pool >= 0 && pool.idle_total >= job->requested_nodes) {
           // The cluster could hold it; the pinned partition cannot.
           diag.cause = obs::BlockReason::kPartitionPinned;

@@ -4,8 +4,11 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <mutex>
+#include <utility>
 
 #include "apps/cg.hpp"
 #include "apps/flexible_sleep.hpp"
@@ -356,6 +359,49 @@ TEST(Models, CgSpeedupShape) {
   EXPECT_LT(cg_speedup(32) / cg_speedup(16), 1.10);
   // But healthy scaling below 8.
   EXPECT_GT(cg_speedup(8) / cg_speedup(4), 1.5);
+}
+
+/// cg_speedup as it was before it read a table: the log2 interpolation
+/// evaluated on every call.
+double cg_speedup_formula(int nprocs) {
+  static constexpr struct {
+    int p;
+    double s;
+  } kPoints[] = {{1, 1.0}, {2, 1.9}, {4, 3.6},
+                 {8, 6.0}, {16, 6.55}, {32, 7.0}};
+  if (nprocs <= 1) return 1.0;
+  if (nprocs >= 32) return kPoints[5].s;
+  for (int i = 1; i < 6; ++i) {
+    if (nprocs <= kPoints[i].p) {
+      const double x0 = std::log2(static_cast<double>(kPoints[i - 1].p));
+      const double x1 = std::log2(static_cast<double>(kPoints[i].p));
+      const double x = std::log2(static_cast<double>(nprocs));
+      const double w = (x - x0) / (x1 - x0);
+      return kPoints[i - 1].s * (1.0 - w) + kPoints[i].s * w;
+    }
+  }
+  return kPoints[5].s;
+}
+
+TEST(Models, CgSpeedupTableMatchesFormulaBitForBit) {
+  for (int p = -2; p <= 64; ++p) {
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(cg_speedup(p)),
+              std::bit_cast<std::uint64_t>(cg_speedup_formula(p)))
+        << "p " << p;
+  }
+}
+
+TEST(Models, CgAndJacobiStepTimesUnchanged) {
+  // The models divide the work at 32 processes by the speedup at p.
+  for (const auto& [model, step32] :
+       {std::pair{cg_model(), 0.055}, std::pair{jacobi_model(), 0.050}}) {
+    const double work = step32 * cg_speedup_formula(32);
+    for (int p = 1; p <= 32; ++p) {
+      EXPECT_EQ(std::bit_cast<std::uint64_t>(model.step_seconds(p)),
+                std::bit_cast<std::uint64_t>(work / cg_speedup_formula(p)))
+          << model.name << " at " << p;
+    }
+  }
 }
 
 TEST(Models, NbodyNearlyFlat) {

@@ -435,4 +435,269 @@ TEST(AdvanceSteps, MatchesStepByStepLoop) {
   EXPECT_EQ(mismatches, 0u) << "of " << kCases << " cases";
 }
 
+// --- the search for the step that reopens the inhibitor ---------------------
+
+/// advance_steps as it was before it aimed at Inhibitor::reopens_at: a
+/// bisection over each binade's sums for the first one the inhibitor lets
+/// through.  Kept as the oracle for runs too long for step_by_step.
+drv::StepRun bisection_reference(double at, double step, int n,
+                                 const Inhibitor* inhibitor) {
+  using Limits = std::numeric_limits<double>;
+  const auto allows = [inhibitor](double t) {
+    return inhibitor != nullptr && inhibitor->would_allow(t);
+  };
+  // The additions of `step` that stay in at's binade, each adding
+  // per_step exactly (take == 0: the next one is a plain addition).
+  const auto binade_run = [](double at, double step, int limit) {
+    struct {
+      double per_step = 0.0;
+      int take = 0;
+    } run;
+    if (!(at >= 0x1p-971 && at <= Limits::max() && step >= 0.0)) return run;
+    constexpr std::uint64_t kMantissa = (std::uint64_t(1) << 52) - 1;
+    const auto bits = std::bit_cast<std::uint64_t>(at);
+    const double lo = std::bit_cast<double>(bits & ~kMantissa);
+    const double u = lo * 0x1p-52;
+    const auto room =
+        static_cast<std::int64_t>(kMantissa + 1 - (bits & kMantissa));
+    if (!(step < static_cast<double>(room) * u)) return run;
+    const double inverse_u =
+        std::bit_cast<double>((std::uint64_t(2098) - (bits >> 52)) << 52);
+    const double units = step * inverse_u;
+    const double stride = (units + 0x1p52) - 0x1p52;
+    if (std::abs(units - stride) == 0.5) return run;
+    run.per_step = stride * u;
+    if (static_cast<double>(limit) * stride < static_cast<double>(room)) {
+      run.take = limit;
+    } else {
+      run.take = static_cast<int>((room - 1) /
+                                  static_cast<std::int64_t>(stride));
+    }
+    return run;
+  };
+  int k = 0;
+  while (k < n && !allows(at)) {
+    const auto [per_step, take] = binade_run(at, step, n - k);
+    if (take == 0) {
+      at += step;
+      ++k;
+      continue;
+    }
+    const auto sum = [&](int j) {
+      return at + static_cast<double>(j) * per_step;
+    };
+    if (!allows(sum(take))) {
+      at = sum(take);
+      k += take;
+      continue;
+    }
+    int below = 0;
+    int above = take;
+    while (above - below > 1) {
+      const int mid = below + (above - below) / 2;
+      (allows(sum(mid)) ? above : below) = mid;
+    }
+    return {sum(above), k + above};
+  }
+  return {at, k};
+}
+
+/// Where a case's reopening time lies against the step sum it aims at.
+enum class Aim {
+  kOnSum,
+  kUlpBelow,
+  kUlpAbove,
+  kRoundsAcross,
+  kCoarse,  // no period makes last + period round to the aimed time
+  kOverflow
+};
+
+struct ReopenCase {
+  double at = 0.0;
+  double step = 0.0;
+  int n = 0;
+  Inhibitor inhibitor;
+  Aim aim = Aim::kOnSum;
+};
+
+/// Case `i` of the seeded sweep around the reopening time: an inhibitor
+/// armed so that last + period lands on the sum some step ahead, or an
+/// ulp either side, from a last check on the clock's grid, one with finer
+/// bits (there the exact last + period can lie across the sum it rounds
+/// to) or one so far back that rounding spans many steps; one run in
+/// four is 2^18 to 2^20 steps long.
+ReopenCase reopen_case(std::mt19937_64& rng, std::uint64_t i) {
+  const auto uniform = [&rng](double lo, double hi) {
+    return std::uniform_real_distribution<double>(lo, hi)(rng);
+  };
+  const auto integer = [&rng](int lo, int hi) {
+    return std::uniform_int_distribution<int>(lo, hi)(rng);
+  };
+  ReopenCase c;
+  switch (i % 4) {
+    case 0:  // a simulated clock
+      c.at = uniform(1e-3, 1e5);
+      break;
+    case 1:  // an SWF-epoch clock, ulp 2^-21 s
+      c.at = 0x1p31 + uniform(0.0, 1e6);
+      break;
+    case 2: {  // a few ulps below a power of two: the run crosses it
+      c.at = std::ldexp(1.0, integer(-30, 60));
+      for (int j = integer(1, 8); j > 0; --j) c.at = std::nextafter(c.at, 0.0);
+      break;
+    }
+    default:  // any normal binade
+      c.at = std::ldexp(uniform(1.0, 2.0), integer(-900, 1000));
+      break;
+  }
+  const double u = ulp_of(c.at);
+  switch ((i / 4) % 3) {
+    case 0:  // a step in seconds, scaled across binades
+      c.step = std::ldexp(uniform(1e-3, 100.0), integer(-20, 20));
+      break;
+    case 1:  // a whole number of ulps and a fraction
+      c.step = (integer(1, 1 << 16) + uniform(0.0, 1.0)) * u;
+      break;
+    default:  // Table I's step times
+      c.step = uniform(0.005, 0.1);
+      break;
+  }
+  c.n = (i / 12) % 4 == 0 ? integer(1 << 18, 1 << 20)
+        : (i / 12) % 4 == 1 ? integer(1, 512)
+                            : integer(513, 4096);
+  const double sum =
+      bisection_reference(c.at, c.step, integer(1, c.n), nullptr).at;
+  const int side = integer(-1, 1);
+  const double reopen =
+      side == 0 ? sum
+                : std::nextafter(sum, side * std::numeric_limits<double>::max());
+  // The last granted check: some steps back on the clock's grid, a
+  // small clock with bits far finer than the sum's, or far enough before
+  // the clock's zero that the period's ulp, and with it the rounding of
+  // last + period and of would_allow's t - last, spans many steps.
+  double last = 0.0;
+  switch ((i / 48) % 3) {
+    case 0:
+      last = c.at - c.step * uniform(0.0, 4.0);
+      break;
+    case 1:
+      last = uniform(-1.0, 1.0) * std::min(1.0, c.at);
+      break;
+    default:
+      last = -std::ldexp(std::max(c.at, c.step), integer(0, 60));
+      break;
+  }
+  // A period that makes last + period round to `reopen`, where a few
+  // ulps of search find one.
+  double period = reopen - last;
+  for (int tries = 0; tries < 4 && last + period != reopen; ++tries) {
+    period = std::nextafter(period, last + period < reopen
+                                        ? std::numeric_limits<double>::max()
+                                        : 0.0);
+  }
+  c.inhibitor = Inhibitor(period);
+  c.inhibitor.allow(last);
+  // Knuth's two-sum: the rounding error of last + period.
+  const double rounded = last + period;
+  const double back = rounded - last;
+  const double error = (last - (rounded - back)) + (period - back);
+  if (rounded != reopen) {
+    c.aim = Aim::kCoarse;
+  } else if (side == 0) {
+    c.aim = error != 0.0 ? Aim::kRoundsAcross : Aim::kOnSum;
+  } else {
+    c.aim = side < 0 ? Aim::kUlpBelow : Aim::kUlpAbove;
+  }
+  return c;
+}
+
+/// Case `i` whose reopening time overflows: last + period ties halfway
+/// between the largest double and 2^1024 and rounds to +infinity, while
+/// would_allow(max) rounds max - last up to the period and lets the
+/// largest double through (when the run reaches it), or a plain overflow
+/// that lets nothing through.
+ReopenCase overflow_case(std::mt19937_64& rng, std::uint64_t i) {
+  const auto integer = [&rng](int lo, int hi) {
+    return std::uniform_int_distribution<int>(lo, hi)(rng);
+  };
+  constexpr double kMax = std::numeric_limits<double>::max();
+  ReopenCase c;
+  c.aim = Aim::kOverflow;
+  const double u = 0x1p971;  // ulp of the top binade
+  c.step = integer(1, 64) * u + (i % 2 == 0 ? 0.0 : 0.25 * u);
+  const int ahead = integer(1, 4096);
+  c.at = kMax - ahead * std::round(c.step / u) * u;
+  c.n = ahead + integer(-2, 2);
+  double period = 0x1p1023 + 2.0 * integer(1, 1 << 20) * u;
+  double last = (kMax - period) + 0x1p970;
+  if (i % 3 == 2) {  // no finite time reopens it
+    period = kMax;
+    last = std::ldexp(1.0, integer(1000, 1023));
+  }
+  c.inhibitor = Inhibitor(period);
+  c.inhibitor.allow(last);
+  return c;
+}
+
+TEST(InhibitorPredicate, ReopensAtIsLastPlusPeriodWhileArmed) {
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  EXPECT_EQ(Inhibitor(15.0).reopens_at(), -kInf);  // never granted
+  Inhibitor disabled(0.0);
+  disabled.allow(3.0);
+  EXPECT_EQ(disabled.reopens_at(), -kInf);
+  Inhibitor armed(15.0);
+  armed.allow(0.1);
+  EXPECT_EQ(armed.reopens_at(), 0.1 + 15.0);
+  armed.allow(armed.reopens_at() + 1.0);
+  EXPECT_EQ(armed.reopens_at(), (0.1 + 15.0 + 1.0) + 15.0);
+  Inhibitor overflowing(std::numeric_limits<double>::max());
+  overflowing.allow(0x1p1023);
+  EXPECT_EQ(overflowing.reopens_at(), kInf);
+}
+
+TEST(AdvanceSteps, MatchesBisectionAroundTheReopeningTime) {
+  constexpr std::uint64_t kCases = 120'000;
+  constexpr std::uint64_t kOverflowCases = 3'000;
+  std::mt19937_64 rng(5150);
+  std::uint64_t mismatches = 0;
+  int aimed[6] = {};
+  int long_runs = 0;
+  int overflow_opened = 0;
+  for (std::uint64_t i = 0; i < kCases + kOverflowCases; ++i) {
+    const ReopenCase c = i < kCases ? reopen_case(rng, i)
+                                    : overflow_case(rng, i - kCases);
+    // The loop where it is quick, the bisection where it is not.
+    const drv::StepRun expected =
+        c.n <= 512 ? step_by_step(c.at, c.step, c.n, &c.inhibitor)
+                   : bisection_reference(c.at, c.step, c.n, &c.inhibitor);
+    const drv::StepRun actual =
+        drv::advance_steps(c.at, c.step, c.n, &c.inhibitor);
+    ++aimed[static_cast<int>(c.aim)];
+    long_runs += c.n >= (1 << 18) ? 1 : 0;
+    if (c.aim == Aim::kOverflow && c.inhibitor.would_allow(expected.at)) {
+      ++overflow_opened;
+    }
+    if (std::bit_cast<std::uint64_t>(actual.at) ==
+            std::bit_cast<std::uint64_t>(expected.at) &&
+        actual.steps == expected.steps) {
+      continue;
+    }
+    if (++mismatches <= 10) {
+      char text[240];
+      std::snprintf(text, sizeof(text),
+                    "case %llu: %a + %a * %d, reopening %a: %a after %d, "
+                    "reference %a after %d",
+                    static_cast<unsigned long long>(i), c.at, c.step, c.n,
+                    c.inhibitor.reopens_at(), actual.at, actual.steps,
+                    expected.at, expected.steps);
+      ADD_FAILURE() << text;
+    }
+  }
+  EXPECT_EQ(mismatches, 0u) << "of " << kCases + kOverflowCases << " cases";
+  // Every kind of aim recurs often enough to matter.
+  for (int a = 0; a < 6; ++a) EXPECT_GT(aimed[a], 1000) << "aim " << a;
+  EXPECT_GT(long_runs, 20000);
+  EXPECT_GT(overflow_opened, 1000);
+}
+
 }  // namespace

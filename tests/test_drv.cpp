@@ -6,9 +6,11 @@
 #include <cmath>
 #include <stdexcept>
 #include <string>
+#include <vector>
 
 #include "apps/models.hpp"
 #include "drv/workload_driver.hpp"
+#include "obs/event.hpp"
 #include "wl/feitelson.hpp"
 
 namespace {
@@ -155,6 +157,74 @@ TEST(Driver, QueuedJobTriggersShrinkOfRunningJob) {
   EXPECT_GE(metrics.shrinks, 1);
   // The rigid job must not wait for the hog's full 200 s runtime.
   EXPECT_LT(metrics.wait.max, 100.0);
+}
+
+/// Every shrink a job begins, and whether its drain completed before the
+/// job next reached the RMS or finished (its next step runs in between).
+struct DrainWatch final : obs::Sink {
+  struct Shrink {
+    rms::JobId job = rms::kInvalidJob;
+    double begun = 0.0;
+    double ended = -1.0;  // < 0 while draining
+  };
+  std::vector<Shrink> shrinks;
+  int late = 0;
+
+  obs::Interest interest() const override {
+    using K = obs::EventKind;
+    return obs::kinds(K::kShrinkBegun, K::kShrinkEnded, K::kNegotiateBegin,
+                      K::kApplyBegin, K::kFinished);
+  }
+  void on_event(const obs::Event& event) override {
+    Shrink* open = nullptr;
+    for (Shrink& shrink : shrinks) {
+      if (shrink.job == event.job && shrink.ended < 0.0) open = &shrink;
+    }
+    if (event.kind == obs::EventKind::kShrinkBegun) {
+      shrinks.push_back({event.job, event.now});
+    } else if (event.kind == obs::EventKind::kShrinkEnded) {
+      if (open != nullptr) open->ended = event.now;
+    } else if (open != nullptr) {
+      ++late;
+    }
+  }
+};
+
+TEST(Driver, ShrinkDrainCompletesBeforeTheNextStep) {
+  // The queued-job scenario with no state to move, through each path a
+  // shrink's drain takes: at once, when the check costs nothing (the
+  // cost model charges every resize its protocol latency, so only a
+  // check overhead that cancels it gets there), after the synchronous
+  // check's delay, and after the asynchronous point's.
+  struct Path {
+    const char* name;
+    bool asynchronous;
+    double check_overhead;
+  };
+  for (const Path& path : {Path{"at once", false, -10.0},
+                           Path{"sync", false, 0.05},
+                           Path{"async", true, 0.05}}) {
+    sim::Engine engine;
+    DriverConfig config = small_config(8);
+    config.asynchronous = path.asynchronous;
+    config.check_overhead_seconds = path.check_overhead;
+    WorkloadDriver driver(engine, config);
+    DrainWatch watch;
+    driver.attach(watch);
+    JobPlan hog = fs_plan(0.0, 8, 200.0, 20, /*flexible=*/true, 8);
+    hog.model.state_bytes = 0;
+    driver.add(hog);
+    driver.add(fs_plan(10.0, 4, 40.0, 2, /*flexible=*/false));
+    EXPECT_EQ(driver.run().jobs, 2) << path.name;
+    ASSERT_FALSE(watch.shrinks.empty()) << path.name;
+    for (const DrainWatch::Shrink& shrink : watch.shrinks) {
+      EXPECT_GE(shrink.ended, shrink.begun) << path.name;
+      if (path.check_overhead < 0.0) {
+        EXPECT_EQ(shrink.ended, shrink.begun) << path.name;
+      }
+    }
+    EXPECT_EQ(watch.late, 0) << path.name;
+  }
 }
 
 WorkloadMetrics run_fs_workload(int jobs, bool flexible, bool asynchronous,
