@@ -112,7 +112,7 @@ std::string timeline_from_driver(const drv::WorkloadDriver& driver,
 drv::WorkloadMetrics run_fs_workload(const FsWorkloadOptions& options) {
   sim::Engine engine;
   drv::WorkloadDriver driver(engine, fs_driver_config(options));
-  for (auto& plan : build_fs_plans(options)) driver.add(std::move(plan));
+  for (auto& plan : build_fs_plans(options)) driver.submit_at(std::move(plan));
   return driver.run();
 }
 
@@ -121,7 +121,7 @@ drv::WorkloadMetrics run_realistic_workload(
   sim::Engine engine;
   drv::WorkloadDriver driver(engine, realistic_driver_config(options));
   for (auto& plan : build_realistic_plans(options)) {
-    driver.add(std::move(plan));
+    driver.submit_at(std::move(plan));
   }
   return driver.run();
 }
@@ -130,7 +130,7 @@ std::string fs_timeline_chart(const FsWorkloadOptions& options,
                               std::size_t columns, std::size_t height) {
   sim::Engine engine;
   drv::WorkloadDriver driver(engine, fs_driver_config(options));
-  for (auto& plan : build_fs_plans(options)) driver.add(std::move(plan));
+  for (auto& plan : build_fs_plans(options)) driver.submit_at(std::move(plan));
   const auto metrics = driver.run();
   return timeline_from_driver(driver, metrics.makespan, columns, height);
 }
@@ -141,7 +141,7 @@ std::string realistic_timeline_chart(const RealisticWorkloadOptions& options,
   sim::Engine engine;
   drv::WorkloadDriver driver(engine, realistic_driver_config(options));
   for (auto& plan : build_realistic_plans(options)) {
-    driver.add(std::move(plan));
+    driver.submit_at(std::move(plan));
   }
   const auto metrics = driver.run();
   return timeline_from_driver(driver, metrics.makespan, columns, height);

@@ -195,7 +195,6 @@ void BM_DmrCheckFullStack(benchmark::State& state) {
     spec.name = "flex";
     spec.requested_nodes = 8;
     spec.min_nodes = 1;
-    spec.max_nodes = 64;
     const rms::JobId job = manager.submit(spec, 0.0);
     manager.schedule(0.0);
     rms::Request request;
@@ -211,19 +210,28 @@ BENCHMARK(BM_DmrCheckFullStack);
 // form (drv::advance_steps) or by the step-by-step loop it replaced
 // (loop:1), on two shapes: a rigid 25-step archive job (24 skipped
 // steps) and CG at 32 nodes (Table I: 0.055 s steps, 15 s inhibitor,
-// ~273 skipped steps up to each check that reaches the RMS).  The clock
-// carries over from call to call, as consecutive events carry it.
+// ~273 skipped steps up to each check that reaches the RMS).  Every call
+// starts from the same clock, so the calls are independent and a case
+// times what one call costs, not a chain of calls each waiting on the
+// clock the last one returned.  Replaying one input lets the branch
+// predictor learn the search's path: BM_AdvanceStepsDrawn is the case
+// with realistic inputs.
 void BM_AdvanceSteps(benchmark::State& state) {
   const bool cg = state.range(0) == 1;
   const bool loop = state.range(1) == 1;
   const apps::AppModel model = apps::cg_model();
-  double step = cg ? model.step_seconds(32) : 3.7;
-  int skipped = cg ? model.iterations - 1 : 24;
-  benchmark::DoNotOptimize(step);
-  benchmark::DoNotOptimize(skipped);
-  double now = cg ? 600.0 : 1.0e6;
+  // Inputs are read through volatiles, so the loop cannot be folded at
+  // compile time.  benchmark::DoNotOptimize would not do: under GCC 12,
+  // libbenchmark 1.7's "+m,r" constraint overwrites a double it is
+  // handed by reference.
+  volatile double step_in = cg ? model.step_seconds(32) : 3.7;
+  volatile int skipped_in = cg ? model.iterations - 1 : 24;
+  volatile double start = cg ? 600.0 : 1.0e6;
+  const double step = step_in;
+  const int skipped = skipped_in;
   std::int64_t steps = 0;
   for (auto _ : state) {
+    const double now = start;
     Inhibitor inhibitor(model.sched_period);
     if (cg) inhibitor.allow(now);
     const Inhibitor* stop = cg ? &inhibitor : nullptr;
@@ -238,7 +246,6 @@ void BM_AdvanceSteps(benchmark::State& state) {
       run = drv::advance_steps(now + step, step, skipped, stop);
     }
     benchmark::DoNotOptimize(run);
-    now = run.at;
     steps += run.steps;
   }
   state.SetItemsProcessed(steps);
@@ -255,7 +262,8 @@ BENCHMARK(BM_AdvanceSteps)
 // inhibitor's window has run (so the first open step falls anywhere from
 // the next one to ~273 ahead) and the steps left.  Replaying one input,
 // as BM_AdvanceSteps does, lets the branch predictor learn the search's
-// path; 4096 drawn inputs, cycled, do not.
+// path; 4096 drawn inputs, cycled, do not.  Read this case for what the
+// search costs a workload.
 void BM_AdvanceStepsDrawn(benchmark::State& state) {
   const bool loop = state.range(0) == 1;
   const apps::AppModel model = apps::cg_model();

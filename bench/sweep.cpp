@@ -303,7 +303,7 @@ std::string run_scenario(const Scenario& scenario, obs::Hooks hooks,
         plans[slot].partition = part.name;
       }
     }
-    driver.add(std::move(plans[slot]));
+    driver.submit_at(std::move(plans[slot]));
   }
 
   const double start = util::wall_seconds();
@@ -364,9 +364,10 @@ std::string run_scenario(const Scenario& scenario, obs::Hooks hooks,
   }
   if (federated) {
     const fed::Federation& federation = driver.federation();
+    const std::vector<long long> placed = federation.placements();
     for (int c = 0; c < federation.cluster_count(); ++c) {
       out << ",\"placements_" << federation.cluster_name(c)
-          << "\":" << federation.placements()[static_cast<std::size_t>(c)];
+          << "\":" << placed[static_cast<std::size_t>(c)];
     }
   }
   if (scenario.options.attr) {

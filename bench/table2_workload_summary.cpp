@@ -54,7 +54,7 @@ int run_swf_summary(const std::string& path, double scale) {
       plan_shape.steps = std::max(1, static_cast<int>(25 * scale));
       plan_shape.flexible = flexible;
       for (auto& plan : drv::plans_from_workload(workload, plan_shape)) {
-        driver.add(std::move(plan));
+        driver.submit_at(std::move(plan));
       }
       const auto metrics = driver.run();
       table.add_row({TableWriter::cell(static_cast<long long>(report.kept)),

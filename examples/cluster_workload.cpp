@@ -45,7 +45,7 @@ drv::WorkloadMetrics run(bool flexible, std::string* chart_out) {
   double arrival = 0.0;
   for (int i = 0; i < 16; ++i) {
     arrival += rng.exponential_mean(40.0);
-    driver.add(make_plan(i, arrival, flexible, 32));
+    driver.submit_at(make_plan(i, arrival, flexible, 32));
   }
   const auto metrics = driver.run();
   if (chart_out != nullptr) {
@@ -72,7 +72,7 @@ drv::WorkloadMetrics run_heterogeneous() {
     // A third pinned to each partition, a third spanning freely.
     if (i % 3 == 0) plan.partition = "fast";
     if (i % 3 == 1) plan.partition = "slow";
-    driver.add(std::move(plan));
+    driver.submit_at(std::move(plan));
   }
   return driver.run();
 }

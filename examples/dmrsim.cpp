@@ -125,7 +125,7 @@ void add_fs_jobs(drv::WorkloadDriver& driver, const Options& options) {
     plan.submit_nodes = job.size;
     plan.flexible = options.flexible;
     plan.moldable = options.moldable;
-    driver.add(std::move(plan));
+    driver.submit_at(std::move(plan));
   }
 }
 
@@ -151,7 +151,7 @@ void add_mix_jobs(drv::WorkloadDriver& driver, const Options& options) {
     plan.submit_nodes = std::min(plan.model.request.max_procs, options.nodes);
     plan.flexible = options.flexible;
     plan.moldable = options.moldable;
-    driver.add(std::move(plan));
+    driver.submit_at(std::move(plan));
   }
 }
 

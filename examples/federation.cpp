@@ -75,7 +75,7 @@ drv::WorkloadMetrics run(fed::Placement placement) {
   double arrival = 0.0;
   for (int i = 0; i < 24; ++i) {
     arrival += rng.exponential_mean(25.0);
-    driver.add(make_plan(i, arrival));
+    driver.submit_at(make_plan(i, arrival));
   }
   return driver.run();
 }

@@ -56,7 +56,6 @@ int main() {
   cg_spec.name = "cg";
   cg_spec.requested_nodes = 8;
   cg_spec.min_nodes = 1;
-  cg_spec.max_nodes = 8;
   cg_spec.flexible = true;
   cg_session.submit(cg_spec);
   cg_session.schedule();
@@ -67,7 +66,6 @@ int main() {
   rigid.name = "rigid-batch";
   rigid.requested_nodes = 4;
   rigid.min_nodes = 4;
-  rigid.max_nodes = 4;
   const JobId rigid_job = rigid_session.submit(rigid);
   rigid_session.schedule();
   std::printf("cg running on %d nodes; rigid job %lld is %s\n",

@@ -80,7 +80,6 @@ int main() {
   spec.name = "quickstart";
   spec.requested_nodes = 2;
   spec.min_nodes = 1;
-  spec.max_nodes = 8;
   spec.flexible = true;
   const JobId job = session.submit(spec);
   session.schedule();

@@ -55,7 +55,7 @@ drv::WorkloadMetrics replay(const wl::Workload& workload, bool flexible,
   shape.steps = 10;
   shape.flexible = flexible;
   for (auto& plan : drv::plans_from_workload(workload, shape)) {
-    driver.add(std::move(plan));
+    driver.submit_at(std::move(plan));
   }
   return driver.run();
 }

@@ -53,7 +53,7 @@ int main(int argc, char** argv) {
                                 std::size_t(1) << 30);
     plan.submit_nodes = job.size;
     plan.flexible = true;
-    driver.add(std::move(plan));
+    driver.submit_at(std::move(plan));
   }
 
   const double start = util::wall_seconds();

@@ -8,8 +8,6 @@
 // wall-clock and discrete-event time.
 #pragma once
 
-#include <vector>
-
 #include "dmr/types.hpp"
 
 namespace dmr {
@@ -24,8 +22,9 @@ class Rms {
   virtual void cancel(JobId id, double now) = 0;
   /// The job's processes exited; release resources and reschedule.
   virtual void job_finished(JobId id, double now) = 0;
-  /// Run a scheduling pass; returns ids of jobs started.
-  virtual std::vector<JobId> schedule(double now) = 0;
+  /// Run a scheduling pass.  What it started is read from the jobs
+  /// themselves (query: JobView::state and start_time).
+  virtual void schedule(double now) = 0;
 
   // --- the DMR resize protocol (Sections IV-V) ------------------------------
 

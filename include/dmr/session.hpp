@@ -13,7 +13,6 @@
 #include <functional>
 #include <memory>
 #include <mutex>
-#include <vector>
 
 #include "dmr/rms.hpp"
 #include "dmr/types.hpp"
@@ -30,7 +29,7 @@ class Connection {
   double now() const { return clock_(); }
 
   JobId submit(JobSpec spec);
-  std::vector<JobId> schedule();
+  void schedule();
   void cancel(JobId id);
   void job_finished(JobId id);
   Outcome dmr_check(JobId id, const Request& request);
@@ -66,7 +65,7 @@ class Session {
   JobId submit(JobSpec spec);
   bool bound() const { return job_ != kInvalidJob; }
   /// Run a scheduling pass (convenience passthrough).
-  std::vector<JobId> schedule() { return connection_->schedule(); }
+  void schedule() { connection_->schedule(); }
 
   // --- the bound job's protocol calls ----------------------------------------
 

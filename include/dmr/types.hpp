@@ -10,7 +10,6 @@
 // conversion.
 #pragma once
 
-#include <cstddef>
 #include <cstdint>
 #include <optional>
 #include <string>
@@ -57,27 +56,21 @@ struct Decision {
 };
 
 /// Result of applying a decision: the resize protocol's side of the
-/// story.
+/// story.  What the resize moved is the substrate's to account: the
+/// virtual-time driver prices it from its own redist::Report, the
+/// real-mode loop records it in rt::ResizeRecord.  The nodes an expand
+/// added and a shrink drains are the job's (JobView::hosts and
+/// surviving_hosts), and a boosted job carries its own priority_boost.
 struct Outcome {
   Action action = Action::None;
+  /// The job's allocation when the decision was applied.
+  int old_size = 0;
   /// Granted process count (== allocation after the resize completes).
   int new_size = 0;
-  /// Expand: node ids added to the job (already attached).
-  std::vector<int> added_nodes;
-  /// Shrink: node ids now draining; released by complete_shrink().
-  std::vector<int> draining_nodes;
-  /// Queued job boosted to max priority by a shrink decision.
-  JobId boosted = kInvalidJob;
   /// True when the policy granted an action but the resizer-job protocol
   /// could not obtain the nodes (timeout/abort path of Section V-B1), or
   /// an asynchronously negotiated decision was already outdated.
   bool aborted = false;
-  /// Data movement attributed to this resize, from the redist::Report.
-  /// The virtual-time substrate stamps these when it prices the resize
-  /// (drv::WorkloadDriver); in real mode the movement happens after the
-  /// outcome is returned, so hosts read it from rt::ResizeRecord instead.
-  std::size_t bytes_redistributed = 0;
-  double redistribution_seconds = 0.0;
 };
 
 enum class JobState {
@@ -95,14 +88,11 @@ struct JobSpec {
   /// Nodes requested at submission (the paper submits every job at its
   /// user-preferred "fast execution" size).
   int requested_nodes = 1;
-  /// Malleability bounds (Table I: "Minimum"/"Maximum" processes).
+  /// Smallest size a moldable start may take.  The malleability bounds
+  /// (Table I: "Minimum"/"Maximum" processes), the preferred size and
+  /// the resize factor are the Request's, passed at every reconfiguring
+  /// point.
   int min_nodes = 1;
-  int max_nodes = 1;
-  /// Preferred size conveyed to the RMS at reconfiguring points; 0 means
-  /// "no preference" (gives the RMS full freedom, as in the FS study).
-  int preferred_nodes = 0;
-  /// Resize factor: new sizes must be cur*factor^k or cur/factor^k.
-  int factor = 2;
   /// Whether the job participates in dynamic reconfiguration.
   bool flexible = false;
   /// Wall-clock limit estimate used by the backfill scheduler.

@@ -10,7 +10,7 @@
 //   dmr::wl::ShapeReport report;
 //   auto workload = shaper.shape(trace, &report);   // surface report!
 //   for (auto& plan : dmr::drv::plans_from_workload(workload, {}))
-//     driver.add(std::move(plan));
+//     driver.submit_at(std::move(plan));
 #pragma once
 
 #include "drv/plan.hpp"      // IWYU pragma: export

@@ -13,9 +13,9 @@ JobId Connection::submit(JobSpec spec) {
   return rms_.submit(std::move(spec), clock_());
 }
 
-std::vector<JobId> Connection::schedule() {
+void Connection::schedule() {
   std::lock_guard<std::mutex> lock(mu_);
-  return rms_.schedule(clock_());
+  rms_.schedule(clock_());
 }
 
 void Connection::cancel(JobId id) {

@@ -235,7 +235,7 @@ WorkloadDriver::Exec* WorkloadDriver::find_exec(rms::JobId id) const {
   return slot < row.size() ? row[slot] : nullptr;
 }
 
-WorkloadDriver::Exec& WorkloadDriver::enqueue(JobPlan plan) {
+void WorkloadDriver::submit_at(JobPlan plan) {
   if (plan.arrival < engine_.now()) {
     throw std::invalid_argument(
         "WorkloadDriver: job '" + plan.model.name + "' arrival " +
@@ -255,20 +255,9 @@ WorkloadDriver::Exec& WorkloadDriver::enqueue(JobPlan plan) {
   }
   Exec& exec = execs_.emplace_back();
   exec.plan = std::move(plan);
-  return exec;
-}
-
-void WorkloadDriver::add(JobPlan plan) { enqueue(std::move(plan)); }
-
-void WorkloadDriver::schedule_arrival(Exec& exec) {
-  exec.scheduled = true;
   engine_.schedule_at(
       exec.plan.arrival, [this, e = &exec] { submit(*e); },
       sim::Lane::Arrival);
-}
-
-void WorkloadDriver::submit_at(JobPlan plan) {
-  schedule_arrival(enqueue(std::move(plan)));
 }
 
 void WorkloadDriver::submit(Exec& exec) {
@@ -276,9 +265,6 @@ void WorkloadDriver::submit(Exec& exec) {
   spec.name = exec.plan.model.name;
   spec.requested_nodes = exec.plan.submit_nodes;
   spec.min_nodes = exec.plan.model.request.min_procs;
-  spec.max_nodes = exec.plan.model.request.max_procs;
-  spec.preferred_nodes = exec.plan.model.request.preferred;
-  spec.factor = exec.plan.model.request.factor;
   spec.flexible = exec.plan.flexible;
   spec.moldable = exec.plan.moldable;
   spec.time_limit = exec.plan.time_limit;
@@ -360,40 +346,31 @@ void WorkloadDriver::finish_step(Exec& exec) {
                                                : Resume{});
 }
 
-double WorkloadDriver::apply_outcome(Exec& exec, rms::Outcome& outcome) {
+double WorkloadDriver::apply_outcome(Exec& exec,
+                                     const rms::Outcome& outcome) {
   if (outcome.action == rms::Action::None) return 0.0;
   const rms::Job& job = federation_.job(exec.id);
-  // For an expand the allocation has already grown, so the pre-resize
-  // size is allocated - added; for a shrink the draining nodes are still
-  // attached, so allocated *is* the old size.
-  const int previous =
-      outcome.action == rms::Action::Expand
-          ? job.allocated() - static_cast<int>(outcome.added_nodes.size())
-          : job.allocated();
-  // The modeled movement is the Report this substrate "measures": it
-  // flows into the outcome and the workload metrics exactly like a real
-  // redistribution would.  Transfer bandwidth scales with the
-  // allocation's gating partition speed.
+  // The modeled movement is the Report this substrate "measures": the
+  // workload totals sum it exactly like a real redistribution's.
+  // Transfer bandwidth scales with the allocation's gating partition
+  // speed.
   const double node_speed =
       federation_.cluster_for(exec.id).min_speed(job.nodes);
-  const redist::Report moved = config_.cost.movement(
-      exec.plan.model.state_bytes, previous, outcome.new_size, node_speed);
-  outcome.bytes_redistributed = moved.bytes_moved;
-  outcome.redistribution_seconds = moved.seconds;
-  // The stamped outcome is the carrier: workload totals read it back.
-  bytes_redistributed_ += outcome.bytes_redistributed;
-  redistribution_seconds_ += outcome.redistribution_seconds;
+  const redist::Report moved =
+      config_.cost.movement(exec.plan.model.state_bytes, outcome.old_size,
+                            outcome.new_size, node_speed);
+  bytes_redistributed_ += moved.bytes_moved;
+  redistribution_seconds_ += moved.seconds;
   if (sinks_.wants(obs::EventKind::kRedistributed)) {
     const int member = federation_.cluster_of(exec.id);
     sinks_.emit({.kind = obs::EventKind::kRedistributed, .job = exec.id,
-                 .member = member, .now = engine_.now(), .old_size = previous,
-                 .new_size = outcome.new_size,
+                 .member = member, .now = engine_.now(),
+                 .old_size = outcome.old_size, .new_size = outcome.new_size,
                  .manager = &federation_.manager(member),
                  .action = outcome.action,
                  .bytes = exec.plan.model.state_bytes, .report = &moved});
   }
-  return config_.cost.protocol_seconds(outcome.new_size) +
-         outcome.redistribution_seconds;
+  return config_.cost.protocol_seconds(outcome.new_size) + moved.seconds;
 }
 
 WorkloadDriver::Resume WorkloadDriver::reconfiguring_point(Exec& exec) {
@@ -401,7 +378,7 @@ WorkloadDriver::Resume WorkloadDriver::reconfiguring_point(Exec& exec) {
   // driver only prices the result in virtual time.  The asynchronous
   // call overlaps negotiation with the next step, so the per-check
   // overhead is hidden (that is its selling point).
-  auto outcome = exec.engine->check(
+  const auto outcome = exec.engine->check(
       config_.asynchronous ? ::dmr::Mode::Async : ::dmr::Mode::Sync,
       exec.plan.model.request);
   if (!outcome) return {};  // inhibited: the RMS was never contacted
@@ -462,10 +439,6 @@ void WorkloadDriver::collect_cluster_metrics(WorkloadMetrics& metrics,
 }
 
 WorkloadMetrics WorkloadDriver::run() {
-  // Schedule arrivals not already fed through submit_at().
-  for (auto& exec : execs_) {
-    if (!exec.scheduled) schedule_arrival(exec);
-  }
   engine_.run();
   if (!federation_.all_done()) {
     throw std::logic_error("WorkloadDriver: engine drained with live jobs");

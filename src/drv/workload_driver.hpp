@@ -127,22 +127,20 @@ class WorkloadDriver : private obs::Sink {
   void attach(obs::Sink& sink);
   const obs::SinkList& sinks() const { return sinks_; }
 
-  /// Queue a plan for run() to schedule.  Throws std::invalid_argument
-  /// when the arrival lies before the current simulated clock — the
-  /// driver never silently reorders a stale submission.
-  void add(JobPlan plan);
-
-  /// Incremental feed (service mode): schedule the submission right now,
-  /// whether or not the engine is already running.  The arrival must not
-  /// precede the current simulated clock (std::invalid_argument
-  /// otherwise, same contract as add()).  Arrival events ride
-  /// sim::Lane::Arrival, so a submission scheduled mid-run interleaves
-  /// with same-instant events exactly like one scheduled up front — the
-  /// property the snapshot/replay machinery depends on.
+  /// Schedule the plan's submission at its arrival, whether or not the
+  /// engine is already running: a batch feeds every plan before run(),
+  /// the resident service feeds them as they stream in.  Throws
+  /// std::invalid_argument when the arrival lies before the current
+  /// simulated clock — the driver never silently reorders a stale
+  /// submission.  Arrival events ride sim::Lane::Arrival, so a
+  /// submission scheduled mid-run interleaves with same-instant events
+  /// exactly like one scheduled up front — the property the
+  /// snapshot/replay machinery depends on.
   void submit_at(JobPlan plan);
 
-  /// Run to completion; returns the workload metrics (federation-wide,
-  /// with per-member ClusterMetrics on multi-cluster runs).
+  /// Run the engine to completion and check every job finished; returns
+  /// the workload metrics (federation-wide, with per-member
+  /// ClusterMetrics on multi-cluster runs).
   WorkloadMetrics run();
 
   /// Metrics over the jobs completed *so far* — callable mid-run (the
@@ -175,8 +173,6 @@ class WorkloadDriver : private obs::Sink {
     JobPlan plan;
     rms::JobId id = rms::kInvalidJob;
     int steps_left = 0;
-    /// Arrival event already scheduled (submit_at feeds; run() skips).
-    bool scheduled = false;
     /// Constructed in place at submission (no per-job heap allocation).
     std::optional<::dmr::Session> session;
     /// Reconfiguring-point protocol state — only a flexible job ever
@@ -195,8 +191,6 @@ class WorkloadDriver : private obs::Sink {
   Exec*& exec_slot(rms::JobId id);
   Exec* find_exec(rms::JobId id) const;
 
-  Exec& enqueue(JobPlan plan);
-  void schedule_arrival(Exec& exec);
   void submit(Exec& exec);
   void on_started(const rms::Job& job);
   /// What a reconfiguring point leaves to do before the next step.
@@ -221,9 +215,9 @@ class WorkloadDriver : private obs::Sink {
   void finish_step(Exec& exec);
   /// Runs the reconfiguring point.
   Resume reconfiguring_point(Exec& exec);
-  /// Prices the outcome's data movement and stamps its redistribution
-  /// fields from the modeled redist::Report.
-  double apply_outcome(Exec& exec, rms::Outcome& outcome);
+  /// Prices the outcome's data movement from the modeled redist::Report
+  /// and adds it to the workload totals; returns the seconds it costs.
+  double apply_outcome(Exec& exec, const rms::Outcome& outcome);
   /// Per-member slices + partition utilizations for run()'s metrics.
   void collect_cluster_metrics(WorkloadMetrics& metrics, double first_arrival,
                                double makespan) const;

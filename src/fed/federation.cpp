@@ -5,35 +5,33 @@
 
 namespace dmr::fed {
 
-Federation::Federation(FederationConfig config) : config_(std::move(config)) {
-  if (config_.clusters.empty()) {
+Federation::Federation(FederationConfig config) {
+  if (config.clusters.empty()) {
     throw std::invalid_argument("Federation: no member clusters");
   }
-  if (static_cast<JobId>(config_.clusters.size()) >= kClusterIdStride) {
+  if (static_cast<JobId>(config.clusters.size()) >= kClusterIdStride) {
     throw std::invalid_argument("Federation: too many member clusters");
   }
-  managers_.reserve(config_.clusters.size());
-  for (std::size_t c = 0; c < config_.clusters.size(); ++c) {
-    ClusterSpec& spec = config_.clusters[c];
+  names_.reserve(config.clusters.size());
+  managers_.reserve(config.clusters.size());
+  for (std::size_t c = 0; c < config.clusters.size(); ++c) {
+    ClusterSpec& spec = config.clusters[c];
     if (spec.name.empty()) {
       throw std::invalid_argument("Federation: member cluster without a name");
     }
-    for (std::size_t other = 0; other < c; ++other) {
-      if (config_.clusters[other].name == spec.name) {
-        throw std::invalid_argument("Federation: duplicate member name '" +
-                                    spec.name + "'");
-      }
+    if (std::find(names_.begin(), names_.end(), spec.name) != names_.end()) {
+      throw std::invalid_argument("Federation: duplicate member name '" +
+                                  spec.name + "'");
     }
     spec.rms.first_job_id =
         static_cast<JobId>(c) * kClusterIdStride + 1;
-    managers_.push_back(
-        std::make_unique<rms::Manager>(spec.rms, static_cast<int>(c)));
-    total_nodes_ += managers_.back()->cluster().size();
+    managers_.push_back(std::make_unique<rms::Manager>(std::move(spec.rms),
+                                                       static_cast<int>(c)));
+    names_.push_back(std::move(spec.name));
   }
-  policy_ = config_.policy ? config_.policy
-                           : std::shared_ptr<PlacementPolicy>(
-                                 make_placement(config_.placement));
-  placements_.assign(managers_.size(), 0);
+  policy_ = config.policy ? std::move(config.policy)
+                          : std::shared_ptr<PlacementPolicy>(
+                                make_placement(config.placement));
 }
 
 int Federation::cluster_of(JobId id) const {
@@ -127,7 +125,6 @@ JobId Federation::submit(JobSpec spec, double now) {
                : ", partition '" + spec.partition + "'") +
           ")");
     }
-    ++placements_[0];
     return managers_.front()->submit(std::move(spec), now);
   }
   const std::vector<ClusterStatus> all = statuses(spec);
@@ -153,7 +150,6 @@ JobId Federation::submit(JobSpec spec, double now) {
                            "' picked ineligible member " +
                            std::to_string(picked));
   }
-  ++placements_[static_cast<std::size_t>(picked)];
   const int nodes = spec.requested_nodes;
   rms::Manager& member = *managers_[static_cast<std::size_t>(picked)];
   const JobId id = member.submit(std::move(spec), now);
@@ -171,13 +167,8 @@ void Federation::job_finished(JobId id, double now) {
   owner(id).job_finished(id, now);
 }
 
-std::vector<JobId> Federation::schedule(double now) {
-  std::vector<JobId> started;
-  for (auto& manager : managers_) {
-    const auto member = manager->schedule(now);
-    started.insert(started.end(), member.begin(), member.end());
-  }
-  return started;
+void Federation::schedule(double now) {
+  for (auto& manager : managers_) manager->schedule(now);
 }
 
 Outcome Federation::dmr_check(JobId id, const Request& request, double now) {
@@ -198,6 +189,21 @@ void Federation::complete_shrink(JobId id, double now) {
 
 JobView Federation::query(JobId id) const { return owner(id).query(id); }
 
+int Federation::total_nodes() const {
+  int total = 0;
+  for (const auto& manager : managers_) total += manager->cluster().size();
+  return total;
+}
+
+std::vector<long long> Federation::placements() const {
+  std::vector<long long> placed;
+  placed.reserve(managers_.size());
+  for (const auto& manager : managers_) {
+    placed.push_back(static_cast<long long>(manager->jobs().size()));
+  }
+  return placed;
+}
+
 bool Federation::all_done() const {
   return std::all_of(managers_.begin(), managers_.end(),
                      [](const auto& manager) { return manager->all_done(); });
@@ -209,7 +215,6 @@ rms::Manager::Counters Federation::counters() const {
     const rms::Manager::Counters& c = manager->counters();
     total.expands += c.expands;
     total.shrinks += c.shrinks;
-    total.no_actions += c.no_actions;
     total.aborted_expands += c.aborted_expands;
     total.checks += c.checks;
     total.schedule_requests += c.schedule_requests;
@@ -245,7 +250,6 @@ double Federation::conservative_speed(const std::string& partition) const {
 
 void Federation::add_nodes(int count, double now) {
   managers_.front()->add_nodes(count, now);
-  total_nodes_ += count;
 }
 
 void Federation::attach(obs::Sink& sink) {

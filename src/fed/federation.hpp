@@ -69,8 +69,8 @@ class Federation : public ::dmr::Rms {
   void cancel(JobId id, double now) override;
   void job_finished(JobId id, double now) override;
   /// Scheduling pass on every member (each no-ops unless its own
-  /// placements are dirty); returns all started ids.
-  std::vector<JobId> schedule(double now) override;
+  /// placements are dirty).
+  void schedule(double now) override;
   Outcome dmr_check(JobId id, const Request& request, double now) override;
   Decision dmr_decide(JobId id, const Request& request, double now) override;
   Outcome dmr_apply(JobId id, const Decision& decision, double now) override;
@@ -81,7 +81,7 @@ class Federation : public ::dmr::Rms {
 
   int cluster_count() const { return static_cast<int>(managers_.size()); }
   const std::string& cluster_name(int cluster) const {
-    return config_.clusters.at(static_cast<std::size_t>(cluster)).name;
+    return names_.at(static_cast<std::size_t>(cluster));
   }
   rms::Manager& manager(int cluster) {
     return *managers_.at(static_cast<std::size_t>(cluster));
@@ -99,13 +99,14 @@ class Federation : public ::dmr::Rms {
   /// The owning member's job record.
   const rms::Job& job(JobId id) const;
   /// Sum of the members' node counts.
-  int total_nodes() const { return total_nodes_; }
+  int total_nodes() const;
   /// True when no member has a pending or running user job.
   bool all_done() const;
   /// Member counters summed into one federation-wide view.
   rms::Manager::Counters counters() const;
-  /// Jobs routed to each member so far (index = member index).
-  const std::vector<long long>& placements() const { return placements_; }
+  /// Jobs each member accepted so far (index = member index): the sizes
+  /// of the members' job tables.
+  std::vector<long long> placements() const;
   const PlacementPolicy& placement_policy() const { return *policy_; }
 
   // --- live reconfiguration (the service's what-if hook) ---------------------
@@ -131,11 +132,11 @@ class Federation : public ::dmr::Rms {
   /// Status snapshot of every member, specialized to `spec`'s pool.
   std::vector<ClusterStatus> statuses(const JobSpec& spec) const;
 
-  FederationConfig config_;
+  /// Member names, in member order (each member's configuration is its
+  /// manager's).
+  std::vector<std::string> names_;
   std::vector<std::unique_ptr<rms::Manager>> managers_;
   std::shared_ptr<PlacementPolicy> policy_;
-  std::vector<long long> placements_;
-  int total_nodes_ = 0;
   obs::SinkList sinks_;
 };
 

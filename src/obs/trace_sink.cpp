@@ -50,7 +50,7 @@ void TraceSink::on_event(const Event& event) {
                              std::to_string(event.new_size));
       trace_.counter(pid, now, "queue depth", ++pending);
       return;
-    case EventKind::kPlaced:
+    case EventKind::kPlaced: {
       trace_.instant(
           0, 0, now, "place " + job->spec.name,
           "\"cluster\":\"" +
@@ -58,11 +58,12 @@ void TraceSink::on_event(const Event& event) {
               "\",\"policy\":\"" +
               json_escape(federation_.placement_policy().name()) +
               "\",\"nodes\":" + std::to_string(event.new_size));
+      const std::vector<long long> placed = federation_.placements();
       trace_.counter(0, now, "placements",
                      static_cast<double>(std::accumulate(
-                         federation_.placements().begin(),
-                         federation_.placements().end(), 0LL)));
+                         placed.begin(), placed.end(), 0LL)));
       return;
+    }
     case EventKind::kStarted:
       ++pass_started_;
       if (!user_job) return;

@@ -39,10 +39,8 @@ Cluster::Cluster(std::vector<Partition> partitions)
   for (std::size_t p = 0; p < partitions_.size(); ++p) {
     const Partition& part = partitions_[p];
     for (int local = 0; local < part.nodes; ++local, ++id) {
-      Node& node = nodes_[static_cast<std::size_t>(id)];
-      node.id = id;
-      node.name = part.name + std::to_string(local);
-      node.speed = part.speed;
+      nodes_[static_cast<std::size_t>(id)].name =
+          part.name + std::to_string(local);
       node_partition_[static_cast<std::size_t>(id)] = static_cast<int>(p);
     }
     idle_per_partition_[p] = part.nodes;
@@ -90,7 +88,8 @@ double Cluster::min_speed(const std::vector<int>& node_ids) const {
   double slowest = 1.0;
   bool first = true;
   for (int id : node_ids) {
-    const double speed = node(id).speed;
+    const int part = node_partition_.at(static_cast<std::size_t>(id));
+    const double speed = partitions_[static_cast<std::size_t>(part)].speed;
     if (first || speed < slowest) slowest = speed;
     first = false;
   }
@@ -138,11 +137,7 @@ void Cluster::add_nodes(int count) {
   Partition& part = partitions_.front();
   int local = part.nodes;
   for (int added = 0; added < count; ++added, ++local) {
-    Node node;
-    node.id = size();
-    node.name = part.name + std::to_string(local);
-    node.speed = part.speed;
-    nodes_.push_back(std::move(node));
+    nodes_.push_back(Node{.name = part.name + std::to_string(local)});
     node_partition_.push_back(partition);
     draining_.push_back(0);
     idle_bits_.resize((nodes_.size() + 63) / 64, 0);

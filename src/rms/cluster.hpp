@@ -76,13 +76,12 @@ struct Partition {
   double speed = 1.0;
 };
 
+/// One node: its name and owner.  Its id is its index in the cluster's
+/// table, and its speed is its partition's (node_partitions()).
 struct Node {
-  int id = -1;
   std::string name;
   /// Owning job, or kInvalidJob when idle.
   JobId owner = kInvalidJob;
-  /// Speed factor inherited from the partition.
-  double speed = 1.0;
 };
 
 class Cluster {

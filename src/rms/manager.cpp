@@ -17,7 +17,6 @@ Cluster make_cluster(const RmsConfig& config) {
 Manager::Manager(RmsConfig config, int member)
     : config_(std::move(config)),
       cluster_(make_cluster(config_)),
-      next_id_(config_.first_job_id),
       member_(member) {}
 
 void Manager::rescale_time_limit(Job& job, double now, double ratio) {
@@ -126,12 +125,12 @@ JobId Manager::submit(JobSpec spec, double now) {
   if (spec.requested_nodes <= 0 || spec.requested_nodes > capacity) {
     throw std::invalid_argument("Manager: bad node request for " + spec.name);
   }
-  if (spec.min_nodes < 1 || spec.max_nodes < spec.min_nodes) {
-    throw std::invalid_argument("Manager: bad malleability bounds for " +
-                                spec.name);
+  if (spec.min_nodes < 1) {
+    throw std::invalid_argument("Manager: bad minimum size for " + spec.name);
   }
   Job job;
-  job.id = next_id_++;
+  // Ids are issued in sequence, so the next one follows the table.
+  job.id = config_.first_job_id + static_cast<JobId>(jobs_.size());
   job.spec = std::move(spec);
   job.partition = partition;
   job.requested_nodes = job.spec.requested_nodes;
@@ -178,12 +177,11 @@ void Manager::add_nodes(int count, double now) {
   emit(obs::EventKind::kAllocChanged, kInvalidJob, now);
 }
 
-std::vector<JobId> Manager::schedule(double now) {
+void Manager::schedule(double now) {
   ++counters_.schedule_requests;
-  std::vector<JobId> started;
   if (!placements_dirty_) {
     ++counters_.schedule_passes_saved;
-    return started;
+    return;
   }
   emit(obs::EventKind::kPassBegin, kInvalidJob, now);
   placements_dirty_ = false;
@@ -237,7 +235,6 @@ std::vector<JobId> Manager::schedule(double now) {
         }
       }
       start_job(jobs_[index], now);
-      started.push_back(pick->id);
     }
     // A molded start can leave idle nodes a newly exposed moldable head
     // could still use.
@@ -270,7 +267,6 @@ std::vector<JobId> Manager::schedule(double now) {
     }
   }
   emit(obs::EventKind::kPass, kInvalidJob, now);
-  return started;
 }
 
 ScheduleView Manager::schedule_view(double now) const {
@@ -358,7 +354,6 @@ JobId Manager::submit_resizer(JobId parent, int extra_nodes, double now) {
   spec.name = parent_job.spec.name + ":resizer";
   spec.requested_nodes = extra_nodes;
   spec.min_nodes = extra_nodes;
-  spec.max_nodes = extra_nodes;
   spec.flexible = false;
   spec.time_limit = parent_job.spec.time_limit;
   spec.depends_on = parent;
@@ -372,7 +367,7 @@ JobId Manager::submit_resizer(JobId parent, int extra_nodes, double now) {
   return id;
 }
 
-std::vector<int> Manager::harvest_resizer(JobId resizer, double now) {
+void Manager::harvest_resizer(JobId resizer, double now) {
   Job& rj = job_mutable(resizer);
   if (!rj.running()) {
     throw std::logic_error("Manager: harvesting a non-running resizer");
@@ -380,16 +375,14 @@ std::vector<int> Manager::harvest_resizer(JobId resizer, double now) {
   const JobId parent = rj.spec.depends_on.value();
   // Protocol steps 2-4: zero-size update detaches the nodes, the resizer
   // is cancelled, and the original job absorbs the allocation.
-  std::vector<int> nodes = rj.nodes;
+  const std::vector<int> nodes = std::move(rj.nodes);  // leaves rj's empty
   cluster_.transfer(resizer, parent, nodes);
-  rj.nodes.clear();
   rj.requested_nodes = 0;
   finish_job(rj, now, JobState::Cancelled);
   Job& parent_job = job_mutable(parent);
   parent_job.nodes.insert(parent_job.nodes.end(), nodes.begin(), nodes.end());
   parent_job.requested_nodes = parent_job.allocated();
   user_allocated_nodes_ += static_cast<int>(nodes.size());
-  return nodes;
 }
 
 Decision Manager::dmr_decide(JobId id, const Request& request,
@@ -450,11 +443,11 @@ Outcome Manager::dmr_apply_impl(JobId id, const Decision& decision,
 
   Outcome outcome;
   outcome.action = decision.action;
+  outcome.old_size = job.allocated();
   outcome.new_size = decision.new_size;
 
   switch (decision.action) {
     case Action::None:
-      ++counters_.no_actions;
       return outcome;
 
     case Action::Expand: {
@@ -477,7 +470,7 @@ Outcome Manager::dmr_apply_impl(JobId id, const Decision& decision,
         ++counters_.aborted_expands;
         return outcome;
       }
-      outcome.added_nodes = harvest_resizer(rj, now);
+      harvest_resizer(rj, now);
       ++job.expansions;
       ++counters_.expands;
       rescale_time_limit(job, now,
@@ -499,16 +492,15 @@ Outcome Manager::dmr_apply_impl(JobId id, const Decision& decision,
       // Drain the tail of the allocation; data is folded onto the head
       // ranks (Listing 3's sender/receiver grouping keeps receivers on
       // the surviving nodes).
-      outcome.draining_nodes.assign(
-          job.nodes.end() - release_count, job.nodes.end());
-      cluster_.set_draining(outcome.draining_nodes, true);
+      const std::vector<int> draining(job.nodes.end() - release_count,
+                                      job.nodes.end());
+      cluster_.set_draining(draining, true);
       // The imminent releases widen the EASY backfill window (the
       // drain-aware shadow): the next schedule request must run a pass.
       placements_dirty_ = true;
       rescale_time_limit(job, now,
                          static_cast<double>(job.allocated()) /
                              static_cast<double>(decision.new_size));
-      outcome.boosted = decision.boost_target;
       if (decision.boost_target != kInvalidJob &&
           config_.shrink_priority_boost) {
         Job& target = job_mutable(decision.boost_target);

@@ -81,9 +81,9 @@ class Manager : public ::dmr::Rms {
   /// The job's processes exited; release resources and reschedule.
   void job_finished(JobId id, double now) override;
   /// Run a scheduling pass if a placement-relevant event occurred since
-  /// the last one; returns ids of jobs started (internal resizer jobs
-  /// included).  A no-op (and an empty result) otherwise.
-  std::vector<JobId> schedule(double now) override;
+  /// the last one; a no-op otherwise (counters().schedule_passes tells
+  /// which).  Started jobs are Running, internal resizers included.
+  void schedule(double now) override;
 
   // --- DMR (Sections IV-V) ---------------------------------------------------
 
@@ -152,7 +152,6 @@ class Manager : public ::dmr::Rms {
   struct Counters {
     long long expands = 0;
     long long shrinks = 0;
-    long long no_actions = 0;
     long long aborted_expands = 0;
     long long checks = 0;
     /// schedule() invocations vs. the passes that actually ran, plus the
@@ -189,8 +188,8 @@ class Manager : public ::dmr::Rms {
   // The resize protocol's pieces, composed by dmr_apply_impl.
   JobId submit_resizer(JobId parent, int extra_nodes, double now);
   /// Zero-size update + cancel: detach the resizer's nodes and hand them
-  /// to the parent job.  Returns the transferred node ids.
-  std::vector<int> harvest_resizer(JobId resizer, double now);
+  /// to the parent job.
+  void harvest_resizer(JobId resizer, double now);
   void rescale_time_limit(Job& job, double now, double ratio);
   void start_job(Job& job, double now);
   void finish_job(Job& job, double now, JobState final_state);
@@ -230,7 +229,6 @@ class Manager : public ::dmr::Rms {
   /// sequential, jobs never erased).  A deque so element addresses stay
   /// stable for the Job* index lists below while the table grows.
   std::deque<Job> jobs_;
-  JobId next_id_;
   Counters counters_;
   int member_;
   obs::SinkList sinks_;

@@ -134,7 +134,6 @@ MetricsWindow::MetricsWindow(double window, double sample_period)
     throw std::invalid_argument("MetricsWindow: sample period above window");
   }
   reconfigs_.assign(static_cast<std::size_t>(intervals_), 0);
-  completions_.assign(static_cast<std::size_t>(intervals_), 0);
 }
 
 obs::Interest MetricsWindow::interest() const {
@@ -143,25 +142,19 @@ obs::Interest MetricsWindow::interest() const {
 }
 
 void MetricsWindow::on_event(const obs::Event& event) {
-  const auto newest = static_cast<std::size_t>(newest_);
   if (event.kind != obs::EventKind::kFinished) {
-    ++reconfigs_[newest];
+    ++reconfigs_[static_cast<std::size_t>(newest_)];
     return;
   }
   const rms::Job& job = event.manager->job(event.job);
   if (job.spec.internal_resizer) return;
   wait_.add(job.wait_time());
   response_.add(job.completion_time());
-  ++completions_[newest];
-  ++completed_total_;
 }
 
 void MetricsWindow::fill(MetricsSample& sample) const {
   sample.window = window_;
-  sample.completed_total = completed_total_;
-  sample.completed_in_window = static_cast<long long>(
-      std::accumulate(completions_.begin(), completions_.end(),
-                      std::uint64_t{0}));
+  sample.completed_in_window = static_cast<long long>(wait_.count());
   const std::uint64_t reconfigs = std::accumulate(
       reconfigs_.begin(), reconfigs_.end(), std::uint64_t{0});
   sample.reconfigs_in_window = static_cast<long long>(reconfigs);
@@ -180,7 +173,6 @@ void MetricsWindow::rotate() {
   response_.rotate();
   newest_ = (newest_ + 1) % intervals_;
   reconfigs_[static_cast<std::size_t>(newest_)] = 0;
-  completions_[static_cast<std::size_t>(newest_)] = 0;
 }
 
 }  // namespace dmr::svc

@@ -99,9 +99,10 @@ struct MetricsSample {
 };
 
 /// The service's windowed collectors: wait/response histograms plus the
-/// reconfiguration and completion counts, one rotation per sample.  A
-/// sink on the event stream: user-job completions and applied resizes
-/// (expansions on grant, shrinks on completion).
+/// reconfiguration count, one rotation per sample.  A sink on the event
+/// stream: user-job completions and applied resizes (expansions on
+/// grant, shrinks on completion).  The completions in the window are the
+/// wait histogram's count.
 class MetricsWindow final : public obs::Sink {
  public:
   /// `window` seconds of history at `sample_period` granularity.
@@ -123,10 +124,8 @@ class MetricsWindow final : public obs::Sink {
   int intervals_;
   WindowedHistogram wait_;
   WindowedHistogram response_;
-  std::vector<std::uint64_t> reconfigs_;    // per live interval
-  std::vector<std::uint64_t> completions_;  // per live interval
+  std::vector<std::uint64_t> reconfigs_;  // per live interval
   int newest_ = 0;
-  long long completed_total_ = 0;
 };
 
 }  // namespace dmr::svc

@@ -85,7 +85,6 @@ bool Service::submit(JobRequest request) {
   }
   log_.push_back(request);
   driver_.submit_at(std::move(plan));
-  ++accepted_;
   return true;
 }
 
@@ -122,6 +121,7 @@ bool Service::drain(double max_sim_time) {
 void Service::take_sample() {
   MetricsSample sample;
   sample.time = engine_.now();
+  sample.completed_total = driver_.completed();
   window_.fill(sample);
   const fed::Federation& federation = driver_.federation();
   int pending = 0;
@@ -142,7 +142,7 @@ void Service::take_sample() {
     sample.utilization =
         trace.average("allocated", t0, t1) / federation.total_nodes();
   }
-  sample.submitted_total = accepted_;
+  sample.submitted_total = accepted();
   sample.rejected_full_total =
       static_cast<long long>(queue_.rejected_full());
   sample.rejected_stale_total = rejected_stale_;

@@ -97,13 +97,13 @@ class Service {
   /// Batch metrics over the jobs completed so far (callable any time).
   drv::WorkloadMetrics metrics() const { return driver_.collect_metrics(); }
 
-  long long accepted() const { return accepted_; }
+  long long accepted() const { return static_cast<long long>(log_.size()); }
   long long rejected_stale() const { return rejected_stale_; }
   int completed() const { return driver_.completed(); }
   /// Every accepted submission completed.  (The federation's own
   /// all_done() is trivially true before arrival events fire, so the
   /// service counts accepted vs completed instead.)
-  bool all_done() const { return driver_.completed() == accepted_; }
+  bool all_done() const { return driver_.completed() == accepted(); }
 
   const drv::WorkloadDriver& driver() const { return driver_; }
   drv::WorkloadDriver& driver_mutable() { return driver_; }
@@ -139,7 +139,6 @@ class Service {
   /// The self-rescheduling sampler event (captures only `this`; the
   /// engine holds copies, so no ownership cycle).
   std::function<void()> sampler_;
-  long long accepted_ = 0;
   long long rejected_stale_ = 0;
   double first_arrival_ = -1.0;
 };

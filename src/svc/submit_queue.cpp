@@ -40,7 +40,6 @@ PushResult SubmitQueue::push(JobRequest request) {
   slot.value = std::move(request);
   slot.sequence.store(head + 1, std::memory_order_release);
   head_.store(head + 1, std::memory_order_relaxed);
-  pushed_.fetch_add(1, std::memory_order_relaxed);
   return PushResult::Ok;
 }
 
@@ -54,7 +53,6 @@ bool SubmitQueue::pop(JobRequest& out) {
   // Re-arm the slot for the producer's next lap over the ring.
   slot.sequence.store(tail + slots_.size(), std::memory_order_release);
   tail_.store(tail + 1, std::memory_order_relaxed);
-  popped_.fetch_add(1, std::memory_order_relaxed);
   return true;
 }
 

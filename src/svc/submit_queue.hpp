@@ -72,13 +72,8 @@ class SubmitQueue {
   std::size_t size() const;
   bool empty() const { return size() == 0; }
 
-  /// Lifetime counters (monotone; readable from either side).
-  std::uint64_t pushed() const {
-    return pushed_.load(std::memory_order_relaxed);
-  }
-  std::uint64_t popped() const {
-    return popped_.load(std::memory_order_relaxed);
-  }
+  /// Pushes refused because the ring was full (monotone; readable from
+  /// either side).
   std::uint64_t rejected_full() const {
     return rejected_full_.load(std::memory_order_relaxed);
   }
@@ -97,8 +92,6 @@ class SubmitQueue {
   /// may be sampled from the other side; each is written by one thread.
   std::atomic<std::uint64_t> head_{0};
   std::atomic<std::uint64_t> tail_{0};
-  std::atomic<std::uint64_t> pushed_{0};
-  std::atomic<std::uint64_t> popped_{0};
   std::atomic<std::uint64_t> rejected_full_{0};
 };
 

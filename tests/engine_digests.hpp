@@ -96,7 +96,9 @@ inline std::uint64_t single_cluster_digest(std::uint64_t seed) {
   drv::DriverConfig config;
   config.rms.nodes = 20;
   drv::WorkloadDriver driver(engine, config);
-  for (auto& plan : fs_workload(seed, 60, 20)) driver.add(std::move(plan));
+  for (auto& plan : fs_workload(seed, 60, 20)) {
+    driver.submit_at(std::move(plan));
+  }
   const drv::WorkloadMetrics metrics = driver.run();
   return fnv1a(job_table(driver.federation()) + metrics_tail(metrics));
 }
@@ -111,7 +113,9 @@ inline std::uint64_t federation_digest(std::uint64_t seed) {
   }
   config.federation.placement = fed::Placement::LeastLoaded;
   drv::WorkloadDriver driver(engine, config);
-  for (auto& plan : fs_workload(seed, 60, 12)) driver.add(std::move(plan));
+  for (auto& plan : fs_workload(seed, 60, 12)) {
+    driver.submit_at(std::move(plan));
+  }
   const drv::WorkloadMetrics metrics = driver.run();
   return fnv1a(job_table(driver.federation()) + metrics_tail(metrics));
 }

@@ -75,7 +75,7 @@ RunOutcome run_single(std::uint64_t seed, const obs::Hooks& hooks,
   config.rms.nodes = 16;
   config.hooks = hooks;
   drv::WorkloadDriver driver(engine, config);
-  for (auto& plan : fs_plans(seed, jobs, 16)) driver.add(std::move(plan));
+  for (auto& plan : fs_plans(seed, jobs, 16)) driver.submit_at(std::move(plan));
   RunOutcome outcome;
   outcome.metrics = driver.run();
   outcome.digest = outcome_digest(driver);
@@ -97,7 +97,9 @@ RunOutcome run_federated(std::uint64_t seed, const obs::Hooks& hooks,
   drv::WorkloadDriver driver(engine, config);
   // Denser arrivals than the single-cluster run: three members absorb
   // bursts, so it takes more pressure before jobs genuinely queue.
-  for (auto& plan : fs_plans(seed, jobs, 6, 3.0)) driver.add(std::move(plan));
+  for (auto& plan : fs_plans(seed, jobs, 6, 3.0)) {
+    driver.submit_at(std::move(plan));
+  }
   RunOutcome outcome;
   outcome.metrics = driver.run();
   outcome.digest = outcome_digest(driver);
@@ -554,7 +556,7 @@ TEST(AttributionAnalytics, CompareFindsTheRegression) {
     config.rms.nodes = 16;
     config.hooks.attr = &attr_a;
     drv::WorkloadDriver driver(engine, config);
-    for (auto& plan : fs_plans(2017, 24, 8)) driver.add(std::move(plan));
+    for (auto& plan : fs_plans(2017, 24, 8)) driver.submit_at(std::move(plan));
     driver.run();
   }
   {
@@ -563,7 +565,7 @@ TEST(AttributionAnalytics, CompareFindsTheRegression) {
     config.rms.nodes = 8;
     config.hooks.attr = &attr_b;
     drv::WorkloadDriver driver(engine, config);
-    for (auto& plan : fs_plans(2017, 24, 8)) driver.add(std::move(plan));
+    for (auto& plan : fs_plans(2017, 24, 8)) driver.submit_at(std::move(plan));
     driver.run();
   }
   const obs::AttributionDelta delta =

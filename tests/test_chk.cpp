@@ -216,7 +216,6 @@ struct ManagerFixture {
     rms::JobSpec spec;
     spec.requested_nodes = 3;
     spec.min_nodes = 1;
-    spec.max_nodes = 8;
     spec.time_limit = 1000.0;
     spec.name = "a";
     first = manager.submit(spec, 0.0);
@@ -393,7 +392,6 @@ struct LiveState {
         spec.name = "j" + std::to_string(op);
         spec.requested_nodes = static_cast<int>(rng.uniform_int(1, 8));
         spec.min_nodes = 1;
-        spec.max_nodes = 8;
         spec.flexible = rng.bernoulli(0.7);
         spec.time_limit = rng.uniform(10.0, 500.0);
         const double pin = rng.uniform();
@@ -612,7 +610,6 @@ rms::JobSpec small_job(const std::string& name) {
   spec.name = name;
   spec.requested_nodes = 2;
   spec.min_nodes = 1;
-  spec.max_nodes = 4;
   spec.time_limit = 1000.0;
   return spec;
 }
@@ -797,7 +794,7 @@ std::string run_fs_digest(std::uint64_t seed, const obs::Hooks& hooks,
                                 std::size_t(1) << 20);
     plan.submit_nodes = job.size;
     plan.flexible = true;
-    driver.add(std::move(plan));
+    driver.submit_at(std::move(plan));
   }
   driver.run();
 

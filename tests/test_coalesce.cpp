@@ -126,7 +126,7 @@ RunResult run(drv::DriverConfig config, bool asynchronous,
   drv::WorkloadDriver driver(engine, config);
   RunResult result;
   result.jobs = static_cast<int>(plans.size());
-  for (auto& plan : plans) driver.add(std::move(plan));
+  for (auto& plan : plans) driver.submit_at(std::move(plan));
   const drv::WorkloadMetrics metrics = driver.run();
   const chk::Report report = auditor.report();
   EXPECT_TRUE(report.ok()) << report.describe();

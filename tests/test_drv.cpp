@@ -113,7 +113,7 @@ DriverConfig small_config(int nodes) {
 TEST(Driver, SingleJobRunsToCompletion) {
   sim::Engine engine;
   WorkloadDriver driver(engine, small_config(8));
-  driver.add(fs_plan(0.0, 4, 40.0, 2, /*flexible=*/false));
+  driver.submit_at(fs_plan(0.0, 4, 40.0, 2, /*flexible=*/false));
   const WorkloadMetrics metrics = driver.run();
   EXPECT_EQ(metrics.jobs, 1);
   // 2 steps x 20 s at the submitted size.
@@ -125,7 +125,7 @@ TEST(Driver, SingleJobRunsToCompletion) {
 TEST(Driver, FlexibleLoneJobExpandsAndFinishesFaster) {
   sim::Engine engine;
   WorkloadDriver driver(engine, small_config(8));
-  driver.add(fs_plan(0.0, 2, 100.0, 10, /*flexible=*/true, 8));
+  driver.submit_at(fs_plan(0.0, 2, 100.0, 10, /*flexible=*/true, 8));
   const WorkloadMetrics metrics = driver.run();
   EXPECT_EQ(metrics.jobs, 1);
   EXPECT_GE(metrics.expands, 1);
@@ -140,7 +140,7 @@ TEST(Driver, FlexibleLoneJobExpandsAndFinishesFaster) {
 TEST(Driver, RigidWorkloadMovesNoBytes) {
   sim::Engine engine;
   WorkloadDriver driver(engine, small_config(8));
-  driver.add(fs_plan(0.0, 4, 40.0, 2, /*flexible=*/false));
+  driver.submit_at(fs_plan(0.0, 4, 40.0, 2, /*flexible=*/false));
   const WorkloadMetrics metrics = driver.run();
   EXPECT_EQ(metrics.bytes_redistributed, 0u);
   EXPECT_DOUBLE_EQ(metrics.redistribution_seconds, 0.0);
@@ -150,8 +150,8 @@ TEST(Driver, QueuedJobTriggersShrinkOfRunningJob) {
   sim::Engine engine;
   WorkloadDriver driver(engine, small_config(8));
   // Flexible hog takes all 8 nodes; a rigid 4-node job arrives later.
-  driver.add(fs_plan(0.0, 8, 200.0, 20, /*flexible=*/true, 8));
-  driver.add(fs_plan(10.0, 4, 40.0, 2, /*flexible=*/false));
+  driver.submit_at(fs_plan(0.0, 8, 200.0, 20, /*flexible=*/true, 8));
+  driver.submit_at(fs_plan(10.0, 4, 40.0, 2, /*flexible=*/false));
   const WorkloadMetrics metrics = driver.run();
   EXPECT_EQ(metrics.jobs, 2);
   EXPECT_GE(metrics.shrinks, 1);
@@ -213,8 +213,8 @@ TEST(Driver, ShrinkDrainCompletesBeforeTheNextStep) {
     driver.attach(watch);
     JobPlan hog = fs_plan(0.0, 8, 200.0, 20, /*flexible=*/true, 8);
     hog.model.state_bytes = 0;
-    driver.add(hog);
-    driver.add(fs_plan(10.0, 4, 40.0, 2, /*flexible=*/false));
+    driver.submit_at(hog);
+    driver.submit_at(fs_plan(10.0, 4, 40.0, 2, /*flexible=*/false));
     EXPECT_EQ(driver.run().jobs, 2) << path.name;
     ASSERT_FALSE(watch.shrinks.empty()) << path.name;
     for (const DrainWatch::Shrink& shrink : watch.shrinks) {
@@ -245,7 +245,8 @@ WorkloadMetrics run_fs_workload(int jobs, bool flexible, bool asynchronous,
   config.sched_period_override = sched_period;
   WorkloadDriver driver(engine, config);
   for (const auto& job : workload) {
-    driver.add(fs_plan(job.arrival, job.size, job.runtime, steps, flexible));
+    driver.submit_at(
+        fs_plan(job.arrival, job.size, job.runtime, steps, flexible));
   }
   return driver.run();
 }
@@ -291,7 +292,8 @@ TEST(Driver, MixedWorkloadBothKindsComplete) {
   sim::Engine engine;
   WorkloadDriver driver(engine, small_config(16));
   for (int i = 0; i < 6; ++i) {
-    driver.add(fs_plan(i * 5.0, 4, 60.0, 2, /*flexible=*/(i % 2 == 0), 16));
+    driver.submit_at(
+        fs_plan(i * 5.0, 4, 60.0, 2, /*flexible=*/(i % 2 == 0), 16));
   }
   const auto metrics = driver.run();
   EXPECT_EQ(metrics.jobs, 6);
@@ -310,7 +312,7 @@ TEST(Driver, UtilizationWindowStartsAtFirstArrival) {
   // empty lead-in to ~0.14 over [0, 140].
   sim::Engine engine;
   WorkloadDriver driver(engine, small_config(8));
-  driver.add(fs_plan(100.0, 4, 40.0, 2, /*flexible=*/false));
+  driver.submit_at(fs_plan(100.0, 4, 40.0, 2, /*flexible=*/false));
   const WorkloadMetrics metrics = driver.run();
   EXPECT_NEAR(metrics.makespan, 140.0, 1e-9);
   EXPECT_NEAR(metrics.utilization, 0.5, 1e-9);
@@ -339,7 +341,7 @@ TEST(Driver, StaleSubmissionIsRejectedNotReordered) {
   // silently reordering history.
   sim::Engine engine;
   WorkloadDriver driver(engine, small_config(8));
-  driver.add(fs_plan(0.0, 4, 40.0, 2, /*flexible=*/false));
+  driver.submit_at(fs_plan(0.0, 4, 40.0, 2, /*flexible=*/false));
   driver.run();
   EXPECT_GT(engine.now(), 0.0);
   try {
@@ -349,9 +351,6 @@ TEST(Driver, StaleSubmissionIsRejectedNotReordered) {
     EXPECT_NE(std::string(error.what()).find("precedes the simulated clock"),
               std::string::npos);
   }
-  // add() enforces the same contract.
-  EXPECT_THROW(driver.add(fs_plan(0.0, 2, 20.0, 2, /*flexible=*/false)),
-               std::invalid_argument);
   // A future arrival is still welcome: the driver keeps running.
   driver.submit_at(fs_plan(engine.now() + 10.0, 2, 20.0, 2,
                            /*flexible=*/false));
@@ -378,12 +377,12 @@ TEST(Driver, SlowPartitionScalesStepTime) {
   {
     sim::Engine engine;
     WorkloadDriver driver(engine, heterogeneous_config());
-    driver.add(pinned_plan("fast", 40.0, 2));
+    driver.submit_at(pinned_plan("fast", 40.0, 2));
     fast_makespan = driver.run().makespan;
   }
   sim::Engine engine;
   WorkloadDriver driver(engine, heterogeneous_config());
-  driver.add(pinned_plan("slow", 40.0, 2));
+  driver.submit_at(pinned_plan("slow", 40.0, 2));
   const double slow_makespan = driver.run().makespan;
   EXPECT_NEAR(fast_makespan, 40.0, 1e-9);
   EXPECT_NEAR(slow_makespan, 80.0, 1e-9);
@@ -394,7 +393,7 @@ TEST(Driver, SpanningJobGatedBySlowestNode) {
   // spans into the slow partition and the whole job steps at 0.5x.
   sim::Engine engine;
   WorkloadDriver driver(engine, heterogeneous_config());
-  driver.add(fs_plan(0.0, 6, 60.0, 2, /*flexible=*/false, 6));
+  driver.submit_at(fs_plan(0.0, 6, 60.0, 2, /*flexible=*/false, 6));
   const WorkloadMetrics metrics = driver.run();
   EXPECT_NEAR(metrics.makespan, 120.0, 1e-9);
 }
@@ -402,8 +401,8 @@ TEST(Driver, SpanningJobGatedBySlowestNode) {
 TEST(Driver, PartitionUtilizationReported) {
   sim::Engine engine;
   WorkloadDriver driver(engine, heterogeneous_config());
-  driver.add(pinned_plan("fast", 40.0, 2));
-  driver.add(pinned_plan("slow", 40.0, 2));
+  driver.submit_at(pinned_plan("fast", 40.0, 2));
+  driver.submit_at(pinned_plan("slow", 40.0, 2));
   const WorkloadMetrics metrics = driver.run();
   ASSERT_EQ(metrics.partitions.size(), 2u);
   EXPECT_EQ(metrics.partitions[0].name, "fast");
@@ -428,7 +427,7 @@ TEST(Driver, ScheduleTelemetryExposed) {
 TEST(Driver, TraceSeriesRecorded) {
   sim::Engine engine;
   WorkloadDriver driver(engine, small_config(8));
-  driver.add(fs_plan(0.0, 4, 40.0, 2, false));
+  driver.submit_at(fs_plan(0.0, 4, 40.0, 2, false));
   driver.run();
   EXPECT_TRUE(driver.trace().has("allocated"));
   EXPECT_TRUE(driver.trace().has("running"));
@@ -446,7 +445,7 @@ TEST(Driver, MemberSeriesAppearAtTheirFirstRecord) {
       fed::ClusterSpec{"split", heterogeneous_config().rms}};
   sim::Engine engine;
   WorkloadDriver driver(engine, config);
-  driver.add(pinned_plan("slow", 40.0, 2));  // only "split" has "slow"
+  driver.submit_at(pinned_plan("slow", 40.0, 2));  // only "split" has "slow"
   driver.run();
   std::string names;
   for (const std::string& name : driver.trace().names()) names += name + " ";
@@ -475,7 +474,7 @@ TEST(Driver, RealisticMixWithTableOneModels) {
     plan.arrival = arrival;
     plan.submit_nodes = plan.model.request.max_procs;
     plan.flexible = true;
-    driver.add(plan);
+    driver.submit_at(plan);
   }
   const auto metrics = driver.run();
   EXPECT_EQ(metrics.jobs, 9);

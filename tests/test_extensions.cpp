@@ -19,7 +19,6 @@ JobSpec spec(const std::string& name, int nodes, int min = 1,
   s.name = name;
   s.requested_nodes = nodes;
   s.min_nodes = min;
-  s.max_nodes = 32;
   s.flexible = true;
   s.moldable = moldable;
   s.time_limit = 100.0;

@@ -111,7 +111,7 @@ std::vector<ResizeEvent> run_des(const Scenario& scenario, Mode mode) {
   plan.model = model;
   plan.submit_nodes = scenario.submit;
   plan.flexible = true;
-  driver.add(plan);
+  driver.submit_at(plan);
 
   if (scenario.rigid_nodes > 0) {
     apps::AppModel rigid;
@@ -127,7 +127,7 @@ std::vector<ResizeEvent> run_des(const Scenario& scenario, Mode mode) {
     rigid_plan.model = rigid;
     rigid_plan.submit_nodes = scenario.rigid_nodes;
     rigid_plan.flexible = false;
-    driver.add(rigid_plan);
+    driver.submit_at(rigid_plan);
   }
 
   driver.run();
@@ -167,7 +167,6 @@ std::vector<ResizeEvent> run_real(const Scenario& scenario, Mode mode) {
   spec.name = "flex";
   spec.requested_nodes = scenario.submit;
   spec.min_nodes = 1;
-  spec.max_nodes = scenario.nodes;
   spec.flexible = true;
   session.submit(spec);
   session.schedule();
@@ -178,7 +177,6 @@ std::vector<ResizeEvent> run_real(const Scenario& scenario, Mode mode) {
     rigid.name = "rigid";
     rigid.requested_nodes = scenario.rigid_nodes;
     rigid.min_nodes = scenario.rigid_nodes;
-    rigid.max_nodes = scenario.rigid_nodes;
     rigid_session.submit(rigid);
     rigid_session.schedule();
   }
@@ -247,12 +245,11 @@ TEST(EngineParity, AsyncShrinkForQueuedRigidJobSameSequence) {
 
 // --- session lifecycle -------------------------------------------------------
 
-JobSpec small_spec(int nodes, int max) {
+JobSpec small_spec(int nodes) {
   JobSpec spec;
   spec.name = "job";
   spec.requested_nodes = nodes;
   spec.min_nodes = 1;
-  spec.max_nodes = max;
   spec.flexible = true;
   return spec;
 }
@@ -261,7 +258,7 @@ TEST(SessionLifecycle, DoubleFinishReportsOnce) {
   Manager manager(RmsConfig{.nodes = 4, .scheduler = {}});
   double now = 0.0;
   Session session(manager, [&now] { return now; });
-  session.submit(small_spec(2, 4));
+  session.submit(small_spec(2));
   session.schedule();
   ASSERT_TRUE(session.info().running());
 
@@ -278,7 +275,7 @@ TEST(SessionLifecycle, CheckAfterFinishThrows) {
   Manager manager(RmsConfig{.nodes = 4, .scheduler = {}});
   double now = 0.0;
   Session session(manager, [&now] { return now; });
-  session.submit(small_spec(2, 4));
+  session.submit(small_spec(2));
   session.schedule();
   ReconfigEngine engine(session);
 
@@ -297,15 +294,15 @@ TEST(SessionLifecycle, UnboundAndDoubleSubmitAreErrors) {
   EXPECT_THROW(session.info(), std::logic_error);
   EXPECT_THROW(session.finish(), std::logic_error);
 
-  session.submit(small_spec(2, 4));
-  EXPECT_THROW(session.submit(small_spec(1, 4)), std::logic_error);
+  session.submit(small_spec(2));
+  EXPECT_THROW(session.submit(small_spec(1)), std::logic_error);
 }
 
 TEST(SessionLifecycle, ShrinkCompleteReleasesNodesAndStartsRigid) {
   Manager manager(RmsConfig{.nodes = 8, .scheduler = {}});
   double now = 0.0;
   Session session(manager, [&now] { return now; });
-  session.submit(small_spec(8, 8));
+  session.submit(small_spec(8));
   session.schedule();
 
   Session rigid(session.connection());
@@ -313,7 +310,6 @@ TEST(SessionLifecycle, ShrinkCompleteReleasesNodesAndStartsRigid) {
   rigid_spec.name = "rigid";
   rigid_spec.requested_nodes = 4;
   rigid_spec.min_nodes = 4;
-  rigid_spec.max_nodes = 4;
   rigid.submit(rigid_spec);
   rigid.schedule();
 
@@ -341,9 +337,9 @@ TEST(SessionLifecycle, FailedFinishDoesNotStrandTheSession) {
   double now = 0.0;
   Session session(manager, [&now] { return now; });
   Session hog(session.connection());
-  hog.submit(small_spec(4, 4));
+  hog.submit(small_spec(4));
   hog.schedule();
-  session.submit(small_spec(2, 4));  // cluster full: stays pending
+  session.submit(small_spec(2));  // cluster full: stays pending
   session.schedule();
   ASSERT_TRUE(session.info().pending());
 
@@ -363,7 +359,7 @@ TEST(SessionLifecycle, SyncCheckDropsStaleDeferredDecision) {
   Manager manager(RmsConfig{.nodes = 8, .scheduler = {}});
   double now = 0.0;
   Session session(manager, [&now] { return now; });
-  session.submit(small_spec(8, 8));
+  session.submit(small_spec(8));
   session.schedule();
 
   Session rigid(session.connection());
@@ -371,7 +367,6 @@ TEST(SessionLifecycle, SyncCheckDropsStaleDeferredDecision) {
   rigid_spec.name = "rigid";
   rigid_spec.requested_nodes = 4;
   rigid_spec.min_nodes = 4;
-  rigid_spec.max_nodes = 4;
   rigid.submit(rigid_spec);
   rigid.schedule();
 
@@ -405,7 +400,7 @@ TEST(Inhibitor, EngineReturnsNulloptWhileInhibited) {
   Manager manager(RmsConfig{.nodes = 8, .scheduler = {}});
   double now = 0.0;
   Session session(manager, [&now] { return now; });
-  session.submit(small_spec(2, 8));
+  session.submit(small_spec(2));
   session.schedule();
 
   ReconfigEngine engine(session, /*inhibitor_period=*/100.0);

@@ -6,6 +6,8 @@
 
 #include <cmath>
 #include <stdexcept>
+#include <string>
+#include <vector>
 
 #include "apps/models.hpp"
 #include "drv/workload_driver.hpp"
@@ -22,7 +24,6 @@ rms::JobSpec spec(const std::string& name, int nodes,
   s.name = name;
   s.requested_nodes = nodes;
   s.min_nodes = 1;
-  s.max_nodes = 32;
   s.time_limit = 1000.0;
   s.partition = partition;
   return s;
@@ -192,6 +193,29 @@ TEST(Federation, CountersAggregateAcrossMembers) {
   EXPECT_EQ(f.placements(), (std::vector<long long>{1, 1}));
 }
 
+TEST(Federation, PlacementsCountOnlyAcceptedSubmissions) {
+  // A placement is a job its member accepted: a submission the member
+  // rejects leaves every count at zero, on the one-member fast path and
+  // through the placement policy alike.
+  for (int members : {1, 2}) {
+    SCOPED_TRACE(::testing::Message() << members << " member(s)");
+    std::vector<fed::ClusterSpec> clusters;
+    for (int c = 0; c < members; ++c) {
+      clusters.push_back(member("m" + std::to_string(c), 8));
+    }
+    fed::Federation f(config(std::move(clusters), fed::Placement::RoundRobin));
+    rms::JobSpec bad = spec("no-minimum", 2);
+    bad.min_nodes = 0;
+    EXPECT_THROW(f.submit(bad, 0.0), std::invalid_argument);
+    const std::vector<long long> none(static_cast<std::size_t>(members), 0);
+    EXPECT_EQ(f.placements(), none);
+    const JobId id = f.submit(spec("ok", 2), 1.0);
+    std::vector<long long> one = none;
+    one[static_cast<std::size_t>(f.cluster_of(id))] = 1;
+    EXPECT_EQ(f.placements(), one);
+  }
+}
+
 TEST(Federation, ConservativeSpeedCoversTheSlowestEligibleMember) {
   fed::Federation f(config(
       {member("hom", 8),
@@ -233,7 +257,7 @@ TEST(FederationDriver, TwoClusterEndToEndAggregation) {
                fed::Placement::RoundRobin);
   drv::WorkloadDriver driver(engine, config);
   for (int i = 0; i < 12; ++i) {
-    driver.add(fs_plan(20.0 * i, 2 + (i % 4) * 2, 600.0, 5));
+    driver.submit_at(fs_plan(20.0 * i, 2 + (i % 4) * 2, 600.0, 5));
   }
   const auto metrics = driver.run();
 
@@ -272,7 +296,7 @@ TEST(FederationDriver, SingleMemberFederationMatchesPlainRms) {
     sim::Engine engine;
     drv::WorkloadDriver driver(engine, config);
     for (int i = 0; i < 8; ++i) {
-      driver.add(fs_plan(15.0 * i, 2 + (i % 3) * 2, 300.0, 4));
+      driver.submit_at(fs_plan(15.0 * i, 2 + (i % 3) * 2, 300.0, 4));
     }
     return driver.run();
   };
@@ -306,7 +330,7 @@ TEST(FederationDriver, PlacementPoliciesDivergeOnTheSameTrace) {
         placement);
     drv::WorkloadDriver driver(engine, config);
     for (int i = 0; i < 18; ++i) {
-      driver.add(fs_plan(10.0 * i, 2 + (i % 3) * 3, 400.0, 4));
+      driver.submit_at(fs_plan(10.0 * i, 2 + (i % 3) * 3, 400.0, 4));
     }
     return driver.run();
   };

@@ -28,12 +28,11 @@ double wall_now() {
       .count();
 }
 
-dmr::JobSpec flex_spec(const std::string& name, int nodes, int max) {
+dmr::JobSpec flex_spec(const std::string& name, int nodes) {
   dmr::JobSpec spec;
   spec.name = name;
   spec.requested_nodes = nodes;
   spec.min_nodes = 1;
-  spec.max_nodes = max;
   spec.flexible = true;
   spec.time_limit = 60.0;
   return spec;
@@ -49,8 +48,8 @@ TEST(Integration, SecondJobExpandsIntoNodesFreedByFirst) {
 
   dmr::Session session_a(connection);
   dmr::Session session_b(connection);
-  session_a.submit(flex_spec("A", 4, 4));
-  session_b.submit(flex_spec("B", 4, 8));
+  session_a.submit(flex_spec("A", 4));
+  session_b.submit(flex_spec("B", 4));
   connection->schedule();
   ASSERT_TRUE(session_a.info().running());
   ASSERT_TRUE(session_b.info().running());
@@ -103,10 +102,10 @@ TEST(Integration, ShrinkHandsNodesToQueuedMalleableJob) {
       std::make_shared<dmr::Connection>(manager, [] { return wall_now(); });
 
   dmr::Session session_a(connection);
-  session_a.submit(flex_spec("A", 8, 8));
+  session_a.submit(flex_spec("A", 8));
   connection->schedule();
   dmr::Session session_b(connection);
-  session_b.submit(flex_spec("B", 4, 4));
+  session_b.submit(flex_spec("B", 4));
   connection->schedule();
   ASSERT_TRUE(session_b.info().pending());
 
@@ -159,7 +158,7 @@ TEST(Integration, ShrinkHandsNodesToQueuedMalleableJob) {
 TEST(Integration, InhibitedJobNeverContactsRmsAgain) {
   dmr::Manager manager(dmr::RmsConfig{.nodes = 8, .scheduler = {}});
   dmr::Session session(manager, [] { return wall_now(); });
-  session.submit(flex_spec("quiet", 4, 8));
+  session.submit(flex_spec("quiet", 4));
   session.schedule();
 
   dmr::Request req{.min_procs = 1, .max_procs = 8, .factor = 2,

@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <string>
+#include <vector>
 
 #include "rms/manager.hpp"
 
@@ -12,14 +13,12 @@ namespace {
 using namespace dmr::rms;
 namespace obs = dmr::obs;
 
-JobSpec spec(const std::string& name, int nodes, int min = 1, int max = 32,
-             int preferred = 0, bool flexible = true) {
+JobSpec spec(const std::string& name, int nodes, int min = 1,
+             bool flexible = true) {
   JobSpec s;
   s.name = name;
   s.requested_nodes = nodes;
   s.min_nodes = min;
-  s.max_nodes = max;
-  s.preferred_nodes = preferred;
   s.flexible = flexible;
   s.time_limit = 1000.0;
   return s;
@@ -43,8 +42,8 @@ TEST(Manager, SubmitScheduleRun) {
   Manager m(config(8));
   const JobId id = m.submit(spec("a", 4), 0.0);
   EXPECT_TRUE(m.job(id).pending());
-  const auto started = m.schedule(0.0);
-  ASSERT_EQ(started.size(), 1u);
+  m.schedule(0.0);
+  ASSERT_EQ(m.running_jobs(), 1);
   EXPECT_TRUE(m.job(id).running());
   EXPECT_EQ(m.job(id).allocated(), 4);
   EXPECT_EQ(m.idle_nodes(), 4);
@@ -152,7 +151,7 @@ TEST(ResizeProtocol, SubmitHarvestGrow) {
   // resizer submitted -> started on the idle nodes -> zero-size update
   // hands its nodes to the parent -> resizer cancelled.
   Manager m(config(8));
-  const JobId a = m.submit(spec("a", 4, 1, 8), 0.0);
+  const JobId a = m.submit(spec("a", 4), 0.0);
   m.schedule(0.0);
   ResizerProbe probe;
   probe.parent = a;
@@ -164,7 +163,11 @@ TEST(ResizeProtocol, SubmitHarvestGrow) {
   EXPECT_EQ(m.job(probe.resizer).spec.depends_on, a);
   EXPECT_EQ(m.job(probe.resizer).state, JobState::Cancelled);
   EXPECT_EQ(probe.resizer_nodes.size(), 4u);
-  EXPECT_EQ(outcome.added_nodes, probe.resizer_nodes);
+  EXPECT_EQ(outcome.old_size, 4);
+  // The harvested nodes are appended to the parent's allocation.
+  EXPECT_EQ(std::vector<int>(m.job(a).nodes.begin() + outcome.old_size,
+                             m.job(a).nodes.end()),
+            probe.resizer_nodes);
   EXPECT_TRUE(probe.harvested_to_parent);
   // The resizer took the four idle nodes and none was ever released.
   ASSERT_FALSE(probe.idle_after_start.empty());
@@ -176,7 +179,7 @@ TEST(ResizeProtocol, SubmitHarvestGrow) {
 
 TEST(ResizeProtocol, ResizerInvisibleToMetrics) {
   Manager m(config(8));
-  const JobId a = m.submit(spec("a", 4, 1, 8), 0.0);
+  const JobId a = m.submit(spec("a", 4), 0.0);
   m.schedule(0.0);
   ResizerProbe probe;
   probe.parent = a;
@@ -197,8 +200,8 @@ TEST(DmrCheck, ExpandWholeFlow) {
   m.schedule(0.0);
   const Outcome outcome = m.dmr_check(a, request(1, 16), 1.0);
   EXPECT_EQ(outcome.action, Action::Expand);
+  EXPECT_EQ(outcome.old_size, 4);
   EXPECT_EQ(outcome.new_size, 16);
-  EXPECT_EQ(outcome.added_nodes.size(), 12u);
   EXPECT_EQ(m.job(a).allocated(), 16);
   EXPECT_EQ(m.counters().expands, 1);
   EXPECT_EQ(m.job(a).expansions, 1);
@@ -206,16 +209,17 @@ TEST(DmrCheck, ExpandWholeFlow) {
 
 TEST(DmrCheck, ShrinkTwoPhase) {
   Manager m(config(16));
-  const JobId a = m.submit(spec("a", 16, 1, 16, 4), 0.0);
+  const JobId a = m.submit(spec("a", 16), 0.0);
   m.schedule(0.0);
-  const JobId b = m.submit(spec("b", 8, 8, 8, 0, false), 1.0);
+  const JobId b = m.submit(spec("b", 8, 8, false), 1.0);
   m.schedule(1.0);
   EXPECT_TRUE(m.job(b).pending());
 
   const Outcome outcome = m.dmr_check(a, request(1, 16, 4), 2.0);
   EXPECT_EQ(outcome.action, Action::Shrink);
+  EXPECT_EQ(outcome.old_size, 16);
   EXPECT_EQ(outcome.new_size, 4);
-  EXPECT_EQ(outcome.draining_nodes.size(), 12u);
+  EXPECT_EQ(m.cluster().draining_count(), 12);
   // Nodes still attached until the drain ACKs arrive.
   EXPECT_EQ(m.job(a).allocated(), 16);
   EXPECT_TRUE(m.job(b).pending());
@@ -231,29 +235,31 @@ TEST(DmrCheck, ShrinkBoostsTriggeringJob) {
   Manager m(config(16));
   const JobId a = m.submit(spec("a", 16), 0.0);
   m.schedule(0.0);
-  const JobId b = m.submit(spec("b", 12, 12, 12, 0, false), 1.0);
+  const JobId b = m.submit(spec("b", 12, 12, false), 1.0);
   m.schedule(1.0);
   const Outcome outcome = m.dmr_check(a, request(1, 16), 2.0);
   EXPECT_EQ(outcome.action, Action::Shrink);
-  EXPECT_EQ(outcome.boosted, b);
   EXPECT_TRUE(m.job(b).priority_boost);
 }
 
 TEST(DmrCheck, NoActionWhenSaturated) {
   Manager m(config(8));
-  const JobId a = m.submit(spec("a", 8, 1, 8, 8), 0.0);
+  const JobId a = m.submit(spec("a", 8), 0.0);
   m.schedule(0.0);
   const Outcome outcome = m.dmr_check(a, request(1, 8, 8), 1.0);
   EXPECT_EQ(outcome.action, Action::None);
-  EXPECT_EQ(m.counters().no_actions, 1);
+  EXPECT_FALSE(outcome.aborted);
+  EXPECT_EQ(outcome.old_size, 8);
+  EXPECT_EQ(m.counters().checks, 1);
+  EXPECT_EQ(m.counters().expands + m.counters().shrinks, 0);
 }
 
 TEST(DmrAsync, DeferredDecisionAppliesAgainstNewState) {
   // The Fig. 6 pathology: decide expand-to-8 when 4 nodes are idle, but
   // by apply time 12 more became idle — the job still only gets 8.
   Manager m(config(16));
-  const JobId a = m.submit(spec("a", 4, 1, 16), 0.0);
-  const JobId hog = m.submit(spec("hog", 12, 12, 12, 0, false), 0.0);
+  const JobId a = m.submit(spec("a", 4), 0.0);
+  const JobId hog = m.submit(spec("hog", 12, 12, false), 0.0);
   m.schedule(0.0);
   EXPECT_EQ(m.idle_nodes(), 0);
   m.job_finished(hog, 5.0);
@@ -264,7 +270,7 @@ TEST(DmrAsync, DeferredDecisionAppliesAgainstNewState) {
   EXPECT_EQ(decision.new_size, 16);
 
   // Meanwhile another job grabs 8 of the idle nodes.
-  const JobId c = m.submit(spec("c", 8, 8, 8, 0, false), 7.0);
+  const JobId c = m.submit(spec("c", 8, 8, false), 7.0);
   m.schedule(7.0);
   EXPECT_TRUE(m.job(c).running());
 
@@ -272,6 +278,7 @@ TEST(DmrAsync, DeferredDecisionAppliesAgainstNewState) {
   const Outcome outcome = m.dmr_apply(a, decision, 8.0);
   EXPECT_EQ(outcome.action, Action::None);
   EXPECT_TRUE(outcome.aborted);
+  EXPECT_EQ(outcome.old_size, 4);
   EXPECT_EQ(m.counters().aborted_expands, 1);
   EXPECT_EQ(m.job(a).allocated(), 4);
 }
@@ -286,16 +293,17 @@ TEST(DmrAsync, StaleShrinkOvertakenIsAborted) {
   const Outcome outcome = m.dmr_apply(a, stale, 1.0);
   EXPECT_EQ(outcome.action, Action::None);
   EXPECT_TRUE(outcome.aborted);
+  EXPECT_EQ(outcome.old_size, 8);
 }
 
 TEST(Manager, ExpandAbortWhenResizerLosesRace) {
   // A boosted pending user job outranks the resizer: the expansion must
   // abort cleanly (the Section V-B1 timeout path).
   Manager m(config(16));
-  const JobId a = m.submit(spec("a", 4, 1, 16), 0.0);
+  const JobId a = m.submit(spec("a", 4), 0.0);
   m.schedule(0.0);
   // 12 idle; competitor wants 12 and is boosted above the resizer.
-  const JobId rival = m.submit(spec("rival", 12, 12, 12, 0, false), 1.0);
+  const JobId rival = m.submit(spec("rival", 12, 12, false), 1.0);
   // Force rival ahead of the resizer by boosting it first.
   Decision decision;
   decision.action = Action::Expand;
@@ -348,10 +356,9 @@ TEST(Manager, RejectsBadSubmissions) {
   Manager m(config(8));
   EXPECT_THROW(m.submit(spec("zero", 0), 0.0), std::invalid_argument);
   EXPECT_THROW(m.submit(spec("huge", 9), 0.0), std::invalid_argument);
-  JobSpec bad = spec("bounds", 4);
-  bad.min_nodes = 8;
-  bad.max_nodes = 4;
-  EXPECT_THROW(m.submit(bad, 0.0), std::invalid_argument);
+  EXPECT_THROW(m.submit(spec("no-minimum", 4, 0), 0.0),
+               std::invalid_argument);
+  EXPECT_TRUE(m.jobs().empty());
 }
 
 TEST(Manager, GuardsStateTransitions) {
@@ -364,20 +371,21 @@ TEST(Manager, GuardsStateTransitions) {
 
 TEST(Manager, ScheduleIsIncremental) {
   Manager m(config(8));
-  m.submit(spec("a", 4), 0.0);
-  const auto first = m.schedule(0.0);
-  EXPECT_EQ(first.size(), 1u);
+  const JobId a = m.submit(spec("a", 4), 0.0);
+  m.schedule(0.0);
+  EXPECT_TRUE(m.job(a).running());
   const auto passes = m.counters().schedule_passes;
   // No placement-relevant event since the last pass: the request is
-  // short-circuited.
-  EXPECT_TRUE(m.schedule(1.0).empty());
-  EXPECT_TRUE(m.schedule(2.0).empty());
+  // short-circuited, so it starts nothing.
+  m.schedule(1.0);
+  m.schedule(2.0);
   EXPECT_EQ(m.counters().schedule_passes, passes);
   EXPECT_GE(m.counters().schedule_passes_saved, 2);
   EXPECT_EQ(m.counters().schedule_requests, passes + 2);
   // A submission re-arms the pass.
-  m.submit(spec("b", 4), 3.0);
-  EXPECT_EQ(m.schedule(3.0).size(), 1u);
+  const JobId b = m.submit(spec("b", 4), 3.0);
+  m.schedule(3.0);
+  EXPECT_TRUE(m.job(b).running());
   EXPECT_GT(m.counters().schedule_passes, passes);
 }
 
@@ -429,12 +437,12 @@ TEST(Manager, MoldableHeadMoldsInSamePassAsBackfill) {
   // head its molding round before settling (regression: the incremental
   // fixpoint once broke out early and left the head pending).
   Manager m(config(10));
-  m.submit(spec("hog", 4, 4, 4, 0, false), 0.0);
+  m.submit(spec("hog", 4, 4, false), 0.0);
   m.schedule(0.0);
-  JobSpec moldable = spec("mold", 10, 2, 10);
+  JobSpec moldable = spec("mold", 10, 2);
   moldable.moldable = true;
   const JobId b = m.submit(moldable, 1.0);
-  JobSpec short_rigid = spec("short", 4, 4, 4, 0, false);
+  JobSpec short_rigid = spec("short", 4, 4, false);
   short_rigid.time_limit = 50.0;
   const JobId c = m.submit(short_rigid, 2.0);
   m.schedule(2.0);
@@ -448,7 +456,7 @@ TEST(Manager, PinnedExpandCappedByPartitionIdle) {
   // granted an expansion the 4-node partition could not hold, making
   // submit_resizer throw out of dmr_check.
   Manager m(heterogeneous_config());
-  JobSpec pinned = spec("pinned", 2, 1, 32);
+  JobSpec pinned = spec("pinned", 2);
   pinned.partition = "fast";
   const JobId id = m.submit(pinned, 0.0);
   m.schedule(0.0);
@@ -461,14 +469,14 @@ TEST(Manager, PinnedJobIgnoresForeignPartitionQueue) {
   // A job queued for the *other* partition cannot be served by this
   // job's nodes, so it must not trigger a futile shrink.
   Manager m(heterogeneous_config());
-  JobSpec hog = spec("hog", 4, 4, 4, 0, false);
+  JobSpec hog = spec("hog", 4, 4, false);
   hog.partition = "slow";
   m.submit(hog, 0.0);
-  JobSpec pinned = spec("a", 4, 1, 4);
+  JobSpec pinned = spec("a", 4);
   pinned.partition = "fast";
   const JobId a = m.submit(pinned, 0.0);
   m.schedule(0.0);
-  JobSpec waiting = spec("b", 4, 4, 4, 0, false);
+  JobSpec waiting = spec("b", 4, 4, false);
   waiting.partition = "slow";
   const JobId b = m.submit(waiting, 1.0);
   m.schedule(1.0);
@@ -480,7 +488,7 @@ TEST(Manager, PinnedJobIgnoresForeignPartitionQueue) {
 
 TEST(Manager, ExpandInheritsPartitionConstraint) {
   Manager m(heterogeneous_config());
-  JobSpec pinned = spec("pinned", 2, 1, 4);
+  JobSpec pinned = spec("pinned", 2);
   pinned.partition = "slow";
   const JobId id = m.submit(pinned, 0.0);
   m.schedule(0.0);

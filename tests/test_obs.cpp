@@ -38,7 +38,7 @@ RunOutcome run_plans(drv::DriverConfig config,
   sim::Engine engine;
   config.hooks = hooks;
   drv::WorkloadDriver driver(engine, config);
-  for (auto& plan : plans) driver.add(std::move(plan));
+  for (auto& plan : plans) driver.submit_at(std::move(plan));
   RunOutcome outcome;
   outcome.metrics = driver.run();
   outcome.executed = engine.executed();

@@ -163,7 +163,7 @@ ObserverDigests run_batch(drv::DriverConfig config, std::uint64_t seed,
   drv::WorkloadDriver driver(engine, config);
   observers.keep_ledgers(driver.federation_mutable());
   for (auto& plan : digests::fs_workload(seed, 60, max_size)) {
-    driver.add(std::move(plan));
+    driver.submit_at(std::move(plan));
   }
   driver.run();
   return digest_observers(observers);

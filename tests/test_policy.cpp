@@ -20,7 +20,6 @@ Job running_job(JobId id, int nodes) {
   job.id = id;
   job.spec.requested_nodes = nodes;
   job.spec.min_nodes = 1;
-  job.spec.max_nodes = 32;
   job.state = JobState::Running;
   job.requested_nodes = nodes;
   job.nodes.resize(static_cast<std::size_t>(nodes));

@@ -15,6 +15,10 @@
 //  - Driver seed sweep: for every seed, the flexible run of a workload
 //    is deterministic and its makespan never exceeds the fixed run's by
 //    more than the reconfiguration overhead bound.
+//  - Time scaling: multiplying every arrival and runtime of a rigid
+//    workload by a power of two multiplies every time in the job table
+//    by exactly that factor and moves no count, on one cluster and on a
+//    federation.
 //  - smpi fuzz: a random message storm between N ranks delivers every
 //    message exactly once with per-pair FIFO order.
 #include <gtest/gtest.h>
@@ -30,7 +34,9 @@
 #include <tuple>
 
 #include "apps/models.hpp"
+#include "drv/plan.hpp"
 #include "drv/workload_driver.hpp"
+#include "fed/member_mix.hpp"
 #include "rms/manager.hpp"
 #include "smpi/universe.hpp"
 #include "util/rng.hpp"
@@ -171,7 +177,6 @@ TEST_P(ManagerFuzz, InvariantsHoldUnderRandomOperations) {
       spec.requested_nodes =
           static_cast<int>(rng.uniform_int(1, kNodes));
       spec.min_nodes = 1;
-      spec.max_nodes = kNodes;
       spec.flexible = rng.bernoulli(0.7);
       spec.moldable = rng.bernoulli(fuzz.moldable);
       spec.time_limit = rng.uniform(10.0, 500.0);
@@ -810,7 +815,6 @@ TEST_P(PassReference, InPlacePassDecidesWhatTheCopyingPassDecided) {
       }
       spec.requested_nodes = static_cast<int>(rng.uniform_int(1, capacity));
       spec.min_nodes = 1;
-      spec.max_nodes = capacity;
       spec.flexible = rng.bernoulli(0.7);
       spec.moldable = rng.bernoulli(0.3);
       spec.time_limit = 10.0 * static_cast<double>(rng.uniform_int(1, 40));
@@ -981,7 +985,7 @@ drv::WorkloadMetrics run_sweep(const DriverSweepCase& param, bool flexible) {
                                 std::size_t(1) << 24);
     plan.submit_nodes = job.size;
     plan.flexible = flexible;
-    driver.add(std::move(plan));
+    driver.submit_at(std::move(plan));
   }
   return driver.run();
 }
@@ -1016,6 +1020,102 @@ INSTANTIATE_TEST_SUITE_P(
     ::testing::Values(DriverSweepCase{11, 12}, DriverSweepCase{22, 12},
                       DriverSweepCase{33, 20}, DriverSweepCase{44, 20},
                       DriverSweepCase{55, 30}, DriverSweepCase{66, 30}));
+
+// --- Power-of-two time scaling -----------------------------------------------
+//
+// Scaling by a power of two is exact in binary floating point, and a rigid
+// run has no time constant of its own: every time it computes is a sum,
+// difference, product or comparison of the workload's times.  So scaling
+// the arrivals and runtimes scales the job table exactly and leaves every
+// decision, and so every count, where it was.  Flexible runs are left
+// out: drv::CostModel's protocol and bandwidth figures (its k* constants)
+// are absolute seconds, so a resize costs the same at every scale.  The
+// same oracle over Pow2Halving jobs, with the check overhead scaled too,
+// was exact in none of 20 runs.
+
+struct TimedJob {
+  JobId id;
+  double submit;
+  double start;
+  double end;
+};
+
+struct ScaledRun {
+  std::vector<TimedJob> jobs;
+  long long schedule_passes = 0;
+};
+
+ScaledRun run_rigid_scaled(std::uint64_t seed, bool federated, double scale) {
+  wl::FeitelsonParams params;
+  params.jobs = 400;
+  params.seed = seed;
+  wl::Workload workload = wl::from_feitelson(
+      wl::generate_feitelson(params), params.max_size,
+      wl::MalleabilityConfig{.policy = wl::Malleability::Rigid});
+  for (wl::WorkloadJob& job : workload.jobs) {
+    job.arrival *= scale;
+    job.runtime *= scale;
+  }
+  drv::PlanShape shape;
+  shape.steps = 5;
+  shape.flexible = false;
+
+  drv::DriverConfig config;
+  if (federated) {
+    const fed::MemberMix mix = fed::parse_member_mix(fed::kDefaultMemberMix);
+    for (int c = 0; c < 3; ++c) {
+      config.federation.clusters.push_back(fed::member_spec(mix, c));
+    }
+    config.federation.placement = fed::Placement::QueueDepth;
+  } else {
+    config.rms.nodes = 32;
+  }
+  sim::Engine engine;
+  drv::WorkloadDriver driver(engine, config);
+  for (drv::JobPlan& plan : drv::plans_from_workload(workload, shape)) {
+    driver.submit_at(std::move(plan));
+  }
+  const drv::WorkloadMetrics metrics = driver.run();
+  ScaledRun run;
+  run.schedule_passes = metrics.schedule_passes;
+  const fed::Federation& federation = driver.federation();
+  for (int c = 0; c < federation.cluster_count(); ++c) {
+    for (const Job* job : federation.manager(c).jobs()) {
+      run.jobs.push_back(
+          {job->id, job->submit_time, job->start_time, job->end_time});
+    }
+  }
+  return run;
+}
+
+TEST(TimeScaling, RigidJobTimesScaleExactlyByPowersOfTwo) {
+  for (const bool federated : {false, true}) {
+    for (const std::uint64_t seed : {1, 7, 42, 2017, 5150}) {
+      const ScaledRun base = run_rigid_scaled(seed, federated, 1.0);
+      ASSERT_EQ(base.jobs.size(), 400u);
+      for (const double scale : {0.125, 32.0}) {
+        SCOPED_TRACE(::testing::Message()
+                     << (federated ? "federation" : "cluster") << " seed "
+                     << seed << " scale " << scale);
+        const ScaledRun scaled = run_rigid_scaled(seed, federated, scale);
+        EXPECT_EQ(scaled.schedule_passes, base.schedule_passes);
+        ASSERT_EQ(scaled.jobs.size(), base.jobs.size());
+        int inexact = 0;
+        for (std::size_t i = 0; i < base.jobs.size(); ++i) {
+          const TimedJob& want = base.jobs[i];
+          const TimedJob& got = scaled.jobs[i];
+          ASSERT_EQ(got.id, want.id);
+          if (got.submit != want.submit * scale ||
+              got.start != want.start * scale ||
+              got.end != want.end * scale) {
+            ++inexact;
+          }
+        }
+        EXPECT_EQ(inexact, 0);
+      }
+    }
+  }
+}
 
 // --- smpi message storm ----------------------------------------------------------
 

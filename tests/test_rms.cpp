@@ -96,7 +96,6 @@ Job make_job(JobId id, int nodes, double submit) {
   job.spec.name = "j" + std::to_string(id);
   job.spec.requested_nodes = nodes;
   job.spec.min_nodes = 1;
-  job.spec.max_nodes = nodes;
   job.spec.time_limit = 100.0;
   job.requested_nodes = nodes;
   job.submit_time = submit;
@@ -401,7 +400,7 @@ TEST(Cluster, HeterogeneousPartitions) {
   EXPECT_EQ(cluster.node_name(4), "slow0");
   EXPECT_EQ(cluster.idle_in(0), 4);
   EXPECT_EQ(cluster.idle_in(1), 2);
-  EXPECT_DOUBLE_EQ(cluster.node(5).speed, 0.5);
+  EXPECT_DOUBLE_EQ(cluster.min_speed({5}), 0.5);
   EXPECT_DOUBLE_EQ(cluster.min_speed({0, 1}), 1.0);
   EXPECT_DOUBLE_EQ(cluster.min_speed({0, 5}), 0.5);
 }

@@ -208,7 +208,6 @@ TEST(DmrRuntime, NegotiatedExpandThroughManager) {
   spec.name = "flex";
   spec.requested_nodes = 2;
   spec.min_nodes = 1;
-  spec.max_nodes = 8;
   spec.flexible = true;
   const rms::JobId job = session.submit(spec);
   session.schedule();
@@ -244,7 +243,6 @@ TEST(DmrRuntime, ShrinkReleasesNodesAndStartsQueuedJob) {
   spec.name = "flex";
   spec.requested_nodes = 8;
   spec.min_nodes = 1;
-  spec.max_nodes = 8;
   spec.flexible = true;
   session.submit(spec);
   session.schedule();
@@ -254,7 +252,6 @@ TEST(DmrRuntime, ShrinkReleasesNodesAndStartsQueuedJob) {
   rigid.name = "rigid";
   rigid.requested_nodes = 4;
   rigid.min_nodes = 4;
-  rigid.max_nodes = 4;
   rigid_session.submit(rigid);
   rigid_session.schedule();
   ASSERT_TRUE(rigid_session.info().pending());
@@ -288,7 +285,6 @@ TEST(DmrRuntime, InhibitorSuppressesNegotiation) {
   spec.name = "flex";
   spec.requested_nodes = 2;
   spec.min_nodes = 1;
-  spec.max_nodes = 8;
   session.submit(spec);
   session.schedule();
 
@@ -320,7 +316,6 @@ TEST(DmrRuntime, AsyncDefersDecisionByOneStep) {
   spec.name = "flex";
   spec.requested_nodes = 2;
   spec.min_nodes = 1;
-  spec.max_nodes = 8;
   const rms::JobId job = session.submit(spec);
   session.schedule();
 
@@ -351,7 +346,6 @@ TEST(DmrRuntime, DecisionBroadcastConsistentAcrossRanks) {
   spec.name = "flex";
   spec.requested_nodes = 4;
   spec.min_nodes = 1;
-  spec.max_nodes = 8;
   session.submit(spec);
   session.schedule();
   rms::Request request;

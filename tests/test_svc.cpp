@@ -68,7 +68,7 @@ TEST(SubmitQueue, QueueFullBackpressureAndCounters) {
   // Full: the push is rejected and counted, nothing is dropped silently.
   EXPECT_EQ(queue.push(request_of(99, 0.0)), svc::PushResult::QueueFull);
   EXPECT_EQ(queue.push(request_of(99, 0.0)), svc::PushResult::QueueFull);
-  EXPECT_EQ(queue.pushed(), 4u);
+  EXPECT_EQ(queue.size(), 4u);
   EXPECT_EQ(queue.rejected_full(), 2u);
   // Draining one slot re-arms it for exactly one more push.
   svc::JobRequest out;
@@ -81,7 +81,7 @@ TEST(SubmitQueue, QueueFullBackpressureAndCounters) {
     ASSERT_TRUE(queue.pop(out));
     EXPECT_EQ(out.tag, tag);
   }
-  EXPECT_EQ(queue.popped(), 5u);
+  EXPECT_TRUE(queue.empty());
 }
 
 TEST(SubmitQueue, CrossThreadStressKeepsOrderAndLosesNothing) {
@@ -117,8 +117,7 @@ TEST(SubmitQueue, CrossThreadStressKeepsOrderAndLosesNothing) {
   for (long long tag = 0; tag < kCount; ++tag) {
     ASSERT_EQ(seen[std::size_t(tag)], tag);
   }
-  EXPECT_EQ(queue.pushed(), std::uint64_t(kCount));
-  EXPECT_EQ(queue.popped(), std::uint64_t(kCount));
+  EXPECT_TRUE(queue.empty());
   EXPECT_EQ(queue.rejected_full(), std::uint64_t(rejected));
 }
 

@@ -1047,7 +1047,7 @@ drv::WorkloadMetrics run_plans(const std::vector<drv::JobPlan>& plans,
                                drv::DriverConfig config) {
   sim::Engine engine;
   drv::WorkloadDriver driver(engine, std::move(config));
-  for (const drv::JobPlan& plan : plans) driver.add(plan);
+  for (const drv::JobPlan& plan : plans) driver.submit_at(plan);
   return driver.run();
 }
 
