@@ -1,10 +1,12 @@
 // Substrate microbenchmarks (google-benchmark): the primitive costs
 // underneath the figure reproductions — mailbox matching, event-queue
 // throughput, redistribution planning, policy decisions, scheduler
-// passes, the driver's skipped-step advance and workload generation.
+// passes, the driver's skipped-step advance, the metrics summaries and
+// workload generation.
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
+#include <cmath>
 #include <cstdint>
 #include <random>
 #include <vector>
@@ -172,10 +174,12 @@ void BM_SchedulerPass(benchmark::State& state) {
     view.idle_bits = cluster.idle_bits();
   }
   std::vector<rms::BlockDiag> blocked;
+  std::vector<const rms::Job*> started;
   for (auto _ : state) {
     blocked.clear();
-    benchmark::DoNotOptimize(
-        rms::schedule_pass(view, config, het ? &blocked : nullptr));
+    rms::schedule_pass(view, config, started, het ? &blocked : nullptr);
+    benchmark::DoNotOptimize(started.data());
+    benchmark::ClobberMemory();
   }
   state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) *
                           static_cast<int64_t>(count));
@@ -317,6 +321,33 @@ void BM_FeitelsonGenerate(benchmark::State& state) {
                           state.range(0));
 }
 BENCHMARK(BM_FeitelsonGenerate)->Arg(100)->Arg(1000);
+
+// util::summarize over seeded samples shaped like an archive replay's
+// (execs:0 its waits, 70% +0.0 and the rest exponential; execs:1 its
+// executions, log-uniform from a second to a day): the Table II
+// summaries WorkloadDriver::collect_metrics computes.  Each iteration
+// copies the samples in, as collect_metrics hands over its vectors.
+void BM_Summarize(benchmark::State& state) {
+  const auto count = static_cast<std::size_t>(state.range(0));
+  const bool execs = state.range(1) == 1;
+  util::Rng rng(42);
+  std::vector<double> samples(count);
+  for (double& x : samples) {
+    if (execs) {
+      x = std::exp(rng.uniform(0.0, std::log(86400.0)));
+    } else {
+      x = rng.bernoulli(0.7) ? 0.0 : rng.exponential_mean(3600.0);
+    }
+  }
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(util::summarize(samples));
+  }
+  state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) *
+                          static_cast<int64_t>(count));
+}
+BENCHMARK(BM_Summarize)
+    ->ArgNames({"samples", "execs"})
+    ->ArgsProduct({{50, 2500, 300000}, {0, 1}});
 
 void BM_RngUniform(benchmark::State& state) {
   util::Rng rng(1);

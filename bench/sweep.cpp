@@ -30,7 +30,7 @@
 //   --attr-json FILE   write the traced cell's attribution sidecar
 //                      (tools/dmr_explain input)
 //   smoke      CI mode: a small trace, 1 seed, 2 threads (with
-//              clusters=N: 2 members x 2 placements, the ctest/CI
+//              clusters=N: N members x 2 placements, the ctest/CI
 //              federation smoke)
 //   jobs=N     jobs per trace (default 1000; the paper stops at 400).
 //              In SWF mode this caps the replay at the first N records.
@@ -490,13 +490,12 @@ int main(int argc, char** argv) {
   };
 
   // Federation grid axes; the smoke run is the ctest/CI federation
-  // check: 2 members x 2 placements, flexible only.
+  // check: the requested members x 2 placements, flexible only.
   std::vector<fed::Placement> placements;
   std::vector<Policy> policies(std::begin(kPolicies), std::end(kPolicies));
   if (options.clusters > 1) {
     placements = fed::all_placements();
     if (smoke) {
-      options.clusters = 2;
       placements.resize(2);
       policies = {kPolicies[1]};  // flexible
     }

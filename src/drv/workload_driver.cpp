@@ -125,7 +125,8 @@ StepRun advance_steps(double at, double step, int n,
 
 WorkloadDriver::WorkloadDriver(sim::Engine& engine, DriverConfig config)
     : engine_(engine),
-      config_(config),
+      config_{config.cost, config.asynchronous, config.sched_period_override,
+              config.check_overhead_seconds, config.hooks.attr},
       federation_(make_federation(config)),
       connection_(std::make_shared<::dmr::Connection>(
           federation_, [this] { return engine_.now(); })),
@@ -136,7 +137,7 @@ WorkloadDriver::WorkloadDriver(sim::Engine& engine, DriverConfig config)
       member_series_(static_cast<std::size_t>(federation_.cluster_count())),
       by_id_(static_cast<std::size_t>(federation_.cluster_count())) {
   federation_.attach(*this);
-  const obs::Hooks& hooks = config_.hooks;
+  const obs::Hooks& hooks = config.hooks;
   if (hooks.trace != nullptr) {
     trace_sink_ = std::make_unique<obs::TraceSink>(*hooks.trace, federation_);
     attach(*trace_sink_);
@@ -287,15 +288,20 @@ void WorkloadDriver::on_started(const rms::Job& job) {
   if (found == nullptr) return;  // not one of ours (shouldn't happen)
   Exec& exec = *found;
   exec.steps_left = exec.plan.model.iterations;
-  // Defer to a fresh event: the start is reported inside a Manager
-  // scheduling pass, and the first reconfiguring point itself mutates the
-  // manager (reentrancy hazard otherwise).
+  // The start is reported inside a Manager scheduling pass.  A flexible
+  // job's first reconfiguring point mutates the manager, so it runs in a
+  // fresh event (a reentrancy hazard otherwise).  A rigid job never
+  // checks: scheduling the end of its steps only reads the manager, so
+  // it happens here, without the deferring event.
+  if (!exec.plan.flexible) {
+    schedule_step(exec);
+    return;
+  }
   engine_.schedule_after(0.0, [this, &exec] { begin_execution(exec); });
 }
 
 void WorkloadDriver::begin_execution(Exec& exec) {
-  proceed_after_check(exec, exec.plan.flexible ? reconfiguring_point(exec)
-                                               : Resume{});
+  proceed_after_check(exec, reconfiguring_point(exec));
 }
 
 void WorkloadDriver::proceed_after_check(Exec& exec, Resume resume) {
@@ -448,24 +454,35 @@ WorkloadMetrics WorkloadDriver::run() {
 
 WorkloadMetrics WorkloadDriver::collect_metrics() const {
   WorkloadMetrics metrics;
-  std::vector<double> waits, execs, completions;
+  const auto completed_jobs = [this](auto&& visit) {
+    for (int c = 0; c < federation_.cluster_count(); ++c) {
+      for (const rms::Job* job : federation_.manager(c).jobs()) {
+        if (job->state == rms::JobState::Completed) visit(*job);
+      }
+    }
+  };
+  // Two walks: summarize sorts through a scratch buffer as large as its
+  // input, so the completions are gathered only once the waits and the
+  // executions are summarized, and at most three sample-sized buffers
+  // are live at once.
+  std::vector<double> waits, execs;
   waits.reserve(static_cast<std::size_t>(completed_));
   execs.reserve(static_cast<std::size_t>(completed_));
-  completions.reserve(static_cast<std::size_t>(completed_));
   double makespan = 0.0;
-  for (int c = 0; c < federation_.cluster_count(); ++c) {
-    for (const rms::Job* job : federation_.manager(c).jobs()) {
-      if (job->state != rms::JobState::Completed) continue;
-      waits.push_back(job->wait_time());
-      execs.push_back(job->execution_time());
-      completions.push_back(job->completion_time());
-      makespan = std::max(makespan, job->end_time);
-      ++metrics.jobs;
-    }
-  }
+  completed_jobs([&](const rms::Job& job) {
+    waits.push_back(job.wait_time());
+    execs.push_back(job.execution_time());
+    makespan = std::max(makespan, job.end_time);
+    ++metrics.jobs;
+  });
   metrics.makespan = makespan;
   metrics.wait = util::summarize(std::move(waits));
   metrics.execution = util::summarize(std::move(execs));
+  std::vector<double> completions;
+  completions.reserve(static_cast<std::size_t>(completed_));
+  completed_jobs([&](const rms::Job& job) {
+    completions.push_back(job.completion_time());
+  });
   metrics.completion = util::summarize(std::move(completions));
   // Utilization integrates over [first arrival, makespan]: a staggered
   // workload's dead lead-in (nothing submitted yet) is not the cluster's
@@ -492,8 +509,8 @@ WorkloadMetrics WorkloadDriver::collect_metrics() const {
   metrics.schedule_passes_saved = counters.schedule_passes_saved;
   metrics.bytes_redistributed = bytes_redistributed_;
   metrics.redistribution_seconds = redistribution_seconds_;
-  if (config_.hooks.attr != nullptr) {
-    const std::vector<double> totals = config_.hooks.attr->cause_totals();
+  if (config_.attr != nullptr) {
+    const std::vector<double> totals = config_.attr->cause_totals();
     metrics.wait_causes.reserve(static_cast<std::size_t>(
         obs::kBlockReasonCount));
     for (int r = 0; r < obs::kBlockReasonCount; ++r) {

@@ -201,9 +201,10 @@ class WorkloadDriver : private obs::Sink {
     bool drain = false;
   };
 
-  /// First reconfiguring point, right after the allocation (Listing 2
-  /// checks at the top of the very first iteration: jobs submitted at
-  /// their maximum are "scaled-down as soon as possible").
+  /// A flexible job's first reconfiguring point, right after the
+  /// allocation (Listing 2 checks at the top of the very first
+  /// iteration: jobs submitted at their maximum are "scaled-down as soon
+  /// as possible").
   void begin_execution(Exec& exec);
   /// Continue after a reconfiguring point: pay the delay, complete the
   /// drain of a shrink the point began, then run the next step.
@@ -222,8 +223,19 @@ class WorkloadDriver : private obs::Sink {
   void collect_cluster_metrics(WorkloadMetrics& metrics, double first_arrival,
                                double makespan) const;
 
+  /// The DriverConfig settings read after construction; the members'
+  /// cluster and manager configurations live in the federation only.
+  struct Settings {
+    CostModel cost;
+    bool asynchronous;
+    double sched_period_override;
+    double check_overhead_seconds;
+    /// DriverConfig::hooks.attr, whose totals collect_metrics reads.
+    obs::WaitAttributor* attr;
+  };
+
   sim::Engine& engine_;
-  DriverConfig config_;
+  Settings config_;
   fed::Federation federation_;
   /// Shared virtual-clock connection all job sessions go through.
   std::shared_ptr<::dmr::Connection> connection_;

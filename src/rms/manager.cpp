@@ -14,6 +14,20 @@ Cluster make_cluster(const RmsConfig& config) {
 
 }  // namespace
 
+JobTable::~JobTable() {
+  for (std::size_t i = 0; i < size_; ++i) std::destroy_at(&(*this)[i]);
+}
+
+Job& JobTable::push_back(Job&& job) {
+  if (size_ == blocks_.size() * kBlockJobs) {
+    blocks_.emplace_back(std::allocator<Job>().allocate(kBlockJobs));
+  }
+  Job* const slot = blocks_.back().get() + size_ % kBlockJobs;
+  std::construct_at(slot, std::move(job));
+  ++size_;
+  return *slot;
+}
+
 Manager::Manager(RmsConfig config, int member)
     : config_(std::move(config)),
       cluster_(make_cluster(config_)),
@@ -137,7 +151,7 @@ JobId Manager::submit(JobSpec spec, double now) {
   job.submit_time = now;
   job.state = JobState::Pending;
   const JobId id = job.id;
-  Job& stored = jobs_.emplace_back(std::move(job));
+  Job& stored = jobs_.push_back(std::move(job));
   dependents_.emplace_back();  // keeps the dense index parallel to jobs_
   enqueue(stored);
   if (stored.spec.depends_on) {
@@ -190,12 +204,16 @@ void Manager::schedule(double now) {
   // running) or a molded head leaving idle nodes behind.  The former
   // unconditional loop burned one full confirming pass per call.
   const bool diagnose = sinks_.wants(obs::EventKind::kBlocked);
+  // The pass fills the kept start list, held here while the starts run:
+  // a sink re-entering schedule() finds the member empty, not a list
+  // being walked.
+  std::vector<const Job*> to_start = std::move(started_);
   for (;;) {
     ++counters_.schedule_passes;
     const ScheduleView view = schedule_view(now);
     std::vector<BlockDiag> blocked;
-    std::vector<const Job*> to_start = schedule_pass(
-        view, config_.scheduler, diagnose ? &blocked : nullptr);
+    schedule_pass(view, config_.scheduler, to_start,
+                  diagnose ? &blocked : nullptr);
     // Read before the reports: a sink's query may overwrite the kept
     // copy the view reads.
     const Job* const head =
@@ -257,6 +275,7 @@ void Manager::schedule(double now) {
       break;
     }
   }
+  started_ = std::move(to_start);
   if (diagnose) {
     // Jobs the pass never saw: pending but ineligible because their
     // dependency is not running yet.

@@ -33,6 +33,7 @@
 
 #include <deque>
 #include <limits>
+#include <memory>
 #include <span>
 #include <vector>
 
@@ -66,6 +67,40 @@ struct RmsConfig {
 
 /// Result of a DMR reconfiguring-point negotiation (public API type).
 using ::dmr::Outcome;
+
+/// The manager's dense job table: fixed blocks of raw storage, each job
+/// constructed in place when it is issued.  Addresses stay stable while
+/// the table grows, and it grows one block of kBlockJobs jobs at a time
+/// (~51 KB, below glibc's 128 KiB mmap threshold, so a freed block is
+/// reused from the heap).
+class JobTable {
+ public:
+  JobTable() = default;
+  JobTable(const JobTable&) = delete;
+  JobTable& operator=(const JobTable&) = delete;
+  ~JobTable();
+
+  std::size_t size() const { return size_; }
+  Job& operator[](std::size_t index) {
+    return blocks_[index / kBlockJobs].get()[index % kBlockJobs];
+  }
+  const Job& operator[](std::size_t index) const {
+    return blocks_[index / kBlockJobs].get()[index % kBlockJobs];
+  }
+  /// Construct `job` in the next slot; returns it.
+  Job& push_back(Job&& job);
+
+ private:
+  static constexpr std::size_t kBlockJobs = 256;
+  /// Frees a block's storage; the table destroys the jobs in it.
+  struct FreeBlock {
+    void operator()(Job* block) const {
+      std::allocator<Job>().deallocate(block, kBlockJobs);
+    }
+  };
+  std::vector<std::unique_ptr<Job, FreeBlock>> blocks_;
+  std::size_t size_ = 0;
+};
 
 /// The reference implementation of the public `dmr::Rms` interface.
 class Manager : public ::dmr::Rms {
@@ -226,9 +261,9 @@ class Manager : public ::dmr::Rms {
   RmsConfig config_;
   Cluster cluster_;
   /// Dense job table indexed by `id - config_.first_job_id` (ids are
-  /// sequential, jobs never erased).  A deque so element addresses stay
-  /// stable for the Job* index lists below while the table grows.
-  std::deque<Job> jobs_;
+  /// sequential, jobs never erased).  Element addresses stay stable for
+  /// the Job* index lists below while the table grows.
+  JobTable jobs_;
   Counters counters_;
   int member_;
   obs::SinkList sinks_;
@@ -250,6 +285,9 @@ class Manager : public ::dmr::Rms {
   int user_allocated_nodes_ = 0;
   int user_running_jobs_ = 0;
   bool placements_dirty_ = true;
+  /// The last scheduling pass's starts, kept so a pass does not
+  /// allocate its list.
+  std::vector<const Job*> started_;
   /// dmr_decide's queue for a pinned job (the jobs its partition serves).
   std::vector<const Job*> policy_scratch_;
   /// The filtered copies behind pending_queue and pending_snapshot.

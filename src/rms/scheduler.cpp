@@ -22,18 +22,21 @@ struct IdlePool {
   int idle_total;
   std::vector<int> idle_parts;           // empty = homogeneous
   std::vector<std::uint64_t> idle_bits;  // empty = homogeneous
-  /// The jobs started so far, in start order.
-  std::vector<const Job*> started;
+  /// The jobs started so far, in start order (the caller's list, empty
+  /// when the pool is made).
+  std::vector<const Job*>& started;
   /// Heterogeneous mode: each start's predicted grant, back to back
   /// (requested_nodes ids per started job).
   std::vector<int> granted;
 
-  IdlePool(const ScheduleView& v, AllocPolicy alloc)
+  IdlePool(const ScheduleView& v, AllocPolicy alloc,
+           std::vector<const Job*>& starts)
       : view(&v),
         policy(alloc),
         idle_total(v.idle_nodes),
         idle_parts(v.idle_per_partition.begin(), v.idle_per_partition.end()),
-        idle_bits(v.idle_bits.begin(), v.idle_bits.end()) {}
+        idle_bits(v.idle_bits.begin(), v.idle_bits.end()),
+        started(starts) {}
 
   bool heterogeneous() const { return !idle_parts.empty(); }
 
@@ -229,15 +232,17 @@ double shadow_after(const IdlePool& idle, int needed, int* extra_nodes,
 
 double shadow_time(const ScheduleView& view, int needed, int* extra_nodes,
                    int pool) {
-  return shadow_after(IdlePool(view, AllocPolicy::LowestId), needed,
+  std::vector<const Job*> none;
+  return shadow_after(IdlePool(view, AllocPolicy::LowestId, none), needed,
                       extra_nodes, pool);
 }
 
-std::vector<const Job*> schedule_pass(const ScheduleView& view,
-                                      const SchedulerConfig& config,
-                                      std::vector<BlockDiag>* blocked) {
+void schedule_pass(const ScheduleView& view, const SchedulerConfig& config,
+                   std::vector<const Job*>& started,
+                   std::vector<BlockDiag>* blocked) {
   const std::span<const Job* const> queue = view.pending;  // in SubmitOrder
-  IdlePool pool(view, config.alloc);
+  started.clear();
+  IdlePool pool(view, config.alloc, started);
 
   // Start jobs FCFS until the head no longer fits.
   std::size_t head = 0;
@@ -246,7 +251,7 @@ std::vector<const Job*> schedule_pass(const ScheduleView& view,
     ++head;
   }
   if (head >= queue.size() || (!config.backfill && blocked == nullptr)) {
-    return std::move(pool.started);
+    return;
   }
 
   const Job* head_job = queue[head];
@@ -297,7 +302,6 @@ std::vector<const Job*> schedule_pass(const ScheduleView& view,
     // same convention as the shadow computation).  The pass started the
     // jobs from the head on in queue order, so one cursor over its starts
     // skips them.
-    const std::vector<const Job*>& started = pool.started;
     std::size_t next_start = head;
     // Per pool (slot 0 the whole cluster, 1 + p partition p), its sorted
     // releases, built on the first job diagnosed there.
@@ -342,7 +346,6 @@ std::vector<const Job*> schedule_pass(const ScheduleView& view,
       blocked->push_back(diag);
     }
   }
-  return std::move(pool.started);
 }
 
 }  // namespace dmr::rms

@@ -84,7 +84,9 @@ struct BlockDiag {
   JobId blocker = 0;
 };
 
-/// Decide which pending jobs to start now, in start order.  Guarantees:
+/// Decide which pending jobs to start now: `started` is cleared and
+/// filled with them in start order (the caller keeps the list, so a
+/// pass reuses its capacity).  Guarantees:
 ///  - total requested nodes of the result never exceeds idle_nodes (and,
 ///    per partition-constrained job, that partition's idle count);
 ///  - the first blocked job in queue order is never delayed by a
@@ -94,9 +96,9 @@ struct BlockDiag {
 /// With `blocked` non-null the pass additionally appends one BlockDiag
 /// per pending job it did not start, in queue order.  Diagnosis is
 /// observation only: the started set is byte-identical either way.
-std::vector<const Job*> schedule_pass(
-    const ScheduleView& view, const SchedulerConfig& config,
-    std::vector<BlockDiag>* blocked = nullptr);
+void schedule_pass(const ScheduleView& view, const SchedulerConfig& config,
+                   std::vector<const Job*>& started,
+                   std::vector<BlockDiag>* blocked = nullptr);
 
 /// Earliest time at which `needed` nodes are expected to be free in
 /// `pool` (a partition index, or -1 for the whole cluster), given current

@@ -20,7 +20,12 @@ struct Summary {
   double sum = 0.0;
 };
 
-/// Compute a Summary (copies and sorts the input).
+/// Compute a Summary (sorts the input it takes, then runs Welford's
+/// update over the sorted samples).  The samples sort in the total order
+/// of their bits: -0.0 before +0.0, and otherwise as `<` orders them, so
+/// any input without -0.0 sorts exactly as std::sort sorts it.  A NaN
+/// sample throws std::invalid_argument.  Large inputs sort by an LSD
+/// radix sort with one scratch buffer as large as the input.
 Summary summarize(std::vector<double> samples);
 
 }  // namespace dmr::util

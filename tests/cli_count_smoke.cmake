@@ -2,7 +2,8 @@
 # truncated, silently defaulted or thrown past main.  Every row of the
 # table below must exit with status 2 and name its argument (or the
 # member-mix group, the SWF line and field, or the unreadable SWF path)
-# on stderr.  Invoked as
+# on stderr; the last check runs an accepted count and reads it back from
+# the rows.  Invoked as
 #   cmake -DSWEEP=<sweep> -DDMRSIM=<dmrsim> -DMAKE_SWF=<make_swf>
 #         -P cli_count_smoke.cmake
 
@@ -82,6 +83,21 @@ file(MAKE_DIRECTORY "${swf_dir}")
 expect_rejected("cannot read .*cli_count_dir\\.swf"
                 ${SWEEP} smoke --swf "${swf_dir}")
 
+# An accepted count is honoured, not replaced: smoke mode ran two
+# members whatever clusters=N said, under a summary row naming N.
+execute_process(COMMAND ${SWEEP} smoke clusters=3
+                OUTPUT_VARIABLE out
+                ERROR_VARIABLE err
+                RESULT_VARIABLE rc)
+if(NOT rc EQUAL 0)
+  string(APPEND failures
+         "\n${SWEEP} smoke clusters=3: exited with ${rc}\nstderr:\n${err}")
+elseif(NOT out MATCHES "\"cluster\":\"fed3\",\"clusters\":3"
+       OR out MATCHES "\"clusters\":2")
+  string(APPEND failures "\n${SWEEP} smoke clusters=3: rows do not all read "
+         "\"cluster\":\"fed3\",\"clusters\":3:\n${out}")
+endif()
+
 if(NOT failures STREQUAL "")
-  message(FATAL_ERROR "command-line numbers accepted:${failures}")
+  message(FATAL_ERROR "command-line numbers accepted or replaced:${failures}")
 endif()

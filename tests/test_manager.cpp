@@ -3,6 +3,7 @@
 // handling, and the synchronous/asynchronous DMR flows.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <string>
 #include <vector>
 
@@ -387,6 +388,49 @@ TEST(Manager, ScheduleIsIncremental) {
   m.schedule(3.0);
   EXPECT_TRUE(m.job(b).running());
   EXPECT_GT(m.counters().schedule_passes, passes);
+}
+
+// The job table grows in blocks of 256 jobs; these cross three block
+// boundaries.
+TEST(Manager, JobAddressesSurviveTableGrowth) {
+  Manager m(config(4));
+  std::vector<JobId> ids;
+  std::vector<const Job*> early;
+  for (int i = 0; i < 10; ++i) {
+    ids.push_back(m.submit(spec("early", 1), i));
+    early.push_back(&m.job(ids.back()));
+  }
+  m.schedule(10.0);
+  const std::vector<const Job*> listed = m.jobs();
+  for (int i = 0; i < 3 * 256; ++i) {
+    ids.push_back(m.submit(spec("late", 1), 10.0 + i));
+  }
+  m.schedule(800.0);
+  for (std::size_t i = 0; i < early.size(); ++i) {
+    EXPECT_EQ(early[i]->id, ids[i]);
+    EXPECT_EQ(&m.job(ids[i]), early[i]);
+  }
+  ASSERT_EQ(m.jobs().size(), ids.size());
+  EXPECT_TRUE(std::equal(listed.begin(), listed.end(), m.jobs().begin()));
+  for (std::size_t i = 0; i < ids.size(); ++i) {
+    EXPECT_EQ(m.jobs()[i]->id, ids[i]);
+    EXPECT_EQ(&m.job(ids[i]), m.jobs()[i]);
+  }
+}
+
+// A table whose last block is partly filled destroys each job it built
+// (their names and node lists are heap-allocated: a skipped destructor
+// leaks under the asan preset) and frees every block.
+TEST(Manager, PartlyFilledJobTableDestroysCleanly) {
+  for (const int jobs : {1, 255, 256, 257, 2 * 256 + 17}) {
+    Manager m(config(64));
+    for (int i = 0; i < jobs; ++i) {
+      m.submit(spec("a job name past the short-string buffer", 1 + i % 3), i);
+    }
+    m.schedule(static_cast<double>(jobs));
+    EXPECT_GT(m.running_jobs(), 0);
+    EXPECT_EQ(m.jobs().size(), static_cast<std::size_t>(jobs));
+  }
 }
 
 TEST(Manager, SnapshotsAreCachedAndInvalidate) {

@@ -6,6 +6,7 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdint>
+#include <vector>
 
 #include "rms/cluster.hpp"
 #include "rms/job.hpp"
@@ -122,6 +123,14 @@ TEST(Priority, FifoTieBreak) {
   EXPECT_FALSE(order(&c, &b));
 }
 
+/// One pass's starts (the pass fills a list its caller keeps).
+std::vector<const Job*> pass(const ScheduleView& view,
+                             const SchedulerConfig& config) {
+  std::vector<const Job*> started;
+  schedule_pass(view, config, started);
+  return started;
+}
+
 TEST(Scheduler, StartsJobsThatFit) {
   Job a = make_job(1, 3, 0.0);
   Job b = make_job(2, 4, 1.0);
@@ -130,7 +139,7 @@ TEST(Scheduler, StartsJobsThatFit) {
   view.idle_nodes = 8;
   const Job* const queue[] = {&a, &b};
   view.pending = queue;
-  const auto started = schedule_pass(view, SchedulerConfig{});
+  const auto started = pass(view, SchedulerConfig{});
   EXPECT_EQ(started.size(), 2u);
 }
 
@@ -143,7 +152,7 @@ TEST(Scheduler, NeverOverAllocates) {
   view.idle_nodes = 5;
   const Job* const queue[] = {&a, &b, &c};
   view.pending = queue;
-  const auto started = schedule_pass(view, SchedulerConfig{});
+  const auto started = pass(view, SchedulerConfig{});
   int total = 0;
   for (const Job* job : started) total += job->requested_nodes;
   EXPECT_LE(total, 5);
@@ -169,7 +178,7 @@ TEST(Scheduler, BackfillFillsAroundBlockedHead) {
   view.pending = queue;
   const Job* const running_jobs[] = {&running};
   view.running = running_jobs;
-  const auto started = schedule_pass(view, SchedulerConfig{});
+  const auto started = pass(view, SchedulerConfig{});
   ASSERT_EQ(started.size(), 1u);
   EXPECT_EQ(started[0]->id, 2);
 }
@@ -194,7 +203,7 @@ TEST(Scheduler, BackfillNeverDelaysHead) {
   view.pending = queue;
   const Job* const running_jobs[] = {&running};
   view.running = running_jobs;
-  const auto started = schedule_pass(view, SchedulerConfig{});
+  const auto started = pass(view, SchedulerConfig{});
   EXPECT_TRUE(started.empty());
 }
 
@@ -218,7 +227,7 @@ TEST(Scheduler, BackfillUsesWindowBeyondHeadNeed) {
   view.pending = queue;
   const Job* const running_jobs[] = {&running};
   view.running = running_jobs;
-  const auto started = schedule_pass(view, SchedulerConfig{});
+  const auto started = pass(view, SchedulerConfig{});
   ASSERT_EQ(started.size(), 1u);
   EXPECT_EQ(started[0]->id, 2);
 }
@@ -241,7 +250,7 @@ TEST(Scheduler, NoBackfillWhenDisabled) {
   view.running = running_jobs;
   SchedulerConfig config;
   config.backfill = false;
-  EXPECT_TRUE(schedule_pass(view, config).empty());
+  EXPECT_TRUE(pass(view, config).empty());
 }
 
 TEST(Scheduler, PriorityOrderRespected) {
@@ -257,7 +266,7 @@ TEST(Scheduler, PriorityOrderRespected) {
   std::sort(queue.begin(), queue.end(), SubmitOrder{});
   view.pending = queue;
   const SchedulerConfig config;
-  const auto started = schedule_pass(view, config);
+  const auto started = pass(view, config);
   ASSERT_EQ(started.size(), 1u);
   EXPECT_EQ(started[0]->id, 2);
 }
@@ -276,7 +285,7 @@ TEST(Scheduler, PassWithZeroIdleNodesStartsNothing) {
   view.pending = queue;
   const Job* const running_jobs[] = {&running};
   view.running = running_jobs;
-  EXPECT_TRUE(schedule_pass(view, SchedulerConfig{}).empty());
+  EXPECT_TRUE(pass(view, SchedulerConfig{}).empty());
 }
 
 TEST(Scheduler, BackfillNeverDelaysBoostedHead) {
@@ -304,7 +313,7 @@ TEST(Scheduler, BackfillNeverDelaysBoostedHead) {
   std::sort(queue.begin(), queue.end(), SubmitOrder{});
   view.pending = queue;
   const SchedulerConfig config;
-  const auto started = schedule_pass(view, config);
+  const auto started = pass(view, config);
   ASSERT_EQ(started.size(), 1u);
   EXPECT_EQ(started[0]->id, 3);
 }
@@ -334,7 +343,7 @@ TEST(Scheduler, ShadowListsRunningReleasesBeforeThisPassStarts) {
   view.pending = queue;
   const Job* const running_jobs[] = {&running};
   view.running = running_jobs;
-  const auto started = schedule_pass(view, SchedulerConfig{});
+  const auto started = pass(view, SchedulerConfig{});
   ASSERT_EQ(started.size(), 1u);
   EXPECT_EQ(started[0]->id, 1);
 }
@@ -387,7 +396,7 @@ TEST(Scheduler, BackfillDoesNotSquatOnDrainReleasedNodes) {
   view.running = running_jobs;
   const std::uint8_t draining[] = {0, 0, 1, 1, 0, 0};
   view.node_draining = draining;
-  EXPECT_TRUE(schedule_pass(view, SchedulerConfig{}).empty());
+  EXPECT_TRUE(pass(view, SchedulerConfig{}).empty());
 }
 
 TEST(Cluster, HeterogeneousPartitions) {
@@ -555,7 +564,7 @@ TEST(Scheduler, PartitionConstrainedJobWaitsForItsPartition) {
   ScheduleView view = tables.view(10.0);
   const Job* const queue[] = {&pinned};
   view.pending = queue;
-  EXPECT_TRUE(schedule_pass(view, SchedulerConfig{}).empty());
+  EXPECT_TRUE(pass(view, SchedulerConfig{}).empty());
 }
 
 TEST(Scheduler, DisjointPartitionBackfillsPastBlockedHead) {
@@ -581,7 +590,7 @@ TEST(Scheduler, DisjointPartitionBackfillsPastBlockedHead) {
   view.pending = queue;
   const Job* const running_jobs[] = {&hog};
   view.running = running_jobs;
-  const auto started = schedule_pass(view, SchedulerConfig{});
+  const auto started = pass(view, SchedulerConfig{});
   ASSERT_EQ(started.size(), 1u);
   EXPECT_EQ(started[0]->id, 2);
 }
@@ -610,7 +619,7 @@ TEST(Scheduler, SpanningJobChargedAgainstHeadPoolWindow) {
   view.pending = queue;
   const Job* const running_jobs[] = {&hog};
   view.running = running_jobs;
-  const auto started = schedule_pass(view, SchedulerConfig{});
+  const auto started = pass(view, SchedulerConfig{});
   ASSERT_EQ(started.size(), 1u);
   EXPECT_EQ(started[0]->id, 2);
 }
@@ -683,11 +692,11 @@ TEST(Scheduler, PackPolicyLetsPinnedJobStartBehindSpanningOne) {
   const Job* const queue[] = {&spanning, &pinned};
   ScheduleView view = tables.view(10.0);
   view.pending = queue;
-  EXPECT_EQ(schedule_pass(view, SchedulerConfig{}).size(), 1u);
+  EXPECT_EQ(pass(view, SchedulerConfig{}).size(), 1u);
 
   SchedulerConfig pack_config;
   pack_config.alloc = AllocPolicy::Pack;
-  const auto started = schedule_pass(view, pack_config);
+  const auto started = pass(view, pack_config);
   ASSERT_EQ(started.size(), 2u);
   EXPECT_EQ(started[0]->id, 1);
   EXPECT_EQ(started[1]->id, 2);

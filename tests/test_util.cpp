@@ -8,6 +8,7 @@
 #include <cstdint>
 #include <limits>
 #include <set>
+#include <stdexcept>
 #include <utility>
 #include <vector>
 
@@ -157,6 +158,150 @@ TEST(Summary, EmptyInputIsZeroed) {
   const Summary s = summarize({});
   EXPECT_EQ(s.count, 0u);
   EXPECT_DOUBLE_EQ(s.mean, 0.0);
+}
+
+/// summarize as it was before it sorted by radix: std::sort, then the
+/// same Welford loop and interpolated percentiles.
+double reference_percentile(const std::vector<double>& sorted, double q) {
+  const double pos = q * static_cast<double>(sorted.size() - 1);
+  const auto lo = static_cast<std::size_t>(pos);
+  const double frac = pos - static_cast<double>(lo);
+  if (lo + 1 >= sorted.size()) return sorted.back();
+  return sorted[lo] * (1.0 - frac) + sorted[lo + 1] * frac;
+}
+
+Summary reference_summary(std::vector<double> samples) {
+  Summary s;
+  s.count = samples.size();
+  if (samples.empty()) return s;
+  std::sort(samples.begin(), samples.end());
+  double m2 = 0.0;
+  for (std::size_t i = 0; i < samples.size(); ++i) {
+    const double x = samples[i];
+    s.sum += x;
+    const double delta = x - s.mean;
+    s.mean += delta / static_cast<double>(i + 1);
+    m2 += delta * (x - s.mean);
+  }
+  if (samples.size() > 1) {
+    s.stddev = std::sqrt(m2 / static_cast<double>(samples.size() - 1));
+  }
+  s.min = samples.front();
+  s.max = samples.back();
+  s.p25 = reference_percentile(samples, 0.25);
+  s.median = reference_percentile(samples, 0.50);
+  s.p75 = reference_percentile(samples, 0.75);
+  s.p95 = reference_percentile(samples, 0.95);
+  return s;
+}
+
+/// Every field of a Summary, for field-by-field comparison.
+std::vector<double> fields(const Summary& s) {
+  return {static_cast<double>(s.count), s.mean, s.stddev, s.min, s.p25,
+          s.median, s.p75, s.p95, s.max, s.sum};
+}
+
+std::vector<std::uint64_t> field_bits(const Summary& s) {
+  std::vector<std::uint64_t> bits;
+  for (const double field : fields(s)) {
+    bits.push_back(std::bit_cast<std::uint64_t>(field));
+  }
+  return bits;
+}
+
+/// Seeded samples of one shape: archive-like waits (mostly +0.0) and
+/// executions, runs of duplicates, the float extremes (subnormals, +inf,
+/// DBL_MAX) with negatives, integers on binade edges, and whole seconds
+/// (their low mantissa bits are all zero, so the radix sort skips those
+/// digits and makes an odd number of passes).  None is -0.0 or NaN, the
+/// two inputs std::sort may order differently.
+std::vector<double> shaped_samples(int shape, std::size_t n,
+                                   std::uint64_t seed) {
+  Rng rng(seed);
+  std::vector<double> samples;
+  samples.reserve(n);
+  for (std::size_t i = 0; i < n; ++i) {
+    double x = 0.0;
+    switch (shape) {
+      case 0:  // waits
+        x = rng.bernoulli(0.7) ? 0.0 : rng.exponential_mean(300.0);
+        break;
+      case 1:  // executions
+        x = rng.uniform(1.0, 86400.0);
+        break;
+      case 2: {  // runs of duplicates and of +0.0
+        const auto tenths = static_cast<double>(rng.uniform_int(1, 5));
+        x = rng.bernoulli(0.3) ? 0.0 : tenths * 0.1;
+        break;
+      }
+      case 3: {  // extremes and negatives
+        const double pick = rng.uniform();
+        if (pick < 0.1) {
+          x = std::numeric_limits<double>::denorm_min() *
+              static_cast<double>(rng.uniform_int(1, 1000));
+        } else if (pick < 0.15) {
+          x = std::numeric_limits<double>::infinity();
+        } else if (pick < 0.2) {
+          x = std::numeric_limits<double>::max();
+        } else if (pick < 0.6) {
+          x = -rng.exponential_mean(1e3);
+        } else {
+          x = rng.uniform(-1e-300, 1e300);
+        }
+        break;
+      }
+      case 4:  // whole seconds
+        x = static_cast<double>(rng.uniform_int(0, 86400));
+        break;
+      default: {  // integers on binade edges, either sign
+        const auto binade = static_cast<int>(rng.uniform_int(0, 62));
+        const auto offset = static_cast<double>(rng.uniform_int(-1, 1));
+        x = std::ldexp(1.0, binade) + offset;
+        if (rng.bernoulli(0.25) && x != 0.0) x = -x;
+        break;
+      }
+    }
+    samples.push_back(x);
+  }
+  return samples;
+}
+
+TEST(Summary, MatchesStdSortReferenceBitForBit) {
+  // summarize switches from std::sort to the radix sort at 1024 samples.
+  for (const int n : {0, 1, 2, 3, 1023, 1024, 1025, 2500, 300000}) {
+    for (int shape = 0; shape < 6; ++shape) {
+      for (const std::uint64_t seed : {1ULL, 2017ULL}) {
+        const std::vector<double> samples =
+            shaped_samples(shape, static_cast<std::size_t>(n), seed);
+        EXPECT_EQ(field_bits(summarize(samples)),
+                  field_bits(reference_summary(samples)))
+            << "n " << n << " shape " << shape << " seed " << seed;
+      }
+    }
+  }
+}
+
+TEST(Summary, NegativeZeroSortsBeforePositiveZero) {
+  for (const int n : {10, 2000}) {
+    Rng rng(static_cast<std::uint64_t>(n));
+    std::vector<double> samples;
+    for (int i = 0; i < n; ++i) {
+      samples.push_back(rng.bernoulli(0.5) ? 0.0 : -0.0);
+    }
+    samples.push_back(3.0);
+    const Summary s = summarize(samples);
+    EXPECT_EQ(fields(s), fields(reference_summary(samples))) << "n " << n;
+    EXPECT_DOUBLE_EQ(s.min, 0.0);
+    EXPECT_TRUE(std::signbit(s.min)) << "n " << n;
+  }
+}
+
+TEST(Summary, NanSampleThrows) {
+  for (const int n : {1, 10, 2000}) {
+    std::vector<double> samples(static_cast<std::size_t>(n), 1.0);
+    samples[samples.size() / 2] = std::numeric_limits<double>::quiet_NaN();
+    EXPECT_THROW(summarize(samples), std::invalid_argument) << "n " << n;
+  }
 }
 
 TEST(TableWriter, AlignsColumns) {
