@@ -11,7 +11,6 @@
 #pragma once
 
 #include <cstdint>
-#include <optional>
 #include <string>
 #include <vector>
 
@@ -97,10 +96,6 @@ struct JobSpec {
   bool flexible = false;
   /// Wall-clock limit estimate used by the backfill scheduler.
   double time_limit = 3600.0;
-  /// Run only while this job is running (used by resizer jobs).
-  std::optional<JobId> depends_on;
-  /// Resizer jobs are internal bookkeeping helpers, invisible to metrics.
-  bool internal_resizer = false;
   /// Cluster partition this job is constrained to; empty = any (the job
   /// may span partitions).  Unknown names are rejected at submission.
   std::string partition;

@@ -171,7 +171,7 @@ void WorkloadDriver::on_event(const obs::Event& event) {
     return;
   }
   const rms::Job& job = event.manager->job(event.job);
-  if (job.spec.internal_resizer) return;
+  if (job.resizer) return;
   if (event.kind == obs::EventKind::kStarted) {
     on_started(job);
     return;

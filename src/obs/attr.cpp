@@ -158,7 +158,7 @@ void WaitAttributor::close_segment(Row& row, double now) {
 void WaitAttributor::submitted(const Event& event) {
   // A resizer gets no row, so every later report about it finds nothing.
   const rms::Job& job = event.manager->job(event.job);
-  if (job.spec.internal_resizer) return;
+  if (job.resizer) return;
   const Position at = position_of(event.job);
   // A member issues its ids in order, so only a member below the
   // settled prefix's end can place a job inside the prefix: drop the

@@ -57,7 +57,10 @@ enum class BlockReason : int {
   /// A priority-boosted job waiting on the shrink that was started on
   /// its behalf (Algorithm 1 line 18).
   kShrinkPending,
-  /// Ineligible: its depends_on job is not running yet (resizer gating).
+  /// Ineligible until another job runs.  Nothing reports it any more
+  /// (jobs carry no dependencies); kept so the sample columns, the
+  /// attribution sidecar, WorkloadMetrics::wait_causes and dmr_explain
+  /// keep their one entry per cause.
   kDependency,
 };
 

@@ -40,7 +40,7 @@ void TraceSink::on_event(const Event& event) {
   const rms::Job* job = event.job == kInvalidJob
                             ? nullptr
                             : &event.manager->job(event.job);
-  const bool user_job = job != nullptr && !job->spec.internal_resizer;
+  const bool user_job = job != nullptr && !job->resizer;
   int& pending = pending_[static_cast<std::size_t>(event.member)];
   switch (event.kind) {
     case EventKind::kSubmitted:

@@ -16,7 +16,7 @@ obs::Interest Accounting::interest() const {
 
 void Accounting::on_event(const obs::Event& event) {
   const Job& job = event.manager->job(event.job);
-  if (job.spec.internal_resizer) return;
+  if (job.resizer) return;
   ensure(job);
   JobRecord& record = records_[job.id];
   if (event.kind == obs::EventKind::kStarted) {

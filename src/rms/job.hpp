@@ -36,6 +36,9 @@ struct Job {
 
   /// Scheduler priority boost (set_max_priority in Algorithm 1).
   bool priority_boost = false;
+  /// The expand protocol's resizer job B: a pseudo-job only the manager
+  /// submits, invisible to the user job list and to metrics.
+  bool resizer = false;
 
   /// Partition index resolved from spec.partition at submission
   /// (kAnyPartition/-1 = unconstrained).

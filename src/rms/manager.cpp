@@ -29,8 +29,10 @@ Job& JobTable::push_back(Job&& job) {
 }
 
 Manager::Manager(RmsConfig config, int member)
-    : config_(std::move(config)),
-      cluster_(make_cluster(config_)),
+    : scheduler_(config.scheduler),
+      shrink_priority_boost_(config.shrink_priority_boost),
+      first_job_id_(config.first_job_id),
+      cluster_(make_cluster(config)),
       member_(member) {}
 
 void Manager::rescale_time_limit(Job& job, double now, double ratio) {
@@ -59,15 +61,6 @@ const Job& Manager::job(JobId id) const {
   return jobs_[index];
 }
 
-bool Manager::eligible(const Job& job) const {
-  if (!job.pending()) return false;
-  if (job.spec.depends_on) {
-    const Job* dep = find_job(*job.spec.depends_on);
-    if (dep == nullptr || !dep->running()) return false;
-  }
-  return true;
-}
-
 void Manager::remove_from(std::vector<Job*>& list, const Job* job) {
   const auto it = std::find(list.begin(), list.end(), job);
   if (it != list.end()) {
@@ -82,13 +75,13 @@ void Manager::enqueue(Job& job) {
   const auto at = std::upper_bound(pending_jobs_.begin(), pending_jobs_.end(),
                                    &job, SubmitOrder{});
   pending_jobs_.insert(at, &job);
-  if (job.spec.internal_resizer || job.spec.depends_on) ++pending_filtered_;
+  if (job.resizer) ++pending_resizers_;
 }
 
 void Manager::dequeue(const Job& job) {
   pending_jobs_.erase(
       std::find(pending_jobs_.begin(), pending_jobs_.end(), &job));
-  if (job.spec.internal_resizer || job.spec.depends_on) --pending_filtered_;
+  if (job.resizer) --pending_resizers_;
 }
 
 void Manager::boost(Job& job) {
@@ -105,27 +98,20 @@ void Manager::boost(Job& job) {
   placements_dirty_ = true;
 }
 
-std::span<const Job* const> Manager::eligible_pending(
-    bool resizers, std::vector<const Job*>& scratch) const {
-  if (pending_filtered_ == 0) return pending_jobs_;
-  scratch.clear();
-  for (const Job* job : pending_jobs_) {
-    if ((resizers || !job->spec.internal_resizer) && eligible(*job)) {
-      scratch.push_back(job);
-    }
-  }
-  return scratch;
-}
-
-std::span<const Job* const> Manager::pending_queue() const {
-  return eligible_pending(/*resizers=*/true, queue_scratch_);
-}
-
 std::span<const Job* const> Manager::pending_snapshot() const {
-  return eligible_pending(/*resizers=*/false, snapshot_scratch_);
+  if (pending_resizers_ == 0) return pending_jobs_;
+  snapshot_scratch_.clear();
+  for (const Job* job : pending_jobs_) {
+    if (!job->resizer) snapshot_scratch_.push_back(job);
+  }
+  return snapshot_scratch_;
 }
 
 JobId Manager::submit(JobSpec spec, double now) {
+  return add_job(std::move(spec), /*resizer=*/false, now);
+}
+
+JobId Manager::add_job(JobSpec spec, bool resizer, double now) {
   int partition = kAnyPartition;
   int capacity = cluster_.size();
   if (!spec.partition.empty()) {
@@ -144,23 +130,17 @@ JobId Manager::submit(JobSpec spec, double now) {
   }
   Job job;
   // Ids are issued in sequence, so the next one follows the table.
-  job.id = config_.first_job_id + static_cast<JobId>(jobs_.size());
+  job.id = first_job_id_ + static_cast<JobId>(jobs_.size());
   job.spec = std::move(spec);
+  job.resizer = resizer;
   job.partition = partition;
   job.requested_nodes = job.spec.requested_nodes;
   job.submit_time = now;
   job.state = JobState::Pending;
   const JobId id = job.id;
   Job& stored = jobs_.push_back(std::move(job));
-  dependents_.emplace_back();  // keeps the dense index parallel to jobs_
   enqueue(stored);
-  if (stored.spec.depends_on) {
-    const std::size_t parent = job_index(*stored.spec.depends_on);
-    // An unknown parent was dead weight in the old map too: the job can
-    // never become eligible, and nothing would ever cancel through it.
-    if (parent != kNoJob) dependents_[parent].push_back(id);
-  }
-  if (!stored.spec.internal_resizer) {
+  if (!resizer) {
     user_jobs_.push_back(&stored);
     ++unfinished_user_jobs_;
   }
@@ -171,13 +151,13 @@ JobId Manager::submit(JobSpec spec, double now) {
 
 void Manager::start_job(Job& job, double now) {
   job.nodes = cluster_.allocate(job.id, job.requested_nodes, job.partition,
-                                config_.scheduler.alloc);
+                                scheduler_.alloc);
   job.state = JobState::Running;
   job.start_time = now;
   dequeue(job);
   job.priority_boost = false;
   running_jobs_.push_back(&job);
-  if (!job.spec.internal_resizer) {
+  if (!job.resizer) {
     user_allocated_nodes_ += job.allocated();
     ++user_running_jobs_;
   }
@@ -199,23 +179,20 @@ void Manager::schedule(double now) {
   }
   emit(obs::EventKind::kPassBegin, kInvalidJob, now);
   placements_dirty_ = false;
-  // Iterate only while a start can enable further starts: a started job
-  // with a pending dependent (resizer jobs depend on their parent
-  // running) or a molded head leaving idle nodes behind.  The former
-  // unconditional loop burned one full confirming pass per call.
+  // Iterate only while a start can enable further starts: a molded head
+  // leaving idle nodes behind.  The former unconditional loop burned one
+  // full confirming pass per call.
   const bool diagnose = sinks_.wants(obs::EventKind::kBlocked);
-  // The pass fills the kept start list, held here while the starts run:
-  // a sink re-entering schedule() finds the member empty, not a list
-  // being walked.
+  // The pass fills the kept start and diagnosis lists, held here while
+  // they are walked: a sink re-entering schedule() finds the members
+  // empty, not lists being walked.
   std::vector<const Job*> to_start = std::move(started_);
+  std::vector<BlockDiag> blocked = std::move(blocked_);
   for (;;) {
     ++counters_.schedule_passes;
     const ScheduleView view = schedule_view(now);
-    std::vector<BlockDiag> blocked;
-    schedule_pass(view, config_.scheduler, to_start,
-                  diagnose ? &blocked : nullptr);
-    // Read before the reports: a sink's query may overwrite the kept
-    // copy the view reads.
+    blocked.clear();  // the pass appends
+    schedule_pass(view, scheduler_, to_start, diagnose ? &blocked : nullptr);
     const Job* const head =
         view.pending.empty() ? nullptr : view.pending.front();
     // Report before the starts: a job diagnosed here and started by a
@@ -243,48 +220,26 @@ void Manager::schedule(double now) {
       }
       if (to_start.empty()) break;
     }
-    bool starts_may_cascade = false;
-    for (const Job* pick : to_start) {
-      const std::size_t index = job_index(pick->id);
-      for (JobId child : dependents_[index]) {
-        if (this->job(child).pending()) {
-          starts_may_cascade = true;
-          break;
-        }
-      }
-      start_job(jobs_[index], now);
-    }
+    for (const Job* pick : to_start) start_job(jobs_[job_index(pick->id)], now);
     // A molded start can leave idle nodes a newly exposed moldable head
     // could still use.
-    if (molded) starts_may_cascade = true;
-    if (!starts_may_cascade) {
-      // A rigid-only round cannot enable more rigid starts, but a
-      // moldable job waiting behind it still can (the pass only molds
-      // when nothing rigid starts): give those a molding round before
-      // declaring the fixpoint.
-      if (cluster_.idle() > 0 &&
-          std::any_of(pending_jobs_.begin(), pending_jobs_.end(),
-                      [this](const Job* job) {
-                        return job->spec.moldable && eligible(*job);
-                      })) {
-        continue;
-      }
-      // The former design re-ran a whole pass here just to confirm the
-      // fixpoint.
-      ++counters_.schedule_passes_saved;
-      break;
+    if (molded) continue;
+    // A rigid-only round cannot enable more rigid starts, but a moldable
+    // job waiting behind it still can (the pass only molds when nothing
+    // rigid starts): give those a molding round before declaring the
+    // fixpoint.
+    if (cluster_.idle() > 0 &&
+        std::any_of(pending_jobs_.begin(), pending_jobs_.end(),
+                    [](const Job* job) { return job->spec.moldable; })) {
+      continue;
     }
+    // The former design re-ran a whole pass here just to confirm the
+    // fixpoint.
+    ++counters_.schedule_passes_saved;
+    break;
   }
   started_ = std::move(to_start);
-  if (diagnose) {
-    // Jobs the pass never saw: pending but ineligible because their
-    // dependency is not running yet.
-    for (const Job* job : pending_jobs_) {
-      if (eligible(*job)) continue;
-      report_blocked(*job, now, obs::BlockReason::kDependency,
-                     job->spec.depends_on ? *job->spec.depends_on : 0);
-    }
-  }
+  blocked_ = std::move(blocked);
   emit(obs::EventKind::kPass, kInvalidJob, now);
 }
 
@@ -292,7 +247,7 @@ ScheduleView Manager::schedule_view(double now) const {
   ScheduleView view;
   view.now = now;
   view.idle_nodes = cluster_.idle();
-  view.pending = pending_queue();
+  view.pending = pending_jobs_;
   view.running = running_list();
   if (cluster_.draining_count() > 0) {
     view.node_draining = cluster_.node_draining();
@@ -314,7 +269,7 @@ void Manager::finish_job(Job& job, double now, JobState final_state) {
     // instead of re-deriving it from a whole-cluster scan.
     released_nodes = !job.nodes.empty();
     if (released_nodes) cluster_.release(job.id, job.nodes);
-    if (!job.spec.internal_resizer) {
+    if (!job.resizer) {
       user_allocated_nodes_ -= job.allocated();
       --user_running_jobs_;
     }
@@ -327,28 +282,13 @@ void Manager::finish_job(Job& job, double now, JobState final_state) {
   if (was_pending) dequeue(job);
   job.state = final_state;
   job.end_time = now;
-  if (!job.spec.internal_resizer) --unfinished_user_jobs_;
+  if (!job.resizer) --unfinished_user_jobs_;
   emit(obs::EventKind::kFinished, job.id, now);
   // Released nodes or a removed queue entry (a new head) can both change
   // the next placement decision; a node-less exit (resizer harvest)
   // cannot.
   if (released_nodes || was_pending) placements_dirty_ = true;
-  cancel_dependents(job.id, now);
   emit(obs::EventKind::kAllocChanged, kInvalidJob, now);
-}
-
-void Manager::cancel_dependents(JobId parent, double now) {
-  // Resizer jobs are only meaningful while their parent runs.
-  const std::size_t index = job_index(parent);
-  if (index == kNoJob || dependents_[index].empty()) return;
-  const std::vector<JobId> to_cancel = std::move(dependents_[index]);
-  dependents_[index].clear();
-  for (JobId id : to_cancel) {
-    Job& dependent = job_mutable(id);
-    if (!dependent.finished()) {
-      finish_job(dependent, now, JobState::Cancelled);
-    }
-  }
 }
 
 void Manager::cancel(JobId id, double now) {
@@ -375,23 +315,20 @@ JobId Manager::submit_resizer(JobId parent, int extra_nodes, double now) {
   spec.min_nodes = extra_nodes;
   spec.flexible = false;
   spec.time_limit = parent_job.spec.time_limit;
-  spec.depends_on = parent;
-  spec.internal_resizer = true;
   // The harvested nodes join the parent's allocation, so they must come
   // from the parent's eligible pool.
   spec.partition = parent_job.spec.partition;
-  const JobId id = submit(std::move(spec), now);
+  const JobId id = add_job(std::move(spec), /*resizer=*/true, now);
   // "RJ is set to the maximum priority, facilitating its execution."
   boost(job_mutable(id));
   return id;
 }
 
-void Manager::harvest_resizer(JobId resizer, double now) {
+void Manager::harvest_resizer(JobId resizer, JobId parent, double now) {
   Job& rj = job_mutable(resizer);
   if (!rj.running()) {
     throw std::logic_error("Manager: harvesting a non-running resizer");
   }
-  const JobId parent = rj.spec.depends_on.value();
   // Protocol steps 2-4: zero-size update detaches the nodes, the resizer
   // is cancelled, and the original job absorbs the allocation.
   const std::vector<int> nodes = std::move(rj.nodes);  // leaves rj's empty
@@ -489,7 +426,7 @@ Outcome Manager::dmr_apply_impl(JobId id, const Decision& decision,
         ++counters_.aborted_expands;
         return outcome;
       }
-      harvest_resizer(rj, now);
+      harvest_resizer(rj, id, now);
       ++job.expansions;
       ++counters_.expands;
       rescale_time_limit(job, now,
@@ -521,7 +458,7 @@ Outcome Manager::dmr_apply_impl(JobId id, const Decision& decision,
                          static_cast<double>(job.allocated()) /
                              static_cast<double>(decision.new_size));
       if (decision.boost_target != kInvalidJob &&
-          config_.shrink_priority_boost) {
+          shrink_priority_boost_) {
         Job& target = job_mutable(decision.boost_target);
         if (target.pending()) boost(target);
       }

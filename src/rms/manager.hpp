@@ -5,9 +5,11 @@
 //  - job lifecycle: submit / cancel / finish, with a backfill
 //    scheduling pass after every state change that can affect placements;
 //  - the DMR entry point dmr_check(): runs the Algorithm-1 policy and, on
-//    "expand", the full Slurm resize protocol (resizer job B with a
-//    dependency on A and max priority -> wait for it to run -> zero-size
-//    update detaches its nodes -> cancel B -> grow A);
+//    "expand", the full Slurm resize protocol (resizer job B at max
+//    priority -> wait for it to run -> zero-size update detaches its
+//    nodes -> cancel B -> grow A).  Slurm submits B with a dependency on
+//    A so that B runs only while A runs; here that holds because A's
+//    dmr_apply both submits B and resolves it (harvest or cancel);
 //  - shrink is two-phase (begin marks nodes draining, complete releases
 //    them once the runtime's drain ACKs arrive), matching the paper's
 //    synchronized workflow with a management node collecting ACKs.
@@ -31,7 +33,6 @@
 // code serves the discrete-event simulation and the real-time examples.
 #pragma once
 
-#include <deque>
 #include <limits>
 #include <memory>
 #include <span>
@@ -117,7 +118,7 @@ class Manager : public ::dmr::Rms {
   void job_finished(JobId id, double now) override;
   /// Run a scheduling pass if a placement-relevant event occurred since
   /// the last one; a no-op otherwise (counters().schedule_passes tells
-  /// which).  Started jobs are Running, internal resizers included.
+  /// which).  Started jobs are Running, resizers included.
   void schedule(double now) override;
 
   // --- DMR (Sections IV-V) ---------------------------------------------------
@@ -153,15 +154,16 @@ class Manager : public ::dmr::Rms {
   ::dmr::JobView query(JobId id) const override;
   const Cluster& cluster() const { return cluster_; }
   int idle_nodes() const { return cluster_.idle(); }
-  /// Eligible pending jobs, internal resizers included, in SubmitOrder:
-  /// the queue a scheduling pass reads.  A view of the manager's own list
-  /// (or of a filtered copy it keeps), valid until the manager changes or
-  /// the same query runs again.
-  std::span<const Job* const> pending_queue() const;
-  /// The same without internal resizers: the queue Algorithm 1 scans
-  /// (dmr_decide).  Same validity as pending_queue.
+  /// Every pending job, resizers included, in SubmitOrder: the queue a
+  /// scheduling pass reads.  The manager's own list, valid until the
+  /// manager changes.
+  std::span<const Job* const> pending_queue() const { return pending_jobs_; }
+  /// The same without resizers: the queue Algorithm 1 scans
+  /// (dmr_decide).  The manager's own list unless a resizer is pending
+  /// (only inside the expand protocol), else a filtered copy it keeps;
+  /// valid until the manager changes or the same query runs again.
   std::span<const Job* const> pending_snapshot() const;
-  /// Every running job, internal resizers included, in no fixed order:
+  /// Every running job, resizers included, in no fixed order:
   /// the list a scheduling pass reads.  Valid until the manager changes.
   std::span<const Job* const> running_list() const { return running_jobs_; }
   /// What a scheduling pass at `now` reads: the queue, the running list
@@ -206,30 +208,26 @@ class Manager : public ::dmr::Rms {
 
   static constexpr std::size_t kNoJob = std::numeric_limits<std::size_t>::max();
   /// Dense index of `id` in jobs_ (kNoJob when this manager never issued
-  /// it).  Ids are assigned sequentially from config_.first_job_id and
-  /// jobs are never erased, so the subtraction is the whole lookup.
+  /// it).  Ids are assigned sequentially from first_job_id_ and jobs
+  /// are never erased, so the subtraction is the whole lookup.
   std::size_t job_index(JobId id) const {
-    const JobId first = config_.first_job_id;
-    if (id < first) return kNoJob;
-    const std::size_t index = static_cast<std::size_t>(id - first);
+    if (id < first_job_id_) return kNoJob;
+    const std::size_t index = static_cast<std::size_t>(id - first_job_id_);
     return index < jobs_.size() ? index : kNoJob;
   }
-  const Job* find_job(JobId id) const {
-    const std::size_t index = job_index(id);
-    return index == kNoJob ? nullptr : &jobs_[index];
-  }
   Job& job_mutable(JobId id);
+  /// submit() and submit_resizer()'s shared path: validate, issue the
+  /// next id and queue the job.
+  JobId add_job(JobSpec spec, bool resizer, double now);
   Outcome dmr_apply_impl(JobId id, const Decision& decision, double now);
   // The resize protocol's pieces, composed by dmr_apply_impl.
   JobId submit_resizer(JobId parent, int extra_nodes, double now);
   /// Zero-size update + cancel: detach the resizer's nodes and hand them
   /// to the parent job.
-  void harvest_resizer(JobId resizer, double now);
+  void harvest_resizer(JobId resizer, JobId parent, double now);
   void rescale_time_limit(Job& job, double now, double ratio);
   void start_job(Job& job, double now);
   void finish_job(Job& job, double now, JobState final_state);
-  void cancel_dependents(JobId parent, double now);
-  bool eligible(const Job& job) const;
   /// Emit a `kind` event about `job` when some sink wants it.
   void emit(obs::EventKind kind, JobId job, double now, int old_size = 0,
             int new_size = 0, Action action = Action::None,
@@ -251,16 +249,15 @@ class Manager : public ::dmr::Rms {
   void enqueue(Job& job);
   void dequeue(const Job& job);
   void boost(Job& job);
-  /// The eligible pending jobs (internal resizers only when
-  /// `resizers`): pending_jobs_ itself when no pending job can be left
-  /// out, else a copy in `scratch`.
-  std::span<const Job* const> eligible_pending(
-      bool resizers, std::vector<const Job*>& scratch) const;
   void remove_from(std::vector<Job*>& list, const Job* job);
 
-  RmsConfig config_;
+  // The settings read after construction (the node count and partitions
+  // live in cluster_).
+  SchedulerConfig scheduler_;
+  bool shrink_priority_boost_;
+  JobId first_job_id_;
   Cluster cluster_;
-  /// Dense job table indexed by `id - config_.first_job_id` (ids are
+  /// Dense job table indexed by `id - first_job_id_` (ids are
   /// sequential, jobs never erased).  Element addresses stay stable for
   /// the Job* index lists below while the table grows.
   JobTable jobs_;
@@ -271,27 +268,25 @@ class Manager : public ::dmr::Rms {
   // --- live-set indices (the incremental-scheduling state) -----------------
   /// Every pending job, resizers included, in SubmitOrder.
   std::vector<Job*> pending_jobs_;
-  /// Pending jobs a queue view may leave out (internal resizers, jobs
-  /// with a dependency); at zero every view is the ordered list itself.
-  int pending_filtered_ = 0;
+  /// Pending resizers, which pending_snapshot leaves out; at zero it is
+  /// the ordered list itself.
+  int pending_resizers_ = 0;
   std::vector<Job*> running_jobs_;  // every running job, resizers included
-  std::vector<const Job*> user_jobs_;  // non-internal, submission order
-  /// Per-job dependent lists, parallel to jobs_ (same dense index).
-  std::deque<std::vector<JobId>> dependents_;
+  std::vector<const Job*> user_jobs_;  // non-resizers, submission order
   long long unfinished_user_jobs_ = 0;
-  /// Exact (allocated nodes, running jobs) over non-internal running
+  /// Exact (allocated nodes, running jobs) over non-resizer running
   /// jobs, maintained at every allocation mutation so an alloc-changed
   /// event needs no running-set scan.
   int user_allocated_nodes_ = 0;
   int user_running_jobs_ = 0;
   bool placements_dirty_ = true;
-  /// The last scheduling pass's starts, kept so a pass does not
-  /// allocate its list.
+  /// The last scheduling pass's starts and diagnoses, kept so a pass
+  /// does not allocate its lists.
   std::vector<const Job*> started_;
+  std::vector<BlockDiag> blocked_;
   /// dmr_decide's queue for a pinned job (the jobs its partition serves).
   std::vector<const Job*> policy_scratch_;
-  /// The filtered copies behind pending_queue and pending_snapshot.
-  mutable std::vector<const Job*> queue_scratch_;
+  /// The filtered copy behind pending_snapshot.
   mutable std::vector<const Job*> snapshot_scratch_;
 };
 

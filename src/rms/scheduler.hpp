@@ -51,10 +51,9 @@ struct SchedulerConfig {
 struct ScheduleView {
   double now = 0.0;
   int idle_nodes = 0;
-  /// Eligible pending jobs (dependencies already filtered by the caller)
-  /// in SubmitOrder.  Precondition, not checked: the pass reads the
-  /// queue as given.  Manager::schedule hands over a view of its queue,
-  /// which it keeps in that order; hand-built views sort with
+  /// Pending jobs in SubmitOrder.  Precondition, not checked: the pass
+  /// reads the queue as given.  Manager::schedule hands over its own
+  /// queue, which it keeps in that order; hand-built views sort with
   /// SubmitOrder first.
   std::span<const Job* const> pending;
   /// Running jobs, used to estimate the backfill shadow time.

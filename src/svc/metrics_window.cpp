@@ -147,7 +147,7 @@ void MetricsWindow::on_event(const obs::Event& event) {
     return;
   }
   const rms::Job& job = event.manager->job(event.job);
-  if (job.spec.internal_resizer) return;
+  if (job.resizer) return;
   wait_.add(job.wait_time());
   response_.add(job.completion_time());
 }

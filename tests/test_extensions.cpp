@@ -114,6 +114,8 @@ TEST(Accounting, ResizeSplitsTheIntegral) {
   // Expand 4 -> 16 at t=10.
   const auto outcome = m.dmr_check(id, request, 10.0);
   ASSERT_EQ(outcome.action, Action::Expand);
+  // The expansion's resizer job gets no record.
+  EXPECT_EQ(accounting.records().size(), 1u);
   m.job_finished(id, 20.0);
   const JobRecord& record = accounting.record(id);
   ASSERT_EQ(record.resizes.size(), 1u);

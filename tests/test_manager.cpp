@@ -1,6 +1,6 @@
 // Integration tests of the Manager: job lifecycle, the Slurm resize
-// protocol (resizer job -> harvest), two-phase shrink, dependency
-// handling, and the synchronous/asynchronous DMR flows.
+// protocol (resizer job -> harvest), two-phase shrink, and the
+// synchronous/asynchronous DMR flows.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -79,37 +79,6 @@ TEST(Manager, CancelPendingAndRunning) {
   EXPECT_EQ(m.idle_nodes(), 8);
 }
 
-TEST(Manager, DependencyGatesEligibility) {
-  Manager m(config(8));
-  const JobId parent = m.submit(spec("p", 4), 0.0);
-  JobSpec child_spec = spec("c", 2);
-  child_spec.depends_on = parent;
-  const JobId child = m.submit(child_spec, 0.0);
-  m.schedule(0.0);
-  EXPECT_TRUE(m.job(parent).running());
-  EXPECT_TRUE(m.job(child).running());  // parent started in same pass
-
-  // A dependent of a *pending* job must not start.
-  const JobId parent2 = m.submit(spec("p2", 8), 1.0);
-  JobSpec child2_spec = spec("c2", 1);
-  child2_spec.depends_on = parent2;
-  const JobId child2 = m.submit(child2_spec, 1.0);
-  m.schedule(1.0);
-  EXPECT_TRUE(m.job(parent2).pending());
-  EXPECT_TRUE(m.job(child2).pending());
-}
-
-TEST(Manager, DependentCancelledWithParent) {
-  Manager m(config(8));
-  const JobId parent = m.submit(spec("p", 4), 0.0);
-  m.schedule(0.0);
-  JobSpec dep = spec("d", 2);
-  dep.depends_on = parent;
-  const JobId child = m.submit(dep, 1.0);
-  m.job_finished(parent, 2.0);
-  EXPECT_EQ(m.job(child).state, JobState::Cancelled);
-}
-
 /// Watches the resizer job of one expansion from inside the protocol:
 /// the manager's state at the resizer's submission, start and harvest.
 struct ResizerProbe final : obs::Sink {
@@ -160,8 +129,8 @@ TEST(ResizeProtocol, SubmitHarvestGrow) {
   const Outcome outcome = m.dmr_check(a, request(1, 8), 1.0);
   ASSERT_EQ(outcome.action, Action::Expand);
   ASSERT_NE(probe.resizer, kInvalidJob);
-  EXPECT_TRUE(m.job(probe.resizer).spec.internal_resizer);
-  EXPECT_EQ(m.job(probe.resizer).spec.depends_on, a);
+  EXPECT_TRUE(m.job(probe.resizer).resizer);
+  EXPECT_FALSE(m.job(a).resizer);
   EXPECT_EQ(m.job(probe.resizer).state, JobState::Cancelled);
   EXPECT_EQ(probe.resizer_nodes.size(), 4u);
   EXPECT_EQ(outcome.old_size, 4);

@@ -71,6 +71,14 @@ void check_invariants(const Manager& manager, int cluster_nodes) {
   }
   EXPECT_LE(allocated, cluster_nodes);
   EXPECT_GE(manager.idle_nodes(), 0);
+  // Between public calls the expand protocol has resolved every resizer
+  // (harvested or cancelled), so none is queued or running.
+  for (const Job* job : manager.pending_queue()) {
+    EXPECT_FALSE(job->resizer) << "resizer " << job->id << " pending";
+  }
+  for (const Job* job : manager.running_list()) {
+    EXPECT_FALSE(job->resizer) << "resizer " << job->id << " running";
+  }
   // Timing sanity for finished jobs.
   for (const Job* job : manager.jobs()) {
     if (job->state == JobState::Completed) {
@@ -87,7 +95,7 @@ void check_invariants(const Manager& manager, int cluster_nodes) {
 /// asks, that the queue it reads equals a fresh sort of the same jobs by
 /// SubmitOrder.
 struct QueueOrderCheck final : obs::Sink {
-  /// Every job submitted, internal resizers included.
+  /// Every job submitted, resizers included.
   std::vector<JobId> ids;
 
   obs::Interest interest() const override {
@@ -102,15 +110,12 @@ struct QueueOrderCheck final : obs::Sink {
     check(*event.manager, event.now, event.kind == obs::EventKind::kPassBegin);
   }
 
-  /// The pass's queue keeps internal resizers; Algorithm 1's does not.
+  /// The pass's queue keeps resizers; Algorithm 1's does not.
   void check(const Manager& manager, double now, bool pass) const {
     std::vector<const Job*> expected;
     for (JobId id : ids) {
       const Job& job = manager.job(id);
-      if (!job.pending() || (!pass && job.spec.internal_resizer)) continue;
-      if (job.spec.depends_on && !manager.job(*job.spec.depends_on).running()) {
-        continue;
-      }
+      if (!job.pending() || (!pass && job.resizer)) continue;
       expected.push_back(&job);
     }
     std::sort(expected.begin(), expected.end(), SubmitOrder{});
@@ -132,8 +137,6 @@ struct QueueOrderCheck final : obs::Sink {
 /// "default" replays the original fuzz streams.
 struct FuzzConfig {
   const char* name;
-  /// Submissions that depend on a live job (views must filter them).
-  double dependent = 0.0;
   /// Submissions stamped up to 50 s in the past.
   double backdated = 0.0;
   double moldable = 0.2;
@@ -145,9 +148,9 @@ void PrintTo(const FuzzConfig& config, std::ostream* out) {
 
 const FuzzConfig kFuzzConfigs[] = {
     {.name = "default"},
-    // Views filter out dependents, and a back-dated submission lands
-    // inside the queue rather than at its end.
-    {.name = "dependents_backdated", .dependent = 0.15, .backdated = 0.2},
+    // A back-dated submission lands inside the queue rather than at its
+    // end.
+    {.name = "backdated", .backdated = 0.2},
     // Molded heads change requested_nodes while other jobs wait.
     {.name = "moldable", .moldable = 0.6},
 };
@@ -180,12 +183,6 @@ TEST_P(ManagerFuzz, InvariantsHoldUnderRandomOperations) {
       spec.flexible = rng.bernoulli(0.7);
       spec.moldable = rng.bernoulli(fuzz.moldable);
       spec.time_limit = rng.uniform(10.0, 500.0);
-      if (fuzz.dependent > 0.0 && !live.empty() &&
-          rng.bernoulli(fuzz.dependent)) {
-        const auto parent = static_cast<std::size_t>(
-            rng.uniform_int(0, static_cast<std::int64_t>(live.size()) - 1));
-        spec.depends_on = live[parent];
-      }
       double at = now;
       if (fuzz.backdated > 0.0 && rng.bernoulli(fuzz.backdated)) {
         at -= rng.uniform(0.0, 50.0);
