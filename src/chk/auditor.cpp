@@ -224,7 +224,7 @@ void Auditor::check_dispatch(const obs::Event& event) {
 
 void Auditor::check_placement(::dmr::JobId id, int member, double now) {
   ++report_.placement_checks;
-  const ::dmr::JobId stride = fed::kClusterIdStride;
+  const ::dmr::JobId stride = rms::kClusterIdStride;
   const ::dmr::JobId lo = static_cast<::dmr::JobId>(member) * stride;
   if (id <= lo || id > lo + stride) {
     std::ostringstream msg;
@@ -236,7 +236,7 @@ void Auditor::check_placement(::dmr::JobId id, int member, double now) {
 
 void Auditor::check_federation(const fed::Federation& federation, double now) {
   ++report_.federation_audits;
-  const ::dmr::JobId stride = fed::kClusterIdStride;
+  const ::dmr::JobId stride = rms::kClusterIdStride;
   for (int c = 0; c < federation.cluster_count(); ++c) {
     const ::dmr::JobId lo = static_cast<::dmr::JobId>(c) * stride;
     for (const rms::Job* job : federation.manager(c).jobs()) {

@@ -22,7 +22,7 @@
 //    backwards, and two events that coexisted in the queue dispatch in
 //    (time, lane, seq) order;
 //  - federation identity: every member's job ids stay inside its
-//    disjoint kClusterIdStride range and route back to the member that
+//    disjoint rms::kClusterIdStride range and route back to the member that
 //    placed them;
 //  - redistribution byte conservation: each modeled dmr::redist Report
 //    accounts for exactly the job's declared state bytes, with moved <=

@@ -259,7 +259,6 @@ class WorkloadDriver : private obs::Sink {
   /// Job id -> execution state, one row per member indexed by
   /// Federation::index_in_member: the lookup on every job start is two
   /// indexings and the table grows by appending, never rehashing.
-  /// Internal resizer ids stay null.
   std::vector<std::vector<Exec*>> by_id_;
   int completed_ = 0;
   /// Workload-wide data-movement totals (from the modeled Reports).

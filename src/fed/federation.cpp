@@ -9,7 +9,7 @@ Federation::Federation(FederationConfig config) {
   if (config.clusters.empty()) {
     throw std::invalid_argument("Federation: no member clusters");
   }
-  if (static_cast<JobId>(config.clusters.size()) >= kClusterIdStride) {
+  if (static_cast<JobId>(config.clusters.size()) >= rms::kClusterIdStride) {
     throw std::invalid_argument("Federation: too many member clusters");
   }
   names_.reserve(config.clusters.size());
@@ -24,7 +24,7 @@ Federation::Federation(FederationConfig config) {
                                   spec.name + "'");
     }
     spec.rms.first_job_id =
-        static_cast<JobId>(c) * kClusterIdStride + 1;
+        static_cast<JobId>(c) * rms::kClusterIdStride + 1;
     managers_.push_back(std::make_unique<rms::Manager>(std::move(spec.rms),
                                                        static_cast<int>(c)));
     names_.push_back(std::move(spec.name));
@@ -35,7 +35,7 @@ Federation::Federation(FederationConfig config) {
 }
 
 int Federation::cluster_of(JobId id) const {
-  const JobId cluster = (id - 1) / kClusterIdStride;
+  const JobId cluster = (id - 1) / rms::kClusterIdStride;
   if (id < 1 || cluster >= static_cast<JobId>(managers_.size())) {
     throw std::out_of_range("Federation: job id " + std::to_string(id) +
                             " outside every member's range");
@@ -44,7 +44,8 @@ int Federation::cluster_of(JobId id) const {
 }
 
 std::size_t Federation::index_in_member(JobId id) const {
-  const JobId first = static_cast<JobId>(cluster_of(id)) * kClusterIdStride + 1;
+  const JobId first =
+      static_cast<JobId>(cluster_of(id)) * rms::kClusterIdStride + 1;
   return static_cast<std::size_t>(id - first);
 }
 

@@ -9,11 +9,12 @@
 // single-cluster machinery composes into a federation without touching
 // the protocol code, because dmr::Rms was designed as exactly this seam.
 //
-// Identity: member c assigns job ids from the half-open range
-// [c*kClusterIdStride+1, (c+1)*kClusterIdStride], so every id is
-// globally unique and routes back to its owner by integer division — no
-// translation table, and rms::Job records keep their ids across the
-// boundary.
+// Identity: member c assigns job ids from the range
+// [c*kClusterIdStride+1, (c+1)*kClusterIdStride] (rms::kClusterIdStride),
+// its user jobs consecutively from the bottom and the expand protocol's
+// resizers down from the top.  So every id is globally unique and routes
+// back to its owner by integer division — no translation table, and
+// rms::Job records keep their ids across the boundary.
 //
 // Time: the federation is as clock-agnostic as its members.  Every
 // mutation takes `now`, so all members share whatever clock the caller
@@ -49,9 +50,6 @@ struct FederationConfig {
   /// `placement` when set.
   std::shared_ptr<PlacementPolicy> policy;
 };
-
-/// Job ids per member: member c owns (c*stride, (c+1)*stride].
-constexpr ::dmr::JobId kClusterIdStride = 1'000'000'000;
 
 class Federation : public ::dmr::Rms {
  public:
@@ -92,7 +90,8 @@ class Federation : public ::dmr::Rms {
   /// Member index owning `id` (from the id range; the id need not exist).
   int cluster_of(JobId id) const;
   /// Position of `id` among its member's ids, which the member issues
-  /// consecutively: an index into a dense per-member table.
+  /// to user jobs consecutively: for a user job, its index in the
+  /// member's jobs() and in any dense per-member table.
   std::size_t index_in_member(JobId id) const;
   /// The owning member's cluster inventory.
   const rms::Cluster& cluster_for(JobId id) const;

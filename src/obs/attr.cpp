@@ -135,8 +135,8 @@ void WaitAttributor::on_event(const Event& event) {
 }
 
 WaitAttributor::Position WaitAttributor::position_of(JobId id) {
-  return Position{static_cast<std::size_t>((id - 1) / fed::kClusterIdStride),
-                  static_cast<std::size_t>((id - 1) % fed::kClusterIdStride)};
+  return Position{static_cast<std::size_t>((id - 1) / rms::kClusterIdStride),
+                  static_cast<std::size_t>((id - 1) % rms::kClusterIdStride)};
 }
 
 WaitAttributor::Row* WaitAttributor::find(JobId id) {

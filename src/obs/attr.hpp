@@ -105,7 +105,7 @@ class WaitAttributor final : public Sink {
     double since = 0.0;
   };
   /// A job id's attribution and, while the job waits, its open segment.
-  /// `job.id` stays 0 where no user job holds the id (a resizer's).
+  /// `job.id` stays 0 where the attributor never saw the id submitted.
   struct Row {
     JobAttribution job;
     std::optional<OpenSegment> open;

@@ -23,7 +23,7 @@ using ::dmr::to_string;
 /// A job tracked by the manager.
 struct Job {
   JobId id = kInvalidJob;
-  JobSpec spec;
+  JobSpec spec = {};
   JobState state = JobState::Pending;
 
   /// Current node request; mutable through job updates (the Slurm resize
@@ -32,12 +32,12 @@ struct Job {
   int requested_nodes = 1;
 
   /// Allocated node ids (empty unless Running).
-  std::vector<int> nodes;
+  std::vector<int> nodes = {};
 
   /// Scheduler priority boost (set_max_priority in Algorithm 1).
   bool priority_boost = false;
   /// The expand protocol's resizer job B: a pseudo-job only the manager
-  /// submits, invisible to the user job list and to metrics.
+  /// submits, held outside its job table and invisible to metrics.
   bool resizer = false;
 
   /// Partition index resolved from spec.partition at submission

@@ -33,6 +33,7 @@ Manager::Manager(RmsConfig config, int member)
       shrink_priority_boost_(config.shrink_priority_boost),
       first_job_id_(config.first_job_id),
       cluster_(make_cluster(config)),
+      next_resizer_id_(config.first_job_id + kClusterIdStride - 1),
       member_(member) {}
 
 void Manager::rescale_time_limit(Job& job, double now, double ratio) {
@@ -45,20 +46,11 @@ void Manager::rescale_time_limit(Job& job, double now, double ratio) {
   job.spec.time_limit = elapsed + remaining * ratio;
 }
 
-Job& Manager::job_mutable(JobId id) {
-  const std::size_t index = job_index(id);
-  if (index == kNoJob) {
-    throw std::out_of_range("Manager: unknown job " + std::to_string(id));
-  }
-  return jobs_[index];
-}
-
 const Job& Manager::job(JobId id) const {
   const std::size_t index = job_index(id);
-  if (index == kNoJob) {
-    throw std::out_of_range("Manager: unknown job " + std::to_string(id));
-  }
-  return jobs_[index];
+  if (index != kNoJob) return jobs_[index];
+  if (id == resizer_.id && id != kInvalidJob) return resizer_;
+  throw std::out_of_range("Manager: unknown job " + std::to_string(id));
 }
 
 void Manager::remove_from(std::vector<Job*>& list, const Job* job) {
@@ -75,13 +67,11 @@ void Manager::enqueue(Job& job) {
   const auto at = std::upper_bound(pending_jobs_.begin(), pending_jobs_.end(),
                                    &job, SubmitOrder{});
   pending_jobs_.insert(at, &job);
-  if (job.resizer) ++pending_resizers_;
 }
 
 void Manager::dequeue(const Job& job) {
   pending_jobs_.erase(
       std::find(pending_jobs_.begin(), pending_jobs_.end(), &job));
-  if (job.resizer) --pending_resizers_;
 }
 
 void Manager::boost(Job& job) {
@@ -99,19 +89,15 @@ void Manager::boost(Job& job) {
 }
 
 std::span<const Job* const> Manager::pending_snapshot() const {
-  if (pending_resizers_ == 0) return pending_jobs_;
+  if (!resizer_.pending()) return pending_jobs_;
   snapshot_scratch_.clear();
   for (const Job* job : pending_jobs_) {
-    if (!job->resizer) snapshot_scratch_.push_back(job);
+    if (job != &resizer_) snapshot_scratch_.push_back(job);
   }
   return snapshot_scratch_;
 }
 
-JobId Manager::submit(JobSpec spec, double now) {
-  return add_job(std::move(spec), /*resizer=*/false, now);
-}
-
-JobId Manager::add_job(JobSpec spec, bool resizer, double now) {
+int Manager::checked_partition(const JobSpec& spec) const {
   int partition = kAnyPartition;
   int capacity = cluster_.size();
   if (!spec.partition.empty()) {
@@ -128,25 +114,26 @@ JobId Manager::add_job(JobSpec spec, bool resizer, double now) {
   if (spec.min_nodes < 1) {
     throw std::invalid_argument("Manager: bad minimum size for " + spec.name);
   }
-  Job job;
-  // Ids are issued in sequence, so the next one follows the table.
-  job.id = first_job_id_ + static_cast<JobId>(jobs_.size());
-  job.spec = std::move(spec);
-  job.resizer = resizer;
-  job.partition = partition;
-  job.requested_nodes = job.spec.requested_nodes;
-  job.submit_time = now;
-  job.state = JobState::Pending;
-  const JobId id = job.id;
-  Job& stored = jobs_.push_back(std::move(job));
-  enqueue(stored);
-  if (!resizer) {
-    user_jobs_.push_back(&stored);
-    ++unfinished_user_jobs_;
-  }
-  placements_dirty_ = true;
-  emit(obs::EventKind::kSubmitted, id, now, 0, stored.requested_nodes);
+  return partition;
+}
+
+JobId Manager::submit(JobSpec spec, double now) {
+  const int partition = checked_partition(spec);
+  // User ids run in sequence, so the next one follows the table.
+  const JobId id = first_job_id_ + static_cast<JobId>(jobs_.size());
+  Job& job = jobs_.push_back(Job{.id = id, .spec = std::move(spec)});
+  ++unfinished_user_jobs_;
+  admit(job, partition, now);
   return id;
+}
+
+void Manager::admit(Job& job, int partition, double now) {
+  job.requested_nodes = job.spec.requested_nodes;
+  job.partition = partition;
+  job.submit_time = now;
+  enqueue(job);
+  placements_dirty_ = true;
+  emit(obs::EventKind::kSubmitted, job.id, now, 0, job.requested_nodes);
 }
 
 void Manager::start_job(Job& job, double now) {
@@ -220,7 +207,7 @@ void Manager::schedule(double now) {
       }
       if (to_start.empty()) break;
     }
-    for (const Job* pick : to_start) start_job(jobs_[job_index(pick->id)], now);
+    for (const Job* pick : to_start) start_job(job_mutable(pick->id), now);
     // A molded start can leave idle nodes a newly exposed moldable head
     // could still use.
     if (molded) continue;
@@ -307,37 +294,37 @@ void Manager::job_finished(JobId id, double now) {
   schedule(now);
 }
 
-JobId Manager::submit_resizer(JobId parent, int extra_nodes, double now) {
-  const Job& parent_job = job(parent);
+void Manager::submit_resizer(const Job& parent, int extra_nodes, double now) {
   JobSpec spec;
-  spec.name = parent_job.spec.name + ":resizer";
+  spec.name = parent.spec.name + ":resizer";
   spec.requested_nodes = extra_nodes;
   spec.min_nodes = extra_nodes;
   spec.flexible = false;
-  spec.time_limit = parent_job.spec.time_limit;
+  spec.time_limit = parent.spec.time_limit;
   // The harvested nodes join the parent's allocation, so they must come
   // from the parent's eligible pool.
-  spec.partition = parent_job.spec.partition;
-  const JobId id = add_job(std::move(spec), /*resizer=*/true, now);
+  spec.partition = parent.spec.partition;
+  const int partition = checked_partition(spec);
+  resizer_ = Job{.id = next_resizer_id_--, .spec = std::move(spec)};
+  resizer_.resizer = true;
+  admit(resizer_, partition, now);
   // "RJ is set to the maximum priority, facilitating its execution."
-  boost(job_mutable(id));
-  return id;
+  boost(resizer_);
 }
 
-void Manager::harvest_resizer(JobId resizer, JobId parent, double now) {
-  Job& rj = job_mutable(resizer);
+void Manager::harvest_resizer(Job& parent, double now) {
+  Job& rj = resizer_;
   if (!rj.running()) {
     throw std::logic_error("Manager: harvesting a non-running resizer");
   }
   // Protocol steps 2-4: zero-size update detaches the nodes, the resizer
   // is cancelled, and the original job absorbs the allocation.
   const std::vector<int> nodes = std::move(rj.nodes);  // leaves rj's empty
-  cluster_.transfer(resizer, parent, nodes);
+  cluster_.transfer(rj.id, parent.id, nodes);
   rj.requested_nodes = 0;
   finish_job(rj, now, JobState::Cancelled);
-  Job& parent_job = job_mutable(parent);
-  parent_job.nodes.insert(parent_job.nodes.end(), nodes.begin(), nodes.end());
-  parent_job.requested_nodes = parent_job.allocated();
+  parent.nodes.insert(parent.nodes.end(), nodes.begin(), nodes.end());
+  parent.requested_nodes = parent.allocated();
   user_allocated_nodes_ += static_cast<int>(nodes.size());
 }
 
@@ -414,19 +401,21 @@ Outcome Manager::dmr_apply_impl(JobId id, const Decision& decision,
         ++counters_.aborted_expands;
         return outcome;
       }
-      const JobId rj = submit_resizer(id, extra, now);
+      submit_resizer(job, extra, now);
       schedule(now);
-      if (!this->job(rj).running()) {
+      if (!resizer_.running()) {
         // The scheduler gave the nodes to somebody else (or a race left
         // too few): abort, as the runtime would on its wait timeout.
-        cancel(rj, now);
+        cancel(resizer_.id, now);
+        resizer_.id = kInvalidJob;  // B's id ends with its protocol
         outcome.action = Action::None;
         outcome.new_size = 0;
         outcome.aborted = true;
         ++counters_.aborted_expands;
         return outcome;
       }
-      harvest_resizer(rj, id, now);
+      harvest_resizer(job, now);
+      resizer_.id = kInvalidJob;
       ++job.expansions;
       ++counters_.expands;
       rescale_time_limit(job, now,

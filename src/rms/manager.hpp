@@ -9,7 +9,10 @@
 //    priority -> wait for it to run -> zero-size update detaches its
 //    nodes -> cancel B -> grow A).  Slurm submits B with a dependency on
 //    A so that B runs only while A runs; here that holds because A's
-//    dmr_apply both submits B and resolves it (harvest or cancel);
+//    dmr_apply both submits B and resolves it (harvest or cancel).  So B
+//    lives in one slot beside the job table, not in it: user jobs own
+//    the id sequence, and each B takes the next id down from the top of
+//    the manager's range, which resolves only until dmr_apply returns;
 //  - shrink is two-phase (begin marks nodes draining, complete releases
 //    them once the runtime's drain ACKs arrive), matching the paper's
 //    synchronized workflow with a management node collecting ACKs.
@@ -35,6 +38,7 @@
 
 #include <limits>
 #include <memory>
+#include <ranges>
 #include <span>
 #include <vector>
 
@@ -51,6 +55,10 @@ struct TestBackdoor;
 
 namespace dmr::rms {
 
+/// Ids per manager: its user jobs count up from first_job_id, and its
+/// resizers down from first_job_id + kClusterIdStride - 1.
+constexpr JobId kClusterIdStride = 1'000'000'000;
+
 struct RmsConfig {
   int nodes = 20;
   SchedulerConfig scheduler;
@@ -60,9 +68,9 @@ struct RmsConfig {
   /// Heterogeneous layout; when non-empty it overrides `nodes` (the
   /// total is the sum of the partition sizes).
   std::vector<Partition> partitions = {};
-  /// First id this manager assigns.  A fed::Federation gives each member
-  /// a disjoint range so job ids stay globally unique and route back to
-  /// their cluster without a translation table.
+  /// Bottom of this manager's id range.  A fed::Federation gives each
+  /// member a disjoint range so job ids stay globally unique and route
+  /// back to their cluster without a translation table.
   JobId first_job_id = 1;
 };
 
@@ -148,6 +156,8 @@ class Manager : public ::dmr::Rms {
 
   // --- queries ---------------------------------------------------------------
 
+  /// The user job `id`, or the resizer `id` while its dmr_apply runs;
+  /// throws std::out_of_range otherwise.
   const Job& job(JobId id) const;
   /// Public-API snapshot of a job (hosts resolved to node names, the
   /// surviving set excluding draining nodes).
@@ -170,8 +180,14 @@ class Manager : public ::dmr::Rms {
   /// and the cluster's idle, draining and partition tables, in place.
   /// Same validity as pending_queue.
   ScheduleView schedule_view(double now) const;
-  /// All user-visible jobs (submission order).
-  const std::vector<const Job*>& jobs() const { return user_jobs_; }
+  /// Every user job so far, as `const Job*` in submission order (the job
+  /// at index i has id first_job_id + i).  A 32-bit index covers the id
+  /// range and keeps the view's iterators classic ones.
+  auto jobs() const {
+    const auto at = [this](unsigned i) -> const Job* { return &jobs_[i]; };
+    return std::views::iota(0u, static_cast<unsigned>(jobs_.size())) |
+           std::views::transform(at);
+  }
   /// True when no user job is pending or running.
   bool all_done() const { return unfinished_user_jobs_ == 0; }
   /// Nodes held by running user jobs, and how many of those run
@@ -207,24 +223,29 @@ class Manager : public ::dmr::Rms {
   friend struct ::dmr::chk::TestBackdoor;
 
   static constexpr std::size_t kNoJob = std::numeric_limits<std::size_t>::max();
-  /// Dense index of `id` in jobs_ (kNoJob when this manager never issued
-  /// it).  Ids are assigned sequentially from first_job_id_ and jobs
-  /// are never erased, so the subtraction is the whole lookup.
+  /// Index of user job `id` in jobs_ (kNoJob when no user job has it).
+  /// User ids run consecutively from first_job_id_ and jobs are never
+  /// erased, so the subtraction is the whole lookup.
   std::size_t job_index(JobId id) const {
     if (id < first_job_id_) return kNoJob;
     const std::size_t index = static_cast<std::size_t>(id - first_job_id_);
     return index < jobs_.size() ? index : kNoJob;
   }
-  Job& job_mutable(JobId id);
-  /// submit() and submit_resizer()'s shared path: validate, issue the
-  /// next id and queue the job.
-  JobId add_job(JobSpec spec, bool resizer, double now);
+  Job& job_mutable(JobId id) { return const_cast<Job&>(job(id)); }
+  /// The partition `spec` asks for (kAnyPartition when none); throws
+  /// std::invalid_argument when that pool cannot hold the job.
+  int checked_partition(const JobSpec& spec) const;
+  /// submit() and submit_resizer()'s shared tail: give the new job its
+  /// spec's size, the checked `partition` and its submit time, then
+  /// queue and announce it.
+  void admit(Job& job, int partition, double now);
   Outcome dmr_apply_impl(JobId id, const Decision& decision, double now);
   // The resize protocol's pieces, composed by dmr_apply_impl.
-  JobId submit_resizer(JobId parent, int extra_nodes, double now);
+  /// Fill resizer_ with B for `parent`, queued last among boosted jobs.
+  void submit_resizer(const Job& parent, int extra_nodes, double now);
   /// Zero-size update + cancel: detach the resizer's nodes and hand them
   /// to the parent job.
-  void harvest_resizer(JobId resizer, JobId parent, double now);
+  void harvest_resizer(Job& parent, double now);
   void rescale_time_limit(Job& job, double now, double ratio);
   void start_job(Job& job, double now);
   void finish_job(Job& job, double now, JobState final_state);
@@ -257,10 +278,14 @@ class Manager : public ::dmr::Rms {
   bool shrink_priority_boost_;
   JobId first_job_id_;
   Cluster cluster_;
-  /// Dense job table indexed by `id - first_job_id_` (ids are
-  /// sequential, jobs never erased).  Element addresses stay stable for
-  /// the Job* index lists below while the table grows.
+  /// The user jobs, indexed by `id - first_job_id_`.  Element addresses
+  /// stay stable for the Job* index lists below while the table grows.
   JobTable jobs_;
+  /// The expand protocol's resizer B, the one job outside the table: its
+  /// id resolves from submit_resizer to the end of B's protocol.
+  Job resizer_{.state = JobState::Cancelled, .resizer = true};
+  /// B's next id, one lower per expand attempt.
+  JobId next_resizer_id_;
   Counters counters_;
   int member_;
   obs::SinkList sinks_;
@@ -268,11 +293,7 @@ class Manager : public ::dmr::Rms {
   // --- live-set indices (the incremental-scheduling state) -----------------
   /// Every pending job, resizers included, in SubmitOrder.
   std::vector<Job*> pending_jobs_;
-  /// Pending resizers, which pending_snapshot leaves out; at zero it is
-  /// the ordered list itself.
-  int pending_resizers_ = 0;
   std::vector<Job*> running_jobs_;  // every running job, resizers included
-  std::vector<const Job*> user_jobs_;  // non-resizers, submission order
   long long unfinished_user_jobs_ = 0;
   /// Exact (allocated nodes, running jobs) over non-resizer running
   /// jobs, maintained at every allocation mutation so an alloc-changed

@@ -200,7 +200,7 @@ TEST(WaitAttribution, AttachedAttributorNeverPerturbsOutcomes) {
 // --- the accumulator state machine -------------------------------------------
 
 /// Two 8-node members whose managers issue the ids the direct-feed tests
-/// report on: member c's from c * fed::kClusterIdStride + 1.  Each call
+/// report on: member c's from c * rms::kClusterIdStride + 1.  Each call
 /// feeds the attributor one obs::Event the way the layers emit it,
 /// naming the member's manager (the attributor reads a submitted job's
 /// name and resizer flag from it).
@@ -648,6 +648,9 @@ TEST(ServiceAttribution, SamplesCarryWaitCauseColumns) {
 /// At every sample, feeds the events recorded so far to a fresh
 /// attributor, whose one cause_totals call walks every job from the
 /// first, and expects the sample's cause columns to match it bit for bit.
+/// It records user jobs' events only: the replay resolves each job after
+/// the fact, a resizer's id resolves only inside its expand protocol, and
+/// the attributor keeps no row for a resizer.
 class ColdReplayCheck final : public obs::Sink {
  public:
   obs::Interest interest() const override {
@@ -658,7 +661,7 @@ class ColdReplayCheck final : public obs::Sink {
 
   void on_event(const obs::Event& event) override {
     if (event.kind != obs::EventKind::kSample) {
-      feed_.push_back(event);
+      if (!event.manager->job(event.job).resizer) feed_.push_back(event);
       return;
     }
     obs::WaitAttributor cold;

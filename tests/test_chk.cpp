@@ -639,7 +639,7 @@ TEST(FederationIdentity, RekeyedJobLeavesItsMembersRange) {
   const int member = federation.cluster_of(id);
   // Push the job's id into the *other* member's stride range: the owner
   // still holds it, but routing now points elsewhere.
-  const JobId foreign = id + fed::kClusterIdStride;
+  const JobId foreign = id + rms::kClusterIdStride;
   chk::TestBackdoor::rekey_job(federation.manager(member), id, foreign);
   chk::Auditor auditor;
   sample(auditor, federation, 9.0);

@@ -76,7 +76,7 @@ TEST(Federation, IdsAreGloballyUniqueAndRouteBack) {
   f.cancel(j1, 2.0);
   EXPECT_TRUE(f.query(j1).finished());
   EXPECT_THROW(f.cluster_of(-7), std::out_of_range);
-  EXPECT_THROW(f.query(5 * fed::kClusterIdStride + 1), std::out_of_range);
+  EXPECT_THROW(f.query(5 * rms::kClusterIdStride + 1), std::out_of_range);
 }
 
 TEST(Federation, RoundRobinCyclesMembers) {

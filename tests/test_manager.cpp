@@ -7,11 +7,13 @@
 #include <string>
 #include <vector>
 
+#include "fed/federation.hpp"
 #include "rms/manager.hpp"
 
 namespace {
 
 using namespace dmr::rms;
+namespace fed = dmr::fed;
 namespace obs = dmr::obs;
 
 JobSpec spec(const std::string& name, int nodes, int min = 1,
@@ -85,6 +87,10 @@ struct ResizerProbe final : obs::Sink {
   JobId parent = kInvalidJob;
   JobId resizer = kInvalidJob;
   std::vector<int> resizer_nodes;
+  /// The resizer as its end left it (its id resolves no more once the
+  /// protocol returns).
+  bool flagged_resizer = false;
+  JobState final_state = JobState::Pending;
   /// Idle nodes at every event from the resizer's start to the parent's
   /// expansion: the hand-off must never pass through idle.
   std::vector<int> idle_after_start;
@@ -107,6 +113,8 @@ struct ResizerProbe final : obs::Sink {
     }
     if (!resizer_nodes.empty()) idle_after_start.push_back(m.idle_nodes());
     if (event.kind == obs::EventKind::kFinished && event.job == resizer) {
+      flagged_resizer = m.job(resizer).resizer;
+      final_state = m.job(resizer).state;
       // Harvested: the nodes already belong to the parent.
       harvested_to_parent = true;
       for (int node : resizer_nodes) {
@@ -129,9 +137,11 @@ TEST(ResizeProtocol, SubmitHarvestGrow) {
   const Outcome outcome = m.dmr_check(a, request(1, 8), 1.0);
   ASSERT_EQ(outcome.action, Action::Expand);
   ASSERT_NE(probe.resizer, kInvalidJob);
-  EXPECT_TRUE(m.job(probe.resizer).resizer);
+  EXPECT_TRUE(probe.flagged_resizer);
   EXPECT_FALSE(m.job(a).resizer);
-  EXPECT_EQ(m.job(probe.resizer).state, JobState::Cancelled);
+  EXPECT_EQ(probe.final_state, JobState::Cancelled);
+  // The resizer's id resolved only inside the protocol.
+  EXPECT_THROW(m.job(probe.resizer), std::out_of_range);
   EXPECT_EQ(probe.resizer_nodes.size(), 4u);
   EXPECT_EQ(outcome.old_size, 4);
   // The harvested nodes are appended to the parent's allocation.
@@ -162,6 +172,93 @@ TEST(ResizeProtocol, ResizerInvisibleToMetrics) {
   for (std::size_t count : probe.pending_seen) EXPECT_EQ(count, 0u);
   EXPECT_EQ(m.jobs().size(), 1u);
   EXPECT_EQ(m.running_jobs(), 1);
+}
+
+/// Every resizer announced by a kSubmitted event, with its member.
+struct ResizerIds final : obs::Sink {
+  std::vector<std::pair<int, JobId>> seen;
+
+  obs::Interest interest() const override {
+    return obs::kinds(obs::EventKind::kSubmitted);
+  }
+  void on_event(const obs::Event& event) override {
+    if (event.manager->job(event.job).resizer) {
+      seen.emplace_back(event.member, event.job);
+    }
+  }
+};
+
+/// On a 16-node manager: four submissions, one granted expansion and one
+/// aborted (the hand-made decision asks for nodes another job holds).
+void grant_and_abort(Manager& m) {
+  const JobId a = m.submit(spec("a", 4), 0.0);
+  const JobId b = m.submit(spec("b", 4), 0.0);
+  m.schedule(0.0);
+  ASSERT_EQ(m.dmr_check(a, request(1, 8), 1.0).action, Action::Expand);
+  EXPECT_EQ(m.job(a).allocated(), 8);
+  m.submit(spec("c", 4, 4, false), 2.0);
+  m.schedule(2.0);
+  ASSERT_EQ(m.idle_nodes(), 0);
+  Decision grow;
+  grow.action = Action::Expand;
+  grow.new_size = 8;
+  EXPECT_TRUE(m.dmr_apply(b, grow, 3.0).aborted);
+  m.submit(spec("d", 1), 4.0);
+  EXPECT_EQ(m.counters().expands, 1);
+  EXPECT_EQ(m.counters().aborted_expands, 1);
+}
+
+/// The job table holds the submissions only, at id first_job_id + index;
+/// every resizer `ids` saw has an id above them all that no longer
+/// resolves.
+void expect_dense_ids(const Manager& m, JobId first_job_id,
+                      const ResizerIds& ids, int member) {
+  ASSERT_EQ(m.jobs().size(), 4u);
+  for (std::size_t i = 0; i < m.jobs().size(); ++i) {
+    EXPECT_EQ(m.jobs()[i]->id, first_job_id + static_cast<JobId>(i));
+    EXPECT_EQ(&m.job(m.jobs()[i]->id), m.jobs()[i]);
+  }
+  const JobId last_user_id = m.jobs()[m.jobs().size() - 1]->id;
+  int resizers = 0;
+  for (const auto& [seen_member, id] : ids.seen) {
+    if (seen_member != member) continue;
+    ++resizers;
+    EXPECT_GT(id, last_user_id);
+    EXPECT_LT(id, first_job_id + kClusterIdStride);
+    EXPECT_THROW(m.job(id), std::out_of_range);
+  }
+  EXPECT_EQ(resizers, 2);
+}
+
+TEST(ResizeProtocol, UserIdsRunWithoutGaps) {
+  Manager m(config(16));
+  ResizerIds ids;
+  m.attach(ids);
+  grant_and_abort(m);
+  expect_dense_ids(m, 1, ids, 0);
+  ASSERT_EQ(ids.seen.size(), 2u);
+  EXPECT_NE(ids.seen[0].second, ids.seen[1].second);
+}
+
+TEST(ResizeProtocol, UserIdsRunWithoutGapsOnEachFederationMember) {
+  fed::FederationConfig members;
+  for (const char* name : {"a", "b", "c"}) {
+    members.clusters.push_back(fed::ClusterSpec{name, config(16)});
+  }
+  fed::Federation federation(std::move(members));
+  ResizerIds ids;
+  federation.attach(ids);
+  for (int c = 0; c < federation.cluster_count(); ++c) {
+    grant_and_abort(federation.manager(c));
+  }
+  ASSERT_EQ(ids.seen.size(), 6u);
+  for (int c = 0; c < federation.cluster_count(); ++c) {
+    expect_dense_ids(federation.manager(c), c * kClusterIdStride + 1, ids, c);
+  }
+  // Each resizer's id routes home.
+  for (const auto& [member, id] : ids.seen) {
+    EXPECT_EQ(federation.cluster_of(id), member) << "resizer " << id;
+  }
 }
 
 TEST(DmrCheck, ExpandWholeFlow) {
@@ -370,7 +467,7 @@ TEST(Manager, JobAddressesSurviveTableGrowth) {
     early.push_back(&m.job(ids.back()));
   }
   m.schedule(10.0);
-  const std::vector<const Job*> listed = m.jobs();
+  const std::vector<const Job*> listed(m.jobs().begin(), m.jobs().end());
   for (int i = 0; i < 3 * 256; ++i) {
     ids.push_back(m.submit(spec("late", 1), 10.0 + i));
   }
@@ -511,6 +608,35 @@ TEST(Manager, ExpandInheritsPartitionConstraint) {
   for (int node : m.job(id).nodes) {
     EXPECT_EQ(m.cluster().node_partitions()[static_cast<std::size_t>(node)], 1);
   }
+}
+
+TEST(ResizeProtocol, OversizedExpandThrowsAndQueuesNothing) {
+  // A hand-made decision may ask for more nodes than the parent's pool
+  // holds: the whole cluster for a spanning job, the partition for a
+  // pinned one.
+  Manager m(heterogeneous_config());
+  const JobId spanning = m.submit(spec("spanning", 2), 0.0);
+  JobSpec pinned = spec("pinned", 2);
+  pinned.partition = "slow";
+  const JobId slow = m.submit(pinned, 0.0);
+  m.schedule(0.0);
+  ASSERT_EQ(m.idle_nodes(), 4);
+  Decision grow;
+  grow.action = Action::Expand;
+  grow.new_size = 2 + 9;  // the cluster holds 8
+  EXPECT_THROW(m.dmr_apply(spanning, grow, 1.0), std::invalid_argument);
+  grow.new_size = 2 + 5;  // "slow" holds 4
+  EXPECT_THROW(m.dmr_apply(slow, grow, 1.0), std::invalid_argument);
+  EXPECT_TRUE(m.pending_queue().empty());
+  EXPECT_EQ(m.jobs().size(), 2u);
+  EXPECT_EQ(m.idle_nodes(), 4);
+  EXPECT_EQ(m.job(spanning).allocated(), 2);
+  EXPECT_EQ(m.job(slow).allocated(), 2);
+  EXPECT_EQ(m.counters().expands + m.counters().aborted_expands, 0);
+  // The manager still expands as before.
+  grow.new_size = 4;
+  EXPECT_EQ(m.dmr_apply(slow, grow, 2.0).action, Action::Expand);
+  EXPECT_EQ(m.job(slow).allocated(), 4);
 }
 
 TEST(Manager, WaitExecCompletionArithmetic) {

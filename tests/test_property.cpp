@@ -95,28 +95,44 @@ void check_invariants(const Manager& manager, int cluster_nodes) {
 /// asks, that the queue it reads equals a fresh sort of the same jobs by
 /// SubmitOrder.
 struct QueueOrderCheck final : obs::Sink {
-  /// Every job submitted, resizers included.
+  /// Every user job submitted.
   std::vector<JobId> ids;
+  /// The resizer from its submission to its end: its id resolves only
+  /// inside its expand protocol.
+  JobId resizer = kInvalidJob;
 
   obs::Interest interest() const override {
-    return obs::kinds(obs::EventKind::kSubmitted, obs::EventKind::kPassBegin,
+    return obs::kinds(obs::EventKind::kSubmitted, obs::EventKind::kFinished,
+                      obs::EventKind::kPassBegin,
                       obs::EventKind::kNegotiateBegin);
   }
   void on_event(const obs::Event& event) override {
+    const bool is_resizer =
+        event.job != kInvalidJob && event.manager->job(event.job).resizer;
     if (event.kind == obs::EventKind::kSubmitted) {
-      ids.push_back(event.job);
+      if (is_resizer) {
+        resizer = event.job;
+      } else {
+        ids.push_back(event.job);
+      }
+      return;
+    }
+    if (event.kind == obs::EventKind::kFinished) {
+      if (is_resizer) resizer = kInvalidJob;
       return;
     }
     check(*event.manager, event.now, event.kind == obs::EventKind::kPassBegin);
   }
 
-  /// The pass's queue keeps resizers; Algorithm 1's does not.
+  /// The pass's queue keeps the resizer; Algorithm 1's does not.
   void check(const Manager& manager, double now, bool pass) const {
     std::vector<const Job*> expected;
     for (JobId id : ids) {
       const Job& job = manager.job(id);
-      if (!job.pending() || (!pass && job.resizer)) continue;
-      expected.push_back(&job);
+      if (job.pending()) expected.push_back(&job);
+    }
+    if (pass && resizer != kInvalidJob && manager.job(resizer).pending()) {
+      expected.push_back(&manager.job(resizer));
     }
     std::sort(expected.begin(), expected.end(), SubmitOrder{});
     const std::span<const Job* const> read =

@@ -463,13 +463,34 @@ void expect_samples_equal(const svc::MetricsSample& a,
   }
 }
 
+/// Every member's job table, job for job: the same ids in the same
+/// order, with the same states and times.
+void expect_job_tables_equal(const fed::Federation& a,
+                             const fed::Federation& b) {
+  ASSERT_EQ(a.cluster_count(), b.cluster_count());
+  for (int c = 0; c < a.cluster_count(); ++c) {
+    const auto jobs_a = a.manager(c).jobs();
+    const auto jobs_b = b.manager(c).jobs();
+    ASSERT_EQ(jobs_a.size(), jobs_b.size()) << "member " << c;
+    for (std::size_t i = 0; i < jobs_a.size(); ++i) {
+      const rms::Job& x = *jobs_a[i];
+      const rms::Job& y = *jobs_b[i];
+      EXPECT_EQ(x.id, y.id) << "member " << c << " job " << i;
+      EXPECT_EQ(x.state, y.state) << "job " << x.id;
+      EXPECT_EQ(x.submit_time, y.submit_time) << "job " << x.id;
+      EXPECT_EQ(x.start_time, y.start_time) << "job " << x.id;
+      EXPECT_EQ(x.end_time, y.end_time) << "job " << x.id;
+    }
+  }
+}
+
 /// The replay-determinism property: a service run straight to T1 and a
 /// service restored from its T0 snapshot then run to T1 agree field for
-/// field — batch metrics, completion count, and every sample taken
-/// after T0.
-void check_replay_property(std::uint64_t seed, int clusters) {
-  SCOPED_TRACE("seed=" + std::to_string(seed) +
-               " clusters=" + std::to_string(clusters));
+/// field — batch metrics, completion count, every member's job table,
+/// and every sample taken after T0.
+void check_replay_property(std::uint64_t seed, int clusters, double t0) {
+  SCOPED_TRACE("seed=" + std::to_string(seed) + " clusters=" +
+               std::to_string(clusters) + " t0=" + std::to_string(t0));
   const int width = clusters > 1 ? 12 : 16;
   const std::vector<svc::JobRequest> stream = property_stream(seed, width);
 
@@ -477,7 +498,6 @@ void check_replay_property(std::uint64_t seed, int clusters) {
   for (const svc::JobRequest& request : stream) {
     ASSERT_TRUE(live.submit(request));
   }
-  const double t0 = stream[stream.size() / 2].arrival;
   live.advance_to(t0);
   const svc::Snapshot snap = svc::snapshot(live);
   ASSERT_EQ(snap.time, t0);
@@ -494,6 +514,8 @@ void check_replay_property(std::uint64_t seed, int clusters) {
   EXPECT_EQ(replayed->accepted(), live.accepted());
   EXPECT_EQ(replayed->completed(), live.completed());
   expect_metrics_equal(replayed->metrics(), live.metrics());
+  expect_job_tables_equal(replayed->driver().federation(),
+                          live.driver().federation());
   // Every sample after the snapshot instant must match.  (Pre-snapshot
   // samples exist only on the live branch's timeline before T0 was
   // captured — both branches took them identically by construction.)
@@ -506,6 +528,20 @@ void check_replay_property(std::uint64_t seed, int clusters) {
     ++compared;
   }
   EXPECT_GT(compared, 0u);
+}
+
+/// Checks the property at the stream's midpoint arrival and at three
+/// instants drawn from util::Rng(seed) over the stream's arrivals.
+void check_replay_property(std::uint64_t seed, int clusters) {
+  const std::vector<svc::JobRequest> stream =
+      property_stream(seed, clusters > 1 ? 12 : 16);
+  check_replay_property(seed, clusters, stream[stream.size() / 2].arrival);
+  util::Rng rng(seed);
+  for (int i = 0; i < 3; ++i) {
+    check_replay_property(
+        seed, clusters,
+        rng.uniform(stream.front().arrival, stream.back().arrival));
+  }
 }
 
 TEST(SnapshotProperty, ReplayMatchesLiveSingleCluster) {
