@@ -325,8 +325,10 @@ BENCHMARK(BM_FeitelsonGenerate)->Arg(100)->Arg(1000);
 // util::summarize over seeded samples shaped like an archive replay's
 // (execs:0 its waits, 70% +0.0 and the rest exponential; execs:1 its
 // executions, log-uniform from a second to a day): the Table II
-// summaries WorkloadDriver::collect_metrics computes.  Each iteration
-// copies the samples in, as collect_metrics hands over its vectors.
+// summaries WorkloadDriver::collect_metrics computes, an in-order sum
+// with the NaN check, then std::nth_element and one scan of the top 5%.
+// Each iteration copies the samples in, as collect_metrics hands over
+// its vectors.
 void BM_Summarize(benchmark::State& state) {
   const auto count = static_cast<std::size_t>(state.range(0));
   const bool execs = state.range(1) == 1;

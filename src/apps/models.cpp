@@ -54,6 +54,18 @@ double nbody_speedup(int nprocs) {
   return 1.0 / (0.91 + 0.09 / p);
 }
 
+double AppModel::step_seconds(int nprocs) const {
+  switch (scaling) {
+    case Scaling::Cg:
+      return work / cg_speedup(nprocs);
+    case Scaling::Nbody:
+      return work / nbody_speedup(nprocs);
+    case Scaling::Linear:
+      break;
+  }
+  return work / nprocs;
+}
+
 AppModel fs_model(int steps, int submit_size, double step_at_submit,
                   int max_size, std::size_t data_bytes) {
   AppModel model;
@@ -65,8 +77,8 @@ AppModel fs_model(int steps, int submit_size, double step_at_submit,
   model.request.preferred = 0;  // "more freedom to reallocate resources"
   model.sched_period = 0.0;
   model.state_bytes = data_bytes;
-  const double work = step_at_submit * submit_size;  // perfect scaling
-  model.step_seconds = [work](int nprocs) { return work / nprocs; };
+  model.scaling = Scaling::Linear;
+  model.work = step_at_submit * submit_size;
   return model;
 }
 
@@ -81,10 +93,8 @@ AppModel cg_model(double step32) {
   model.sched_period = 15.0;
   // Matrix (8192^2 doubles) + 4 vectors: the five OmpSs dependencies.
   model.state_bytes = std::size_t(8192) * 8192 * 8 + 4 * 8192 * 8;
-  const double work = step32 * cg_speedup(32);
-  model.step_seconds = [work](int nprocs) {
-    return work / cg_speedup(nprocs);
-  };
+  model.scaling = Scaling::Cg;
+  model.work = step32 * cg_speedup(32);
   return model;
 }
 
@@ -107,10 +117,8 @@ AppModel nbody_model(double step16) {
   model.sched_period = 0.0;  // costly iterations need no inhibitor
   // Particle array: 2^21 particles x 8 doubles.
   model.state_bytes = std::size_t(1) << 21 << 6;
-  const double work = step16 * nbody_speedup(16);
-  model.step_seconds = [work](int nprocs) {
-    return work / nbody_speedup(nprocs);
-  };
+  model.scaling = Scaling::Nbody;
+  model.work = step16 * nbody_speedup(16);
   return model;
 }
 

@@ -13,12 +13,18 @@
 #pragma once
 
 #include <cstddef>
-#include <functional>
 #include <string>
 
 #include "rms/policy.hpp"
 
 namespace dmr::apps {
+
+/// The speedup curve a model's step time follows.
+enum class Scaling {
+  Linear,  ///< perfect linear scalability (FS)
+  Cg,      ///< cg_speedup (CG and Jacobi)
+  Nbody,   ///< nbody_speedup
+};
 
 struct AppModel {
   std::string name;
@@ -30,8 +36,13 @@ struct AppModel {
   double sched_period = 0.0;
   /// Bytes redistributed on a resize (the OmpSs data dependencies).
   std::size_t state_bytes = 0;
-  /// Seconds for one iteration on `nprocs` processes.
-  std::function<double(int nprocs)> step_seconds;
+  Scaling scaling = Scaling::Linear;
+  /// Seconds one iteration takes on one process (every curve is 1 there).
+  double work = 0.0;
+
+  /// Seconds for one iteration on `nprocs` processes: `work` over the
+  /// speedup `scaling` gives at `nprocs`.
+  double step_seconds(int nprocs) const;
 };
 
 /// Speedup curves (exposed for tests asserting the sweet-spot shape).

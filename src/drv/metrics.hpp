@@ -20,21 +20,18 @@ struct PartitionUtilization {
 
 /// Per-member slice of a federated run's metrics (one entry per member
 /// when the driver runs a multi-cluster federation; empty otherwise).
-/// The federation-wide WorkloadMetrics fields are exact aggregates of
-/// these: counts sum, utilization is the node-weighted average.
+/// The federation-wide job count and utilization are exact aggregates
+/// of these: the jobs sum, utilization is the node-weighted average.  A
+/// member's resize counters are its manager's (`Manager::counters()`).
 struct ClusterMetrics {
   std::string name;
   int nodes = 0;
-  /// Jobs the placement policy routed here.
+  /// Completed jobs the placement policy routed here.
   int jobs = 0;
   double utilization = 0.0;
   /// Last end time among this member's completed jobs.
   double makespan = 0.0;
   util::Summary wait;
-  long long expands = 0;
-  long long shrinks = 0;
-  long long checks = 0;
-  long long aborted_expands = 0;
 };
 
 /// Aggregate seconds jobs spent waiting on one typed block cause

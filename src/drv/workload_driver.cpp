@@ -436,10 +436,6 @@ void WorkloadDriver::collect_cluster_metrics(WorkloadMetrics& metrics,
       member.makespan = std::max(member.makespan, job->end_time);
     }
     member.wait = util::summarize(std::move(waits));
-    member.expands = manager.counters().expands;
-    member.shrinks = manager.counters().shrinks;
-    member.checks = manager.counters().checks;
-    member.aborted_expands = manager.counters().aborted_expands;
     metrics.clusters.push_back(std::move(member));
   }
 }
@@ -454,35 +450,24 @@ WorkloadMetrics WorkloadDriver::run() {
 
 WorkloadMetrics WorkloadDriver::collect_metrics() const {
   WorkloadMetrics metrics;
-  const auto completed_jobs = [this](auto&& visit) {
-    for (int c = 0; c < federation_.cluster_count(); ++c) {
-      for (const rms::Job* job : federation_.manager(c).jobs()) {
-        if (job->state == rms::JobState::Completed) visit(*job);
-      }
-    }
-  };
-  // Two walks: summarize sorts through a scratch buffer as large as its
-  // input, so the completions are gathered only once the waits and the
-  // executions are summarized, and at most three sample-sized buffers
-  // are live at once.
-  std::vector<double> waits, execs;
+  std::vector<double> waits, execs, completions;
   waits.reserve(static_cast<std::size_t>(completed_));
   execs.reserve(static_cast<std::size_t>(completed_));
+  completions.reserve(static_cast<std::size_t>(completed_));
   double makespan = 0.0;
-  completed_jobs([&](const rms::Job& job) {
-    waits.push_back(job.wait_time());
-    execs.push_back(job.execution_time());
-    makespan = std::max(makespan, job.end_time);
-    ++metrics.jobs;
-  });
+  for (int c = 0; c < federation_.cluster_count(); ++c) {
+    for (const rms::Job* job : federation_.manager(c).jobs()) {
+      if (job->state != rms::JobState::Completed) continue;
+      waits.push_back(job->wait_time());
+      execs.push_back(job->execution_time());
+      completions.push_back(job->completion_time());
+      makespan = std::max(makespan, job->end_time);
+      ++metrics.jobs;
+    }
+  }
   metrics.makespan = makespan;
   metrics.wait = util::summarize(std::move(waits));
   metrics.execution = util::summarize(std::move(execs));
-  std::vector<double> completions;
-  completions.reserve(static_cast<std::size_t>(completed_));
-  completed_jobs([&](const rms::Job& job) {
-    completions.push_back(job.completion_time());
-  });
   metrics.completion = util::summarize(std::move(completions));
   // Utilization integrates over [first arrival, makespan]: a staggered
   // workload's dead lead-in (nothing submitted yet) is not the cluster's

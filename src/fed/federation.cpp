@@ -23,8 +23,6 @@ Federation::Federation(FederationConfig config) {
       throw std::invalid_argument("Federation: duplicate member name '" +
                                   spec.name + "'");
     }
-    spec.rms.first_job_id =
-        static_cast<JobId>(c) * rms::kClusterIdStride + 1;
     managers_.push_back(std::make_unique<rms::Manager>(std::move(spec.rms),
                                                        static_cast<int>(c)));
     names_.push_back(std::move(spec.name));
@@ -91,7 +89,7 @@ std::vector<ClusterStatus> Federation::statuses(const JobSpec& spec) const {
       // capacity stays 0 when the member lacks the partition: ineligible.
     }
     for (const rms::Job* pending :
-         managers_[static_cast<std::size_t>(c)]->pending_snapshot()) {
+         managers_[static_cast<std::size_t>(c)]->pending_queue()) {
       ++status.pending_jobs;
       status.pending_nodes += pending->requested_nodes;
     }

@@ -35,8 +35,7 @@ namespace dmr::fed {
 
 /// One member cluster: a name (used in metrics and trace series) plus
 /// the full manager configuration (nodes or partitions, scheduler
-/// policy, shrink boost, allocation policy).  `rms.first_job_id` is
-/// overwritten with the member's id range.
+/// policy, shrink boost, allocation policy).
 struct ClusterSpec {
   std::string name;
   rms::RmsConfig rms;

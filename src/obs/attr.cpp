@@ -61,15 +61,13 @@ constexpr struct {
     {"partition-pinned", "partition_pinned"},
     {"draining-wait", "draining_wait"},
     {"shrink-pending", "shrink_pending"},
-    {"dependency", "dependency"},
 };
 
 /// Every cause in alphabetical name order, for sorted-key emission.
 constexpr BlockReason kAlphabetical[kBlockReasonCount] = {
-    BlockReason::kDependency,      BlockReason::kDrainingWait,
-    BlockReason::kEasyReservation, BlockReason::kInsufficientIdle,
-    BlockReason::kPartitionPinned, BlockReason::kShrinkPending,
-    BlockReason::kUnattributed,
+    BlockReason::kDrainingWait,     BlockReason::kEasyReservation,
+    BlockReason::kInsufficientIdle, BlockReason::kPartitionPinned,
+    BlockReason::kShrinkPending,    BlockReason::kUnattributed,
 };
 
 }  // namespace

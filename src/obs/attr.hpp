@@ -42,8 +42,8 @@ std::optional<BlockReason> block_reason_from(const std::string& name);
 struct CauseSlice {
   BlockReason cause = BlockReason::kUnattributed;
   /// The job holding the wait: the running job whose expected release
-  /// unblocks it, the reserved queue head, the shrinking job, or the
-  /// dependency target.  0 when no single job is responsible.
+  /// unblocks it, the reserved queue head or the shrinking job.  0 when
+  /// no single job is responsible.
   JobId blocker = 0;
   double seconds = 0.0;
 };

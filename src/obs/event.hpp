@@ -57,14 +57,9 @@ enum class BlockReason : int {
   /// A priority-boosted job waiting on the shrink that was started on
   /// its behalf (Algorithm 1 line 18).
   kShrinkPending,
-  /// Ineligible until another job runs.  Nothing reports it any more
-  /// (jobs carry no dependencies); kept so the sample columns, the
-  /// attribution sidecar, WorkloadMetrics::wait_causes and dmr_explain
-  /// keep their one entry per cause.
-  kDependency,
 };
 
-constexpr int kBlockReasonCount = 7;
+constexpr int kBlockReasonCount = 6;
 
 /// What happened.  Unless noted, `job`, `member`, `now` and `manager`
 /// name the job, its member cluster, the simulated instant and the

@@ -31,9 +31,9 @@ Job& JobTable::push_back(Job&& job) {
 Manager::Manager(RmsConfig config, int member)
     : scheduler_(config.scheduler),
       shrink_priority_boost_(config.shrink_priority_boost),
-      first_job_id_(config.first_job_id),
+      first_job_id_(static_cast<JobId>(member) * kClusterIdStride + 1),
       cluster_(make_cluster(config)),
-      next_resizer_id_(config.first_job_id + kClusterIdStride - 1),
+      next_resizer_id_(first_job_id_ + kClusterIdStride - 1),
       member_(member) {}
 
 void Manager::rescale_time_limit(Job& job, double now, double ratio) {
@@ -86,15 +86,6 @@ void Manager::boost(Job& job) {
     std::rotate(to, at, at + 1);
   }
   placements_dirty_ = true;
-}
-
-std::span<const Job* const> Manager::pending_snapshot() const {
-  if (!resizer_.pending()) return pending_jobs_;
-  snapshot_scratch_.clear();
-  for (const Job* job : pending_jobs_) {
-    if (job != &resizer_) snapshot_scratch_.push_back(job);
-  }
-  return snapshot_scratch_;
 }
 
 int Manager::checked_partition(const JobSpec& spec) const {
@@ -342,7 +333,7 @@ Decision Manager::dmr_decide(JobId id, const Request& request,
   view.job = &job;
   if (job.partition == kAnyPartition) {
     view.idle_nodes = cluster_.idle();
-    view.pending = pending_snapshot();
+    view.pending = pending_queue();
   } else {
     // A pinned job can only grow within — and release nodes back into —
     // its own partition, so the policy must see that pool and only the
@@ -351,7 +342,7 @@ Decision Manager::dmr_decide(JobId id, const Request& request,
     // cannot grant.
     view.idle_nodes = cluster_.idle_in(job.partition);
     policy_scratch_.clear();
-    for (const Job* pending : pending_snapshot()) {
+    for (const Job* pending : pending_jobs_) {
       if (pending->partition == kAnyPartition ||
           pending->partition == job.partition) {
         policy_scratch_.push_back(pending);

@@ -55,8 +55,11 @@ struct TestBackdoor;
 
 namespace dmr::rms {
 
-/// Ids per manager: its user jobs count up from first_job_id, and its
-/// resizers down from first_job_id + kClusterIdStride - 1.
+/// Ids per manager: member m's user jobs count up from
+/// m * kClusterIdStride + 1, and its resizers down from the top of that
+/// range, (m + 1) * kClusterIdStride.  Disjoint ranges keep a
+/// federation's ids globally unique and route each back to its member
+/// without a translation table.
 constexpr JobId kClusterIdStride = 1'000'000'000;
 
 struct RmsConfig {
@@ -68,10 +71,6 @@ struct RmsConfig {
   /// Heterogeneous layout; when non-empty it overrides `nodes` (the
   /// total is the sum of the partition sizes).
   std::vector<Partition> partitions = {};
-  /// Bottom of this manager's id range.  A fed::Federation gives each
-  /// member a disjoint range so job ids stay globally unique and route
-  /// back to their cluster without a translation table.
-  JobId first_job_id = 1;
 };
 
 /// Result of a DMR reconfiguring-point negotiation (public API type).
@@ -115,7 +114,8 @@ class JobTable {
 class Manager : public ::dmr::Rms {
  public:
   /// `member` is this manager's index in its federation (0 standalone);
-  /// it is stamped on every event the manager emits.
+  /// it is stamped on every event the manager emits and sets the
+  /// manager's id range (kClusterIdStride).
   explicit Manager(RmsConfig config, int member = 0);
 
   // --- job lifecycle -------------------------------------------------------
@@ -164,15 +164,11 @@ class Manager : public ::dmr::Rms {
   ::dmr::JobView query(JobId id) const override;
   const Cluster& cluster() const { return cluster_; }
   int idle_nodes() const { return cluster_.idle(); }
-  /// Every pending job, resizers included, in SubmitOrder: the queue a
-  /// scheduling pass reads.  The manager's own list, valid until the
-  /// manager changes.
+  /// Every pending job in SubmitOrder: the queue a scheduling pass reads
+  /// and Algorithm 1 scans.  The resizer is in it only while its expand
+  /// protocol runs inside dmr_apply.  The manager's own list, valid until
+  /// the manager changes.
   std::span<const Job* const> pending_queue() const { return pending_jobs_; }
-  /// The same without resizers: the queue Algorithm 1 scans
-  /// (dmr_decide).  The manager's own list unless a resizer is pending
-  /// (only inside the expand protocol), else a filtered copy it keeps;
-  /// valid until the manager changes or the same query runs again.
-  std::span<const Job* const> pending_snapshot() const;
   /// Every running job, resizers included, in no fixed order:
   /// the list a scheduling pass reads.  Valid until the manager changes.
   std::span<const Job* const> running_list() const { return running_jobs_; }
@@ -181,8 +177,9 @@ class Manager : public ::dmr::Rms {
   /// Same validity as pending_queue.
   ScheduleView schedule_view(double now) const;
   /// Every user job so far, as `const Job*` in submission order (the job
-  /// at index i has id first_job_id + i).  A 32-bit index covers the id
-  /// range and keeps the view's iterators classic ones.
+  /// at index i has id member * kClusterIdStride + 1 + i).  A 32-bit
+  /// index covers the id range and keeps the view's iterators classic
+  /// ones.
   auto jobs() const {
     const auto at = [this](unsigned i) -> const Job* { return &jobs_[i]; };
     return std::views::iota(0u, static_cast<unsigned>(jobs_.size())) |
@@ -307,8 +304,6 @@ class Manager : public ::dmr::Rms {
   std::vector<BlockDiag> blocked_;
   /// dmr_decide's queue for a pinned job (the jobs its partition serves).
   std::vector<const Job*> policy_scratch_;
-  /// The filtered copy behind pending_snapshot.
-  mutable std::vector<const Job*> snapshot_scratch_;
 };
 
 }  // namespace dmr::rms

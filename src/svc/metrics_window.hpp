@@ -85,8 +85,7 @@ struct MetricsSample {
   double response_p95 = 0.0;
   double response_p99 = 0.0;
   long long submitted_total = 0;
-  /// Cumulative ring rejections (also emitted under the older
-  /// "rejected_full_cum" key, so existing feed readers keep working).
+  /// Cumulative ring rejections.
   long long rejected_full_total = 0;
   long long rejected_stale_total = 0;
   /// Cumulative wait seconds per obs::BlockReason (enum-index order,

@@ -127,7 +127,7 @@ void Service::take_sample() {
   int pending = 0;
   for (int c = 0; c < federation.cluster_count(); ++c) {
     pending +=
-        static_cast<int>(federation.manager(c).pending_snapshot().size());
+        static_cast<int>(federation.manager(c).pending_queue().size());
   }
   sample.queue_depth = pending;
   sample.ring_depth = static_cast<int>(queue_.size());

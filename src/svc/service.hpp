@@ -26,6 +26,7 @@
 // non-empty by design, which is exactly what "resident" means.
 #pragma once
 
+#include <deque>
 #include <functional>
 #include <memory>
 #include <vector>
@@ -112,7 +113,7 @@ class Service {
   const obs::WaitAttributor* attribution() const { return attr_ptr_; }
   const ServiceConfig& config() const { return config_; }
   /// Accepted submissions in acceptance order (the snapshot log).
-  const std::vector<JobRequest>& submission_log() const { return log_; }
+  const std::deque<JobRequest>& submission_log() const { return log_; }
 
   // --- live what-if hook -----------------------------------------------------
 
@@ -134,7 +135,13 @@ class Service {
   drv::WorkloadDriver driver_;
   SubmitQueue queue_;
   MetricsWindow window_;
-  std::vector<JobRequest> log_;
+  /// A deque, so the log grows a 512-byte block at a time into the
+  /// heap's free space.  A vector's doubling past 16,384 requests holds
+  /// the old and the new copy at once (1.4 + 2.9 MB): in a 20,000-job
+  /// stream with a what-if fork at 10,000, that copy rather than the
+  /// fork sets the peak RSS on seeds whose fork left more of the heap
+  /// resident, and the peak moves by up to 2 MB from seed to seed.
+  std::deque<JobRequest> log_;
   std::vector<MetricsSample> samples_;
   /// The self-rescheduling sampler event (captures only `this`; the
   /// engine holds copies, so no ownership cycle).

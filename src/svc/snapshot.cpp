@@ -4,6 +4,7 @@
 #include <array>
 #include <charconv>
 #include <cmath>
+#include <deque>
 #include <limits>
 #include <sstream>
 #include <stdexcept>
@@ -206,7 +207,8 @@ Snapshot snapshot(const Service& service) {
   config.attribute_waits =
       config.attribute_waits || config.driver.hooks.attr != nullptr;
   config.driver.hooks = {};
-  captured.submissions = service.submission_log();
+  const std::deque<JobRequest>& log = service.submission_log();
+  captured.submissions.assign(log.begin(), log.end());
   captured.time = service.now();
   return captured;
 }

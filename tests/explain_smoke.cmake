@@ -55,7 +55,7 @@ endif()
 if(NOT job MATCHES "wait decomposition")
   message(FATAL_ERROR "--job output names no decomposition:\n${job}")
 endif()
-if(NOT job MATCHES "(insufficient-idle|easy-reservation|partition-pinned|draining-wait|shrink-pending|dependency)")
+if(NOT job MATCHES "(insufficient-idle|easy-reservation|partition-pinned|draining-wait|shrink-pending)")
   message(FATAL_ERROR "--job output names no concrete cause:\n${job}")
 endif()
 

@@ -284,7 +284,7 @@ TEST(WaitAttributor, BackDatesFirstDiagnosisAndClosesOnChange) {
   EXPECT_DOUBLE_EQ(job.attributed_seconds(), job.wait_seconds());
 
   // Post-start reports are ignored (the wait is over).
-  feed.blocked(id, 12.0, obs::BlockReason::kDependency, 9);
+  feed.blocked(id, 12.0, obs::BlockReason::kShrinkPending, 9);
   EXPECT_EQ(attribution_of(attr, id).slices.size(), 2u);
 }
 
@@ -372,10 +372,10 @@ TEST(WaitAttributor, SubmissionBelowTheSettledPrefixDropsItsSums) {
   // settled prefix.
   const JobId early = feed.submit("c", 10.0, /*member=*/0);
   ASSERT_LT(early, late);
-  feed.blocked(early, 10.0, obs::BlockReason::kDependency, late);
+  feed.blocked(early, 10.0, obs::BlockReason::kShrinkPending, late);
   feed.started(early, 13.0);
   EXPECT_EQ(bits(attr.cause_totals()), bits(walk_every_job(attr)));
-  EXPECT_DOUBLE_EQ(total_of(attr, obs::BlockReason::kDependency), 3.0);
+  EXPECT_DOUBLE_EQ(total_of(attr, obs::BlockReason::kShrinkPending), 3.0);
 
   // A job cancelled while pending settles like a started one.
   const JobId cancelled = feed.submit("g", 30.0, /*member=*/1);
@@ -467,9 +467,10 @@ TEST(AttributionSidecar, RejectsNumbersNoFieldCanHold) {
            R"(,"slices":[{"blocker":)" + blocker + R"(,"cause":")" + cause +
            R"(","seconds":4}])";
   };
+  const std::string known = "shrink-pending";
   std::string error;
   const obs::AttributionProfile good =
-      obs::parse_attribution(sidecar(job("2", "0", "1", "dependency")), error);
+      obs::parse_attribution(sidecar(job("2", "0", "1", known)), error);
   ASSERT_TRUE(error.empty()) << error;
   ASSERT_EQ(good.jobs.size(), 2u);
   EXPECT_EQ(good.jobs[1].id, 2);
@@ -479,15 +480,14 @@ TEST(AttributionSidecar, RejectsNumbersNoFieldCanHold) {
     std::string job;
     std::string error;
   } cases[] = {
-      {job("1e30", "0", "1", "dependency"), "malformed id (job 1)"},
-      {job("-3", "0", "1", "dependency"), "malformed id (job 1)"},
-      {job("2.7", "0", "1", "dependency"), "malformed id (job 1)"},
-      {job("\"2\"", "0", "1", "dependency"), "malformed id (job 1)"},
-      {job("2", "1e12", "1", "dependency"), "malformed member (job 1)"},
-      {job("2", "-2", "1", "dependency"), "malformed member (job 1)"},
-      {job("2", "0", "-1", "dependency"), "malformed blocker (job 1, slice 0)"},
-      {job("2", "0", "1e300", "dependency"),
-       "malformed blocker (job 1, slice 0)"},
+      {job("1e30", "0", "1", known), "malformed id (job 1)"},
+      {job("-3", "0", "1", known), "malformed id (job 1)"},
+      {job("2.7", "0", "1", known), "malformed id (job 1)"},
+      {job("\"2\"", "0", "1", known), "malformed id (job 1)"},
+      {job("2", "1e12", "1", known), "malformed member (job 1)"},
+      {job("2", "-2", "1", known), "malformed member (job 1)"},
+      {job("2", "0", "-1", known), "malformed blocker (job 1, slice 0)"},
+      {job("2", "0", "1e300", known), "malformed blocker (job 1, slice 0)"},
       {job("2", "0", "1", "bogus"), "unknown cause 'bogus' (job 1, slice 0)"},
       {R"("member":0,"slices":[])", "missing or malformed id (job 1)"},
   };

@@ -23,7 +23,11 @@ using namespace dmr::sim;
 // single changed timestamp, counter or sample line anywhere in a run
 // changes the FNV-1a value.  Re-pinned when user ids became consecutive
 // (the expand protocol's resizer left the job table): the job lines
-// carry ids, and nothing else in them moved.
+// carry ids, and nothing else in them moved.  The service values were
+// re-pinned again when the sample lines lost their two dead keys
+// (`rejected_full_cum`, a copy of `rejected_full_total`, and
+// `wait_cause_dependency`, which nothing reported): deleting those keys
+// from the old text gives the new text byte for byte.
 struct GoldenDigest {
   std::uint64_t seed;
   std::uint64_t single_cluster;
@@ -33,13 +37,13 @@ struct GoldenDigest {
 
 constexpr GoldenDigest kGoldens[] = {
     {1ULL, 0x9b4ecec00eef8554ULL, 0xdd3e637b32a1db32ULL,
-     0xe514ef22d0d5747bULL},
+     0x17ed96cf6fe4c1a8ULL},
     {7ULL, 0xb7accfa73ec19e28ULL, 0x33914c13d1105585ULL,
-     0x4f50df28b41bb022ULL},
+     0xe408252dbb9737afULL},
     {42ULL, 0x7f693be8ad713f05ULL, 0x8cd6db2127a37b47ULL,
-     0x9fe776084be50a0bULL},
+     0x0ca084bd6f95c0b0ULL},
     {2017ULL, 0xd209cc9a99b1a142ULL, 0x94506e0b5b0fdedaULL,
-     0x1021ae9fb8cdf046ULL},
+     0x635a02bd59ced9d5ULL},
 };
 
 TEST(CalendarGolden, SingleClusterSeedSweep) {

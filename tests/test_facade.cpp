@@ -105,7 +105,7 @@ std::vector<ResizeEvent> run_des(const Scenario& scenario, Mode mode) {
   model.request = Request{.min_procs = 1, .max_procs = scenario.nodes,
                           .factor = 2, .preferred = 0};
   model.state_bytes = std::size_t(1) << 20;
-  model.step_seconds = [](int nprocs) { return 8.0 / nprocs; };
+  model.work = 8.0;  // 8 / n seconds a step
 
   JobPlan plan;
   plan.model = model;
@@ -122,7 +122,8 @@ std::vector<ResizeEvent> run_des(const Scenario& scenario, Mode mode) {
                             .factor = 2, .preferred = 0};
     // Outlives the flexible job, like the real-mode placeholder that is
     // only cancelled after the run — so neither substrate re-expands.
-    rigid.step_seconds = [](int) { return 10000.0; };
+    // It runs at its one size, so its step takes 10000 s.
+    rigid.work = 10000.0 * scenario.rigid_nodes;
     JobPlan rigid_plan;
     rigid_plan.model = rigid;
     rigid_plan.submit_nodes = scenario.rigid_nodes;

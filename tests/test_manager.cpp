@@ -107,7 +107,9 @@ struct ResizerProbe final : obs::Sink {
     }
     if (resizer == kInvalidJob) return;
     jobs_seen.push_back(m.jobs().size());
-    pending_seen.push_back(m.pending_snapshot().size());
+    std::size_t pending = 0;
+    for (const Job* job : m.pending_queue()) pending += job->resizer ? 0 : 1;
+    pending_seen.push_back(pending);
     if (event.kind == obs::EventKind::kStarted && event.job == resizer) {
       resizer_nodes = m.job(resizer).nodes;
     }
@@ -384,7 +386,7 @@ TEST(Manager, ExpandAbortWhenResizerLosesRace) {
   EXPECT_EQ(m.job(a).allocated(), 4);
   // No resizer leftovers.
   EXPECT_EQ(m.idle_nodes(), 0);
-  EXPECT_TRUE(m.pending_snapshot().empty());
+  EXPECT_TRUE(m.pending_queue().empty());
 }
 
 /// Counts starts and ends and keeps the last reported allocation.
@@ -505,15 +507,15 @@ TEST(Manager, SnapshotsAreCachedAndInvalidate) {
   const JobId b = m.submit(spec("b", 4), 1.0);
   m.schedule(1.0);
   EXPECT_TRUE(m.job(a).running());
-  const auto& pending = m.pending_snapshot();
+  const auto pending = m.pending_queue();
   ASSERT_EQ(pending.size(), 1u);
   EXPECT_EQ(pending[0]->id, b);
-  // Same state: the cached snapshot is reused, element storage included.
+  // Same state: the same list, element storage included.
   const Job* const* storage = pending.data();
-  EXPECT_EQ(m.pending_snapshot().data(), storage);
+  EXPECT_EQ(m.pending_queue().data(), storage);
   m.job_finished(a, 3.0);
   EXPECT_TRUE(m.job(b).running());
-  EXPECT_TRUE(m.pending_snapshot().empty());
+  EXPECT_TRUE(m.pending_queue().empty());
 }
 
 RmsConfig heterogeneous_config() {

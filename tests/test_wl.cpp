@@ -1,7 +1,9 @@
 // Workload model tests: distribution shapes, determinism, repeat groups.
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <set>
+#include <vector>
 
 #include "util/stats.hpp"
 #include "wl/feitelson.hpp"
@@ -160,13 +162,21 @@ TEST(Generate, Pow2FractionElevated) {
   EXPECT_GT(stats.pow2_fraction, 0.45);
 }
 
+/// The samples' standard deviation, with Bessel's correction.
+double sample_stddev(const std::vector<double>& samples) {
+  const double mean = dmr::util::summarize(samples).mean;
+  double squares = 0.0;
+  for (const double x : samples) squares += (x - mean) * (x - mean);
+  return std::sqrt(squares / static_cast<double>(samples.size() - 1));
+}
+
 TEST(Generate, HyperexponentialRuntimeOverdispersed) {
   auto p = params(8000, 17);
   const auto jobs = generate_feitelson(p);
   std::vector<double> runtimes;
   for (const auto& job : jobs) runtimes.push_back(job.runtime);
-  const auto stats = dmr::util::summarize(runtimes);
-  EXPECT_GT(stats.stddev / stats.mean, 1.0);
+  const double mean = dmr::util::summarize(runtimes).mean;
+  EXPECT_GT(sample_stddev(runtimes) / mean, 1.0);
 }
 
 }  // namespace
